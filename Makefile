@@ -5,9 +5,9 @@
 # simulator-throughput and parallel-campaign benchmarks once without
 # timing repetition, so the process-pool fan-out path runs in CI without
 # slowing the gate down.  It also runs the epoch-engine perf gate
-# (solution-cache and batched-inference speedups, self-timed with
-# perf_counter) and writes benchmarks/results/BENCH_epoch_engine.json,
-# which CI uploads as an artifact.  `train-bench-smoke` is the matching
+# (batched-inference speedup, self-timed with perf_counter) and writes
+# benchmarks/results/BENCH_epoch_engine.json, which CI uploads as an
+# artifact.  `train-bench-smoke` is the matching
 # gate for the offline training pipeline (batched RFE scoring, sweep
 # cache, population replicas); it writes
 # benchmarks/results/BENCH_training_pipeline.json.
@@ -15,16 +15,12 @@
 # fused engine reproduces the serial grid byte-for-byte and beats the
 # process-pool fan-out >= 3x, and writes
 # benchmarks/results/BENCH_fused_sim.json.
-# `quantum-bench-smoke` is the vectorised-quantum-kernel perf gate: it
-# asserts the batched epoch engine and the fused V/f-grid replay are
-# byte-identical to the scalar hot path and beat it >= 2.5x / >= 2x,
-# and writes benchmarks/results/BENCH_quantum_kernel.json.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast test-slow bench-smoke train-bench-smoke \
-	fused-bench-smoke quantum-bench-smoke bench faults-smoke soak-smoke \
+	fused-bench-smoke bench faults-smoke soak-smoke \
 	fleet-smoke fleet-chaos-smoke serve-chaos-smoke
 
 test-fast:
@@ -110,12 +106,6 @@ fused-bench-smoke:
 	$(PYTHON) -m pytest -q tests/test_fused.py
 	$(PYTHON) -m pytest -q \
 		benchmarks/bench_sim_throughput.py::test_fused_campaign_speedup \
-		--benchmark-disable
-
-quantum-bench-smoke:
-	$(PYTHON) -m pytest -q tests/test_quantum.py
-	$(PYTHON) -m pytest -q \
-		benchmarks/bench_sim_throughput.py::test_quantum_kernel_speedup \
 		--benchmark-disable
 
 bench:

@@ -9,17 +9,15 @@ Also times the campaign layer itself: a small data-generation campaign
 run serially and through the process-pool fan-out, so parallel
 speedups (and regression of the fan-out overhead) are measurable.
 
-The epoch-engine tests double as the perf-regression gate: they time
-the datagen-style snapshot/replay loop with the interval-model
-solution cache on and off, and batched vs per-cluster scalar
-inference, with plain ``time.perf_counter`` (so they run under
-``--benchmark-disable`` in the CI smoke job) and persist the numbers
-to ``benchmarks/results/BENCH_epoch_engine.json``.
+The batched-inference test doubles as a perf-regression gate: it times
+batched vs per-cluster scalar inference with plain
+``time.perf_counter`` (so it runs under ``--benchmark-disable`` in the
+CI smoke job) and persists the numbers to
+``benchmarks/results/BENCH_epoch_engine.json``.
 """
 
 import functools
 import json
-import pickle
 import time
 from pathlib import Path
 
@@ -33,11 +31,9 @@ from repro.core.controller import SSMDVFSController
 from repro.core.decision_maker import DecisionMaker
 from repro.datagen.dataset import DVFSDataset
 from repro.datagen.features import FeatureExtractor, FeatureScaler
-from repro.datagen.protocol import (ProtocolConfig, generate_chunks_for_suite,
-                                    generate_for_kernel,
-                                    scale_kernel_for_protocol)
+from repro.datagen.protocol import ProtocolConfig, generate_chunks_for_suite
 from repro.evaluation.runner import compare_policies
-from repro.gpu.arch import small_test_config, titan_x_config
+from repro.gpu.arch import small_test_config
 from repro.gpu.counters import COUNTER_NAMES, CounterSet
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase, compute_phase, memory_phase
@@ -118,64 +114,8 @@ def test_campaign_parallel_throughput(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Epoch-engine perf gate: solution cache + batched inference
+# Epoch-engine perf gate: batched inference
 # ---------------------------------------------------------------------------
-
-_REPLAYS = 8
-_EPOCHS_PER_REPLAY = 6
-
-
-def _replay_trial(use_cache):
-    """One datagen-style snapshot/replay pass; returns (seconds, sim)."""
-    arch = titan_x_config()
-    kernel = kernel_by_name("rodinia.hotspot").with_iterations(10_000)
-    simulator = GPUSimulator(arch, kernel, seed=1,
-                             use_solution_cache=use_cache)
-    simulator.set_all_levels(arch.vf_table.default_level)
-    for _ in range(4):  # move past the cold start
-        simulator.step_epoch()
-    snapshot = simulator.snapshot()
-    start = time.perf_counter()
-    for _ in range(_REPLAYS):
-        simulator.restore(snapshot)
-        for _ in range(_EPOCHS_PER_REPLAY):
-            simulator.step_epoch()
-    return time.perf_counter() - start, simulator
-
-
-def test_epoch_engine_cache_speedup():
-    """The solve cache must keep the replay loop >= 2x faster.
-
-    Best-of-3 wall-clock per mode to shrug off scheduler noise; the
-    workload is the protocol's own access pattern (restore + re-step),
-    which is exactly where the cache earns its keep.
-    """
-    epochs = _REPLAYS * _EPOCHS_PER_REPLAY
-    cached_s = min(_replay_trial(True)[0] for _ in range(3))
-    uncached_s = min(_replay_trial(False)[0] for _ in range(3))
-    _, simulator = _replay_trial(True)
-    cache = simulator.solution_cache
-    speedup = uncached_s / cached_s
-    _update_results("replay_cache", {
-        "workload": "rodinia.hotspot x 24 clusters (titan_x)",
-        "replays": _REPLAYS,
-        "epochs_per_replay": _EPOCHS_PER_REPLAY,
-        "cached_epochs_per_s": epochs / cached_s,
-        "uncached_epochs_per_s": epochs / uncached_s,
-        "speedup": speedup,
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-        "cache_hit_rate": cache.hit_rate,
-        "cache_entries": len(cache),
-    })
-    # Deterministic part of the gate: the replay pattern must actually
-    # hit (every replay after the first re-solves identical inputs).
-    assert cache.hit_rate > 0.5
-    assert cache.hits > cache.misses
-    # Timing part: gross regressions fail; headroom is ~3x on an idle
-    # machine.
-    assert speedup >= 2.0, f"solve cache speedup collapsed: {speedup:.2f}x"
-
 
 def _synthetic_runtime_models(num_levels=6, hidden=24, seed=11):
     """A DecisionMaker/Calibrator pair with random (but fitted) weights."""
@@ -364,151 +304,10 @@ def test_fused_campaign_speedup():
     assert counters.get("fused_tasks", 0) == tasks
     assert counters.get("fused_inference_groups", 0) > 0
     assert counters.get("fused_noise_shared", 0) > 0
-    # ... and must have advanced its quanta through the vectorised
-    # engine (one stacked solve per quantum), not the scalar loop.
-    assert counters.get("fused_vectorized_quanta", 0) > 0
+    assert counters.get("fused_quanta", 0) > 0
     # Timing part: the fused engine's dedup (shared solves + noise) and
     # batched inference carry the gate; measured headroom is ~3.4-3.6x.
     assert vs_parallel >= 3.0, \
         f"fused campaign speedup collapsed: {vs_parallel:.2f}x vs parallel"
     assert vs_serial >= 2.0, \
         f"fused campaign speedup collapsed: {vs_serial:.2f}x vs serial"
-
-
-# ---------------------------------------------------------------------------
-# Vectorised quantum kernel: batched epoch loop + fused V/f-grid replay
-# ---------------------------------------------------------------------------
-
-QUANTUM_RESULTS_PATH = Path(__file__).resolve().parent / "results" / \
-    "BENCH_quantum_kernel.json"
-
-#: Control epoch for the per-quantum-loop leg.  The gate measures the
-#: regime the kernel was built for — datagen replay segments are ~100 us
-#: of simulated time per solve wave — so it uses a long epoch where the
-#: per-quantum Python overhead dominates the serial loop; at the default
-#: 10 us epoch the measured speedup is ~2.3x, rising to >3x from ~30 us.
-_QK_EPOCH_S = 50e-6
-_QK_EPOCHS = 60
-_QK_SEED = 11
-
-
-def _quantum_mix(arch):
-    """A four-kernel tenant mix: phase diversity keeps the solution
-    cache in its honest cold/mixed regime instead of pure replay."""
-    return [scale_kernel_to_duration(k, arch, 5e-3)
-            for k in evaluation_suite()[:4]]
-
-
-def _quantum_loop_records(vectorized):
-    arch = titan_x_config()
-    sim = GPUSimulator(arch, _quantum_mix(arch), seed=_QK_SEED,
-                       epoch_s=_QK_EPOCH_S, vectorized=vectorized)
-    records = []
-    for _ in range(_QK_EPOCHS):
-        if sim.finished:
-            break
-        records.append(sim.step_epoch())
-    return records, sim
-
-
-def _quantum_loop_seconds(vectorized):
-    arch = titan_x_config()
-    sim = GPUSimulator(arch, _quantum_mix(arch), seed=_QK_SEED,
-                       epoch_s=_QK_EPOCH_S, vectorized=vectorized)
-    start = time.perf_counter()
-    for _ in range(_QK_EPOCHS):
-        if sim.finished:
-            break
-        sim.step_epoch()
-    return time.perf_counter() - start
-
-
-_GRID_CFG_FUSED = ProtocolConfig(seed=9, max_breakpoints_per_kernel=2,
-                                 fused_grid=True, vectorized_quanta=True)
-_GRID_CFG_SERIAL = ProtocolConfig(seed=9, max_breakpoints_per_kernel=2,
-                                  fused_grid=False, vectorized_quanta=False)
-
-
-def _grid_kernel(arch):
-    kernel = kernel_by_name("rodinia.hotspot")
-    return scale_kernel_for_protocol(kernel, arch, _GRID_CFG_FUSED)
-
-
-def _grid_replay(config):
-    arch = titan_x_config()
-    return generate_for_kernel(_grid_kernel(arch), arch, config=config)
-
-
-def test_quantum_kernel_speedup():
-    """The batched quantum kernel must beat the scalar hot path.
-
-    Two legs, identity asserted before timing (a speedup gate is only
-    meaningful over byte-identical output):
-
-    * per-quantum loop: 60 stepped 50 us epochs of the 24-cluster
-      titan_x under a four-kernel tenant mix, vectorised engine vs the
-      scalar per-cluster loop — gate >= 2.5x;
-    * V/f-grid replay: one datagen kernel's breakpoint protocol with the
-      fused lockstep grid vs the serial six-way replay — gate >= 2x.
-
-    Timing runs interleave the two paths (best-of-3 per path) so
-    machine noise hits both legs alike; plain ``perf_counter`` keeps the
-    gate alive under ``--benchmark-disable``.
-    """
-    vec_records, vec_sim = _quantum_loop_records(True)
-    ser_records, _ = _quantum_loop_records(False)
-    assert pickle.dumps(vec_records) == pickle.dumps(ser_records), \
-        "vectorised epoch loop diverged from the scalar loop"
-    assert len(vec_records) == _QK_EPOCHS
-
-    fused_chunk = _grid_replay(_GRID_CFG_FUSED)
-    serial_chunk = _grid_replay(_GRID_CFG_SERIAL)
-    assert pickle.dumps(fused_chunk) == pickle.dumps(serial_chunk), \
-        "fused V/f-grid replay diverged from the serial replay"
-    assert len(fused_chunk) == _GRID_CFG_FUSED.max_breakpoints_per_kernel
-
-    loop_vec = loop_ser = grid_fused = grid_serial = float("inf")
-    for _ in range(3):
-        loop_vec = min(loop_vec, _quantum_loop_seconds(True))
-        loop_ser = min(loop_ser, _quantum_loop_seconds(False))
-        start = time.perf_counter()
-        _grid_replay(_GRID_CFG_FUSED)
-        grid_fused = min(grid_fused, time.perf_counter() - start)
-        start = time.perf_counter()
-        _grid_replay(_GRID_CFG_SERIAL)
-        grid_serial = min(grid_serial, time.perf_counter() - start)
-
-    loop_speedup = loop_ser / loop_vec
-    grid_speedup = grid_serial / grid_fused
-    cache = vec_sim.solution_cache
-    QUANTUM_RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    store.atomic_write_text(QUANTUM_RESULTS_PATH, json.dumps({
-        "loop": {
-            "workload": ("4-kernel tenant mix x 24 clusters (titan_x), "
-                         f"{_QK_EPOCHS} x {_QK_EPOCH_S * 1e6:.0f}us epochs"),
-            "vectorized_s": loop_vec,
-            "scalar_s": loop_ser,
-            "speedup": loop_speedup,
-            "vectorized_epochs_per_s": _QK_EPOCHS / loop_vec,
-            "scalar_epochs_per_s": _QK_EPOCHS / loop_ser,
-            "cache_batch_hits": cache.batch_hits,
-            "cache_batch_misses": cache.batch_misses,
-            "cache_evictions": cache.evictions,
-        },
-        "grid_replay": {
-            "workload": ("rodinia.hotspot breakpoint protocol x 24 "
-                         "clusters (titan_x), "
-                         f"{len(fused_chunk)} breakpoints x 6 V/f points"),
-            "fused_s": grid_fused,
-            "serial_s": grid_serial,
-            "speedup": grid_speedup,
-        },
-        "bit_identical": True,
-    }, indent=2, sort_keys=True) + "\n")
-    # Deterministic part: the vectorised run must actually have used the
-    # batched cache protocol, not fallen back to scalar probes.
-    assert cache is not None and cache.batch_misses > 0
-    assert loop_speedup >= 2.5, \
-        f"quantum-kernel loop speedup collapsed: {loop_speedup:.2f}x"
-    assert grid_speedup >= 2.0, \
-        f"fused grid-replay speedup collapsed: {grid_speedup:.2f}x"

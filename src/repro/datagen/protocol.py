@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import DatasetError, SimulationError
 from ..gpu.arch import GPUArchConfig
-from ..gpu.cluster import build_counters_matrix, quantum_row_for
+from ..gpu.cluster import build_counters_matrix
 from ..gpu.counters import COUNTER_INDEX, CounterSet
 from ..gpu.fused import (SharedContextCache, dump_shared, fuse_groups,
                          release_shared)
@@ -53,22 +53,6 @@ class ProtocolConfig:
     max_breakpoints_per_kernel: int = 12
     augment_feature_levels: bool = True
     seed: int = 0
-    #: Memoise interval-model solves across the 6-way V/f replays.
-    #: Results are bit-identical either way (the cache stores exact
-    #: inputs/outputs); the flag exists for benchmarking and as a
-    #: diagnostic escape hatch.
-    use_solution_cache: bool = True
-    #: Replay the whole V/f grid per breakpoint in lockstep: one lane
-    #: simulator per operating point, advanced through one batched
-    #: quantum-kernel call per epoch, with the shared feature window
-    #: solved once instead of once per grid point.  Output is
-    #: bit-identical to the serial six-way replay; the flags exist for
-    #: benchmarking and as diagnostic escape hatches.
-    fused_grid: bool = True
-    #: Run lane/simulator epochs through the vectorised quantum kernel
-    #: (:func:`repro.gpu.quantum.run_epoch_batch`) instead of the scalar
-    #: per-cluster loop.
-    vectorized_quanta: bool = True
 
     def __post_init__(self) -> None:
         if self.epoch_s <= 0:
@@ -122,29 +106,6 @@ class BreakpointSamples:
         return best
 
 
-def _time_to_reach_mark(simulator: GPUSimulator, target: float,
-                        epoch_s: float, max_epochs: int = 10_000) -> float:
-    """Run at current levels until the mean-instruction mark, returning
-    the elapsed time with sub-epoch (interpolated) resolution."""
-    elapsed = 0.0
-    epochs = 0
-    while not simulator.finished:
-        before = simulator.mean_instructions_done()
-        if before >= target:
-            return elapsed
-        simulator.step_epoch()
-        epochs += 1
-        if epochs > max_epochs:
-            raise SimulationError("workload mark never reached")
-        after = simulator.mean_instructions_done()
-        if after >= target:
-            progress = after - before
-            fraction = (target - before) / progress if progress > 0 else 1.0
-            return elapsed + fraction * epoch_s
-        elapsed += epoch_s
-    return elapsed
-
-
 def _finalize_samples(samples: BreakpointSamples, default_level: int,
                       config: ProtocolConfig) -> BreakpointSamples:
     """Turn raw replay durations into the canonical loss labels."""
@@ -163,92 +124,8 @@ def _finalize_samples(samples: BreakpointSamples, default_level: int,
     return samples
 
 
-def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
-                       config: ProtocolConfig,
-                       lanes: list[GPUSimulator] | None = None,
-                       reference: tuple[float, dict] | None = None
-                       ) -> BreakpointSamples:
-    """Run the six-way replay for the breakpoint at the current state.
-
-    The simulator must be positioned at the breakpoint (all clusters at
-    the default level) and is left at the end of the reference segment
-    so generation can continue to the next breakpoint.  ``lanes`` (one
-    spare simulator per operating point, see :func:`_grid_lanes`)
-    switches to the fused-grid replay, which advances the whole V/f grid
-    in lockstep through batched quantum-kernel calls; its output is
-    bit-identical to the serial path.  ``reference`` (fused path only)
-    hands in a precomputed ``(workload_mark, end_state)`` reference
-    segment — the generation loop's fit probe covers the same epochs, so
-    it shares them instead of replaying the segment here.
-    """
-    if lanes is not None:
-        return _collect_breakpoint_fused(simulator, lanes,
-                                         breakpoint_index, config,
-                                         reference=reference)
-    arch = simulator.arch
-    default_level = arch.vf_table.default_level
-    snapshot = simulator.snapshot()
-
-    # Reference segment: fixes the workload span and T0.
-    simulator.set_all_levels(default_level)
-    for _ in range(config.segment_epochs):
-        if simulator.finished:
-            break
-        simulator.step_epoch()
-    workload_mark = simulator.mean_instructions_done()
-    end_state = simulator.snapshot()
-
-    samples = None
-    for level in range(arch.vf_table.num_levels):
-        simulator.restore(snapshot)
-        simulator.set_all_levels(default_level)
-        if simulator.finished:
-            raise DatasetError("breakpoint placed after kernel completion")
-        feature_record = simulator.step_epoch()  # feature collection window
-        if samples is None:
-            samples = BreakpointSamples(
-                kernel_name=simulator.kernel.name,
-                breakpoint_index=breakpoint_index,
-                feature_counters=feature_record.counters.copy(),
-                t0_s=0.0,
-            )
-        simulator.set_all_levels(level)
-        if simulator.finished:
-            break
-        scaling_record = simulator.step_epoch()  # frequency scaling window
-        simulator.set_all_levels(default_level)
-        tail = _time_to_reach_mark(simulator, workload_mark, config.epoch_s)
-        total = 2 * config.epoch_s + tail
-        samples.levels.append(level)
-        samples.window_instructions.append(
-            scaling_record.instructions / arch.num_clusters)
-        samples.tf_s.append(total)
-
-    if samples is None or not samples.levels:
-        raise DatasetError("kernel too short for the requested breakpoint")
-
-    _finalize_samples(samples, default_level, config)
-
-    # Feature-window level augmentation: replay the feature window at
-    # every operating point so the runtime counter distribution (the
-    # previous epoch may run at any level) is covered by training data.
-    samples.feature_variants = [(default_level, samples.feature_counters)]
-    if config.augment_feature_levels:
-        for level in range(arch.vf_table.num_levels):
-            if level == default_level:
-                continue
-            simulator.restore(snapshot)
-            simulator.set_all_levels(level)
-            record = simulator.step_epoch()
-            samples.feature_variants.append((level, record.counters.copy()))
-
-    # Leave the simulator at the end of the reference segment.
-    simulator.restore(end_state)
-    return samples
-
-
 def _grid_lanes(simulator: GPUSimulator) -> list[GPUSimulator]:
-    """One spare simulator per operating point for fused-grid replay.
+    """One spare simulator per operating point for the V/f-grid replay.
 
     Lanes are built from the same seed/kernel/arch as ``simulator`` so
     restoring its snapshots into them replays bit-identically (noise
@@ -264,42 +141,46 @@ def _grid_lanes(simulator: GPUSimulator) -> list[GPUSimulator]:
     return [
         GPUSimulator(simulator.arch, kernel, simulator.power_model,
                      seed=simulator.seed, epoch_s=simulator.epoch_s,
-                     use_solution_cache=simulator.solution_cache is not None,
                      solution_cache=simulator.solution_cache,
                      noise_cache=noise_cache)
         for _ in range(simulator.arch.vf_table.num_levels)
     ]
 
 
-def _collect_breakpoint_fused(simulator: GPUSimulator,
-                              lanes: list[GPUSimulator],
-                              breakpoint_index: int,
-                              config: ProtocolConfig,
-                              reference: tuple[float, dict] | None = None
-                              ) -> BreakpointSamples:
-    """Six-way replay with the whole V/f grid advanced in lockstep.
+def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
+                       config: ProtocolConfig,
+                       lanes: list[GPUSimulator] | None = None,
+                       reference: tuple[float, dict] | None = None
+                       ) -> BreakpointSamples:
+    """Run the six-way replay for the breakpoint at the current state.
 
-    Serial replay solves the grid one operating point at a time: for
-    each of the 6 points, restore, feature window, scaling window, then
-    a tail at the default point until the workload mark.  Here every
-    point gets a *lane* simulator restored from the same snapshot and
-    the grid advances epoch-by-epoch through one batched quantum-kernel
-    call over all lanes' clusters:
+    The simulator must be positioned at the breakpoint (all clusters at
+    the default level) and is left at the end of the reference segment
+    so generation can continue to the next breakpoint.  Every operating
+    point gets a *lane* simulator restored from the same snapshot
+    (``lanes``: one spare simulator per point, built by
+    :func:`_grid_lanes` when not given) and the whole V/f grid advances
+    epoch-by-epoch in lockstep through one epoch-engine call over all
+    lanes' clusters:
 
     * the feature collection window is identical across grid points
       (same state, same default level), so it is solved **once** on the
       driving simulator and its end state is fanned out to the lanes;
     * the scaling windows (one per point) run as a single
       ``run_epoch_batch`` over ``levels x clusters`` rows;
-    * the tails run in lockstep, each lane dropping out as it reaches
-      the workload mark, with the serial path's sub-epoch interpolation
-      replicated exactly.
+    * the tails run in lockstep at the default point, each lane
+      dropping out as it reaches the workload mark; the mark is crossed
+      mid-epoch, so the tail time is interpolated linearly within that
+      final epoch.
 
-    Lanes advance through the quantum kernel's advance-only mode — the
-    tail needs instruction positions, not power — which moves cluster
-    state bit-for-bit like a full epoch.  Labels, counters and the
-    driving simulator's end state are bit-identical to the serial path.
+    Lanes advance through the epoch engine's advance-only mode — the
+    tail needs instruction positions, not power.  ``reference`` hands
+    in a precomputed ``(workload_mark, end_state)`` reference segment —
+    the generation loop's fit probe covers the same epochs, so it
+    shares them instead of replaying the segment here.
     """
+    if lanes is None:
+        lanes = _grid_lanes(simulator)
     arch = simulator.arch
     epoch_s = config.epoch_s
     num_clusters = arch.num_clusters
@@ -335,8 +216,6 @@ def _collect_breakpoint_fused(simulator: GPUSimulator,
         t0_s=0.0,
     )
     if simulator.finished:
-        # Serial path: the first grid iteration breaks before its
-        # scaling window, leaving the replay set empty.
         raise DatasetError("kernel too short for the requested breakpoint")
     after_feature = simulator.snapshot()
 
@@ -354,9 +233,7 @@ def _collect_breakpoint_fused(simulator: GPUSimulator,
     ]
 
     # Lockstep tails: every lane back at the default point until its
-    # replay reaches the workload mark (or the kernel drains).  The
-    # elapsed/interpolation arithmetic repeats _time_to_reach_mark's
-    # float sequence exactly.
+    # replay reaches the workload mark (or the kernel drains).
     for lane in lanes:
         lane.set_all_levels(default_level)
     tails = [0.0] * num_levels
@@ -420,9 +297,8 @@ def _collect_breakpoint_fused(simulator: GPUSimulator,
             start, stop = j * num_clusters, (j + 1) * num_clusters
             dynamic_w, static_w, energy_j = (
                 lane.power_model.cluster_power_batch(
-                    None, matrix=result.matrix[start:stop],
-                    durations=lane._durations,
-                    voltages=lane._voltage_by_level[lane.levels]))
+                    result.matrix[start:stop], lane._durations,
+                    lane._voltage_by_level[lane.levels]))
             sub = counters_matrix[start:stop]
             sub[:, COUNTER_INDEX["power_per_core"]] = dynamic_w + static_w
             sub[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
@@ -456,15 +332,9 @@ def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
     config = config or ProtocolConfig()
     simulator = GPUSimulator(arch, kernel, power_model or PowerModel(),
                              seed=config.seed, epoch_s=config.epoch_s,
-                             use_solution_cache=config.use_solution_cache,
-                             solution_cache=solution_cache,
-                             vectorized=config.vectorized_quanta)
+                             solution_cache=solution_cache)
     simulator.set_all_levels(arch.vf_table.default_level)
-    # Fused-grid replay needs the batched quantum kernel (lanes advance
-    # through it); with a non-default cache payload the simulator falls
-    # back to the scalar loop and so does the grid.
-    lanes = (_grid_lanes(simulator)
-             if config.fused_grid and simulator._vectorized else None)
+    lanes = _grid_lanes(simulator)
     breakpoints: list[BreakpointSamples] = []
     # Keep a margin so every replay has room to reach its workload mark
     # even at the slowest point (worst-case tail < 0.8x a segment).
@@ -472,42 +342,34 @@ def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
     while (len(breakpoints) < config.max_breakpoints_per_kernel
            and not simulator.finished):
         # Probe whether a full segment (plus margin) fits from here.
-        # The probe only needs completion flags, so the vectorised path
-        # advances cluster state without accumulating activity or
-        # evaluating power; the state is restored either way.  Its
-        # first ``segment_epochs`` steps cover exactly the breakpoint's
-        # reference segment, so the fused path keeps the segment's time
-        # accounting (the same per-epoch float adds ``step_epoch``
-        # performs) and hands the span/end state to the replay instead
-        # of stepping those epochs again.
+        # The probe only needs completion flags, so it advances cluster
+        # state without accumulating activity or evaluating power; the
+        # state is restored afterwards.  Its first ``segment_epochs``
+        # steps cover exactly the breakpoint's reference segment, so the
+        # probe keeps the segment's time accounting (the same per-epoch
+        # float adds ``step_epoch`` performs) and hands the span/end
+        # state to the replay instead of stepping those epochs again.
         probe = simulator.snapshot()
         fits = True
         reference = None
-        if lanes is not None:
-            simulator.set_all_levels(arch.vf_table.default_level)
-            for _ in range(config.segment_epochs):
+        simulator.set_all_levels(arch.vf_table.default_level)
+        for _ in range(config.segment_epochs):
+            if simulator.finished:
+                fits = False
+                break
+            run_epoch_batch(simulator.clusters, simulator.epoch_s,
+                            accumulate=False)
+            simulator.time_s += simulator.epoch_s
+            simulator.epoch_index += 1
+        if fits:
+            reference = (simulator.mean_instructions_done(),
+                         simulator.snapshot())
+            for _ in range(margin):
                 if simulator.finished:
                     fits = False
                     break
                 run_epoch_batch(simulator.clusters, simulator.epoch_s,
                                 accumulate=False)
-                simulator.time_s += simulator.epoch_s
-                simulator.epoch_index += 1
-            if fits:
-                reference = (simulator.mean_instructions_done(),
-                             simulator.snapshot())
-                for _ in range(margin):
-                    if simulator.finished:
-                        fits = False
-                        break
-                    run_epoch_batch(simulator.clusters, simulator.epoch_s,
-                                    accumulate=False)
-        else:
-            for _ in range(config.segment_epochs + margin):
-                if simulator.finished:
-                    fits = False
-                    break
-                simulator.step_epoch()
         simulator.restore(probe)
         if not fits:
             break
@@ -515,11 +377,9 @@ def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
             collect_breakpoint(simulator, len(breakpoints), config,
                                lanes=lanes, reference=reference))
     cache = simulator.solution_cache
-    if stats is not None and cache is not None:
+    if stats is not None:
         stats.count("solve_cache_hit", cache.hits)
         stats.count("solve_cache_miss", cache.misses)
-        stats.count("solve_cache_batch_hit", cache.batch_hits)
-        stats.count("solve_cache_batch_miss", cache.batch_misses)
         stats.count("solve_cache_evictions", cache.evictions)
     return breakpoints
 
@@ -593,20 +453,16 @@ def _fused_kernel_group(task: tuple
     context = _DATAGEN_CONTEXTS.get(ref)
     kernels = context["kernels"]
     config = context["config"]
-    shared_cache = (SolutionCache(payload_builder=quantum_row_for)
-                    if config.use_solution_cache else None)
+    shared_cache = SolutionCache()
     chunks = []
     for kernel_index in kernel_indices:
         chunks.append(generate_for_kernel(
             kernels[kernel_index], context["arch"], context["power_model"],
             config, solution_cache=shared_cache))
     local = CampaignStats()
-    if shared_cache is not None:
-        local.count("solve_cache_hit", shared_cache.hits)
-        local.count("solve_cache_miss", shared_cache.misses)
-        local.count("solve_cache_batch_hit", shared_cache.batch_hits)
-        local.count("solve_cache_batch_miss", shared_cache.batch_misses)
-        local.count("solve_cache_evictions", shared_cache.evictions)
+    local.count("solve_cache_hit", shared_cache.hits)
+    local.count("solve_cache_miss", shared_cache.misses)
+    local.count("solve_cache_evictions", shared_cache.evictions)
     local.count("fused_tasks", len(list(kernel_indices)))
     return chunks, local.counters
 

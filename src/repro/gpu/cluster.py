@@ -1,22 +1,21 @@
-"""Per-cluster execution engine.
+"""Per-cluster execution state and the activity-vector layout.
 
 A :class:`ClusterState` advances one SM cluster through its kernel in
 variable-length *quanta*: within a quantum the workload position stays
 inside one phase segment and one noise chunk, so the interval model's
-stationarity assumption holds exactly.  The cluster accumulates an
-:class:`EpochActivity` record per DVFS epoch; the simulator turns that
-into performance counters and power numbers.
+stationarity assumption holds exactly.  The quantum loop itself lives
+in :func:`repro.gpu.quantum.run_epoch_batch`, which advances any number
+of clusters through one DVFS epoch at a time.
 
 Hot-path layout
 ---------------
-The epoch loop accumulates into a preallocated numpy *activity vector*
+An epoch accumulates into a numpy *activity vector*
 (:data:`NUM_ACTIVITY_SLOTS` slots) instead of ~25 scalar dataclass
-fields: each quantum contributes ``step_vector * instructions`` (one
-fused multiply + add) where the per-instruction step vector depends
-only on ``(phase, solution)`` and is therefore memoised alongside the
-interval-model solution in the :class:`~repro.gpu.interval_model.
-SolutionCache`.  :func:`build_counters_matrix` then turns a stack of
-activity vectors into the 47-counter schema for all clusters at once.
+fields: each quantum contributes ``row * instructions`` where the
+per-instruction *quantum row* depends only on ``(phase, solution)`` and
+is memoised in the :class:`~repro.gpu.interval_model.SolutionCache`.
+:func:`build_counters_matrix` then turns a stack of activity vectors
+into the 47-counter schema for all clusters at once.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from .arch import GPUArchConfig
 from .counters import COUNTER_NAMES, NUM_COUNTERS, CounterSet
 from .interval_model import (PP_ACTIVE_WARPS, PP_CLASS_SLICE, PP_L1_MISS,
                              PP_L2_MISS, PP_LOAD_FRAC, PP_STORE_FRAC,
-                             BatchSolution, SolutionCache, ThroughputSolution,
-                             solve_throughput)
+                             BatchSolution, SolutionCache)
 from .kernels import KernelCursor, KernelProfile
 from .noise import WorkloadNoise
 from .phases import INSTRUCTION_CLASSES
@@ -68,84 +66,29 @@ NUM_ACTIVITY_SLOTS = 29
 
 _CLASS_SLICE = slice(A_CLASS0, A_CLASS0 + _N_CLASSES)
 
-#: *Quantum rows* extend the activity step vector with the two solver
-#: outputs the epoch loop itself consumes — sustained IPC (stepping) and
-#: bandwidth utilisation (busy-time weighting) — so one cached row per
-#: solve serves both the scalar loop and the batched engine without
-#: touching :class:`~repro.gpu.interval_model.ThroughputSolution`
-#: objects on the hot path.
+#: *Quantum rows* extend the per-instruction activity slots with the two
+#: solver outputs the epoch loop itself consumes — sustained IPC
+#: (stepping) and bandwidth utilisation (busy-time weighting) — so one
+#: cached row per solve is all the engine reads.
 QR_IPC = NUM_ACTIVITY_SLOTS        # 29
 QR_BW_UTIL = NUM_ACTIVITY_SLOTS + 1  # 30
 QROW_WIDTH = NUM_ACTIVITY_SLOTS + 2
 
 
-def step_vector_for(arch: GPUArchConfig, phase, solution: ThroughputSolution
-                    ) -> np.ndarray:
-    """Per-instruction activity contributions of one (phase, solution).
-
-    Multiplying this vector by a quantum's instruction count yields the
-    quantum's contribution to every instruction-proportional activity
-    slot; the time-proportional slots (busy time, bandwidth-utilisation
-    time) are zero here and handled by the epoch loop.
-    """
-    v = np.zeros(NUM_ACTIVITY_SLOTS, dtype=np.float64)
-    cpi = solution.cycles_per_instruction
-    v[A_CYCLES] = cpi
-    v[A_INSTRUCTIONS] = 1.0
-    mix = phase.mix
-    for offset, cls in enumerate(INSTRUCTION_CLASSES):
-        v[A_CLASS0 + offset] = mix.get(cls, 0.0)
-    v[A_ISSUE_SLOTS] = cpi * arch.issue_width
-    v[A_STALL_MEM_LOAD] = solution.stall_mem_load
-    v[A_STALL_MEM_OTHER] = solution.stall_mem_other
-    v[A_STALL_CONTROL] = solution.stall_control
-    v[A_STALL_SYNC] = solution.stall_sync
-    v[A_STALL_DATA] = solution.stall_data
-    v[A_STALL_IDLE] = solution.stall_idle
-    loads = phase.load_fraction
-    stores = phase.store_fraction
-    l1_read_miss = loads * phase.l1_miss_rate
-    l1_write_miss = stores * 0.9  # write-through-ish global stores
-    l2_access = l1_read_miss + l1_write_miss
-    l2_miss = l2_access * phase.l2_miss_rate
-    v[A_L1_READ_ACCESS] = loads
-    v[A_L1_READ_MISS] = l1_read_miss
-    v[A_L1_WRITE_ACCESS] = stores
-    v[A_L1_WRITE_MISS] = l1_write_miss
-    v[A_L2_ACCESS] = l2_access
-    v[A_L2_MISS] = l2_miss
-    v[A_DRAM_BYTES] = l2_miss * arch.cache_line_bytes
-    v[A_WARP_INST] = phase.active_warps
-    v[A_MEM_LATENCY] = solution.mem_latency_cycles
-    return v
-
-
-def quantum_row_for(arch: GPUArchConfig, phase, solution: ThroughputSolution
-                    ) -> np.ndarray:
-    """Per-instruction quantum row of one (phase, solution).
-
-    The first :data:`NUM_ACTIVITY_SLOTS` entries are exactly
-    :func:`step_vector_for`; the trailing two carry the solution's IPC
-    and bandwidth utilisation.  This is the default
-    :class:`~repro.gpu.interval_model.SolutionCache` payload: both the
-    scalar epoch loop and the vectorised batch engine read it.
-    """
-    row = np.empty(QROW_WIDTH, dtype=np.float64)
-    row[:NUM_ACTIVITY_SLOTS] = step_vector_for(arch, phase, solution)
-    row[QR_IPC] = solution.ipc
-    row[QR_BW_UTIL] = solution.bandwidth_utilization
-    return row
-
-
 def quantum_rows_batch(arch: GPUArchConfig, params: np.ndarray,
                        solutions: BatchSolution,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Vectorised :func:`quantum_row_for` over a solved batch.
+    """Per-instruction quantum rows of a solved batch.
 
     ``params`` is the ``(n, NUM_PHASE_PARAMS)`` phase-parameter matrix
-    the batch was solved from; every column replicates the scalar
-    builder's expression (elementwise ops only), so row ``j`` is
-    bit-identical to ``quantum_row_for`` on element ``j``.
+    the batch was solved from.  Multiplying row ``j``'s first
+    :data:`NUM_ACTIVITY_SLOTS` entries by a quantum's instruction count
+    yields the quantum's contribution to every instruction-proportional
+    activity slot (the time-proportional slots, busy time and
+    bandwidth-utilisation time, are zero here and handled by the epoch
+    loop); the trailing two entries carry IPC and bandwidth
+    utilisation.  Elementwise ops only, so a row never depends on the
+    other rows of the batch.
     """
     n = params.shape[0]
     rows = out if out is not None else np.empty((n, QROW_WIDTH),
@@ -322,7 +265,11 @@ class EpochActivity:
 
 
 class ClusterState:
-    """One independently clocked SM cluster executing a kernel."""
+    """One independently clocked SM cluster executing a kernel.
+
+    Clusters of one simulator share its :class:`SolutionCache`; a
+    cluster built without one gets its own.
+    """
 
     def __init__(self, arch: GPUArchConfig, kernel: KernelProfile,
                  noise: WorkloadNoise, cluster_id: int = 0,
@@ -333,10 +280,9 @@ class ClusterState:
         self.cursor = KernelCursor(kernel, skew_instructions=skew_instructions)
         self.noise = noise
         self.level = arch.vf_table.default_level
-        self.solution_cache = solution_cache
+        self.solution_cache = (solution_cache if solution_cache is not None
+                               else SolutionCache())
         self._pending_transition_s = 0.0
-        self._acc = np.zeros(NUM_ACTIVITY_SLOTS, dtype=np.float64)
-        self._scratch = np.empty(NUM_ACTIVITY_SLOTS, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # DVFS control
@@ -369,154 +315,27 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _solve_current(self) -> tuple[ThroughputSolution, np.ndarray]:
-        """Interval-model solution and step vector at the cursor position.
-
-        Served from the shared :class:`SolutionCache` when one is
-        attached; the uncached path computes the identical values, so
-        caching never changes results.
-        """
-        phase = self.cursor.current_phase
-        chunk = self.noise.chunk_of(self.cursor.global_instructions_done)
-        warp_m, miss_m, cpi_m = self.noise.multipliers(chunk)
-        frequency_hz = self.arch.vf_table[self.level].frequency_hz
-        cache = self.solution_cache
-        if cache is not None:
-            return cache.solve(self.arch, phase, frequency_hz,
-                               warp_m, miss_m, cpi_m)
-        solution = solve_throughput(
-            self.arch, phase, frequency_hz,
-            warp_multiplier=warp_m, miss_multiplier=miss_m,
-            cpi_multiplier=cpi_m,
-        )
-        return solution, step_vector_for(self.arch, phase, solution)
-
     def run_epoch(self, epoch_s: float) -> EpochActivity:
         """Advance the cluster by ``epoch_s`` seconds of wall-clock time.
 
-        Returns the epoch's activity record.  A finished cluster idles:
-        time and cycles elapse, nothing executes.
+        A one-cluster :func:`~repro.gpu.quantum.run_epoch_batch`, wrapped
+        as an activity record.  A finished cluster idles: time and
+        cycles elapse, nothing executes.
         """
-        if epoch_s <= 0:
-            raise SimulationError("epoch duration must be positive")
+        from .quantum import run_epoch_batch
         point = self.arch.vf_table[self.level]
-        acc = self._acc
-        scratch = self._scratch
-        acc.fill(0.0)
-        busy_s = 0.0
-        bw_util_time = 0.0
-
-        elapsed = 0.0
-        # IVR transition dead time: leakage burns, nothing issues.
-        if self._pending_transition_s > 0:
-            dead = min(self._pending_transition_s, epoch_s)
-            self._pending_transition_s -= dead
-            elapsed += dead
-            acc[A_CYCLES] += dead * point.frequency_hz
-
-        # The quantum loop runs once per (phase segment x noise chunk x
-        # epoch) slice — tens of thousands of times per simulated
-        # second — so cursor and noise state are kept in locals and
-        # written back once at the end.  The level (hence frequency) is
-        # fixed for the whole epoch: set_level only runs between epochs.
-        cursor = self.cursor
-        kernel = cursor.kernel
-        num_segments = kernel.num_segments
-        seg_index = cursor.segment_index
-        inst_done = cursor.instructions_done
-        completed = cursor._completed_instructions
-        noise = self.noise
-        chunk_insts = noise.chunk_instructions
-        frequency_hz = point.frequency_hz
-        arch = self.arch
-        cache = self.solution_cache
-        phase = kernel.segment(seg_index) if seg_index < num_segments else None
-
-        while elapsed < epoch_s - 1e-15 and seg_index < num_segments:
-            position = completed + inst_done
-            chunk = int(position // chunk_insts)
-            warp_m, miss_m, cpi_m = noise.multipliers(chunk)
-            if cache is not None:
-                solution, step_vec = cache.solve(arch, phase, frequency_hz,
-                                                 warp_m, miss_m, cpi_m)
-            else:
-                solution = solve_throughput(
-                    arch, phase, frequency_hz,
-                    warp_multiplier=warp_m, miss_multiplier=miss_m,
-                    cpi_multiplier=cpi_m,
-                )
-                step_vec = step_vector_for(arch, phase, solution)
-            to_chunk_end = float((chunk + 1) * chunk_insts) - position
-            boundary = min(phase.instructions - inst_done, to_chunk_end)
-            time_left = epoch_s - elapsed
-            time_to_boundary = solution.time_for_instructions(boundary)
-            if time_to_boundary <= time_left:
-                step_insts = boundary
-                step_time = time_to_boundary
-            else:
-                step_insts = solution.instructions_in_time(time_left)
-                step_time = time_left
-            if step_insts <= 0:
-                # Degenerate: throughput too low to make progress in the
-                # remaining slice; account for the idle tail and stop.
-                break
-            # Inline cursor.advance(step_insts): the step never crosses a
-            # segment boundary (it is bounded by the remaining segment
-            # instructions above), so one add plus a completion check.
-            inst_done += step_insts
-            if inst_done >= phase.instructions - 1e-9:
-                completed += phase.instructions
-                seg_index += 1
-                inst_done = 0.0
-                phase = (kernel.segment(seg_index)
-                         if seg_index < num_segments else None)
-            elapsed += step_time
-            # Cached payloads may be QROW_WIDTH wide (quantum rows); only
-            # the activity slots accumulate here.
-            np.multiply(step_vec[:NUM_ACTIVITY_SLOTS], step_insts,
-                        out=scratch)
-            acc += scratch
-            busy_s += step_time
-            bw_util_time += step_time * solution.bandwidth_utilization
-
-        cursor.segment_index = seg_index
-        cursor.instructions_done = inst_done
-        cursor._completed_instructions = completed
-
-        # Idle tail (kernel finished or no progress possible).
-        if elapsed < epoch_s:
-            idle = epoch_s - elapsed
-            acc[A_CYCLES] += idle * point.frequency_hz
-
-        acc[A_BUSY_S] = busy_s
-        acc[A_BW_UTIL_TIME] = bw_util_time
+        result = run_epoch_batch([self], epoch_s)
         return EpochActivity.from_vector(
-            acc.copy(),
+            result.matrix[0],
             duration_s=epoch_s,
             frequency_hz=point.frequency_hz,
             voltage_v=point.voltage_v,
-            finished=seg_index >= num_segments,
+            finished=bool(result.finished[0]),
         )
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
-    def clone(self) -> "ClusterState":
-        """Independent copy sharing the (immutable-for-replay) arch,
-        noise track and solution cache, with private cursor/level state.
-        """
-        other = ClusterState.__new__(ClusterState)
-        other.arch = self.arch
-        other.cluster_id = self.cluster_id
-        other.cursor = self.cursor.clone()
-        other.noise = self.noise
-        other.level = self.level
-        other.solution_cache = self.solution_cache
-        other._pending_transition_s = self._pending_transition_s
-        other._acc = np.zeros(NUM_ACTIVITY_SLOTS, dtype=np.float64)
-        other._scratch = np.empty(NUM_ACTIVITY_SLOTS, dtype=np.float64)
-        return other
-
     def snapshot(self) -> dict:
         """Capture the replayable state of this cluster."""
         return {

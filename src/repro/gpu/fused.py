@@ -11,9 +11,9 @@ worker process.
 :class:`FusedCampaignEngine` co-simulates N such tasks in lockstep
 instead.  Each quantum:
 
-1. every live task's clusters advance one epoch (the identical
-   per-cluster quantum loop the serial path runs, so RNG/noise/cursor
-   state evolves bit-for-bit the same),
+1. every live task's clusters advance one epoch through one shared
+   epoch-engine call (each cluster steps exactly as it would alone, so
+   RNG/noise/cursor state evolves bit-for-bit the same),
 2. all tasks' activity vectors are stacked into one
    ``(total_clusters, slots)`` matrix feeding **one** counter-matrix
    build, with per-task power evaluated on each task's row slice,
@@ -47,8 +47,8 @@ dispatches to:
   controller.
 
 The module also provides the shared-memory transport used to hand
-read-only model weights and warm :class:`SolutionCache` contents to
-worker processes once per campaign instead of pickling them per task:
+read-only model weights to worker processes once per campaign instead
+of pickling them per task:
 :func:`dump_shared` externalises an object graph's numpy arrays into a
 single ``multiprocessing.shared_memory`` block, and
 :func:`load_shared` / :class:`SharedContextCache` reattach them as
@@ -60,7 +60,7 @@ from __future__ import annotations
 import io
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -362,55 +362,26 @@ class FusedCampaignEngine:
         arch = live[0].simulator.arch
         epoch_s = live[0].simulator.epoch_s
 
-        # Phase 1: every live task's clusters advance one epoch.  When
-        # every live simulator runs the vectorised quantum kernel, ALL
-        # tasks' clusters go through **one** ``run_epoch_batch`` call —
-        # the kernel steps each cluster independently (per-cluster
-        # RNG/noise/cursor state advances bit-for-bit as it would
-        # alone) while batching the interval-model solves across the
-        # whole fleet of co-simulated tasks.  Otherwise every cluster
-        # runs the identical serial quantum loop.
-        vectorized = all(task.simulator._vectorized for task in live)
-        spans: list[tuple[_FusedTask, int, int, list | None, list[int]]] = []
-        batch_result = None
-        durations = None
-        if vectorized:
-            self._count("fused_vectorized_quanta")
-            all_clusters = []
-            for task in live:
-                sim = task.simulator
-                if task.epochs >= task.max_epochs:
-                    raise SimulationError(
-                        f"run exceeded {task.max_epochs} epochs; kernel "
-                        f"{sim.workload_name!r} may be too long for this "
-                        f"budget"
-                    )
-                start = len(all_clusters)
-                all_clusters.extend(sim.clusters)
-                spans.append((task, start, len(all_clusters), None,
-                              sim.levels))
-            batch_result = run_epoch_batch(all_clusters, epoch_s)
-            activity_matrix = batch_result.matrix
-            durations = np.full(len(all_clusters), epoch_s,
-                                dtype=np.float64)
-        else:
-            all_activities = []
-            for task in live:
-                sim = task.simulator
-                if task.epochs >= task.max_epochs:
-                    raise SimulationError(
-                        f"run exceeded {task.max_epochs} epochs; kernel "
-                        f"{sim.workload_name!r} may be too long for this "
-                        f"budget"
-                    )
-                activities = [cluster.run_epoch(epoch_s)
-                              for cluster in sim.clusters]
-                start = len(all_activities)
-                all_activities.extend(activities)
-                spans.append((task, start, len(all_activities), activities,
-                              sim.levels))
-            activity_matrix = np.stack(
-                [a.as_vector() for a in all_activities])
+        # Phase 1: ALL live tasks' clusters advance one epoch through
+        # **one** ``run_epoch_batch`` call — each cluster steps exactly
+        # as it would alone while the interval-model solves are batched
+        # across the whole fleet of co-simulated tasks.
+        spans: list[tuple[_FusedTask, int, int, list[int]]] = []
+        all_clusters = []
+        for task in live:
+            sim = task.simulator
+            if task.epochs >= task.max_epochs:
+                raise SimulationError(
+                    f"run exceeded {task.max_epochs} epochs; kernel "
+                    f"{sim.workload_name!r} may be too long for this "
+                    f"budget"
+                )
+            start = len(all_clusters)
+            all_clusters.extend(sim.clusters)
+            spans.append((task, start, len(all_clusters), sim.levels))
+        batch_result = run_epoch_batch(all_clusters, epoch_s)
+        activity_matrix = batch_result.matrix
+        durations = np.full(len(all_clusters), epoch_s, dtype=np.float64)
 
         # Phase 2: one stacked counter build over every live task's
         # clusters (all elementwise/rowwise — stacking-invariant), then
@@ -424,18 +395,12 @@ class FusedCampaignEngine:
         counters_matrix = build_counters_matrix(activity_matrix, arch)
         self._count("fused_stacked_rows", activity_matrix.shape[0])
         energy_by_span: list[np.ndarray] = []
-        for task, start, stop, activities, levels in spans:
-            if activities is None:
-                sim = task.simulator
-                dynamic_w, static_w, energy_j = (
-                    sim.power_model.cluster_power_batch(
-                        None, matrix=activity_matrix[start:stop],
-                        durations=durations[start:stop],
-                        voltages=sim._voltage_by_level[levels]))
-            else:
-                dynamic_w, static_w, energy_j = (
-                    task.simulator.power_model.cluster_power_batch(
-                        activities, matrix=activity_matrix[start:stop]))
+        for task, start, stop, levels in spans:
+            sim = task.simulator
+            dynamic_w, static_w, energy_j = (
+                sim.power_model.cluster_power_batch(
+                    activity_matrix[start:stop], durations[start:stop],
+                    sim._voltage_by_level[levels]))
             sub = counters_matrix[start:stop]
             sub[:, COUNTER_INDEX["power_per_core"]] = dynamic_w + static_w
             sub[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
@@ -449,41 +414,28 @@ class FusedCampaignEngine:
         # as the serial run loop: truncate + account, or account +
         # decide.
         pending: list[tuple[_FusedTask, EpochRecord]] = []
-        for span_index, (task, start, stop, activities, levels) \
-                in enumerate(spans):
+        for span_index, (task, start, stop, levels) in enumerate(spans):
             sim = task.simulator
             sub = counters_matrix[start:stop]
             uncore = sim.power_model.uncore_power(
-                activities, epoch_s, matrix=activity_matrix[start:stop])
-            if activities is None:
-                cluster_counters = [CounterSet.from_vector(row)
-                                    for row in sub]
-                all_finished = all(
-                    batch_result.finished[start:stop].tolist())
-                finish_time = max(
-                    activity_matrix[start:stop, A_BUSY_S].tolist(),
-                    default=0.0)
-                instructions = sum(
-                    batch_result.instructions[start:stop].tolist())
-            else:
-                cluster_counters = [CounterSet.from_vector(row.copy())
-                                    for row in sub]
-                all_finished = all(a.finished for a in activities)
-                finish_time = max((a.busy_s for a in activities),
-                                  default=0.0)
-                instructions = sum(a.instructions for a in activities)
+                activity_matrix[start:stop], epoch_s)
             record = EpochRecord(
                 index=sim.epoch_index,
                 start_time_s=sim.time_s,
                 duration_s=epoch_s,
                 levels=levels,
                 counters=CounterSet.from_vector(sub.mean(axis=0)),
-                cluster_counters=cluster_counters,
-                instructions=instructions,
+                cluster_counters=[CounterSet.from_vector(row)
+                                  for row in sub],
+                instructions=sum(
+                    batch_result.instructions[start:stop].tolist()),
                 cluster_energy_j=float(energy_by_span[span_index].sum()),
                 uncore_energy_j=uncore.energy_j,
-                all_finished=all_finished,
-                finish_time_s=finish_time,
+                all_finished=all(
+                    batch_result.finished[start:stop].tolist()),
+                finish_time_s=max(
+                    activity_matrix[start:stop, A_BUSY_S].tolist(),
+                    default=0.0),
             )
             sim.time_s += epoch_s
             sim.epoch_index += 1

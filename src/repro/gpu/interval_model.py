@@ -272,23 +272,6 @@ class BatchSolution:
     stall_data: np.ndarray
     stall_idle: np.ndarray
 
-    def solution_at(self, index: int) -> ThroughputSolution:
-        """Materialise element ``index`` as a scalar solution object."""
-        return ThroughputSolution(
-            frequency_hz=float(self.frequency_hz[index]),
-            ipc=float(self.ipc[index]),
-            cycles_per_instruction=float(self.cycles_per_instruction[index]),
-            mem_latency_cycles=float(self.mem_latency_cycles[index]),
-            bandwidth_utilization=float(self.bandwidth_utilization[index]),
-            bandwidth_limited=bool(self.bandwidth_limited[index]),
-            stall_mem_load=float(self.stall_mem_load[index]),
-            stall_mem_other=float(self.stall_mem_other[index]),
-            stall_control=float(self.stall_control[index]),
-            stall_sync=float(self.stall_sync[index]),
-            stall_data=float(self.stall_data[index]),
-            stall_idle=float(self.stall_idle[index]),
-        )
-
 
 def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
                            frequency_hz: np.ndarray,
@@ -440,20 +423,16 @@ def _phase_solve_key(phase: Phase) -> tuple:
 #: hashing two nested float tuples dominates the dict costs on the hot
 #: path, while an int id hashes for free.  The registry is append-only
 #: and bijective for the life of the process (a handful of arch/phase
-#: values exist per run), so ids translate back to value tuples on
-#: export and forward again on import — cross-process transport still
-#: moves plain value tuples.
+#: values exist per run); ids never leave the process.
 _SOLVE_KEY_IDS: dict[tuple, int] = {}
-_SOLVE_KEY_TUPLES: list[tuple] = []
 
 
 def intern_solve_key(key: tuple) -> int:
     """Return the process-local id of a derived arch/phase key tuple."""
     kid = _SOLVE_KEY_IDS.get(key)
     if kid is None:
-        kid = len(_SOLVE_KEY_TUPLES)
+        kid = len(_SOLVE_KEY_IDS)
         _SOLVE_KEY_IDS[key] = kid
-        _SOLVE_KEY_TUPLES.append(key)
     return kid
 
 
@@ -491,7 +470,7 @@ def phase_solve_key_cached(phase: Phase) -> int:
 
 
 class SolutionCache:
-    """Memoises :func:`solve_throughput` results (plus a derived payload).
+    """Memoises the quantum rows of interval-model solves.
 
     The epoch engine solves the interval model once per quantum, yet its
     inputs are drawn from small discrete sets: the kernel's phase
@@ -503,7 +482,7 @@ class SolutionCache:
     re-solve identical inputs many times over.  Keys use the exact
     multiplier values rather than a rounded lattice: rounding the key
     but not the solve input would let near-miss inputs alias to one
-    entry and break bit-identity between cached and uncached runs.
+    entry and change results.
 
     The cache key is ``(arch key, phase key, frequency, warp/miss/cpi
     multipliers)`` where the arch/phase keys are derived from exactly
@@ -511,13 +490,9 @@ class SolutionCache:
     see :func:`intern_solve_key` — so the per-quantum hash touches two
     ints and four floats instead of ~28 nested floats).  Because the
     key captures *every* input bit-exactly, a hit returns the identical
-    :class:`ThroughputSolution` the solver would have produced: cached
-    and uncached simulations are bit-identical by construction.
-
-    ``payload_builder(arch, phase, solution)``, when given, is evaluated
-    once per miss and memoised alongside the solution — the cluster
-    engine uses it to cache the per-instruction accumulation vector
-    derived from each solution.
+    row a fresh solve would have produced: hit rates change wall-clock,
+    never results.  Each entry holds one quantum row (see
+    :func:`~repro.gpu.cluster.quantum_rows_batch`).
     """
 
     #: Entry budget; the cache is cleared wholesale when it fills
@@ -525,24 +500,14 @@ class SolutionCache:
     #: periodic flush buys nothing).
     DEFAULT_MAX_ENTRIES = 1 << 16
 
-    def __init__(self, payload_builder=None,
-                 max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries <= 0:
             raise SimulationError("cache max_entries must be positive")
-        self.payload_builder = payload_builder
         self.max_entries = int(max_entries)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Batched-lookup slices of the hit/miss totals (probe_batch also
-        # counts into hits/misses, so hit_rate covers both paths).
-        self.batch_hits = 0
-        self.batch_misses = 0
-        self._entries: dict[tuple, tuple] = {}
-        # id() -> (object, key): holding the object keeps its id from
-        # being reused by a different arch/phase after garbage collection.
-        self._arch_keys: dict[int, tuple] = {}
-        self._phase_keys: dict[int, tuple] = {}
+        self._entries: dict[tuple, list] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -559,122 +524,23 @@ class SolutionCache:
         return self.hits / total if total else 0.0
 
     def clear(self) -> None:
-        """Drop all memoised solutions (stats are kept)."""
+        """Drop all memoised rows (stats are kept)."""
         self._entries.clear()
 
-    def export_entries(self) -> dict[tuple, tuple]:
-        """Snapshot the memoised entries for transport to other caches.
-
-        Exported keys are plain value tuples (the interned arch/phase
-        ids are translated back to the tuples they intern, never object
-        identities or process-local ids) and entries are ``(solution,
-        payload)`` pairs, so the export pickles cleanly and imports into
-        any cache regardless of which objects — or process — produced
-        it.  Batch-stored entries keep their solution lazy (a reference
-        into the batch result) until first scalar use; the export
-        materialises them so importers receive plain solution objects.
-        Probe slots an aborted batch left unfilled are skipped.
-        """
-        tuples = _SOLVE_KEY_TUPLES
-        out: dict[tuple, tuple] = {}
-        for key, entry in self._entries.items():
-            solution = entry[0]
-            if solution is None:
-                continue
-            if type(solution) is tuple:
-                batch, j = solution
-                solution = batch.solution_at(j)
-                entry[0] = solution
-            out[(tuples[key[0]], tuples[key[1]]) + key[2:]] = (
-                solution, entry[1])
-        return out
-
-    def import_entries(self, entries: dict[tuple, tuple]) -> int:
-        """Warm this cache from another cache's :meth:`export_entries`.
-
-        Because keys capture every solver input bit-exactly, imported
-        entries can only ever turn misses into hits — they never change
-        a solve result.  The exported value-tuple keys are re-interned
-        into this process's ids.  Imports respect ``max_entries``; the
-        number of entries actually added is returned.
-        """
-        added = 0
-        for key, entry in entries.items():
-            if len(self._entries) >= self.max_entries:
-                break
-            ikey = (intern_solve_key(key[0]),
-                    intern_solve_key(key[1])) + key[2:]
-            if ikey not in self._entries:
-                self._entries[ikey] = entry
-                added += 1
-        return added
-
-    def _key_for(self, memo: dict, obj, derive) -> int:
-        cached = memo.get(id(obj))
-        if cached is not None and cached[0] is obj:
-            return cached[1]
-        key = intern_solve_key(derive(obj))
-        memo[id(obj)] = (obj, key)
-        return key
-
-    def solve(self, arch: GPUArchConfig, phase: Phase, frequency_hz: float,
-              warp_multiplier: float, miss_multiplier: float,
-              cpi_multiplier: float) -> tuple:
-        """Cached :func:`solve_throughput`; returns (solution, payload)."""
-        key = (
-            self._key_for(self._arch_keys, arch, _arch_solve_key),
-            self._key_for(self._phase_keys, phase, _phase_solve_key),
-            frequency_hz, warp_multiplier, miss_multiplier, cpi_multiplier,
-        )
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] is not None:
-            self.hits += 1
-            solution = entry[0]
-            if type(solution) is tuple:
-                # Batch-stored entry: materialise the scalar solution on
-                # first scalar use and rewrite the (mutable) entry.
-                batch, j = solution
-                solution = batch.solution_at(j)
-                entry[0] = solution
-            return (solution, entry[1])
-        # entry[0] is None marks a probe slot an aborted batch never
-        # filled — fall through and overwrite it with a real solve.
-        self.misses += 1
-        solution = solve_throughput(
-            arch, phase, frequency_hz,
-            warp_multiplier=warp_multiplier,
-            miss_multiplier=miss_multiplier,
-            cpi_multiplier=cpi_multiplier,
-        )
-        payload = (self.payload_builder(arch, phase, solution)
-                   if self.payload_builder is not None else None)
-        if len(self._entries) >= self.max_entries:
-            self.evictions += len(self._entries)
-            self._entries.clear()
-        entry = (solution, payload)
-        self._entries[key] = entry
-        return entry
-
-    # ------------------------------------------------------------------
-    # Batched lookups (vectorised quantum kernel)
-    # ------------------------------------------------------------------
     def probe_batch(self, keys: list, out: np.ndarray) -> list:
-        """Copy the payload rows of cached ``keys`` into ``out`` rows.
+        """Copy the rows of cached ``keys`` into ``out`` rows.
 
-        ``keys`` are full solve keys (as built from
+        ``keys`` are full solve keys, built from
         :func:`arch_solve_key_cached` / :func:`phase_solve_key_cached`
-        plus the exact frequency/multiplier floats — value-equal to the
-        keys :meth:`solve` builds, so scalar and batched lookups share
-        entries).  Returns ``(index, slot)`` pairs for the keys that
-        missed; the caller solves those in one batch and hands the list
-        back to :meth:`store_batch`.  Each miss *pre-inserts* an empty
-        ``[None, None]`` slot that store fills in place — the key is
-        hashed exactly once per miss instead of once to probe and again
-        to store.  A pending slot re-encountered before its fill (a
-        duplicate key within one wave, or a slot left behind by an
-        aborted batch) counts as a fresh miss and is simply re-solved.
-        Only valid when the memoised payload is a row of ``out``'s
-        width (the quantum-row payload builder).
+        plus the exact frequency/multiplier floats.  Returns ``(index,
+        slot)`` pairs for the keys that missed; the caller solves those
+        in one batch and hands the list back to :meth:`store_batch`.
+        Each miss *pre-inserts* an empty ``[None]`` slot that store
+        fills in place — the key is hashed exactly once per miss instead
+        of once to probe and again to store.  A pending slot
+        re-encountered before its fill (a duplicate key within one wave,
+        or a slot left behind by an aborted batch) counts as a fresh
+        miss and is simply re-solved.
         """
         entries = self._entries
         max_entries = self.max_entries
@@ -686,41 +552,27 @@ class SolutionCache:
                 if len(entries) >= max_entries:
                     self.evictions += len(entries)
                     entries.clear()
-                slot = [None, None]
+                slot = [None]
                 entries[key] = slot
                 append((index, slot))
             elif entry[0] is None:
                 append((index, entry))
             else:
-                out[index] = entry[1]
-        hit_count = len(keys) - len(missing)
-        self.hits += hit_count
-        self.batch_hits += hit_count
+                out[index] = entry[0]
+        self.hits += len(keys) - len(missing)
         self.misses += len(missing)
-        self.batch_misses += len(missing)
         return missing
 
-    def store_batch(self, missing: list, solutions: BatchSolution,
-                    rows: np.ndarray) -> None:
+    def store_batch(self, missing: list, rows: np.ndarray) -> None:
         """Fill the probe slots of a batch-solved miss set.
 
-        ``missing`` is :meth:`probe_batch`'s return value; element ``j``
-        of ``solutions`` and ``rows[j]`` must describe the solve for the
-        ``j``-th missing key.  ``rows`` must match what
-        ``payload_builder`` would produce per element, so scalar hits on
-        these entries see the exact payload they would have built.
-        Counting and capacity eviction happened in :meth:`probe_batch`;
-        this only fills the pre-inserted slots (no key hashing at all).
-        The scalar solution is stored *lazily* as a ``(solutions, j)``
-        reference — batched stepping only ever reads the payload row, so
-        materialising a solution object per miss would be pure overhead;
-        :meth:`solve` and :meth:`export_entries` materialise on first
-        scalar use (``solution_at`` is bit-exact, so laziness is
-        invisible to results).
+        ``missing`` is :meth:`probe_batch`'s return value and ``rows[j]``
+        the solved quantum row of its ``j``-th key.  Counting and
+        capacity eviction happened in :meth:`probe_batch`; this only
+        fills the pre-inserted slots (no key hashing at all).
         """
         for j, (_, slot) in enumerate(missing):
-            slot[0] = (solutions, j)
-            slot[1] = rows[j]
+            slot[0] = rows[j]
 
 
 def frequency_sensitivity(arch: GPUArchConfig, phase: Phase,

@@ -1,9 +1,8 @@
-"""Vectorised quantum kernel: prefetched schedules, stacked solves.
+"""The epoch engine: prefetched quantum schedules, stacked solves.
 
-:func:`run_epoch_batch` advances *many* :class:`~repro.gpu.cluster.
-ClusterState` objects through one DVFS epoch where the scalar
-:meth:`~repro.gpu.cluster.ClusterState.run_epoch` loop runs ~30 Python
-statements per quantum per cluster.  The engine exploits a structural
+:func:`run_epoch_batch` advances any number of :class:`~repro.gpu.
+cluster.ClusterState` objects through one DVFS epoch; it is the only
+way simulated time moves forward.  The engine exploits a structural
 property of the quantum loop: quantum *boundaries* are determined
 purely by workload position (phase segment ends and noise-chunk ends),
 never by wall-clock time.  Each cluster's upcoming quanta — boundary,
@@ -23,20 +22,21 @@ ever needed (rare: the epoch ends right there).
 
 Bit-stability rules
 -------------------
-Every arithmetic stage replicates the scalar loop's expression with the
-same operand order.  The enumeration pass *is* the scalar code:
-positions, chunk indices (CPython ``float.__floordiv__`` is not
-``floor(x / y)`` in all edge cases, so ``//`` stays in Python),
-boundaries and segment completions are computed on Python floats
-exactly as ``run_epoch`` computes them.  The stepping pass uses only
-elementwise numpy ops (add/sub/mul/div/where/comparisons) — correctly
-rounded per element — plus ``np.cumsum``, which accumulates strictly
-left-to-right and therefore reproduces the scalar loop's running
-``elapsed`` / activity sums bit-for-bit.  ``np.sum``/``np.add.reduce``
-(pairwise/unrolled grouping) and matrix products are banned from this
-module; per-task reductions stay with the callers (simulator / fused
-engine) on contiguous row slices, which keeps BLAS out of the quantum
-path entirely.
+A cluster's results never depend on which other clusters share its
+call (a lone cluster, a whole GPU, or every co-simulated task of a
+fused campaign), so every batching above the engine is free.  The
+enumeration pass works on Python floats: positions, chunk indices
+(CPython ``float.__floordiv__`` is not ``floor(x / y)`` in all edge
+cases, so ``//`` stays in Python), boundaries and segment completions.
+The stepping pass uses only elementwise numpy ops
+(add/sub/mul/div/where/comparisons) — correctly rounded per element —
+plus ``np.cumsum``, which accumulates strictly left-to-right and
+therefore reproduces a sequential per-quantum ``elapsed`` / activity
+running sum bit-for-bit.  ``np.sum``/``np.add.reduce`` (pairwise/
+unrolled grouping) and matrix products are banned from this module;
+per-task reductions stay with the callers (simulator / fused engine)
+on contiguous row slices, which keeps BLAS out of the quantum path
+entirely.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ import numpy as np
 from ..errors import SimulationError
 from .cluster import (A_BW_UTIL_TIME, A_BUSY_S, A_CYCLES, A_INSTRUCTIONS,
                       NUM_ACTIVITY_SLOTS, QR_BW_UTIL, QR_IPC, QROW_WIDTH,
-                      ClusterState, quantum_row_for, quantum_rows_batch)
-from .interval_model import (NUM_PHASE_PARAMS, PP_INSTRUCTIONS,
-                             arch_solve_key_cached, phase_params_row,
-                             phase_solve_key_cached, solve_throughput_batch)
+                      ClusterState, quantum_rows_batch)
+from .interval_model import (PP_INSTRUCTIONS, arch_solve_key_cached,
+                             phase_params_row, phase_solve_key_cached,
+                             solve_throughput_batch)
 
-#: Epoch-boundary slack, identical to the scalar loop's.
+#: Epoch-boundary slack: a cluster within this of the budget is done.
 _EPOCH_EPS = 1e-15
-#: Segment-completion slack, identical to the scalar loop's.
+#: Segment-completion slack on the instructions done in a segment.
 _SEGMENT_EPS = 1e-9
 #: Quanta enumerated per cluster on a mid-epoch refill.  The first wave
 #: is sized from the cluster's consumption last epoch (``_quanta_hint``)
@@ -91,21 +91,21 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                     matrix_out: np.ndarray | None = None) -> BatchEpochResult:
     """Advance every cluster by ``epoch_s`` seconds in lockstep.
 
-    Bit-identical to calling ``cluster.run_epoch(epoch_s)`` on each
-    cluster in turn (see the module docstring for why); cursor, noise
-    and pending-transition state are written back exactly as the
-    scalar loop would leave them.  With ``accumulate=False`` the
-    activity matrix is skipped (state still advances — the datagen
-    replay protocol uses this for its reference/tail scans, whose
-    counters are never read).  ``matrix_out``, when given, must be a
-    ``(n, NUM_ACTIVITY_SLOTS)`` float64 buffer; it is zeroed and
-    reused instead of allocating the result matrix.
+    Each cluster's outcome is independent of the others in the call
+    (see the module docstring for why); cursor and pending-transition
+    state are written back to the cluster objects.  An epoch first
+    charges any pending IVR transition dead time (idle cycles, nothing
+    issues), then steps quanta until the budget runs out or the kernel
+    ends, and charges the rest of the epoch as idle cycles.  With
+    ``accumulate=False`` the activity matrix is skipped (state still
+    advances — the datagen replay protocol uses this for its
+    reference/tail scans, whose counters are never read).
+    ``matrix_out``, when given, must be a ``(n, NUM_ACTIVITY_SLOTS)``
+    float64 buffer; it is zeroed and reused instead of allocating the
+    result matrix.
 
     Clusters may carry different solution caches, architectures,
     kernels and noise tracks; solves are grouped per (cache, arch).
-    Any attached cache must use the :func:`~repro.gpu.cluster.
-    quantum_row_for` payload builder (the default), because batched
-    probes copy payload rows straight into the wave's row matrix.
     """
     if epoch_s <= 0:
         raise SimulationError("epoch duration must be positive")
@@ -153,15 +153,9 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
     group_slot: dict[tuple[int, int], int] = {}
     group_info: list[tuple] = []
     group_of = np.empty(n, dtype=np.intp)
-    ak_list: list[tuple | None] = [None] * n
+    ak_list = [arch_solve_key_cached(arch) for arch in arches]
     for i in range(n):
         cache = caches[i]
-        if cache is not None:
-            if cache.payload_builder is not quantum_row_for:
-                raise SimulationError(
-                    "run_epoch_batch requires solution caches built with "
-                    "the quantum_row_for payload builder")
-            ak_list[i] = arch_solve_key_cached(arches[i])
         gk = (id(cache), id(arches[i]))
         g = group_slot.get(gk)
         if g is None:
@@ -182,11 +176,10 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
     # quantum rows, ``q_t`` the quantum times, ``q_contrib`` the
     # per-quantum state-row contributions (activity slots, busy time,
     # bandwidth-util time and elapsed time — precomputed once per wave
-    # with the same elementwise ops the scalar loop applies per
-    # quantum), ``q_ph`` the phase lengths,
-    # and ``q_post`` the enumerated post-quantum cursor state
-    # (instructions done / completed / segment) the real cursor jumps
-    # to after a full consumption.
+    # with elementwise ops), ``q_ph`` the phase lengths, and ``q_post``
+    # the enumerated post-quantum cursor state (instructions done /
+    # completed / segment) the real cursor jumps to after a full
+    # consumption.
     # ------------------------------------------------------------------
     e_seg = list(seg_index)
     e_done = list(inst_done)
@@ -194,7 +187,7 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
     e_live = [False] * n
     e_params: list[np.ndarray | None] = [None] * n
     e_ph = [0.0] * n
-    e_key: list[tuple | None] = [None] * n
+    e_key: list[int | None] = [None] * n
     # All clusters start dirty: the first refill syncs the shadow
     # cursor from real state through the same path that recovers from
     # a flushed prefetch.
@@ -225,16 +218,14 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
             row = phase_params_row(phase)
             e_params[i] = row
             e_ph[i] = float(row[PP_INSTRUCTIONS])
-            if caches[i] is not None:
-                e_key[i] = phase_solve_key_cached(phase)
+            e_key[i] = phase_solve_key_cached(phase)
         dirty[i] = False
 
     def _refill(targets: list[int]) -> None:
         nonlocal q_rows, q_t, q_contrib, q_total
-        # Enumerate the next wave of quanta for every target with the
-        # scalar loop's own Python-float arithmetic, then resolve all
-        # of them in one batched probe/solve/row pass per (cache, arch)
-        # group.
+        # Enumerate the next wave of quanta for every target with
+        # Python-float arithmetic, then resolve all of them in one
+        # batched probe/solve/row pass per (cache, arch) group.
         # One tuple per quantum, unzipped below (fewer hot-loop appends
         # than parallel lists): (cluster, boundary, phase_insts, warp_m,
         # miss_m, cpi_m, params_row, key).
@@ -245,7 +236,6 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
         for i in targets:
             if dirty[i]:
                 _resync(i)
-            cached_i = caches[i] is not None
             akv = ak_list[i]
             pkv = e_key[i]
             fv = freq_list[i]
@@ -280,8 +270,7 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                     m2 = tr2[chunk]
                 b = min(ph_i - done_i, float((chunk + 1) * ci) - pos)
                 wave_append((i, b, ph_i, m0, m1, m2, params_i,
-                             (akv, pkv, fv, m0, m1, m2)
-                             if cached_i else None))
+                             (akv, pkv, fv, m0, m1, m2)))
                 done_i += b
                 if done_i >= ph_i - _SEGMENT_EPS:
                     comp_i += ph_i
@@ -292,9 +281,8 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                         row = phase_params_row(phase)
                         params_i = row
                         ph_i = float(row[PP_INSTRUCTIONS])
-                        if cached_i:
-                            pkv = phase_solve_key_cached(phase)
-                            e_key[i] = pkv
+                        pkv = phase_solve_key_cached(phase)
+                        e_key[i] = pkv
                     else:
                         live_i = False
                 post_append((done_i, comp_i, seg_i))
@@ -340,35 +328,24 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                 gfreq = wfreq
                 gkeys = wave_keys
                 target = wrows
-            if cache is None:
+            missing = cache.probe_batch(gkeys, target)
+            if missing:
                 if sel_list is None:
-                    gparams = np.stack(wave_params)
+                    mparams = np.stack([wave_params[j] for j, _ in missing])
                 else:
-                    gparams = np.stack([wave_params[j] for j in sel_list])
-                sol = solve_throughput_batch(garch, gparams, gfreq,
-                                             gw, gm, gc)
-                quantum_rows_batch(garch, gparams, sol, out=target)
-            else:
-                missing = cache.probe_batch(gkeys, target)
-                if missing:
-                    if sel_list is None:
-                        mparams = np.stack(
-                            [wave_params[j] for j, _ in missing])
-                    else:
-                        mparams = np.stack(
-                            [wave_params[sel_list[j]] for j, _ in missing])
-                    midx = np.array([j for j, _ in missing], dtype=np.intp)
-                    msol = solve_throughput_batch(
-                        garch, mparams, gfreq[midx],
-                        gw[midx], gm[midx], gc[midx])
-                    mrows = quantum_rows_batch(garch, mparams, msol)
-                    target[midx] = mrows
-                    cache.store_batch(missing, msol, mrows)
+                    mparams = np.stack(
+                        [wave_params[sel_list[j]] for j, _ in missing])
+                midx = np.array([j for j, _ in missing], dtype=np.intp)
+                msol = solve_throughput_batch(
+                    garch, mparams, gfreq[midx],
+                    gw[midx], gm[midx], gc[midx])
+                mrows = quantum_rows_batch(garch, mparams, msol)
+                target[midx] = mrows
+                cache.store_batch(missing, mrows)
             if gsel is not None:
                 wrows[gsel] = target
         # Per-wave precomputation of quantum times and state-row
-        # contributions.  Elementwise ops over the same operands the
-        # scalar loop uses per quantum, just batched across the wave:
+        # contributions, elementwise across the wave:
         # ``t = (b / ipc) / f`` and ``contrib = [row * b, t, t * bw, t]``
         # (accumulate) or ``[b, t]`` (advance-only).
         wb = np.array(wave_b, dtype=np.float64)
@@ -395,8 +372,8 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
         q_ph.extend(wave_ph)
 
     # ------------------------------------------------------------------
-    # IVR transition dead time (scalar loop: ``dead = min(pending,
-    # epoch_s)`` charged as idle cycles before any quantum runs).
+    # IVR transition dead time: ``dead = min(pending, epoch_s)`` is
+    # charged as idle cycles before any quantum runs.
     # ------------------------------------------------------------------
     dead = np.minimum(pending, epoch_s)
     pending -= dead
@@ -428,12 +405,11 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
         *slice* of the flat per-wave stores (no gather copies).
         Returns True when the cluster consumed its whole queue but the
         epoch budget has not run out — the caller refills and calls
-        again.  All arithmetic replicates the scalar loop: quantum
-        times and contribution rows were formed elementwise per wave,
-        running sums are seeded cumsums (left-to-right over the same
-        operands), the cursor jumps to enumerated post-states for
-        fully-consumed quanta, and the final partial quantum is stepped
-        with the scalar expressions directly.
+        again.  Quantum times and contribution rows were formed
+        elementwise per wave, running sums are seeded cumsums
+        (left-to-right, one quantum at a time), the cursor jumps to
+        enumerated post-states for fully-consumed quanta, and the final
+        partial quantum is stepped with scalar expressions.
         """
         ranges = queues[i]
         while True:
@@ -448,11 +424,10 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                 roff[i] = 0
                 continue
             # One seeded matrix cumsum advances every running sum at
-            # once: row 0 is the cluster's current state row (so a
+            # once: row 0 is the cluster's current state row, so a
             # later range, or a refilled queue, continues the same
-            # left-associative add sequence the scalar loop performs)
-            # and the elapsed column carries exactly the bits the
-            # scalar ``elapsed += step_time`` sequence would hold.
+            # left-associative per-quantum add sequence and the result
+            # never depends on how the schedule was split into waves.
             # Rows past the cut-off are computed in vain but a cumsum
             # prefix never depends on later rows, so the kept rows are
             # exact.
@@ -489,10 +464,10 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                 return False
 
             # The next quantum does not fit: advance the cursor past
-            # the consumed prefix, then step the partial remainder
-            # exactly as the scalar else-branch does and invalidate the
-            # prefetched tail (the shadow cursor ran ahead of state the
-            # cluster never reached).
+            # the consumed prefix, then step the partial remainder for
+            # the time left and invalidate the prefetched tail (the
+            # shadow cursor ran ahead of state the cluster never
+            # reached).
             roff[i] = lo + full - start
             pos = lo + full
             if elapsed_before[full] < limit and runnable[i]:
@@ -522,7 +497,8 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                     del ranges[ri:]
                     roff[i] = 0
                     dirty[i] = True
-                # si <= 0: the scalar loop breaks without touching state.
+                # si <= 0: no progress possible; the rest of the epoch
+                # is idle.
             return False
 
     # ------------------------------------------------------------------
@@ -537,8 +513,8 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
             _refill(dry)
         todo = [i for i in todo if _consume(i)]
 
-    # Idle tails (scalar loop: remaining epoch time at current
-    # frequency charged as idle cycles), time-proportional slots, and
+    # Idle tails (remaining epoch time at the current frequency is
+    # charged as idle cycles), time-proportional slots, and
     # the copy-out from the fused state matrix into the result matrix.
     if accumulate:
         for i in range(n):

@@ -179,30 +179,19 @@ class PowerModel:
             energy_j=dynamic_j + static_j,
         )
 
-    def cluster_power_batch(self, activities: list[EpochActivity] | None,
-                            matrix: np.ndarray | None = None,
-                            durations: np.ndarray | None = None,
-                            voltages: np.ndarray | None = None
+    def cluster_power_batch(self, matrix: np.ndarray, durations: np.ndarray,
+                            voltages: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`cluster_power` over every cluster at once.
+        """Vectorised :meth:`cluster_power` over stacked activity rows.
 
-        Returns ``(dynamic_w, static_w, energy_j)`` arrays, one entry
-        per cluster row.  ``matrix`` may pass the pre-stacked activity
-        vectors so the caller's stack is reused; ``durations`` and
-        ``voltages`` may pass the per-row epoch lengths and operating
-        voltages directly, in which case ``activities`` is only read
-        for whatever remains unset (the vectorised quantum engine
-        passes all three and no activity objects at all).
+        ``matrix`` holds one activity vector per cluster row;
+        ``durations`` and ``voltages`` are the per-row epoch lengths and
+        operating voltages.  Returns ``(dynamic_w, static_w, energy_j)``
+        arrays, one entry per row.
         """
         cfg = self.config
-        if matrix is None:
-            matrix = np.stack([a.as_vector() for a in activities])
-        if durations is None:
-            durations = np.array([a.duration_s for a in activities])
         if np.any(durations <= 0):
             raise ConfigError("activity duration must be positive")
-        if voltages is None:
-            voltages = np.array([a.voltage_v for a in activities])
         vratio = voltages / REFERENCE_VOLTAGE
         v2 = vratio * vratio
 
@@ -216,23 +205,14 @@ class PowerModel:
         static_j = static_w * durations
         return dynamic_w, static_w, dynamic_j + static_j
 
-    def uncore_power(self, activities: list[EpochActivity] | None,
-                     duration_s: float,
-                     matrix: np.ndarray | None = None) -> UncorePower:
-        """Uncore power for one epoch given every cluster's activity.
-
-        ``activities`` may be ``None`` when ``matrix`` is given (the
-        traffic totals are then read from the matrix columns).
-        """
+    def uncore_power(self, matrix: np.ndarray,
+                     duration_s: float) -> UncorePower:
+        """Uncore power for one epoch from every cluster's activity row."""
         cfg = self.config
         if duration_s <= 0:
             raise ConfigError("epoch duration must be positive")
-        if matrix is not None:
-            dram_bytes = float(matrix[:, A_DRAM_BYTES].sum())
-            l2_accesses = float(matrix[:, A_L2_ACCESS].sum())
-        else:
-            dram_bytes = sum(a.dram_bytes for a in activities)
-            l2_accesses = sum(a.l2_access for a in activities)
+        dram_bytes = float(matrix[:, A_DRAM_BYTES].sum())
+        l2_accesses = float(matrix[:, A_L2_ACCESS].sum())
         dram_j = dram_bytes * cfg.dram_energy_per_byte_j
         l2_j = l2_accesses * cfg.l2_energy_per_access_j
         static_j = cfg.uncore_static_w * duration_s

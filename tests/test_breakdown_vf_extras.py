@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -71,7 +72,8 @@ def test_epoch_breakdown_matches_power_model(small_arch):
     activities = [cluster.run_epoch(us(10)) for cluster in simulator.clusters]
     breakdown = breakdown_for_epoch(activities, model, us(10))
     reference = sum(model.cluster_power(a).energy_j for a in activities)
-    reference += model.uncore_power(activities, us(10)).energy_j
+    matrix = np.stack([a.as_vector() for a in activities])
+    reference += model.uncore_power(matrix, us(10)).energy_j
     assert breakdown.total_j == pytest.approx(reference, rel=1e-9)
 
 

@@ -34,7 +34,6 @@ from repro.gpu.arch import small_test_config
 from repro.gpu.fused import (FusedCampaignEngine, SharedContextCache,
                              SharedObjectRef, dump_shared, fuse_groups,
                              load_shared, release_shared, run_fused)
-from repro.gpu.cluster import step_vector_for
 from repro.gpu.counters import COUNTER_NAMES, CounterSet
 from repro.gpu.interval_model import SolutionCache
 from repro.gpu.kernels import KernelProfile
@@ -168,7 +167,7 @@ def test_fused_shared_solution_and_noise_caches_identical(arch, model):
     factory = _policies(arch, model)["ssmdvfs"]
     expected = [_result_bytes(_serial_result(arch, kernel, factory(), 7))
                 for _ in range(3)]
-    shared_cache = SolutionCache(payload_builder=step_vector_for)
+    shared_cache = SolutionCache()
     noise_cache: dict = {}
     entries = [(i, GPUSimulator(arch, kernel, seed=7,
                                 solution_cache=shared_cache,

@@ -1,5 +1,6 @@
 """McPAT-surrogate power model and energy accounting."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SimulationError
@@ -21,6 +22,10 @@ def _activity(level=5, phase=None):
     cluster = ClusterState(ARCH, kernel, WorkloadNoise(stream("pw", 1), 0.0))
     cluster.set_level(level)
     return cluster.run_epoch(us(10))
+
+
+def _matrix(activities):
+    return np.stack([a.as_vector() for a in activities])
 
 
 def test_cluster_power_positive():
@@ -65,7 +70,7 @@ def test_gpu_envelope_under_reasonable_bound():
     activities = [_activity(phase=compute_phase("c", 10 ** 8, warps=56))
                   for _ in range(ARCH.num_clusters)]
     cluster_w = sum(model.cluster_power(a).total_w for a in activities)
-    uncore_w = model.uncore_power(activities, us(10)).total_w
+    uncore_w = model.uncore_power(_matrix(activities), us(10)).total_w
     total = cluster_w + uncore_w
     assert 120 < total < 400  # 250 W TDP class
 
@@ -74,8 +79,8 @@ def test_uncore_power_tracks_traffic():
     model = PowerModel()
     mem = [_activity(phase=memory_phase("m", 10 ** 8))] * 4
     cmp_ = [_activity(phase=compute_phase("c", 10 ** 8))] * 4
-    assert (model.uncore_power(mem, us(10)).dram_w
-            > model.uncore_power(cmp_, us(10)).dram_w)
+    assert (model.uncore_power(_matrix(mem), us(10)).dram_w
+            > model.uncore_power(_matrix(cmp_), us(10)).dram_w)
 
 
 def test_config_validation():

@@ -1,14 +1,18 @@
 """Data-generation protocol (paper §III-A)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DatasetError
 from repro.gpu.arch import small_test_config
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase, memory_phase
-from repro.datagen.protocol import (ProtocolConfig, generate_for_kernel,
-                                    generate_for_suite, required_duration_s,
+from repro.gpu.simulator import GPUSimulator
+from repro.datagen.protocol import (ProtocolConfig, collect_breakpoint,
+                                    generate_for_kernel, generate_for_suite,
+                                    required_duration_s,
                                     scale_kernel_for_protocol)
+from repro.power.model import PowerModel
 
 ARCH = small_test_config(num_clusters=2)
 
@@ -44,6 +48,23 @@ def test_every_breakpoint_covers_all_levels():
         assert bp.levels == list(range(ARCH.vf_table.num_levels))
         assert len(bp.losses) == len(bp.levels)
         assert len(bp.window_instructions) == len(bp.levels)
+
+
+def test_collect_breakpoint_standalone_matches_generation():
+    """Without lanes or a reference segment, collect_breakpoint builds
+    both itself and reproduces the generation loop's first breakpoint."""
+    first = generate_for_kernel(_kernel(), ARCH, config=CFG)[0]
+    simulator = GPUSimulator(ARCH, _kernel(), PowerModel(), seed=CFG.seed,
+                             epoch_s=CFG.epoch_s)
+    simulator.set_all_levels(ARCH.vf_table.default_level)
+    alone = collect_breakpoint(simulator, 0, CFG)
+    assert alone.tf_s == first.tf_s
+    assert alone.losses == first.losses
+    assert alone.window_instructions == first.window_instructions
+    assert np.array_equal(alone.feature_counters.as_vector(),
+                          first.feature_counters.as_vector())
+    # Left at the end of the reference segment.
+    assert simulator.epoch_index == CFG.segment_epochs
 
 
 def test_default_level_loss_is_zero():

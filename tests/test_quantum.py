@@ -1,32 +1,29 @@
-"""Vectorised quantum kernel: bit-identity with the scalar hot path.
+"""Epoch engine: stacked interval solves and the batched solve cache.
 
-The batched engine's entire value rests on one claim: every vectorised
-stage — the stacked interval solve, the batched epoch loop, the fused
-V/f-grid replay — produces *bit-identical* results to the serial code
-it replaces.  These tests pin that claim at each layer: property-based
-random solve stacks, pickled epoch-record streams, whole datagen
-chunks, and the solution cache's batched probe/store protocol.
+End-to-end outputs of the engine are pinned by ``tests/test_golden.py``;
+these tests cover its building blocks: property-based random solve
+stacks against the scalar solver, the solution cache's batched
+probe/store protocol, eviction, and key interning.
 """
 
-import pickle
+import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datagen.dataset import DVFSDataset
 from repro.datagen.protocol import ProtocolConfig, generate_for_kernel
 from repro.gpu.arch import small_test_config, titan_x_config
-from repro.gpu.cluster import quantum_row_for, quantum_rows_batch
-from repro.gpu.interval_model import (SolutionCache, arch_solve_key_cached,
+from repro.gpu.cluster import (QR_BW_UTIL, QR_IPC, QROW_WIDTH,
+                               quantum_rows_batch)
+from repro.gpu.interval_model import (SolutionCache, ThroughputSolution,
+                                      arch_solve_key_cached,
                                       intern_solve_key, phase_params_row,
                                       phase_solve_key_cached,
                                       solve_throughput,
                                       solve_throughput_batch)
 from repro.gpu.kernels import KernelProfile
-from repro.gpu.phases import Phase, compute_phase, make_mix, memory_phase
-from repro.gpu.simulator import GPUSimulator
+from repro.gpu.phases import Phase, compute_phase, make_mix
 from repro.parallel import CampaignStats
 
 ARCH = titan_x_config()
@@ -83,173 +80,85 @@ def test_batch_solver_bit_identical_to_scalar(stack):
     for j, (phase, f, w, m, c) in enumerate(stack):
         scalar = solve_throughput(ARCH, phase, f, warp_multiplier=w,
                                   miss_multiplier=m, cpi_multiplier=c)
-        vector = batch.solution_at(j)
-        assert vector == scalar  # dataclass equality: every field's bits
-        scalar_row = quantum_row_for(ARCH, phase, scalar)
-        assert rows[j].tobytes() == scalar_row.tobytes()
-
-
-def _kernels():
-    return [
-        KernelProfile("q.compute", [compute_phase("c", 60_000, warps=16)],
-                      iterations=3, jitter=0.05),
-        KernelProfile("q.memory",
-                      [memory_phase("m", 60_000, warps=40, l1_miss=0.8,
-                                    l2_miss=0.7)],
-                      iterations=3, jitter=0.05),
-    ]
-
-
-def _run_records(arch, kernels, *, vectorized, use_cache=True, epochs=40,
-                 seed=7):
-    """Step a level-wiggling run and return its pickled record stream."""
-    sim = GPUSimulator(arch, kernels, seed=seed, vectorized=vectorized,
-                       use_solution_cache=use_cache)
-    num_levels = arch.vf_table.num_levels
-    records = []
-    for index in range(epochs):
-        if sim.finished:
-            break
-        sim.apply_decision((index // 3) % num_levels)
-        records.append(sim.step_epoch())
-    return pickle.dumps(records)
-
-
-@pytest.mark.parametrize("use_cache", [True, False])
-def test_step_epoch_vectorized_byte_identical(use_cache):
-    """The batched epoch engine replays the scalar loop byte-for-byte,
-    with and without the solution cache in the loop."""
-    arch = small_test_config(num_clusters=3)
-    kernels = _kernels()
-    vec = _run_records(arch, kernels, vectorized=True, use_cache=use_cache)
-    ser = _run_records(arch, kernels, vectorized=False, use_cache=use_cache)
-    assert vec == ser
-
-
-def test_fused_grid_datagen_byte_identical():
-    """Fused V/f-grid replay == serial replay, down to the stored bytes.
-
-    Compares the protocol output three ways: pickled breakpoint chunks,
-    every array of the packed dataset (``np.savez`` archives are not
-    byte-stable — zip timestamps — so arrays are compared directly), and
-    the scalar-loop serial baseline.
-    """
-    arch = small_test_config(num_clusters=2)
-    kernel = KernelProfile("q.grid", [compute_phase("g", 30_000, warps=24)],
-                           iterations=60, jitter=0.05)
-
-    def run(fused_grid, vectorized):
-        cfg = ProtocolConfig(seed=5, max_breakpoints_per_kernel=2,
-                             fused_grid=fused_grid,
-                             vectorized_quanta=vectorized)
-        return generate_for_kernel(kernel, arch, config=cfg)
-
-    fused = run(True, True)
-    serial = run(False, False)
-    serial_vec = run(False, True)
-    assert pickle.dumps(fused) == pickle.dumps(serial)
-    assert pickle.dumps(fused) == pickle.dumps(serial_vec)
-
-    packed_fused = DVFSDataset.from_breakpoints(fused)
-    packed_serial = DVFSDataset.from_breakpoints(serial)
-    for name in ("counters", "sample_breakpoint", "sample_level",
-                 "sample_loss", "sample_instructions", "record_group"):
-        a = getattr(packed_fused, name)
-        b = getattr(packed_serial, name)
-        assert a.tobytes() == b.tobytes(), name
+        for name in (field.name
+                     for field in dataclasses.fields(ThroughputSolution)):
+            # Exact equality: every field's bits.
+            assert getattr(batch, name)[j] == getattr(scalar, name), name
+        assert rows[j, QR_IPC] == scalar.ipc
+        assert rows[j, QR_BW_UTIL] == scalar.bandwidth_utilization
 
 
 def test_datagen_surfaces_batched_cache_counters():
-    """The protocol reports eviction and batched hit/miss counters."""
+    """The protocol reports the solve cache's hit/miss/eviction counters."""
     arch = small_test_config(num_clusters=2)
     stats = CampaignStats()
     cfg = ProtocolConfig(seed=2, max_breakpoints_per_kernel=2)
-    generate_for_kernel(_kernels()[0], arch, config=cfg, stats=stats)
+    kernel = KernelProfile("q.compute", [compute_phase("c", 60_000, warps=16)],
+                           iterations=3, jitter=0.05)
+    generate_for_kernel(kernel, arch, config=cfg, stats=stats)
     for name in ("solve_cache_hit", "solve_cache_miss",
-                 "solve_cache_batch_hit", "solve_cache_batch_miss",
                  "solve_cache_evictions"):
         assert name in stats.counters
-    assert stats.counters["solve_cache_batch_miss"] > 0
+    assert stats.counters["solve_cache_miss"] > 0
 
 
-def _solved_key_and_rows(arch, phase, freq):
+def _key(arch, phase, freq, warp_m=1.0):
+    return (arch_solve_key_cached(arch), phase_solve_key_cached(phase),
+            freq, warp_m, 1.0, 1.0)
+
+
+def _solved_rows(arch, phase, freq):
     params = phase_params_row(phase)[None, :]
     batch = solve_throughput_batch(
         arch, params, np.array([freq]), np.ones(1), np.ones(1), np.ones(1))
-    rows = quantum_rows_batch(arch, params, batch)
-    return batch, rows
+    return quantum_rows_batch(arch, params, batch)
 
 
-def test_cache_batch_probe_store_and_lazy_materialisation():
-    """probe/store fill placeholder slots; scalar ``solve`` then serves
-    the batch-stored entry, materialising the solution lazily."""
+def test_cache_batch_probe_store():
+    """probe pre-inserts a slot per miss, store fills it in place, and a
+    later probe copies the stored row out without re-solving."""
     arch = small_test_config(num_clusters=2)
     phase = compute_phase("lazy", 50_000, warps=16)
     freq = arch.vf_table.frequencies_hz()[0]
-    cache = SolutionCache(payload_builder=quantum_row_for)
-    key = (arch_solve_key_cached(arch), phase_solve_key_cached(phase),
-           freq, 1.0, 1.0, 1.0)
+    cache = SolutionCache()
+    key = _key(arch, phase, freq)
 
-    out = np.empty((1, quantum_row_for(arch, phase,
-                                       solve_throughput(arch, phase, freq)
-                                       ).size))
+    out = np.empty((1, QROW_WIDTH))
     missing = cache.probe_batch([key], out)
     assert [index for index, _ in missing] == [0]
-    assert cache.batch_misses == 1
+    assert cache.misses == 1 and len(cache) == 1
 
-    batch, rows = _solved_key_and_rows(arch, phase, freq)
-    cache.store_batch(missing, batch, rows)
+    rows = _solved_rows(arch, phase, freq)
+    cache.store_batch(missing, rows)
 
-    # A second probe hits without touching the slot contents.
     out2 = np.empty_like(out)
     assert cache.probe_batch([key], out2) == []
-    assert cache.batch_hits == 1
+    assert cache.hits == 1
     assert out2[0].tobytes() == rows[0].tobytes()
 
-    # The scalar path materialises the lazy batch reference on first use
-    # and returns the exact scalar-solver bits.
-    solution, payload = cache.solve(arch, phase, freq, 1.0, 1.0, 1.0)
-    assert solution == solve_throughput(arch, phase, freq)
-    assert payload.tobytes() == rows[0].tobytes()
-    # Materialised in place: a second solve returns the same object.
-    again, _ = cache.solve(arch, phase, freq, 1.0, 1.0, 1.0)
-    assert again is solution
 
-
-def test_cache_export_import_round_trip_interned_keys():
-    """export_entries translates interned key ids back to tuples, and
-    import re-interns them — a warmed cache serves identical entries."""
+def test_cache_pending_slot_is_a_fresh_miss():
+    """A duplicate key inside one wave, or a slot an aborted batch left
+    unfilled, misses again instead of returning an empty row."""
     arch = small_test_config(num_clusters=2)
-    phase = memory_phase("exp", 40_000, warps=32, l1_miss=0.6, l2_miss=0.5)
-    freq = arch.vf_table.frequencies_hz()[-1]
-    cache = SolutionCache(payload_builder=quantum_row_for)
-    solution, payload = cache.solve(arch, phase, freq, 1.0, 1.0, 1.0)
-
-    exported = cache.export_entries()
-    assert len(exported) == 1
-    (key, (stored_solution, stored_payload)), = exported.items()
-    # Exported keys are plain tuples (portable across processes), not
-    # process-local interned ids.
-    assert isinstance(key[0], tuple) and isinstance(key[1], tuple)
-    assert stored_solution == solution
-
-    warmed = SolutionCache(payload_builder=quantum_row_for)
-    warmed.import_entries(exported)
-    hit_solution, hit_payload = warmed.solve(arch, phase, freq,
-                                             1.0, 1.0, 1.0)
-    assert warmed.hits == 1 and warmed.misses == 0
-    assert hit_solution == solution
-    assert hit_payload.tobytes() == payload.tobytes()
+    phase = compute_phase("dup", 50_000, warps=16)
+    freq = arch.vf_table.frequencies_hz()[1]
+    cache = SolutionCache()
+    key = _key(arch, phase, freq)
+    missing = cache.probe_batch([key, key], np.empty((2, QROW_WIDTH)))
+    assert [index for index, _ in missing] == [0, 1]
+    assert cache.misses == 2 and len(cache) == 1
 
 
 def test_cache_eviction_counter():
-    """Clear-on-full eviction is counted, scalar and batched alike."""
+    """Clear-on-full eviction is counted."""
     arch = small_test_config(num_clusters=2)
     phase = compute_phase("evict", 10_000, warps=8)
     freqs = arch.vf_table.frequencies_hz()
-    cache = SolutionCache(max_entries=2, payload_builder=quantum_row_for)
-    for index in range(4):
-        cache.solve(arch, phase, freqs[0], 1.0 + index / 16.0, 1.0, 1.0)
+    cache = SolutionCache(max_entries=2)
+    keys = [_key(arch, phase, freqs[0], 1.0 + index / 16.0)
+            for index in range(4)]
+    cache.probe_batch(keys, np.empty((len(keys), QROW_WIDTH)))
     assert cache.evictions > 0
 
 

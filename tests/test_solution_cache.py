@@ -1,10 +1,12 @@
 """Interval-model solution cache: determinism, hits, invalidation.
 
-The tentpole guarantee of the memoised epoch engine is that caching is
+The guarantee of the memoised epoch engine is that caching is
 *observably free*: every simulated quantity — counter vectors, energy,
-instruction counts, datagen labels — is bit-identical with the cache on
-and off.  The cache keys capture every solver input exactly, so a hit
-can only ever return the solution the solver would have recomputed.
+instruction counts, datagen labels — is bit-identical whether a solve
+is served from the cache or recomputed.  The cache keys capture every
+solver input exactly, so a hit can only ever return the row the solver
+would have recomputed.  A one-entry cache, which flushes on every new
+key, stands in for "cache off".
 """
 
 from dataclasses import replace
@@ -14,8 +16,12 @@ import pytest
 
 from repro.datagen.protocol import ProtocolConfig, generate_for_kernel
 from repro.gpu.arch import small_test_config
-from repro.gpu.cluster import step_vector_for
-from repro.gpu.interval_model import SolutionCache, solve_throughput
+from repro.gpu.cluster import QR_IPC, QROW_WIDTH, quantum_rows_batch
+from repro.gpu.interval_model import (SolutionCache, arch_solve_key_cached,
+                                      phase_params_row,
+                                      phase_solve_key_cached,
+                                      solve_throughput,
+                                      solve_throughput_batch)
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase, compute_phase
 from repro.gpu.simulator import GPUSimulator
@@ -32,6 +38,10 @@ def _kernel(jitter=0.08):
                          iterations=10, jitter=jitter)
 
 
+def _starved_cache():
+    return SolutionCache(max_entries=1)
+
+
 def _epoch_stream(use_cache, epochs=8):
     """Forward epochs over several levels, then a snapshot replay.
 
@@ -40,7 +50,8 @@ def _epoch_stream(use_cache, epochs=8):
     re-solves a position).
     """
     simulator = GPUSimulator(ARCH, _kernel(), seed=3,
-                             use_solution_cache=use_cache)
+                             solution_cache=(None if use_cache
+                                             else _starved_cache()))
     simulator.set_all_levels(ARCH.vf_table.default_level)
     records = []
     snapshot = simulator.snapshot()
@@ -61,8 +72,10 @@ def _epoch_stream(use_cache, epochs=8):
 
 def test_epoch_stream_bit_identical_cache_on_off():
     cached, sim = _epoch_stream(True)
-    uncached, _ = _epoch_stream(False)
-    assert sim.solution_cache is not None and sim.solution_cache.hits > 0
+    uncached, starved = _epoch_stream(False)
+    assert sim.solution_cache.hits > 0
+    assert (starved.solution_cache.hit_rate
+            < sim.solution_cache.hit_rate / 4)
     assert len(cached) == len(uncached) > 0
     for a, b in zip(cached, uncached):
         assert a.levels == b.levels
@@ -79,8 +92,8 @@ def test_datagen_bit_identical_cache_on_off():
     on = generate_for_kernel(_kernel(), ARCH,
                              config=ProtocolConfig(**base))
     off = generate_for_kernel(_kernel(), ARCH,
-                              config=ProtocolConfig(
-                                  **base, use_solution_cache=False))
+                              config=ProtocolConfig(**base),
+                              solution_cache=_starved_cache())
     assert len(on) == len(off) > 0
     for a, b in zip(on, off):
         assert a.levels == b.levels
@@ -114,15 +127,6 @@ def test_replay_protocol_hits_dominate():
     assert "solve_cache_hit" in stats.render()
 
 
-def test_cache_disabled_reports_no_counters():
-    stats = CampaignStats()
-    config = ProtocolConfig(max_breakpoints_per_kernel=1, seed=7,
-                            use_solution_cache=False)
-    generate_for_kernel(_kernel(), ARCH, config=config, stats=stats)
-    assert stats.counter("solve_cache_hit") == 0
-    assert stats.counter("solve_cache_miss") == 0
-
-
 def test_snapshot_replay_hits_without_jitter():
     # sigma = 0 collapses the noise multipliers to (1, 1, 1): a replayed
     # epoch is served entirely from the cache.
@@ -144,18 +148,30 @@ def test_snapshot_replay_hits_without_jitter():
 # Key derivation and invalidation
 # ---------------------------------------------------------------------------
 
+def _lookup(cache, arch, phase, freq, warp_m=1.0, miss_m=1.0, cpi_m=1.0):
+    """One batched lookup; on a miss, solve and store the row."""
+    key = (arch_solve_key_cached(arch), phase_solve_key_cached(phase),
+           freq, warp_m, miss_m, cpi_m)
+    out = np.empty((1, QROW_WIDTH))
+    missing = cache.probe_batch([key], out)
+    if missing:
+        params = phase_params_row(phase)[None, :]
+        solved = solve_throughput_batch(
+            arch, params, np.array([freq]), np.array([warp_m]),
+            np.array([miss_m]), np.array([cpi_m]))
+        rows = quantum_rows_batch(arch, params, solved)
+        cache.store_batch(missing, rows)
+        return rows[0]
+    return out[0]
+
+
 def test_hit_returns_identical_solution_and_payload():
-    cache = SolutionCache(payload_builder=step_vector_for)
-    args = (ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    solution_a, payload_a = cache.solve(*args)
-    solution_b, payload_b = cache.solve(*args)
-    assert solution_a is solution_b
-    assert payload_a is payload_b
+    cache = SolutionCache()
+    first = _lookup(cache, ARCH, PHASE, 1.0e9)
+    second = _lookup(cache, ARCH, PHASE, 1.0e9)
     assert cache.hits == 1 and cache.misses == 1
-    assert np.array_equal(payload_a,
-                          step_vector_for(ARCH, PHASE, solution_a))
-    reference = solve_throughput(ARCH, PHASE, 1.0e9)
-    assert solution_a == reference
+    assert first.tobytes() == second.tobytes()
+    assert second[QR_IPC] == solve_throughput(ARCH, PHASE, 1.0e9).ipc
 
 
 def test_distinct_inputs_never_alias():
@@ -171,34 +187,34 @@ def test_distinct_inputs_never_alias():
         (replace(ARCH, issue_width=2.0), PHASE,
          1.0e9, 1.0, 1.0, 1.0),                        # architecture
     ]
-    solutions = [cache.solve(*v)[0] for v in variants]
+    rows = [_lookup(cache, *v) for v in variants]
     assert cache.misses == len(variants) and cache.hits == 0
-    for variant, solution in zip(variants, solutions):
+    for variant, row in zip(variants, rows):
         arch, phase, freq, warp_m, miss_m, cpi_m = variant
-        assert solution == solve_throughput(
+        assert row[QR_IPC] == solve_throughput(
             arch, phase, freq, warp_multiplier=warp_m,
-            miss_multiplier=miss_m, cpi_multiplier=cpi_m)
+            miss_multiplier=miss_m, cpi_multiplier=cpi_m).ipc
 
 
 def test_equal_valued_arch_objects_share_entries():
     # Keys derive from the solver-relevant *fields*, not object identity,
     # so a second arch object with identical values hits.
     cache = SolutionCache()
-    cache.solve(small_test_config(), PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    cache.solve(small_test_config(), PHASE, 1.0e9, 1.0, 1.0, 1.0)
+    _lookup(cache, small_test_config(), PHASE, 1.0e9)
+    _lookup(cache, small_test_config(), PHASE, 1.0e9)
     assert cache.hits == 1 and cache.misses == 1
 
 
 def test_eviction_clears_and_counts():
     cache = SolutionCache(max_entries=2)
     for index in range(3):
-        cache.solve(ARCH, PHASE, 1.0e9 + index * 1e7, 1.0, 1.0, 1.0)
+        _lookup(cache, ARCH, PHASE, 1.0e9 + index * 1e7)
     assert cache.evictions == 2  # both resident entries were flushed
     assert len(cache) == 1  # flushed at capacity, then one fresh entry
     assert cache.misses == 3
     # A re-solve of a flushed key misses again but stays correct.
-    solution, _ = cache.solve(ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    assert solution == solve_throughput(ARCH, PHASE, 1.0e9)
+    row = _lookup(cache, ARCH, PHASE, 1.0e9)
+    assert row[QR_IPC] == solve_throughput(ARCH, PHASE, 1.0e9).ipc
 
 
 def test_invalid_max_entries_rejected():
@@ -210,8 +226,8 @@ def test_invalid_max_entries_rejected():
 def test_hit_rate_accounting():
     cache = SolutionCache()
     assert cache.hit_rate == 0.0
-    cache.solve(ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    cache.solve(ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0)
-    cache.solve(ARCH, PHASE, 1.1e9, 1.0, 1.0, 1.0)
+    _lookup(cache, ARCH, PHASE, 1.0e9)
+    _lookup(cache, ARCH, PHASE, 1.0e9)
+    _lookup(cache, ARCH, PHASE, 1.1e9)
     assert cache.lookups == 3
     assert cache.hit_rate == pytest.approx(1.0 / 3.0)
