@@ -2,8 +2,8 @@
 
 Every result in this repository comes from one simulated epoch loop, so
 its outputs are pinned here byte-for-byte: epoch-record streams of
-policy-driven runs, a datagen breakpoint chunk, a Fig. 4 grid and the
-fleet / serve-chaos export payloads.  A refactor of the engine must
+policy-driven runs, a datagen breakpoint chunk, a Fig. 4 grid, a chaos
+soak and the fleet / fleet-chaos / serve-chaos export payloads.  A refactor of the engine must
 leave every digest unchanged; a deliberate model change regenerates
 ``tests/fixtures/golden.json`` and the diff of that file is the
 reviewed artefact.
@@ -30,6 +30,7 @@ from repro.core.combined import SSMDVFSModel
 from repro.datagen.features import FeatureExtractor, FeatureScaler
 from repro.datagen.protocol import ProtocolConfig, generate_for_kernel
 from repro.evaluation.experiments import run_fig4
+from repro.evaluation.soak import SoakConfig, run_soak
 from repro.gpu.arch import small_test_config, titan_x_config
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import (balanced_phase, compute_phase, divergent_phase,
@@ -213,6 +214,17 @@ def fig4_grid():
     return _fig4(fused=False)
 
 
+def soak(directory: Path):
+    """`run_soak` on one short kernel, crash-write torture included."""
+    arch = small_test_config()
+    kernel = scale_kernel_to_duration(kernel_by_name("polybench.gesummv"),
+                                      arch, 150e-6)
+    result = run_soak(_synth_model(arch.vf_table.num_levels), [kernel], arch,
+                      directory / "store",
+                      SoakConfig(seed=7, crash_write_trials=4))
+    return result.to_payload()
+
+
 def _cli_payload(argv: list[str], directory: Path) -> dict:
     export = directory / "export.json"
     assert cli.main(argv + ["--export", str(export)]) == 0
@@ -233,6 +245,14 @@ def serve_chaos_smoke(directory: Path):
                          "--store", str(directory / "store")], directory)
 
 
+def fleet_chaos_smoke(directory: Path):
+    """`make fleet-chaos-smoke` at tier-1 size."""
+    return _cli_payload(["fleet-chaos", "--small", "--nodes", "3", "--jobs",
+                         "8", "--trials", "1", "--seed", "5",
+                         "--crash-trials", "4",
+                         "--store", str(directory / "store")], directory)
+
+
 SCENARIOS = {
     "sim_single": sim_single,
     "sim_mix": sim_mix,
@@ -241,8 +261,11 @@ SCENARIOS = {
     "datagen_chunk": datagen_chunk,
     "fig4_grid": fig4_grid,
 }
-CLI_SCENARIOS = {
+#: Scenarios that need a scratch directory (CLI exports, artifact stores).
+DIR_SCENARIOS = {
+    "soak": soak,
     "fleet_smoke": fleet_smoke,
+    "fleet_chaos_smoke": fleet_chaos_smoke,
     "serve_chaos_smoke": serve_chaos_smoke,
 }
 
@@ -257,7 +280,7 @@ def golden():
 
 
 def test_fixture_names_match_scenarios(golden):
-    assert sorted(golden) == sorted({**SCENARIOS, **CLI_SCENARIOS})
+    assert sorted(golden) == sorted({**SCENARIOS, **DIR_SCENARIOS})
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -265,9 +288,9 @@ def test_golden(golden, name):
     assert digest(SCENARIOS[name]()) == golden[name]
 
 
-@pytest.mark.parametrize("name", sorted(CLI_SCENARIOS))
+@pytest.mark.parametrize("name", sorted(DIR_SCENARIOS))
 def test_golden_cli_payload(golden, name, tmp_path, capsys):
-    assert digest(CLI_SCENARIOS[name](tmp_path)) == golden[name]
+    assert digest(DIR_SCENARIOS[name](tmp_path)) == golden[name]
 
 
 def test_golden_fig4_grid_fused(golden):
@@ -287,10 +310,10 @@ if __name__ == "__main__":
     import contextlib
     import sys
     import tempfile
-    # The CLI scenarios print their reports; keep stdout for the JSON.
+    # The directory scenarios print their reports; keep stdout for the JSON.
     with contextlib.redirect_stdout(sys.stderr):
         digests = {name: digest(fn()) for name, fn in SCENARIOS.items()}
-        for name, fn in CLI_SCENARIOS.items():
+        for name, fn in DIR_SCENARIOS.items():
             with tempfile.TemporaryDirectory() as scratch:
                 digests[name] = digest(fn(Path(scratch)))
     print(json.dumps(digests, indent=2, sort_keys=True))
