@@ -13,9 +13,11 @@ Exposes the offline pipeline and the evaluation harness as subcommands::
     repro-ssmdvfs store    --root .cache/store
     repro-ssmdvfs fleet    --nodes 128 --trace steady --policy pcstall
 
-Every command is deterministic given ``--seed`` and runs fully offline.
-Long campaigns take ``--checkpoint`` (resume after interruption),
-``--retries`` and ``--task-timeout`` (resilient fan-out).
+Every command is deterministic given ``--seed`` and runs fully offline,
+and accepts only the flags it reads (:data:`FLAG_GROUPS`).  The long
+campaigns (``datagen``, ``stats``, ``train``, ``evaluate``, ``fleet``)
+take ``--checkpoint`` (resume after interruption), ``--retries`` and
+``--task-timeout`` (resilient fan-out).
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ PAPER_FEATURES = ("power_per_core", "ipc", "stall_mem_hazard",
 
 
 def _arch(args):
-    return small_test_config() if getattr(args, "small", False) \
-        else titan_x_config()
+    return small_test_config() if args.small else titan_x_config()
 
 
 def _protocol(args) -> ProtocolConfig:
@@ -57,20 +58,38 @@ def _protocol(args) -> ProtocolConfig:
 
 def _dataset(args, stats: CampaignStats | None = None):
     return cached_dataset(args.cache, training_suite(), _arch(args),
-                          _protocol(args),
-                          workers=getattr(args, "workers", None),
-                          stats=stats,
-                          use_cache=not getattr(args, "no_cache", False),
-                          checkpoint=getattr(args, "checkpoint", False),
-                          retries=getattr(args, "retries", 2),
-                          timeout_s=getattr(args, "task_timeout", None),
-                          fused=getattr(args, "fused", False),
-                          fuse_width=getattr(args, "fuse_width", 8))
+                          _protocol(args), workers=args.workers,
+                          stats=stats, use_cache=not args.no_cache,
+                          checkpoint=args.checkpoint, retries=args.retries,
+                          timeout_s=args.task_timeout, fused=args.fused,
+                          fuse_width=args.fuse_width)
 
 
 def _print_stats(args, stats: CampaignStats) -> None:
-    if getattr(args, "stats", False):
+    if args.stats:
         print(stats.render())
+
+
+def _report(args, result, stats: CampaignStats) -> None:
+    """Print a result, export it when ``--export`` is set, then stats."""
+    print(result.render())
+    if args.export:
+        print(f"exported -> {result.export_json(args.export)}")
+    _print_stats(args, stats)
+
+
+def _load_model(args):
+    return SSMDVFSModel.load(args.model) if args.model else None
+
+
+def _fleet_policy(args):
+    """The per-node policy factory and its display name."""
+    from .fleet import policy_factory
+    factory = policy_factory(args.policy, preset=args.preset,
+                             model=_load_model(args), level=args.level)
+    name = (f"static-l{args.level}" if args.policy == "static"
+            else args.policy)
+    return factory, name
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +222,7 @@ def cmd_run(args) -> int:
                                       args.duration_us * 1e-6)
     base = GPUSimulator(arch, kernel, seed=args.seed).run(
         StaticPolicy(arch.vf_table.default_level), keep_records=False)
-    controller = SSMDVFSController(model, preset=args.preset[0])
+    controller = SSMDVFSController(model, preset=args.preset)
     if args.guarded:
         controller = GuardedController(controller)
     run = GPUSimulator(arch, kernel, seed=args.seed).run(
@@ -212,7 +231,7 @@ def cmd_run(args) -> int:
           f"{base.energy_j * 1e3:.2f} mJ; ssmdvfs {run.time_s * 1e6:.1f} us "
           f"/ {run.energy_j * 1e3:.2f} mJ; normalized EDP "
           f"{run.edp / base.edp:.3f}, latency {run.time_s / base.time_s:.3f}")
-    if args.guarded and getattr(args, "stats", False):
+    if args.guarded and args.stats:
         counters = controller.observability_counters()
         for name in sorted(counters):
             print(f"  {name:30s} {counters[name]}")
@@ -227,7 +246,7 @@ def cmd_faults(args) -> int:
     from .faults import FAULT_MODES
     from .evaluation.robustness import fault_sweep
     arch = _arch(args)
-    preset = args.preset[0]
+    preset = args.preset
     factories = {
         "governor": UtilizationGovernor,
         "oracle": partial(ModelOraclePolicy, preset),
@@ -297,7 +316,7 @@ def cmd_soak(args) -> int:
     kernels = [scale_kernel_to_duration(k, arch, args.duration_us * 1e-6)
                for k in training_suite()[:args.kernels]]
     config = SoakConfig(
-        preset=args.preset[0],
+        preset=args.preset,
         seed=args.seed,
         faults=FaultConfig(counter_dropout=args.fault_rate,
                            counter_nan=args.fault_rate / 20,
@@ -307,26 +326,18 @@ def cmd_soak(args) -> int:
         crash_write_trials=args.crash_trials,
     )
     result = run_soak(model, kernels, arch, args.store, config)
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
+    _report(args, result, stats)
     return 0 if result.passed else 1
 
 
 def cmd_fleet(args) -> int:
     """Replay an arrival trace over N simulated GPUs; report fleet SLOs."""
     from .fleet import (ClusterScheduler, ThermalConfig, TraceConfig,
-                        build_trace, policy_factory)
+                        build_trace)
     from .parallel import CampaignCheckpoint
     arch = _arch(args)
     stats = CampaignStats()
-    model = SSMDVFSModel.load(args.model) if args.model else None
-    factory = policy_factory(args.policy, preset=args.preset[0],
-                             model=model, level=args.level)
-    policy_name = (f"static-l{args.level}" if args.policy == "static"
-                   else args.policy)
+    factory, policy_name = _fleet_policy(args)
     trace_config = TraceConfig(
         trace=args.trace, jobs=args.jobs, nodes=args.nodes, load=args.load,
         latency_fraction=args.latency_fraction,
@@ -349,11 +360,7 @@ def cmd_fleet(args) -> int:
         timeout_s=args.task_timeout, fused=args.fused,
         fuse_width=args.fuse_width)
     result = scheduler.run(jobs, trace_name=args.trace)
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
+    _report(args, result, stats)
     if args.slo_gate is not None:
         rate = result.slo_violation_rate()
         if rate > args.slo_gate:
@@ -374,14 +381,10 @@ def cmd_fleet_chaos(args) -> int:
     read out of the crash-write torture."""
     from .evaluation.fleet_chaos import FleetChaosConfig, run_fleet_chaos
     from .faults import NodeFaultConfig
-    from .fleet import AdmissionConfig, policy_factory
+    from .fleet import AdmissionConfig
     arch = _arch(args)
     stats = CampaignStats()
-    model = SSMDVFSModel.load(args.model) if args.model else None
-    factory = policy_factory(args.policy, preset=args.preset[0],
-                             model=model, level=args.level)
-    policy_name = (f"static-l{args.level}" if args.policy == "static"
-                   else args.policy)
+    factory, policy_name = _fleet_policy(args)
     config = FleetChaosConfig(
         trace=args.trace, jobs=args.jobs, nodes=args.nodes,
         load=args.load, trials=args.trials, seed=args.seed,
@@ -396,11 +399,7 @@ def cmd_fleet_chaos(args) -> int:
                              policy_name=policy_name,
                              workers=args.workers, store_root=args.store,
                              stats=stats)
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
+    _report(args, result, stats)
     return 0 if result.passed else 1
 
 
@@ -416,7 +415,7 @@ def _serve_config(args):
     return ServeConfig(streams=args.streams, ticks=args.ticks,
                        num_workers=args.replicas,
                        queue_capacity=args.queue_capacity,
-                       preset=args.preset[0],
+                       preset=args.preset,
                        online_enabled=not args.no_online,
                        faults=faults, seed=args.seed)
 
@@ -426,16 +425,11 @@ def cmd_serve(args) -> int:
     from .serve import ServingRuntime
     arch = _arch(args)
     stats = CampaignStats()
-    model = SSMDVFSModel.load(args.model) if args.model else None
-    runtime = ServingRuntime(arch, _serve_config(args), model=model,
-                             store_root=args.store, workers=args.workers,
-                             stats=stats)
+    runtime = ServingRuntime(arch, _serve_config(args),
+                             model=_load_model(args), store_root=args.store,
+                             workers=args.workers, stats=stats)
     result = runtime.run()
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
+    _report(args, result, stats)
     return 0 if result.conserved else 1
 
 
@@ -450,19 +444,14 @@ def cmd_serve_chaos(args) -> int:
     from .evaluation.serve_chaos import ServeChaosConfig, run_serve_chaos
     arch = _arch(args)
     stats = CampaignStats()
-    model = SSMDVFSModel.load(args.model) if args.model else None
     config = ServeChaosConfig(
         trials=args.trials, seed=args.seed, serve=_serve_config(args),
         recovery_budget_ticks=args.recovery_budget,
         crash_write_trials=args.crash_trials)
-    result = run_serve_chaos(arch, config, model=model,
+    result = run_serve_chaos(arch, config, model=_load_model(args),
                              store_root=args.store, workers=args.workers,
                              stats=stats)
-    print(result.render())
-    if args.export:
-        path = result.export_json(args.export)
-        print(f"exported -> {path}")
-    _print_stats(args, stats)
+    _report(args, result, stats)
     return 0 if result.passed else 1
 
 
@@ -495,6 +484,165 @@ def cmd_store(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+#: Flags shared between subcommands, in named groups.  A subcommand
+#: takes exactly the groups its ``cmd_*`` function reads (see
+#: :func:`build_parser`); per-command defaults go through
+#: ``set_defaults``.
+FLAG_GROUPS: dict[str, tuple] = {
+    "common": (
+        ("--seed", dict(type=int, default=3)),
+        ("--small", dict(action="store_true",
+                         help="use the reduced 2-cluster test GPU")),
+        ("--stats", dict(action="store_true",
+                         help="print campaign timings and cache counters "
+                              "(dataset/comparison/sweep disk caches, the "
+                              "interval-model solve_cache_hit/miss pair, "
+                              "and the train_models/train_epochs totals)")),
+    ),
+    "workers": (
+        ("--workers", dict(type=int, default=1,
+                           help="process-pool size for campaign fan-out "
+                                "(1 = serial, 0 = all cores)")),
+    ),
+    "cache": (
+        ("--cache", dict(default=".cache",
+                         help="cache directory (datasets, evaluation "
+                              "grids, campaign checkpoints)")),
+    ),
+    "no-cache": (
+        ("--no-cache", dict(action="store_true",
+                            help="ignore cached artefacts and regenerate "
+                                 "(the fresh result still refreshes the "
+                                 "cache)")),
+    ),
+    "dataset": (
+        ("--breakpoints", dict(type=int, default=10)),
+    ),
+    "resilience": (
+        ("--checkpoint", dict(action="store_true",
+                              help="checkpoint campaign progress next to "
+                                   "the cache file so interrupted runs "
+                                   "resume")),
+        ("--retries", dict(type=int, default=2,
+                           help="pooled re-attempts per campaign task "
+                                "before quarantine (crash/hang recovery)")),
+        ("--task-timeout", dict(type=float, default=None,
+                                help="stall watchdog in seconds: terminate "
+                                     "workers when no task completes for "
+                                     "this long")),
+    ),
+    "fused": (
+        ("--fused", dict(action="store_true",
+                         help="co-simulate campaign tasks in lockstep "
+                              "groups through the fused engine (bit-"
+                              "identical results; shared solve caches, "
+                              "batched inference, shared-memory weights)")),
+        ("--fuse-width", dict(type=int, default=8,
+                              help="tasks co-simulated per fused group "
+                                   "(with --fused)")),
+    ),
+    "model": (
+        ("--model", dict(default=None,
+                         help="saved SSMDVFS model pair (soak self-trains "
+                              "one, serve runs the governor without it; "
+                              "required for ssmdvfs* fleet policies)")),
+    ),
+    "saved-model": (
+        ("--model", dict(required=True, help="saved SSMDVFS model pair")),
+    ),
+    "preset": (
+        ("--preset", dict(type=float, default=0.10,
+                          help="performance-loss preset")),
+    ),
+    "export": (
+        ("--export", dict(default=None,
+                          help="write the result payload as JSON")),
+    ),
+    "store": (
+        ("--store", dict(default=None, help="artifact-store root")),
+    ),
+    "trials": (
+        ("--trials", dict(type=int, default=3,
+                          help="randomized fault trains to replay")),
+    ),
+    "crash-trials": (
+        ("--crash-trials", dict(type=int, default=16,
+                                help="sampled kill offsets of the "
+                                     "crash-write torture phase")),
+    ),
+    "fleet": (
+        ("--nodes", dict(type=int, default=16,
+                         help="number of simulated GPUs in the fleet")),
+        ("--jobs", dict(type=int, default=64,
+                        help="jobs in the arrival trace (per trial)")),
+        ("--trace", dict(default="steady", choices=BUILTIN_TRACES,
+                         help="builtin arrival pattern")),
+        ("--load", dict(type=float, default=0.7,
+                        help="offered load as a fraction of fleet "
+                             "capacity (>1 oversubscribes)")),
+        ("--policy", dict(default="governor", choices=FLEET_POLICIES,
+                          help="per-node DVFS policy")),
+        ("--level", dict(type=int, default=None,
+                         help="VF level for --policy static")),
+    ),
+    "serve": (
+        ("--streams", dict(type=int, default=3,
+                           help="simulated GPU telemetry streams")),
+        ("--ticks", dict(type=int, default=240,
+                         help="serving horizon in scheduler ticks")),
+        ("--replicas", dict(type=int, default=2,
+                            help="supervised controller workers (part of "
+                                 "the scenario, unlike the phase-1 "
+                                 "--workers)")),
+        ("--queue-capacity", dict(type=int, default=12,
+                                  help="bounded request-queue occupancy")),
+        ("--no-online", dict(action="store_true",
+                             help="disable gated online Calibrator "
+                                  "updates")),
+        ("--crash-rate", dict(type=float, default=1.5,
+                              help="expected worker crashes per worker "
+                                   "per run")),
+        ("--hang-rate", dict(type=float, default=1.0,
+                             help="expected worker hangs per worker per "
+                                  "run")),
+        ("--stall-rate", dict(type=float, default=1.0,
+                              help="expected inference-stall episodes per "
+                                   "run")),
+        ("--storm-rate", dict(type=float, default=1.0,
+                              help="expected telemetry storms per stream "
+                                   "per run")),
+        ("--gap-rate", dict(type=float, default=1.0,
+                            help="expected telemetry gaps per stream per "
+                                 "run")),
+        ("--poison-rate", dict(type=float, default=1.0,
+                               help="expected poisoned online updates per "
+                                    "run")),
+        ("--burst-rate", dict(type=float, default=1.0,
+                              help="expected overload bursts per run")),
+    ),
+}
+
+#: The flag groups of the campaign commands that build the dataset.
+_DATASET_GROUPS = ("common", "workers", "cache", "no-cache", "dataset",
+                   "resilience", "fused")
+
+
+def _parents(*groups: str) -> list[argparse.ArgumentParser]:
+    """Fresh argparse parent parsers holding the named flag groups.
+
+    Fresh per subcommand because argparse shares a parent's actions
+    with every child, so one child's ``set_defaults`` would change the
+    others' defaults too.
+    """
+    parents = []
+    for group in groups:
+        parent = argparse.ArgumentParser(add_help=False)
+        for flag, options in FLAG_GROUPS[group]:
+            parent.add_argument(flag, **options)
+        parents.append(parent)
+    return parents
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -502,108 +650,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="SSMDVFS (DATE 2025) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cache=True):
-        p.add_argument("--seed", type=int, default=3)
-        p.add_argument("--small", action="store_true",
-                       help="use the reduced 2-cluster test GPU")
-        p.add_argument("--workers", type=int, default=1,
-                       help="process-pool size for campaign fan-out "
-                            "(1 = serial, 0 = all cores)")
-        p.add_argument("--stats", action="store_true",
-                       help="print campaign timings and cache counters "
-                            "(dataset/comparison/sweep disk caches, the "
-                            "interval-model solve_cache_hit/miss pair, and "
-                            "the train_models/train_epochs totals)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="ignore cached artefacts and regenerate "
-                            "(the fresh result still refreshes the cache)")
-        p.add_argument("--checkpoint", action="store_true",
-                       help="checkpoint campaign progress next to the "
-                            "cache file so interrupted runs resume")
-        p.add_argument("--retries", type=int, default=2,
-                       help="pooled re-attempts per campaign task before "
-                            "quarantine (crash/hang recovery)")
-        p.add_argument("--task-timeout", type=float, default=None,
-                       help="stall watchdog in seconds: terminate workers "
-                            "when no task completes for this long")
-        p.add_argument("--fused", action="store_true",
-                       help="co-simulate campaign tasks in lockstep "
-                            "groups through the fused engine (bit-"
-                            "identical results; shared solve caches, "
-                            "batched inference, shared-memory weights)")
-        p.add_argument("--fuse-width", type=int, default=8,
-                       help="tasks co-simulated per fused group "
-                            "(with --fused)")
-        if cache:
-            p.add_argument("--cache", default=".cache")
-            p.add_argument("--breakpoints", type=int, default=10)
+    def command(name, func, summary, groups=()):
+        p = sub.add_parser(name, help=summary, parents=_parents(*groups))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("suites", help="list modelled benchmarks")
-    p.set_defaults(func=cmd_suites)
+    command("suites", cmd_suites, "list modelled benchmarks")
 
-    p = sub.add_parser("experiments",
-                       help="list reproducible paper artefacts")
+    p = command("experiments", cmd_experiments,
+                "list reproducible paper artefacts")
     p.add_argument("--paper-only", action="store_true")
-    p.set_defaults(func=cmd_experiments)
 
-    p = sub.add_parser("report",
-                       help="assemble REPORT.md from benchmark results")
+    p = command("report", cmd_report,
+                "assemble REPORT.md from benchmark results")
     p.add_argument("--results", default="benchmarks/results")
     p.add_argument("--out", default="REPORT.md")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("datagen", help="generate/caches the dataset")
-    common(p)
-    p.set_defaults(func=cmd_datagen)
+    command("datagen", cmd_datagen, "generate/caches the dataset",
+            _DATASET_GROUPS)
 
-    p = sub.add_parser("stats", help="dataset diagnostics")
-    common(p)
-    p.add_argument("--preset", type=float, default=0.10)
-    p.set_defaults(func=cmd_stats)
+    command("stats", cmd_stats, "dataset diagnostics",
+            _DATASET_GROUPS + ("preset",))
 
-    p = sub.add_parser("train", help="offline build; saves artefacts")
-    common(p)
+    p = command("train", cmd_train, "offline build; saves artefacts",
+                _DATASET_GROUPS)
     p.add_argument("--out", default="artifacts")
     p.add_argument("--features", choices=("paper", "rfe"), default="paper")
     p.add_argument("--epochs", type=int, default=250)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="Fig. 4 comparison")
-    common(p, cache=False)
-    p.add_argument("--cache", default=".cache",
-                   help="evaluation-grid cache directory")
-    p.add_argument("--model", required=True)
+    p = command("evaluate", cmd_evaluate, "Fig. 4 comparison",
+                ("common", "workers", "cache", "no-cache", "resilience",
+                 "fused", "saved-model", "export"))
     p.add_argument("--kernels", type=int, default=14)
-    p.add_argument("--preset", type=float, nargs="+", default=[0.10])
+    p.add_argument("--preset", type=float, nargs="+", default=[0.10],
+                   help="performance-loss presets (one grid per preset)")
     p.add_argument("--duration-us", type=float, default=300.0)
-    p.add_argument("--export", default=None,
-                   help="write the result payload as JSON")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("hardware", help="ASIC cost report (Section V-D)")
-    common(p, cache=False)
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_hardware)
+    command("hardware", cmd_hardware, "ASIC cost report (Section V-D)",
+            ("saved-model",))
 
-    p = sub.add_parser("run", help="drive one kernel with a saved model")
-    common(p, cache=False)
-    p.add_argument("--model", required=True)
+    p = command("run", cmd_run, "drive one kernel with a saved model",
+                ("common", "saved-model", "preset"))
     p.add_argument("--kernel", default="rodinia.hotspot")
     p.add_argument("--kernel-file", default=None,
                    help="JSON kernel description (overrides --kernel)")
-    p.add_argument("--preset", type=float, nargs="+", default=[0.10])
     p.add_argument("--duration-us", type=float, default=300.0)
     p.add_argument("--guarded", action="store_true",
                    help="wrap the controller in the runtime guard "
                         "(sanitized counters, safe fallback)")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("faults",
-                       help="fault-injection sweep (robustness campaign)")
-    common(p, cache=False)
-    p.add_argument("--model", default=None,
-                   help="saved SSMDVFS model to include in the sweep "
-                        "(governor and oracle always run)")
+    p = command("faults", cmd_faults,
+                "fault-injection sweep (robustness campaign)",
+                ("common", "workers", "fused", "model", "preset", "export"))
     p.add_argument("--mode", default="all",
                    choices=("all", "dropout", "stuck", "nan", "spike",
                             "actuation"))
@@ -615,24 +713,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="latency slack over the preset before a run "
                         "counts as a violation")
     p.add_argument("--kernels", type=int, default=3)
-    p.add_argument("--preset", type=float, nargs="+", default=[0.10])
     p.add_argument("--duration-us", type=float, default=150.0)
-    p.add_argument("--export", default=None,
-                   help="write the sweep cells as JSON")
-    p.set_defaults(func=cmd_faults)
 
-    p = sub.add_parser("soak",
-                       help="chaos soak: faults + stale model + crash "
-                            "writes; exit 1 on invariant violation")
-    common(p)
-    p.add_argument("--model", default=None,
-                   help="saved SSMDVFS model pair (omit to self-train a "
-                        "small base pair through the dataset cache)")
-    p.add_argument("--store", default=".cache/store",
-                   help="artifact-registry root the soak seeds and "
-                        "rolls back from")
+    p = command("soak", cmd_soak,
+                "chaos soak: faults + stale model + crash writes; exit 1 "
+                "on invariant violation",
+                ("common", "workers", "cache", "no-cache", "dataset",
+                 "model", "preset", "export", "store", "crash-trials"))
+    p.set_defaults(store=".cache/store", crash_trials=32)
     p.add_argument("--kernels", type=int, default=2)
-    p.add_argument("--preset", type=float, nargs="+", default=[0.10])
     p.add_argument("--duration-us", type=float, default=1000.0)
     p.add_argument("--fault-rate", type=float, default=0.01,
                    help="sensor dropout probability (NaN and spike "
@@ -643,36 +732,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recovery-epochs", type=int, default=60,
                    help="epoch budget from staleness injection to "
                         "detection + rollback")
-    p.add_argument("--crash-trials", type=int, default=32,
-                   help="sampled kill offsets of the crash-write "
-                        "torture phase")
-    p.add_argument("--export", default=None,
-                   help="write the soak result payload as JSON")
-    p.set_defaults(func=cmd_soak)
 
-    p = sub.add_parser("fleet",
-                       help="replay a job-arrival trace over N simulated "
-                            "GPUs under per-node DVFS controllers")
-    common(p, cache=False)
-    p.add_argument("--cache", default=".cache",
-                   help="checkpoint directory for --checkpoint")
-    p.add_argument("--nodes", type=int, default=16,
-                   help="number of simulated GPUs in the fleet")
-    p.add_argument("--jobs", type=int, default=64,
-                   help="jobs in the arrival trace")
-    p.add_argument("--trace", default="steady", choices=BUILTIN_TRACES,
-                   help="builtin arrival pattern")
-    p.add_argument("--load", type=float, default=0.7,
-                   help="offered load as a fraction of fleet capacity "
-                        "(>1 oversubscribes)")
-    p.add_argument("--policy", default="governor", choices=FLEET_POLICIES,
-                   help="per-node DVFS policy")
-    p.add_argument("--model", default=None,
-                   help="saved SSMDVFS model (required for ssmdvfs* "
-                        "policies)")
-    p.add_argument("--level", type=int, default=None,
-                   help="VF level for --policy static")
-    p.add_argument("--preset", type=float, nargs="+", default=[0.10])
+    p = command("fleet", cmd_fleet,
+                "replay a job-arrival trace over N simulated GPUs under "
+                "per-node DVFS controllers",
+                ("common", "workers", "cache", "resilience", "fused",
+                 "model", "preset", "export", "fleet"))
     p.add_argument("--latency-fraction", type=float, default=0.6,
                    help="fraction of jobs in the latency-sensitive class")
     p.add_argument("--latency-us", type=float, default=100.0,
@@ -682,33 +747,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo-gate", type=float, default=None,
                    help="exit 1 when the overall SLO-violation rate "
                         "exceeds this fraction")
-    p.add_argument("--export", default=None,
-                   help="write the fleet result payload as JSON "
-                        "(atomic, byte-stable per seed)")
-    p.set_defaults(func=cmd_fleet)
 
-    p = sub.add_parser("fleet-chaos",
-                       help="randomized node-fault trains over the fleet "
-                            "replay; exit 1 on invariant violation")
-    common(p, cache=False)
-    p.add_argument("--nodes", type=int, default=4,
-                   help="number of simulated GPUs in the fleet")
-    p.add_argument("--jobs", type=int, default=24,
-                   help="jobs per chaos trial")
-    p.add_argument("--trace", default="burst", choices=BUILTIN_TRACES,
-                   help="builtin arrival pattern")
-    p.add_argument("--load", type=float, default=1.1,
-                   help="offered load as a fraction of fleet capacity")
-    p.add_argument("--trials", type=int, default=3,
-                   help="randomized fault trains to replay")
-    p.add_argument("--policy", default="governor", choices=FLEET_POLICIES,
-                   help="per-node DVFS policy")
-    p.add_argument("--model", default=None,
-                   help="saved SSMDVFS model (required for ssmdvfs* "
-                        "policies)")
-    p.add_argument("--level", type=int, default=None,
-                   help="VF level for --policy static")
-    p.add_argument("--preset", type=float, nargs="+", default=[0.10])
+    p = command("fleet-chaos", cmd_fleet_chaos,
+                "randomized node-fault trains over the fleet replay; exit "
+                "1 on invariant violation",
+                ("common", "workers", "model", "preset", "export", "store",
+                 "trials", "crash-trials", "fleet"))
+    p.set_defaults(store=".cache/chaos-store", nodes=4, jobs=24,
+                   trace="burst", load=1.1)
     p.add_argument("--crash-rate", type=float, default=0.5,
                    help="expected node crashes per node per trial")
     p.add_argument("--hang-rate", type=float, default=0.3,
@@ -723,81 +769,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shed-slack-us", type=float, default=0.0,
                    help="grace past the deadline before a throughput "
                         "job counts as unmeetable")
-    p.add_argument("--store", default=".cache/chaos-store",
-                   help="artifact-store root for the crash-write "
-                        "torture phase")
-    p.add_argument("--crash-trials", type=int, default=16,
-                   help="sampled kill offsets of the crash-write "
-                        "torture phase")
-    p.add_argument("--export", default=None,
-                   help="write the chaos result payload as JSON")
-    p.set_defaults(func=cmd_fleet_chaos)
 
-    def serve_knobs(p):
-        """Knobs shared by ``serve`` and ``serve-chaos``."""
-        p.add_argument("--streams", type=int, default=3,
-                       help="simulated GPU telemetry streams")
-        p.add_argument("--ticks", type=int, default=240,
-                       help="serving horizon in scheduler ticks")
-        p.add_argument("--replicas", type=int, default=2,
-                       help="supervised controller workers (part of the "
-                            "scenario, unlike the phase-1 --workers)")
-        p.add_argument("--queue-capacity", type=int, default=12,
-                       help="bounded request-queue occupancy")
-        p.add_argument("--preset", type=float, nargs="+", default=[0.10])
-        p.add_argument("--model", default=None,
-                       help="saved SSMDVFS model pair (omit to serve "
-                            "through the governor baseline)")
-        p.add_argument("--no-online", action="store_true",
-                       help="disable gated online Calibrator updates")
-        p.add_argument("--crash-rate", type=float, default=1.5,
-                       help="expected worker crashes per worker per run")
-        p.add_argument("--hang-rate", type=float, default=1.0,
-                       help="expected worker hangs per worker per run")
-        p.add_argument("--stall-rate", type=float, default=1.0,
-                       help="expected inference-stall episodes per run")
-        p.add_argument("--storm-rate", type=float, default=1.0,
-                       help="expected telemetry storms per stream per run")
-        p.add_argument("--gap-rate", type=float, default=1.0,
-                       help="expected telemetry gaps per stream per run")
-        p.add_argument("--poison-rate", type=float, default=1.0,
-                       help="expected poisoned online updates per run")
-        p.add_argument("--burst-rate", type=float, default=1.0,
-                       help="expected overload bursts per run")
-        p.add_argument("--export", default=None,
-                       help="write the result payload as JSON")
+    command("serve", cmd_serve,
+            "one deterministic serving replay of the always-on runtime",
+            ("common", "workers", "model", "preset", "export", "store",
+             "serve"))
 
-    p = sub.add_parser("serve",
-                       help="one deterministic serving replay of the "
-                            "always-on runtime")
-    common(p, cache=False)
-    serve_knobs(p)
-    p.add_argument("--store", default=None,
-                   help="artifact-store root for checkpointed restarts "
-                        "and online-update versioning")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser("serve-chaos",
-                       help="seeded fault trains over the serving "
-                            "runtime; exit 1 on invariant violation")
-    common(p, cache=False)
-    serve_knobs(p)
-    p.add_argument("--trials", type=int, default=3,
-                   help="randomized fault trains to replay")
+    p = command("serve-chaos", cmd_serve_chaos,
+                "seeded fault trains over the serving runtime; exit 1 on "
+                "invariant violation",
+                ("common", "workers", "model", "preset", "export", "store",
+                 "trials", "crash-trials", "serve"))
+    p.set_defaults(store=".cache/serve-chaos-store")
     p.add_argument("--recovery-budget", type=int, default=48,
                    help="max ticks any worker outage may take to "
                         "recover (invariant 3)")
-    p.add_argument("--store", default=".cache/serve-chaos-store",
-                   help="root for per-trial stores and the crash-write "
-                        "torture phase")
-    p.add_argument("--crash-trials", type=int, default=16,
-                   help="sampled kill offsets of the crash-write "
-                        "torture phase")
-    p.set_defaults(func=cmd_serve_chaos)
 
-    p = sub.add_parser("store",
-                       help="inspect the artifact registry "
-                            "(operations runbook)")
+    p = command("store", cmd_store,
+                "inspect the artifact registry (operations runbook)")
     p.add_argument("--root", required=True,
                    help="registry root directory")
     p.add_argument("--rollback", default=None, metavar="NAME",
@@ -806,7 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", default=None, metavar="NAME",
                    help="checksum-verify every version of NAME "
                         "('all' for the whole registry)")
-    p.set_defaults(func=cmd_store)
 
     return parser
 

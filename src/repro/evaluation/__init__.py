@@ -19,7 +19,8 @@ from .robustness import (FaultSweepCell, FaultSweepResult,
                          seed_sweep)
 from .runner import (ComparisonResult, PolicyRun, compare_policies,
                      run_policy_on_kernel)
-from .soak import (KernelSoak, SoakConfig, SoakResult, crash_write_torture,
+from .certify import crash_write_torture
+from .soak import (KernelSoak, SoakConfig, SoakResult,
                    perturb_model_weights, run_soak)
 
 __all__ = [

@@ -14,7 +14,7 @@ asserted per trial:
 2. **Byte-stable export** — the same seed yields a byte-identical
    :class:`~repro.fleet.metrics.FleetResult` payload at any worker
    count, faults and migrations included (checked by re-running the
-   first ``determinism_trials`` trials serial vs. parallel).
+   first ``determinism_trials`` trials at a second worker count).
 3. **Bounded recovery** — every quarantine resolves: the number of
    ``RECOVERING`` transitions matches the quarantines minus nodes
    whose timed outage legitimately extends past the replay's last
@@ -23,21 +23,21 @@ asserted per trial:
    latency-class job (only migration exhaustion or a fleet-wide
    permanent outage may), and every shed carries a known reason.
 
-A crash-write torture phase (reusing
-:func:`~repro.evaluation.soak.crash_write_torture`) additionally kills
-the export path mid-write and asserts readers never observe a torn
-payload.  ``repro-ssmdvfs fleet-chaos`` and the CI
-``fleet-chaos-smoke`` target gate on :attr:`FleetChaosResult.passed`.
+The trial loop, the dual replay and a crash-write torture phase (which
+kills the export path mid-write and asserts readers never observe a
+torn payload) come from :mod:`repro.evaluation.certify`.
+``repro-ssmdvfs fleet-chaos`` and the CI ``fleet-chaos-smoke`` target
+gate on :attr:`FleetChaosResult.passed`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from ..errors import FleetError
-from ..faults import NodeFaultConfig, NodeFaultPlan, derive_fault_seed
+from ..faults import NodeFaultConfig, NodeFaultEvent, NodeFaultPlan
 from ..fleet.jobs import LATENCY, TraceConfig, build_trace
 from ..fleet.metrics import FleetResult
 from ..fleet.queue import AdmissionConfig
@@ -45,8 +45,9 @@ from ..fleet.scheduler import ClusterScheduler, MigrationConfig
 from ..fleet.tracker import QUARANTINED, HealthPolicy, ThermalConfig
 from ..gpu.arch import GPUArchConfig
 from ..parallel import CampaignStats
-from ..store import ArtifactStore, atomic_write_text
-from .soak import crash_write_torture
+from ..store import ArtifactStore
+from .certify import (CertifyResult, certify_crash_writes,
+                      check_campaign_config, run_trials)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class FleetChaosConfig:
     Each of the ``trials`` trials derives its own fault-train and
     trace seed from ``seed``, so the whole campaign is a pure function
     of this config.  ``determinism_trials`` of them are replayed twice
-    (serial, then parallel) to pin invariant 2 without doubling the
+    (at two worker counts) to pin invariant 2 without doubling the
     cost of every trial.  ``horizon_slack_s`` extends the fault-plan
     horizon past the last arrival so late faults can still strike
     in-flight work.
@@ -79,18 +80,9 @@ class FleetChaosConfig:
     crash_write_trials: int = 16
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise FleetError("fleet chaos needs at least one trial")
-        if not 0 <= self.determinism_trials <= self.trials:
-            raise FleetError("determinism_trials must be within "
-                             "[0, trials]")
+        check_campaign_config(self, self.faults, FleetError, "fleet chaos")
         if self.horizon_slack_s < 0:
             raise FleetError("horizon_slack_s cannot be negative")
-        if self.crash_write_trials < 0:
-            raise FleetError("crash_write_trials cannot be negative")
-        if not self.faults.any_active:
-            raise FleetError("fleet chaos without any active fault rate "
-                             "tests nothing; enable at least one")
 
 
 @dataclass
@@ -112,74 +104,26 @@ class ChaosTrial:
     slo_violation_rate: float
     shed_rate: float
 
-    def to_payload(self) -> dict:
-        """JSON-ready dict."""
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "fault_counts": dict(sorted(self.fault_counts.items())),
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "migrations": self.migrations,
-            "quarantines": self.quarantines,
-            "recoveries": self.recoveries,
-            "still_quarantined": self.still_quarantined,
-            "conserved": self.conserved,
-            "byte_stable": self.byte_stable,
-            "slo_violation_rate": self.slo_violation_rate,
-            "shed_rate": self.shed_rate,
-        }
-
 
 @dataclass
-class FleetChaosResult:
+class FleetChaosResult(CertifyResult):
     """Aggregate chaos outcome: per-trial records + invariant verdicts."""
+
+    VIOLATIONS_HEADING: ClassVar[str] = "FLEET INVARIANT VIOLATIONS:"
+    ALL_HELD: ClassVar[str] = "all fleet invariants held"
 
     policy_name: str
     nodes: int
     jobs: int
-    seed: int
     trials: list[ChaosTrial] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    crash_trials: int = 0
-    crash_torn_reads: int = 0
-    violations: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        """True when every fleet invariant held in every trial."""
-        return not self.violations
+    def header_payload(self) -> dict:
+        """Header payload entries (see :class:`CertifyResult`)."""
+        return {"policy": self.policy_name, "nodes": self.nodes,
+                "jobs": self.jobs}
 
-    def merge_counters(self, counters: dict[str, int]) -> None:
-        """Accumulate one replay's counters into the campaign totals."""
-        for name, amount in counters.items():
-            self.counters[name] = self.counters.get(name, 0) + int(amount)
-
-    def to_payload(self) -> dict:
-        """JSON-ready dict (no wall-clock: seeded runs export bit-equal)."""
-        return {
-            "policy": self.policy_name,
-            "nodes": self.nodes,
-            "jobs": self.jobs,
-            "seed": self.seed,
-            "passed": self.passed,
-            "trials": [trial.to_payload() for trial in self.trials],
-            "counters": dict(sorted(self.counters.items())),
-            "crash_trials": self.crash_trials,
-            "crash_torn_reads": self.crash_torn_reads,
-            "violations": list(self.violations),
-        }
-
-    def export_json(self, path: str | Path) -> Path:
-        """Atomically write the payload as JSON; returns the path."""
-        path = Path(path)
-        atomic_write_text(path, json.dumps(self.to_payload(), indent=2,
-                                           sort_keys=True))
-        return path
-
-    def render(self) -> str:
-        """Human-readable chaos report."""
+    def table(self) -> list[str]:
+        """Report title, column header and one line per row."""
         lines = [f"fleet chaos  policy={self.policy_name}  "
                  f"nodes={self.nodes}  jobs={self.jobs}  seed={self.seed}",
                  f"{'trial':>5s} {'faults':>6s} {'done':>5s} {'shed':>5s} "
@@ -194,15 +138,7 @@ class FleetChaosResult:
                 f"{trial.migrations:5d} {trial.quarantines:5d} "
                 f"{trial.recoveries:5d} "
                 f"{'yes' if trial.conserved else 'NO':>9s} {stable:>6s}")
-        lines.append(f"crash-write torture: {self.crash_trials} kills, "
-                     f"{self.crash_torn_reads} torn reads")
-        if self.violations:
-            lines.append("FLEET INVARIANT VIOLATIONS:")
-            lines.extend(f"  - {violation}"
-                         for violation in self.violations)
-        else:
-            lines.append("all fleet invariants held")
-        return "\n".join(lines)
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +162,28 @@ def _run_trial(arch: GPUArchConfig, factory, policy_name: str,
         stats=stats, fault_plan=plan, migration=config.migration,
         admission=config.admission, health=config.health)
     return scheduler.run(jobs, trace_name=config.trace)
+
+
+def _summarise(trial: int, trial_seed: int, fleet: FleetResult,
+               byte_stable: bool | None) -> tuple[ChaosTrial, tuple]:
+    """The trial's row plus the counter maps it contributes."""
+    counters = fleet.counters
+    plan = NodeFaultPlan(NodeFaultEvent(**event)
+                         for event in fleet.fault_events)
+    record = ChaosTrial(
+        trial=trial, seed=trial_seed,
+        fault_counts=plan.counts_by_kind(),
+        submitted=fleet.jobs_submitted,
+        completed=len(fleet.outcomes), shed=len(fleet.shed),
+        migrations=fleet.migrations_total(),
+        quarantines=counters.get("node_state_quarantined", 0),
+        recoveries=counters.get("node_state_recovering", 0),
+        still_quarantined=sum(1 for node in fleet.node_summaries
+                              if node["health"] == QUARANTINED),
+        conserved=fleet.conserved, byte_stable=byte_stable,
+        slo_violation_rate=fleet.slo_violation_rate(),
+        shed_rate=fleet.shed_rate())
+    return record, (counters, fleet.policy_counters)
 
 
 def _check_trial(result: FleetResult, record: ChaosTrial,
@@ -276,62 +234,15 @@ def run_fleet_chaos(arch: GPUArchConfig, factory,
     result = FleetChaosResult(policy_name=policy_name, nodes=config.nodes,
                               jobs=config.jobs, seed=config.seed)
 
-    first_payload: bytes | None = None
-    for trial in range(config.trials):
-        trial_seed = derive_fault_seed(config.seed, "fleet-chaos", trial)
-        fleet = _run_trial(arch, factory, policy_name, config, trial_seed,
-                           workers, stats)
-        byte_stable: bool | None = None
-        if trial < config.determinism_trials:
-            serial_stats = CampaignStats()
-            replay = _run_trial(arch, factory, policy_name, config,
-                                trial_seed, 1, serial_stats)
-            reference = json.dumps(fleet.to_payload(), sort_keys=True)
-            byte_stable = (json.dumps(replay.to_payload(),
-                                      sort_keys=True) == reference)
-        payload = json.dumps(fleet.to_payload(), indent=2,
-                             sort_keys=True).encode()
-        if first_payload is None:
-            first_payload = payload
+    def replay(trial_seed, run_workers, run_stats, run_name):
+        return _run_trial(arch, factory, policy_name, config, trial_seed,
+                          run_workers, run_stats)
 
-        counters = fleet.counters
-        quarantines = counters.get("node_state_quarantined", 0)
-        recoveries = counters.get("node_state_recovering", 0)
-        still_quarantined = sum(
-            1 for node in fleet.node_summaries
-            if node["health"] == QUARANTINED)
-        record = ChaosTrial(
-            trial=trial, seed=trial_seed,
-            fault_counts=_fault_counts(fleet.fault_events),
-            submitted=fleet.jobs_submitted,
-            completed=len(fleet.outcomes), shed=len(fleet.shed),
-            migrations=fleet.migrations_total(),
-            quarantines=quarantines, recoveries=recoveries,
-            still_quarantined=still_quarantined,
-            conserved=fleet.conserved, byte_stable=byte_stable,
-            slo_violation_rate=fleet.slo_violation_rate(),
-            shed_rate=fleet.shed_rate())
-        result.trials.append(record)
-        result.merge_counters(counters)
-        result.merge_counters(fleet.policy_counters)
-        result.merge_counters({"fleet_chaos_trials": 1})
-        _check_trial(fleet, record, result.violations)
-
+    first_payload = run_trials(result, "fleet-chaos", config, workers,
+                               stats, replay, _summarise, _check_trial)
     if store_root is not None and config.crash_write_trials:
-        store = ArtifactStore(store_root)
-        result.crash_trials, result.crash_torn_reads = crash_write_torture(
-            store, "fleet-chaos-export", first_payload or b"chaos",
-            config.crash_write_trials, seed=config.seed)
-        if result.crash_torn_reads:
-            result.violations.append(
-                f"crash-write torture observed {result.crash_torn_reads} "
-                f"torn reads in {result.crash_trials} kills")
+        certify_crash_writes(result, ArtifactStore(store_root),
+                             "fleet-chaos-export",
+                             first_payload or b"chaos",
+                             config.crash_write_trials)
     return result
-
-
-def _fault_counts(fault_events: list[dict]) -> dict[str, int]:
-    """``{kind: count}`` over an exported fault-event list."""
-    counts: dict[str, int] = {}
-    for event in fault_events:
-        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-    return counts

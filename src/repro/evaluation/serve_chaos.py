@@ -18,30 +18,33 @@ invariants:
    recovery budget and no worker is still down (excluding terminal
    quarantine) after the drain window.
 4. **Determinism** — a fixed seed exports a byte-identical payload at
-   any phase-1 worker count (checked by dual serial/parallel replay).
+   any phase-1 worker count (checked by a dual replay at a second
+   worker count).
 5. **Shed discipline** — no deadline-class request is ever shed while
    the system is under capacity (audited through the queue's
    per-shed culpability records).
 
-A crash-write torture pass (shared with the soak) additionally kills
-the artifact store mid-write at sampled offsets and asserts no torn
-read.  The CLI gate is ``repro-ssmdvfs serve-chaos``: exit 0 only when
+The trial loop, the dual replay and a crash-write torture pass come
+from :mod:`repro.evaluation.certify`; the torture kills the artifact
+store mid-write at sampled offsets and asserts no torn read.  The CLI
+gate is ``repro-ssmdvfs serve-chaos``: exit 0 only when
 every invariant held.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from ..errors import ServeError
-from ..faults import ServeFaultConfig, derive_fault_seed
+from ..faults import ServeFaultConfig
 from ..gpu.arch import GPUArchConfig
 from ..parallel import CampaignStats
 from ..serve import ServeConfig, ServeResult, ServingRuntime
-from ..store import ArtifactStore, atomic_write_text
-from .soak import crash_write_torture
+from ..store import ArtifactStore
+from .certify import (CertifyResult, certify_crash_writes,
+                      check_campaign_config, run_trials)
 
 #: Default chaotic fault mix (expected events per target per run).
 CHAOS_FAULTS = ServeFaultConfig(crash_rate=1.5, hang_rate=1.0,
@@ -56,8 +59,8 @@ class ServeChaosConfig:
 
     Each trial derives its own fault train and arrival jitter from
     ``seed`` through the serve config's ``with_seed``;
-    ``determinism_trials`` of them are replayed twice (serial phase 1,
-    then parallel) to pin invariant 4 without doubling every trial.
+    ``determinism_trials`` of them are replayed twice (at two phase-1
+    worker counts) to pin invariant 4 without doubling every trial.
     ``recovery_budget_ticks`` must cover the supervisor's worst-case
     backoff plus one liveness window — the bound invariant 3 enforces.
     """
@@ -71,18 +74,10 @@ class ServeChaosConfig:
     crash_write_trials: int = 16
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ServeError("serve chaos needs at least one trial")
-        if not 0 <= self.determinism_trials <= self.trials:
-            raise ServeError("determinism_trials must be within "
-                             "[0, trials]")
+        check_campaign_config(self, self.serve.faults, ServeError,
+                              "serve chaos")
         if self.recovery_budget_ticks < 1:
             raise ServeError("recovery_budget_ticks must be >= 1")
-        if self.crash_write_trials < 0:
-            raise ServeError("crash_write_trials cannot be negative")
-        if not self.serve.faults.any_active:
-            raise ServeError("serve chaos without any active fault rate "
-                             "tests nothing; enable at least one")
         floor = (self.serve.supervisor.backoff_cap_ticks
                  + self.serve.supervisor.liveness_ticks)
         if self.recovery_budget_ticks < floor:
@@ -111,75 +106,26 @@ class ServeChaosTrial:
     invalid_decisions: int
     bad_deadline_sheds: int
 
-    def to_payload(self) -> dict:
-        """JSON-ready dict."""
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "fault_counts": dict(sorted(self.fault_counts.items())),
-            "submitted": self.submitted,
-            "served": self.served,
-            "shed": self.shed,
-            "failed": self.failed,
-            "conserved": self.conserved,
-            "byte_stable": self.byte_stable,
-            "recoveries": self.recoveries,
-            "max_recovery_ticks": self.max_recovery_ticks,
-            "quarantined": self.quarantined,
-            "unrecovered": self.unrecovered,
-            "invalid_decisions": self.invalid_decisions,
-            "bad_deadline_sheds": self.bad_deadline_sheds,
-        }
-
 
 @dataclass
-class ServeChaosResult:
+class ServeChaosResult(CertifyResult):
     """Aggregate serve-chaos outcome: trial records + invariant verdicts."""
+
+    VIOLATIONS_HEADING: ClassVar[str] = "SERVE INVARIANT VIOLATIONS:"
+    ALL_HELD: ClassVar[str] = "all serving invariants held"
 
     policy_name: str
     streams: int
     num_workers: int
-    seed: int
     trials: list[ServeChaosTrial] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    crash_trials: int = 0
-    crash_torn_reads: int = 0
-    violations: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        """True when every serving invariant held in every trial."""
-        return not self.violations
+    def header_payload(self) -> dict:
+        """Header payload entries (see :class:`CertifyResult`)."""
+        return {"policy": self.policy_name, "streams": self.streams,
+                "num_workers": self.num_workers}
 
-    def merge_counters(self, counters: dict[str, int]) -> None:
-        """Accumulate one trial's counters into the campaign totals."""
-        for name, amount in counters.items():
-            self.counters[name] = self.counters.get(name, 0) + int(amount)
-
-    def to_payload(self) -> dict:
-        """JSON-ready dict (no wall-clock: seeded runs export bit-equal)."""
-        return {
-            "policy": self.policy_name,
-            "streams": self.streams,
-            "num_workers": self.num_workers,
-            "seed": self.seed,
-            "passed": self.passed,
-            "trials": [trial.to_payload() for trial in self.trials],
-            "counters": dict(sorted(self.counters.items())),
-            "crash_trials": self.crash_trials,
-            "crash_torn_reads": self.crash_torn_reads,
-            "violations": list(self.violations),
-        }
-
-    def export_json(self, path: str | Path) -> Path:
-        """Atomically write the payload as JSON; returns the path."""
-        path = Path(path)
-        atomic_write_text(path, json.dumps(self.to_payload(), indent=2,
-                                           sort_keys=True))
-        return path
-
-    def render(self) -> str:
-        """Human-readable serve-chaos report."""
+    def table(self) -> list[str]:
+        """Report title, column header and one line per row."""
         lines = [f"serve chaos  policy={self.policy_name}  "
                  f"streams={self.streams}  workers={self.num_workers}  "
                  f"seed={self.seed}",
@@ -195,15 +141,7 @@ class ServeChaosResult:
                 f"{trial.failed:5d} {trial.recoveries:5d} "
                 f"{trial.max_recovery_ticks:5d} "
                 f"{'yes' if trial.conserved else 'NO':>9s} {stable:>6s}")
-        lines.append(f"crash-write torture: {self.crash_trials} kills, "
-                     f"{self.crash_torn_reads} torn reads")
-        if self.violations:
-            lines.append("SERVE INVARIANT VIOLATIONS:")
-            lines.extend(f"  - {violation}"
-                         for violation in self.violations)
-        else:
-            lines.append("all serving invariants held")
-        return "\n".join(lines)
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +161,27 @@ def _run_trial(arch: GPUArchConfig, config: ServeChaosConfig,
                              model=model, store_root=store_root,
                              workers=workers, stats=stats)
     return runtime.run()
+
+
+def _summarise(trial: int, trial_seed: int, serve: ServeResult,
+               byte_stable: bool | None) -> tuple[ServeChaosTrial, tuple]:
+    """The trial's row plus the counter maps it contributes."""
+    record = ServeChaosTrial(
+        trial=trial, seed=trial_seed,
+        fault_counts=dict(serve.fault_counts),
+        submitted=serve.submitted, served=serve.served,
+        shed=serve.shed, failed=serve.failed,
+        conserved=serve.conserved, byte_stable=byte_stable,
+        recoveries=len(serve.recovery_ticks),
+        max_recovery_ticks=(max(serve.recovery_ticks)
+                            if serve.recovery_ticks else 0),
+        quarantined=serve.quarantined,
+        unrecovered=serve.unrecovered,
+        invalid_decisions=serve.counters.get("serve_invalid_decisions", 0),
+        bad_deadline_sheds=sum(
+            1 for shed in serve.shed_records
+            if shed.deadline_class and shed.under_capacity))
+    return record, (serve.counters,)
 
 
 def _check_trial(result: ServeResult, record: ServeChaosTrial,
@@ -294,56 +253,19 @@ def run_serve_chaos(arch: GPUArchConfig,
                               num_workers=config.serve.num_workers,
                               seed=config.seed)
 
-    first_payload: bytes | None = None
-    for trial in range(config.trials):
-        trial_seed = derive_fault_seed(config.seed, "serve-chaos", trial)
-        trial_root = root / f"trial{trial:03d}" if root is not None else None
-        serve = _run_trial(arch, config, trial_seed, model_bytes,
-                           trial_root, workers, stats)
-        byte_stable: bool | None = None
-        if trial < config.determinism_trials:
-            replay_root = (root / f"trial{trial:03d}-replay"
-                           if root is not None else None)
-            replay = _run_trial(arch, config, trial_seed, model_bytes,
-                                replay_root, 0, CampaignStats())
-            reference = json.dumps(serve.to_payload(), sort_keys=True)
-            byte_stable = (json.dumps(replay.to_payload(),
-                                      sort_keys=True) == reference)
-        payload = json.dumps(serve.to_payload(), indent=2,
-                             sort_keys=True).encode()
-        if first_payload is None:
-            first_payload = payload
+    def replay(trial_seed, run_workers, run_stats, run_name):
+        return _run_trial(arch, config, trial_seed, model_bytes,
+                          root / run_name if root is not None else None,
+                          run_workers, run_stats)
 
-        bad_deadline_sheds = sum(
-            1 for shed in serve.shed_records
-            if shed.deadline_class and shed.under_capacity)
-        record = ServeChaosTrial(
-            trial=trial, seed=trial_seed,
-            fault_counts=dict(serve.fault_counts),
-            submitted=serve.submitted, served=serve.served,
-            shed=serve.shed, failed=serve.failed,
-            conserved=serve.conserved, byte_stable=byte_stable,
-            recoveries=len(serve.recovery_ticks),
-            max_recovery_ticks=(max(serve.recovery_ticks)
-                                if serve.recovery_ticks else 0),
-            quarantined=serve.quarantined,
-            unrecovered=serve.unrecovered,
-            invalid_decisions=serve.counters.get(
-                "serve_invalid_decisions", 0),
-            bad_deadline_sheds=bad_deadline_sheds)
-        result.trials.append(record)
-        result.merge_counters(serve.counters)
-        result.merge_counters({"serve_chaos_trials": 1})
-        _check_trial(serve, record, config.recovery_budget_ticks,
-                     result.violations)
+    def check(serve, record, violations):
+        _check_trial(serve, record, config.recovery_budget_ticks, violations)
 
+    first_payload = run_trials(result, "serve-chaos", config, workers,
+                               stats, replay, _summarise, check)
     if root is not None and config.crash_write_trials:
-        store = ArtifactStore(root / "torture")
-        result.crash_trials, result.crash_torn_reads = crash_write_torture(
-            store, "serve-chaos-export", first_payload or b"chaos",
-            config.crash_write_trials, seed=config.seed)
-        if result.crash_torn_reads:
-            result.violations.append(
-                f"crash-write torture observed {result.crash_torn_reads} "
-                f"torn reads in {result.crash_trials} kills")
+        certify_crash_writes(result, ArtifactStore(root / "torture"),
+                             "serve-chaos-export",
+                             first_payload or b"chaos",
+                             config.crash_write_trials)
     return result

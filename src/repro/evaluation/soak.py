@@ -19,18 +19,20 @@ keep its promises?  Three invariants are checked continuously:
    registry's last-known-good pair, or pin the static fallback) within
    ``recovery_epochs``.
 
-A crash-write torture phase additionally kills :meth:`ArtifactStore.put`
-at sampled byte offsets and asserts every subsequent read returns the
-old payload or the new one, never garbage.  Results are seeded and
+A crash-write torture phase
+(:func:`~repro.evaluation.certify.crash_write_torture`) additionally
+kills :meth:`ArtifactStore.put` at sampled byte offsets and asserts
+every subsequent read returns the old payload or the new one, never
+garbage.  Results are seeded and
 JSON-exportable; ``repro-ssmdvfs soak`` and the CI ``soak-smoke``
 target gate on :attr:`SoakResult.passed`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,8 +48,9 @@ from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
 from ..power.energy import EnergyAccount
 from ..power.model import PowerModel
-from ..store import ArtifactStore, SimulatedCrash, atomic_write_text
+from ..store import ArtifactStore
 from ..units import us
+from .certify import CertifyResult, certify_crash_writes
 
 #: Registry key under which the soak stores its model pair.
 SOAK_ARTIFACT = "soak-pair"
@@ -110,52 +113,25 @@ class KernelSoak:
     normalized_edp: float
     invalid_decisions: int
 
-    def to_payload(self) -> dict:
-        """JSON-ready dict."""
-        return asdict(self)
-
 
 @dataclass
-class SoakResult:
+class SoakResult(CertifyResult):
     """Aggregate soak outcome: per-kernel records + invariant verdicts."""
+
+    ROWS: ClassVar[str] = "records"
+    ALL_HELD: ClassVar[str] = "all soak invariants held"
 
     preset: float
     latency_tolerance: float
-    seed: int
     records: list[KernelSoak] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    crash_trials: int = 0
-    crash_torn_reads: int = 0
-    violations: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        """True when every soak invariant held."""
-        return not self.violations
+    def header_payload(self) -> dict:
+        """Header payload entries (see :class:`CertifyResult`)."""
+        return {"preset": self.preset,
+                "latency_tolerance": self.latency_tolerance}
 
-    def to_payload(self) -> dict:
-        """JSON-ready dict (no wall-clock: seeded runs export bit-equal)."""
-        return {
-            "preset": self.preset,
-            "latency_tolerance": self.latency_tolerance,
-            "seed": self.seed,
-            "passed": self.passed,
-            "records": [record.to_payload() for record in self.records],
-            "counters": dict(sorted(self.counters.items())),
-            "crash_trials": self.crash_trials,
-            "crash_torn_reads": self.crash_torn_reads,
-            "violations": list(self.violations),
-        }
-
-    def export_json(self, path: str | Path) -> Path:
-        """Atomically write the payload as JSON; returns the path."""
-        path = Path(path)
-        atomic_write_text(path, json.dumps(self.to_payload(), indent=2,
-                                           sort_keys=True))
-        return path
-
-    def render(self) -> str:
-        """Human-readable soak report."""
+    def table(self) -> list[str]:
+        """Report title, column header and one line per row."""
         lines = [f"chaos soak  preset={self.preset:.2f}  "
                  f"latency tolerance={self.latency_tolerance:.2f}  "
                  f"seed={self.seed}",
@@ -171,14 +147,7 @@ class SoakResult:
                 f"{record.healed_by or '-':>16s} "
                 f"{record.normalized_latency:8.3f} "
                 f"{record.normalized_edp:6.3f}")
-        lines.append(f"crash-write torture: {self.crash_trials} kills, "
-                     f"{self.crash_torn_reads} torn reads")
-        if self.violations:
-            lines.append("INVARIANT VIOLATIONS:")
-            lines.extend(f"  - {violation}" for violation in self.violations)
-        else:
-            lines.append("all soak invariants held")
-        return "\n".join(lines)
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -201,45 +170,6 @@ def perturb_model_weights(model: SSMDVFSModel, sigma: float,
             scale = sigma * (spread if spread > 0 else 1.0)
             layer.weights += rng.normal(0.0, scale, size=layer.weights.shape)
             layer.bias += rng.normal(0.0, scale, size=layer.bias.shape)
-
-
-def crash_write_torture(store: ArtifactStore, name: str, payload: bytes,
-                        trials: int, seed: int = 0) -> tuple[int, int]:
-    """Kill ``put`` at sampled offsets; returns (kills, torn_reads).
-
-    After every simulated kill the artifact must read back as the
-    last committed payload — never a prefix of the aborted write — and
-    a follow-up clean ``put`` must succeed (leftover temp files cannot
-    wedge the store).  The byte-exhaustive variant lives in the test
-    suite; the soak samples ``trials`` offsets across the encoded
-    length so long payloads stay cheap.
-    """
-    if trials <= 0:
-        return 0, 0
-    baseline = store.put(name, payload, schema="soak-torture/v1",
-                         mark_good=False)
-    expected = store.get(name, baseline, fallback=False)
-    rng = np.random.default_rng(seed)
-    # Cover both boundaries (0 bytes written; written-but-not-renamed)
-    # plus random interior offsets.
-    offsets = {0, len(payload) + 1}
-    while len(offsets) < trials:
-        offsets.add(int(rng.integers(0, len(payload) + 2)))
-    torn = 0
-    for offset in sorted(offsets):
-        try:
-            store.put(name, payload, schema="soak-torture/v1",
-                      crash_after=offset)
-        except SimulatedCrash:
-            pass
-        observed = store.get(name, fallback=True)
-        if observed != expected:
-            torn += 1
-    # The store must still accept clean writes after every abort.
-    final = store.put(name, payload, schema="soak-torture/v1")
-    if store.get(name, final, fallback=False) != expected:
-        torn += 1
-    return len(offsets) + 1, torn
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +302,9 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
         latency_tolerance=1.0 + config.preset + config.latency_slack,
         seed=config.seed)
 
-    result.crash_trials, result.crash_torn_reads = crash_write_torture(
-        store, "soak-torture", model.to_bytes()[:4096] or b"soak",
-        config.crash_write_trials, seed=config.seed)
-    if result.crash_torn_reads:
-        result.violations.append(
-            f"crash-write torture observed {result.crash_torn_reads} "
-            f"torn reads in {result.crash_trials} kills")
+    certify_crash_writes(result, store, "soak-torture",
+                         model.to_bytes()[:4096] or b"soak",
+                         config.crash_write_trials)
 
     for index, kernel in enumerate(kernels):
         # A fresh deserialised copy per kernel: the staleness injection
@@ -388,8 +314,7 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
             SSMDVFSModel.from_bytes(model.to_bytes()), kernel, arch,
             power_model, store, config, seed=config.seed + 101 * index)
         result.records.append(record)
-        for name, amount in run_counters.items():
-            result.counters[name] = result.counters.get(name, 0) + amount
+        result.merge_counters(run_counters)
         if record.invalid_decisions:
             result.violations.append(
                 f"{kernel.name}: {record.invalid_decisions} invalid "
@@ -413,6 +338,5 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
                 f"{record.healed_epoch - record.stale_epoch} epochs "
                 f"(budget {config.recovery_epochs})")
 
-    for name, amount in store.counters.items():
-        result.counters[name] = result.counters.get(name, 0) + amount
+    result.merge_counters(store.counters)
     return result

@@ -29,7 +29,9 @@ fault models the resilience work is tested against:
   job migration and load shedding
   (:mod:`repro.fleet.scheduler`), and the ``repro-ssmdvfs
   fleet-chaos`` harness asserts fleet invariants under randomized
-  plans.
+  plans.  :class:`ServeFaultPlan` is the serving runtime's counterpart;
+  both share the :class:`FaultPlan` shape, and all three configs share
+  :class:`FaultRateConfig`.
 
 Every fault draw is deterministic given the config seed *and* the run
 identity (:func:`derive_fault_seed` mixes in the workload name and
@@ -46,6 +48,7 @@ import pickle
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -69,13 +72,35 @@ def derive_fault_seed(base_seed: int, *parts: object) -> int:
     """
     return derive_seed(base_seed, "fault-stream", *parts)
 
-#: The probability knobs of :class:`FaultConfig`, validated as one group.
-_RATE_FIELDS = ("counter_dropout", "counter_stuck", "counter_nan",
-                "counter_spike", "actuation_delay", "actuation_drop")
+
+class FaultRateConfig:
+    """Shared shape of the fault configs: frozen dataclasses with a
+    ``seed`` field and rate knobs named in :attr:`RATE_FIELDS`."""
+
+    RATE_FIELDS: ClassVar[tuple[str, ...]] = ()
+
+    def _check_rates(self, error: type[Exception],
+                     upper: float | None) -> None:
+        """Raise ``error`` for a rate outside ``[0, upper]`` (``upper`` is
+        1 for probabilities, None for unbounded Poisson intensities)."""
+        for name in self.RATE_FIELDS:
+            rate = getattr(self, name)
+            if rate < 0 or (upper is not None and rate > upper):
+                span = "[0, inf)" if upper is None else f"[0, {upper:g}]"
+                raise error(f"{name} must be in {span}, got {rate!r}")
+
+    @property
+    def any_active(self) -> bool:
+        """True if at least one fault rate is non-zero."""
+        return any(getattr(self, name) > 0.0 for name in self.RATE_FIELDS)
+
+    def with_seed(self, seed: int):
+        """The same scenario under a different fault stream."""
+        return replace(self, seed=int(seed))
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(FaultRateConfig):
     """Declarative description of one fault-injection scenario.
 
     Counter faults are drawn per cluster per epoch: ``counter_dropout``
@@ -98,23 +123,14 @@ class FaultConfig:
     actuation_drop: float = 0.0
     seed: int = 0
 
+    RATE_FIELDS: ClassVar[tuple[str, ...]] = (
+        "counter_dropout", "counter_stuck", "counter_nan", "counter_spike",
+        "actuation_delay", "actuation_drop")
+
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise FaultInjectionError(
-                    f"{name} must be a probability in [0, 1], got {rate!r}")
+        self._check_rates(FaultInjectionError, 1.0)
         if self.spike_magnitude <= 0:
             raise FaultInjectionError("spike_magnitude must be positive")
-
-    @property
-    def any_active(self) -> bool:
-        """True if at least one fault rate is non-zero."""
-        return any(getattr(self, name) > 0.0 for name in _RATE_FIELDS)
-
-    def with_seed(self, seed: int) -> "FaultConfig":
-        """The same scenario under a different fault stream."""
-        return replace(self, seed=int(seed))
 
 
 #: Scenario presets used by the ``repro-ssmdvfs faults`` sweep: each
@@ -329,13 +345,8 @@ class NodeFaultEvent:
                 "magnitude": self.magnitude}
 
 
-#: The per-kind rate knobs of :class:`NodeFaultConfig`.
-_NODE_RATE_FIELDS = ("crash_rate", "hang_rate", "thermal_rate",
-                     "storm_rate")
-
-
 @dataclass(frozen=True)
-class NodeFaultConfig:
+class NodeFaultConfig(FaultRateConfig):
     """Declarative description of one fleet-level fault scenario.
 
     Each ``*_rate`` is the *expected number of events of that kind per
@@ -359,12 +370,11 @@ class NodeFaultConfig:
     storm_slowdown: float = 1.5
     seed: int = 0
 
+    RATE_FIELDS: ClassVar[tuple[str, ...]] = (
+        "crash_rate", "hang_rate", "thermal_rate", "storm_rate")
+
     def __post_init__(self) -> None:
-        for name in _NODE_RATE_FIELDS:
-            rate = getattr(self, name)
-            if rate < 0:
-                raise FleetFaultError(
-                    f"{name} cannot be negative, got {rate!r}")
+        self._check_rates(FleetFaultError, None)
         if self.min_outage_s <= 0 or self.mean_outage_s < self.min_outage_s:
             raise FleetFaultError(
                 "outage durations need 0 < min_outage_s <= mean_outage_s")
@@ -375,18 +385,40 @@ class NodeFaultConfig:
                 "storm_slowdown must be >= 1 (a storm cannot speed "
                 "jobs up)")
 
-    @property
-    def any_active(self) -> bool:
-        """True if at least one fault rate is non-zero."""
-        return any(getattr(self, name) > 0.0
-                   for name in _NODE_RATE_FIELDS)
 
-    def with_seed(self, seed: int) -> "NodeFaultConfig":
-        """The same scenario under a different fault stream."""
-        return replace(self, seed=int(seed))
+class FaultPlan:
+    """A deterministic train of fault events in replay order.
+
+    ``events`` is sorted on construction (events order by strike time
+    first).  Subclasses add a seeded ``build`` classmethod and a
+    ``validate_for`` topology check.
+    """
+
+    def __init__(self, events: Iterable = ()) -> None:
+        self.events: tuple = tuple(sorted(events))
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __iter__(self):
+        return iter(self.events)
+
+    def __bool__(self) -> bool:
+        return bool(self.events)
+
+    def counts_by_kind(self) -> dict[str, int]:
+        """``{kind: event count}`` over the whole train."""
+        counts: dict[str, int] = {}
+        for event in self.events:
+            counts[event.kind] = counts.get(event.kind, 0) + 1
+        return counts
+
+    def to_payload(self) -> list[dict]:
+        """JSON-ready event list in replay order."""
+        return [event.to_payload() for event in self.events]
 
 
-class NodeFaultPlan:
+class NodeFaultPlan(FaultPlan):
     """A deterministic, time-ordered train of node-level fault events.
 
     Built once per fleet replay from a :class:`NodeFaultConfig`; the
@@ -394,9 +426,6 @@ class NodeFaultPlan:
     identical event train, which is what keeps a faulted fleet replay
     byte-reproducible at any worker count.
     """
-
-    def __init__(self, events: list[NodeFaultEvent] | tuple = ()) -> None:
-        self.events: tuple[NodeFaultEvent, ...] = tuple(sorted(events))
 
     @classmethod
     def build(cls, config: NodeFaultConfig, num_nodes: int,
@@ -431,15 +460,6 @@ class NodeFaultPlan:
                     duration_s=duration, magnitude=magnitude))
         return cls(events)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
     def validate_for(self, num_nodes: int) -> None:
         """Raise if any event targets a node outside ``[0, num_nodes)``."""
         for event in self.events:
@@ -447,17 +467,6 @@ class NodeFaultPlan:
                 raise FleetFaultError(
                     f"fault event targets node {event.node_id} but the "
                     f"fleet has only {num_nodes} nodes")
-
-    def counts_by_kind(self) -> dict[str, int]:
-        """``{kind: event count}`` over the whole train."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
-    def to_payload(self) -> list[dict]:
-        """JSON-ready event list in replay order."""
-        return [event.to_payload() for event in self.events]
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +540,8 @@ class ServeFaultEvent:
                 "magnitude": self.magnitude}
 
 
-#: The per-kind rate knobs of :class:`ServeFaultConfig`.
-_SERVE_RATE_FIELDS = ("crash_rate", "hang_rate", "stall_rate",
-                      "storm_rate", "gap_rate", "poison_rate",
-                      "burst_rate")
-
-
 @dataclass(frozen=True)
-class ServeFaultConfig:
+class ServeFaultConfig(FaultRateConfig):
     """Declarative description of one serving-chaos scenario.
 
     ``crash_rate`` / ``hang_rate`` are expected events *per worker*
@@ -566,12 +569,12 @@ class ServeFaultConfig:
     storm_duplicates: float = 3.0
     seed: int = 0
 
+    RATE_FIELDS: ClassVar[tuple[str, ...]] = (
+        "crash_rate", "hang_rate", "stall_rate", "storm_rate", "gap_rate",
+        "poison_rate", "burst_rate")
+
     def __post_init__(self) -> None:
-        for name in _SERVE_RATE_FIELDS:
-            rate = getattr(self, name)
-            if rate < 0:
-                raise ServeFaultError(
-                    f"{name} cannot be negative, got {rate!r}")
+        self._check_rates(ServeFaultError, None)
         if (self.min_duration_ticks < 1
                 or self.mean_duration_ticks < self.min_duration_ticks):
             raise ServeFaultError(
@@ -584,18 +587,8 @@ class ServeFaultConfig:
         if self.storm_duplicates < 1.0:
             raise ServeFaultError("storm_duplicates must be >= 1")
 
-    @property
-    def any_active(self) -> bool:
-        """True if at least one fault rate is non-zero."""
-        return any(getattr(self, name) > 0.0
-                   for name in _SERVE_RATE_FIELDS)
 
-    def with_seed(self, seed: int) -> "ServeFaultConfig":
-        """The same scenario under a different fault stream."""
-        return replace(self, seed=int(seed))
-
-
-class ServeFaultPlan:
+class ServeFaultPlan(FaultPlan):
     """A deterministic, tick-ordered train of serving-runtime faults.
 
     Built once per serving run from a :class:`ServeFaultConfig`; the
@@ -603,9 +596,6 @@ class ServeFaultPlan:
     always yields the identical train, which is what keeps a chaotic
     serving replay byte-stable at any phase-1 worker count.
     """
-
-    def __init__(self, events: list[ServeFaultEvent] | tuple = ()) -> None:
-        self.events: tuple[ServeFaultEvent, ...] = tuple(sorted(events))
 
     @classmethod
     def build(cls, config: ServeFaultConfig, num_workers: int,
@@ -651,15 +641,6 @@ class ServeFaultPlan:
                     duration_ticks=duration, magnitude=magnitude))
         return cls(events)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
     def validate_for(self, num_workers: int, num_streams: int) -> None:
         """Raise if any event targets outside the runtime's topology."""
         for event in self.events:
@@ -673,17 +654,6 @@ class ServeFaultPlan:
                 raise ServeFaultError(
                     f"fault targets stream {event.target} but the "
                     f"runtime has {num_streams} streams")
-
-    def counts_by_kind(self) -> dict[str, int]:
-        """``{kind: event count}`` over the whole train."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
-    def to_payload(self) -> list[dict]:
-        """JSON-ready event list in replay order."""
-        return [event.to_payload() for event in self.events]
 
 
 # ---------------------------------------------------------------------------

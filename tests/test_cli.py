@@ -92,3 +92,76 @@ def test_run_command(cli_model, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "normalized EDP" in out
+
+
+# ---------------------------------------------------------------------------
+# Each subcommand accepts only the flags it reads
+# ---------------------------------------------------------------------------
+
+#: Required flags per subcommand, so a parse fails only on the probe.
+_REQUIRED = {"hardware": ["--model", "m"], "run": ["--model", "m"],
+             "evaluate": ["--model", "m"]}
+
+#: Subcommands whose ``--preset`` is a single float.
+SINGLE_PRESET = ("run", "faults", "soak", "fleet", "fleet-chaos", "serve",
+                 "serve-chaos")
+
+#: Campaign flags with a value to pass when probing them.
+_FLAG_VALUES = {"--seed": "1", "--workers": "2", "--retries": "1",
+                "--task-timeout": "5", "--fuse-width": "4"}
+
+_RESILIENCE = ("--no-cache", "--checkpoint", "--retries", "--task-timeout")
+_FUSED = ("--fused", "--fuse-width")
+
+#: (subcommand, flag) pairs the subcommand never read; all rejected.
+REMOVED_FLAGS = (
+    [("hardware", flag) for flag in ("--seed", "--small", "--workers",
+                                     "--stats", *_RESILIENCE, *_FUSED)]
+    + [("run", flag) for flag in ("--workers", *_RESILIENCE, *_FUSED)]
+    + [("faults", flag) for flag in _RESILIENCE]
+    + [("soak", flag) for flag in ("--checkpoint", "--retries",
+                                   "--task-timeout", *_FUSED)]
+    + [("fleet", "--no-cache")]
+    + [(command, flag) for command in ("fleet-chaos", "serve", "serve-chaos")
+       for flag in (*_RESILIENCE, *_FUSED)])
+
+
+def _parse(command, *extra):
+    return build_parser().parse_args(
+        [command, *_REQUIRED.get(command, []), *extra])
+
+
+def test_removed_flag_list_is_complete():
+    assert len(set(REMOVED_FLAGS)) == 45
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_unread_flag_is_rejected(command, flag, capsys):
+    value = [_FLAG_VALUES[flag]] if flag in _FLAG_VALUES else []
+    with pytest.raises(SystemExit) as exit_info:
+        _parse(command, flag, *value)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SINGLE_PRESET)
+def test_preset_is_a_single_float(command, capsys):
+    assert _parse(command, "--preset", "0.2").preset == 0.2
+    with pytest.raises(SystemExit) as exit_info:
+        _parse(command, "--preset", "0.1", "0.2")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: 0.2" in capsys.readouterr().err
+
+
+def test_evaluate_keeps_a_preset_list():
+    assert _parse("evaluate", "--preset", "0.1", "0.2").preset == [0.1, 0.2]
+
+
+def test_per_command_defaults_do_not_leak():
+    assert _parse("soak").store == ".cache/store"
+    assert _parse("soak").crash_trials == 32
+    assert _parse("fleet-chaos").store == ".cache/chaos-store"
+    assert _parse("fleet-chaos").crash_trials == 16
+    assert _parse("serve-chaos").store == ".cache/serve-chaos-store"
+    assert _parse("serve").store is None
+    assert (_parse("fleet").nodes, _parse("fleet-chaos").nodes) == (16, 4)

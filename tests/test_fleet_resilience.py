@@ -537,6 +537,28 @@ def test_chaos_quarantines_always_recover(small_arch):
     assert result.passed, result.violations
     trial = result.trials[0]
     assert trial.recoveries >= trial.quarantines - trial.still_quarantined
-    assert trial.still_quarantined == sum(
-        1 for _ in range(0))  # every timed outage resolved
-    assert trial.still_quarantined == 0
+    assert trial.still_quarantined == 0  # every timed outage resolved
+
+
+@pytest.mark.timeout(300)
+def test_fleet_chaos_replays_at_a_different_worker_count(small_arch,
+                                                         monkeypatch):
+    """Invariant 2 compares two worker counts, even at default workers."""
+    from repro.evaluation import fleet_chaos
+    from repro.parallel import resolve_workers
+    resolved = []
+    scheduler = fleet_chaos.ClusterScheduler
+
+    def recording_scheduler(*args, **kwargs):
+        resolved.append(resolve_workers(kwargs["workers"]))
+        return scheduler(*args, **kwargs)
+
+    monkeypatch.setattr(fleet_chaos, "ClusterScheduler", recording_scheduler)
+    config = FleetChaosConfig(jobs=4, nodes=2, trials=1,
+                              determinism_trials=1, seed=5,
+                              crash_write_trials=0)
+    result = run_fleet_chaos(small_arch, policy_factory("governor"),
+                             config, policy_name="governor")
+    assert result.trials[0].byte_stable is True
+    primary, replay = resolved
+    assert primary != replay

@@ -3,8 +3,9 @@
 Every result in this repository comes from one simulated epoch loop, so
 its outputs are pinned here byte-for-byte: epoch-record streams of
 policy-driven runs, a datagen breakpoint chunk, a Fig. 4 grid, a chaos
-soak and the fleet / fleet-chaos / serve-chaos export payloads.  A refactor of the engine must
-leave every digest unchanged; a deliberate model change regenerates
+soak and the fleet / fleet-chaos / serve-chaos export payloads.  A
+refactor of the engine must leave every digest unchanged; a deliberate
+model change regenerates
 ``tests/fixtures/golden.json`` and the diff of that file is the
 reviewed artefact.
 

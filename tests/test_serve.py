@@ -1,7 +1,8 @@
 """Unit coverage of the always-on serving runtime components.
 
-The circuit breaker gets property-based coverage (its contract must
-hold for *every* outcome sequence, not just scripted ones); ingestion,
+The circuit breaker and the full runtime get property-based coverage
+(their contracts must hold for *every* outcome sequence and fault
+train, not just scripted ones); ingestion,
 supervision, online calibration and the full runtime get scripted
 scenarios pinned to the invariants the serve-chaos harness certifies
 end-to-end.
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.combined import SSMDVFSModel
 from repro.errors import ServeError
 from repro.faults import ServeFaultConfig, ServeFaultPlan
+from repro.gpu.arch import small_test_config
 from repro.serve import (CLOSED, HALF_OPEN, OPEN, QUARANTINED, BreakerConfig,
                          CircuitBreaker, IngestConfig, OnlineCalibrator,
                          OnlineConfig, RequestQueue, ServeConfig,
@@ -457,3 +459,21 @@ def test_fault_plan_is_deterministic_and_validates():
     plan_a.validate_for(2, 3)
     for event in plan_a:
         assert 0 <= event.at_tick < 200
+
+
+@settings(max_examples=12, deadline=None)
+@given(rates=st.lists(st.floats(0.0, 2.0), min_size=7, max_size=7),
+       seed=st.integers(0, 2 ** 20), ticks=st.integers(20, 80))
+def test_any_serve_fault_train_conserves_and_replays(rates, seed, ticks):
+    """Arbitrary fault trains: requests conserved, decisions valid, and
+    a second replay of the same seed exports identical bytes."""
+    faults = ServeFaultConfig(
+        **dict(zip(ServeFaultConfig.RATE_FIELDS, rates)), seed=seed)
+    config = ServeConfig(streams=2, ticks=ticks, faults=faults, seed=seed)
+    arch = small_test_config()
+    first = ServingRuntime(arch, config).run()
+    second = ServingRuntime(arch, config).run()
+    assert first.served + first.shed + first.failed == first.submitted
+    assert first.counters.get("serve_invalid_decisions", 0) == 0
+    assert (json.dumps(first.to_payload(), sort_keys=True)
+            == json.dumps(second.to_payload(), sort_keys=True))
