@@ -35,7 +35,7 @@ class CertifyResult:
     #: First line of the violation block in :meth:`render`.
     VIOLATIONS_HEADING: ClassVar[str] = "INVARIANT VIOLATIONS:"
     #: Last line of :meth:`render` when every invariant held.
-    ALL_HELD: ClassVar[str] = "all invariants held"
+    ALL_HELD: ClassVar[str]
 
     seed: int
     counters: dict[str, int] = field(default_factory=dict)

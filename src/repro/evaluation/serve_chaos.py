@@ -27,8 +27,8 @@ invariants:
 The trial loop, the dual replay and a crash-write torture pass come
 from :mod:`repro.evaluation.certify`; the torture kills the artifact
 store mid-write at sampled offsets and asserts no torn read.  The CLI
-gate is ``repro-ssmdvfs serve-chaos``: exit 0 only when
-every invariant held.
+gate is ``repro-ssmdvfs serve-chaos``: exit 0 only when every invariant
+held.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
-"""The shared certification skeleton: result base, torture, trial loop."""
+"""The chaos trial loop shared by the fleet and serve harnesses."""
 
 from dataclasses import dataclass, field
 
 import pytest
 
-from repro.evaluation.certify import (CertifyResult, certify_crash_writes,
-                                      run_trials)
+from repro.evaluation.certify import CertifyResult, run_trials
 from repro.parallel import resolve_workers
-from repro.store import ArtifactStore
 
 
 @dataclass
@@ -19,12 +17,6 @@ class _Row:
 @dataclass
 class _Result(CertifyResult):
     trials: list = field(default_factory=list)
-
-    def header_payload(self):
-        return {"kind": "demo"}
-
-    def table(self):
-        return ["demo"]
 
 
 @dataclass
@@ -41,22 +33,6 @@ class _Config:
     determinism_trials: int = 1
 
 
-def test_result_base_torture_payload_and_render(tmp_path):
-    result = _Result(seed=4, trials=[_Row(0, True)])
-    certify_crash_writes(result, ArtifactStore(tmp_path), "victim",
-                         b"payload" * 40, 8)
-    assert (result.crash_trials, result.crash_torn_reads) == (9, 0)
-    result.merge_counters({"a": 1}, {"a": 2, "b": 1})
-    payload = result.to_payload()
-    assert payload["kind"] == "demo" and payload["passed"] is True
-    assert payload["trials"] == [{"trial": 0, "stable": True}]
-    assert payload["counters"] == {"a": 3, "b": 1}
-    assert result.render().splitlines()[-2:] == [
-        "crash-write torture: 9 kills, 0 torn reads", "all invariants held"]
-    result.violations.append("broke")
-    assert "INVARIANT VIOLATIONS:\n  - broke" in result.render()
-
-
 @pytest.mark.parametrize("workers", [None, 1, 3])
 def test_run_trials_replays_at_another_worker_count(workers):
     calls = []
@@ -66,7 +42,7 @@ def test_run_trials_replays_at_another_worker_count(workers):
         return _Run(seed % 7)
 
     def summarise(trial, seed, run, byte_stable):
-        return _Row(trial, byte_stable), ({"runs": 1},)
+        return _Row(trial, byte_stable), ({"runs": 1}, {"runs": 2})
 
     result = _Result(seed=9)
     first = run_trials(result, "demo-chaos", _Config(), workers, None,
@@ -75,5 +51,5 @@ def test_run_trials_replays_at_another_worker_count(workers):
         "trial000", "trial000-replay", "trial001", "trial002"]
     assert calls[0][1] != calls[1][1]
     assert [row.stable for row in result.trials] == [True, None, None]
-    assert result.counters == {"runs": 3, "demo_chaos_trials": 3}
+    assert result.counters == {"runs": 9, "demo_chaos_trials": 3}
     assert first.startswith(b"{")
