@@ -21,7 +21,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast test-slow bench-smoke train-bench-smoke \
 	fused-bench-smoke bench faults-smoke soak-smoke \
-	fleet-smoke fleet-chaos-smoke serve-chaos-smoke
+	fleet-smoke fleet-chaos-smoke serve-chaos-smoke e2e-selftest
 
 test-fast:
 	$(PYTHON) -m pytest -q -m "not slow"
@@ -89,6 +89,14 @@ serve-chaos-smoke:
 		--trials 2 --seed 7 --store .cache/serve-chaos-store --stats \
 		--export benchmarks/results/SERVE_chaos_smoke.json
 	$(PYTHON) -m pytest -q tests/test_serve.py tests/test_serve_chaos.py
+
+# End-to-end benchmark self-test (~40 s): runs each workload at the
+# small size, including one traced repetition that must record every
+# catalogued layer, so renaming a traced entry point (e.g.
+# compare_policies, SolutionCache.probe_batch/store_batch) fails here
+# rather than in the benchmark's own run.
+e2e-selftest:
+	$(PYTHON) -m pytest -q benchmarks/e2e
 
 test:
 	$(PYTHON) -m pytest -q

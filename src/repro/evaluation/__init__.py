@@ -17,8 +17,7 @@ from .residency import ResidencyProfile, residency_from_records
 from .robustness import (FaultSweepCell, FaultSweepResult,
                          NoisyCountersPolicy, SeedSweepResult, fault_sweep,
                          seed_sweep)
-from .runner import (ComparisonResult, PolicyRun, compare_policies,
-                     run_policy_on_kernel)
+from .runner import ComparisonResult, PolicyRun, compare_policies
 from .certify import crash_write_torture
 from .soak import (KernelSoak, SoakConfig, SoakResult,
                    perturb_model_weights, run_soak)
@@ -38,7 +37,6 @@ __all__ = [
     "FaultSweepCell", "FaultSweepResult", "NoisyCountersPolicy",
     "SeedSweepResult", "fault_sweep", "seed_sweep",
     "ComparisonResult", "PolicyRun", "compare_policies",
-    "run_policy_on_kernel",
     "KernelSoak", "SoakConfig", "SoakResult", "crash_write_torture",
     "perturb_model_weights", "run_soak",
     "ChaosTrial", "FleetChaosConfig", "FleetChaosResult",

@@ -70,16 +70,18 @@ def cached_comparison(cache_dir: str | Path,
     in ``stats``.  With ``use_cache=False`` the grid is re-run and the
     cache file refreshed.  A corrupt or truncated cache file is a cache
     *miss* (counted in ``comparison_cache_corrupt``), never a crash.
-    ``checkpoint=True`` persists per-run progress next to the cache
-    file (``grid-<key>.ckpt``) so an interrupted campaign resumes;
-    ``retries``/``timeout_s`` tune the resilient fan-out.
+    ``checkpoint=True`` persists per-kernel progress next to the cache
+    file (``grid-<key>.kernel.ckpt``) so an interrupted campaign
+    resumes; ``retries``/``timeout_s`` tune the resilient fan-out.
 
     ``fused``/``fuse_width`` run the grid through the fused campaign
     engine.  The *result* is bit-identical, so fused and serial runs
     share one cache file; checkpoints are **not** shared — a serial
-    checkpoint stores per-run outcomes while a fused one stores
+    checkpoint stores per-kernel outcomes while a fused one stores
     per-group outcomes — so the checkpoint key and file are namespaced
-    with the fused configuration.
+    with the unit (``.kernel`` or ``.fused<width>``).  A checkpoint of
+    any other shape, such as the per-run ``grid-<key>.ckpt`` of older
+    versions, is never resumed.
     """
     stats = stats if stats is not None else CampaignStats()
     cache_dir = Path(cache_dir)
@@ -101,7 +103,7 @@ def cached_comparison(cache_dir: str | Path,
             stats.count("comparison_cache_hit")
             return result
     stats.count("comparison_cache_miss")
-    ckpt_suffix = f".fused{fuse_width}" if fused else ""
+    ckpt_suffix = f".fused{fuse_width}" if fused else ".kernel"
     ckpt = (CampaignCheckpoint(cache_dir / f"grid-{key}{ckpt_suffix}.ckpt",
                                key=f"{key}{ckpt_suffix}")
             if checkpoint else None)

@@ -117,34 +117,41 @@ class ComparisonResult:
                          for r in payload["runs"]])
 
 
-def run_policy_on_kernel(policy, kernel: KernelProfile, arch: GPUArchConfig,
-                         power_model: PowerModel | None = None,
-                         seed: int = 0,
-                         epoch_s: float = us(10)) -> tuple[float, float, int]:
-    """Run one policy over one kernel; returns (time, energy, epochs)."""
-    simulator = GPUSimulator(arch, kernel, power_model or PowerModel(),
-                             seed=seed, epoch_s=epoch_s)
-    result = simulator.run(policy, keep_records=False)
-    return result.time_s, result.energy_j, result.epochs
-
-
-def _policy_task(task: tuple) -> tuple[float, float, int, dict[str, int]]:
-    """Process-pool unit of evaluation: one (policy, kernel) run.
-
-    Takes the *factory* rather than a policy instance so every run gets
-    a fresh policy, and builds its own simulator from the explicit seed
-    — identical results whether run in-process or in a worker.  The
-    policy's :meth:`observability_counters` (guard trips, injected
-    faults, calibration anomalies) travel back with the metrics so the
-    caller can fold them into campaign ``--stats``.
-    """
-    factory, kernel, arch, power_model, seed, epoch_s = task
-    policy = factory()
-    time_s, energy_j, epochs = run_policy_on_kernel(
-        policy, kernel, arch, power_model, seed=seed, epoch_s=epoch_s)
+def _policy_counters(policy) -> dict[str, int]:
     counters_fn = getattr(policy, "observability_counters", None)
-    counters = counters_fn() if callable(counters_fn) else {}
-    return time_s, energy_j, epochs, counters
+    return counters_fn() if callable(counters_fn) else {}
+
+
+def _kernel_task(task: tuple) -> list[tuple[float, float, int,
+                                            dict[str, int]]]:
+    """Process-pool unit of serial evaluation: one kernel's runs.
+
+    Runs the baseline, then every policy, over one kernel, one after the
+    other.  The runs share one :class:`SolutionCache` and one noise
+    cache: they replay the same kernel and seed, hence the same noise
+    tracks, so a solve one run caches serves the others.  Sharing
+    changes hit rates, never results.  Takes the *factories* rather
+    than policy instances so every run gets a fresh policy, and builds
+    its simulators from the explicit seed — identical results whether
+    run in-process or in a worker.  Each run's outcome carries the
+    policy's :meth:`observability_counters` (guard trips, injected
+    faults, calibration anomalies) so the caller can fold them into
+    campaign ``--stats``.
+    """
+    factories, kernel, arch, power_model, seed, epoch_s = task
+    solution_cache = SolutionCache()
+    noise_cache: dict = {}
+    outcomes = []
+    for factory in factories:
+        policy = factory()
+        simulator = GPUSimulator(arch, kernel, power_model, seed=seed,
+                                 epoch_s=epoch_s,
+                                 solution_cache=solution_cache,
+                                 noise_cache=noise_cache)
+        result = simulator.run(policy, keep_records=False)
+        outcomes.append((result.time_s, result.energy_j, result.epochs,
+                         _policy_counters(policy)))
+    return outcomes
 
 
 #: Per-process cache of shared evaluation contexts, so a pool worker
@@ -187,11 +194,8 @@ def _fused_eval_group(task: tuple) -> tuple[list, dict[str, int]]:
     results = engine.run()
     outcomes = []
     for task_state, result in zip(engine.tasks, results):
-        counters_fn = getattr(task_state.policy, "observability_counters",
-                              None)
-        counters = counters_fn() if callable(counters_fn) else {}
         outcomes.append((result.time_s, result.energy_j, result.epochs,
-                         counters))
+                         _policy_counters(task_state.policy)))
     return outcomes, dict(engine.counters)
 
 
@@ -213,10 +217,13 @@ def compare_policies(policy_factories: dict[str, callable],
     ``policy_factories`` maps display names to zero-argument callables
     producing a *fresh* policy (stateful policies like F-LEMMA must not
     be reused across runs).  A default-level static baseline is always
-    run for normalization.  ``workers`` fans the policy × kernel grid
-    out over a process pool (picklable factories — e.g.
-    ``functools.partial`` over module-level classes — required to
-    actually parallelise; anything else falls back to serial).  Policy
+    run for normalization.  The serial unit is one kernel: its baseline
+    and policy runs share one solve cache and one set of noise tracks
+    (see :func:`_kernel_task`), and nothing outlives this call.
+    ``workers`` fans the kernels out over a process pool (picklable
+    factories — e.g. ``functools.partial`` over module-level classes —
+    required to actually parallelise; anything else falls back to
+    serial); fan-out and ``checkpoint`` progress are per kernel.  Policy
     observability counters (``guard_*``, ``fault_*``,
     ``calibration_anomalies``) are folded into ``stats``;
     ``checkpoint``/``retries``/``timeout_s`` configure the resilient
@@ -260,17 +267,15 @@ def compare_policies(policy_factories: dict[str, callable],
             stats.count("fused_groups", len(groups))
             stats.count("fused_shared_bytes", ref.shared_bytes)
     else:
-        tasks = []
-        for kernel in kernels:
-            tasks.append((baseline_factory, kernel, arch, power_model, seed,
-                          epoch_s))
-            for name in names:
-                tasks.append((policy_factories[name], kernel, arch,
-                              power_model, seed, epoch_s))
-        outcomes = parallel_map(_policy_task, tasks, workers=workers,
-                                stats=stats, stage="evaluation",
-                                checkpoint=checkpoint, retries=retries,
-                                timeout_s=timeout_s)
+        factories = [baseline_factory] + [policy_factories[name]
+                                          for name in names]
+        tasks = [(factories, kernel, arch, power_model, seed, epoch_s)
+                 for kernel in kernels]
+        outcomes = [outcome for kernel_outcomes in parallel_map(
+                        _kernel_task, tasks, workers=workers, stats=stats,
+                        stage="evaluation", checkpoint=checkpoint,
+                        retries=retries, timeout_s=timeout_s)
+                    for outcome in kernel_outcomes]
 
     result = ComparisonResult(preset=preset)
     cursor = iter(outcomes)

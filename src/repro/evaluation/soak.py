@@ -54,6 +54,8 @@ from .certify import CertifyResult, certify_crash_writes
 
 #: Registry key under which the soak stores its model pair.
 SOAK_ARTIFACT = "soak-pair"
+#: Registry key the crash-write torture writes to.
+SOAK_TORTURE_ARTIFACT = "soak-torture"
 
 
 @dataclass(frozen=True)
@@ -287,13 +289,17 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
     The trusted pair is registered in an :class:`ArtifactStore` at
     ``store_root`` as ``last_known_good`` before any chaos starts, so
     the drift layer has something real to roll back to — the soak run
-    itself drives a *copy*, keeping the registry pristine.  Kernels
+    itself drives a *copy*, keeping the registry pristine.  The soak
+    owns its two artifacts in the store: a run first drops whatever an
+    earlier run left under them, so the pair is always v1.  Kernels
     run serially with per-kernel derived seeds: the whole result is a
     pure function of ``(model, kernels, arch, config)``.
     """
     config = config or SoakConfig()
     power_model = power_model or PowerModel()
     store = ArtifactStore(store_root)
+    for name in (SOAK_ARTIFACT, SOAK_TORTURE_ARTIFACT):
+        store.drop(name)
     store.put(SOAK_ARTIFACT, model.to_bytes(), schema=PAIR_SCHEMA,
               mark_good=True)
 
@@ -302,7 +308,7 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
         latency_tolerance=1.0 + config.preset + config.latency_slack,
         seed=config.seed)
 
-    certify_crash_writes(result, store, "soak-torture",
+    certify_crash_writes(result, store, SOAK_TORTURE_ARTIFACT,
                          model.to_bytes()[:4096] or b"soak",
                          config.crash_write_trials)
 

@@ -12,8 +12,9 @@ Hot-path layout
 An epoch accumulates into a numpy *activity vector*
 (:data:`NUM_ACTIVITY_SLOTS` slots) instead of ~25 scalar dataclass
 fields: each quantum contributes ``row * instructions`` where the
-per-instruction *quantum row* depends only on ``(phase, solution)`` and
-is memoised in the :class:`~repro.gpu.interval_model.SolutionCache`.
+per-instruction *quantum row* depends only on ``(phase, solution)``;
+the solution is memoised in the
+:class:`~repro.gpu.interval_model.SolutionCache`.
 :func:`build_counters_matrix` then turns a stack of activity vectors
 into the 47-counter schema for all clusters at once.
 """
@@ -29,7 +30,9 @@ from .arch import GPUArchConfig
 from .counters import COUNTER_NAMES, NUM_COUNTERS, CounterSet
 from .interval_model import (PP_ACTIVE_WARPS, PP_CLASS_SLICE, PP_L1_MISS,
                              PP_L2_MISS, PP_LOAD_FRAC, PP_STORE_FRAC,
-                             BatchSolution, SolutionCache)
+                             SOL_BW_UTIL, SOL_CPI, SOL_IPC, SOL_MEM_LATENCY,
+                             SOL_STALL_IDLE, SOL_STALL_MEM_LOAD,
+                             SolutionCache)
 from .kernels import KernelCursor, KernelProfile
 from .noise import WorkloadNoise
 from .phases import INSTRUCTION_CLASSES
@@ -68,43 +71,40 @@ _CLASS_SLICE = slice(A_CLASS0, A_CLASS0 + _N_CLASSES)
 
 #: *Quantum rows* extend the per-instruction activity slots with the two
 #: solver outputs the epoch loop itself consumes — sustained IPC
-#: (stepping) and bandwidth utilisation (busy-time weighting) — so one
-#: cached row per solve is all the engine reads.
+#: (stepping) and bandwidth utilisation (busy-time weighting).
 QR_IPC = NUM_ACTIVITY_SLOTS        # 29
 QR_BW_UTIL = NUM_ACTIVITY_SLOTS + 1  # 30
 QROW_WIDTH = NUM_ACTIVITY_SLOTS + 2
 
 
 def quantum_rows_batch(arch: GPUArchConfig, params: np.ndarray,
-                       solutions: BatchSolution,
+                       solutions: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Per-instruction quantum rows of a solved batch.
 
     ``params`` is the ``(n, NUM_PHASE_PARAMS)`` phase-parameter matrix
-    the batch was solved from.  Multiplying row ``j``'s first
-    :data:`NUM_ACTIVITY_SLOTS` entries by a quantum's instruction count
-    yields the quantum's contribution to every instruction-proportional
-    activity slot (the time-proportional slots, busy time and
-    bandwidth-utilisation time, are zero here and handled by the epoch
-    loop); the trailing two entries carry IPC and bandwidth
-    utilisation.  Elementwise ops only, so a row never depends on the
-    other rows of the batch.
+    the batch was solved from and ``solutions`` its ``(n,
+    NUM_SOLUTION_COLUMNS)`` solver outputs (:meth:`BatchSolution.
+    columns`, or rows served by the :class:`SolutionCache`).
+    Multiplying row ``j``'s first :data:`NUM_ACTIVITY_SLOTS` entries by
+    a quantum's instruction count yields the quantum's contribution to
+    every instruction-proportional activity slot (the time-proportional
+    slots, busy time and bandwidth-utilisation time, are zero here and
+    handled by the epoch loop); the trailing two entries carry IPC and
+    bandwidth utilisation.  Elementwise ops only, so a row never
+    depends on the other rows of the batch.
     """
     n = params.shape[0]
     rows = out if out is not None else np.empty((n, QROW_WIDTH),
                                                 dtype=np.float64)
-    cpi = solutions.cycles_per_instruction
+    cpi = solutions[:, SOL_CPI]
     rows[:, A_BUSY_S] = 0.0
     rows[:, A_CYCLES] = cpi
     rows[:, A_INSTRUCTIONS] = 1.0
     rows[:, _CLASS_SLICE] = params[:, PP_CLASS_SLICE]
     rows[:, A_ISSUE_SLOTS] = cpi * arch.issue_width
-    rows[:, A_STALL_MEM_LOAD] = solutions.stall_mem_load
-    rows[:, A_STALL_MEM_OTHER] = solutions.stall_mem_other
-    rows[:, A_STALL_CONTROL] = solutions.stall_control
-    rows[:, A_STALL_SYNC] = solutions.stall_sync
-    rows[:, A_STALL_DATA] = solutions.stall_data
-    rows[:, A_STALL_IDLE] = solutions.stall_idle
+    rows[:, A_STALL_MEM_LOAD:A_STALL_IDLE + 1] = (
+        solutions[:, SOL_STALL_MEM_LOAD:SOL_STALL_IDLE + 1])
     loads = params[:, PP_LOAD_FRAC]
     stores = params[:, PP_STORE_FRAC]
     l1_read_miss = loads * params[:, PP_L1_MISS]
@@ -119,10 +119,10 @@ def quantum_rows_batch(arch: GPUArchConfig, params: np.ndarray,
     rows[:, A_L2_MISS] = l2_miss
     rows[:, A_DRAM_BYTES] = l2_miss * arch.cache_line_bytes
     rows[:, A_WARP_INST] = params[:, PP_ACTIVE_WARPS]
-    rows[:, A_MEM_LATENCY] = solutions.mem_latency_cycles
+    rows[:, A_MEM_LATENCY] = solutions[:, SOL_MEM_LATENCY]
     rows[:, A_BW_UTIL_TIME] = 0.0
-    rows[:, QR_IPC] = solutions.ipc
-    rows[:, QR_BW_UTIL] = solutions.bandwidth_utilization
+    rows[:, QR_IPC] = solutions[:, SOL_IPC]
+    rows[:, QR_BW_UTIL] = solutions[:, SOL_BW_UTIL]
     return rows
 
 

@@ -250,6 +250,22 @@ def phase_params_row(phase: Phase) -> np.ndarray:
     return row
 
 
+#: Column layout of a cached solve (:meth:`BatchSolution.columns`):
+#: the solver outputs the epoch engine reads — CPI, the six stall
+#: components, memory latency, IPC and bandwidth utilisation.
+SOL_CPI = 0
+SOL_STALL_MEM_LOAD = 1
+SOL_STALL_MEM_OTHER = 2
+SOL_STALL_CONTROL = 3
+SOL_STALL_SYNC = 4
+SOL_STALL_DATA = 5
+SOL_STALL_IDLE = 6
+SOL_MEM_LATENCY = 7
+SOL_IPC = 8
+SOL_BW_UTIL = 9
+NUM_SOLUTION_COLUMNS = 10
+
+
 @dataclass
 class BatchSolution:
     """Struct-of-arrays result of :func:`solve_throughput_batch`.
@@ -271,6 +287,14 @@ class BatchSolution:
     stall_sync: np.ndarray
     stall_data: np.ndarray
     stall_idle: np.ndarray
+
+    def columns(self) -> np.ndarray:
+        """The ``(n, NUM_SOLUTION_COLUMNS)`` matrix the cache stores."""
+        return np.stack((self.cycles_per_instruction, self.stall_mem_load,
+                         self.stall_mem_other, self.stall_control,
+                         self.stall_sync, self.stall_data, self.stall_idle,
+                         self.mem_latency_cycles, self.ipc,
+                         self.bandwidth_utilization), axis=1)
 
 
 def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
@@ -417,23 +441,74 @@ def _phase_solve_key(phase: Phase) -> tuple:
     ) + tuple(mix.get(cls, 0.0) for cls in INSTRUCTION_CLASSES)
 
 
-#: Process-local interning of the derived arch/phase key tuples.  Cache
-#: keys embed the *interned id* (a small int) instead of the 7/21-float
-#: tuple itself: the epoch engine hashes a cache key per quantum, and
-#: hashing two nested float tuples dominates the dict costs on the hot
-#: path, while an int id hashes for free.  The registry is append-only
-#: and bijective for the life of the process (a handful of arch/phase
-#: values exist per run); ids never leave the process.
+#: Bit widths of the packed solve key's fields.  A key is one int:
+#: ``arch | phase | frequency | noise track | noise chunk``, most
+#: significant field first; every field is a small process-local id
+#: except the chunk, which is the noise-chunk index itself.
+KEY_ARCH_BITS = 20
+KEY_PHASE_BITS = 20
+KEY_FREQ_BITS = 16
+KEY_NOISE_BITS = 32
+KEY_CHUNK_BITS = 32
+#: Offset of the phase field, which the engine ORs in per segment.
+KEY_PHASE_SHIFT = KEY_FREQ_BITS + KEY_NOISE_BITS + KEY_CHUNK_BITS
+#: Largest noise-chunk index a key can hold.
+KEY_CHUNK_MAX = (1 << KEY_CHUNK_BITS) - 1
+
+_KEY_FIELDS = (("arch", KEY_ARCH_BITS), ("phase", KEY_PHASE_BITS),
+               ("frequency", KEY_FREQ_BITS), ("noise", KEY_NOISE_BITS),
+               ("chunk", KEY_CHUNK_BITS))
+
+
+def pack_solve_key(arch_id: int, phase_id: int, freq_id: int,
+                   noise_id: int, chunk: int) -> int:
+    """Pack the five solve-key fields into one int.
+
+    Raises :class:`SimulationError` when a field does not fit its
+    width, so two distinct inputs can never share a key.
+    """
+    key = 0
+    for (name, bits), value in zip(_KEY_FIELDS, (arch_id, phase_id, freq_id,
+                                                 noise_id, chunk)):
+        if not 0 <= value < (1 << bits):
+            raise SimulationError(
+                f"solve-key {name} field {value} out of range "
+                f"[0, 2**{bits})")
+        key = (key << bits) | value
+    return key
+
+
+#: Process-local interning of the derived arch/phase key tuples and of
+#: the solved frequencies.  Keys embed the *interned id* (a small int)
+#: instead of the 7/15-float tuple or the float itself, so a quantum's
+#: key is one int OR and hashes for free.  The registries are
+#: append-only and bijective for the life of the process (a handful of
+#: arch/phase/frequency values exist per run); ids never leave the
+#: process.
 _SOLVE_KEY_IDS: dict[tuple, int] = {}
+_FREQ_IDS: dict[float, int] = {}
+
+
+def _intern(registry: dict, key, bits: int, what: str) -> int:
+    kid = registry.get(key)
+    if kid is None:
+        kid = len(registry)
+        if kid >> bits:
+            raise SimulationError(
+                f"more than 2**{bits} distinct {what} values in one process")
+        registry[key] = kid
+    return kid
 
 
 def intern_solve_key(key: tuple) -> int:
     """Return the process-local id of a derived arch/phase key tuple."""
-    kid = _SOLVE_KEY_IDS.get(key)
-    if kid is None:
-        kid = len(_SOLVE_KEY_IDS)
-        _SOLVE_KEY_IDS[key] = kid
-    return kid
+    return _intern(_SOLVE_KEY_IDS, key,
+                   min(KEY_ARCH_BITS, KEY_PHASE_BITS), "arch/phase key")
+
+
+def frequency_key_id(frequency_hz: float) -> int:
+    """Return the process-local id of a solved frequency."""
+    return _intern(_FREQ_IDS, frequency_hz, KEY_FREQ_BITS, "frequency")
 
 
 #: Module-level id-pinned memos for the interned key ids, shared by
@@ -470,35 +545,42 @@ def phase_solve_key_cached(phase: Phase) -> int:
 
 
 class SolutionCache:
-    """Memoises the quantum rows of interval-model solves.
+    """Memoises interval-model solves in one contiguous float64 table.
 
     The epoch engine solves the interval model once per quantum, yet its
     inputs are drawn from small discrete sets: the kernel's phase
     segments, the V/f table's frequencies, and the workload-position-
-    indexed noise multiplier triples (deterministic per position, so a
-    replay sees the exact same floats).  Replays of the same workload
-    stretch — the datagen protocol replays every ~100 µs segment at all
-    six operating points, plus feature-level variants — therefore
-    re-solve identical inputs many times over.  Keys use the exact
-    multiplier values rather than a rounded lattice: rounding the key
-    but not the solve input would let near-miss inputs alias to one
-    entry and change results.
+    indexed noise multiplier triples (deterministic per noise track and
+    chunk, so a replay sees the exact same floats).  Replays of the same
+    workload stretch — the datagen protocol replays every ~100 µs
+    segment at all six operating points, and the Fig. 4 grid runs the
+    baseline and every policy over one kernel and seed — re-solve
+    identical inputs many times over.
 
-    The cache key is ``(arch key, phase key, frequency, warp/miss/cpi
-    multipliers)`` where the arch/phase keys are derived from exactly
-    the fields :func:`solve_throughput` reads (stored as interned ids —
-    see :func:`intern_solve_key` — so the per-quantum hash touches two
-    ints and four floats instead of ~28 nested floats).  Because the
-    key captures *every* input bit-exactly, a hit returns the identical
-    row a fresh solve would have produced: hit rates change wall-clock,
-    never results.  Each entry holds one quantum row (see
-    :func:`~repro.gpu.cluster.quantum_rows_batch`).
+    A key is one packed int (:func:`pack_solve_key`): the interned arch
+    and phase keys (derived from exactly the fields
+    :func:`solve_throughput` reads), the interned frequency, and the
+    noise track's id plus the chunk index in place of the three
+    multiplier floats.  Track ids are content-based (see
+    :class:`~repro.gpu.noise.WorkloadNoise`): equal ids mean equal
+    multipliers at every chunk, and flat tracks use id 0 and chunk 0.
+    Because the key determines every input bit-exactly, a hit returns
+    the identical solution a fresh solve would have produced: hit rates
+    change wall-clock, never results.
+
+    Each entry is one row of :data:`NUM_SOLUTION_COLUMNS` solver outputs
+    (:meth:`BatchSolution.columns`) in a table indexed by a ``key ->
+    row`` dict — about 190 bytes per entry.  Phase-constant quantum-row
+    columns are rebuilt per wave by
+    :func:`~repro.gpu.cluster.quantum_rows_batch`, never stored.
     """
 
     #: Entry budget; the cache is cleared wholesale when it fills
     #: (epoch-engine keys recur heavily, so anything smarter than a
     #: periodic flush buys nothing).
     DEFAULT_MAX_ENTRIES = 1 << 16
+    #: Initial table rows; the table doubles up to ``max_entries``.
+    _INITIAL_ROWS = 256
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries <= 0:
@@ -507,10 +589,13 @@ class SolutionCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: dict[tuple, list] = {}
+        self._index: dict[int, int] = {}
+        self._table = np.empty(
+            (min(self.max_entries, self._INITIAL_ROWS), NUM_SOLUTION_COLUMNS),
+            dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._index)
 
     @property
     def lookups(self) -> int:
@@ -525,54 +610,90 @@ class SolutionCache:
 
     def clear(self) -> None:
         """Drop all memoised rows (stats are kept)."""
-        self._entries.clear()
+        self._index.clear()
 
     def probe_batch(self, keys: list, out: np.ndarray) -> list:
-        """Copy the rows of cached ``keys`` into ``out`` rows.
+        """Copy the solutions of cached ``keys`` into ``out`` rows.
 
-        ``keys`` are full solve keys, built from
-        :func:`arch_solve_key_cached` / :func:`phase_solve_key_cached`
-        plus the exact frequency/multiplier floats.  Returns ``(index,
-        slot)`` pairs for the keys that missed; the caller solves those
-        in one batch and hands the list back to :meth:`store_batch`.
-        Each miss *pre-inserts* an empty ``[None]`` slot that store
-        fills in place — the key is hashed exactly once per miss instead
-        of once to probe and again to store.  A pending slot
-        re-encountered before its fill (a duplicate key within one wave,
-        or a slot left behind by an aborted batch) counts as a fresh
-        miss and is simply re-solved.
+        ``keys`` are packed solve keys; ``out`` is an ``(len(keys),
+        NUM_SOLUTION_COLUMNS)`` buffer.  Returns ``(index, slot)`` pairs
+        for the keys that missed; the caller solves those in one batch
+        and hands the list back to :meth:`store_batch`.  Each miss
+        *pre-assigns* its table row, so the key is hashed once per miss.
+        A pending row re-encountered before its fill (a duplicate key
+        within one wave, or a row left behind by an aborted batch)
+        counts as a fresh miss and is simply re-solved.  Every hit is
+        gathered with one fancy-index copy.
         """
-        entries = self._entries
+        index = self._index
+        get = index.get
+        used = fresh = len(index)
+        flushed = False
         max_entries = self.max_entries
         missing: list = []
         append = missing.append
-        for index, key in enumerate(keys):
-            entry = entries.get(key)
-            if entry is None:
-                if len(entries) >= max_entries:
-                    self.evictions += len(entries)
-                    entries.clear()
-                slot = [None]
-                entries[key] = slot
-                append((index, slot))
-            elif entry[0] is None:
-                append((index, entry))
+        hit_at: list[int] = []
+        hit_slots: list[int] = []
+        for position, key in enumerate(keys):
+            slot = get(key)
+            if slot is None:
+                if used >= max_entries:
+                    self.evictions += used
+                    index.clear()
+                    used = fresh = 0
+                    flushed = True
+                    # Rows handed out before the flush are reused below;
+                    # their solves must not be stored.
+                    missing = [(j, -1) for j, _ in missing]
+                    append = missing.append
+                index[key] = used
+                append((position, used))
+                used += 1
+            elif slot >= fresh:
+                append((position, slot))
             else:
-                out[index] = entry[0]
+                hit_at.append(position)
+                hit_slots.append(slot)
+        table = self._table
+        if used > len(table):
+            grown = np.empty((min(self.max_entries,
+                                  max(used, 2 * len(table))),
+                              NUM_SOLUTION_COLUMNS), dtype=np.float64)
+            grown[:len(table)] = table
+            table = self._table = grown
+        if hit_at:
+            rows = table[hit_slots]
+            # A NaN CPI marks a row an aborted batch never filled.
+            pending = np.isnan(rows[:, SOL_CPI])
+            if pending.any():
+                for j in np.flatnonzero(pending).tolist():
+                    append((hit_at[j], -1 if flushed else hit_slots[j]))
+                keep = ~pending
+                out[np.array(hit_at)[keep]] = rows[keep]
+            else:
+                out[hit_at] = rows
+        fresh_slots = [slot for _, slot in missing if slot >= fresh]
+        if fresh_slots:
+            table[fresh_slots, SOL_CPI] = np.nan
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
         return missing
 
     def store_batch(self, missing: list, rows: np.ndarray) -> None:
-        """Fill the probe slots of a batch-solved miss set.
+        """Fill the pre-assigned rows of a batch-solved miss set.
 
         ``missing`` is :meth:`probe_batch`'s return value and ``rows[j]``
-        the solved quantum row of its ``j``-th key.  Counting and
-        capacity eviction happened in :meth:`probe_batch`; this only
-        fills the pre-inserted slots (no key hashing at all).
+        the solved :data:`NUM_SOLUTION_COLUMNS` row of its ``j``-th key.
+        Counting and capacity eviction happened in :meth:`probe_batch`;
+        this is one table assignment (no key hashing at all).
         """
-        for j, (_, slot) in enumerate(missing):
-            slot[0] = rows[j]
+        slots = np.fromiter((slot for _, slot in missing), dtype=np.intp,
+                            count=len(missing))
+        kept = slots >= 0
+        if kept.all():
+            self._table[slots] = rows
+        else:
+            self._table[slots[kept]] = rows[kept]
 
 
 def frequency_sensitivity(arch: GPUArchConfig, phase: Phase,

@@ -11,6 +11,8 @@ bit-identically from a snapshot.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..errors import SimulationError
@@ -68,6 +70,30 @@ class AR1Jitter:
         self._rng.bit_generator.state = rng_state
 
 
+#: Track id shared by every flat (``sigma == 0``) track: all its
+#: multipliers are 1.0, so the solution cache keys it at chunk 0.
+FLAT_TRACK_ID = 0
+#: Content key -> track id.  Bounded: cleared wholesale when full, after
+#: which equal-content tracks get a new id (a lower hit rate, never an
+#: alias — ids are never reused).
+_TRACK_IDS: dict = {}
+_TRACK_IDS_MAX = 1 << 16
+_NEXT_TRACK_ID = itertools.count(FLAT_TRACK_ID + 1)
+
+
+def _track_id(key) -> int:
+    if key is not None:
+        tid = _TRACK_IDS.get(key)
+        if tid is not None:
+            return tid
+    tid = next(_NEXT_TRACK_ID)
+    if key is not None:
+        if len(_TRACK_IDS) >= _TRACK_IDS_MAX:
+            _TRACK_IDS.clear()
+        _TRACK_IDS[key] = tid
+    return tid
+
+
 class WorkloadNoise:
     """Workload-position-indexed behavioural noise.
 
@@ -80,6 +106,13 @@ class WorkloadNoise:
     Values are generated lazily but deterministically from the RNG
     stream, so any replay — at any frequency, from any snapshot — sees
     identical multipliers at identical workload positions.
+
+    ``track_id`` names the track's values for the solution cache.
+    ``track_key`` identifies the RNG stream's content (the simulator
+    passes ``(seed, cluster id, kernel name, jitter)``); tracks built
+    with equal keys and parameters get one id, so a solve cached for
+    one serves the other.  Without a key a track gets a fresh id, and a
+    flat track always gets :data:`FLAT_TRACK_ID`.
     """
 
     #: Instructions covered by one noise chunk.
@@ -87,7 +120,8 @@ class WorkloadNoise:
 
     def __init__(self, rng: np.random.Generator, sigma: float,
                  rho: float = 0.85, clip: float = 0.45,
-                 chunk_instructions: int = DEFAULT_CHUNK) -> None:
+                 chunk_instructions: int = DEFAULT_CHUNK,
+                 track_key: tuple | None = None) -> None:
         if sigma < 0:
             raise SimulationError("noise sigma cannot be negative")
         if chunk_instructions <= 0:
@@ -97,6 +131,10 @@ class WorkloadNoise:
         self.rho = float(rho)
         self.clip = float(clip)
         self.chunk_instructions = int(chunk_instructions)
+        self.track_id = (FLAT_TRACK_ID if self.sigma == 0.0 else _track_id(
+            None if track_key is None else
+            (track_key, self.sigma, self.rho, self.clip,
+             self.chunk_instructions)))
         # Three independent AR(1) tracks, grown lazily and never mutated.
         self._tracks: list[list[float]] = [[], [], []]
 

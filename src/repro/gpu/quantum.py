@@ -49,9 +49,11 @@ from ..errors import SimulationError
 from .cluster import (A_BW_UTIL_TIME, A_BUSY_S, A_CYCLES, A_INSTRUCTIONS,
                       NUM_ACTIVITY_SLOTS, QR_BW_UTIL, QR_IPC, QROW_WIDTH,
                       ClusterState, quantum_rows_batch)
-from .interval_model import (PP_INSTRUCTIONS, arch_solve_key_cached,
-                             phase_params_row, phase_solve_key_cached,
-                             solve_throughput_batch)
+from .interval_model import (KEY_CHUNK_MAX, KEY_PHASE_SHIFT,
+                             NUM_SOLUTION_COLUMNS, PP_INSTRUCTIONS,
+                             arch_solve_key_cached, frequency_key_id,
+                             pack_solve_key, phase_params_row,
+                             phase_solve_key_cached, solve_throughput_batch)
 
 #: Epoch-boundary slack: a cluster within this of the budget is done.
 _EPOCH_EPS = 1e-15
@@ -153,7 +155,13 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
     group_slot: dict[tuple[int, int], int] = {}
     group_info: list[tuple] = []
     group_of = np.empty(n, dtype=np.intp)
-    ak_list = [arch_solve_key_cached(arch) for arch in arches]
+    # The phase-independent part of each cluster's packed solve key:
+    # arch, frequency and noise track.  A quantum's key ORs in the
+    # segment's phase id and the noise chunk.
+    key_base = [pack_solve_key(arch_solve_key_cached(arches[i]), 0,
+                               frequency_key_id(freq_list[i]),
+                               noises[i].track_id, 0)
+                for i in range(n)]
     for i in range(n):
         cache = caches[i]
         gk = (id(cache), id(arches[i]))
@@ -218,7 +226,8 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
             row = phase_params_row(phase)
             e_params[i] = row
             e_ph[i] = float(row[PP_INSTRUCTIONS])
-            e_key[i] = phase_solve_key_cached(phase)
+            e_key[i] = key_base[i] | (phase_solve_key_cached(phase)
+                                      << KEY_PHASE_SHIFT)
         dirty[i] = False
 
     def _refill(targets: list[int]) -> None:
@@ -228,7 +237,7 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
         # batched probe/solve/row pass per (cache, arch) group.
         # One tuple per quantum, unzipped below (fewer hot-loop appends
         # than parallel lists): (cluster, boundary, phase_insts, warp_m,
-        # miss_m, cpi_m, params_row, key).
+        # miss_m, cpi_m, params_row, packed key).
         wave: list[tuple] = []
         wave_append = wave.append
         post_append = q_post.append
@@ -236,9 +245,7 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
         for i in targets:
             if dirty[i]:
                 _resync(i)
-            akv = ak_list[i]
-            pkv = e_key[i]
-            fv = freq_list[i]
+            kbase = e_key[i]
             # Noise-track lookups are inlined (list indexing with an
             # extend-on-demand fallback) — a method call per quantum
             # costs more than the lookup itself.
@@ -262,15 +269,20 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                 chunk = int(pos // ci)
                 if flat:
                     m0 = m1 = m2 = 1.0
+                    key = kbase
                 else:
                     if chunk >= len(tr0):
+                        if chunk > KEY_CHUNK_MAX:
+                            raise SimulationError(
+                                f"noise chunk {chunk} exceeds the solve "
+                                f"key's chunk field")
                         extend(chunk)
                     m0 = tr0[chunk]
                     m1 = tr1[chunk]
                     m2 = tr2[chunk]
+                    key = kbase | chunk
                 b = min(ph_i - done_i, float((chunk + 1) * ci) - pos)
-                wave_append((i, b, ph_i, m0, m1, m2, params_i,
-                             (akv, pkv, fv, m0, m1, m2)))
+                wave_append((i, b, ph_i, m0, m1, m2, params_i, key))
                 done_i += b
                 if done_i >= ph_i - _SEGMENT_EPS:
                     comp_i += ph_i
@@ -281,8 +293,9 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                         row = phase_params_row(phase)
                         params_i = row
                         ph_i = float(row[PP_INSTRUCTIONS])
-                        pkv = phase_solve_key_cached(phase)
-                        e_key[i] = pkv
+                        kbase = key_base[i] | (
+                            phase_solve_key_cached(phase) << KEY_PHASE_SHIFT)
+                        e_key[i] = kbase
                     else:
                         live_i = False
                 post_append((done_i, comp_i, seg_i))
@@ -306,9 +319,8 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
         ww = np.array(wave_w, dtype=np.float64)
         wm_ = np.array(wave_m, dtype=np.float64)
         wc = np.array(wave_c, dtype=np.float64)
+        wparams = np.array(wave_params, dtype=np.float64)
         wfreq = freq[wi]
-        # Rows are freshly allocated per wave because store_batch
-        # memoises views into the miss-row matrix.
         wrows = np.empty((m, QROW_WIDTH), dtype=np.float64)
         wgroups = group_of[wi]
         for g, (cache, garch) in enumerate(group_info):
@@ -316,34 +328,29 @@ def run_epoch_batch(clusters: list[ClusterState], epoch_s: float, *,
                 gsel = np.flatnonzero(wgroups == g)
                 if gsel.size == 0:
                     continue
-                sel_list = gsel.tolist()
-                gw, gm, gc = ww[gsel], wm_[gsel], wc[gsel]
-                gfreq = wfreq[gsel]
-                gkeys = [wave_keys[j] for j in sel_list]
-                target = np.empty((gsel.size, QROW_WIDTH), dtype=np.float64)
+                gkeys = [wave_keys[j] for j in gsel.tolist()]
+                gparams = wparams[gsel]
             else:
                 gsel = None
-                sel_list = None
-                gw, gm, gc = ww, wm_, wc
-                gfreq = wfreq
                 gkeys = wave_keys
-                target = wrows
-            missing = cache.probe_batch(gkeys, target)
+                gparams = wparams
+            # Hits are gathered straight from the cache table; the
+            # misses are solved in one stack and stored in one go.
+            gsol = np.empty((len(gkeys), NUM_SOLUTION_COLUMNS),
+                            dtype=np.float64)
+            missing = cache.probe_batch(gkeys, gsol)
             if missing:
-                if sel_list is None:
-                    mparams = np.stack([wave_params[j] for j, _ in missing])
-                else:
-                    mparams = np.stack(
-                        [wave_params[sel_list[j]] for j, _ in missing])
                 midx = np.array([j for j, _ in missing], dtype=np.intp)
+                gidx = midx if gsel is None else gsel[midx]
                 msol = solve_throughput_batch(
-                    garch, mparams, gfreq[midx],
-                    gw[midx], gm[midx], gc[midx])
-                mrows = quantum_rows_batch(garch, mparams, msol)
-                target[midx] = mrows
-                cache.store_batch(missing, mrows)
-            if gsel is not None:
-                wrows[gsel] = target
+                    garch, gparams[midx], wfreq[gidx], ww[gidx], wm_[gidx],
+                    wc[gidx]).columns()
+                gsol[midx] = msol
+                cache.store_batch(missing, msol)
+            if gsel is None:
+                quantum_rows_batch(garch, gparams, gsol, out=wrows)
+            else:
+                wrows[gsel] = quantum_rows_batch(garch, gparams, gsol)
         # Per-wave precomputation of quantum times and state-row
         # contributions, elementwise across the wave:
         # ``t = (b / ipc) / f`` and ``contrib = [row * b, t, t * bw, t]``

@@ -159,17 +159,21 @@ class GPUSimulator:
             # whichever co-simulated task extends the track first
             # materialises exactly the values every sharer would have
             # generated alone.  Sharing changes wall-clock, never bits.
+            # The same key names the track's content for the solution
+            # cache, so equal-seed simulators hit each other's solves
+            # even when they hold separate noise objects.
             noise = None
-            if noise_cache is not None and seed is not None:
-                noise_key = (seed, cid, cluster_kernel.name,
-                             cluster_kernel.jitter)
+            noise_key = (None if seed is None else
+                         (seed, cid, cluster_kernel.name,
+                          cluster_kernel.jitter))
+            if noise_cache is not None and noise_key is not None:
                 noise = noise_cache.get(noise_key)
             if noise is None:
                 noise = WorkloadNoise(
                     streams.get(f"noise.{cluster_kernel.name}.c{cid}"),
-                    sigma=cluster_kernel.jitter,
+                    sigma=cluster_kernel.jitter, track_key=noise_key,
                 )
-                if noise_cache is not None and seed is not None:
+                if noise_cache is not None and noise_key is not None:
                     noise_cache[noise_key] = noise
             max_skew = max(1.0, cluster_kernel.phases[0].instructions * 0.25)
             skew = float(skew_rngs[cluster_kernel.name].uniform(0.0, max_skew))

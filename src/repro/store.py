@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -370,6 +371,10 @@ class ArtifactStore:
             return True
         except ArtifactCorrupt:
             return False
+
+    def drop(self, name: str) -> None:
+        """Remove ``name`` and every version of it (no-op when absent)."""
+        shutil.rmtree(self._dir(name), ignore_errors=True)
 
     def mark_good(self, name: str, version: int) -> None:
         """Advance ``last_known_good`` after the caller validated it."""

@@ -83,6 +83,21 @@ def test_soak_is_seed_reproducible(small_pipeline, small_arch, soak_kernels,
             == json.dumps(again.to_payload(), sort_keys=True))
 
 
+def test_soak_rerun_into_one_store_exports_identical_bytes(
+        small_pipeline, small_arch, soak_kernels, tmp_path):
+    model = small_pipeline.models["base"]
+    config = SoakConfig(seed=7, crash_write_trials=4)
+    store_root = tmp_path / "store"
+    exports = []
+    for run in range(2):
+        result = run_soak(model, soak_kernels[:1], small_arch, store_root,
+                          config)
+        exports.append(result.export_json(tmp_path / f"run{run}.json")
+                       .read_bytes())
+    assert exports[0] == exports[1]
+    assert ArtifactStore(store_root).last_known_good(SOAK_ARTIFACT) == 1
+
+
 def test_soak_tiny_recovery_budget_reports_violation(small_pipeline,
                                                      small_arch,
                                                      soak_kernels, tmp_path):

@@ -16,16 +16,19 @@ import pytest
 
 from repro.datagen.protocol import ProtocolConfig, generate_for_kernel
 from repro.gpu.arch import small_test_config
-from repro.gpu.cluster import QR_IPC, QROW_WIDTH, quantum_rows_batch
-from repro.gpu.interval_model import (SolutionCache, arch_solve_key_cached,
+from repro.gpu.interval_model import (NUM_SOLUTION_COLUMNS, SOL_IPC,
+                                      SolutionCache, arch_solve_key_cached,
+                                      frequency_key_id, pack_solve_key,
                                       phase_params_row,
                                       phase_solve_key_cached,
                                       solve_throughput,
                                       solve_throughput_batch)
 from repro.gpu.kernels import KernelProfile
+from repro.gpu.noise import FLAT_TRACK_ID, WorkloadNoise
 from repro.gpu.phases import balanced_phase, compute_phase
 from repro.gpu.simulator import GPUSimulator
 from repro.parallel import CampaignStats
+from repro.rng import stream
 
 ARCH = small_test_config()
 PHASE = balanced_phase("b", 60_000)
@@ -148,18 +151,33 @@ def test_snapshot_replay_hits_without_jitter():
 # Key derivation and invalidation
 # ---------------------------------------------------------------------------
 
-def _lookup(cache, arch, phase, freq, warp_m=1.0, miss_m=1.0, cpi_m=1.0):
-    """One batched lookup; on a miss, solve and store the row."""
-    key = (arch_solve_key_cached(arch), phase_solve_key_cached(phase),
-           freq, warp_m, miss_m, cpi_m)
-    out = np.empty((1, QROW_WIDTH))
+#: Two independent jittered tracks (fresh ids: no content key).
+NOISE_A = WorkloadNoise(stream("cache.a", 1), sigma=0.1)
+NOISE_B = WorkloadNoise(stream("cache.b", 1), sigma=0.1)
+
+
+def _multipliers(noise, chunk):
+    return (1.0, 1.0, 1.0) if noise is None else noise.multipliers(chunk)
+
+
+def _lookup(cache, arch, phase, freq, noise=None, chunk=0):
+    """One batched lookup; on a miss, solve and store the row.
+
+    ``noise=None`` is a flat track: id 0, chunk 0, unit multipliers.
+    """
+    track = FLAT_TRACK_ID if noise is None else noise.track_id
+    key = pack_solve_key(arch_solve_key_cached(arch),
+                         phase_solve_key_cached(phase),
+                         frequency_key_id(freq), track,
+                         0 if noise is None else chunk)
+    out = np.empty((1, NUM_SOLUTION_COLUMNS))
     missing = cache.probe_batch([key], out)
     if missing:
+        warp_m, miss_m, cpi_m = _multipliers(noise, chunk)
         params = phase_params_row(phase)[None, :]
-        solved = solve_throughput_batch(
+        rows = solve_throughput_batch(
             arch, params, np.array([freq]), np.array([warp_m]),
-            np.array([miss_m]), np.array([cpi_m]))
-        rows = quantum_rows_batch(arch, params, solved)
+            np.array([miss_m]), np.array([cpi_m])).columns()
         cache.store_batch(missing, rows)
         return rows[0]
     return out[0]
@@ -171,27 +189,32 @@ def test_hit_returns_identical_solution_and_payload():
     second = _lookup(cache, ARCH, PHASE, 1.0e9)
     assert cache.hits == 1 and cache.misses == 1
     assert first.tobytes() == second.tobytes()
-    assert second[QR_IPC] == solve_throughput(ARCH, PHASE, 1.0e9).ipc
+    assert second[SOL_IPC] == solve_throughput(ARCH, PHASE, 1.0e9).ipc
 
 
 def test_distinct_inputs_never_alias():
     cache = SolutionCache()
     variants = [
-        (ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.0),
-        (ARCH, PHASE, 1.2e9, 1.0, 1.0, 1.0),           # frequency
-        (ARCH, PHASE, 1.0e9, 1.05, 1.0, 1.0),          # warp multiplier
-        (ARCH, PHASE, 1.0e9, 1.0, 0.95, 1.0),          # miss multiplier
-        (ARCH, PHASE, 1.0e9, 1.0, 1.0, 1.01),          # cpi multiplier
+        (ARCH, PHASE, 1.0e9, None, 0),
+        (ARCH, PHASE, 1.2e9, None, 0),                 # frequency
+        (ARCH, PHASE, 1.0e9, NOISE_A, 0),              # noise track
+        (ARCH, PHASE, 1.0e9, NOISE_A, 1),              # noise chunk
+        (ARCH, PHASE, 1.0e9, NOISE_B, 0),              # another track
+        (ARCH, PHASE, 1.0e9, NOISE_B, 1),
         (ARCH, compute_phase("c", 40_000, warps=16),   # phase
-         1.0e9, 1.0, 1.0, 1.0),
+         1.0e9, None, 0),
         (replace(ARCH, issue_width=2.0), PHASE,
-         1.0e9, 1.0, 1.0, 1.0),                        # architecture
+         1.0e9, None, 0),                              # architecture
     ]
+    # Every jittered variant has its own multiplier triple.
+    assert len({_multipliers(noise, chunk)
+                for _, _, _, noise, chunk in variants}) == 5
     rows = [_lookup(cache, *v) for v in variants]
     assert cache.misses == len(variants) and cache.hits == 0
     for variant, row in zip(variants, rows):
-        arch, phase, freq, warp_m, miss_m, cpi_m = variant
-        assert row[QR_IPC] == solve_throughput(
+        arch, phase, freq, noise, chunk = variant
+        warp_m, miss_m, cpi_m = _multipliers(noise, chunk)
+        assert row[SOL_IPC] == solve_throughput(
             arch, phase, freq, warp_multiplier=warp_m,
             miss_multiplier=miss_m, cpi_multiplier=cpi_m).ipc
 
@@ -214,7 +237,7 @@ def test_eviction_clears_and_counts():
     assert cache.misses == 3
     # A re-solve of a flushed key misses again but stays correct.
     row = _lookup(cache, ARCH, PHASE, 1.0e9)
-    assert row[QR_IPC] == solve_throughput(ARCH, PHASE, 1.0e9).ipc
+    assert row[SOL_IPC] == solve_throughput(ARCH, PHASE, 1.0e9).ipc
 
 
 def test_invalid_max_entries_rejected():
