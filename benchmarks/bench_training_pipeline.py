@@ -1,4 +1,4 @@
-"""Training-pipeline perf gates: batched scoring, fused replicas, caches.
+"""Training-pipeline perf gates: batched RFE scoring and the sweep cache.
 
 The offline stage of the paper retrains small MLPs hundreds of times
 (RFE rounds, the Fig. 3 architecture grid, pruning fine-tunes).  This
@@ -12,9 +12,6 @@ campaigns cheap:
 * **Sweep caching** — re-running the layer-wise and pruning sweeps over
   a warm content-addressed cache must stay >= 2x faster than training
   the grid, and return the identical frontier points.
-* **Population training** — ``train_pair_replicas`` fuses seed replicas
-  into one lockstep pass; replica accuracies must match their serial
-  ``train_pair`` counterparts within 1e-6.
 
 All timing is plain ``time.perf_counter`` (best-of-N), so these run
 under ``--benchmark-disable`` in the CI smoke job, and the numbers are
@@ -31,8 +28,7 @@ import numpy as np
 from repro.datagen.rfe import (ImportanceWorkspace, _permutation_importance,
                                permutation_importances)
 from repro.nn.compress import (ArchitectureSpec, SplitData, layer_wise_sweep,
-                               pruning_sweep, train_pair,
-                               train_pair_replicas)
+                               pruning_sweep, train_pair)
 from repro.nn.mlp import MLP
 from repro.nn.trainer import TrainConfig
 from repro.parallel import CampaignStats
@@ -53,15 +49,6 @@ def _update_results(section: str, payload: dict) -> None:
     results[section] = payload
     RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True)
                             + "\n")
-
-
-def _best_of(fn, trials=9):
-    best = float("inf")
-    for _ in range(trials):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _best_of_interleaved(fns, trials=11):
@@ -233,51 +220,8 @@ def test_sweep_cache_speedup(tmp_path):
     assert speedup >= 2.0, f"sweep cache speedup collapsed: {speedup:.2f}x"
 
 
-# ---------------------------------------------------------------------------
-# Population training: fused replicas vs a loop of serial train_pair
-# ---------------------------------------------------------------------------
-
-_REPLICA_SEEDS = (20, 21, 22, 23)
-_REPLICA_SPEC = ArchitectureSpec((12,) * 3, (12,) * 2)
-_REPLICA_CFG = TrainConfig(epochs=12, patience=4, seed=9)
-
-
-def test_population_replicas_match_serial():
-    """Fused replica training must agree with serial within 1e-6."""
-    decision_data, calibrator_data = _sweep_splits()
-
-    def fused():
-        return train_pair_replicas(
-            _REPLICA_SPEC, decision_data, calibrator_data, 2,
-            _REPLICA_CFG, seeds=_REPLICA_SEEDS)
-
-    def serial():
-        return [train_pair(_REPLICA_SPEC, decision_data, calibrator_data,
-                           2, _REPLICA_CFG, seed=seed)
-                for seed in _REPLICA_SEEDS]
-
-    fused_pairs, serial_pairs = fused(), serial()
-    for got, want in zip(fused_pairs, serial_pairs):
-        assert abs(got.accuracy_pct - want.accuracy_pct) <= 1e-6
-        assert abs(got.mape_pct - want.mape_pct) <= 1e-6
-        assert got.epochs_run == want.epochs_run
-
-    fused_s = _best_of(fused, trials=3)
-    serial_s = _best_of(serial, trials=3)
-    _update_results("population_replicas", {
-        "replicas": len(_REPLICA_SEEDS),
-        "spec": _REPLICA_SPEC.label,
-        "serial_s": serial_s,
-        "fused_s": fused_s,
-        "speedup": serial_s / fused_s,
-        "max_accuracy_diff": max(
-            abs(g.accuracy_pct - w.accuracy_pct)
-            for g, w in zip(fused_pairs, serial_pairs)),
-    })
-
-
 def test_training_pipeline_reproducibility():
-    """Same seeds -> identical scores, points and replica weights."""
+    """Same seeds -> identical RFE scores and sweep points."""
     model, x, y, columns = _rfe_setup()
     first = permutation_importances(model, x, y, columns,
                                     np.random.default_rng(9))
@@ -291,20 +235,7 @@ def test_training_pipeline_reproducibility():
     points_b = layer_wise_sweep(decision_data, calibrator_data, 2,
                                 _SWEEP_SPECS[:1], _SWEEP_CFG)
     assert points_a == points_b
-
-    replicas_a = train_pair_replicas(_REPLICA_SPEC, decision_data,
-                                     calibrator_data, 2, _REPLICA_CFG,
-                                     seeds=_REPLICA_SEEDS[:2])
-    replicas_b = train_pair_replicas(_REPLICA_SPEC, decision_data,
-                                     calibrator_data, 2, _REPLICA_CFG,
-                                     seeds=_REPLICA_SEEDS[:2])
-    for a, b in zip(replicas_a, replicas_b):
-        for la, lb in zip(a.decision.layers, b.decision.layers):
-            assert np.array_equal(la.weights, lb.weights)
-        assert a.accuracy_pct == b.accuracy_pct
-        assert a.mape_pct == b.mape_pct
     _update_results("reproducibility", {
         "rfe_scores_identical": True,
         "sweep_points_identical": True,
-        "replica_weights_identical": True,
     })

@@ -8,15 +8,15 @@ that: each round trains a Decision-maker on the surviving features,
 permutes one candidate column of the test split at a time, and
 eliminates the least important quarter.
 
-Scoring is batched by default: the ``columns × repeats`` permuted
-copies of the test split are stacked into one ``(P, rows, features)``
-tensor and pushed through the Decision-maker with one ``np.matmul`` per
-layer (the shared weight matrix broadcasts across the stack), instead
-of ``columns × repeats`` separate ``predict_class`` calls.  The batched
-path consumes the *same* random stream in the same order as the serial
-loop — ``rng.permutation(n)`` draws exactly what ``rng.shuffle`` on a
-length-``n`` column would — so importances, eliminations and the final
-selected set are identical either way.
+Scoring is batched: the ``columns × repeats`` permuted copies of the
+test split are stacked into one ``(P, rows, features)`` tensor and
+pushed through the Decision-maker with one ``np.matmul`` per layer (the
+shared weight matrix broadcasts across the stack), instead of
+``columns × repeats`` separate ``predict_class`` calls.  The batched
+path consumes the *same* random stream in the same order as the
+per-column reference :func:`_permutation_importance` —
+``rng.permutation(n)`` draws exactly what ``rng.shuffle`` on a
+length-``n`` column would — so the tests can check the two bit for bit.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class RFESelector:
                  target_count: int = 3, drop_fraction: float = 0.25,
                  hidden: tuple[int, ...] = (20, 20),
                  train_config: TrainConfig | None = None,
-                 seed: int = 0, batched: bool = True,
+                 seed: int = 0,
                  stats: CampaignStats | None = None) -> None:
         if target_count < 1:
             raise DatasetError("must select at least one feature")
@@ -222,7 +222,6 @@ class RFESelector:
         self.train_config = train_config or TrainConfig(
             epochs=30, patience=6, learning_rate=3e-3, seed=seed)
         self.seed = seed
-        self.batched = batched
         self.stats = stats if stats is not None else CampaignStats()
         self._workspace = ImportanceWorkspace()
 
@@ -247,22 +246,15 @@ class RFESelector:
         """Permutation importances for one round's surviving features.
 
         The unpermuted baseline is the round accuracy already in hand,
-        so neither path re-runs the clean forward per column.
+        so the clean forward is not re-run per column.
         """
         offset = len(self.always_keep)
         self.stats.count("rfe_columns_scored", len(current))
-        if self.batched:
-            scores = permutation_importances(
-                model, x_test, y_test,
-                [offset + position for position in range(len(current))],
-                rng, base=acc, workspace=self._workspace)
-            return {name: float(score)
-                    for name, score in zip(current, scores)}
-        return {
-            name: _permutation_importance(
-                model, x_test, y_test, offset + position, rng, base=acc)
-            for position, name in enumerate(current)
-        }
+        scores = permutation_importances(
+            model, x_test, y_test,
+            [offset + position for position in range(len(current))],
+            rng, base=acc, workspace=self._workspace)
+        return {name: float(score) for name, score in zip(current, scores)}
 
     def run(self) -> RFEResult:
         """Execute the elimination loop; returns the full record."""

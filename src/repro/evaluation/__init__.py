@@ -2,10 +2,9 @@
 
 from .cache import cached_comparison, comparison_cache_key
 from .experiments import (Fig3Result, Fig4Result, HardwareResult,
-                          Table1Result, Table2Result,
-                          build_pipeline_for_experiments,
-                          fig4_cache_token, fig4_policy_factories, run_fig3,
-                          run_fig4, run_hardware, run_table1, run_table2)
+                          Table1Result, Table2Result, fig4_cache_token,
+                          fig4_policy_factories, run_fig3, run_fig4,
+                          run_hardware, run_table1, run_table2)
 from .export import (export_comparison_csv, export_fig3_csv,
                      export_fig4_json, load_fig4_json)
 from .fleet_chaos import (ChaosTrial, FleetChaosConfig, FleetChaosResult,
@@ -25,7 +24,7 @@ from .soak import (KernelSoak, SoakConfig, SoakResult,
 __all__ = [
     "cached_comparison", "comparison_cache_key",
     "Fig3Result", "Fig4Result", "HardwareResult", "Table1Result",
-    "Table2Result", "build_pipeline_for_experiments",
+    "Table2Result",
     "fig4_cache_token", "fig4_policy_factories", "run_fig3", "run_fig4",
     "run_hardware", "run_table1", "run_table2",
     "export_comparison_csv", "export_fig3_csv", "export_fig4_json",

@@ -27,7 +27,7 @@ from ..nn.compress import (CompressionPoint, TrainedPair,
 from ..nn.trainer import TrainConfig
 from ..core.combined import SSMDVFSModel
 from ..core.controller import SSMDVFSController
-from ..core.pipeline import PipelineConfig, PipelineResult, build_from_dataset
+from ..core.pipeline import PipelineResult
 from ..baselines.flemma import FLEMMAPolicy
 from ..baselines.pcstall import PCSTALLPolicy
 from ..parallel import CampaignStats
@@ -71,17 +71,11 @@ class Table1Result:
 
 def run_table1(dataset: DVFSDataset, arch: GPUArchConfig,
                target_count: int = 3, seed: int = 0,
-               batched: bool = True,
                stats: CampaignStats | None = None) -> Table1Result:
-    """Reproduce Table I: RFE down to three indirect features + power.
-
-    ``batched=True`` (the default) scores all candidate columns of each
-    round with one stacked forward pass; ``batched=False`` keeps the
-    column-by-column loop (same results, for cross-checking).
-    """
+    """Reproduce Table I: RFE down to three indirect features + power."""
     selector = RFESelector(dataset, arch.issue_width,
                            target_count=target_count, seed=seed,
-                           batched=batched, stats=stats)
+                           stats=stats)
     rfe = selector.run()
     selected = [(name, paper_category(name)) for name in rfe.all_features]
     return Table1Result(rfe=rfe, selected_with_categories=selected)
@@ -451,16 +445,3 @@ def run_hardware(model: SSMDVFSModel, epoch_s: float = us(10),
     report = asic.report([model.decision_model, model.calibrator_model],
                          sparse=True, node_nm=28)
     return HardwareResult(report=report, epoch_s=epoch_s, gpu_tdp_w=gpu_tdp_w)
-
-
-# ---------------------------------------------------------------------------
-# Convenience: a sized-down full build for tests/benches
-# ---------------------------------------------------------------------------
-
-
-def build_pipeline_for_experiments(dataset: DVFSDataset,
-                                   arch: GPUArchConfig,
-                                   config: PipelineConfig | None = None
-                                   ) -> PipelineResult:
-    """Standard pipeline build used by the experiment benchmarks."""
-    return build_from_dataset(dataset, arch, config)

@@ -157,11 +157,6 @@ class FaultSweepCell:
     kernels: int
     counters: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def violation_rate(self) -> float:
-        """Fraction of kernels whose latency blew the preset budget."""
-        return self.violations / self.kernels if self.kernels else 0.0
-
 
 @dataclass
 class FaultSweepResult:

@@ -243,25 +243,11 @@ class EpochActivity:
         return self.instructions / self.cycles if self.cycles > 0 else 0.0
 
     @property
-    def avg_active_warps(self) -> float:
-        """Instruction-weighted mean of schedulable warps."""
-        if self.instructions <= 0:
-            return 0.0
-        return self.warp_inst_weighted / self.instructions
-
-    @property
     def avg_mem_latency(self) -> float:
         """Instruction-weighted mean memory latency (core cycles)."""
         if self.instructions <= 0:
             return 0.0
         return self.mem_latency_weighted / self.instructions
-
-    @property
-    def avg_bandwidth_utilization(self) -> float:
-        """Busy-time-weighted DRAM bandwidth utilisation."""
-        if self.busy_s <= 0:
-            return 0.0
-        return self.bandwidth_util_time / self.busy_s
 
 
 class ClusterState:

@@ -5,8 +5,7 @@ from .compress import (PAPER_BASE_SPEC, PAPER_COMPRESSED_SPEC,
                        SplitData, TrainedPair, default_layerwise_grid,
                        default_pruning_grid, evaluate_pair, layer_wise_sweep,
                        pair_fingerprint, prune_and_finetune, pruning_sweep,
-                       split_fingerprint, sweep_cache_key, train_pair,
-                       train_pair_replicas)
+                       split_fingerprint, sweep_cache_key, train_pair)
 from .flops import combined_flops, layer_flops, macs, model_flops
 from .initializers import get_initializer, he_uniform, xavier_uniform
 from .layers import Dense
@@ -15,10 +14,6 @@ from .metrics import (accuracy, confusion_matrix, macro_f1, mape,
                       within_one_accuracy)
 from .mlp import MLP
 from .optim import SGD, Adam
-from .population import (PopulationAdam, PopulationDense, PopulationMLP,
-                         PopulationSGD, fit_population,
-                         train_population_classifier,
-                         train_population_regressor)
 from .prune import PruneReport, magnitude_prune, neuron_prune, prune_model
 from .quant import (FixedPointFormat, QuantizationReport, choose_format,
                     quantize_model)
@@ -33,7 +28,6 @@ __all__ = [
     "default_layerwise_grid", "default_pruning_grid", "evaluate_pair",
     "layer_wise_sweep", "pair_fingerprint", "prune_and_finetune",
     "pruning_sweep", "split_fingerprint", "sweep_cache_key", "train_pair",
-    "train_pair_replicas",
     "combined_flops", "layer_flops", "macs", "model_flops",
     "get_initializer", "he_uniform", "xavier_uniform",
     "Dense",
@@ -42,9 +36,6 @@ __all__ = [
     "within_one_accuracy",
     "MLP",
     "SGD", "Adam",
-    "PopulationAdam", "PopulationDense", "PopulationMLP", "PopulationSGD",
-    "fit_population", "train_population_classifier",
-    "train_population_regressor",
     "PruneReport", "magnitude_prune", "neuron_prune", "prune_model",
     "FixedPointFormat", "QuantizationReport", "choose_format",
     "quantize_model",

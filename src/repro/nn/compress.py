@@ -20,10 +20,7 @@ content-addressed on ``(spec or prune params, train config, data
 fingerprint)``, alongside the datagen and evaluation caches.  A grid
 point is deterministic given that key, so re-sweeping after an
 interruption or with an overlapping grid trains only the missing
-points.  Homogeneous seed-replicated training goes through
-:func:`train_pair_replicas`, which fuses all replicas into one
-:mod:`repro.nn.population` lockstep pass instead of a Python loop of
-scalar trainings.
+points.  Every model here is trained by :func:`repro.nn.trainer.fit`.
 """
 
 from __future__ import annotations
@@ -43,8 +40,6 @@ from ..store import atomic_write_text
 from .flops import model_flops
 from .metrics import accuracy, mape
 from .mlp import MLP
-from .population import (PopulationMLP, train_population_classifier,
-                         train_population_regressor)
 from .prune import prune_model
 from .trainer import (TrainConfig, TrainHistory, train_classifier,
                       train_regressor)
@@ -175,57 +170,6 @@ def train_pair(spec: ArchitectureSpec, decision_data: SplitData,
                              calibrator_data)
     return TrainedPair(decision, calibrator, acc, err,
                        decision_history, calibrator_history)
-
-
-def train_pair_replicas(spec: ArchitectureSpec, decision_data: SplitData,
-                        calibrator_data: SplitData, num_levels: int,
-                        config: TrainConfig | None = None,
-                        seeds: tuple[int, ...] = (0,),
-                        stats: CampaignStats | None = None
-                        ) -> list[TrainedPair]:
-    """Train ``spec`` at several init seeds in one fused population pass.
-
-    Replica ``i`` initialises its models exactly like
-    ``train_pair(spec, ..., seed=seeds[i])`` (one generator shared by
-    the Decision-maker then the Calibrator) and trains on the same
-    ``config.seed`` data split, so each returned pair matches its
-    serial counterpart to BLAS rounding — but all replicas share one
-    lockstep loop per head instead of ``len(seeds)`` scalar trainings.
-    """
-    if not seeds:
-        raise CompressionError("need at least one replica seed")
-    config = config or TrainConfig()
-    stats = stats if stats is not None else CampaignStats()
-    decision_models, calibrator_models = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        decision_models.append(
-            MLP([decision_data.x_train.shape[1], *spec.decision_hidden,
-                 num_levels], rng=rng))
-        calibrator_models.append(
-            MLP([calibrator_data.x_train.shape[1], *spec.calibrator_hidden,
-                 1], rng=rng))
-    decision_pop = PopulationMLP.from_models(decision_models)
-    calibrator_pop = PopulationMLP.from_models(calibrator_models)
-    with stats.stage("population_train", tasks=2 * len(seeds)):
-        decision_histories = train_population_classifier(
-            decision_pop, decision_data.x_train, decision_data.y_train,
-            config)
-        calibrator_histories = train_population_regressor(
-            calibrator_pop, calibrator_data.x_train,
-            calibrator_data.y_train, config)
-    pairs = []
-    for index in range(len(seeds)):
-        decision = decision_pop.member(index)
-        calibrator = calibrator_pop.member(index)
-        acc, err = evaluate_pair(decision, calibrator, decision_data,
-                                 calibrator_data)
-        pairs.append(TrainedPair(decision, calibrator, acc, err,
-                                 decision_histories[index],
-                                 calibrator_histories[index]))
-    stats.count("train_models", 2 * len(seeds))
-    stats.count("train_epochs", sum(pair.epochs_run for pair in pairs))
-    return pairs
 
 
 def default_layerwise_grid() -> list[ArchitectureSpec]:

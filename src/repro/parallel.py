@@ -371,10 +371,6 @@ def _checkpoint_clear(checkpoint: CampaignCheckpoint | None,
         stats.count("campaign_suppressed_errors")
 
 
-def _serial_map(fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
-    return [fn(task) for task in tasks]
-
-
 def _serial_pass(fn: Callable[[T], R], tasks: Sequence[T],
                  results: dict[int, R], stats: CampaignStats,
                  checkpoint: CampaignCheckpoint | None) -> list[R]:

@@ -138,11 +138,6 @@ class ThermalTracker:
         """Hottest temperature any cluster has reached."""
         return max(node.peak_c for node in self.nodes)
 
-    @property
-    def mean_temperature_c(self) -> float:
-        """Current mean cluster temperature."""
-        return sum(n.temperature_c for n in self.nodes) / len(self.nodes)
-
 
 def run_with_thermal(simulator, policy, config: ThermalConfig | None = None,
                      max_epochs: int = 100_000):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.mlp import MLP
 from repro.nn.trainer import (TrainConfig, train_classifier, train_regressor)
@@ -57,6 +58,24 @@ def test_best_checkpoint_restored():
         model, x, y, TrainConfig(epochs=40, patience=40, seed=4))
     assert 0 <= history.best_epoch < history.epochs_run
     assert history.best_val_loss == min(history.val_losses)
+
+
+def test_best_checkpoint_weights_restored():
+    """After an early stop the model holds its best-epoch weights, not
+    the last epoch's: its loss on the validation split is the best one."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(200, 2))
+    y = rng.integers(0, 3, size=200)
+    model = MLP([2, 16, 3], rng=rng)
+    config = TrainConfig(epochs=500, patience=5, seed=3)
+    history = train_classifier(model, x, y, config)
+    assert history.stopped_early
+    assert history.best_epoch < history.epochs_run - 1
+    order = np.random.default_rng(config.seed).permutation(x.shape[0])
+    val = order[:int(x.shape[0] * config.validation_fraction)]
+    loss, _ = SoftmaxCrossEntropy()(model.forward(x[val]), y[val])
+    assert loss == pytest.approx(history.best_val_loss, rel=1e-12)
+    assert loss < history.val_losses[-1]
 
 
 def test_training_is_deterministic():

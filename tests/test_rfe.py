@@ -174,23 +174,38 @@ def test_serial_base_argument_matches_recompute(scoring_setup):
     assert with_base == without
 
 
-def test_selector_batched_and_serial_agree(small_dataset, small_arch):
-    """End to end: both scoring paths pick the same features with the
-    same importances, and the counters land in stats."""
+def test_selector_batched_and_serial_agree(small_dataset, small_arch,
+                                           monkeypatch):
+    """End to end: the selector's stacked scoring picks the same
+    features with the same importances as a run whose scorer is the
+    per-column reference loop, and the counters land in stats."""
     candidates = ("ipc", "inst_total", "frac_mem", "occupancy",
                   "stall_control", "l1_read_miss")
     config = TrainConfig(epochs=12, patience=4, learning_rate=3e-3, seed=5)
 
-    def run(batched):
+    def run():
         stats = CampaignStats()
         result = RFESelector(
             small_dataset, small_arch.issue_width, candidates=candidates,
-            target_count=3, seed=5, train_config=config,
-            batched=batched, stats=stats).run()
+            target_count=3, seed=5, train_config=config, stats=stats).run()
         return result, stats
 
-    batched_result, batched_stats = run(True)
-    serial_result, serial_stats = run(False)
+    scored = []
+
+    def per_column(model, x_test, y_test, columns, rng, repeats=3,
+                   base=None, workspace=None):
+        scored.append(len(columns))
+        return np.array([
+            _permutation_importance(model, x_test, y_test, column, rng,
+                                    repeats=repeats, base=base)
+            for column in columns
+        ])
+
+    batched_result, batched_stats = run()
+    monkeypatch.setattr("repro.datagen.rfe.permutation_importances",
+                        per_column)
+    serial_result, serial_stats = run()
+    assert scored == [len(r.features) for r in serial_result.rounds]
     assert batched_result.selected == serial_result.selected
     assert len(batched_result.rounds) == len(serial_result.rounds)
     for b_round, s_round in zip(batched_result.rounds, serial_result.rounds):
