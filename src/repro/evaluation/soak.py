@@ -41,12 +41,11 @@ from ..core.controller import SSMDVFSController
 from ..core.drift import DriftConfig, DriftMonitor, RollbackManager
 from ..core.guarded import GuardedController
 from ..core.policy import StaticPolicy, validate_decision
-from ..errors import PolicyError, SimulationError
+from ..errors import PolicyError
 from ..faults import FaultConfig, FaultyPolicy
 from ..gpu.arch import GPUArchConfig
 from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
-from ..power.energy import EnergyAccount
 from ..power.model import PowerModel
 from ..store import ArtifactStore
 from ..units import us
@@ -178,8 +177,70 @@ def perturb_model_weights(model: SSMDVFSModel, sigma: float,
 # The soak itself
 # ---------------------------------------------------------------------------
 
-def _counter(counters: dict[str, int], name: str) -> int:
-    return int(counters.get(name, 0))
+class _SoakProbe:
+    """Policy wrapper that runs the soak's chaos and checks per epoch.
+
+    At ``stale_epoch`` it silently corrupts whichever pair is serving.
+    Every decision is re-validated *outside* the whole policy stack
+    (invariant 1): a malformed one is counted and replaced by the
+    default level, so the soak keeps collecting evidence.  From the
+    injection on, the policy's counters are polled for the first drift
+    alarm and the first heal.
+    """
+
+    def __init__(self, policy: FaultyPolicy, guarded: GuardedController,
+                 stale_epoch: int, stale_sigma: float,
+                 rng: np.random.Generator) -> None:
+        self.policy = policy
+        self.name = policy.name
+        self.guarded = guarded
+        self.stale_epoch = stale_epoch
+        self.stale_sigma = stale_sigma
+        self.rng = rng
+        self.alarm_epoch: int | None = None
+        self.healed_epoch: int | None = None
+        self.healed_by: str | None = None
+        self.invalid_decisions = 0
+        # A badly-fitted pair may drift and get healed *before* the
+        # injection; only detections of the injected staleness count,
+        # so episode counts are snapshotted at the injection epoch.
+        self._before: dict[str, int] = {}
+
+    def reset(self, simulator: GPUSimulator) -> None:
+        self.policy.reset(simulator)
+        self.table = simulator.arch.vf_table
+        self.num_clusters = len(simulator.clusters)
+
+    def _grew(self, counters: dict[str, int], name: str) -> bool:
+        return int(counters.get(name, 0)) > int(self._before.get(name, 0))
+
+    def decide(self, record) -> list[int]:
+        epoch = record.index + 1
+        if epoch == self.stale_epoch:
+            victim = getattr(self.guarded.inner, "model", None)
+            if victim is not None:
+                perturb_model_weights(victim, self.stale_sigma, self.rng)
+            self._before = self.policy.observability_counters()
+        decision = self.policy.decide(record)
+        try:
+            levels = validate_decision(decision, self.table.num_levels,
+                                       self.num_clusters)
+        except PolicyError:
+            self.invalid_decisions += 1
+            levels = [self.table.default_level] * self.num_clusters
+        if epoch >= self.stale_epoch and (self.alarm_epoch is None
+                                          or self.healed_epoch is None):
+            counters = self.policy.observability_counters()
+            if self.alarm_epoch is None and self._grew(counters,
+                                                       "drift_alarms"):
+                self.alarm_epoch = epoch
+            if self.healed_epoch is None:
+                if self._grew(counters, "rollback_hot_swaps"):
+                    self.healed_epoch, self.healed_by = epoch, "hot_swap"
+                elif self._grew(counters, "rollback_pinned_fallback"):
+                    self.healed_epoch = epoch
+                    self.healed_by = "pinned_fallback"
+        return levels
 
 
 def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
@@ -201,82 +262,23 @@ def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
                                 drift_monitor=DriftMonitor(config.drift),
                                 rollback=rollback)
     policy = FaultyPolicy(guarded, config.faults.with_seed(seed))
-
-    simulator = GPUSimulator(arch, kernel, power_model, seed=seed,
-                             epoch_s=config.epoch_s)
-    policy.reset(simulator)
-    rng = np.random.default_rng(seed ^ 0x5A5A)
-    account = EnergyAccount()
-    num_levels = arch.vf_table.num_levels
-    num_clusters = len(simulator.clusters)
-    epochs = 0
-    alarm_epoch: int | None = None
-    healed_epoch: int | None = None
-    healed_by: str | None = None
-    invalid_decisions = 0
-    # A badly-fitted pair may drift and get healed *before* the
-    # injection; the invariants must credit only detections of the
-    # injected staleness, so episode counts are snapshotted at the
-    # injection epoch and only increments past them count.
-    pre_alarms = pre_swaps = pre_pins = 0
-    while not simulator.finished:
-        if epochs >= config.max_epochs:
-            raise SimulationError(
-                f"soak run exceeded {config.max_epochs} epochs on "
-                f"{kernel.name!r}")
-        record = simulator.step_epoch()
-        epochs += 1
-        if record.all_finished:
-            time_s, energy_j = simulator.truncate_final_record(record)
-            account.add(energy_j, time_s)
-            continue
-        account.add(record.energy_j, record.duration_s)
-        if epochs == stale_epoch:
-            # The chaos event: whichever pair is *currently* serving —
-            # the original, or one already hot-swapped in — silently
-            # goes stale.
-            victim = getattr(guarded.inner, "model", None)
-            if victim is not None:
-                perturb_model_weights(victim, config.stale_sigma, rng)
-            before = policy.observability_counters()
-            pre_alarms = _counter(before, "drift_alarms")
-            pre_swaps = _counter(before, "rollback_hot_swaps")
-            pre_pins = _counter(before, "rollback_pinned_fallback")
-        decision = policy.decide(record)
-        # Invariant 1, checked *outside* the whole policy stack: what
-        # actually reaches the actuator must always be a clean level
-        # list.  A failure is recorded and neutralised so the soak can
-        # keep collecting evidence.
-        try:
-            levels = validate_decision(decision, num_levels, num_clusters)
-        except PolicyError:
-            invalid_decisions += 1
-            levels = [arch.vf_table.default_level] * num_clusters
-        simulator.apply_decision(levels)
-        if epochs >= stale_epoch and (alarm_epoch is None
-                                      or healed_epoch is None):
-            counters = policy.observability_counters()
-            if (alarm_epoch is None
-                    and _counter(counters, "drift_alarms") > pre_alarms):
-                alarm_epoch = epochs
-            if healed_epoch is None:
-                if _counter(counters, "rollback_hot_swaps") > pre_swaps:
-                    healed_epoch, healed_by = epochs, "hot_swap"
-                elif (_counter(counters, "rollback_pinned_fallback")
-                        > pre_pins):
-                    healed_epoch, healed_by = epochs, "pinned_fallback"
+    probe = _SoakProbe(policy, guarded, stale_epoch, config.stale_sigma,
+                       np.random.default_rng(seed ^ 0x5A5A))
+    run = GPUSimulator(arch, kernel, power_model, seed=seed,
+                       epoch_s=config.epoch_s).run(
+        probe, max_epochs=config.max_epochs, keep_records=False)
 
     return KernelSoak(
         kernel_name=kernel.name,
-        epochs=epochs,
+        epochs=run.epochs,
         baseline_epochs=baseline.epochs,
         stale_epoch=stale_epoch,
-        alarm_epoch=alarm_epoch,
-        healed_epoch=healed_epoch,
-        healed_by=healed_by,
-        normalized_latency=account.time_s / baseline.time_s,
-        normalized_edp=account.edp / baseline.edp,
-        invalid_decisions=invalid_decisions,
+        alarm_epoch=probe.alarm_epoch,
+        healed_epoch=probe.healed_epoch,
+        healed_by=probe.healed_by,
+        normalized_latency=run.time_s / baseline.time_s,
+        normalized_edp=run.edp / baseline.edp,
+        invalid_decisions=probe.invalid_decisions,
     ), policy.observability_counters()
 
 

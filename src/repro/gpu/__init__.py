@@ -1,7 +1,7 @@
 """GPGPU-Sim surrogate: architecture, kernels, interval model, simulator."""
 
 from .arch import GPUArchConfig, small_test_config, titan_x_config
-from .cluster import ClusterState, EpochActivity, build_counters
+from .cluster import ClusterState
 from .counters import (COUNTER_NAMES, COUNTER_SCHEMA, DIRECT_FEATURE_NAMES,
                        INDIRECT_FEATURE_NAMES, NUM_COUNTERS, PAPER_ALIASES,
                        CounterCategory, CounterSet, paper_category)
@@ -18,7 +18,7 @@ from .vf import (OperatingPoint, VFTable, interpolated_vf_table,
 
 __all__ = [
     "GPUArchConfig", "small_test_config", "titan_x_config",
-    "ClusterState", "EpochActivity", "build_counters",
+    "ClusterState",
     "COUNTER_NAMES", "COUNTER_SCHEMA", "DIRECT_FEATURE_NAMES",
     "INDIRECT_FEATURE_NAMES", "NUM_COUNTERS", "PAPER_ALIASES",
     "CounterCategory", "CounterSet", "paper_category",

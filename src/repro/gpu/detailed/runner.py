@@ -20,11 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ...errors import SimulationError
 from ...power.model import PowerModel
 from ..arch import GPUArchConfig
+from ..cluster import (A_BUSY_S, A_CLASS0, A_CYCLES, A_DRAM_BYTES,
+                       A_INSTRUCTIONS, A_ISSUE_SLOTS, A_L1_READ_ACCESS,
+                       A_L1_READ_MISS, A_L2_ACCESS, A_L2_MISS,
+                       A_STALL_DATA, A_STALL_MEM_LOAD, A_STALL_MEM_OTHER,
+                       A_WARP_INST, NUM_ACTIVITY_SLOTS,
+                       build_counters_matrix)
 from ..counters import CounterSet
-from ..cluster import EpochActivity
 from ..kernels import KernelProfile
 from ..phases import INSTRUCTION_CLASSES
 from ..simulator import EpochRecord
@@ -37,49 +44,50 @@ def counters_from_detailed(result: DetailedResult, arch: GPUArchConfig,
                            l2_miss_rate: float) -> CounterSet:
     """Synthesise the 47-counter schema from detailed-SM statistics.
 
-    Stall attribution is coarser than the interval model's (the
-    detailed model only observes empty-issue cycles), so stall counters
+    The statistics fill one activity vector, which then goes through
+    the same counter build and power evaluation as an interval-model
+    epoch.  Stall attribution is coarser than the interval model's (the
+    detailed model only observes empty-issue cycles), so stall slots
     are derived from the issue-slot deficit with the memory share taken
     from the cache statistics.
     """
     duration_s = result.cycles / frequency_hz
-    activity = EpochActivity(
-        duration_s=duration_s,
-        busy_s=duration_s,
-        frequency_hz=frequency_hz,
-        voltage_v=voltage_v,
-        cycles=float(result.cycles),
-        instructions=float(result.instructions),
-    )
-    for cls in INSTRUCTION_CLASSES:
-        activity.inst_by_class[cls] = float(result.inst_by_class.get(cls, 0))
-    activity.issue_slots = result.cycles * arch.issue_width
-    slots_deficit = max(0.0, activity.issue_slots - activity.instructions)
+    instructions = float(result.instructions)
+    activity = np.zeros((1, NUM_ACTIVITY_SLOTS), dtype=np.float64)
+    a = activity[0]
+    a[A_BUSY_S] = duration_s
+    a[A_CYCLES] = float(result.cycles)
+    a[A_INSTRUCTIONS] = instructions
+    for offset, cls in enumerate(INSTRUCTION_CLASSES):
+        a[A_CLASS0 + offset] = float(result.inst_by_class.get(cls, 0))
+    issue_slots = result.cycles * arch.issue_width
+    a[A_ISSUE_SLOTS] = issue_slots
+    slots_deficit = max(0.0, issue_slots - instructions)
     # Memory share of the stall deficit from observed cache behaviour.
-    loads = activity.inst_by_class["load"]
-    stores = activity.inst_by_class["store"]
+    loads = float(result.inst_by_class.get("load", 0))
+    stores = float(result.inst_by_class.get("store", 0))
     mem_weight = (loads + 0.45 * stores) * (1.0 + 2.0 * result.l1_miss_rate)
-    other_weight = max(1.0, activity.instructions - loads - stores)
+    other_weight = max(1.0, instructions - loads - stores)
     mem_share = mem_weight / (mem_weight + 0.15 * other_weight)
-    activity.stall_mem_load = slots_deficit * mem_share * (
+    a[A_STALL_MEM_LOAD] = slots_deficit * mem_share * (
         loads / max(1.0, loads + stores))
-    activity.stall_mem_other = slots_deficit * mem_share * (
+    a[A_STALL_MEM_OTHER] = slots_deficit * mem_share * (
         stores / max(1.0, loads + stores))
-    activity.stall_data = slots_deficit * (1.0 - mem_share)
-    activity.l1_read_access = float(result.l1_accesses)
-    activity.l1_read_miss = float(result.l1_misses)
-    activity.l2_access = float(result.l1_misses)
-    activity.l2_miss = float(result.l1_misses) * l2_miss_rate
-    activity.dram_bytes = float(result.dram_bytes)
-    activity.warp_inst_weighted = activity.instructions * 32.0
+    a[A_STALL_DATA] = slots_deficit * (1.0 - mem_share)
+    a[A_L1_READ_ACCESS] = float(result.l1_accesses)
+    a[A_L1_READ_MISS] = float(result.l1_misses)
+    a[A_L2_ACCESS] = float(result.l1_misses)
+    a[A_L2_MISS] = float(result.l1_misses) * l2_miss_rate
+    a[A_DRAM_BYTES] = float(result.dram_bytes)
+    a[A_WARP_INST] = instructions * 32.0
 
-    from ..cluster import build_counters
-    counters = build_counters(activity, arch)
-    power = power_model.cluster_power(activity)
-    counters["power_per_core"] = power.total_w
-    counters["power_dynamic"] = power.dynamic_w
-    counters["power_static"] = power.static_w
-    counters["energy_epoch"] = power.energy_j
+    counters = CounterSet.from_vector(build_counters_matrix(activity, arch)[0])
+    dynamic_w, static_w, energy_j = power_model.cluster_power_batch(
+        activity, np.array([duration_s]), np.array([voltage_v]))
+    counters["power_per_core"] = dynamic_w[0] + static_w[0]
+    counters["power_dynamic"] = dynamic_w[0]
+    counters["power_static"] = static_w[0]
+    counters["energy_epoch"] = energy_j[0]
     return counters
 
 

@@ -8,9 +8,9 @@ policy together into the 10 µs epoch loop of the paper:
 3. the policy observes the epoch record and returns the next operating
    point per cluster (or one level broadcast to all).
 
-The simulator also provides the snapshot/restore and
-run-until-instruction-mark primitives that the data-generation protocol
-(§III-A) needs to replay the same 100 µs segment at each V/f point.
+The simulator also provides the snapshot/restore primitives that the
+data-generation protocol (§III-A) needs to replay the same 100 µs
+segment at each V/f point.
 """
 
 from __future__ import annotations
@@ -293,35 +293,15 @@ class GPUSimulator:
         self.epoch_index += 1
         return record
 
-    def _final_epoch_adjustment(self, record: EpochRecord) -> tuple[float, float]:
-        """Effective (time, energy) of a run-ending epoch.
-
-        Clusters finish mid-epoch; the program is done once the last
-        busy cluster drains, so the idle tail's static/clock power is
-        refunded and time is truncated to the drain point.  This is the
-        non-mutating variant; :meth:`truncate_final_record` additionally
-        rewrites the record so stored records stay consistent with the
-        energy account.
-        """
-        effective_time = min(record.duration_s, max(record.finish_time_s, 1e-12))
-        unused = record.duration_s - effective_time
-        static_total = sum(c["power_static"] for c in record.cluster_counters)
-        static_total += self.power_model.config.uncore_static_w
-        refund = unused * static_total
-        effective_energy = max(0.0, record.energy_j - refund)
-        return effective_time, effective_energy
-
     def truncate_final_record(self, record: EpochRecord
                               ) -> tuple[float, float]:
         """Truncate a run-ending record *in place* to the drain point.
 
-        Historically only the energy account was adjusted while the
-        record kept its full ``duration_s``, so ``RunResult.time_s``
-        disagreed with the summed record durations by up to one epoch.
-        Mutating the record keeps the two views consistent: the idle
-        tail's time is cut and its static/clock energy refunded per
-        component (cluster vs uncore), mirroring
-        :meth:`_final_epoch_adjustment`'s totals.
+        Clusters finish mid-epoch; the program is done once the last
+        busy cluster drains.  The idle tail's time is cut and its static
+        energy refunded per component (cluster vs uncore), so the
+        record stays consistent with the energy account built from it.
+        Returns the record's truncated ``(duration_s, energy_j)``.
         """
         effective_time = min(record.duration_s,
                              max(record.finish_time_s, 1e-12))
@@ -373,42 +353,6 @@ class GPUSimulator:
             epochs=epochs,
             records=records,
         )
-
-    def run_epochs_at_level(self, level: int, num_epochs: int) -> list[EpochRecord]:
-        """Run ``num_epochs`` epochs pinned at one operating point."""
-        self.set_all_levels(level)
-        records = []
-        for _ in range(num_epochs):
-            if self.finished:
-                break
-            records.append(self.step_epoch())
-        return records
-
-    def run_until_instructions(self, target_mean_instructions: float,
-                               max_epochs: int = 100_000) -> list[EpochRecord]:
-        """Run at current levels until the mean per-cluster instruction
-        count reaches ``target_mean_instructions`` (or the kernel ends).
-
-        This is the "resume until the breakpoint-relative workload mark"
-        primitive of the data-generation protocol (§III-A): total
-        workload is held constant across V/f variants by running to an
-        instruction mark, not to a time mark.
-
-        The mark is crossed mid-epoch, and the final record deliberately
-        keeps its full ``duration_s`` — no truncation is applied because
-        the simulator genuinely ran (and spent energy over) the whole
-        epoch.  Callers needing sub-epoch resolution interpolate within
-        that final epoch, as the data-generation protocol does.
-        """
-        records = []
-        epochs = 0
-        while (not self.finished
-               and self.mean_instructions_done() < target_mean_instructions):
-            if epochs >= max_epochs:
-                raise SimulationError("instruction mark never reached")
-            records.append(self.step_epoch())
-            epochs += 1
-        return records
 
     # ------------------------------------------------------------------
     # Snapshots (for data-generation replay)

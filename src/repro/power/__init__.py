@@ -1,17 +1,13 @@
 """McPAT-surrogate power model and energy/EDP accounting."""
 
-from .breakdown import (EnergyBreakdown, breakdown_for_epoch,
-                        run_with_breakdown)
 from .energy import EnergyAccount, performance_loss
-from .model import (REFERENCE_VOLTAGE, ClusterPower, PowerModel,
-                    PowerModelConfig, UncorePower)
+from .model import (REFERENCE_VOLTAGE, PowerModel, PowerModelConfig,
+                    UncorePower)
 from .thermal import (ThermalConfig, ThermalNode, ThermalTracker,
                       run_with_thermal)
 
 __all__ = [
-    "EnergyBreakdown", "breakdown_for_epoch", "run_with_breakdown",
     "EnergyAccount", "performance_loss",
-    "REFERENCE_VOLTAGE", "ClusterPower", "PowerModel", "PowerModelConfig",
-    "UncorePower",
+    "REFERENCE_VOLTAGE", "PowerModel", "PowerModelConfig", "UncorePower",
     "ThermalConfig", "ThermalNode", "ThermalTracker", "run_with_thermal",
 ]

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..gpu.cluster import (A_CYCLES, A_DRAM_BYTES, A_L2_ACCESS, _CLASS_SLICE,
-                           EpochActivity)
+from ..gpu.cluster import A_CYCLES, A_DRAM_BYTES, A_L2_ACCESS, _CLASS_SLICE
 from ..gpu.phases import INSTRUCTION_CLASSES
 
 #: Reference voltage for the EPI table (volts).
@@ -90,20 +89,6 @@ class PowerModelConfig:
 
 
 @dataclass(frozen=True)
-class ClusterPower:
-    """Power breakdown of one cluster over one epoch."""
-
-    dynamic_w: float
-    static_w: float
-    energy_j: float
-
-    @property
-    def total_w(self) -> float:
-        """Average total cluster power over the epoch."""
-        return self.dynamic_w + self.static_w
-
-
-@dataclass(frozen=True)
 class UncorePower:
     """GPU-level (non-cluster) power over one epoch."""
 
@@ -155,34 +140,10 @@ class PowerModel:
         )
         return cls(scaled)
 
-    def cluster_power(self, activity: EpochActivity) -> ClusterPower:
-        """Power of one cluster for the epoch described by ``activity``."""
-        cfg = self.config
-        if activity.duration_s <= 0:
-            raise ConfigError("activity duration must be positive")
-        vratio = activity.voltage_v / REFERENCE_VOLTAGE
-        v2 = vratio * vratio
-
-        inst_energy = sum(
-            count * cfg.epi_table.get(cls, 0.0)
-            for cls, count in activity.inst_by_class.items()
-        )
-        clock_energy = activity.cycles * cfg.clock_energy_per_cycle_j
-        dynamic_j = (inst_energy + clock_energy) * v2
-        dynamic_w = dynamic_j / activity.duration_s
-
-        static_w = cfg.cluster_leakage_w * (vratio ** cfg.leakage_voltage_exponent)
-        static_j = static_w * activity.duration_s
-        return ClusterPower(
-            dynamic_w=dynamic_w,
-            static_w=static_w,
-            energy_j=dynamic_j + static_j,
-        )
-
     def cluster_power_batch(self, matrix: np.ndarray, durations: np.ndarray,
                             voltages: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`cluster_power` over stacked activity rows.
+        """Cluster power over stacked activity rows.
 
         ``matrix`` holds one activity vector per cluster row;
         ``durations`` and ``voltages`` are the per-row epoch lengths and

@@ -80,16 +80,6 @@ def test_simulator_epoch_index_advances(small_arch):
     assert second.start_time_s == pytest.approx(first.end_time_s)
 
 
-def test_run_until_instructions_guard(small_arch):
-    kernel = KernelProfile("edge.guard",
-                           [compute_phase("c", 100_000, warps=16)],
-                           iterations=1)
-    simulator = GPUSimulator(small_arch, kernel, seed=3)
-    # Mark far beyond the kernel: must stop at completion, not loop.
-    simulator.run_until_instructions(10 ** 12)
-    assert simulator.finished
-
-
 def test_negative_epoch_energy_rejected():
     from repro.power.energy import EnergyAccount
     account = EnergyAccount()

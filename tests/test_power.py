@@ -9,6 +9,7 @@ from repro.gpu.cluster import ClusterState
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.noise import WorkloadNoise
 from repro.gpu.phases import compute_phase, memory_phase
+from repro.gpu.quantum import run_epoch_batch
 from repro.power.energy import EnergyAccount, performance_loss
 from repro.power.model import PowerModel, PowerModelConfig
 from repro.rng import stream
@@ -18,50 +19,52 @@ ARCH = titan_x_config()
 
 
 def _activity(level=5, phase=None):
+    """One cluster epoch at ``level``: its activity vector and voltage."""
     kernel = KernelProfile(name="p.k", phases=[phase or compute_phase("c", 10 ** 8)])
     cluster = ClusterState(ARCH, kernel, WorkloadNoise(stream("pw", 1), 0.0))
     cluster.set_level(level)
-    return cluster.run_epoch(us(10))
+    activity = run_epoch_batch([cluster], us(10)).matrix[0]
+    return activity, ARCH.vf_table[level].voltage_v
 
 
 def _matrix(activities):
-    return np.stack([a.as_vector() for a in activities])
+    return np.stack([row for row, _ in activities])
+
+
+def _power(*activities, model=None):
+    """``(dynamic_w, static_w, energy_j)`` of 10 µs epochs, one per row."""
+    voltages = np.array([voltage for _, voltage in activities])
+    return (model or PowerModel()).cluster_power_batch(
+        _matrix(activities), np.full(len(activities), us(10)), voltages)
 
 
 def test_cluster_power_positive():
-    power = PowerModel().cluster_power(_activity())
-    assert power.dynamic_w > 0
-    assert power.static_w > 0
-    assert power.total_w == pytest.approx(power.dynamic_w + power.static_w)
+    dynamic_w, static_w, _ = _power(_activity())
+    assert dynamic_w[0] > 0
+    assert static_w[0] > 0
 
 
 def test_energy_consistent_with_power():
-    activity = _activity()
-    power = PowerModel().cluster_power(activity)
-    assert power.energy_j == pytest.approx(power.total_w * activity.duration_s)
+    dynamic_w, static_w, energy_j = _power(_activity())
+    assert energy_j[0] == pytest.approx((dynamic_w[0] + static_w[0]) * us(10))
 
 
 def test_lower_vf_uses_less_power():
-    model = PowerModel()
-    hi = model.cluster_power(_activity(level=5))
-    lo = model.cluster_power(_activity(level=0))
-    assert lo.dynamic_w < hi.dynamic_w
-    assert lo.static_w < hi.static_w
+    dynamic_w, static_w, _ = _power(_activity(level=5), _activity(level=0))
+    assert dynamic_w[1] < dynamic_w[0]
+    assert static_w[1] < static_w[0]
 
 
 def test_voltage_scaling_is_superlinear_for_leakage():
-    model = PowerModel()
     # Same frequency-independent leakage formula: V^3 by default.
-    hi = model.cluster_power(_activity(level=5)).static_w
-    lo = model.cluster_power(_activity(level=0)).static_w
-    assert hi / lo == pytest.approx(1.155 ** 3, rel=1e-6)
+    _, static_w, _ = _power(_activity(level=5), _activity(level=0))
+    assert static_w[0] / static_w[1] == pytest.approx(1.155 ** 3, rel=1e-6)
 
 
 def test_memory_phase_burns_less_core_power_than_compute():
-    model = PowerModel()
-    cmp_ = model.cluster_power(_activity(phase=compute_phase("c", 10 ** 8)))
-    mem = model.cluster_power(_activity(phase=memory_phase("m", 10 ** 8)))
-    assert mem.dynamic_w < cmp_.dynamic_w
+    dynamic_w, _, _ = _power(_activity(phase=compute_phase("c", 10 ** 8)),
+                             _activity(phase=memory_phase("m", 10 ** 8)))
+    assert dynamic_w[1] < dynamic_w[0]
 
 
 def test_gpu_envelope_under_reasonable_bound():
@@ -69,7 +72,8 @@ def test_gpu_envelope_under_reasonable_bound():
     model = PowerModel()
     activities = [_activity(phase=compute_phase("c", 10 ** 8, warps=56))
                   for _ in range(ARCH.num_clusters)]
-    cluster_w = sum(model.cluster_power(a).total_w for a in activities)
+    dynamic_w, static_w, _ = _power(*activities, model=model)
+    cluster_w = float((dynamic_w + static_w).sum())
     uncore_w = model.uncore_power(_matrix(activities), us(10)).total_w
     total = cluster_w + uncore_w
     assert 120 < total < 400  # 250 W TDP class
@@ -81,6 +85,18 @@ def test_uncore_power_tracks_traffic():
     cmp_ = [_activity(phase=compute_phase("c", 10 ** 8))] * 4
     assert (model.uncore_power(_matrix(mem), us(10)).dram_w
             > model.uncore_power(_matrix(cmp_), us(10)).dram_w)
+
+
+def test_power_rejects_nonpositive_duration():
+    model = PowerModel()
+    activity, voltage = _activity()
+    matrix = np.stack([activity, activity])
+    for bad in (0.0, -us(10)):
+        with pytest.raises(ConfigError):
+            model.cluster_power_batch(matrix, np.array([us(10), bad]),
+                                      np.array([voltage, voltage]))
+        with pytest.raises(ConfigError):
+            model.uncore_power(matrix, bad)
 
 
 def test_config_validation():

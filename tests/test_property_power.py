@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.gpu.arch import small_test_config
 from repro.gpu.cluster import ClusterState
 from repro.gpu.noise import WorkloadNoise
+from repro.gpu.quantum import run_epoch_batch
 from repro.gpu.simulator import GPUSimulator
 from repro.power.model import PowerModel
 from repro.rng import stream
@@ -17,30 +18,34 @@ from repro.workloads.generator import random_kernel
 ARCH = small_test_config(num_clusters=2)
 
 
-def _activity(seed, level):
+def _power(seed, level):
+    """``(dynamic_w, static_w, energy_j)`` of one random-kernel epoch."""
     kernel = random_kernel(np.random.default_rng(seed))
     cluster = ClusterState(ARCH, kernel,
                            WorkloadNoise(stream(f"p{seed}", seed),
                                          kernel.jitter))
     cluster.set_level(level)
-    return cluster.run_epoch(us(10))
+    matrix = run_epoch_batch([cluster], us(10)).matrix
+    voltage = ARCH.vf_table[level].voltage_v
+    dynamic_w, static_w, energy_j = PowerModel().cluster_power_batch(
+        matrix, np.array([us(10)]), np.array([voltage]))
+    return dynamic_w[0], static_w[0], energy_j[0]
 
 
 @given(st.integers(0, 10_000), st.integers(0, 5))
 @settings(max_examples=50, deadline=None)
 def test_power_always_positive(seed, level):
-    power = PowerModel().cluster_power(_activity(seed, level))
-    assert power.dynamic_w > 0  # idle clock still burns
-    assert power.static_w > 0
-    assert power.energy_j > 0
+    dynamic_w, static_w, energy_j = _power(seed, level)
+    assert dynamic_w > 0  # idle clock still burns
+    assert static_w > 0
+    assert energy_j > 0
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_power_monotone_in_operating_point(seed):
     """Same workload epoch at a higher V/f point never uses less power."""
-    powers = [PowerModel().cluster_power(_activity(seed, level)).total_w
-              for level in range(6)]
+    powers = [sum(_power(seed, level)[:2]) for level in range(6)]
     # Allow tiny non-monotonicity from different work completed per
     # epoch, but the ends must order strictly.
     assert powers[5] > powers[0]

@@ -133,20 +133,6 @@ def test_step_after_finish_rejected():
         sim.step_epoch()
 
 
-def test_run_until_instructions():
-    sim = _sim()
-    target = 30_000.0
-    sim.run_until_instructions(target)
-    assert sim.mean_instructions_done() >= target
-
-
-def test_run_epochs_at_level():
-    sim = _sim()
-    records = sim.run_epochs_at_level(1, 3)
-    assert len(records) == 3
-    assert all(r.levels == [1, 1, 1] for r in records)
-
-
 def test_snapshot_restore_replays_run():
     sim = _sim(seed=5)
     sim.step_epoch()

@@ -133,3 +133,11 @@ def test_thermal_lower_vf_runs_cooler(small_arch):
     _, cool = run_with_thermal(GPUSimulator(small_arch, kernel, seed=3),
                                StaticPolicy(0))
     assert cool.peak_temperature_c < hot.peak_temperature_c
+
+
+def test_thermal_run_reports_tenant_mix(small_arch):
+    kernels = [KernelProfile(f"th.mix{i}", [compute_phase("c", 40_000)],
+                             iterations=2) for i in range(2)]
+    simulator = GPUSimulator(small_arch, kernels, seed=3)
+    result, _ = run_with_thermal(simulator, StaticPolicy(5))
+    assert result.kernel_name == simulator.workload_name == "th.mix0+th.mix1"
