@@ -192,7 +192,7 @@ def test_sweep_cache_speedup(tmp_path):
     start = time.perf_counter()
     cold_points = run(cold_stats)
     cold_s = time.perf_counter() - start
-    assert cold_stats.counter("sweep_cache_miss") == (
+    assert cold_stats.counters["sweep_cache_miss"] == (
         len(_SWEEP_SPECS) + len(_SWEEP_GRID))
 
     warm_stats = CampaignStats()
@@ -202,9 +202,9 @@ def test_sweep_cache_speedup(tmp_path):
         start = time.perf_counter()
         warm_points = run(warm_stats)
         warm_s = min(warm_s, time.perf_counter() - start)
-    assert warm_stats.counter("sweep_cache_hit") == (
+    assert warm_stats.counters["sweep_cache_hit"] == (
         len(_SWEEP_SPECS) + len(_SWEEP_GRID))
-    assert warm_stats.counter("train_models") == 0
+    assert warm_stats.counters["train_models"] == 0
     assert warm_points == cold_points
 
     speedup = cold_s / warm_s
@@ -214,8 +214,8 @@ def test_sweep_cache_speedup(tmp_path):
         "cold_s": cold_s,
         "warm_s": warm_s,
         "speedup": speedup,
-        "cold_train_models": cold_stats.counter("train_models"),
-        "warm_cache_hits": warm_stats.counter("sweep_cache_hit"),
+        "cold_train_models": cold_stats.counters["train_models"],
+        "warm_cache_hits": warm_stats.counters["sweep_cache_hit"],
     })
     assert speedup >= 2.0, f"sweep cache speedup collapsed: {speedup:.2f}x"
 

@@ -209,7 +209,7 @@ def cmd_run(args) -> int:
     """Drive one kernel with a saved model and print the outcome."""
     from .gpu.simulator import GPUSimulator
     from .core.guarded import GuardedController
-    from .core.policy import StaticPolicy
+    from .core.policy import StaticPolicy, policy_counters
     from .workloads.serialization import load_kernels
     from .workloads.suites import kernel_by_name
     arch = _arch(args)
@@ -232,7 +232,7 @@ def cmd_run(args) -> int:
           f"/ {run.energy_j * 1e3:.2f} mJ; normalized EDP "
           f"{run.edp / base.edp:.3f}, latency {run.time_s / base.time_s:.3f}")
     if args.guarded and args.stats:
-        counters = controller.observability_counters()
+        counters = policy_counters(controller)
         for name in sorted(counters):
             print(f"  {name:30s} {counters[name]}")
     return 0

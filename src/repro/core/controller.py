@@ -20,6 +20,7 @@ Every 10 µs epoch:
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from ..errors import PolicyError
 from ..gpu.simulator import EpochRecord, GPUSimulator
@@ -64,9 +65,11 @@ class SSMDVFSController(BasePolicy):
         self._cumulative_actual = 0.0
         self._log_bias = 0.0
         self.preset_trace: list[float] = []
-        #: Non-finite Calibrator predictions / observations dropped by
-        #: the calibration loop instead of poisoning the working preset.
-        self.calibration_anomalies = 0
+        #: ``calibration_anomalies``: non-finite Calibrator predictions /
+        #: observations dropped by the calibration loop instead of
+        #: poisoning the working preset.  Kept at 0 from the start so
+        #: every export carries it.
+        self.counters = Counter(calibration_anomalies=0)
         #: Latest *raw* (pre-bias-correction) predicted-vs-actual gap,
         #: normalised to [-1, 1]; ``None`` until the first comparison.
         #: This is the drift monitor's primary signal — the bias
@@ -94,14 +97,10 @@ class SSMDVFSController(BasePolicy):
         self._cumulative_actual = 0.0
         self._log_bias = 0.0
         self.preset_trace = []
-        self.calibration_anomalies = 0
+        self.counters = Counter(calibration_anomalies=0)
         self.last_gap = None
         self.last_violation = False
         simulator.set_all_levels(simulator.arch.vf_table.default_level)
-
-    def observability_counters(self) -> dict[str, int]:
-        """Controller-level anomaly counters (for campaign ``--stats``)."""
-        return {"calibration_anomalies": self.calibration_anomalies}
 
     def drift_signal(self) -> tuple[float | None, bool]:
         """The (gap, violation-pressure) pair the drift monitor consumes.
@@ -134,7 +133,7 @@ class SSMDVFSController(BasePolicy):
             # one non-finite term would stick the working preset at NaN
             # for the rest of the run.  Drop the pair and count it.
             if not (math.isfinite(predicted) and math.isfinite(actual)):
-                self.calibration_anomalies += 1
+                self.counters["calibration_anomalies"] += 1
                 continue
             predicted_sum += predicted
             actual_sum += actual
@@ -169,7 +168,7 @@ class SSMDVFSController(BasePolicy):
         if not math.isfinite(error):
             # Decayed-to-zero denominators under heavy fault injection;
             # hold the working preset rather than propagate the NaN.
-            self.calibration_anomalies += 1
+            self.counters["calibration_anomalies"] += 1
             self._cumulative_predicted = 0.0
             self._cumulative_actual = 0.0
             return
@@ -184,7 +183,7 @@ class SSMDVFSController(BasePolicy):
         self.working_preset = min(self.preset,
                                   max(self.min_preset, self.working_preset))
         if not math.isfinite(self.working_preset):
-            self.calibration_anomalies += 1
+            self.counters["calibration_anomalies"] += 1
             self.working_preset = self.preset
         self.last_violation = (self.preset > self.min_preset
                                and self.working_preset

@@ -25,6 +25,7 @@ pieces:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,7 +82,7 @@ class DriftMonitor:
 
     def __init__(self, config: DriftConfig | None = None) -> None:
         self.config = config or DriftConfig()
-        self.counters: dict[str, int] = {}
+        self.counters = Counter()
         self.reset()
 
     def reset(self) -> None:
@@ -91,9 +92,6 @@ class DriftMonitor:
         self.violation_pressure = 0.0
         self.updates = 0
         self.drifted = False
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     def update(self, gap: float | None, violation: bool = False) -> bool:
         """Fold one epoch's signals in; True when this update alarms.
@@ -105,10 +103,10 @@ class DriftMonitor:
         """
         config = self.config
         self.updates += 1
-        self._count("drift_updates")
+        self.counters["drift_updates"] += 1
         if gap is not None:
             if not math.isfinite(gap):
-                self._count("drift_nonfinite_gaps")
+                self.counters["drift_nonfinite_gaps"] += 1
                 magnitude = config.nonfinite_gap
             else:
                 magnitude = min(abs(gap), 1.0)
@@ -122,13 +120,9 @@ class DriftMonitor:
         if (self.cusum > config.cusum_limit
                 or self.violation_pressure > config.violation_threshold):
             self.drifted = True
-            self._count("drift_alarms")
+            self.counters["drift_alarms"] += 1
             return True
         return False
-
-    def observability_counters(self) -> dict[str, int]:
-        """Monitor counters (``drift_*``), for ``--stats`` fold-in."""
-        return dict(self.counters)
 
 
 class RollbackManager:
@@ -148,10 +142,7 @@ class RollbackManager:
         self.store = store
         self.name = name
         self.build = build
-        self.counters: dict[str, int] = {}
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+        self.counters = Counter()
 
     def _candidate_versions(self) -> list[int]:
         versions = [entry.version for entry in self.store.versions(self.name)]
@@ -167,23 +158,19 @@ class RollbackManager:
     def recover(self):
         """A fresh policy built from the best verifying pair, or None."""
         from .combined import SSMDVFSModel
-        self._count("rollback_attempts")
+        self.counters["rollback_attempts"] += 1
         for version in self._candidate_versions():
             try:
                 blob = self.store.get(self.name, version, fallback=False)
                 model = SSMDVFSModel.from_bytes(blob)
             except ArtifactCorrupt:
-                self._count("rollback_corrupt_versions")
+                self.counters["rollback_corrupt_versions"] += 1
                 continue
             if not model.verify():
-                self._count("rollback_unverified_versions")
+                self.counters["rollback_unverified_versions"] += 1
                 continue
-            self._count("rollback_successes")
+            self.counters["rollback_successes"] += 1
             self.counters["rollback_restored_version"] = version
             return self.build(model)
-        self._count("rollback_exhausted")
+        self.counters["rollback_exhausted"] += 1
         return None
-
-    def observability_counters(self) -> dict[str, int]:
-        """Rollback counters (``rollback_*``), for ``--stats`` fold-in."""
-        return dict(self.counters)

@@ -44,20 +44,25 @@ swapping again, which prevents two half-bad registry pairs from
 oscillating A -> B -> A forever.  In strict mode a drift alarm raises
 :class:`~repro.errors.DriftDetected` instead.
 
-Per-guard trip counters are exposed through
-:meth:`observability_counters` (``guard_*``, plus ``drift_*`` /
-``rollback_*`` when the drift layer is attached) and folded into
-campaign ``--stats`` by the evaluation runner.
+The guard counts its trips in ``counters`` (``guard_*``, plus the
+``drift_*`` / ``rollback_*`` reactions it takes).
+:func:`~repro.core.policy.policy_counters` folds them together with
+the wrapped policy's, the drift monitor's and the rollback manager's,
+and the evaluation runner adds that fold to campaign ``--stats``.  A
+hot-swap first moves the retiring policy's counters into the guard's,
+so its evidence outlives the swap.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
 from ..errors import DriftDetected, GuardTripped, PolicyError
 from ..gpu.counters import CounterSet
 from ..gpu.simulator import EpochRecord, GPUSimulator
-from .policy import BasePolicy, validate_decision
+from .policy import BasePolicy, policy_counters, validate_decision
 
 #: Guard states (strings so traces and reprs read naturally).
 ACTIVE = "active"
@@ -105,7 +110,6 @@ class GuardedController(BasePolicy):
         self.swap_cooldown_epochs = int(swap_cooldown_epochs)
         self.state = ACTIVE
         self.state_trace: list[str] = []
-        self.guard_counters: dict[str, int] = {}
         self._streak = 0
         self._state_epochs = 0
         self._fallback_level = 0
@@ -125,7 +129,7 @@ class GuardedController(BasePolicy):
         self._fallback_level = level
         self.state = ACTIVE
         self.state_trace = []
-        self.guard_counters = {}
+        self.counters = Counter()
         self._streak = 0
         self._state_epochs = 0
         self._pinned_fallback = False
@@ -133,27 +137,6 @@ class GuardedController(BasePolicy):
         if self.drift_monitor is not None:
             self.drift_monitor.reset()
         self.inner.reset(simulator)
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.guard_counters[name] = self.guard_counters.get(name, 0) + amount
-
-    def observability_counters(self) -> dict[str, int]:
-        """Guard trip counters, merged with the wrapped policy's.
-
-        When the drift layer is attached its ``drift_*`` / ``rollback_*``
-        counters are folded in too.
-        """
-        merged = dict(self.guard_counters)
-        sources = [getattr(self.inner, "observability_counters", None)]
-        if self.drift_monitor is not None:
-            sources.append(self.drift_monitor.observability_counters)
-        if self.rollback is not None:
-            sources.append(self.rollback.observability_counters)
-        for source in sources:
-            if callable(source):
-                for name, amount in source().items():
-                    merged[name] = merged.get(name, 0) + amount
-        return merged
 
     # ------------------------------------------------------------------
     def _sanitize_counters(self, counters: CounterSet,
@@ -165,24 +148,24 @@ class GuardedController(BasePolicy):
         bad = int(nonfinite.sum())
         if bad:
             vector[nonfinite] = 0.0
-            self._count("guard_counter_nonfinite", bad)
+            self.counters["guard_counter_nonfinite"] += bad
             anomalies += bad
         negative = vector < 0.0
         bad = int(negative.sum())
         if bad:
             vector[negative] = 0.0
-            self._count("guard_counter_negative", bad)
+            self.counters["guard_counter_negative"] += bad
             anomalies += bad
         huge = vector > self.max_counter_value
         bad = int(huge.sum())
         if bad:
             vector[huge] = self.max_counter_value
-            self._count("guard_counter_clamped", bad)
+            self.counters["guard_counter_clamped"] += bad
             anomalies += bad
         # Every real epoch reports nonzero static power; an all-zero
         # window from a still-running cluster is a dropped sensor sample.
         if not finished and not np.any(vector):
-            self._count("guard_counter_dropout")
+            self.counters["guard_counter_dropout"] += 1
             anomalies += 1
         return CounterSet.from_vector(vector), anomalies
 
@@ -226,14 +209,14 @@ class GuardedController(BasePolicy):
         except Exception as exc:
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self._count("guard_policy_error")
+            self.counters["guard_policy_error"] += 1
             return None, 1
         try:
             levels = validate_decision(decision,
                                        self.simulator.arch.vf_table.num_levels,
                                        len(self.simulator.clusters))
         except PolicyError:
-            self._count("guard_decision_invalid")
+            self.counters["guard_decision_invalid"] += 1
             return None, 1
         return levels, 0
 
@@ -248,7 +231,7 @@ class GuardedController(BasePolicy):
         decision: list[int] | None = None
         consulted = False
         if self.state == FALLBACK:
-            self._count("guard_fallback_epochs")
+            self.counters["guard_fallback_epochs"] += 1
             self._state_epochs += 1
             if (not self._pinned_fallback
                     and self._state_epochs >= self.fallback_epochs):
@@ -264,15 +247,15 @@ class GuardedController(BasePolicy):
         if anomalies:
             self._streak += 1
             if self.state == PROBATION:
-                self._count("guard_probation_failures")
+                self.counters["guard_probation_failures"] += 1
                 self._enter(FALLBACK)
                 decision = None
             elif self.state == ACTIVE and self._streak >= self.trip_threshold:
-                self._count("guard_trips")
+                self.counters["guard_trips"] += 1
                 if self.strict:
                     raise GuardTripped(
                         f"guard tripped after {self._streak} anomalous "
-                        f"epochs (counters: {self.guard_counters})")
+                        f"epochs (counters: {dict(self.counters)})")
                 self._enter(FALLBACK)
                 decision = None
         else:
@@ -280,7 +263,7 @@ class GuardedController(BasePolicy):
             if self.state == PROBATION:
                 self._state_epochs += 1
                 if self._state_epochs >= self.probation_epochs:
-                    self._count("guard_recoveries")
+                    self.counters["guard_recoveries"] += 1
                     self._enter(ACTIVE)
 
         # Model-lifecycle layer: on every epoch where the wrapped policy
@@ -302,12 +285,12 @@ class GuardedController(BasePolicy):
     def _handle_drift(self) -> None:
         """React to a confirmed drift alarm: hot-swap or pin fallback."""
         assert self.simulator is not None
-        self._count("drift_trips")
+        self.counters["drift_trips"] += 1
         if self.strict:
             raise DriftDetected(
                 f"sustained model drift confirmed after "
                 f"{self.drift_monitor.updates} monitored epochs "
-                f"(counters: {self.observability_counters()})")
+                f"(counters: {dict(policy_counters(self))})")
         if (self._since_swap is not None
                 and self._since_swap < self.swap_cooldown_epochs):
             # Hot-swap hysteresis: the pair serving now was itself
@@ -317,7 +300,7 @@ class GuardedController(BasePolicy):
             # B alarms -> swap back to A, ...), so suppress the swap
             # and ride the alarm out in plain FALLBACK — probation
             # and the next alarm outside the window stay available.
-            self._count("drift_swap_suppressed")
+            self.counters["drift_swap_suppressed"] += 1
             self.drift_monitor.reset()
             self._enter(FALLBACK)
             return None
@@ -326,11 +309,13 @@ class GuardedController(BasePolicy):
         if replacement is not None:
             # Hot-swap to the registry's last-known-good pair and let
             # PROBATION validate it; this epoch still actuates the safe
-            # fallback level.
+            # fallback level.  The retiring pair's counters are its
+            # evidence: keep them in the guard's own.
+            self.counters.update(policy_counters(self.inner))
             self.inner = replacement
             self.inner.reset(self.simulator)
             self.drift_monitor.reset()
-            self._count("rollback_hot_swaps")
+            self.counters["rollback_hot_swaps"] += 1
             self._since_swap = 0
             self._enter(PROBATION)
         else:
@@ -339,7 +324,7 @@ class GuardedController(BasePolicy):
             # (the baseline operating point cannot violate the preset).
             self.drift_monitor.reset()
             self._pinned_fallback = True
-            self._count("rollback_pinned_fallback")
+            self.counters["rollback_pinned_fallback"] += 1
             self._enter(FALLBACK)
         return None
 

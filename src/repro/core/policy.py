@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 
 import numpy as np
 
@@ -53,13 +54,36 @@ def validate_decision(decision, num_levels: int,
     return checked
 
 
+def policy_counters(policy) -> Counter:
+    """A policy stack's counters, summed with each layer counted once.
+
+    Every counting component holds a ``counters`` :class:`Counter`.  A
+    stack nests them: a wrapper (fault injector, guard) holds the
+    policy it wraps as ``inner``, and a guard also holds its
+    ``drift_monitor`` and ``rollback``.  The result is a fresh Counter,
+    so it doubles as a snapshot; zero entries such as
+    ``calibration_anomalies`` survive the fold.
+    """
+    totals = Counter()
+    layer = policy
+    while layer is not None:
+        totals.update(getattr(layer, "counters", ()))
+        for part in (getattr(layer, "drift_monitor", None),
+                     getattr(layer, "rollback", None)):
+            if part is not None:
+                totals.update(part.counters)
+        layer = getattr(layer, "inner", None)
+    return totals
+
+
 class BasePolicy:
-    """Common plumbing for policies (name + simulator binding)."""
+    """Common plumbing for policies (name, simulator binding, counters)."""
 
     name = "base"
 
     def __init__(self) -> None:
         self.simulator: GPUSimulator | None = None
+        self.counters = Counter()
 
     def reset(self, simulator: GPUSimulator) -> None:
         """Bind to a simulator at the start of a run."""

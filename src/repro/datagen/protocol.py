@@ -523,7 +523,7 @@ def generate_chunks_for_suite(kernels: list[KernelProfile],
             for chunk in group_chunks:
                 results.append((chunk, {}))
             if stats is not None:
-                stats.merge_counters(counters)
+                stats.counters.update(counters)
         if stats is not None:
             stats.count("fused_groups", len(groups))
             stats.count("fused_shared_bytes", ref.shared_bytes)

@@ -7,6 +7,7 @@ counter/label correlations — the "is this dataset learnable?" report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,11 @@ def analyze_dataset(dataset: DVFSDataset,
     if not 0.0 <= preset <= 1.0:
         raise DatasetError("preset must be in [0, 1]")
     min_level_losses: dict[str, list[float]] = {}
-    oracle_hist: dict[str, dict[int, int]] = {}
-    record_counts: dict[str, int] = {}
+    oracle_hist: dict[str, Counter] = {}
+    record_counts = Counter()
     for record in range(dataset.num_breakpoints):
         kernel = dataset.kernel_names[record]
-        record_counts[kernel] = record_counts.get(kernel, 0) + 1
+        record_counts[kernel] += 1
         mask = dataset.sample_breakpoint == record
         levels = dataset.sample_level[mask]
         losses = dataset.sample_loss[mask]
@@ -93,8 +94,7 @@ def analyze_dataset(dataset: DVFSDataset,
         min_level_losses.setdefault(kernel, []).append(
             float(losses[np.argmin(levels)]))
         oracle = dataset.minimal_level_for_record(record, preset)
-        oracle_hist.setdefault(kernel, {})
-        oracle_hist[kernel][oracle] = oracle_hist[kernel].get(oracle, 0) + 1
+        oracle_hist.setdefault(kernel, Counter())[oracle] += 1
 
     per_kernel = []
     for kernel in sorted(record_counts):

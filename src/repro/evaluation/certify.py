@@ -11,9 +11,10 @@ the soak does not (it runs kernels and has no dual replay).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar, Mapping
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class CertifyResult:
     ALL_HELD: ClassVar[str]
 
     seed: int
-    counters: dict[str, int] = field(default_factory=dict)
+    counters: Counter = field(default_factory=Counter)
     crash_trials: int = 0
     crash_torn_reads: int = 0
     violations: list[str] = field(default_factory=list)
@@ -47,12 +48,6 @@ class CertifyResult:
     def passed(self) -> bool:
         """True when every invariant held."""
         return not self.violations
-
-    def merge_counters(self, *counters: Mapping[str, int]) -> None:
-        """Accumulate counter maps into the campaign totals."""
-        for mapping in counters:
-            for name, amount in mapping.items():
-                self.counters[name] = self.counters.get(name, 0) + int(amount)
 
     def header_payload(self) -> dict:
         """Harness-specific payload entries (everything but the seed)."""
@@ -69,7 +64,8 @@ class CertifyResult:
             "seed": self.seed,
             "passed": self.passed,
             self.ROWS: [asdict(row) for row in getattr(self, self.ROWS)],
-            "counters": dict(sorted(self.counters.items())),
+            "counters": {name: int(amount)
+                         for name, amount in sorted(self.counters.items())},
             "crash_trials": self.crash_trials,
             "crash_torn_reads": self.crash_torn_reads,
             "violations": list(self.violations),
@@ -188,7 +184,7 @@ def run_trials(result: CertifyResult, name: str, config,
     Returns the first trial's export payload for the torture phase.
     """
     replay_workers = 2 if resolve_workers(workers) == 1 else 1
-    trial_counter = {f"{name.replace('-', '_')}_trials": 1}
+    trial_counter = f"{name.replace('-', '_')}_trials"
     first_payload: bytes | None = None
     for trial in range(config.trials):
         seed = derive_fault_seed(result.seed, name, trial)
@@ -204,6 +200,8 @@ def run_trials(result: CertifyResult, name: str, config,
                                        sort_keys=True).encode()
         row, counters = summarise(trial, seed, run, byte_stable)
         result.trials.append(row)
-        result.merge_counters(*counters, trial_counter)
+        for mapping in counters:
+            result.counters.update(mapping)
+        result.counters[trial_counter] += 1
         check(run, row, result.violations)
     return first_payload

@@ -249,5 +249,5 @@ def fault_sweep(policy_factories: dict[str, callable],
                     violations=violations, kernels=len(runs),
                     counters=counters))
                 if stats is not None:
-                    stats.merge_counters(cell_stats.counters)
+                    stats.counters.update(cell_stats.counters)
     return result

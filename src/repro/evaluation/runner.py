@@ -21,7 +21,7 @@ from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
 from ..parallel import CampaignCheckpoint, CampaignStats, parallel_map
 from ..power.model import PowerModel
-from ..core.policy import StaticPolicy
+from ..core.policy import StaticPolicy, policy_counters
 from ..units import us
 
 
@@ -117,11 +117,6 @@ class ComparisonResult:
                          for r in payload["runs"]])
 
 
-def _policy_counters(policy) -> dict[str, int]:
-    counters_fn = getattr(policy, "observability_counters", None)
-    return counters_fn() if callable(counters_fn) else {}
-
-
 def _kernel_task(task: tuple) -> list[tuple[float, float, int,
                                             dict[str, int]]]:
     """Process-pool unit of serial evaluation: one kernel's runs.
@@ -134,9 +129,9 @@ def _kernel_task(task: tuple) -> list[tuple[float, float, int,
     than policy instances so every run gets a fresh policy, and builds
     its simulators from the explicit seed — identical results whether
     run in-process or in a worker.  Each run's outcome carries the
-    policy's :meth:`observability_counters` (guard trips, injected
-    faults, calibration anomalies) so the caller can fold them into
-    campaign ``--stats``.
+    policy stack's :func:`~repro.core.policy.policy_counters` (guard
+    trips, injected faults, calibration anomalies) so the caller can
+    fold them into campaign ``--stats``.
     """
     factories, kernel, arch, power_model, seed, epoch_s = task
     solution_cache = SolutionCache()
@@ -150,7 +145,7 @@ def _kernel_task(task: tuple) -> list[tuple[float, float, int,
                                  noise_cache=noise_cache)
         result = simulator.run(policy, keep_records=False)
         outcomes.append((result.time_s, result.energy_j, result.epochs,
-                         _policy_counters(policy)))
+                         policy_counters(policy)))
     return outcomes
 
 
@@ -195,7 +190,7 @@ def _fused_eval_group(task: tuple) -> tuple[list, dict[str, int]]:
     outcomes = []
     for task_state, result in zip(engine.tasks, results):
         outcomes.append((result.time_s, result.energy_j, result.epochs,
-                         _policy_counters(task_state.policy)))
+                         policy_counters(task_state.policy)))
     return outcomes, dict(engine.counters)
 
 
@@ -262,7 +257,7 @@ def compare_policies(policy_factories: dict[str, callable],
         for group_outcomes, fused_counters in group_results:
             outcomes.extend(group_outcomes)
             if stats is not None:
-                stats.merge_counters(fused_counters)
+                stats.counters.update(fused_counters)
         if stats is not None:
             stats.count("fused_groups", len(groups))
             stats.count("fused_shared_bytes", ref.shared_bytes)
@@ -290,7 +285,7 @@ def compare_policies(policy_factories: dict[str, callable],
         for name in names:
             time_s, energy_j, epochs, counters = next(cursor)
             if stats is not None:
-                stats.merge_counters(counters)
+                stats.counters.update(counters)
             result.runs.append(PolicyRun(
                 policy_name=name, kernel_name=kernel.name,
                 time_s=time_s, energy_j=energy_j,

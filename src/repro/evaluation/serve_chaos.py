@@ -177,7 +177,7 @@ def _summarise(trial: int, trial_seed: int, serve: ServeResult,
                             if serve.recovery_ticks else 0),
         quarantined=serve.quarantined,
         unrecovered=serve.unrecovered,
-        invalid_decisions=serve.counters.get("serve_invalid_decisions", 0),
+        invalid_decisions=serve.counters["serve_invalid_decisions"],
         bad_deadline_sheds=sum(
             1 for shed in serve.shed_records
             if shed.deadline_class and shed.under_capacity))

@@ -30,6 +30,7 @@ target gate on :attr:`SoakResult.passed`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -40,7 +41,7 @@ from ..core.combined import PAIR_SCHEMA, SSMDVFSModel
 from ..core.controller import SSMDVFSController
 from ..core.drift import DriftConfig, DriftMonitor, RollbackManager
 from ..core.guarded import GuardedController
-from ..core.policy import StaticPolicy, validate_decision
+from ..core.policy import StaticPolicy, policy_counters, validate_decision
 from ..errors import PolicyError
 from ..faults import FaultConfig, FaultyPolicy
 from ..gpu.arch import GPUArchConfig
@@ -204,15 +205,15 @@ class _SoakProbe:
         # A badly-fitted pair may drift and get healed *before* the
         # injection; only detections of the injected staleness count,
         # so episode counts are snapshotted at the injection epoch.
-        self._before: dict[str, int] = {}
+        self._before = Counter()
 
     def reset(self, simulator: GPUSimulator) -> None:
         self.policy.reset(simulator)
         self.table = simulator.arch.vf_table
         self.num_clusters = len(simulator.clusters)
 
-    def _grew(self, counters: dict[str, int], name: str) -> bool:
-        return int(counters.get(name, 0)) > int(self._before.get(name, 0))
+    def _grew(self, counters: Counter, name: str) -> bool:
+        return counters[name] > self._before[name]
 
     def decide(self, record) -> list[int]:
         epoch = record.index + 1
@@ -220,7 +221,7 @@ class _SoakProbe:
             victim = getattr(self.guarded.inner, "model", None)
             if victim is not None:
                 perturb_model_weights(victim, self.stale_sigma, self.rng)
-            self._before = self.policy.observability_counters()
+            self._before = policy_counters(self.policy)
         decision = self.policy.decide(record)
         try:
             levels = validate_decision(decision, self.table.num_levels,
@@ -230,7 +231,7 @@ class _SoakProbe:
             levels = [self.table.default_level] * self.num_clusters
         if epoch >= self.stale_epoch and (self.alarm_epoch is None
                                           or self.healed_epoch is None):
-            counters = self.policy.observability_counters()
+            counters = policy_counters(self.policy)
             if self.alarm_epoch is None and self._grew(counters,
                                                        "drift_alarms"):
                 self.alarm_epoch = epoch
@@ -246,7 +247,7 @@ class _SoakProbe:
 def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
                      arch: GPUArchConfig, power_model: PowerModel,
                      store: ArtifactStore, config: SoakConfig,
-                     seed: int) -> tuple[KernelSoak, dict[str, int]]:
+                     seed: int) -> tuple[KernelSoak, Counter]:
     """One long-horizon run with faults + mid-run staleness injection."""
     baseline = GPUSimulator(arch, kernel, power_model, seed=seed,
                             epoch_s=config.epoch_s).run(
@@ -279,7 +280,7 @@ def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
         normalized_latency=run.time_s / baseline.time_s,
         normalized_edp=run.edp / baseline.edp,
         invalid_decisions=probe.invalid_decisions,
-    ), policy.observability_counters()
+    ), policy_counters(policy)
 
 
 def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
@@ -322,7 +323,7 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
             SSMDVFSModel.from_bytes(model.to_bytes()), kernel, arch,
             power_model, store, config, seed=config.seed + 101 * index)
         result.records.append(record)
-        result.merge_counters(run_counters)
+        result.counters.update(run_counters)
         if record.invalid_decisions:
             result.violations.append(
                 f"{kernel.name}: {record.invalid_decisions} invalid "
@@ -346,5 +347,5 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
                 f"{record.healed_epoch - record.stale_epoch} epochs "
                 f"(budget {config.recovery_epochs})")
 
-    result.merge_counters(store.counters)
+    result.counters.update(store.counters)
     return result

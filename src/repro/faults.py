@@ -46,6 +46,7 @@ import hashlib
 import os
 import pickle
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar, Iterable
@@ -162,8 +163,9 @@ class FaultyPolicy:
     sensor faults corrupt the record before the controller sees it, and
     actuation faults corrupt the controller's output — including a
     guard's fallback decision — before the simulator applies it.
-    Injection counts are exposed through :meth:`observability_counters`
-    (``fault_*`` names) so campaign ``--stats`` can report them.
+    Injection counts live in ``counters`` (``fault_*`` names), which
+    :func:`~repro.core.policy.policy_counters` folds into campaign
+    ``--stats``.
     """
 
     def __init__(self, inner, config: FaultConfig) -> None:
@@ -175,7 +177,7 @@ class FaultyPolicy:
         self._rng = np.random.default_rng(config.seed)
         self._previous: list[CounterSet] | None = None
         self._delayed = None
-        self.counts: dict[str, int] = {}
+        self.counters = Counter()
 
     # ------------------------------------------------------------------
     def reset(self, simulator: GPUSimulator) -> None:
@@ -190,20 +192,8 @@ class FaultyPolicy:
             self.config.seed, simulator.workload_name, simulator.seed))
         self._previous = None
         self._delayed = None
-        self.counts = {}
+        self.counters = Counter()
         self.inner.reset(simulator)
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counts[name] = self.counts.get(name, 0) + amount
-
-    def observability_counters(self) -> dict[str, int]:
-        """Injection counts, merged with the wrapped policy's counters."""
-        merged = dict(self.counts)
-        inner_counters = getattr(self.inner, "observability_counters", None)
-        if callable(inner_counters):
-            for name, amount in inner_counters().items():
-                merged[name] = merged.get(name, 0) + amount
-        return merged
 
     # ------------------------------------------------------------------
     def _corrupt_counters(self, counters: CounterSet,
@@ -211,11 +201,11 @@ class FaultyPolicy:
         config = self.config
         rng = self._rng
         if config.counter_dropout and rng.random() < config.counter_dropout:
-            self._count("fault_counter_dropout")
+            self.counters["fault_counter_dropout"] += 1
             return CounterSet()
         if (config.counter_stuck and previous is not None
                 and rng.random() < config.counter_stuck):
-            self._count("fault_counter_stuck")
+            self.counters["fault_counter_stuck"] += 1
             return previous.copy()
         vector = counters.as_vector()
         if config.counter_nan:
@@ -223,13 +213,13 @@ class FaultyPolicy:
             injected = int(mask.sum())
             if injected:
                 vector[mask] = np.nan
-                self._count("fault_counter_nan", injected)
+                self.counters["fault_counter_nan"] += injected
         if config.counter_spike:
             mask = rng.random(NUM_COUNTERS) < config.counter_spike
             injected = int(mask.sum())
             if injected:
                 vector[mask] *= config.spike_magnitude
-                self._count("fault_counter_spike", injected)
+                self.counters["fault_counter_spike"] += injected
         return CounterSet.from_vector(vector)
 
     def corrupt_record(self, record: EpochRecord) -> EpochRecord:
@@ -261,10 +251,10 @@ class FaultyPolicy:
         decision = self.inner.decide(self.corrupt_record(record))
         config = self.config
         if config.actuation_drop and self._rng.random() < config.actuation_drop:
-            self._count("fault_actuation_drop")
+            self.counters["fault_actuation_drop"] += 1
             return list(record.levels)
         if config.actuation_delay and self._rng.random() < config.actuation_delay:
-            self._count("fault_actuation_delay")
+            self.counters["fault_actuation_delay"] += 1
             delayed, self._delayed = self._delayed, decision
             return list(record.levels) if delayed is None else delayed
         if self._delayed is not None:
@@ -408,10 +398,7 @@ class FaultPlan:
 
     def counts_by_kind(self) -> dict[str, int]:
         """``{kind: event count}`` over the whole train."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
+        return dict(Counter(event.kind for event in self.events))
 
     def to_payload(self) -> list[dict]:
         """JSON-ready event list in replay order."""

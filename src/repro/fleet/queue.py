@@ -118,12 +118,6 @@ class PendingJobQueue:
         """Pending jobs in dispatch order (non-destructive)."""
         return [entry[3] for entry in sorted(self._heap)]
 
-    def counters(self) -> dict[str, int]:
-        """Queue observability counters for ``--stats`` aggregation."""
-        return {"queue_peak_depth": self.peak_depth,
-                "queue_peak_depth_total": self.peak_depth_total,
-                "queue_requeues": self.requeues}
-
     def __len__(self) -> int:
         return len(self._heap)
 

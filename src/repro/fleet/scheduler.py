@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -61,7 +62,7 @@ from ..baselines.governor import UtilizationGovernor
 from ..baselines.pcstall import PCSTALLPolicy
 from ..core.controller import SSMDVFSController
 from ..core.guarded import GuardedController
-from ..core.policy import ModelOraclePolicy, StaticPolicy
+from ..core.policy import ModelOraclePolicy, StaticPolicy, policy_counters
 from ..errors import FleetError, FleetFaultError
 from ..faults import NodeFaultPlan
 from ..gpu.arch import GPUArchConfig
@@ -75,8 +76,8 @@ from ..power.model import PowerModel
 from .jobs import Job
 from .metrics import FleetResult, JobOutcome, ShedJob
 from .queue import AdmissionConfig, PendingJobQueue
-from .tracker import (DEGRADED, POLICY_COUNTER_PREFIXES, QUARANTINED,
-                      HealthPolicy, NodeTracker, ThermalConfig)
+from .tracker import (DEGRADED, QUARANTINED, HealthPolicy, NodeTracker,
+                      ThermalConfig, resilience_counters)
 
 #: Policy names accepted by :func:`policy_factory` (the CLI choices).
 FLEET_POLICIES = ("ssmdvfs", "ssmdvfs-guarded", "ssmdvfs-chipwide",
@@ -124,7 +125,7 @@ def _simulate_job(task: tuple) -> tuple[float, float, int, float,
 
     Returns ``(service_s, energy_j, epochs, mean_level, counters)``.
     The mean operating level feeds the node tracker's frequency state;
-    the policy's observability counters travel back for ``--stats``.
+    the policy stack's counters travel back for ``--stats``.
     """
     factory, kernel, arch, power_model, seed, epoch_s = task
     policy = factory()
@@ -136,10 +137,8 @@ def _simulate_job(task: tuple) -> tuple[float, float, int, float,
                                     for r in result.records]))
     else:
         mean_level = float(arch.vf_table.default_level)
-    counters_fn = getattr(policy, "observability_counters", None)
-    counters = counters_fn() if callable(counters_fn) else {}
     return (result.time_s, result.energy_j, result.epochs, mean_level,
-            counters)
+            policy_counters(policy))
 
 
 #: Per-process cache of shared fleet contexts, so a pool worker
@@ -179,11 +178,8 @@ def _fused_simulate_group(task: tuple) -> tuple[list[tuple], dict[str, int]]:
                                         for r in result.records]))
         else:
             mean_level = float(context["arch"].vf_table.default_level)
-        counters_fn = getattr(task_state.policy, "observability_counters",
-                              None)
-        counters = counters_fn() if callable(counters_fn) else {}
         outcomes.append((result.time_s, result.energy_j, result.epochs,
-                         mean_level, counters))
+                         mean_level, policy_counters(task_state.policy)))
     return outcomes, dict(engine.counters)
 
 
@@ -331,7 +327,7 @@ class ClusterScheduler:
             outcomes = []
             for group_outcomes, fused_counters in group_results:
                 outcomes.extend(group_outcomes)
-                self.stats.merge_counters(fused_counters)
+                self.stats.counters.update(fused_counters)
             self.stats.count("fused_groups", len(groups))
             self.stats.count("fused_shared_bytes", ref.shared_bytes)
         else:
@@ -346,7 +342,7 @@ class ClusterScheduler:
                                     retries=self.retries,
                                     timeout_s=self.timeout_s)
         for *_, counters in outcomes:
-            self.stats.merge_counters(counters)
+            self.stats.counters.update(counters)
         return outcomes
 
     def run(self, jobs: Sequence[Job], trace_name: str = "trace"
@@ -364,19 +360,10 @@ class ClusterScheduler:
             result = self._replay(jobs, service, trace_name)
         self.stats.count("fleet_jobs", len(jobs))
         self.stats.count("fleet_slo_violations", result.violations())
-        self.stats.merge_counters(result.counters)
+        self.stats.counters.update(result.counters)
         return result
 
     # ------------------------------------------------------------------
-    def _policy_counters(self, service: dict[int, tuple]) -> dict[str, int]:
-        """Aggregate resilience-relevant policy counters over every job."""
-        totals: dict[str, int] = {}
-        for job_id in sorted(service):
-            for name, amount in (service[job_id][4] or {}).items():
-                if name.startswith(POLICY_COUNTER_PREFIXES):
-                    totals[name] = totals.get(name, 0) + int(amount)
-        return totals
-
     def _replay(self, jobs: list[Job], service: dict[int, tuple],
                 trace_name: str) -> FleetResult:
         """Phase 2: serial discrete-event replay of queueing, placement,
@@ -387,20 +374,21 @@ class ClusterScheduler:
         migration = self.migration
         outcomes: list[JobOutcome] = []
         shed: list[ShedJob] = []
-        counters: dict[str, int] = {}
+        counters = Counter()
         #: Unified event heap: (time, order, seq, kind, payload).
         events: list[tuple] = []
         seq = 0
         #: Active assignment per job id / occupying job per node id.
         active: dict[int, _Assignment] = {}
         node_job: dict[int, int] = {}
-        generations: dict[int, int] = {}
+        generations = Counter()
         progress = {job.job_id: _JobProgress(
             remaining_s=service[job.job_id][0], enqueued_at=job.arrival_s)
             for job in jobs}
-
-        def count(name: str, amount: int = 1) -> None:
-            counters[name] = counters.get(name, 0) + amount
+        #: The resilience part of each job's policy counters, the only
+        #: part a node summary or the fleet result keeps.
+        kept = {job_id: resilience_counters(outcome[4])
+                for job_id, outcome in sorted(service.items())}
 
         def push_event(at_s: float, order: int, kind: str,
                        payload: object) -> None:
@@ -417,8 +405,8 @@ class ClusterScheduler:
                 job_id=job.job_id, name=job.name, job_class=job.job_class,
                 arrival_s=job.arrival_s, deadline_s=job.deadline_s,
                 expected_s=job.expected_s, shed_s=now_s, reason=reason))
-            count("shed_jobs")
-            count(f"shed_{reason}")
+            counters["shed_jobs"] += 1
+            counters[f"shed_{reason}"] += 1
 
         def preempt(job_id: int, now_s: float, upto_s: float) -> None:
             """Checkpointed preemption: keep floored progress, requeue.
@@ -452,10 +440,10 @@ class ClusterScheduler:
             node.free_at_s = now_s
             tracker.absorb_partial(node, now_s, busy_s=elapsed,
                                    energy_j=segment_energy)
-            count("migration_preemptions")
+            counters["migration_preemptions"] += 1
             queue.push(assignment.job, requeued=True)
             state.enqueued_at = now_s
-            count("migration_requeues")
+            counters["migration_requeues"] += 1
 
         def dispatch(now_s: float) -> None:
             """Place pending jobs on idle placeable nodes, urgent first,
@@ -481,8 +469,8 @@ class ClusterScheduler:
                            if node.storm_until > start_s + 1e-15 else 1.0)
                 finish_s = start_s + overhead + state.remaining_s * stretch
                 tracker.assign(node, job, start_s, finish_s)
-                generation = generations.get(job.job_id, 0) + 1
-                generations[job.job_id] = generation
+                generations[job.job_id] += 1
+                generation = generations[job.job_id]
                 active[job.job_id] = _Assignment(
                     job=job, node_id=node.node_id, start_s=start_s,
                     overhead_s=overhead, stretch=stretch,
@@ -506,14 +494,13 @@ class ClusterScheduler:
             # fully paid; fold it in so the outcome (and its energy bill)
             # covers every segment, not just preempted ones.
             state.overhead_s += assignment.overhead_s
-            service_s, energy_j, epochs, mean_level, job_counters = \
-                service[job_id]
+            service_s, energy_j, epochs, mean_level, _ = service[job_id]
             total_energy = energy_j + energy_rate(job_id) * (
                 state.lost_work_s + state.overhead_s)
             tracker.complete(node, now_s, now_s - assignment.start_s,
                              total_energy - state.energy_absorbed_j,
                              mean_level)
-            tracker.merge_policy_counters(node, job_counters)
+            node.policy_counters.update(kept[job_id])
             if now_s > job.deadline_s:
                 tracker.note_deadline_miss(node)
             else:
@@ -555,8 +542,9 @@ class ClusterScheduler:
                 else:
                     complete(job_id, now_s)
             elif kind == "fault":
+                counters[f"fleet_fault_{payload.kind}"] += 1
                 self._apply_fault(payload, now_s, tracker, node_job,
-                                  preempt, push_event, count)
+                                  preempt, push_event)
             elif kind == "detect":
                 node_id, hung_at, duration_s = payload
                 node = tracker.nodes[node_id]
@@ -564,7 +552,7 @@ class ClusterScheduler:
                     occupant = node_job.get(node_id)
                     if occupant is not None:
                         preempt(occupant, now_s, upto_s=hung_at)
-                    count("fleet_hang_detections")
+                    counters["fleet_hang_detections"] += 1
                     tracker.quarantine(node, now_s, now_s + duration_s,
                                        "hang")
                     push_event(node.quarantined_until, _ORDER_RECOVER,
@@ -578,9 +566,13 @@ class ClusterScheduler:
         while queue:  # no placeable node left and none will recover
             shed_job(queue.pop(), now_s, "stranded")
 
-        counters.update(queue.counters())
-        for name, amount in tracker.counters.items():
-            count(name, amount)
+        counters.update(queue_peak_depth=queue.peak_depth,
+                        queue_peak_depth_total=queue.peak_depth_total,
+                        queue_requeues=queue.requeues)
+        counters.update(tracker.counters)
+        policy_totals = Counter()
+        for job_counters in kept.values():
+            policy_totals.update(job_counters)
         outcomes.sort(key=lambda o: o.job_id)
         shed.sort(key=lambda s: s.job_id)
         return FleetResult(
@@ -589,15 +581,14 @@ class ClusterScheduler:
             node_summaries=tracker.to_payload(),
             peak_queue_depth=queue.peak_depth, shed=shed,
             submitted=len(jobs), counters=dict(sorted(counters.items())),
-            policy_counters=self._policy_counters(service),
+            policy_counters=policy_totals,
             fault_events=self.fault_plan.to_payload())
 
     def _apply_fault(self, event, now_s: float, tracker: NodeTracker,
-                     node_job: dict[int, int], preempt, push_event,
-                     count) -> None:
+                     node_job: dict[int, int], preempt,
+                     push_event) -> None:
         """Strike one node-fault event against the live replay state."""
         node = tracker.nodes[event.node_id]
-        count(f"fleet_fault_{event.kind}")
         if event.kind == "crash":
             occupant = node_job.get(event.node_id)
             if occupant is not None:

@@ -32,6 +32,7 @@ the fleet JSON export.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import FleetError
@@ -56,6 +57,16 @@ _PLACEMENT_RANK = {HEALTHY: 0, RECOVERING: 1, DEGRADED: 2}
 #: faults, calibration anomalies).
 POLICY_COUNTER_PREFIXES = ("guard_", "drift_", "rollback_", "fault_",
                            "calibration_")
+
+
+def resilience_counters(counters) -> Counter:
+    """The :data:`POLICY_COUNTER_PREFIXES` part of a job's policy counters.
+
+    The fleet keeps only these, so node summaries stay compact while
+    per-node guard trips remain visible at fleet scope.
+    """
+    return Counter({name: int(amount) for name, amount in counters.items()
+                    if name.startswith(POLICY_COUNTER_PREFIXES)})
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,7 @@ class NodeState:
     clean_completions: int = 0
     #: Aggregated ``guard_*``/``drift_*``/... counters of the policies
     #: that completed jobs on this node.
-    policy_counters: dict[str, int] = field(default_factory=dict)
+    policy_counters: Counter = field(default_factory=Counter)
 
     def backlog_s(self, now_s: float) -> float:
         """Seconds of already-committed work beyond ``now_s``."""
@@ -176,15 +187,12 @@ class NodeTracker:
                                 peak_temperature_c=self.thermal.ambient_c)
                       for i in range(num_nodes)]
         #: ``node_state_*`` transition counters (fleet observability).
-        self.counters: dict[str, int] = {}
+        self.counters = Counter()
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     # ------------------------------------------------------------------
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
     def _cool(self, node: NodeState, now_s: float) -> None:
         """Decay the node's temperature toward ambient up to ``now_s``."""
         elapsed = max(0.0, now_s - node.last_update_s)
@@ -238,7 +246,7 @@ class NodeTracker:
         node.health = state
         node.miss_streak = 0
         node.clean_completions = 0
-        self._count(f"node_state_{state}")
+        self.counters[f"node_state_{state}"] += 1
 
     def quarantine(self, node: NodeState, now_s: float, until_s: float,
                    reason: str) -> None:
@@ -254,7 +262,7 @@ class NodeTracker:
         node.quarantined_until = max(node.quarantined_until, until_s)
         node.free_at_s = max(node.free_at_s, node.quarantined_until)
         node.hung_since = None
-        self._count(f"node_quarantine_{reason}")
+        self.counters[f"node_quarantine_{reason}"] += 1
         self._transition(node, QUARANTINED)
 
     def degrade(self, node: NodeState, now_s: float, reason: str) -> None:
@@ -268,7 +276,7 @@ class NodeTracker:
         if node.health == QUARANTINED:
             return
         self._cool(node, now_s)
-        self._count(f"node_degrade_{reason}")
+        self.counters[f"node_degrade_{reason}"] += 1
         self._transition(node, DEGRADED)
 
     def end_outage(self, node: NodeState, now_s: float) -> bool:
@@ -306,7 +314,7 @@ class NodeTracker:
         node.miss_streak += 1
         if (node.health in (HEALTHY, RECOVERING)
                 and node.miss_streak >= self.health_policy.miss_threshold):
-            self._count("node_degrade_deadline_misses")
+            self.counters["node_degrade_deadline_misses"] += 1
             self._transition(node, DEGRADED)
 
     def note_clean_completion(self, node: NodeState,
@@ -317,7 +325,7 @@ class NodeTracker:
         if (node.health == RECOVERING
                 and node.clean_completions
                 >= self.health_policy.probation_jobs):
-            self._count("node_readmissions")
+            self.counters["node_readmissions"] += 1
             self._transition(node, HEALTHY)
         elif (node.health == DEGRADED
                 and node.clean_completions >= self.health_policy.clean_streak
@@ -378,20 +386,6 @@ class NodeTracker:
                                       node.temperature_c)
         node.hot_until = max(node.hot_until, until_s)
         self.degrade(node, now_s, "thermal")
-
-    def merge_policy_counters(self, node: NodeState,
-                              counters: dict[str, int] | None) -> None:
-        """Fold a completed job's policy counters into its node.
-
-        Only resilience-relevant counters (``guard_*``, ``drift_*``,
-        ``rollback_*``, ``fault_*``, ``calibration_*``) are kept, so
-        node summaries stay compact while per-node guard trips remain
-        visible at fleet scope.
-        """
-        for name, amount in (counters or {}).items():
-            if name.startswith(POLICY_COUNTER_PREFIXES):
-                node.policy_counters[name] = \
-                    node.policy_counters.get(name, 0) + int(amount)
 
     def to_payload(self) -> list[dict]:
         """JSON-ready per-node summaries, ordered by node id."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -239,7 +240,7 @@ def _point_from_payload(payload: dict) -> CompressionPoint:
     )
 
 
-def _load_cached_point(path: Path, counters: dict[str, int]
+def _load_cached_point(path: Path, counters: Counter
                        ) -> dict | None:
     """Read one cached sweep point; corrupt files are counted misses."""
     if not path.exists():
@@ -250,8 +251,7 @@ def _load_cached_point(path: Path, counters: dict[str, int]
     except Exception:
         logger.warning("corrupt sweep cache %s; retraining", path,
                        exc_info=True)
-        counters["sweep_cache_corrupt"] = (
-            counters.get("sweep_cache_corrupt", 0) + 1)
+        counters["sweep_cache_corrupt"] += 1
         return None
     return payload
 
@@ -299,7 +299,7 @@ def _run_layerwise_task(ctx: _LayerwiseContext,
                         ) -> tuple[dict, dict[str, int]]:
     """Train (or load) one architecture grid point; runs in a worker."""
     index, spec = task
-    counters: dict[str, int] = {}
+    counters = Counter()
     path = None
     if ctx.cache_dir is not None:
         key = _layerwise_point_key(ctx, spec, ctx.seed + index)
@@ -376,7 +376,7 @@ def layer_wise_sweep(decision_data: SplitData, calibrator_data: SplitData,
                            checkpoint=ckpt)
     points = []
     for payload, counters in outputs:
-        stats.merge_counters(counters)
+        stats.counters.update(counters)
         points.append(_point_from_payload(payload))
     return points
 
@@ -445,7 +445,7 @@ def _run_pruning_task(ctx: _PruningContext, task: tuple[float, float]
                       ) -> tuple[dict, dict[str, int]]:
     """Prune+fine-tune (or load) one grid point; runs in a worker."""
     x1, x2 = task
-    counters: dict[str, int] = {}
+    counters = Counter()
     path = None
     if ctx.cache_dir is not None:
         key = _pruning_point_key(ctx, x1, x2)
@@ -524,6 +524,6 @@ def pruning_sweep(pair: TrainedPair, decision_data: SplitData,
                            timeout_s=timeout_s, checkpoint=ckpt)
     points = []
     for payload, counters in outputs:
-        stats.merge_counters(counters)
+        stats.counters.update(counters)
         points.append(_point_from_payload(payload))
     return points

@@ -38,6 +38,7 @@ import logging
 import os
 import pickle
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -88,22 +89,13 @@ class CampaignStats:
     """
 
     def __init__(self) -> None:
-        self.counters: dict[str, int] = {}
+        self.counters = Counter()
         self.stages: list[StageTiming] = []
 
     # ------------------------------------------------------------------
     def count(self, name: str, amount: int = 1) -> None:
         """Increment a named counter."""
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def counter(self, name: str) -> int:
-        """Current value of a counter (0 if never incremented)."""
-        return self.counters.get(name, 0)
-
-    def merge_counters(self, counters: dict[str, int] | None) -> None:
-        """Fold a counter dict (e.g. from a worker or a policy) in."""
-        for name, amount in (counters or {}).items():
-            self.count(name, amount)
+        self.counters[name] += amount
 
     @property
     def cache_hits(self) -> int:
@@ -451,7 +443,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
 
     with stats.stage(stage, tasks=len(tasks), workers=workers,
                      mode="parallel") as timing:
-        attempts: dict[int, int] = {}
+        attempts = Counter()
         last_error: dict[int, BaseException | None] = {}
         quarantined: list[int] = []
         round_index = 0
@@ -467,7 +459,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
                             counter: str) -> None:
             stats.count(counter)
             last_error[index] = exc
-            attempts[index] = attempts.get(index, 0) + 1
+            attempts[index] += 1
             # Deterministic library errors re-fail identically; skip the
             # pointless pool retries and go straight to quarantine.
             if isinstance(exc, ReproError):
@@ -476,7 +468,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
         while True:
             pending = [index for index in range(len(tasks))
                        if index not in results
-                       and attempts.get(index, 0) <= retries]
+                       and attempts[index] <= retries]
             if not pending:
                 break
             if round_index > 0:
@@ -573,7 +565,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
                     cause = last_error.get(index) or exc
                     raise CampaignError(
                         f"task {index} failed after "
-                        f"{attempts.get(index, 0)} pooled attempts and an "
+                        f"{attempts[index]} pooled attempts and an "
                         f"in-process rescue: {cause!r}",
                         task_id=index) from exc
 

@@ -25,6 +25,7 @@ short-circuited call for ``--stats`` and the chaos harness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ..errors import ServeError
@@ -74,14 +75,11 @@ class CircuitBreaker:
     def __init__(self, config: BreakerConfig | None = None) -> None:
         self.config = config or BreakerConfig()
         self.state = CLOSED
-        self.counters: dict[str, int] = {}
+        self.counters = Counter()
         self._failure_streak = 0
         self._probe_streak = 0
         self._opened_at = 0
         self._admitted = 0  # calls allowed but not yet resolved
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     # ------------------------------------------------------------------
     def allow(self, now_tick: int) -> bool:
@@ -90,12 +88,12 @@ class CircuitBreaker:
             if now_tick - self._opened_at >= self.config.open_ticks:
                 self.state = HALF_OPEN
                 self._probe_streak = 0
-                self._count("breaker_half_opens")
+                self.counters["breaker_half_opens"] += 1
             else:
-                self._count("breaker_short_circuits")
+                self.counters["breaker_short_circuits"] += 1
                 return False
         if self.state == HALF_OPEN:
-            self._count("breaker_probes")
+            self.counters["breaker_probes"] += 1
         self._admitted += 1
         return True
 
@@ -109,7 +107,7 @@ class CircuitBreaker:
     def record_success(self, now_tick: int, latency_s: float) -> None:
         """Report a completed call; slow successes count as failures."""
         if latency_s > self.config.latency_budget_s:
-            self._count("breaker_slow_successes")
+            self.counters["breaker_slow_successes"] += 1
             self.record_failure(now_tick)
             return
         self._resolve()
@@ -118,18 +116,18 @@ class CircuitBreaker:
             self._probe_streak += 1
             if self._probe_streak >= self.config.probe_successes:
                 self.state = CLOSED
-                self._count("breaker_closes")
+                self.counters["breaker_closes"] += 1
 
     def record_failure(self, now_tick: int) -> None:
         """Report a failed (or over-budget) call admitted earlier."""
         self._resolve()
-        self._count("breaker_failures")
+        self.counters["breaker_failures"] += 1
         if self.state == HALF_OPEN:
             # One bad probe is enough evidence: back to OPEN.
             self.state = OPEN
             self._opened_at = now_tick
             self._failure_streak = 0
-            self._count("breaker_reopens")
+            self.counters["breaker_reopens"] += 1
             return
         self._failure_streak += 1
         if (self.state == CLOSED
@@ -137,8 +135,4 @@ class CircuitBreaker:
             self.state = OPEN
             self._opened_at = now_tick
             self._failure_streak = 0
-            self._count("breaker_trips")
-
-    def observability_counters(self) -> dict[str, int]:
-        """Breaker counters (``breaker_*``), for ``--stats`` fold-in."""
-        return dict(self.counters)
+            self.counters["breaker_trips"] += 1

@@ -25,7 +25,7 @@ moment of shedding, which is what lets the chaos harness assert the
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from ..errors import ServeError
@@ -95,11 +95,8 @@ class WindowAssembler:
 
     def __init__(self, config: IngestConfig | None = None) -> None:
         self.config = config or IngestConfig()
-        self.counters: dict[str, int] = {}
+        self.counters = Counter()
         self._streams: dict[int, _StreamState] = {}
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     def _stream(self, stream_id: int) -> _StreamState:
         state = self._streams.get(stream_id)
@@ -110,16 +107,16 @@ class WindowAssembler:
     # ------------------------------------------------------------------
     def offer(self, sample: TelemetrySample, now_tick: int) -> None:
         """Absorb one arriving sample (possibly late/duplicate/early)."""
-        self._count("ingest_samples")
+        self.counters["ingest_samples"] += 1
         state = self._stream(sample.stream_id)
         if sample.seq < state.next_seq or sample.seq in state.pending:
-            self._count("ingest_duplicates")
+            self.counters["ingest_duplicates"] += 1
             return
         if now_tick - sample.sent_tick > self.config.staleness_ticks:
-            self._count("ingest_stale_drops")
+            self.counters["ingest_stale_drops"] += 1
             return
         if sample.seq > state.next_seq:
-            self._count("ingest_reordered")
+            self.counters["ingest_reordered"] += 1
         if len(state.pending) >= self.config.max_pending:
             # Bounded buffer: drop the youngest (highest-seq) holding,
             # which preserves the oldest context the controller still
@@ -127,9 +124,9 @@ class WindowAssembler:
             victim = max(state.pending)
             if sample.seq < victim:
                 del state.pending[victim]
-                self._count("ingest_buffer_evictions")
+                self.counters["ingest_buffer_evictions"] += 1
             else:
-                self._count("ingest_buffer_evictions")
+                self.counters["ingest_buffer_evictions"] += 1
                 return
         state.pending[sample.seq] = sample
 
@@ -150,9 +147,9 @@ class WindowAssembler:
                     state.waiting_since = None
                     if (now_tick - sample.sent_tick
                             > self.config.staleness_ticks):
-                        self._count("ingest_stale_drops")
+                        self.counters["ingest_stale_drops"] += 1
                         continue
-                    self._count("ingest_delivered")
+                    self.counters["ingest_delivered"] += 1
                     ready.append(sample)
                     continue
                 if not state.pending:
@@ -166,14 +163,10 @@ class WindowAssembler:
                 # Gap confirmed: jump the cursor to the oldest buffered
                 # sample and account every skipped sequence number.
                 oldest = min(state.pending)
-                self._count("ingest_gap_skips", oldest - state.next_seq)
+                self.counters["ingest_gap_skips"] += oldest - state.next_seq
                 state.next_seq = oldest
                 state.waiting_since = None
         return ready
-
-    def observability_counters(self) -> dict[str, int]:
-        """Assembler counters (``ingest_*``), for ``--stats`` fold-in."""
-        return dict(self.counters)
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +240,13 @@ class RequestQueue:
     service_ticks: int = 1
     queue: deque = field(default_factory=deque)
     shed: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
+    counters: Counter = field(default_factory=Counter)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ServeError("queue capacity must be >= 1")
         if self.service_ticks < 0:
             raise ServeError("service_ticks cannot be negative")
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -267,8 +257,8 @@ class RequestQueue:
             request_id=request.request_id, stream_id=request.stream_id,
             reason=reason, deadline_class=request.deadline_class,
             queue_depth=len(self.queue), under_capacity=under_capacity))
-        self._count("serve_shed")
-        self._count(f"serve_shed_{reason}")
+        self.counters["serve_shed"] += 1
+        self.counters[f"serve_shed_{reason}"] += 1
 
     def offer(self, request: ServeRequest) -> bool:
         """Enqueue one request; sheds on overflow.  True when queued.
@@ -323,7 +313,3 @@ class RequestQueue:
             self._shed(self.queue.popleft(), reason, under_capacity=False)
             drained += 1
         return drained
-
-    def observability_counters(self) -> dict[str, int]:
-        """Queue counters (``serve_shed*``), for ``--stats`` fold-in."""
-        return dict(self.counters)

@@ -28,6 +28,7 @@ throughput ratio) from the window observed at ``n + 1``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,7 @@ class OnlineCalibrator:
         self.artifact_name = artifact_name
         self.config = config or OnlineConfig()
         self.seed = int(seed)
-        self.counters: dict[str, int] = {}
+        self.counters = Counter()
         self._features: list[np.ndarray] = []
         self._targets: list[float] = []
         self._poison_next = False
@@ -100,9 +101,6 @@ class OnlineCalibrator:
         self._updates = 0
         #: (version, windows remaining) of a promotion still on probation.
         self._probation: tuple[int, int] | None = None
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     # ------------------------------------------------------------------
     def poison_next_update(self) -> None:
@@ -118,12 +116,12 @@ class OnlineCalibrator:
         over this one's — the label only known one window later.
         """
         if not np.isfinite(ratio) or ratio < 0:
-            self._count("online_label_rejected")
+            self.counters["online_label_rejected"] += 1
             return
         row = np.concatenate([np.asarray(raw_features, dtype=np.float64),
                               [float(level)]])
         if not np.all(np.isfinite(row)):
-            self._count("online_label_rejected")
+            self.counters["online_label_rejected"] += 1
             return
         self._features.append(row)
         self._targets.append(float(ratio))
@@ -132,13 +130,13 @@ class OnlineCalibrator:
         if overflow > 0:
             del self._features[:overflow]
             del self._targets[:overflow]
-        self._count("online_samples")
+        self.counters["online_samples"] += 1
         if self._probation is not None:
             version, remaining = self._probation
             remaining -= 1
             if remaining <= 0:
                 self.store.mark_good(self.artifact_name, version)
-                self._count("online_marked_good")
+                self.counters["online_marked_good"] += 1
                 self._probation = None
             else:
                 self._probation = (version, remaining)
@@ -150,7 +148,7 @@ class OnlineCalibrator:
         pair; the on-probation promotion must never be blessed.
         """
         if self._probation is not None:
-            self._count("online_probation_aborted")
+            self.counters["online_probation_aborted"] += 1
             self._probation = None
 
     # ------------------------------------------------------------------
@@ -175,7 +173,7 @@ class OnlineCalibrator:
             return None
         self._since_attempt = 0
         self._updates += 1
-        self._count("online_updates_attempted")
+        self.counters["online_updates_attempted"] += 1
         x = np.stack(self._features)
         y = np.asarray(self._targets, dtype=np.float64)
         n_holdout = max(2, int(len(x) * self.config.holdout_fraction))
@@ -193,14 +191,14 @@ class OnlineCalibrator:
                             patience=self.config.epochs,
                             seed=self.seed + self._updates))
         except TrainingError:
-            self._count("online_updates_rejected")
+            self.counters["online_updates_rejected"] += 1
             return "rejected"
         if self._poison_next:
             # Injected poisoning: the fine-tuned weights are corrupted
             # after training, exactly where a bad batch or a bitflip
             # would land.  The gates below must catch it.
             self._poison_next = False
-            self._count("online_poison_injected")
+            self.counters["online_poison_injected"] += 1
             candidate.layers[0].weights[:] = np.nan
 
         pair = SSMDVFSModel(
@@ -219,15 +217,11 @@ class OnlineCalibrator:
                 or not np.isfinite(candidate_err)
                 or candidate_err > incumbent_err
                 * (1.0 + self.config.tolerance) + 1e-12):
-            self._count("online_updates_rejected")
+            self.counters["online_updates_rejected"] += 1
             return "rejected"
         version = self.store.put(self.artifact_name, pair.to_bytes(),
                                  schema=PAIR_SCHEMA)
         self.model = pair
         self._probation = (version, self.config.probation_windows)
-        self._count("online_updates_promoted")
+        self.counters["online_updates_promoted"] += 1
         return "promoted"
-
-    def observability_counters(self) -> dict[str, int]:
-        """Online-loop counters (``online_*``), for ``--stats``."""
-        return dict(self.counters)

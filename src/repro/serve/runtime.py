@@ -34,6 +34,7 @@ byte-identical payload at any worker count (invariant 4).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 from ..baselines.governor import UtilizationGovernor
 from ..core.drift import DriftMonitor, RollbackManager
 from ..core.guarded import GuardedController
-from ..core.policy import StaticPolicy, validate_decision
+from ..core.policy import StaticPolicy, policy_counters, validate_decision
 from ..errors import ArtifactCorrupt, PolicyError, ServeError
 from ..faults import ServeFaultConfig, ServeFaultPlan
 from ..gpu.arch import GPUArchConfig
@@ -184,8 +185,8 @@ class ServeResult:
     max_level_served: int | None = None
     num_levels: int = 0
     fault_counts: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-    decision_paths: dict = field(default_factory=dict)
+    counters: Counter = field(default_factory=Counter)
+    decision_paths: Counter = field(default_factory=Counter)
 
     @property
     def shed(self) -> int:
@@ -196,11 +197,6 @@ class ServeResult:
     def conserved(self) -> bool:
         """Invariant 2: every submitted request accounted exactly once."""
         return self.submitted == self.served + self.shed + self.failed
-
-    def merge_counters(self, counters: dict) -> None:
-        """Accumulate one component's counters into the run totals."""
-        for name, amount in counters.items():
-            self.counters[name] = self.counters.get(name, 0) + int(amount)
 
     def wait_percentile(self, fraction: float) -> int:
         """Queueing-delay percentile in ticks (0 when nothing served)."""
@@ -236,7 +232,8 @@ class ServeResult:
             "num_levels": self.num_levels,
             "fault_counts": dict(sorted(self.fault_counts.items())),
             "decision_paths": dict(sorted(self.decision_paths.items())),
-            "counters": dict(sorted(self.counters.items())),
+            "counters": {name: int(amount)
+                         for name, amount in sorted(self.counters.items())},
         }
 
     def export_json(self, path) -> object:
@@ -315,7 +312,6 @@ class ServingRuntime:
                                      config.stream_duration_us * 1e-6)
             for s in range(config.streams)]
         self._online: OnlineCalibrator | None = None
-        self._stack_counters: dict[str, int] = {}
 
     # -- worker stacks --------------------------------------------------
     def _current_model(self):
@@ -363,15 +359,6 @@ class ServingRuntime:
         return {"primary": guard, "degraded": degraded,
                 "simulator": simulator}, restored
 
-    def _harvest_stack(self, stack: dict) -> None:
-        """Fold a retiring stack's policy counters into the run totals."""
-        for policy in (stack.get("primary"), stack.get("degraded")):
-            source = getattr(policy, "observability_counters", None)
-            if callable(source):
-                for name, amount in source().items():
-                    self._stack_counters[name] = (
-                        self._stack_counters.get(name, 0) + amount)
-
     # -- the serving loop -----------------------------------------------
     def run(self) -> ServeResult:
         """Run the full two-phase serving replay; returns the result."""
@@ -417,10 +404,7 @@ class ServingRuntime:
         rng = np.random.default_rng(
             derive_seed(config.seed, "serve-loop"))
 
-        serve_counters: dict[str, int] = {}
-
-        def count(name: str, amount: int = 1) -> None:
-            serve_counters[name] = serve_counters.get(name, 0) + amount
+        counters = result.counters
 
         # Per-stream replay cursors and label memory (snippet 3 idiom:
         # the window served at seq n is labelled by window n+1).
@@ -455,7 +439,7 @@ class ServingRuntime:
             """Compute one validated decision through the worker stack."""
             record = request.payload.payload
             if worker.pinned:
-                count("serve_pinned_decisions")
+                counters["serve_pinned_decisions"] += 1
                 return _InFlight(request, list(fallback_levels), "pinned")
             if not breaker.allow(now):
                 try:
@@ -463,9 +447,9 @@ class ServingRuntime:
                         worker.stack["degraded"].decide(record),
                         self.arch.vf_table.num_levels, num_clusters)
                 except PolicyError:
-                    count("serve_invalid_decisions")
+                    counters["serve_invalid_decisions"] += 1
                     levels = list(fallback_levels)
-                count("serve_degraded_decisions")
+                counters["serve_degraded_decisions"] += 1
                 return _InFlight(request, levels, "degraded")
             stall = window_active("inference_stall", now)
             latency_s = (config.inference_latency_us * 1e-6
@@ -474,7 +458,7 @@ class ServingRuntime:
                 latency_s *= stall.magnitude
             if latency_s > config.stall_timeout_us * 1e-6:
                 breaker.record_failure(now)
-                count("serve_stall_fallbacks")
+                counters["serve_stall_fallbacks"] += 1
                 return _InFlight(request, list(fallback_levels),
                                  "fallback")
             try:
@@ -483,7 +467,7 @@ class ServingRuntime:
                     raw, self.arch.vf_table.num_levels, num_clusters)
             except PolicyError:
                 breaker.record_failure(now)
-                count("serve_invalid_decisions")
+                counters["serve_invalid_decisions"] += 1
                 return _InFlight(request, list(fallback_levels),
                                  "fallback")
             breaker.record_success(now, latency_s)
@@ -499,14 +483,14 @@ class ServingRuntime:
                     lost = supervisor.crash(event.target, tick)
                     if lost is not None:
                         result.failed += 1
-                        count("serve_failed_crash")
+                        counters["serve_failed_crash"] += 1
                 elif event.kind == "worker_hang":
                     supervisor.hang(event.target, tick)
                 elif event.kind == "poisoned_update":
                     if self._online is not None:
                         self._online.poison_next_update()
                     else:
-                        count("serve_poison_ignored")
+                        counters["serve_poison_ignored"] += 1
 
             # 2. Supervisor machine: completions, liveness, restarts.
             completions, failures = supervisor.tick(tick)
@@ -520,12 +504,11 @@ class ServingRuntime:
                                       self.arch.vf_table.num_levels,
                                       num_clusters)
                 except PolicyError:
-                    count("serve_invalid_decisions")
+                    counters["serve_invalid_decisions"] += 1
                     levels = list(fallback_levels)
                 result.served += 1
                 result.wait_ticks.append(tick - request.arrival_tick)
-                result.decision_paths[inflight.path] = (
-                    result.decision_paths.get(inflight.path, 0) + 1)
+                result.decision_paths[inflight.path] += 1
                 level = int(levels[0])
                 if (result.min_level_served is None
                         or level < result.min_level_served):
@@ -548,7 +531,7 @@ class ServingRuntime:
                         request.seq, instructions, raw_features, level)
             result.failed += len(failures)
             if failures:
-                count("serve_failed_liveness", len(failures))
+                counters["serve_failed_liveness"] += len(failures)
 
             # 3. Telemetry arrivals (phase-1 traces + seeded jitter).
             if arrivals_open:
@@ -567,17 +550,17 @@ class ServingRuntime:
                             stream_id=stream, seq=seq, sent_tick=tick,
                             payload=trace[seq % len(trace)])
                         if window_active("telemetry_gap", tick, stream):
-                            count("serve_gap_losses")
+                            counters["serve_gap_losses"] += 1
                             continue
                         if rng.random() < config.drop_rate:
-                            count("serve_jitter_losses")
+                            counters["serve_jitter_losses"] += 1
                             continue
                         copies = 1
                         storm = window_active("telemetry_storm", tick,
                                               stream)
                         if storm is not None:
                             copies = max(1, int(storm.magnitude))
-                            count("serve_storm_duplicates", copies - 1)
+                            counters["serve_storm_duplicates"] += copies - 1
                         elif rng.random() < config.duplicate_rate:
                             copies = 2
                         for _ in range(copies):
@@ -626,7 +609,7 @@ class ServingRuntime:
                 before = self._online.model
                 self._online.maybe_update()
                 if self._online.model is not before:
-                    count("serve_model_promotions")
+                    counters["serve_model_promotions"] += 1
 
         # Drain accounting: whatever could not be served in the drain
         # window is shed explicitly so conservation stays exact.
@@ -636,24 +619,21 @@ class ServingRuntime:
         result.unrecovered = supervisor.unrecovered()
         result.recovery_ticks = supervisor.recovery_ticks()
         # Requests still in flight on hung/restarting workers at the end
-        # of the horizon are failures (they never completed).
+        # of the horizon are failures (they never completed).  Each
+        # worker's decision stack hands in its policy counters.
         for worker in supervisor.workers:
             if worker.request is not None:
                 result.failed += 1
-                count("serve_failed_stranded")
-            self._harvest_stack(worker.stack)
+                counters["serve_failed_stranded"] += 1
+            counters.update(policy_counters(worker.stack["primary"]))
+            counters.update(policy_counters(worker.stack["degraded"]))
 
-        result.merge_counters(serve_counters)
-        result.merge_counters(queue.observability_counters())
-        result.merge_counters(assembler.observability_counters())
-        result.merge_counters(breaker.observability_counters())
-        result.merge_counters(supervisor.observability_counters())
-        result.merge_counters(self._stack_counters)
-        if self._online is not None:
-            result.merge_counters(self._online.observability_counters())
-        if self.store is not None:
-            result.merge_counters(self.store.counters)
-        count_total = result.served + result.shed + result.failed
-        result.merge_counters({"serve_requests_submitted": result.submitted,
-                               "serve_requests_accounted": count_total})
+        for component in (queue, assembler, breaker, supervisor,
+                          self._online, self.store):
+            if component is not None:
+                counters.update(component.counters)
+        counters.update(
+            serve_requests_submitted=result.submitted,
+            serve_requests_accounted=(result.served + result.shed
+                                      + result.failed))
         return result

@@ -26,6 +26,7 @@ the chaos harness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,7 +111,7 @@ class Supervisor:
             raise ServeError("the supervisor needs at least one worker")
         self.config = config or SupervisorConfig()
         self.build_stack = build_stack
-        self.counters: dict[str, int] = {}
+        self.counters = Counter()
         self.workers: list[WorkerHandle] = []
         #: Completed (down_tick, up_tick) outages, for the bounded-
         #: recovery invariant.  Quarantined workers never appear here;
@@ -119,9 +120,6 @@ class Supervisor:
         for worker_id in range(num_workers):
             stack, _ = build_stack(worker_id)
             self.workers.append(WorkerHandle(worker_id, stack))
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     # -- probes and dispatch -------------------------------------------
     def ready_workers(self) -> list[WorkerHandle]:
@@ -139,7 +137,7 @@ class Supervisor:
         worker.request = request
         worker.dispatch_tick = now_tick
         worker.busy_until = now_tick + max(1, service_ticks)
-        self._count("supervisor_dispatches")
+        self.counters["supervisor_dispatches"] += 1
 
     # -- fault entry points --------------------------------------------
     def crash(self, worker_id: int, now_tick: int):
@@ -147,7 +145,7 @@ class Supervisor:
         worker = self.workers[worker_id]
         if worker.state in (RESTARTING, QUARANTINED):
             return None  # already down; a crash on a corpse is a no-op
-        self._count("supervisor_crashes")
+        self.counters["supervisor_crashes"] += 1
         return self._take_down(worker, now_tick)
 
     def hang(self, worker_id: int, now_tick: int) -> None:
@@ -156,7 +154,7 @@ class Supervisor:
         if worker.state in (RESTARTING, QUARANTINED):
             return
         worker.hung = True
-        self._count("supervisor_hangs")
+        self.counters["supervisor_hangs"] += 1
 
     def _take_down(self, worker: WorkerHandle, now_tick: int):
         """Common kill path: schedule restart or escalate; free the slot."""
@@ -170,7 +168,7 @@ class Supervisor:
         if worker.restarts >= self.config.quarantine_after:
             worker.state = QUARANTINED
             worker.restart_at = None
-            self._count("supervisor_quarantined")
+            self.counters["supervisor_quarantined"] += 1
             return lost
         backoff = min(
             self.config.backoff_cap_ticks,
@@ -179,7 +177,7 @@ class Supervisor:
         worker.restart_at = now_tick + backoff
         if worker.restarts >= self.config.pin_after and not worker.pinned:
             worker.pinned = True
-            self._count("supervisor_pinned")
+            self.counters["supervisor_pinned"] += 1
         return lost
 
     # -- the per-tick machine ------------------------------------------
@@ -203,7 +201,7 @@ class Supervisor:
                 > self.config.liveness_ticks)
             wedged_idle = worker.state == READY and worker.hung
             if wedged_busy or wedged_idle:
-                self._count("supervisor_liveness_kills")
+                self.counters["supervisor_liveness_kills"] += 1
                 lost = self._take_down(worker, now_tick)
                 if lost is not None:
                     failures.append(lost)
@@ -225,9 +223,9 @@ class Supervisor:
                 worker.stack = stack
                 worker.state = READY
                 worker.restart_at = None
-                self._count("supervisor_restarts")
+                self.counters["supervisor_restarts"] += 1
                 if restored:
-                    self._count("supervisor_restores")
+                    self.counters["supervisor_restores"] += 1
                 if worker.down_since is not None:
                     self.recoveries.append((worker.down_since, now_tick))
                     worker.down_since = None
@@ -250,7 +248,3 @@ class Supervisor:
     def recovery_ticks(self) -> list[int]:
         """Outage durations (ticks) of every completed recovery."""
         return [up - down for down, up in self.recoveries]
-
-    def observability_counters(self) -> dict[str, int]:
-        """Supervisor counters (``supervisor_*``), for ``--stats``."""
-        return dict(self.counters)

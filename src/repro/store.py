@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,10 +193,7 @@ class ArtifactStore:
         self.root = Path(root)
         #: Observability counters (``store_*`` names), merged into
         #: campaign ``--stats`` by the soak harness.
-        self.counters: dict[str, int] = {}
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+        self.counters = Counter()
 
     # -- manifest ------------------------------------------------------
     def _dir(self, name: str) -> Path:
@@ -218,11 +216,11 @@ class ArtifactStore:
                 return {"versions": versions,
                         "last_known_good": payload.get("last_known_good")}
             except Exception:
-                self._count("store_manifest_rebuilds")
+                self.counters["store_manifest_rebuilds"] += 1
         elif not self._dir(name).exists():
             return {"versions": [], "last_known_good": None}
         else:
-            self._count("store_manifest_rebuilds")
+            self.counters["store_manifest_rebuilds"] += 1
         return self._rebuild_manifest(name)
 
     def _rebuild_manifest(self, name: str) -> dict:
@@ -306,7 +304,7 @@ class ArtifactStore:
         if mark_good:
             manifest["last_known_good"] = number
         self._save_manifest(name, manifest)
-        self._count("store_puts")
+        self.counters["store_puts"] += 1
         return number
 
     def _read_version(self, name: str, entry: ArtifactVersion) -> bytes:
@@ -341,10 +339,10 @@ class ArtifactStore:
             raise ArtifactCorrupt(f"{name!r} has no version {version}")
         try:
             payload = self._read_version(name, by_version[version])
-            self._count("store_reads")
+            self.counters["store_reads"] += 1
             return payload
         except ArtifactCorrupt:
-            self._count("store_corrupt_reads")
+            self.counters["store_corrupt_reads"] += 1
             if not fallback:
                 raise
         for entry in reversed(entries):
@@ -353,9 +351,9 @@ class ArtifactStore:
             try:
                 payload = self._read_version(name, entry)
             except ArtifactCorrupt:
-                self._count("store_corrupt_reads")
+                self.counters["store_corrupt_reads"] += 1
                 continue
-            self._count("store_fallbacks")
+            self.counters["store_fallbacks"] += 1
             return payload
         raise ArtifactCorrupt(
             f"{name!r}: no stored version verifies (tried "
@@ -402,7 +400,7 @@ class ArtifactStore:
             if self.verify(name, entry.version):
                 manifest["last_known_good"] = entry.version
                 self._save_manifest(name, manifest)
-                self._count("store_rollbacks")
+                self.counters["store_rollbacks"] += 1
                 return entry.version
         raise ArtifactCorrupt(
             f"{name!r}: no verifying version older than {current}")
@@ -441,7 +439,7 @@ class ArtifactStore:
                 file.unlink()
                 pruned += 1
         if pruned:
-            self._count("store_pruned_versions", pruned)
+            self.counters["store_pruned_versions"] += pruned
         return pruned
 
     def render(self) -> str:

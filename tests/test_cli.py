@@ -94,6 +94,21 @@ def test_run_command(cli_model, capsys):
     assert "normalized EDP" in out
 
 
+def test_run_guarded_stats_prints_the_stack_counters(cli_model, capsys):
+    code = main(["run", "--small", "--model", str(cli_model),
+                 "--kernel", "rodinia.hotspot", "--duration-us", "150",
+                 "--seed", "1", "--guarded", "--stats"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "normalized EDP" in lines[0]
+    block = dict(line.split() for line in lines[1:])
+    # The guard's and the wrapped controller's counters, sorted; the
+    # controller's anomaly count is printed even when it is zero.
+    assert list(block) == sorted(block)
+    assert "calibration_anomalies" in block
+    assert all(value.isdigit() for value in block.values())
+
+
 # ---------------------------------------------------------------------------
 # Each subcommand accepts only the flags it reads
 # ---------------------------------------------------------------------------

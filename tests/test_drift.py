@@ -1,5 +1,7 @@
 """Drift detection, registry rollback, and guarded self-healing."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.core.combined import PAIR_SCHEMA, SSMDVFSModel
 from repro.core.controller import SSMDVFSController
 from repro.core.drift import DriftConfig, DriftMonitor, RollbackManager
 from repro.core.guarded import ACTIVE, FALLBACK, PROBATION, GuardedController
-from repro.core.policy import StaticPolicy
+from repro.core.policy import StaticPolicy, policy_counters
 from repro.errors import ArtifactCorrupt, DriftDetected, PolicyError
 from repro.evaluation.soak import perturb_model_weights
 from repro.gpu.kernels import KernelProfile
@@ -140,7 +142,7 @@ def test_rollback_recovers_last_known_good(tmp_path, small_pipeline):
         store, "pair", lambda m: SSMDVFSController(m, preset=0.10))
     restored = manager.recover()
     assert isinstance(restored, SSMDVFSController)
-    counters = manager.observability_counters()
+    counters = manager.counters
     assert counters["rollback_successes"] == 1
     assert counters["rollback_restored_version"] == 1
 
@@ -158,7 +160,7 @@ def test_rollback_skips_corrupt_version_then_exhausts(tmp_path,
     manager = RollbackManager(
         store, "pair", lambda m: SSMDVFSController(m, preset=0.10))
     assert manager.recover() is None
-    counters = manager.observability_counters()
+    counters = manager.counters
     assert counters["rollback_corrupt_versions"] == 1
     assert counters["rollback_exhausted"] == 1
 
@@ -171,7 +173,7 @@ def test_rollback_rejects_nonfinite_weights(tmp_path, small_pipeline):
     manager = RollbackManager(
         store, "pair", lambda m: SSMDVFSController(m, preset=0.10))
     assert manager.recover() is None
-    assert manager.observability_counters()[
+    assert manager.counters[
         "rollback_unverified_versions"] == 1
 
 
@@ -229,13 +231,12 @@ class _StubRollback:
     def __init__(self, replacement):
         self.replacement = replacement
         self.calls = 0
+        self.counters = Counter()
 
     def recover(self):
         self.calls += 1
+        self.counters["rollback_attempts"] += 1
         return self.replacement
-
-    def observability_counters(self):
-        return {"rollback_attempts": self.calls}
 
 
 def _drive(guard, simulator, epochs):
@@ -261,10 +262,33 @@ def test_drift_alarm_hot_swaps_inner_policy(small_arch):
     _drive(guard, simulator, 20)
     assert guard.inner is replacement
     assert guard.state in (PROBATION, ACTIVE)
-    counters = guard.observability_counters()
+    counters = policy_counters(guard)
     assert counters["drift_trips"] == 1
     assert counters["rollback_hot_swaps"] == 1
     assert rollback.calls == 1
+
+
+class _AnomalousDriftingPolicy(_DriftingPolicy):
+    """Drifting policy that counts a calibration anomaly per decision."""
+
+    def decide(self, record):
+        self.counters["calibration_anomalies"] += 1
+        return super().decide(record)
+
+
+def test_hot_swap_keeps_the_retired_policy_counters(small_arch):
+    stale = _AnomalousDriftingPolicy()
+    guard = GuardedController(
+        stale, drift_monitor=DriftMonitor(DriftConfig(warmup_updates=2)),
+        rollback=_StubRollback(StaticPolicy(1)))
+    simulator = GPUSimulator(small_arch, _kernel(), seed=0)
+    guard.reset(simulator)
+    _drive(guard, simulator, 20)
+    assert guard.inner is not stale
+    retired = stale.counters["calibration_anomalies"]
+    assert retired > 0
+    # The swapped-out pair's evidence survives the swap, exactly once.
+    assert policy_counters(guard)["calibration_anomalies"] == retired
 
 
 def test_drift_with_empty_registry_pins_fallback(small_arch):
@@ -278,7 +302,7 @@ def test_drift_with_empty_registry_pins_fallback(small_arch):
     _drive(guard, simulator, 30)
     assert guard.state == FALLBACK
     assert guard._pinned_fallback
-    counters = guard.observability_counters()
+    counters = policy_counters(guard)
     assert counters["rollback_pinned_fallback"] == 1
     # Pinned means pinned: many more epochs never leave fallback.
     while not simulator.finished:
@@ -331,7 +355,7 @@ def test_healthy_policy_never_trips_drift(small_arch):
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     guard.reset(simulator)
     _drive(guard, simulator, 60)
-    assert guard.observability_counters().get("drift_trips", 0) == 0
+    assert policy_counters(guard)["drift_trips"] == 0
     assert guard.state == ACTIVE
 
 
@@ -349,13 +373,11 @@ class _OscillatingRollback:
 
     def __init__(self):
         self.calls = 0
+        self.counters = Counter()
 
     def recover(self):
         self.calls += 1
         return _DriftingPolicy()
-
-    def observability_counters(self):
-        return {}
 
 
 def test_swap_cooldown_suppresses_rollback_oscillation(small_arch):
@@ -371,7 +393,7 @@ def test_swap_cooldown_suppresses_rollback_oscillation(small_arch):
     # Exactly one swap; every re-alarm inside the cooldown is suppressed
     # and ridden out in plain (unpinned) fallback instead.
     assert rollback.calls == 1
-    counters = guard.observability_counters()
+    counters = policy_counters(guard)
     assert counters["rollback_hot_swaps"] == 1
     assert counters["drift_swap_suppressed"] >= 1
     assert not guard._pinned_fallback
@@ -403,4 +425,4 @@ def test_zero_cooldown_preserves_legacy_swap_behaviour(small_arch):
     guard.reset(simulator)
     _drive(guard, simulator, 150)
     assert rollback.calls >= 2
-    assert "drift_swap_suppressed" not in guard.observability_counters()
+    assert "drift_swap_suppressed" not in policy_counters(guard)

@@ -1,6 +1,7 @@
 """Fault injection and the guarded controller: sanitize, trip, recover."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from repro.baselines.governor import UtilizationGovernor
 from repro.cli import main
 from repro.core.controller import SSMDVFSController
+from repro.core.drift import DriftMonitor, RollbackManager
 from repro.core.guarded import ACTIVE, FALLBACK, PROBATION, GuardedController
-from repro.core.policy import StaticPolicy, validate_decision
+from repro.core.policy import StaticPolicy, policy_counters, validate_decision
 from repro.errors import FaultInjectionError, GuardTripped, PolicyError
 from repro.evaluation.robustness import fault_sweep
+from repro.evaluation.runner import compare_policies
 from repro.faults import (FAULT_MODES, FaultConfig, FaultyPolicy,
                           build_faulty_policy, config_for_mode,
                           derive_fault_seed)
@@ -20,6 +23,7 @@ from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase
 from repro.gpu.simulator import GPUSimulator
 from repro.parallel import CampaignStats
+from repro.store import ArtifactStore
 
 
 def _kernel(iterations=8):
@@ -66,7 +70,7 @@ def test_fault_injection_is_deterministic_per_seed(small_arch):
         policy = FaultyPolicy(StaticPolicy(2),
                               FaultConfig(counter_nan=0.3, seed=seed))
         result = _run(small_arch, policy)
-        return result.time_s, result.energy_j, dict(policy.counts)
+        return result.time_s, result.energy_j, dict(policy.counters)
 
     assert run_with(5) == run_with(5)
     assert run_with(5)[2] != run_with(6)[2]
@@ -107,7 +111,7 @@ def test_dropout_zeroes_whole_windows(small_arch):
     corrupted = policy.corrupt_record(record)
     for counters in corrupted.cluster_counters:
         assert not np.any(counters.as_vector())
-    assert policy.counts["fault_counter_dropout"] == len(
+    assert policy.counters["fault_counter_dropout"] == len(
         corrupted.cluster_counters)
 
 
@@ -121,7 +125,7 @@ def test_stuck_counters_redeliver_previous_epoch(small_arch):
     for before, after in zip(first.cluster_counters,
                              second.cluster_counters):
         assert np.array_equal(before.as_vector(), after.as_vector())
-    assert policy.counts["fault_counter_stuck"] == len(
+    assert policy.counters["fault_counter_stuck"] == len(
         second.cluster_counters)
 
 
@@ -135,8 +139,8 @@ def test_nan_and_spike_faults_mark_counters(small_arch):
     vector = np.concatenate([c.as_vector()
                              for c in corrupted.cluster_counters])
     assert np.isnan(vector).any()
-    assert policy.counts["fault_counter_nan"] > 0
-    assert policy.counts["fault_counter_spike"] > 0
+    assert policy.counters["fault_counter_nan"] > 0
+    assert policy.counters["fault_counter_spike"] > 0
 
 
 def test_actuation_drop_holds_previous_levels(small_arch):
@@ -147,7 +151,7 @@ def test_actuation_drop_holds_previous_levels(small_arch):
     record = simulator.step_epoch()
     decision = policy.decide(record)
     assert decision == list(record.levels)  # never reaches level 3
-    assert policy.counts["fault_actuation_drop"] == 1
+    assert policy.counters["fault_actuation_drop"] == 1
 
 
 def test_faulted_run_completes_for_every_mode(small_arch):
@@ -202,7 +206,7 @@ def test_guard_sanitizes_counters_before_inner_policy(small_arch):
     assert np.isfinite(observed).all()
     assert (observed >= 0).all()
     assert observed.max() <= guard.max_counter_value
-    counters = guard.observability_counters()
+    counters = policy_counters(guard)
     assert counters["guard_counter_nonfinite"] == 1
     assert counters["guard_counter_negative"] == 1
     assert counters["guard_counter_clamped"] == 1
@@ -228,7 +232,7 @@ def test_guard_trips_to_fallback_and_recovers(small_arch):
     assert guard.state == ACTIVE
     assert guard.decide(nan_record()) == fallback
     assert guard.state == FALLBACK
-    counters = guard.observability_counters()
+    counters = policy_counters(guard)
     assert counters["guard_trips"] == 1
     # Clean epochs: serve out fallback, pass probation, recover.
     states = []
@@ -237,7 +241,7 @@ def test_guard_trips_to_fallback_and_recovers(small_arch):
         states.append(guard.state)
     assert PROBATION in states
     assert guard.state == ACTIVE
-    assert guard.observability_counters()["guard_recoveries"] == 1
+    assert policy_counters(guard)["guard_recoveries"] == 1
 
 
 def test_guard_probation_relapse_returns_to_fallback(small_arch):
@@ -258,7 +262,7 @@ def test_guard_probation_relapse_returns_to_fallback(small_arch):
     assert guard.state == PROBATION
     guard.decide(zero_record())  # anomaly during probation
     assert guard.state == FALLBACK
-    assert guard.observability_counters()["guard_probation_failures"] == 1
+    assert policy_counters(guard)["guard_probation_failures"] == 1
 
 
 def test_guard_contains_inner_policy_exceptions(small_arch):
@@ -270,7 +274,7 @@ def test_guard_contains_inner_policy_exceptions(small_arch):
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     result = simulator.run(guard, keep_records=False)
     assert result.epochs > 0
-    counters = guard.observability_counters()
+    counters = policy_counters(guard)
     assert counters["guard_policy_error"] > 0
     assert counters["guard_trips"] >= 1
 
@@ -284,7 +288,7 @@ def test_guard_rejects_invalid_decisions(small_arch):
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     result = simulator.run(guard, keep_records=False)
     assert result.epochs > 0
-    assert guard.observability_counters()["guard_decision_invalid"] > 0
+    assert policy_counters(guard)["guard_decision_invalid"] > 0
 
 
 def test_strict_guard_raises_instead_of_degrading(small_arch):
@@ -302,7 +306,7 @@ def test_total_sensor_dropout_engages_fallback(small_arch):
                                  config_for_mode("dropout", 1.0, seed=1))
     result = _run(small_arch, policy)
     assert result.epochs > 0
-    counters = policy.observability_counters()
+    counters = policy_counters(policy)
     assert counters["guard_trips"] >= 1
     assert counters["guard_fallback_epochs"] > 0
 
@@ -323,9 +327,29 @@ def test_guarded_controller_survives_calibrator_nan(small_arch,
     guard = GuardedController(controller)
     result = _run(small_arch, guard)
     assert result.epochs > 0
-    counters = guard.observability_counters()
+    counters = policy_counters(guard)
     assert counters["calibration_anomalies"] > 0
     assert math.isfinite(controller.working_preset)
+
+
+def test_policy_counters_counts_each_layer_once(tmp_path, small_pipeline):
+    controller = SSMDVFSController(small_pipeline.models["base"], 0.10)
+    monitor = DriftMonitor()
+    rollback = RollbackManager(ArtifactStore(tmp_path), "pair",
+                               lambda model: model)
+    guard = GuardedController(controller, drift_monitor=monitor,
+                              rollback=rollback)
+    policy = FaultyPolicy(guard, FaultConfig(counter_nan=0.1, seed=0))
+    layers = [policy, guard, controller, monitor, rollback]
+    for amount, layer in enumerate(layers, start=1):
+        layer.counters["shared"] += amount
+        layer.counters[f"own_{amount}"] += 10 * amount
+    folded = policy_counters(policy)
+    assert folded == {"shared": 15, "calibration_anomalies": 0,
+                      **{f"own_{n}": 10 * n for n in range(1, 6)}}
+    # A fresh Counter, not a view: a snapshot stays put.
+    folded["shared"] += 100
+    assert policy_counters(policy)["shared"] == 15
 
 
 def test_controller_log_bias_survives_spiked_counters(small_arch,
@@ -357,7 +381,27 @@ def test_fault_sweep_reports_cells_and_counters(small_arch):
     assert faulted.kernels == 1
     rendered = result.render()
     assert "nan" in rendered and "static" in rendered
-    assert stats.counter("fault_counter_nan") > 0
+    assert stats.counters["fault_counter_nan"] > 0
+
+
+def test_pooled_comparison_folds_the_same_policy_counters(small_arch):
+    factory = partial(build_faulty_policy, partial(StaticPolicy, 2),
+                      config_for_mode("nan", 0.8, seed=1))
+    kernels = [_kernel(iterations=4), _kernel(iterations=3)]
+
+    def policy_part(workers):
+        stats = CampaignStats()
+        compare_policies({"static": factory}, kernels, small_arch, 0.10,
+                         seed=1, workers=workers, stats=stats)
+        modes = {stage.mode for stage in stats.stages}
+        return modes, {name: amount for name, amount in stats.counters.items()
+                       if name.startswith(("fault_", "guard_"))}
+
+    serial_modes, serial = policy_part(1)
+    pooled_modes, pooled = policy_part(2)
+    assert serial_modes == {"serial"} and pooled_modes == {"parallel"}
+    assert serial["fault_counter_nan"] > 0 and serial["guard_trips"] > 0
+    assert pooled == serial
 
 
 def test_fault_sweep_guard_reduces_violations_vs_bare(small_arch):

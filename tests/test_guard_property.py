@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.guarded import ACTIVE, FALLBACK, PROBATION, GuardedController
-from repro.core.policy import StaticPolicy
+from repro.core.policy import StaticPolicy, policy_counters
 from repro.errors import GuardTripped
 from repro.gpu.counters import CounterSet
 from repro.gpu.kernels import KernelProfile
@@ -94,7 +94,7 @@ def test_strict_mode_trip_always_raises(small_arch, seed):
     _drive_sequence(guard, simulator, [False] * int(rng.integers(0, 6)))
     with pytest.raises(GuardTripped):
         _drive_sequence(guard, simulator, [True] * trip)
-    assert guard.observability_counters()["guard_trips"] == 1
+    assert policy_counters(guard)["guard_trips"] == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -107,7 +107,7 @@ def test_random_fault_trains_replay_identically(small_arch, seed):
         guard.reset(simulator)
         anomalies = list(rng.random(60) < 0.3)
         trace = _drive_sequence(guard, simulator, anomalies)
-        return trace, dict(guard.observability_counters())
+        return trace, dict(policy_counters(guard))
 
     first_trace, first_counters = run()
     second_trace, second_counters = run()
@@ -138,7 +138,7 @@ def test_trip_counter_matches_active_to_fallback_transitions(small_arch,
         simulator.apply_decision(decision)
         pairs.append((before, guard.state))
         trace.append(guard.state)
-    counters = guard.observability_counters()
+    counters = policy_counters(guard)
     # A trip is exactly an ACTIVE -> FALLBACK step; probation relapses
     # can land FALLBACK -> FALLBACK in one epoch (probation entry and
     # failure in the same decide), so they only bound the transitions.

@@ -125,7 +125,7 @@ def test_old_per_run_checkpoint_is_not_resumed(tmp_path):
     resumed = cached_comparison(tmp_path, factories, kernels, ARCH, PRESET,
                                 seed=SEED, stats=stats, checkpoint=True)
     assert resumed.to_payload() == clean.to_payload()
-    assert stats.counter("campaign_tasks_resumed") == 0
+    assert stats.counters["campaign_tasks_resumed"] == 0
 
 
 def test_per_kernel_checkpoint_resumes(tmp_path):
@@ -143,7 +143,7 @@ def test_per_kernel_checkpoint_resumes(tmp_path):
     resumed = cached_comparison(tmp_path, factories, kernels, ARCH, PRESET,
                                 seed=SEED, stats=stats, checkpoint=True)
     assert resumed.to_payload() == clean.to_payload()
-    assert stats.counter("campaign_tasks_resumed") == 1
+    assert stats.counters["campaign_tasks_resumed"] == 1
 
 
 # ---------------------------------------------------------------------------

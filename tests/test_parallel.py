@@ -89,7 +89,7 @@ def test_worker_crash_falls_back_to_serial():
         out = parallel_map(_crash_in_worker, [1, 2, 3], workers=2,
                            stats=stats)
         assert out == [2, 3, 4]
-        assert stats.counter("parallel_fallbacks") == 1
+        assert stats.counters["parallel_fallbacks"] == 1
         assert stats.stages[-1].mode == "fallback"
     finally:
         os.environ.pop(_MAIN_PID_VAR, None)
@@ -99,7 +99,7 @@ def test_unpicklable_task_falls_back_to_serial():
     stats = CampaignStats()
     out = parallel_map(lambda x: x - 1, [5, 6], workers=2, stats=stats)
     assert out == [4, 5]
-    assert stats.counter("parallel_fallbacks") == 1
+    assert stats.counters["parallel_fallbacks"] == 1
 
 
 def test_task_errors_propagate():
@@ -136,10 +136,10 @@ def test_crashed_tasks_are_retried_to_completion(tmp_path):
     out = parallel_map(flaky, [1, 2, 3, 4], workers=2, stats=stats,
                        backoff_s=0.01, retries=6)
     assert out == [2, 3, 4, 5]
-    assert stats.counter("campaign_worker_crashes") > 0
-    assert stats.counter("campaign_retries") > 0
+    assert stats.counters["campaign_worker_crashes"] > 0
+    assert stats.counters["campaign_retries"] > 0
     # The pool recovered on its own: no serial fallback was needed.
-    assert stats.counter("parallel_fallbacks") == 0
+    assert stats.counters["parallel_fallbacks"] == 0
     assert stats.stages[-1].mode == "parallel"
 
 
@@ -153,7 +153,7 @@ def test_hung_workers_are_terminated_and_tasks_retried(tmp_path):
     assert out == [2, 3]
     # The watchdog must fire at ~timeout_s, not wait out the hang.
     assert time.monotonic() - start < 30.0
-    assert stats.counter("campaign_hangs") > 0
+    assert stats.counters["campaign_hangs"] > 0
 
 
 def test_permanent_task_failure_raises_campaign_error_with_task_id():
@@ -162,8 +162,8 @@ def test_permanent_task_failure_raises_campaign_error_with_task_id():
         parallel_map(_boom_on_two, [1, 2, 3], workers=2, stats=stats,
                      retries=1, backoff_s=0.01)
     assert excinfo.value.task_id == 1  # 2 is the second task
-    assert stats.counter("campaign_quarantined") == 1
-    assert stats.counter("campaign_task_errors") > 0
+    assert stats.counters["campaign_quarantined"] == 1
+    assert stats.counters["campaign_task_errors"] > 0
 
 
 def test_keyboard_interrupt_shuts_pool_down_cleanly():
@@ -183,7 +183,7 @@ def test_raise_mode_fault_is_rescued_in_process(tmp_path):
     assert out == [6, 7]
     # FaultInjectionError is a deterministic ReproError: no pool retries,
     # straight to the quarantine rescue (whose second attempt succeeds).
-    assert stats.counter("campaign_serial_rescues") == 2
+    assert stats.counters["campaign_serial_rescues"] == 2
     assert stats.stages[-1].mode == "fallback"
 
 
@@ -197,7 +197,7 @@ def test_checkpoint_resume_completes_interrupted_campaign(tmp_path):
     out = parallel_map(_plus_one, tasks, workers=2, stats=stats,
                        checkpoint=CampaignCheckpoint(path, key="demo"))
     assert out == [t + 1 for t in tasks]
-    assert stats.counter("campaign_tasks_resumed") == 3
+    assert stats.counters["campaign_tasks_resumed"] == 3
     # A completed campaign clears its checkpoint.
     assert not path.exists()
     # And the resumed result matches an uninterrupted run exactly.
@@ -214,7 +214,7 @@ def test_checkpoint_key_mismatch_and_corruption_are_ignored(tmp_path):
     out = parallel_map(_plus_one, [1, 2], workers=1, stats=stats,
                        checkpoint=CampaignCheckpoint(path, key="mine"))
     assert out == [2, 3]
-    assert stats.counter("campaign_tasks_resumed") == 0
+    assert stats.counters["campaign_tasks_resumed"] == 0
 
 
 def test_checkpoint_write_failure_is_counted_not_fatal(tmp_path,
@@ -233,9 +233,9 @@ def test_checkpoint_write_failure_is_counted_not_fatal(tmp_path,
                            checkpoint=CampaignCheckpoint(
                                tmp_path / f"w{workers}.ckpt", key="demo"))
         assert out == [1, 2, 3, 4, 5]
-        assert stats.counter("campaign_checkpoint_write_failures") >= 1
-        assert stats.counter("campaign_suppressed_errors") >= 1
-        assert stats.counter("campaign_checkpoint_saves") == 0
+        assert stats.counters["campaign_checkpoint_write_failures"] >= 1
+        assert stats.counters["campaign_suppressed_errors"] >= 1
+        assert stats.counters["campaign_checkpoint_saves"] == 0
 
 
 def test_checkpoint_clear_failure_is_counted_not_fatal(tmp_path,
@@ -249,7 +249,7 @@ def test_checkpoint_clear_failure_is_counted_not_fatal(tmp_path,
                        checkpoint=CampaignCheckpoint(
                            tmp_path / "c.ckpt", key="demo"))
     assert out == [2, 3]
-    assert stats.counter("campaign_suppressed_errors") == 1
+    assert stats.counters["campaign_suppressed_errors"] == 1
 
 
 def test_faulted_datagen_campaign_is_bit_identical_to_fault_free(
@@ -262,7 +262,7 @@ def test_faulted_datagen_campaign_is_bit_identical_to_fault_free(
     stats = CampaignStats()
     retried = parallel_map(flaky, tasks, workers=2, stats=stats,
                            backoff_s=0.01)
-    assert stats.counter("campaign_worker_crashes") > 0
+    assert stats.counters["campaign_worker_crashes"] > 0
     clean_ds = DVFSDataset.from_breakpoint_chunks(
         [chunk for chunk, _ in clean])
     retried_ds = DVFSDataset.from_breakpoint_chunks(
@@ -345,15 +345,15 @@ def test_warm_cache_skips_simulation(tmp_path, small_arch):
     cold = CampaignStats()
     first = cached_dataset(tmp_path, _suite(), small_arch, CFG, workers=2,
                            stats=cold)
-    assert cold.counter("dataset_cache_miss") == 1
-    assert cold.counter("dataset_cache_hit") == 0
+    assert cold.counters["dataset_cache_miss"] == 1
+    assert cold.counters["dataset_cache_hit"] == 0
     assert any(s.name == "datagen" for s in cold.stages)
 
     warm = CampaignStats()
     second = cached_dataset(tmp_path, _suite(), small_arch, CFG, workers=2,
                             stats=warm)
-    assert warm.counter("dataset_cache_hit") == 1
-    assert warm.counter("dataset_cache_miss") == 0
+    assert warm.counters["dataset_cache_hit"] == 1
+    assert warm.counters["dataset_cache_miss"] == 0
     # The warm rerun must skip simulation entirely: no datagen stage ran.
     assert not any(s.name == "datagen" for s in warm.stages)
     _assert_datasets_identical(first, second)
@@ -364,7 +364,7 @@ def test_cache_invalidated_on_config_change(tmp_path, small_arch):
     cached_dataset(tmp_path, _suite(), small_arch, CFG, stats=stats)
     other = ProtocolConfig(max_breakpoints_per_kernel=2, seed=8)
     cached_dataset(tmp_path, _suite(), small_arch, other, stats=stats)
-    assert stats.counter("dataset_cache_miss") == 2
+    assert stats.counters["dataset_cache_miss"] == 2
     assert len(list(tmp_path.glob("dvfs-*.npz"))) == 2
 
 
@@ -373,7 +373,7 @@ def test_no_cache_regenerates_but_refreshes_file(tmp_path, small_arch):
     cached_dataset(tmp_path, _suite(), small_arch, CFG, stats=stats)
     cached_dataset(tmp_path, _suite(), small_arch, CFG, stats=stats,
                    use_cache=False)
-    assert stats.counter("dataset_cache_miss") == 2
+    assert stats.counters["dataset_cache_miss"] == 2
     assert len(list(tmp_path.glob("dvfs-*.npz"))) == 1
 
 
@@ -388,13 +388,13 @@ def test_corrupt_dataset_cache_is_regenerated(tmp_path, small_arch):
     path.write_bytes(bytes(blob))
     recovered = cached_dataset(tmp_path, _suite(), small_arch, CFG,
                                stats=stats)
-    assert stats.counter("dataset_cache_corrupt") == 1
-    assert stats.counter("dataset_cache_miss") == 2
+    assert stats.counters["dataset_cache_corrupt"] == 1
+    assert stats.counters["dataset_cache_miss"] == 2
     _assert_datasets_identical(first, recovered)
     # The regenerated artefact replaced the corrupt file: next load hits.
     rewarmed = CampaignStats()
     cached_dataset(tmp_path, _suite(), small_arch, CFG, stats=rewarmed)
-    assert rewarmed.counter("dataset_cache_hit") == 1
+    assert rewarmed.counters["dataset_cache_hit"] == 1
 
 
 def test_truncated_dataset_cache_is_regenerated(tmp_path, small_arch):
@@ -403,7 +403,7 @@ def test_truncated_dataset_cache_is_regenerated(tmp_path, small_arch):
     [path] = tmp_path.glob("dvfs-*.npz")
     path.write_bytes(path.read_bytes()[:20])
     cached_dataset(tmp_path, _suite(), small_arch, CFG, stats=stats)
-    assert stats.counter("dataset_cache_corrupt") == 1
+    assert stats.counters["dataset_cache_corrupt"] == 1
 
 
 def test_content_key_is_order_insensitive():
@@ -440,20 +440,20 @@ def test_comparison_cache_hit_and_token_invalidation(tmp_path, small_arch):
     cold = CampaignStats()
     first = cached_comparison(tmp_path, _factories(), [_eval_kernel()],
                               small_arch, 0.1, seed=3, stats=cold)
-    assert cold.counter("comparison_cache_miss") == 1
+    assert cold.counters["comparison_cache_miss"] == 1
 
     warm = CampaignStats()
     second = cached_comparison(tmp_path, _factories(), [_eval_kernel()],
                                small_arch, 0.1, seed=3, stats=warm)
-    assert warm.counter("comparison_cache_hit") == 1
-    assert warm.counter("comparison_cache_miss") == 0
+    assert warm.counters["comparison_cache_hit"] == 1
+    assert warm.counters["comparison_cache_miss"] == 0
     assert first.to_payload() == second.to_payload()
 
     # A different model token must land on a fresh key.
     retoken = CampaignStats()
     cached_comparison(tmp_path, _factories(), [_eval_kernel()], small_arch,
                       0.1, seed=3, stats=retoken, cache_token="other-models")
-    assert retoken.counter("comparison_cache_miss") == 1
+    assert retoken.counters["comparison_cache_miss"] == 1
 
 
 def test_corrupt_comparison_cache_is_rerun(tmp_path, small_arch):
@@ -464,8 +464,8 @@ def test_corrupt_comparison_cache_is_rerun(tmp_path, small_arch):
     path.write_text(path.read_text()[:25])  # truncated JSON
     recovered = cached_comparison(tmp_path, _factories(), [_eval_kernel()],
                                   small_arch, 0.1, seed=3, stats=stats)
-    assert stats.counter("comparison_cache_corrupt") == 1
-    assert stats.counter("comparison_cache_miss") == 2
+    assert stats.counters["comparison_cache_corrupt"] == 1
+    assert stats.counters["comparison_cache_miss"] == 2
     assert first.to_payload() == recovered.to_payload()
 
 

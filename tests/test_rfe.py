@@ -215,8 +215,8 @@ def test_selector_batched_and_serial_agree(small_dataset, small_arch,
             assert value == pytest.approx(s_round.importances[name],
                                           abs=1e-12)
     for stats in (batched_stats, serial_stats):
-        assert stats.counter("rfe_rounds") == len(batched_result.rounds)
-        assert stats.counter("train_models") == len(batched_result.rounds)
-        assert stats.counter("train_epochs") > 0
-        assert stats.counter("rfe_columns_scored") == sum(
+        assert stats.counters["rfe_rounds"] == len(batched_result.rounds)
+        assert stats.counters["train_models"] == len(batched_result.rounds)
+        assert stats.counters["train_epochs"] > 0
+        assert stats.counters["rfe_columns_scored"] == sum(
             len(r.features) for r in batched_result.rounds)

@@ -145,7 +145,7 @@ def test_assembler_delivers_in_order_and_dedupes():
     assembler.offer(_sample(0, 0, 0), 0)  # duplicate
     delivered = assembler.pop_ready(0)
     assert [s.seq for s in delivered] == [0, 1]
-    counters = assembler.observability_counters()
+    counters = assembler.counters
     assert counters["ingest_duplicates"] == 1
     assert counters["ingest_reordered"] == 1
 
@@ -162,7 +162,7 @@ def test_assembler_stalls_then_skips_confirmed_gap():
     assert assembler.pop_ready(2) == []
     delivered = assembler.pop_ready(1 + config.max_lag_ticks)
     assert [s.seq for s in delivered] == [2, 3]
-    assert assembler.observability_counters()["ingest_gap_skips"] == 1
+    assert assembler.counters["ingest_gap_skips"] == 1
 
 
 def test_assembler_drops_stale_samples():
@@ -170,7 +170,7 @@ def test_assembler_drops_stale_samples():
     assembler = WindowAssembler(config)
     assembler.offer(_sample(0, 0, 0), 10)  # 10 ticks old on arrival
     assert assembler.pop_ready(10) == []
-    assert assembler.observability_counters()["ingest_stale_drops"] == 1
+    assert assembler.counters["ingest_stale_drops"] == 1
 
 
 def test_assembler_bounds_the_reorder_buffer():
@@ -179,7 +179,7 @@ def test_assembler_bounds_the_reorder_buffer():
     assembler = WindowAssembler(config)
     for seq in (5, 6, 7):  # cursor at 0: everything buffers
         assembler.offer(_sample(0, seq, 0), 0)
-    assert assembler.observability_counters()[
+    assert assembler.counters[
         "ingest_buffer_evictions"] == 1
     # The oldest context (5, 6) survives; the newest (7) was refused.
     assembler.pop_ready(0)
@@ -242,7 +242,7 @@ def test_queue_drain_accounts_everything():
         queue.offer(_request(rid))
     assert queue.drain() == 3
     assert len(queue.shed) == 3
-    assert queue.observability_counters()["serve_shed_drain"] == 3
+    assert queue.counters["serve_shed_drain"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_supervisor_restarts_crashed_worker_with_backoff():
     assert not supervisor.workers[0].ready  # backoff (2 ticks) pending
     supervisor.tick(2)
     assert supervisor.workers[0].ready
-    counters = supervisor.observability_counters()
+    counters = supervisor.counters
     assert counters["supervisor_restarts"] == 1
     assert counters["supervisor_restores"] == 1  # rebuilt from the store
     assert supervisor.recovery_ticks() == [2]
@@ -293,7 +293,7 @@ def test_supervisor_escalates_to_pin_then_quarantine():
     worker = supervisor.workers[0]
     assert worker.state == QUARANTINED
     assert worker.pinned
-    counters = supervisor.observability_counters()
+    counters = supervisor.counters
     assert counters["supervisor_pinned"] == 1
     assert counters["supervisor_quarantined"] == 1
     assert supervisor.quarantined() == 1
@@ -309,7 +309,7 @@ def test_supervisor_liveness_probe_kills_wedged_worker():
         _, failed = supervisor.tick(tick)
         failures.extend(failed)
     assert failures == ["req"]  # lost to the liveness kill, exactly once
-    counters = supervisor.observability_counters()
+    counters = supervisor.counters
     assert counters["supervisor_liveness_kills"] == 1
     assert counters["supervisor_hangs"] == 1
 
@@ -358,7 +358,7 @@ def test_online_update_promotes_and_blesses_after_probation(
     assert store.last_known_good("pair") == 1  # on probation, unblessed
     _feed(online, 4, width)  # probation windows elapse cleanly
     assert store.last_known_good("pair") == 2
-    counters = online.observability_counters()
+    counters = online.counters
     assert counters["online_updates_promoted"] == 1
     assert counters["online_marked_good"] == 1
 
@@ -371,7 +371,7 @@ def test_online_poisoned_update_is_rejected(small_pipeline, tmp_path):
     assert online.maybe_update() == "rejected"
     assert online.model is model  # the incumbent keeps serving
     assert store.latest_version("pair") == 1  # nothing was published
-    counters = online.observability_counters()
+    counters = online.counters
     assert counters["online_poison_injected"] == 1
     assert counters["online_updates_rejected"] == 1
 
@@ -385,7 +385,7 @@ def test_online_drift_alarm_aborts_probation(small_pipeline, tmp_path):
     _feed(online, 8, width)
     # The aborted promotion must never be blessed afterwards.
     assert store.last_known_good("pair") == 1
-    assert online.observability_counters()[
+    assert online.counters[
         "online_probation_aborted"] == 1
 
 
@@ -394,7 +394,7 @@ def test_online_rejects_nonfinite_labels(small_pipeline, tmp_path):
     width = model.calibrator.extractor.width
     online.observe(np.ones(width), 2, float("nan"))
     online.observe(np.full(width, np.inf), 2, 1.0)
-    counters = online.observability_counters()
+    counters = online.counters
     assert counters["online_label_rejected"] == 2
     assert "online_samples" not in counters
 

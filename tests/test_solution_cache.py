@@ -119,8 +119,8 @@ def test_replay_protocol_hits_dominate():
     stats = CampaignStats()
     config = ProtocolConfig(max_breakpoints_per_kernel=2, seed=7)
     generate_for_kernel(_kernel(), ARCH, config=config, stats=stats)
-    hits = stats.counter("solve_cache_hit")
-    misses = stats.counter("solve_cache_miss")
+    hits = stats.counters["solve_cache_hit"]
+    misses = stats.counters["solve_cache_miss"]
     # The 6-point replay re-executes each workload stretch many times
     # over; most solves must come from the cache.
     assert misses > 0

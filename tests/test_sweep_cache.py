@@ -64,9 +64,9 @@ def test_layerwise_miss_then_hit(tmp_path, splits):
     stats = CampaignStats()
     first = layer_wise_sweep(decision_data, calibrator_data, 2, SPECS, CFG,
                              stats=stats, cache_dir=tmp_path)
-    assert stats.counter("sweep_cache_miss") == len(SPECS)
-    assert stats.counter("sweep_cache_hit") == 0
-    assert stats.counter("train_models") == 2 * len(SPECS)
+    assert stats.counters["sweep_cache_miss"] == len(SPECS)
+    assert stats.counters["sweep_cache_hit"] == 0
+    assert stats.counters["train_models"] == 2 * len(SPECS)
     files = sorted(tmp_path.glob("sweep-*.json"))
     assert len(files) == len(SPECS)
     mtimes = [f.stat().st_mtime_ns for f in files]
@@ -74,9 +74,9 @@ def test_layerwise_miss_then_hit(tmp_path, splits):
     stats = CampaignStats()
     second = layer_wise_sweep(decision_data, calibrator_data, 2, SPECS, CFG,
                               stats=stats, cache_dir=tmp_path)
-    assert stats.counter("sweep_cache_hit") == len(SPECS)
-    assert stats.counter("sweep_cache_miss") == 0
-    assert stats.counter("train_models") == 0
+    assert stats.counters["sweep_cache_hit"] == len(SPECS)
+    assert stats.counters["sweep_cache_miss"] == 0
+    assert stats.counters["train_models"] == 0
     assert [f.stat().st_mtime_ns for f in files] == mtimes  # untouched
     assert second == first
 
@@ -101,8 +101,8 @@ def test_corrupt_cache_is_counted_miss(tmp_path, splits):
     stats = CampaignStats()
     second = layer_wise_sweep(decision_data, calibrator_data, 2, SPECS, CFG,
                               stats=stats, cache_dir=tmp_path)
-    assert stats.counter("sweep_cache_corrupt") == len(SPECS)
-    assert stats.counter("sweep_cache_miss") == len(SPECS)
+    assert stats.counters["sweep_cache_corrupt"] == len(SPECS)
+    assert stats.counters["sweep_cache_miss"] == len(SPECS)
     assert second == first  # retrained, not crashed
     # Valid payloads were rewritten in place.
     for path in tmp_path.glob("sweep-*.json"):
@@ -116,8 +116,8 @@ def test_use_cache_false_refreshes(tmp_path, splits):
     stats = CampaignStats()
     layer_wise_sweep(decision_data, calibrator_data, 2, SPECS, CFG,
                      stats=stats, cache_dir=tmp_path, use_cache=False)
-    assert stats.counter("sweep_cache_hit") == 0
-    assert stats.counter("sweep_cache_miss") == len(SPECS)
+    assert stats.counters["sweep_cache_hit"] == 0
+    assert stats.counters["sweep_cache_miss"] == len(SPECS)
 
 
 def test_cache_creates_directory(tmp_path, splits):
@@ -136,7 +136,7 @@ def test_key_tracks_data_and_seed(tmp_path, splits):
     stats = CampaignStats()
     layer_wise_sweep(decision_data, calibrator_data, 2, SPECS[:1], CFG,
                      seed=99, stats=stats, cache_dir=tmp_path)
-    assert stats.counter("sweep_cache_miss") == 1
+    assert stats.counters["sweep_cache_miss"] == 1
 
 
 def test_pruning_sweep_cache(tmp_path, splits):
@@ -147,15 +147,15 @@ def test_pruning_sweep_cache(tmp_path, splits):
     stats = CampaignStats()
     first = pruning_sweep(pair, decision_data, calibrator_data, grid,
                           finetune, stats=stats, cache_dir=tmp_path)
-    assert stats.counter("sweep_cache_miss") == len(grid)
+    assert stats.counters["sweep_cache_miss"] == len(grid)
     stats = CampaignStats()
     second = pruning_sweep(pair, decision_data, calibrator_data, grid,
                            finetune, stats=stats, cache_dir=tmp_path)
-    assert stats.counter("sweep_cache_hit") == len(grid)
+    assert stats.counters["sweep_cache_hit"] == len(grid)
     assert second == first
     # A retrained base pair must invalidate the cached pruning curve.
     pair.decision.layers[0].weights += 0.01
     stats = CampaignStats()
     pruning_sweep(pair, decision_data, calibrator_data, grid, finetune,
                   stats=stats, cache_dir=tmp_path)
-    assert stats.counter("sweep_cache_miss") == len(grid)
+    assert stats.counters["sweep_cache_miss"] == len(grid)
