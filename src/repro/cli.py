@@ -61,8 +61,7 @@ def _dataset(args, stats: CampaignStats | None = None):
                           _protocol(args), workers=args.workers,
                           stats=stats, use_cache=not args.no_cache,
                           checkpoint=args.checkpoint, retries=args.retries,
-                          timeout_s=args.task_timeout, fused=args.fused,
-                          fuse_width=args.fuse_width)
+                          timeout_s=args.task_timeout)
 
 
 def _print_stats(args, stats: CampaignStats) -> None:
@@ -346,19 +345,15 @@ def cmd_fleet(args) -> int:
     jobs = build_trace(arch, trace_config)
     checkpoint = None
     if args.checkpoint:
-        # Fused checkpoints store per-group results (serial ones store
-        # per-job), so the two must never resume into each other.
-        fused_tag = f"-fused{args.fuse_width}" if args.fused else ""
         key = (f"fleet-{args.trace}-{policy_name}-n{args.nodes}"
-               f"-j{args.jobs}-s{args.seed}{fused_tag}")
+               f"-j{args.jobs}-s{args.seed}")
         checkpoint = CampaignCheckpoint(Path(args.cache) / f"{key}.ckpt",
                                         key=key)
     scheduler = ClusterScheduler(
         arch, factory, num_nodes=args.nodes, policy_name=policy_name,
         seed=args.seed, thermal=ThermalConfig(), workers=args.workers,
         stats=stats, checkpoint=checkpoint, retries=args.retries,
-        timeout_s=args.task_timeout, fused=args.fused,
-        fuse_width=args.fuse_width)
+        timeout_s=args.task_timeout)
     result = scheduler.run(jobs, trace_name=args.trace)
     _report(args, result, stats)
     if args.slo_gate is not None:
@@ -533,10 +528,10 @@ FLAG_GROUPS: dict[str, tuple] = {
     ),
     "fused": (
         ("--fused", dict(action="store_true",
-                         help="co-simulate campaign tasks in lockstep "
-                              "groups through the fused engine (bit-"
-                              "identical results; shared solve caches, "
-                              "batched inference, shared-memory weights)")),
+                         help="co-simulate the policy grid's runs in "
+                              "lockstep groups through the fused engine "
+                              "(bit-identical results; shared solve "
+                              "caches, batched inference)")),
         ("--fuse-width", dict(type=int, default=8,
                               help="tasks co-simulated per fused group "
                                    "(with --fused)")),
@@ -624,7 +619,7 @@ FLAG_GROUPS: dict[str, tuple] = {
 
 #: The flag groups of the campaign commands that build the dataset.
 _DATASET_GROUPS = ("common", "workers", "cache", "no-cache", "dataset",
-                   "resilience", "fused")
+                   "resilience")
 
 
 def _parents(*groups: str) -> list[argparse.ArgumentParser]:
@@ -736,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fleet", cmd_fleet,
                 "replay a job-arrival trace over N simulated GPUs under "
                 "per-node DVFS controllers",
-                ("common", "workers", "cache", "resilience", "fused",
-                 "model", "preset", "export", "fleet"))
+                ("common", "workers", "cache", "resilience", "model",
+                 "preset", "export", "fleet"))
     p.add_argument("--latency-fraction", type=float, default=0.6,
                    help="fraction of jobs in the latency-sensitive class")
     p.add_argument("--latency-us", type=float, default=100.0,

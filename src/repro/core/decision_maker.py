@@ -60,8 +60,7 @@ class DecisionMaker:
         n = len(counter_sets)
         width = self.extractor.width + 1
         buffer = self._raw_buffer
-        if (buffer is None or buffer.shape[0] != n
-                or not buffer.flags.writeable):
+        if buffer is None or buffer.shape[0] != n:
             buffer = self._raw_buffer = np.empty((n, width),
                                                  dtype=np.float64)
         self.extractor.extract_matrix(counter_sets, out=buffer[:, :-1])
@@ -70,8 +69,7 @@ class DecisionMaker:
 
     def __getstate__(self) -> dict:
         # The scratch buffer is per-process state: dropping it keeps
-        # pickles lean and stops shared-memory transports from turning
-        # it into a read-only view.
+        # pickles (checkpoints, pool tasks) lean.
         state = self.__dict__.copy()
         state["_raw_buffer"] = None
         return state

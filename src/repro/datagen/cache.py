@@ -13,6 +13,10 @@ of re-simulating, while any parameter change lands on a fresh key.
 The same helpers back the evaluation-grid cache in
 :mod:`repro.evaluation.cache`.
 
+A generation checkpoint sits next to its artefact as
+``dvfs-<key>.ckpt`` and holds per-kernel chunks, so an interrupted
+campaign resumes where it stopped.
+
 Cache files are written through :func:`repro.store.atomic_write_bytes`
 (temp + fsync + rename): a crash mid-save leaves the previous artefact
 or the new one, never a truncated archive.  A corrupt file is still
@@ -75,9 +79,7 @@ def cached_dataset(cache_dir: str | Path, kernels: list[KernelProfile],
                    stats: CampaignStats | None = None,
                    use_cache: bool = True, checkpoint: bool = False,
                    retries: int = 2,
-                   timeout_s: float | None = None,
-                   fused: bool = False,
-                   fuse_width: int = 8) -> DVFSDataset:
+                   timeout_s: float | None = None) -> DVFSDataset:
     """Load the dataset from cache, generating (and caching) on miss.
 
     ``workers`` fans generation and assembly out over a process pool;
@@ -89,13 +91,6 @@ def cached_dataset(cache_dir: str | Path, kernels: list[KernelProfile],
     ``checkpoint=True`` persists per-kernel progress next to the cache
     file (``dvfs-<key>.ckpt``) so an interrupted generation campaign
     resumes; ``retries``/``timeout_s`` tune the resilient fan-out.
-
-    ``fused``/``fuse_width`` run generation through the fused grouping
-    path (bit-identical output, shared solve caches — see
-    :func:`repro.datagen.protocol.generate_chunks_for_suite`).  The
-    dataset artefact is shared between fused and serial runs; the
-    checkpoint is namespaced per fused configuration because fused
-    checkpoints store per-group, not per-kernel, results.
     """
     config = config or ProtocolConfig()
     stats = stats if stats is not None else CampaignStats()
@@ -117,15 +112,12 @@ def cached_dataset(cache_dir: str | Path, kernels: list[KernelProfile],
             stats.count("dataset_cache_hit")
             return dataset
     stats.count("dataset_cache_miss")
-    ckpt_suffix = f".fused{fuse_width}" if fused else ""
-    ckpt = (CampaignCheckpoint(cache_dir / f"dvfs-{key}{ckpt_suffix}.ckpt",
-                               key=f"{key}{ckpt_suffix}")
+    ckpt = (CampaignCheckpoint(cache_dir / f"dvfs-{key}.ckpt", key=key)
             if checkpoint else None)
     chunks = generate_chunks_for_suite(kernels, arch, power_model, config,
                                        workers=workers, stats=stats,
                                        checkpoint=ckpt, retries=retries,
-                                       timeout_s=timeout_s, fused=fused,
-                                       fuse_width=fuse_width)
+                                       timeout_s=timeout_s)
     dataset = DVFSDataset.from_breakpoint_chunks(chunks, workers=workers,
                                                  stats=stats)
     with stats.stage("dataset_save", tasks=1):

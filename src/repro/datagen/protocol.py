@@ -18,6 +18,11 @@ Collecting over the full ~100 µs segment — not just the 20 µs of the
 two windows — captures the delayed effects of a frequency change
 (stalled warps resuming epochs later), exactly the error source the
 paper's 100 µs collection period is chosen to mitigate.
+
+Kernels are independent, so a suite campaign fans out one chunk per
+kernel (:func:`generate_chunks_for_suite`); within a kernel the
+breakpoints run in order, and the grid's lane simulators share the
+driving simulator's interval-solution cache.
 """
 
 from __future__ import annotations
@@ -30,9 +35,6 @@ from ..errors import DatasetError, SimulationError
 from ..gpu.arch import GPUArchConfig
 from ..gpu.cluster import build_counters_matrix
 from ..gpu.counters import COUNTER_INDEX, CounterSet
-from ..gpu.fused import (SharedContextCache, dump_shared, fuse_groups,
-                         release_shared)
-from ..gpu.interval_model import SolutionCache
 from ..gpu.quantum import run_epoch_batch
 from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import DEFAULT_EPOCH_S, GPUSimulator
@@ -315,8 +317,7 @@ def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
 def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
                         power_model: PowerModel | None = None,
                         config: ProtocolConfig | None = None,
-                        stats: CampaignStats | None = None,
-                        solution_cache: SolutionCache | None = None
+                        stats: CampaignStats | None = None
                         ) -> list[BreakpointSamples]:
     """Run the full protocol over one kernel.
 
@@ -324,15 +325,10 @@ def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
     solution-cache counters as ``solve_cache_hit`` / ``solve_cache_miss``
     — the replay protocol re-executes each workload stretch at up to
     seven operating points, which is where the hits come from.
-    ``solution_cache`` shares one solve cache *across* kernels (the
-    fused generation path); cache keys capture every solver input
-    bit-exactly, so sharing never changes the samples, only hit rates —
-    the caller then owns hit/miss accounting.
     """
     config = config or ProtocolConfig()
     simulator = GPUSimulator(arch, kernel, power_model or PowerModel(),
-                             seed=config.seed, epoch_s=config.epoch_s,
-                             solution_cache=solution_cache)
+                             seed=config.seed, epoch_s=config.epoch_s)
     simulator.set_all_levels(arch.vf_table.default_level)
     lanes = _grid_lanes(simulator)
     breakpoints: list[BreakpointSamples] = []
@@ -429,44 +425,6 @@ def _kernel_task(task: tuple) -> tuple[list[BreakpointSamples], dict[str, int]]:
     return chunk, local.counters
 
 
-#: Per-process cache of shared generation contexts, so a pool worker
-#: attaches/unpickles each campaign's shared context once, not per group.
-_DATAGEN_CONTEXTS = SharedContextCache()
-
-
-def _fused_kernel_group(task: tuple
-                        ) -> tuple[list[list[BreakpointSamples]],
-                                   dict[str, int]]:
-    """Process-pool unit of a fused generation campaign: one kernel group.
-
-    ``task`` is ``(context_ref, kernel_indices)``; the context (scaled
-    kernel suite, arch, power model, protocol config) is shipped once
-    per campaign via shared memory and each group entry is just an
-    index into it.  Kernels in a group run sequentially but share one
-    :class:`SolutionCache` — the six-way V/f replays of different
-    kernels hit the same interval-model solves, and cache keys are
-    bit-exact, so the samples are identical to the serial path.
-    Hit/miss counters are accounted once per group (the shared cache's
-    totals), not per kernel.
-    """
-    ref, kernel_indices = task
-    context = _DATAGEN_CONTEXTS.get(ref)
-    kernels = context["kernels"]
-    config = context["config"]
-    shared_cache = SolutionCache()
-    chunks = []
-    for kernel_index in kernel_indices:
-        chunks.append(generate_for_kernel(
-            kernels[kernel_index], context["arch"], context["power_model"],
-            config, solution_cache=shared_cache))
-    local = CampaignStats()
-    local.count("solve_cache_hit", shared_cache.hits)
-    local.count("solve_cache_miss", shared_cache.misses)
-    local.count("solve_cache_evictions", shared_cache.evictions)
-    local.count("fused_tasks", len(list(kernel_indices)))
-    return chunks, local.counters
-
-
 def generate_chunks_for_suite(kernels: list[KernelProfile],
                               arch: GPUArchConfig,
                               power_model: PowerModel | None = None,
@@ -476,9 +434,7 @@ def generate_chunks_for_suite(kernels: list[KernelProfile],
                               stats: CampaignStats | None = None,
                               checkpoint: CampaignCheckpoint | None = None,
                               retries: int = 2,
-                              timeout_s: float | None = None,
-                              fused: bool = False,
-                              fuse_width: int = 8
+                              timeout_s: float | None = None
                               ) -> list[list[BreakpointSamples]]:
     """Run the protocol over a suite, one breakpoint chunk per kernel.
 
@@ -489,14 +445,6 @@ def generate_chunks_for_suite(kernels: list[KernelProfile],
     flattening the chunks reproduces the serial output bit for bit.
     ``checkpoint``/``retries``/``timeout_s`` configure the resilient
     fan-out (see :func:`repro.parallel.parallel_map`).
-
-    ``fused=True`` groups ``fuse_width`` consecutive kernels per worker
-    task: the suite context ships to the pool once via shared memory
-    and each group shares one interval-solution cache across its
-    kernels.  Output is bit-identical to the serial path; only the
-    solve hit rate and transport cost change.  Fused and non-fused
-    checkpoints are incompatible (group- vs kernel-shaped results) —
-    callers namespace the checkpoint key accordingly.
     """
     if not kernels:
         raise DatasetError("no kernels given")
@@ -506,39 +454,16 @@ def generate_chunks_for_suite(kernels: list[KernelProfile],
         if auto_scale:
             kernel = scale_kernel_for_protocol(kernel, arch, config)
         scaled.append(kernel)
-    if fused:
-        context = {"kernels": scaled, "arch": arch,
-                   "power_model": power_model, "config": config}
-        ref, block = dump_shared(context)
-        groups = fuse_groups(list(range(len(scaled))), fuse_width)
-        try:
-            group_results = parallel_map(
-                _fused_kernel_group, [(ref, group) for group in groups],
-                workers=workers, stats=stats, stage="datagen",
-                checkpoint=checkpoint, retries=retries, timeout_s=timeout_s)
-        finally:
-            release_shared(block)
-        results = []
-        for group_chunks, counters in group_results:
-            for chunk in group_chunks:
-                results.append((chunk, {}))
-            if stats is not None:
-                stats.counters.update(counters)
-        if stats is not None:
-            stats.count("fused_groups", len(groups))
-            stats.count("fused_shared_bytes", ref.shared_bytes)
-    else:
-        tasks = [(kernel, arch, power_model, config) for kernel in scaled]
-        results = parallel_map(_kernel_task, tasks, workers=workers,
-                               stats=stats, stage="datagen",
-                               checkpoint=checkpoint, retries=retries,
-                               timeout_s=timeout_s)
+    tasks = [(kernel, arch, power_model, config) for kernel in scaled]
+    results = parallel_map(_kernel_task, tasks, workers=workers,
+                           stats=stats, stage="datagen",
+                           checkpoint=checkpoint, retries=retries,
+                           timeout_s=timeout_s)
     chunks = []
     for chunk, counters in results:
         chunks.append(chunk)
         if stats is not None:
-            for name, amount in counters.items():
-                stats.count(name, amount)
+            stats.counters.update(counters)
     if not any(chunks):
         raise DatasetError("no breakpoints generated; kernels too short?")
     return chunks
@@ -549,19 +474,16 @@ def generate_for_suite(kernels: list[KernelProfile], arch: GPUArchConfig,
                        config: ProtocolConfig | None = None,
                        auto_scale: bool = True,
                        workers: int | None = None,
-                       stats: CampaignStats | None = None,
-                       fused: bool = False,
-                       fuse_width: int = 8) -> list[BreakpointSamples]:
+                       stats: CampaignStats | None = None
+                       ) -> list[BreakpointSamples]:
     """Run the protocol over a full training suite.
 
     With ``auto_scale`` (default) kernels too short to host the
     configured number of breakpoints are repeated until they fit.
     ``workers`` fans the per-kernel campaigns out over a process pool;
-    the result is bit-identical to the serial pass for a fixed seed
-    (``fused`` included — see :func:`generate_chunks_for_suite`).
+    the result is bit-identical to the serial pass for a fixed seed.
     """
     chunks = generate_chunks_for_suite(kernels, arch, power_model, config,
                                        auto_scale=auto_scale, workers=workers,
-                                       stats=stats, fused=fused,
-                                       fuse_width=fuse_width)
+                                       stats=stats)
     return [bp for chunk in chunks for bp in chunk]

@@ -14,8 +14,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..gpu.arch import GPUArchConfig
-from ..gpu.fused import (FusedCampaignEngine, SharedContextCache,
-                         dump_shared, fuse_groups, release_shared)
+from ..gpu.fused import FusedCampaignEngine, fuse_groups
 from ..gpu.interval_model import SolutionCache
 from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
@@ -149,24 +148,17 @@ def _kernel_task(task: tuple) -> list[tuple[float, float, int,
     return outcomes
 
 
-#: Per-process cache of shared evaluation contexts, so a pool worker
-#: attaches/unpickles each campaign's shared weights once, not per group.
-_EVAL_CONTEXTS = SharedContextCache()
-
-
 def _fused_eval_group(task: tuple) -> tuple[list, dict[str, int]]:
     """Process-pool unit of a fused evaluation campaign: one task group.
 
-    ``task`` is ``(context_ref, entries)`` where the context (policy
-    factories, kernels, arch, power model — with model weights living
-    in shared memory) is shipped once per campaign and each entry is a
-    small ``(factory_index, kernel_index, seed, epoch_s)`` tuple.  The
+    ``task`` is ``(context, entries)``: the context dict holds the
+    policy factories, kernels, arch and power model, and each entry is
+    a small ``(factory_index, kernel_index, seed, epoch_s)`` tuple.  The
     group's simulators share one :class:`SolutionCache` and advance in
-    lockstep through the fused engine.  Returns the serial-shaped per-task outcomes plus the
-    engine's ``fused_*`` counters.
+    lockstep through the fused engine.  Returns the serial-shaped
+    per-task outcomes plus the engine's ``fused_*`` counters.
     """
-    ref, entries = task
-    context = _EVAL_CONTEXTS.get(ref)
+    context, entries = task
     factories = context["factories"]
     kernels = context["kernels"]
     shared_cache = SolutionCache()
@@ -228,31 +220,25 @@ def compare_policies(policy_factories: dict[str, callable],
     tasks in lockstep through :class:`FusedCampaignEngine` — results
     are bit-identical to the serial path (per-task RNG streams and
     final-epoch truncation are preserved exactly) while sharing one
-    interval-solution cache per group, batching the counter build
-    across tasks and shipping model weights to worker processes once
-    via shared memory.
+    interval-solution cache per group and batching the counter build
+    and inference across tasks.
     """
     power_model = power_model or PowerModel()
     names = list(policy_factories)
-    baseline_factory = partial(StaticPolicy, arch.vf_table.default_level)
+    factories = ([partial(StaticPolicy, arch.vf_table.default_level)]
+                 + [policy_factories[name] for name in names])
     if fused:
-        factories = [baseline_factory] + [policy_factories[name]
-                                          for name in names]
         entries = []
         for kernel_index in range(len(kernels)):
             for factory_index in range(len(factories)):
                 entries.append((factory_index, kernel_index, seed, epoch_s))
         context = {"factories": factories, "kernels": list(kernels),
                    "arch": arch, "power_model": power_model}
-        ref, block = dump_shared(context)
         groups = fuse_groups(entries, fuse_width)
-        try:
-            group_results = parallel_map(
-                _fused_eval_group, [(ref, group) for group in groups],
-                workers=workers, stats=stats, stage="evaluation",
-                checkpoint=checkpoint, retries=retries, timeout_s=timeout_s)
-        finally:
-            release_shared(block)
+        group_results = parallel_map(
+            _fused_eval_group, [(context, group) for group in groups],
+            workers=workers, stats=stats, stage="evaluation",
+            checkpoint=checkpoint, retries=retries, timeout_s=timeout_s)
         outcomes = []
         for group_outcomes, fused_counters in group_results:
             outcomes.extend(group_outcomes)
@@ -260,10 +246,7 @@ def compare_policies(policy_factories: dict[str, callable],
                 stats.counters.update(fused_counters)
         if stats is not None:
             stats.count("fused_groups", len(groups))
-            stats.count("fused_shared_bytes", ref.shared_bytes)
     else:
-        factories = [baseline_factory] + [policy_factories[name]
-                                          for name in names]
         tasks = [(factories, kernel, arch, power_model, seed, epoch_s)
                  for kernel in kernels]
         outcomes = [outcome for kernel_outcomes in parallel_map(

@@ -6,7 +6,7 @@ Two-phase, deterministic fleet replay:
    simulation: a fresh per-node controller drives a fresh
    :class:`~repro.gpu.simulator.GPUSimulator` built from a stable
    per-job seed (:func:`repro.parallel.derive_seed`).  The phase fans
-   out over the resilient campaign layer
+   out one job per task over the resilient campaign layer
    (:func:`repro.parallel.parallel_map`), so hundreds of simulated GPUs
    reuse the retry/quarantine/checkpoint machinery and the ``--stats``
    counters of every other campaign in the repo.  Because service time
@@ -66,9 +66,6 @@ from ..core.policy import ModelOraclePolicy, StaticPolicy, policy_counters
 from ..errors import FleetError, FleetFaultError
 from ..faults import NodeFaultPlan
 from ..gpu.arch import GPUArchConfig
-from ..gpu.fused import (FusedCampaignEngine, SharedContextCache,
-                         dump_shared, fuse_groups, release_shared)
-from ..gpu.interval_model import SolutionCache
 from ..gpu.simulator import DEFAULT_EPOCH_S, GPUSimulator
 from ..parallel import (CampaignCheckpoint, CampaignStats, derive_seed,
                         parallel_map)
@@ -139,48 +136,6 @@ def _simulate_job(task: tuple) -> tuple[float, float, int, float,
         mean_level = float(arch.vf_table.default_level)
     return (result.time_s, result.energy_j, result.epochs, mean_level,
             policy_counters(policy))
-
-
-#: Per-process cache of shared fleet contexts, so a pool worker
-#: attaches/unpickles each campaign's shared weights once, not per group.
-_FLEET_CONTEXTS = SharedContextCache()
-
-
-def _fused_simulate_group(task: tuple) -> tuple[list[tuple], dict[str, int]]:
-    """Process-pool unit of a fused fleet phase 1: one job group.
-
-    ``task`` is ``(context_ref, entries)`` where the context (policy
-    factory, deduplicated kernel list, arch, power model, epoch length
-    — model weights in shared memory) ships once per campaign and each
-    entry is a small ``(kernel_index, seed)`` pair.  The group's jobs
-    co-simulate in lockstep through :class:`FusedCampaignEngine`,
-    sharing one interval-solution cache; each outcome is exactly what
-    :func:`_simulate_job` returns for that job, so phase 2's replay —
-    and the exported ``FleetResult`` — stay byte-identical.
-    """
-    ref, entries = task
-    context = _FLEET_CONTEXTS.get(ref)
-    factory = context["factory"]
-    kernels = context["kernels"]
-    shared_cache = SolutionCache()
-    engine = FusedCampaignEngine()
-    for position, (kernel_index, seed) in enumerate(entries):
-        simulator = GPUSimulator(
-            context["arch"], kernels[kernel_index], context["power_model"],
-            seed=seed, epoch_s=context["epoch_s"],
-            solution_cache=shared_cache)
-        engine.add_task(position, simulator, factory(), keep_records=True)
-    results = engine.run()
-    outcomes = []
-    for task_state, result in zip(engine.tasks, results):
-        if result.records:
-            mean_level = float(np.mean([np.mean(r.levels)
-                                        for r in result.records]))
-        else:
-            mean_level = float(context["arch"].vf_table.default_level)
-        outcomes.append((result.time_s, result.energy_j, result.epochs,
-                         mean_level, policy_counters(task_state.policy)))
-    return outcomes, dict(engine.counters)
 
 
 @dataclass(frozen=True)
@@ -259,7 +214,6 @@ class ClusterScheduler:
                  stats: CampaignStats | None = None,
                  checkpoint: CampaignCheckpoint | None = None,
                  retries: int = 2, timeout_s: float | None = None,
-                 fused: bool = False, fuse_width: int = 8,
                  fault_plan: NodeFaultPlan | None = None,
                  migration: MigrationConfig | None = None,
                  admission: AdmissionConfig | None = None,
@@ -282,8 +236,6 @@ class ClusterScheduler:
         self.checkpoint = checkpoint
         self.retries = retries
         self.timeout_s = timeout_s
-        self.fused = fused
-        self.fuse_width = int(fuse_width)
         self.fault_plan = fault_plan or NodeFaultPlan()
         self.migration = migration or MigrationConfig()
         self.admission = admission or AdmissionConfig()
@@ -291,56 +243,16 @@ class ClusterScheduler:
 
     # ------------------------------------------------------------------
     def _simulate(self, jobs: Sequence[Job]) -> list[tuple]:
-        """Phase 1: per-job simulations through the campaign layer.
-
-        With ``fused`` set, jobs co-simulate in lockstep groups of
-        ``fuse_width`` through the fused campaign engine; per-job
-        outcomes are bit-identical to the serial fan-out (same seeds,
-        same records), so the phase-2 replay and the exported fleet
-        result do not change byte for byte.
-        """
-        if self.fused:
-            kernels: list = []
-            kernel_index: dict[int, int] = {}
-            entries = []
-            for job in jobs:
-                index = kernel_index.get(id(job.kernel))
-                if index is None:
-                    index = kernel_index[id(job.kernel)] = len(kernels)
-                    kernels.append(job.kernel)
-                entries.append((index, derive_seed(self.seed, "fleet-job",
-                                                   job.job_id)))
-            context = {"factory": self.factory, "kernels": kernels,
-                       "arch": self.arch, "power_model": self.power_model,
-                       "epoch_s": self.epoch_s}
-            ref, block = dump_shared(context)
-            groups = fuse_groups(entries, self.fuse_width)
-            try:
-                group_results = parallel_map(
-                    _fused_simulate_group,
-                    [(ref, group) for group in groups],
-                    workers=self.workers, stats=self.stats,
-                    stage="fleet-simulate", checkpoint=self.checkpoint,
-                    retries=self.retries, timeout_s=self.timeout_s)
-            finally:
-                release_shared(block)
-            outcomes = []
-            for group_outcomes, fused_counters in group_results:
-                outcomes.extend(group_outcomes)
-                self.stats.counters.update(fused_counters)
-            self.stats.count("fused_groups", len(groups))
-            self.stats.count("fused_shared_bytes", ref.shared_bytes)
-        else:
-            tasks = [(self.factory, job.kernel, self.arch, self.power_model,
-                      derive_seed(self.seed, "fleet-job", job.job_id),
-                      self.epoch_s)
-                     for job in jobs]
-            outcomes = parallel_map(_simulate_job, tasks,
-                                    workers=self.workers, stats=self.stats,
-                                    stage="fleet-simulate",
-                                    checkpoint=self.checkpoint,
-                                    retries=self.retries,
-                                    timeout_s=self.timeout_s)
+        """Phase 1: per-job simulations through the campaign layer."""
+        tasks = [(self.factory, job.kernel, self.arch, self.power_model,
+                  derive_seed(self.seed, "fleet-job", job.job_id),
+                  self.epoch_s)
+                 for job in jobs]
+        outcomes = parallel_map(_simulate_job, tasks, workers=self.workers,
+                                stats=self.stats, stage="fleet-simulate",
+                                checkpoint=self.checkpoint,
+                                retries=self.retries,
+                                timeout_s=self.timeout_s)
         for *_, counters in outcomes:
             self.stats.counters.update(counters)
         return outcomes

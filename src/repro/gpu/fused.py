@@ -1,12 +1,10 @@
-"""Fused multi-campaign simulation engine.
+"""Fused multi-campaign simulation engine for the Fig. 4 policy grid.
 
-Campaign workloads (datagen grids, Fig. 4 policy comparisons, fleet
-phase-1 job simulation) are thousands of *independent* policy runs over
-near-identical simulators.  The serial path executes each run's epoch
-loop alone: every quantum pays one small counter-matrix build, one
-small power evaluation and one small model forward pass per task, and
-every task ships its own pickled copy of the model weights to its
-worker process.
+A Fig. 4 grid is many *independent* policy runs over near-identical
+simulators: the baseline and every policy, over every kernel.  The
+serial path executes each run's epoch loop alone: every quantum pays
+one small counter-matrix build, one small power evaluation and one
+small model forward pass per run.
 
 :class:`FusedCampaignEngine` co-simulates N such tasks in lockstep
 instead.  Each quantum:
@@ -46,19 +44,12 @@ dispatches to:
   otherwise it runs its own forward pass, exactly like the serial
   controller.
 
-The module also provides the shared-memory transport used to hand
-read-only model weights to worker processes once per campaign instead
-of pickling them per task:
-:func:`dump_shared` externalises an object graph's numpy arrays into a
-single ``multiprocessing.shared_memory`` block, and
-:func:`load_shared` / :class:`SharedContextCache` reattach them as
-read-only views on the worker side.
+The only campaign that fuses is
+:func:`repro.evaluation.runner.compare_policies` (``fused=True``).
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,183 +61,6 @@ from .cluster import A_BUSY_S, build_counters_matrix
 from .counters import COUNTER_INDEX, CounterSet
 from .quantum import run_epoch_batch
 from .simulator import EpochRecord, GPUSimulator, RunResult
-
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover
-    resource_tracker = None
-    shared_memory = None
-
-#: Arrays below this many bytes stay inline in the pickle payload —
-#: externalising them would cost more metadata than it saves.
-SHARED_ARRAY_THRESHOLD_BYTES = 128
-
-#: Segment names created by *this* process (the owner keeps its
-#: resource-tracker registration; only attaching processes unregister).
-_OWNED_SEGMENTS: set[str] = set()
-
-
-# ----------------------------------------------------------------------
-# Shared-memory object transport
-# ----------------------------------------------------------------------
-_SHM_TAG = "repro-shm-array"
-
-
-@dataclass(frozen=True)
-class SharedObjectRef:
-    """Picklable handle to an object graph dumped by :func:`dump_shared`.
-
-    ``shm_name`` is ``None`` in inline mode (no shared-memory segment —
-    either the graph had no large arrays or the platform refused the
-    allocation); the payload then contains everything.
-    """
-
-    shm_name: str | None
-    arrays: tuple[tuple[int, tuple, str], ...]  # (offset, shape, dtype)
-    payload: bytes
-
-    @property
-    def shared_bytes(self) -> int:
-        """Bytes externalised into the shared-memory block."""
-        return sum(int(np.prod(shape)) * np.dtype(dtype).itemsize
-                   for _, shape, dtype in self.arrays)
-
-
-class _ArrayPickler(pickle.Pickler):
-    """Pickler externalising large ndarrays via persistent IDs."""
-
-    def __init__(self, file, collected: list[np.ndarray],
-                 threshold: int) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._collected = collected
-        self._threshold = threshold
-
-    def persistent_id(self, obj):
-        if (isinstance(obj, np.ndarray) and obj.dtype != object
-                and obj.size > 0 and obj.nbytes >= self._threshold):
-            self._collected.append(np.ascontiguousarray(obj))
-            return (_SHM_TAG, len(self._collected) - 1)
-        return None
-
-
-class _ArrayUnpickler(pickle.Unpickler):
-    """Unpickler resolving persistent IDs to shared-memory views."""
-
-    def __init__(self, file, views: list[np.ndarray]) -> None:
-        super().__init__(file)
-        self._views = views
-
-    def persistent_load(self, pid):
-        tag, index = pid
-        if tag != _SHM_TAG:
-            raise pickle.UnpicklingError(f"unknown persistent id {tag!r}")
-        return self._views[index]
-
-
-def dump_shared(obj, *, threshold_bytes: int = SHARED_ARRAY_THRESHOLD_BYTES):
-    """Dump ``obj`` with its numpy arrays in one shared-memory block.
-
-    Returns ``(ref, block)``: a picklable :class:`SharedObjectRef` to
-    ship to workers, and the owning ``SharedMemory`` block (``None`` in
-    inline mode) which the caller must keep alive for the campaign and
-    release afterwards via :func:`release_shared`.  Falls back to a
-    plain inline pickle when shared memory is unavailable or the
-    allocation fails — same results, per-task copies again.
-    """
-    collected: list[np.ndarray] = []
-    buffer = io.BytesIO()
-    _ArrayPickler(buffer, collected, threshold_bytes).dump(obj)
-    payload = buffer.getvalue()
-    if not collected or shared_memory is None:
-        if collected:  # shared memory unavailable: re-pickle inline
-            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        return SharedObjectRef(None, (), payload), None
-    total = sum(array.nbytes for array in collected)
-    try:
-        block = shared_memory.SharedMemory(create=True, size=max(1, total))
-    except (OSError, ValueError):
-        return (SharedObjectRef(
-            None, (), pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)),
-            None)
-    _OWNED_SEGMENTS.add(block.name)
-    metas: list[tuple[int, tuple, str]] = []
-    offset = 0
-    for array in collected:
-        view = np.ndarray(array.shape, array.dtype, buffer=block.buf,
-                          offset=offset)
-        view[...] = array
-        metas.append((offset, array.shape, array.dtype.str))
-        offset += array.nbytes
-    return SharedObjectRef(block.name, tuple(metas), payload), block
-
-
-def load_shared(ref: SharedObjectRef):
-    """Rebuild an object dumped by :func:`dump_shared`.
-
-    Returns ``(obj, block)``.  In shared-memory mode the object's large
-    arrays are *read-only views* into the attached block; the caller
-    must keep ``block`` (or the views) referenced while the object is
-    in use.  In inline mode ``block`` is ``None``.
-    """
-    if ref.shm_name is None:
-        return pickle.loads(ref.payload), None
-    block = shared_memory.SharedMemory(name=ref.shm_name)
-    # Python < 3.13 registers every *attach* with the resource tracker,
-    # which then unlinks the segment when this process exits — stealing
-    # it from the owner.  Only the creating process may keep its
-    # registration (and unlink); an in-process load (serial campaigns)
-    # must not unregister the owner's claim.
-    if resource_tracker is not None and ref.shm_name not in _OWNED_SEGMENTS:
-        try:
-            resource_tracker.unregister(block._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API drift
-            pass
-    views = []
-    for offset, shape, dtype in ref.arrays:
-        view = np.ndarray(shape, np.dtype(dtype), buffer=block.buf,
-                          offset=offset)
-        view.flags.writeable = False
-        views.append(view)
-    obj = _ArrayUnpickler(io.BytesIO(ref.payload), views).load()
-    return obj, block
-
-
-def release_shared(block) -> None:
-    """Close and unlink a block returned by :func:`dump_shared`."""
-    if block is None:
-        return
-    _OWNED_SEGMENTS.discard(block.name)
-    try:
-        block.close()
-        block.unlink()
-    except (OSError, FileNotFoundError):  # pragma: no cover
-        pass
-
-
-class SharedContextCache:
-    """Per-process cache of loaded shared contexts (for pool workers).
-
-    A campaign ships the same :class:`SharedObjectRef` inside every
-    group task; each pool worker should attach and unpickle it once,
-    not once per group.  Keyed by the segment name (unique per dump) or
-    the payload digest in inline mode.  Eviction only drops our
-    reference — numpy views keep the underlying mapping alive, so
-    previously returned contexts stay valid.
-    """
-
-    def __init__(self, max_entries: int = 8) -> None:
-        self.max_entries = int(max_entries)
-        self._entries: dict[object, tuple] = {}
-
-    def get(self, ref: SharedObjectRef):
-        key = ref.shm_name if ref.shm_name is not None else hash(ref.payload)
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = load_shared(ref)
-            if len(self._entries) >= self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = entry
-        return entry[0]
 
 
 def fuse_groups(items: Sequence, width: int) -> list[list]:

@@ -74,16 +74,14 @@ class Dense:
     def _masked_weights(self) -> np.ndarray:
         """Mask-applied weights written into the reusable buffer."""
         buffer = self._eff_buffer
-        if (buffer is None or buffer.shape != self.weights.shape
-                or not buffer.flags.writeable):
+        if buffer is None or buffer.shape != self.weights.shape:
             buffer = self._eff_buffer = np.empty_like(self.weights)
         np.multiply(self.weights, self.mask, out=buffer)
         return buffer
 
     def __getstate__(self) -> dict:
         # Scratch buffers and training caches are per-process state:
-        # dropping them keeps pickles lean and stops shared-memory
-        # transports from turning them into read-only views.
+        # dropping them keeps pickles (checkpoints, pool tasks) lean.
         state = self.__dict__.copy()
         state["_eff_buffer"] = None
         state["_cache_input"] = None

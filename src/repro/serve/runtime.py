@@ -391,11 +391,7 @@ class ServingRuntime:
         plan.validate_for(config.num_workers, config.streams)
         result.fault_counts = plan.counts_by_kind()
 
-        def build_stack(worker_id: int):
-            stack, restored = self._build_stack(worker_id)
-            return stack, restored
-
-        supervisor = Supervisor(config.num_workers, build_stack,
+        supervisor = Supervisor(config.num_workers, self._build_stack,
                                 config.supervisor)
         breaker = CircuitBreaker(config.breaker)
         assembler = WindowAssembler(config.ingest)

@@ -137,6 +137,8 @@ REMOVED_FLAGS = (
     + [("soak", flag) for flag in ("--checkpoint", "--retries",
                                    "--task-timeout", *_FUSED)]
     + [("fleet", "--no-cache")]
+    + [(command, flag) for command in ("datagen", "stats", "train", "fleet")
+       for flag in _FUSED]
     + [(command, flag) for command in ("fleet-chaos", "serve", "serve-chaos")
        for flag in (*_RESILIENCE, *_FUSED)])
 
@@ -147,7 +149,7 @@ def _parse(command, *extra):
 
 
 def test_removed_flag_list_is_complete():
-    assert len(set(REMOVED_FLAGS)) == 45
+    assert len(set(REMOVED_FLAGS)) == 53
 
 
 @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)

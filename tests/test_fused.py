@@ -1,16 +1,15 @@
-"""Fused campaign engine: bit-identity, masking, transport, resume.
+"""Fused campaign engine: bit-identity, masking, resume.
 
 The fused engine's contract is *byte*-identity with the serial path —
-every test here compares pickled record streams or exported JSON, not
+every test here compares pickled record streams or grid payloads, not
 approximate metrics.  Coverage spans the engine itself (lockstep
 records, early-finish masking, mid-campaign pickling), the batched
 policy surfaces (SSMDVFS, heuristic baselines, faulty/guarded
-wrappers), the shared-memory transport, and the three campaign layers
-that fuse (evaluation grids, datagen, fleet phase 1).
+wrappers), and the one campaign that fuses: the Fig. 4 policy grid,
+in-process and pooled.
 """
 
 import functools
-import json
 import pickle
 
 import numpy as np
@@ -22,19 +21,13 @@ from repro.cli import PAPER_FEATURES
 from repro.core.combined import SSMDVFSModel
 from repro.core.controller import SSMDVFSController
 from repro.core.policy import StaticPolicy
-from repro.datagen.dataset import DVFSDataset
 from repro.datagen.features import FeatureExtractor, FeatureScaler
-from repro.datagen.protocol import ProtocolConfig, generate_chunks_for_suite
 from repro.errors import SimulationError
 from repro.evaluation.cache import cached_comparison
 from repro.evaluation.runner import compare_policies
 from repro.faults import build_faulty_policy, config_for_mode
-from repro.fleet import ClusterScheduler, TraceConfig, build_trace
 from repro.gpu.arch import small_test_config
-from repro.gpu.fused import (FusedCampaignEngine, SharedContextCache,
-                             SharedObjectRef, dump_shared, fuse_groups,
-                             load_shared, release_shared, run_fused)
-from repro.gpu.counters import COUNTER_NAMES, CounterSet
+from repro.gpu.fused import FusedCampaignEngine, fuse_groups, run_fused
 from repro.gpu.interval_model import SolutionCache
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase, compute_phase, memory_phase
@@ -253,66 +246,7 @@ def test_engine_pickles_mid_campaign_and_resumes_identically(arch, model):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory transport
-# ---------------------------------------------------------------------------
-
-def test_shared_memory_roundtrip_and_readonly(model):
-    ref, block = dump_shared(model)
-    try:
-        if ref.shm_name is not None:
-            assert ref.shared_bytes > 0
-        loaded, attached = load_shared(ref)
-        weights = loaded.decision_maker.model.layers[0].weights
-        original = model.decision_maker.model.layers[0].weights
-        np.testing.assert_array_equal(weights, original)
-        if ref.shm_name is not None:
-            assert not weights.flags.writeable
-        # Read-only weights must still run inference (scratch buffers
-        # are reallocated per process, never shipped as shared views).
-        rng = np.random.default_rng(0)
-        counter_sets = [CounterSet.from_vector(
-            rng.uniform(1.0, 1e4, size=len(COUNTER_NAMES)))
-            for _ in range(4)]
-        levels = loaded.decision_maker.predict_levels(counter_sets, 0.1)
-        assert levels == model.decision_maker.predict_levels(counter_sets,
-                                                             0.1)
-    finally:
-        release_shared(block)
-
-
-def test_shared_transport_inline_fallback():
-    """Graphs below the threshold ship inline (no segment to leak)."""
-    ref, block = dump_shared({"small": np.arange(3.0)})
-    assert block is None
-    assert ref.shm_name is None
-    obj, attached = load_shared(ref)
-    assert attached is None
-    np.testing.assert_array_equal(obj["small"], np.arange(3.0))
-
-
-def test_shared_context_cache_attaches_once(model):
-    ref, block = dump_shared(model)
-    try:
-        cache = SharedContextCache(max_entries=2)
-        first = cache.get(ref)
-        assert cache.get(ref) is first
-    finally:
-        release_shared(block)
-
-
-def test_shared_ref_is_picklable(model):
-    ref, block = dump_shared(model)
-    try:
-        clone = pickle.loads(pickle.dumps(ref))
-        assert isinstance(clone, SharedObjectRef)
-        assert clone.shm_name == ref.shm_name
-        assert clone.arrays == ref.arrays
-    finally:
-        release_shared(block)
-
-
-# ---------------------------------------------------------------------------
-# Campaign layers: evaluation grid, datagen, fleet
+# The fused Fig. 4 grid
 # ---------------------------------------------------------------------------
 
 def _grid_payload(result):
@@ -329,14 +263,19 @@ def test_compare_policies_fused_identical_across_widths(arch, model):
     kernels = _kernels()
     serial = _grid_payload(compare_policies(factories, kernels, arch,
                                             preset=0.10, seed=1))
-    for width in (1, 4, 32):
+    # (4, 2) runs the groups in a process pool: each group task
+    # carries the grid context in its own pickle.
+    for width, workers in ((1, 1), (4, 1), (4, 2), (32, 1)):
         stats = CampaignStats()
         fused = compare_policies(factories, kernels, arch, preset=0.10,
-                                 seed=1, stats=stats, fused=True,
-                                 fuse_width=width)
-        assert _grid_payload(fused) == serial, f"width {width} diverged"
+                                 seed=1, workers=workers, stats=stats,
+                                 fused=True, fuse_width=width)
+        assert _grid_payload(fused) == serial, \
+            f"width {width}, workers {workers} diverged"
         assert stats.counters["fused_tasks"] == \
             (len(factories) + 1) * len(kernels)
+        assert [stage.mode for stage in stats.stages] == \
+            ["parallel" if workers > 1 else "serial"]
     # Wide groups actually batch inference and share noise tracks.
     assert stats.counters["fused_inference_groups"] > 0
     assert stats.counters["fused_noise_shared"] > 0
@@ -378,41 +317,3 @@ def test_cached_comparison_fused_namespaces_checkpoint(tmp_path, arch, model,
                               fuse_width=4)
     assert _grid_payload(again) == _grid_payload(serial)
     assert hit_stats.counters["comparison_cache_hit"] == 1
-
-
-def test_datagen_fused_identical(arch):
-    config = ProtocolConfig(max_breakpoints_per_kernel=2, seed=3)
-    kernels = _kernels()
-    serial = generate_chunks_for_suite(kernels, arch, config=config)
-    for width in (1, 2):
-        stats = CampaignStats()
-        fused = generate_chunks_for_suite(kernels, arch, config=config,
-                                          fused=True, fuse_width=width,
-                                          stats=stats)
-        assert pickle.dumps(fused) == pickle.dumps(serial)
-        assert stats.counters["fused_tasks"] == len(kernels)
-    serial_set = DVFSDataset.from_breakpoint_chunks(serial)
-    fused_set = DVFSDataset.from_breakpoint_chunks(fused)
-    assert np.array_equal(serial_set.counters, fused_set.counters)
-    assert np.array_equal(serial_set.sample_loss, fused_set.sample_loss)
-
-
-def test_fleet_fused_export_identical(tmp_path, arch, model):
-    trace = build_trace(arch, TraceConfig(trace="steady", jobs=8, nodes=2,
-                                          seed=4))
-    factory = functools.partial(SSMDVFSController, model, 0.10)
-
-    def run_fleet(fused):
-        stats = CampaignStats()
-        scheduler = ClusterScheduler(arch, factory, num_nodes=2,
-                                     policy_name="ssmdvfs", seed=4,
-                                     stats=stats, fused=fused, fuse_width=4)
-        result = scheduler.run(trace, trace_name="fused-test")
-        path = tmp_path / f"fleet-{fused}.json"
-        result.export_json(path)
-        return path.read_bytes(), stats
-
-    serial_bytes, _ = run_fleet(False)
-    fused_bytes, stats = run_fleet(True)
-    assert fused_bytes == serial_bytes
-    assert stats.counters["fused_tasks"] == 8

@@ -1,8 +1,10 @@
 """Package hygiene: public API surface, docstrings, exports."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +89,39 @@ def test_errors_hierarchy():
                 and obj is not Exception:
             assert issubclass(obj, errors.ReproError) \
                 or obj is errors.ReproError
+
+
+#: The only modules allowed to import the fused campaign engine: the
+#: engine itself and the Fig. 4 grid runner, its one caller.
+FUSED_IMPORTERS = {"repro.gpu.fused", "repro.evaluation.runner"}
+
+
+def _imported_modules(tree: ast.Module, module: str, is_package: bool):
+    """Absolute names of every module ``tree`` imports (or may import)."""
+    package = module.split(".") if is_package else module.split(".")[:-1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else []
+            target = ".".join(base + ([node.module] if node.module else []))
+            yield target
+            # ``from repro.gpu import fused`` imports a submodule.
+            yield from (f"{target}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_grid_runner_imports_the_fused_engine():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        is_package = parts[-1] == "__init__"
+        module = ".".join(parts[:-1] if is_package else parts)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if module not in FUSED_IMPORTERS and any(
+                name == "repro.gpu.fused"
+                or name.startswith("repro.gpu.fused.")
+                for name in _imported_modules(tree, module, is_package)):
+            offenders.append(module)
+    assert offenders == []

@@ -10,10 +10,12 @@ key, stands in for "cache off".
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+import repro.datagen.protocol as protocol
 from repro.datagen.protocol import ProtocolConfig, generate_for_kernel
 from repro.gpu.arch import small_test_config
 from repro.gpu.interval_model import (NUM_SOLUTION_COLUMNS, SOL_IPC,
@@ -90,13 +92,22 @@ def test_epoch_stream_bit_identical_cache_on_off():
             assert np.array_equal(ca.as_vector(), cb.as_vector())
 
 
-def test_datagen_bit_identical_cache_on_off():
+def test_datagen_bit_identical_cache_on_off(monkeypatch):
     base = dict(max_breakpoints_per_kernel=2, seed=7)
+    stats = CampaignStats()
     on = generate_for_kernel(_kernel(), ARCH,
-                             config=ProtocolConfig(**base))
+                             config=ProtocolConfig(**base), stats=stats)
+    # The protocol builds its own simulator (and its grid lanes share
+    # that simulator's cache): hand it the starved cache.
+    starved = _starved_cache()
+    monkeypatch.setattr(protocol, "GPUSimulator",
+                        partial(GPUSimulator, solution_cache=starved))
     off = generate_for_kernel(_kernel(), ARCH,
-                              config=ProtocolConfig(**base),
-                              solution_cache=_starved_cache())
+                              config=ProtocolConfig(**base))
+    on_hits = stats.counters["solve_cache_hit"]
+    on_rate = on_hits / (on_hits + stats.counters["solve_cache_miss"])
+    assert starved.misses > 0
+    assert starved.hit_rate < on_rate / 4
     assert len(on) == len(off) > 0
     for a, b in zip(on, off):
         assert a.levels == b.levels
