@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import PolicyError, SimulationError
-from ..faults import FaultConfig, config_for_mode, build_faulty_policy
+from ..faults import config_for_mode, build_faulty_policy
 from ..gpu.counters import COUNTER_NAMES, CounterSet
 from ..gpu.simulator import EpochRecord, GPUSimulator
 from ..gpu.kernels import KernelProfile

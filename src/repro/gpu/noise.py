@@ -197,11 +197,11 @@ class WorkloadNoise:
     def tracks(self) -> list[list[float]]:
         """The three raw multiplier tracks (warp, miss, cpi).
 
-        Batching hook for the vectorised epoch engine: hot loops index
-        the lists directly (after :meth:`ensure`-ing coverage via
-        :meth:`multipliers`) instead of paying a method call per
-        quantum.  Only meaningful when ``sigma > 0``; the lists must be
-        treated as append-only.
+        Batching hook for the epoch engine: a solve-window refill first
+        calls :meth:`multipliers` for the window's last chunk, which
+        extends the tracks to cover it, then slices the lists directly
+        instead of paying a method call per chunk.  Only meaningful when
+        ``sigma > 0``; the lists must be treated as append-only.
         """
         return self._tracks
 
