@@ -171,11 +171,38 @@ def test_validate_decision_accepts_scalar_and_sequence():
     assert validate_decision(2, 6, 3) == [2, 2, 2]
     assert validate_decision([0, 5, 3], 6, 3) == [0, 5, 3]
     assert validate_decision(np.int64(4), 6, 2) == [4, 4]
+    for good, expected in ((True, [1, 1, 1]),
+                           ([True, False, True], [1, 0, 1]),
+                           ([np.int64(1), np.int64(5), np.int64(0)],
+                            [1, 5, 0]),
+                           (2.0, [2, 2, 2]),
+                           ([2.0, np.float32(1.0), 0], [2, 1, 0]),
+                           (np.uint8(3), [3, 3, 3]),
+                           ((1, 2, 3), [1, 2, 3]),
+                           (np.array([1, 2, 3]), [1, 2, 3]),
+                           (np.array([1.0, 2.0, 3.0]), [1, 2, 3]),
+                           (range(3), [0, 1, 2])):
+        levels = validate_decision(good, 6, 3)
+        assert levels == expected
+        assert all(type(level) is int for level in levels)
+    # The checked levels are a fresh list, never the policy's own.
+    decision = [0, 5, 3]
+    levels = validate_decision(decision, 6, 3)
+    assert levels == decision and levels is not decision
 
 
 def test_validate_decision_rejects_malformed_output():
     for bad in ([1, 2], [1, 2, 9], [1, 2, float("nan")], [1, 2, 2.5],
-                [1, 2, "x"], [1, 2, -1]):
+                [1, 2, "x"], [1, 2, -1],
+                # Wrong arity, as a list, tuple or array.
+                [1, 2, 3, 4], [], (1, 2), np.array([1, 2]),
+                # Not a real number: None, a 0-d array, numpy bools,
+                # nested rows, an iterator and a string.
+                None, [1, 2, None], np.array(2), np.bool_(True),
+                [np.bool_(True)] * 3, np.array([[1], [2], [3]]),
+                iter([1, 2, 3]), "x",
+                # Integral but out of range, or non-integral.
+                2**60, [1, 2, 2**60], 2.5, np.float64("inf")):
         with pytest.raises(PolicyError):
             validate_decision(bad, 6, 3)
 

@@ -10,22 +10,30 @@ in ``test_faults.py``:
   ACTIVE always raise :class:`GuardTripped` (safety: the escape hatch
   cannot be starved),
 * identical seeds replay identical state traces (campaigns must be
-  reproducible down to the guard's trip epochs).
+  reproducible down to the guard's trip epochs),
+* counter sanitization fixes exactly what the readable per-cluster
+  reference below fixes, counts the same ``guard_counter_*`` fixes,
+  and hands a clean record back as the same object.
 
 Randomized fault trains are driven through a real simulator so the
 sanitization path sees genuine counter windows with injected NaNs.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.guarded import ACTIVE, FALLBACK, PROBATION, GuardedController
 from repro.core.policy import StaticPolicy, policy_counters
 from repro.errors import GuardTripped
-from repro.gpu.counters import CounterSet
+from repro.gpu.counters import NUM_COUNTERS, CounterSet
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase
-from repro.gpu.simulator import GPUSimulator
+from repro.gpu.simulator import EpochRecord, GPUSimulator
 
 
 def _kernel(iterations=120):
@@ -153,3 +161,101 @@ def test_trip_counter_matches_active_to_fallback_transitions(small_arch,
     # The guard never reports PROBATION without having served fallback.
     if PROBATION in trace:
         assert FALLBACK in trace[:trace.index(PROBATION)]
+
+
+def _reference_sanitize(vector, finished, max_value, counters):
+    """One cluster's window, fixed the readable way (the spec).
+
+    Returns the sanitized copy and its anomaly count; fix counts land
+    in ``counters`` under the guard's ``guard_counter_*`` names.
+    """
+    vector = vector.copy()
+    anomalies = 0
+    nonfinite = ~np.isfinite(vector)
+    bad = int(nonfinite.sum())
+    if bad:
+        vector[nonfinite] = 0.0
+        counters["guard_counter_nonfinite"] += bad
+        anomalies += bad
+    negative = vector < 0.0
+    bad = int(negative.sum())
+    if bad:
+        vector[negative] = 0.0
+        counters["guard_counter_negative"] += bad
+        anomalies += bad
+    huge = vector > max_value
+    bad = int(huge.sum())
+    if bad:
+        vector[huge] = max_value
+        counters["guard_counter_clamped"] += bad
+        anomalies += bad
+    # Every real epoch reports nonzero static power; an all-zero
+    # window from a still-running cluster is a dropped sensor sample.
+    if not finished and not np.any(vector):
+        counters["guard_counter_dropout"] += 1
+        anomalies += 1
+    return vector, anomalies
+
+
+@st.composite
+def _counter_epochs(draw):
+    """A counter matrix with injected faults, finished flags and a cap."""
+    clusters = draw(st.integers(1, 24))
+    max_value = draw(st.sampled_from([1e15, 1e3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.random((clusters, NUM_COUNTERS)) * 10.0 ** rng.uniform(
+        -3.0, 5.0, (clusters, NUM_COUNTERS))
+    specials = (float("nan"), float("inf"), -float("inf"), -1.0, -1e300,
+                -0.0, 0.0, max_value, max_value * 4.0)
+    rate = draw(st.sampled_from([0.0, 0.005, 0.05, 0.5]))
+    faulty = rng.random(matrix.shape) < rate
+    matrix[faulty] = rng.choice(specials, int(faulty.sum()))
+    zero_rows = draw(st.lists(st.booleans(), min_size=clusters,
+                              max_size=clusters))
+    matrix[np.array(zero_rows)] = draw(st.sampled_from([0.0, -0.0]))
+    finished = draw(st.lists(st.booleans(), min_size=clusters,
+                             max_size=clusters))
+    return matrix, finished, max_value
+
+
+@settings(max_examples=150, deadline=None)
+@given(_counter_epochs())
+def test_sanitizer_matches_per_cluster_reference(epoch):
+    matrix, finished, max_value = epoch
+    guard = GuardedController(StaticPolicy(0), max_counter_value=max_value)
+    guard.simulator = SimpleNamespace(
+        clusters=[SimpleNamespace(finished=flag) for flag in finished])
+    guard.counters["guard_trips"] = 1
+    cluster_counters = [CounterSet.from_vector(row.copy()) for row in matrix]
+    record = EpochRecord(index=4, start_time_s=1e-5, duration_s=1e-5,
+                         levels=[2] * len(finished),
+                         counters=CounterSet(),
+                         cluster_counters=cluster_counters,
+                         instructions=1e4, cluster_energy_j=1e-6,
+                         uncore_energy_j=1e-7, all_finished=all(finished),
+                         finish_time_s=0.0)
+    before = matrix.tobytes()
+
+    expected = Counter()
+    vectors, total = [], 0
+    for row, flag in zip(matrix, finished):
+        vector, bad = _reference_sanitize(row, flag, max_value, expected)
+        vectors.append(vector)
+        total += bad
+    sanitized, anomalies = guard._sanitize_record(record)
+
+    assert anomalies == total
+    assert guard.counters == Counter(guard_trips=1, **expected)
+    assert CounterSet.stack(record.cluster_counters).tobytes() == before
+    if total == 0:
+        assert sanitized is record
+        return
+    assert sanitized is not record
+    assert [c.as_vector().tobytes() for c in sanitized.cluster_counters] \
+        == [vector.tobytes() for vector in vectors]
+    assert sanitized.counters.as_vector().tobytes() == np.mean(
+        vectors, axis=0).tobytes()
+    for name in ("index", "start_time_s", "duration_s", "levels",
+                 "instructions", "cluster_energy_j", "uncore_energy_j",
+                 "all_finished", "finish_time_s"):
+        assert getattr(sanitized, name) == getattr(record, name)
