@@ -139,46 +139,38 @@ class GuardedController(BasePolicy):
         self.inner.reset(simulator)
 
     # ------------------------------------------------------------------
-    def _sanitize_counters(self, counters: CounterSet,
-                           finished: bool) -> tuple[CounterSet, int]:
-        """A finite, range-clamped copy plus the anomaly count."""
-        vector = counters.as_vector()
-        anomalies = 0
-        nonfinite = ~np.isfinite(vector)
-        bad = int(nonfinite.sum())
-        if bad:
-            vector[nonfinite] = 0.0
-            self.counters["guard_counter_nonfinite"] += bad
-            anomalies += bad
-        negative = vector < 0.0
-        bad = int(negative.sum())
-        if bad:
-            vector[negative] = 0.0
-            self.counters["guard_counter_negative"] += bad
-            anomalies += bad
-        huge = vector > self.max_counter_value
-        bad = int(huge.sum())
-        if bad:
-            vector[huge] = self.max_counter_value
-            self.counters["guard_counter_clamped"] += bad
-            anomalies += bad
-        # Every real epoch reports nonzero static power; an all-zero
-        # window from a still-running cluster is a dropped sensor sample.
-        if not finished and not np.any(vector):
-            self.counters["guard_counter_dropout"] += 1
-            anomalies += 1
-        return CounterSet.from_vector(vector), anomalies
-
     def _sanitize_record(self, record: EpochRecord
                          ) -> tuple[EpochRecord, int]:
-        anomalies = 0
-        cluster_counters = []
+        """The record with finite, range-clamped counters, plus anomalies.
+
+        The epoch's per-cluster counters are fixed as one
+        ``(clusters, NUM_COUNTERS)`` matrix; a record that needs no fix
+        is returned as the same object.
+        """
         assert self.simulator is not None
-        for index, counters in enumerate(record.cluster_counters):
-            finished = self.simulator.clusters[index].finished
-            clean, bad = self._sanitize_counters(counters, finished)
-            cluster_counters.append(clean)
-            anomalies += bad
+        matrix = CounterSet.stack(record.cluster_counters)
+        nonfinite = ~np.isfinite(matrix)
+        matrix[nonfinite] = 0.0
+        negative = matrix < 0.0
+        matrix[negative] = 0.0
+        huge = matrix > self.max_counter_value
+        matrix[huge] = self.max_counter_value
+        # Every real epoch reports nonzero static power; an all-zero
+        # window from a still-running cluster is a dropped sensor sample.
+        dropout = sum(not cluster.finished for cluster, reported
+                      in zip(self.simulator.clusters,
+                             matrix.any(axis=1).tolist())
+                      if not reported)
+        anomalies = 0
+        for name, bad in (
+                ("guard_counter_nonfinite", np.count_nonzero(nonfinite)),
+                ("guard_counter_negative", np.count_nonzero(negative)),
+                ("guard_counter_clamped", np.count_nonzero(huge)),
+                ("guard_counter_dropout", dropout)):
+            bad = int(bad)
+            if bad:
+                self.counters[name] += bad
+                anomalies += bad
         if anomalies == 0:
             return record, 0
         sanitized = EpochRecord(
@@ -186,8 +178,8 @@ class GuardedController(BasePolicy):
             start_time_s=record.start_time_s,
             duration_s=record.duration_s,
             levels=record.levels,
-            counters=CounterSet.average(cluster_counters),
-            cluster_counters=cluster_counters,
+            counters=CounterSet.from_vector(matrix.mean(axis=0)),
+            cluster_counters=[CounterSet.from_vector(row) for row in matrix],
             instructions=record.instructions,
             cluster_energy_j=record.cluster_energy_j,
             uncore_energy_j=record.uncore_energy_j,

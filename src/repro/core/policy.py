@@ -32,21 +32,26 @@ def validate_decision(decision, num_levels: int,
     treat a malformed decision as a guard anomaly rather than letting
     it reach the hardware model.
     """
-    if isinstance(decision, numbers.Real) or np.ndim(decision) == 0:
+    if type(decision) is list:
+        levels = decision
+    elif isinstance(decision, numbers.Real) or np.ndim(decision) == 0:
         levels = [decision] * num_clusters
     else:
         levels = list(decision)
-        if len(levels) != num_clusters:
-            raise PolicyError(
-                f"decision has {len(levels)} levels, expected {num_clusters}")
+    if len(levels) != num_clusters:
+        raise PolicyError(
+            f"decision has {len(levels)} levels, expected {num_clusters}")
     checked: list[int] = []
     for level in levels:
-        if not isinstance(level, numbers.Real):
+        if type(level) is int:
+            index = level
+        elif not isinstance(level, numbers.Real):
             raise PolicyError(f"non-numeric level {level!r}")
-        value = float(level)
-        if not math.isfinite(value) or value != int(value):
-            raise PolicyError(f"non-integral level {level!r}")
-        index = int(value)
+        else:
+            value = float(level)
+            if not math.isfinite(value) or value != int(value):
+                raise PolicyError(f"non-integral level {level!r}")
+            index = int(value)
         if not 0 <= index < num_levels:
             raise PolicyError(
                 f"level {index} out of range [0, {num_levels})")

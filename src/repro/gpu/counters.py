@@ -244,7 +244,7 @@ class CounterSet:
         """Stack many sets into an ``(n, NUM_COUNTERS)`` matrix."""
         if not sets:
             raise SimulationError("cannot stack an empty counter list")
-        return np.stack([s._values for s in sets])
+        return np.array([s._values for s in sets])
 
     @staticmethod
     def average(sets: list["CounterSet"]) -> "CounterSet":
