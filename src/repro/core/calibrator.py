@@ -49,14 +49,9 @@ class Calibrator:
         self.nonfinite_predictions = 0
 
     def predict_ratio(self, counters: CounterSet, level: int) -> float:
-        """Predicted next-window / current-window throughput ratio."""
-        features = self.extractor.extract(counters)
-        raw = np.concatenate([features, [float(level)]])
-        x = self.scaler.transform(raw)
-        prediction = float(self.model.predict_scalar(x[None, :])[0])
-        if not np.isfinite(prediction):
-            self.nonfinite_predictions += 1
-        return max(0.0, prediction)
+        """Predicted next-window / current-window throughput ratio: a
+        one-row :meth:`predict_ratios`."""
+        return float(self.predict_ratios([counters], [level])[0])
 
     def predict_ratios(self, counter_sets: list[CounterSet],
                        levels: list[int]) -> np.ndarray:
@@ -89,9 +84,9 @@ class Calibrator:
 
     def predict_instructions(self, counters: CounterSet,
                              level: int) -> float:
-        """Predicted per-cluster instructions of the next epoch."""
-        ratio = self.predict_ratio(counters, level)
-        return ratio * counters["inst_total"]
+        """Predicted per-cluster instructions of the next epoch: a
+        one-row :meth:`predict_instructions_batch`."""
+        return self.predict_instructions_batch([counters], [level])[0]
 
     def predict_instructions_batch(self, counter_sets: list[CounterSet],
                                    levels: list[int]) -> list[float]:

@@ -43,11 +43,6 @@ class DecisionMaker:
         # grown/replaced on demand when the batch size changes.
         self._raw_buffer: np.ndarray | None = None
 
-    def _input_vector(self, counters: CounterSet, preset: float) -> np.ndarray:
-        features = self.extractor.extract(counters)
-        raw = np.concatenate([features, [preset]])
-        return self.scaler.transform(raw)
-
     def _input_matrix(self, counter_sets: list[CounterSet],
                       preset) -> np.ndarray:
         """Scaled (n, features + 1) input rows for a cluster batch.
@@ -75,11 +70,9 @@ class DecisionMaker:
         return state
 
     def predict_level(self, counters: CounterSet, preset: float) -> int:
-        """The V/f level for the next epoch."""
-        if preset < 0:
-            raise PolicyError("preset cannot be negative")
-        x = self._input_vector(counters, preset)
-        return int(self.model.predict_class(x[None, :])[0])
+        """The V/f level for the next epoch: a one-row
+        :meth:`predict_levels`."""
+        return self.predict_levels([counters], preset)[0]
 
     def predict_levels(self, counter_sets: list[CounterSet],
                        preset) -> list[int]:
@@ -99,5 +92,5 @@ class DecisionMaker:
                             preset: float) -> np.ndarray:
         """Softmax distribution over levels (diagnostics)."""
         from ..nn.losses import softmax
-        x = self._input_vector(counters, preset)
-        return softmax(self.model.forward(x[None, :]))[0]
+        return softmax(self.model.forward(
+            self._input_matrix([counters], preset)))[0]

@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 
 from ..errors import PolicyError
-from ..gpu.interval_model import solve_throughput
+from ..gpu.interval_model import phase_params_row, solve_throughput_batch
 from ..gpu.simulator import EpochRecord, GPUSimulator
 
 
@@ -34,10 +34,13 @@ def validate_decision(decision, num_levels: int,
     """
     if type(decision) is list:
         levels = decision
-    elif isinstance(decision, numbers.Real) or np.ndim(decision) == 0:
-        levels = [decision] * num_clusters
     else:
-        levels = list(decision)
+        try:
+            scalar = (isinstance(decision, numbers.Real)
+                      or np.ndim(decision) == 0)
+        except ValueError as exc:  # a ragged nested sequence
+            raise PolicyError(f"malformed decision {decision!r}") from exc
+        levels = [decision] * num_clusters if scalar else list(decision)
     if len(levels) != num_clusters:
         raise PolicyError(
             f"decision has {len(levels)} levels, expected {num_clusters}")
@@ -147,23 +150,28 @@ class ModelOraclePolicy(BasePolicy):
             raise PolicyError("policy not bound to a simulator")
         arch = self.simulator.arch
         table = arch.vf_table
-        default_freq = table[table.default_level].frequency_hz
-        levels = []
-        for cluster in self.simulator.clusters:
-            if cluster.finished:
-                levels.append(table.min_level)
-                continue
-            phase = cluster.cursor.current_phase
-            base = solve_throughput(arch, phase, default_freq)
-            base_time = base.time_for_instructions(1000.0)
-            chosen = table.default_level
-            for level in range(table.num_levels):
-                solution = solve_throughput(arch, phase,
-                                            table[level].frequency_hz)
-                slowdown = (solution.time_for_instructions(1000.0)
-                            / base_time) - 1.0
-                if slowdown <= self.preset:
-                    chosen = level
-                    break
-            levels.append(chosen)
+        clusters = self.simulator.clusters
+        levels = [table.min_level] * len(clusters)
+        running = [index for index, cluster in enumerate(clusters)
+                   if not cluster.finished]
+        if not running:
+            return levels
+        # One solve of every running cluster's phase at every level; the
+        # default level's row is the baseline the slowdown is taken from.
+        num_levels = table.num_levels
+        params = np.repeat(np.stack([
+            phase_params_row(clusters[index].cursor.current_phase)
+            for index in running]), num_levels, axis=0)
+        frequencies = np.tile(table.frequencies_hz(), len(running))
+        ones = np.ones(len(frequencies))
+        batch = solve_throughput_batch(arch, params, frequencies, ones, ones,
+                                       ones)
+        times = ((1000.0 / batch.ipc) / frequencies).reshape(len(running),
+                                                            num_levels)
+        slowdown = times / times[:, table.default_level, None] - 1.0
+        within = slowdown <= self.preset
+        chosen = np.where(within.any(axis=1), within.argmax(axis=1),
+                          table.default_level)
+        for index, level in zip(running, chosen.tolist()):
+            levels[index] = level
         return levels

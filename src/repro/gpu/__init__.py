@@ -5,8 +5,8 @@ from .cluster import ClusterState
 from .counters import (COUNTER_NAMES, COUNTER_SCHEMA, DIRECT_FEATURE_NAMES,
                        INDIRECT_FEATURE_NAMES, NUM_COUNTERS, PAPER_ALIASES,
                        CounterCategory, CounterSet, paper_category)
-from .interval_model import (ThroughputSolution, effective_cpi,
-                             frequency_sensitivity, solve_throughput)
+from .interval_model import (ThroughputSolution, frequency_sensitivity,
+                             solve_throughput)
 from .kernels import KernelCursor, KernelProfile
 from .noise import AR1Jitter, WorkloadNoise
 from .phases import (INSTRUCTION_CLASSES, Phase, balanced_phase,
@@ -22,8 +22,7 @@ __all__ = [
     "COUNTER_NAMES", "COUNTER_SCHEMA", "DIRECT_FEATURE_NAMES",
     "INDIRECT_FEATURE_NAMES", "NUM_COUNTERS", "PAPER_ALIASES",
     "CounterCategory", "CounterSet", "paper_category",
-    "ThroughputSolution", "effective_cpi", "frequency_sensitivity",
-    "solve_throughput",
+    "ThroughputSolution", "frequency_sensitivity", "solve_throughput",
     "KernelCursor", "KernelProfile",
     "AR1Jitter", "WorkloadNoise",
     "INSTRUCTION_CLASSES", "Phase", "balanced_phase", "compute_phase",

@@ -96,22 +96,6 @@ class GPUArchConfig:
         """Fair-share DRAM bandwidth per cluster."""
         return self.dram_bandwidth_bytes_per_s / self.num_clusters
 
-    def memory_latency_cycles(self, l1_miss_rate: float, l2_miss_rate: float,
-                              frequency_hz: float) -> float:
-        """Average load-to-use latency in *core cycles* at ``frequency_hz``.
-
-        L1 hits cost a fixed number of core cycles; L2 and DRAM round
-        trips are fixed in nanoseconds, so their cycle cost scales with
-        the core frequency.
-        """
-        if not 0.0 <= l1_miss_rate <= 1.0:
-            raise ConfigError(f"l1_miss_rate out of [0,1]: {l1_miss_rate}")
-        if not 0.0 <= l2_miss_rate <= 1.0:
-            raise ConfigError(f"l2_miss_rate out of [0,1]: {l2_miss_rate}")
-        beyond_l1_ns = self.l2_latency_ns + l2_miss_rate * self.dram_latency_ns
-        beyond_l1_cycles = beyond_l1_ns * 1e-9 * frequency_hz
-        return self.l1_hit_latency_cycles + l1_miss_rate * beyond_l1_cycles
-
 
 def titan_x_config() -> GPUArchConfig:
     """GTX Titan X (GM200) preset used throughout the paper (§V.A)."""

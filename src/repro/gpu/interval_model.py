@@ -23,7 +23,7 @@ policy in the paper competes to exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,115 +86,8 @@ class ThroughputSolution:
         return seconds * self.frequency_hz * self.ipc
 
 
-def effective_cpi(phase: Phase, cpi_multiplier: float = 1.0) -> float:
-    """Per-warp issue cost including divergence inflation."""
-    base = phase.cpi_exec * cpi_multiplier
-    return base * (1.0 + _DIVERGENCE_CPI_FACTOR * phase.divergence)
-
-
-def solve_throughput(arch: GPUArchConfig, phase: Phase, frequency_hz: float,
-                     *, warp_multiplier: float = 1.0,
-                     miss_multiplier: float = 1.0,
-                     cpi_multiplier: float = 1.0) -> ThroughputSolution:
-    """Solve the steady-state throughput of ``phase`` at ``frequency_hz``.
-
-    The three ``*_multiplier`` arguments inject behavioural jitter (from
-    :class:`~repro.gpu.noise.AR1Jitter`); they default to the noiseless
-    case.  Raises :class:`SimulationError` on non-physical inputs.
-    """
-    if frequency_hz <= 0:
-        raise SimulationError(f"frequency must be positive, got {frequency_hz}")
-    if min(warp_multiplier, miss_multiplier, cpi_multiplier) <= 0:
-        raise SimulationError("jitter multipliers must be positive")
-
-    warps = min(arch.max_warps_per_cluster,
-                max(1.0, phase.active_warps * warp_multiplier))
-    l1_miss = min(1.0, phase.l1_miss_rate * miss_multiplier)
-    l2_miss = min(1.0, phase.l2_miss_rate)
-    cpi = effective_cpi(phase, cpi_multiplier)
-
-    mem_latency = arch.memory_latency_cycles(l1_miss, l2_miss, frequency_hz)
-    load_wait = phase.load_fraction * mem_latency / phase.mlp
-    store_wait = (phase.store_fraction * mem_latency * _STORE_EXPOSURE
-                  / phase.mlp)
-    sync_wait = phase.mix.get("sync", 0.0) * _SYNC_COST_CYCLES
-    c_solo = cpi + load_wait + store_wait + sync_wait
-
-    ipc_overlap = min(arch.issue_width, warps / c_solo)
-
-    # DRAM bandwidth cap: only traffic that misses L2 reaches DRAM.
-    # Loads miss L1 then L2; ~90 % of global stores write through L1
-    # (see cluster accounting) and miss L2 at the phase's L2 miss rate.
-    bytes_per_inst = (phase.load_fraction * l1_miss * l2_miss
-                      + phase.store_fraction * 0.9 * l2_miss
-                      ) * arch.cache_line_bytes
-    if bytes_per_inst > 0:
-        ipc_bandwidth = (arch.cluster_bandwidth_bytes_per_s
-                         / (frequency_hz * bytes_per_inst))
-    else:
-        ipc_bandwidth = float("inf")
-
-    bandwidth_limited = ipc_bandwidth < ipc_overlap
-    ipc = max(1e-9, min(ipc_overlap, ipc_bandwidth))
-    cycles_per_instruction = 1.0 / ipc
-
-    traffic = ipc * frequency_hz * bytes_per_inst
-    bandwidth_utilization = min(1.0, traffic / arch.cluster_bandwidth_bytes_per_s)
-
-    # --- stall-slot attribution -------------------------------------
-    # Total issue slots consumed per executed instruction:
-    slots_per_inst = arch.issue_width * cycles_per_instruction
-    stall_total = max(0.0, slots_per_inst - 1.0)
-
-    control_contrib = (cpi * _DIVERGENCE_CPI_FACTOR * phase.divergence
-                       / (1.0 + _DIVERGENCE_CPI_FACTOR * phase.divergence)
-                       + phase.branch_fraction)
-    data_contrib = max(0.0, cpi - control_contrib - 1.0)
-    mem_load_contrib = load_wait
-    mem_other_contrib = store_wait
-    if bandwidth_limited:
-        # Queueing time beyond the raw latency shows up as extra memory
-        # stalls; charge it proportionally to load/store traffic.
-        extra = max(0.0, (1.0 / ipc_bandwidth - 1.0 / ipc_overlap)) * warps
-        load_share = phase.load_fraction * l1_miss * l2_miss
-        store_share = phase.store_fraction * 0.9 * l2_miss
-        denom = load_share + store_share
-        if denom > 0:
-            mem_load_contrib += extra * load_share / denom
-            mem_other_contrib += extra * store_share / denom
-    sync_contrib = sync_wait
-    contribs = (mem_load_contrib, mem_other_contrib, control_contrib,
-                sync_contrib, data_contrib)
-    contrib_sum = sum(contribs)
-
-    if contrib_sum <= 0:
-        parts = (0.0, 0.0, 0.0, 0.0, 0.0)
-        idle = stall_total
-    else:
-        # `hidden` share: with ample warps much of the latency is
-        # overlapped and shows up as *idle-free* issue; the observable
-        # stall slots are distributed by contribution.
-        parts = tuple(stall_total * c / contrib_sum * 0.92 for c in contribs)
-        idle = stall_total - sum(parts)
-
-    return ThroughputSolution(
-        frequency_hz=frequency_hz,
-        ipc=ipc,
-        cycles_per_instruction=cycles_per_instruction,
-        mem_latency_cycles=mem_latency,
-        bandwidth_utilization=bandwidth_utilization,
-        bandwidth_limited=bandwidth_limited,
-        stall_mem_load=parts[0],
-        stall_mem_other=parts[1],
-        stall_control=parts[2],
-        stall_sync=parts[3],
-        stall_data=parts[4],
-        stall_idle=max(0.0, idle),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Batched (vectorised) solver
+# The solver: one stack of solve inputs per call
 # ---------------------------------------------------------------------------
 #: Column layout of a *phase-parameter row*: every phase field the
 #: solver (and the per-instruction activity row) reads, flattened to
@@ -270,9 +163,9 @@ NUM_SOLUTION_COLUMNS = 10
 class BatchSolution:
     """Struct-of-arrays result of :func:`solve_throughput_batch`.
 
-    Each field is a ``(n,)`` array; element ``j`` is bit-identical to
-    the corresponding :class:`ThroughputSolution` field the scalar
-    solver returns for input ``j``.
+    Each field is a ``(n,)`` array whose element ``j`` is the solve of
+    input row ``j``; :func:`solve_throughput` returns one row as a
+    :class:`ThroughputSolution`.
     """
 
     frequency_hz: np.ndarray
@@ -302,17 +195,20 @@ def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
                            warp_multiplier: np.ndarray,
                            miss_multiplier: np.ndarray,
                            cpi_multiplier: np.ndarray) -> BatchSolution:
-    """Vectorised :func:`solve_throughput` over a stack of solve inputs.
+    """Solve the steady-state throughput of a stack of solve inputs.
 
     ``params`` is a ``(n, NUM_PHASE_PARAMS)`` matrix of
     :func:`phase_params_row` rows; the other arguments are ``(n,)``
-    arrays.  Every element of the result is bit-identical to the scalar
-    solver because each intermediate replicates the scalar expression's
-    operand order exactly: IEEE-754 elementwise add/sub/mul/div/min/max
-    are correctly rounded, so an array op applies the *same* rounding
-    per element as the equivalent chain of Python float ops.  (There are
-    no reductions or matrix products here — those are the only numpy
-    stages whose grouping can differ from scalar evaluation.)
+    arrays: the core frequency and the three behavioural jitter
+    multipliers (from :class:`~repro.gpu.noise.AR1Jitter`, 1.0 when
+    noiseless).  Raises :class:`SimulationError` on non-physical inputs.
+
+    Only elementwise ops are used, and IEEE-754 add/sub/mul/div/min/max
+    are correctly rounded per element, so row ``j``'s bits depend on
+    row ``j``'s inputs alone and equal the same expressions evaluated
+    as a chain of Python float ops.  (There are no reductions or matrix
+    products here — those are the only numpy stages whose grouping can
+    differ from scalar evaluation.)
     """
     p = np.asarray(params, dtype=np.float64)
     f = np.asarray(frequency_hz, dtype=np.float64)
@@ -345,6 +241,9 @@ def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
 
     ipc_overlap = np.minimum(float(arch.issue_width), warps / c_solo)
 
+    # DRAM bandwidth cap: only traffic that misses L2 reaches DRAM.
+    # Loads miss L1 then L2; ~90 % of global stores write through L1
+    # (see cluster accounting) and miss L2 at the phase's L2 miss rate.
     load_share = p[:, PP_LOAD_FRAC] * l1_miss * l2_miss
     store_share = p[:, PP_STORE_FRAC] * 0.9 * l2_miss
     bytes_per_inst = (load_share + store_share) * arch.cache_line_bytes
@@ -361,14 +260,18 @@ def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
     bandwidth_utilization = np.minimum(
         1.0, traffic / arch.cluster_bandwidth_bytes_per_s)
 
+    # Stall-slot attribution: issue slots consumed per executed
+    # instruction, beyond the one that issued it.
     slots_per_inst = arch.issue_width * cycles_per_instruction
     stall_total = np.maximum(0.0, slots_per_inst - 1.0)
 
     control_contrib = (cpi * _DIVERGENCE_CPI_FACTOR * p[:, PP_DIVERGENCE]
                        / div_term + p[:, PP_BRANCH_FRAC])
     data_contrib = np.maximum(0.0, cpi - control_contrib - 1.0)
-    # 1/inf == 0.0 exactly, so the unlimited elements contribute no
-    # queueing term and the mask below discards them anyway.
+    # Queueing time beyond the raw latency shows up as extra memory
+    # stalls, charged in proportion to load/store traffic.  1/inf ==
+    # 0.0 exactly, so the unlimited elements contribute no queueing
+    # term and the mask below discards them anyway.
     extra = np.maximum(0.0, 1.0 / ipc_bandwidth - 1.0 / ipc_overlap) * warps
     denom = load_share + store_share
     limited = bandwidth_limited & (denom > 0)
@@ -381,6 +284,9 @@ def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
     contrib_sum = (mem_load_contrib + mem_other_contrib + control_contrib
                    + sync_contrib + data_contrib)
 
+    # With ample warps much of the latency is overlapped and shows up
+    # as idle-free issue: 92 % of the stall slots are observable and
+    # split by contribution, the rest idle.
     positive = contrib_sum > 0
     safe_sum = np.where(positive, contrib_sum, 1.0)
     part_mem_load = np.where(
@@ -413,6 +319,22 @@ def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
         stall_data=part_data,
         stall_idle=np.maximum(0.0, idle),
     )
+
+
+_SOLUTION_FIELDS = tuple(field.name for field in fields(ThroughputSolution))
+
+
+def solve_throughput(arch: GPUArchConfig, phase: Phase, frequency_hz: float,
+                     *, warp_multiplier: float = 1.0,
+                     miss_multiplier: float = 1.0,
+                     cpi_multiplier: float = 1.0) -> ThroughputSolution:
+    """Solve ``phase`` at ``frequency_hz``: a one-row view of
+    :func:`solve_throughput_batch` whose fields are Python scalars."""
+    batch = solve_throughput_batch(
+        arch, phase_params_row(phase)[None, :], [frequency_hz],
+        [warp_multiplier], [miss_multiplier], [cpi_multiplier])
+    return ThroughputSolution(**{name: getattr(batch, name)[0].item()
+                                 for name in _SOLUTION_FIELDS})
 
 
 def _arch_solve_key(arch: GPUArchConfig) -> tuple:
@@ -712,7 +634,11 @@ def frequency_sensitivity(arch: GPUArchConfig, phase: Phase,
     of 1.0 means the phase is completely frequency-insensitive
     (memory-bound); ``f_from / f_to`` is the fully compute-bound limit.
     """
-    sol_from = solve_throughput(arch, phase, frequency_from_hz)
-    sol_to = solve_throughput(arch, phase, frequency_to_hz)
-    work = float(phase.instructions)
-    return sol_to.time_for_instructions(work) / sol_from.time_for_instructions(work)
+    frequencies = np.array([frequency_from_hz, frequency_to_hz],
+                           dtype=np.float64)
+    ones = np.ones(2)
+    batch = solve_throughput_batch(
+        arch, np.broadcast_to(phase_params_row(phase), (2, NUM_PHASE_PARAMS)),
+        frequencies, ones, ones, ones)
+    times = (float(phase.instructions) / batch.ipc) / frequencies
+    return float(times[1] / times[0])

@@ -14,9 +14,12 @@ generalisation claim is tested against.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import WorkloadError
 from ..gpu.arch import GPUArchConfig
-from ..gpu.interval_model import solve_throughput
+from ..gpu.interval_model import (PP_INSTRUCTIONS, phase_params_row,
+                                  solve_throughput_batch)
 from ..gpu.kernels import KernelProfile
 from ..gpu.phases import (Phase, balanced_phase, compute_phase,
                           divergent_phase, make_mix, memory_phase)
@@ -229,11 +232,15 @@ def unseen_fraction() -> float:
 def estimate_default_duration(kernel: KernelProfile,
                               arch: GPUArchConfig) -> float:
     """Noiseless estimate of the kernel's runtime at the default V/f."""
-    frequency = arch.default_frequency_hz
+    params = np.stack([phase_params_row(phase) for phase in kernel.phases])
+    frequencies = np.full(len(params), arch.default_frequency_hz)
+    ones = np.ones(len(params))
+    batch = solve_throughput_batch(arch, params, frequencies, ones, ones, ones)
+    times = (params[:, PP_INSTRUCTIONS] / batch.ipc) / frequencies
+    # A sequential sum: np.sum's pairwise grouping would round differently.
     total = 0.0
-    for phase in kernel.phases:
-        solution = solve_throughput(arch, phase, frequency)
-        total += solution.time_for_instructions(phase.instructions)
+    for seconds in times.tolist():
+        total += seconds
     return total * kernel.iterations
 
 

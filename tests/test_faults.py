@@ -1,5 +1,6 @@
 """Fault injection and the guarded controller: sanitize, trip, recover."""
 
+import copy
 import math
 from functools import partial
 
@@ -10,6 +11,7 @@ from repro.baselines.governor import UtilizationGovernor
 from repro.cli import main
 from repro.core.controller import SSMDVFSController
 from repro.core.drift import DriftMonitor, RollbackManager
+from repro.core.event_driven import EventDrivenController
 from repro.core.guarded import ACTIVE, FALLBACK, PROBATION, GuardedController
 from repro.core.policy import StaticPolicy, policy_counters, validate_decision
 from repro.errors import FaultInjectionError, GuardTripped, PolicyError
@@ -196,6 +198,8 @@ def test_validate_decision_rejects_malformed_output():
                 [1, 2, "x"], [1, 2, -1],
                 # Wrong arity, as a list, tuple or array.
                 [1, 2, 3, 4], [], (1, 2), np.array([1, 2]),
+                # A ragged nesting numpy cannot shape.
+                ((1,), (1, 2), 3),
                 # Not a real number: None, a 0-d array, numpy bools,
                 # nested rows, an iterator and a string.
                 None, [1, 2, None], np.array(2), np.bool_(True),
@@ -357,6 +361,37 @@ def test_guarded_controller_survives_calibrator_nan(small_arch,
     counters = policy_counters(guard)
     assert counters["calibration_anomalies"] > 0
     assert math.isfinite(controller.working_preset)
+
+
+@pytest.mark.parametrize("make_controller", (
+    partial(SSMDVFSController, per_cluster=True),
+    partial(SSMDVFSController, per_cluster=False),
+    EventDrivenController))
+def test_nan_calibrator_is_an_anomaly_on_every_path(small_arch,
+                                                    small_pipeline,
+                                                    make_controller):
+    """A Calibrator that outputs NaN reads as a calibration anomaly, not
+    as an all-zero prediction (a full shortfall), whichever path made
+    the prediction: batched per cluster, one row, or event-driven."""
+    model = copy.deepcopy(small_pipeline.models["base"])
+    regressor = model.calibrator.model
+    regressor.layers[-1].bias[:] = np.nan
+    rows = []
+    predict_scalar = regressor.predict_scalar
+
+    def counting_predict_scalar(x):
+        rows.append(len(x))
+        return predict_scalar(x)
+
+    regressor.predict_scalar = counting_predict_scalar
+    controller = make_controller(model, 0.10)
+    _run(small_arch, controller)
+    assert controller.counters["calibration_anomalies"] > 0
+    assert controller.last_gap is None
+    assert math.isfinite(controller.working_preset)
+    # Every predicted row is NaN and counted exactly once.
+    assert sum(rows) > 0
+    assert model.calibrator.nonfinite_predictions == sum(rows)
 
 
 def test_policy_counters_counts_each_layer_once(tmp_path, small_pipeline):

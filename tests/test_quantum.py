@@ -3,24 +3,28 @@
 End-to-end outputs of the engine are pinned by ``tests/test_golden.py``;
 these tests cover the engine against a readable one-quantum-at-a-time
 reference stepper, and its building blocks: property-based random solve
-stacks against the scalar solver, the solution cache's batched
-probe/store protocol, eviction, and key packing and interning.
+stacks against a readable one-row reference solver, the solution
+cache's batched probe/store protocol, eviction, and key packing and
+interning.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.policy import ModelOraclePolicy
 from repro.datagen.protocol import ProtocolConfig, generate_for_kernel
 from repro.errors import SimulationError
 from repro.gpu.arch import small_test_config, titan_x_config
 from repro.gpu.cluster import (A_BUSY_S, A_BW_UTIL_TIME, A_CYCLES,
                                NUM_ACTIVITY_SLOTS, QR_BW_UTIL, QR_IPC,
                                ClusterState, quantum_rows_batch)
-from repro.gpu.interval_model import (KEY_ARCH_BITS, KEY_CHUNK_BITS,
+from repro.gpu.interval_model import (_DIVERGENCE_CPI_FACTOR,
+                                      _STORE_EXPOSURE, _SYNC_COST_CYCLES,
+                                      KEY_ARCH_BITS, KEY_CHUNK_BITS,
                                       KEY_FREQ_BITS, KEY_NOISE_BITS,
                                       KEY_PHASE_BITS, NUM_SOLUTION_COLUMNS,
                                       SOL_IPC, SolutionCache,
@@ -36,9 +40,11 @@ from repro.gpu.noise import WorkloadNoise
 from repro.gpu.phases import (Phase, balanced_phase, compute_phase,
                               divergent_phase, make_mix, memory_phase)
 from repro.gpu.quantum import run_epoch_batch
+from repro.gpu.simulator import GPUSimulator
 from repro.parallel import CampaignStats
 from repro.rng import stream
 from repro.units import us
+from repro.workloads.suites import estimate_default_duration, full_suite
 
 ARCH = titan_x_config()
 F_LEVELS = ARCH.vf_table.frequencies_hz()
@@ -80,10 +86,111 @@ def solve_stacks(draw):
     return stack
 
 
+# ---------------------------------------------------------------------------
+# The solver against a readable one-row reference
+# ---------------------------------------------------------------------------
+
+def _reference_solve(arch, phase, frequency_hz, warp_multiplier=1.0,
+                     miss_multiplier=1.0, cpi_multiplier=1.0):
+    """The interval model for one phase at one frequency, in Python floats.
+
+    A single warp completes an instruction every ``c_solo`` cycles:
+    issue cost plus the exposed load/store latency and sync waits.
+    ``warps`` of them overlap up to the issue width, and the cluster's
+    fair share of DRAM bandwidth caps the rate.  The stall slots left
+    over per instruction are split by contribution, 8 % kept idle.
+    """
+    warps = min(arch.max_warps_per_cluster,
+                max(1.0, phase.active_warps * warp_multiplier))
+    l1_miss = min(1.0, phase.l1_miss_rate * miss_multiplier)
+    l2_miss = min(1.0, phase.l2_miss_rate)
+    div_term = 1.0 + _DIVERGENCE_CPI_FACTOR * phase.divergence
+    cpi = (phase.cpi_exec * cpi_multiplier) * div_term
+
+    # L1 hits cost core cycles; L2 and DRAM round trips are fixed in
+    # nanoseconds, so their cycle cost grows with the core clock.
+    beyond_l1_ns = arch.l2_latency_ns + l2_miss * arch.dram_latency_ns
+    beyond_l1_cycles = beyond_l1_ns * 1e-9 * frequency_hz
+    mem_latency = arch.l1_hit_latency_cycles + l1_miss * beyond_l1_cycles
+    load_wait = phase.load_fraction * mem_latency / phase.mlp
+    store_wait = (phase.store_fraction * mem_latency * _STORE_EXPOSURE
+                  / phase.mlp)
+    sync_wait = phase.mix.get("sync", 0.0) * _SYNC_COST_CYCLES
+    c_solo = cpi + load_wait + store_wait + sync_wait
+
+    ipc_overlap = min(arch.issue_width, warps / c_solo)
+
+    # Loads miss L1 then L2; ~90 % of stores write through L1 and miss
+    # L2 at the phase's L2 miss rate.  Only L2 misses reach DRAM.
+    load_share = phase.load_fraction * l1_miss * l2_miss
+    store_share = phase.store_fraction * 0.9 * l2_miss
+    bytes_per_inst = (load_share + store_share) * arch.cache_line_bytes
+    if bytes_per_inst > 0:
+        ipc_bandwidth = (arch.cluster_bandwidth_bytes_per_s
+                         / (frequency_hz * bytes_per_inst))
+    else:
+        ipc_bandwidth = float("inf")
+
+    bandwidth_limited = ipc_bandwidth < ipc_overlap
+    ipc = max(1e-9, min(ipc_overlap, ipc_bandwidth))
+    cycles_per_instruction = 1.0 / ipc
+    traffic = ipc * frequency_hz * bytes_per_inst
+    bandwidth_utilization = min(
+        1.0, traffic / arch.cluster_bandwidth_bytes_per_s)
+
+    stall_total = max(0.0, arch.issue_width * cycles_per_instruction - 1.0)
+    control = (cpi * _DIVERGENCE_CPI_FACTOR * phase.divergence / div_term
+               + phase.branch_fraction)
+    data = max(0.0, cpi - control - 1.0)
+    mem_load, mem_other = load_wait, store_wait
+    if bandwidth_limited and load_share + store_share > 0:
+        # Queueing beyond the raw latency shows up as extra memory
+        # stalls, split by load/store traffic.
+        extra = max(0.0, 1.0 / ipc_bandwidth - 1.0 / ipc_overlap) * warps
+        mem_load += extra * load_share / (load_share + store_share)
+        mem_other += extra * store_share / (load_share + store_share)
+    contribs = (mem_load, mem_other, control, sync_wait, data)
+    contrib_sum = sum(contribs)
+    if contrib_sum > 0:
+        parts = [stall_total * c / contrib_sum * 0.92 for c in contribs]
+        idle = stall_total - sum(parts)
+    else:
+        parts = [0.0] * 5
+        idle = stall_total
+
+    return ThroughputSolution(
+        frequency_hz=frequency_hz, ipc=ipc,
+        cycles_per_instruction=cycles_per_instruction,
+        mem_latency_cycles=mem_latency,
+        bandwidth_utilization=bandwidth_utilization,
+        bandwidth_limited=bandwidth_limited,
+        stall_mem_load=parts[0], stall_mem_other=parts[1],
+        stall_control=parts[2], stall_sync=parts[3], stall_data=parts[4],
+        stall_idle=max(0.0, idle))
+
+
+def _no_dram_phase():
+    """No loads or stores: no DRAM traffic, so no bandwidth cap."""
+    return Phase("no-dram", 50_000, mix=make_mix(fp32=0.7, branch=0.1),
+                 cpi_exec=2.0, mlp=2.0, l1_miss_rate=0.5, l2_miss_rate=0.5,
+                 active_warps=32.0, divergence=0.2)
+
+
+def _stall_free_phase():
+    """Nothing but FP32 on converged warps: no stall contributes."""
+    return Phase("stall-free", 50_000, mix=make_mix(fp32=1.0), cpi_exec=1.0,
+                 mlp=1.0, l1_miss_rate=0.3, l2_miss_rate=0.3,
+                 active_warps=2.0, divergence=0.0)
+
+
 @given(solve_stacks())
+@example([(_no_dram_phase(), F_LEVELS[0], 1.0, 1.0, 1.0),
+          (_no_dram_phase(), F_LEVELS[-1], 1.3, 0.7, 1.1)])
+@example([(_stall_free_phase(), F_LEVELS[-1], 1.0, 1.0, 0.6),
+          (_stall_free_phase(), F_LEVELS[0], 0.55, 1.0, 0.8)])
 @settings(max_examples=60, deadline=None)
 def test_batch_solver_bit_identical_to_scalar(stack):
-    """Every element of a batched solve equals the scalar solver's bits."""
+    """Every element of a batched solve equals the reference's bits."""
     params = np.stack([phase_params_row(phase) for phase, *_ in stack])
     freq = np.array([s[1] for s in stack])
     wm = np.array([s[2] for s in stack])
@@ -92,14 +199,106 @@ def test_batch_solver_bit_identical_to_scalar(stack):
     batch = solve_throughput_batch(ARCH, params, freq, wm, mm, cm)
     rows = quantum_rows_batch(ARCH, params, batch.columns())
     for j, (phase, f, w, m, c) in enumerate(stack):
-        scalar = solve_throughput(ARCH, phase, f, warp_multiplier=w,
-                                  miss_multiplier=m, cpi_multiplier=c)
+        reference = _reference_solve(ARCH, phase, f, w, m, c)
         for name in (field.name
                      for field in dataclasses.fields(ThroughputSolution)):
             # Exact equality: every field's bits.
-            assert getattr(batch, name)[j] == getattr(scalar, name), name
-        assert rows[j, QR_IPC] == scalar.ipc
-        assert rows[j, QR_BW_UTIL] == scalar.bandwidth_utilization
+            assert getattr(batch, name)[j] == getattr(reference, name), name
+        assert rows[j, QR_IPC] == reference.ipc
+        assert rows[j, QR_BW_UTIL] == reference.bandwidth_utilization
+
+
+@pytest.mark.parametrize("make_phase", (compute_phase, memory_phase))
+def test_solve_throughput_is_a_one_row_view(make_phase):
+    """The one-row view returns the reference's values as Python scalars
+    and rejects a non-positive frequency or multiplier."""
+    phase = make_phase("view", 50_000)
+    for freq in (F_LEVELS[0], F_LEVELS[-1]):
+        view = solve_throughput(ARCH, phase, freq, warp_multiplier=0.9,
+                                miss_multiplier=1.2, cpi_multiplier=1.1)
+        assert view == _reference_solve(ARCH, phase, freq, 0.9, 1.2, 1.1)
+        for field in dataclasses.fields(ThroughputSolution):
+            expected = bool if field.name == "bandwidth_limited" else float
+            assert type(getattr(view, field.name)) is expected, field.name
+    for bad in ({"frequency_hz": 0.0}, {"frequency_hz": -1e9},
+                {"warp_multiplier": 0.0}, {"miss_multiplier": -0.5},
+                {"cpi_multiplier": 0.0}):
+        kwargs = {"frequency_hz": F_LEVELS[-1], **bad}
+        with pytest.raises(SimulationError):
+            solve_throughput(ARCH, phase, **kwargs)
+
+
+def _reference_oracle_levels(simulator, preset):
+    """The oracle's choice, one reference solve per (cluster, level)."""
+    arch = simulator.arch
+    table = arch.vf_table
+    default_freq = table[table.default_level].frequency_hz
+    levels = []
+    for cluster in simulator.clusters:
+        if cluster.finished:
+            levels.append(table.min_level)
+            continue
+        phase = cluster.cursor.current_phase
+        base = _reference_solve(arch, phase, default_freq)
+        base_time = base.time_for_instructions(1000.0)
+        chosen = table.default_level
+        for level in range(table.num_levels):
+            solution = _reference_solve(arch, phase, table[level].frequency_hz)
+            slowdown = solution.time_for_instructions(1000.0) / base_time - 1.0
+            if slowdown <= preset:
+                chosen = level
+                break
+        levels.append(chosen)
+    return levels
+
+
+@pytest.mark.parametrize("preset", (0.0, 0.10, 10.0))
+def test_oracle_matches_reference_per_cluster_loop(preset):
+    """One stacked solve of clusters x levels picks the same levels as
+    the reference loop, including for a cluster whose kernel finished."""
+    seen = []
+
+    class CheckedOracle(ModelOraclePolicy):
+        def decide(self, record):
+            levels = super().decide(record)
+            assert levels == _reference_oracle_levels(self.simulator,
+                                                      self.preset)
+            assert all(type(level) is int for level in levels)
+            seen.append((tuple(levels), any(
+                cluster.finished for cluster in self.simulator.clusters)))
+            return levels
+
+    kernels = [KernelProfile("short", [compute_phase("c", 4_000)]),
+               KernelProfile("mem", [memory_phase("m", 30_000),
+                                     compute_phase("c", 20_000)]),
+               KernelProfile("mix", [balanced_phase("b", 25_000),
+                                     divergent_phase("d", 15_000)])]
+    simulator = GPUSimulator(small_test_config(num_clusters=3), kernels,
+                             seed=4)
+    simulator.run(CheckedOracle(preset), keep_records=False)
+    assert any(finished for _, finished in seen)
+    assert len({levels for levels, _ in seen}) > 1 or preset == 10.0
+
+
+@pytest.mark.parametrize("arch", (titan_x_config(),
+                                  small_test_config(num_clusters=2)))
+def test_default_duration_is_the_reference_sequential_sum(arch):
+    """One stacked solve per kernel, summed in phase order as the
+    reference does, bit for bit.  The long kernel has enough phases for
+    numpy's pairwise summation to group a sum differently."""
+    builders = (compute_phase, memory_phase, balanced_phase, divergent_phase)
+    long_kernel = KernelProfile("long", [
+        builders[k % 4](f"p{k}", 1_000 + 7_919 * k) for k in range(40)],
+        iterations=3)
+    for kernel in full_suite() + [long_kernel]:
+        total = 0.0
+        for phase in kernel.phases:
+            solution = _reference_solve(arch, phase,
+                                        arch.default_frequency_hz)
+            total += solution.time_for_instructions(phase.instructions)
+        expected = total * kernel.iterations
+        assert (estimate_default_duration(kernel, arch).hex()
+                == expected.hex()), kernel.name
 
 
 def test_datagen_surfaces_batched_cache_counters():
@@ -231,7 +430,7 @@ def test_packed_key_is_injective_on_its_fields():
 # ---------------------------------------------------------------------------
 
 def _solution_columns(sol):
-    """A scalar solve as the one-row solver-output matrix of the cache."""
+    """A reference solve as the one-row solver-output matrix of the cache."""
     return np.array([[sol.cycles_per_instruction, sol.stall_mem_load,
                       sol.stall_mem_other, sol.stall_control, sol.stall_sync,
                       sol.stall_data, sol.stall_idle, sol.mem_latency_cycles,
@@ -242,7 +441,7 @@ def _reference_epoch(cluster, epoch_s):
     """Step one cluster through one epoch, one quantum at a time.
 
     IVR dead time runs first.  Each quantum then stays inside one phase
-    segment and one noise chunk and is solved by the scalar solver.
+    segment and one noise chunk and is solved by the reference solver.
     Quanta run until the kernel ends or one no longer fits the time
     left; that one runs cut short, and the rest of the epoch is idle.
     Returns the activity vector and the instructions executed.
@@ -263,8 +462,7 @@ def _reference_epoch(cluster, epoch_s):
         b = min(length - cursor.instructions_done,
                 float((chunk + 1) * ci) - pos)
         warp, miss, cpi = noise.multipliers(chunk)
-        sol = solve_throughput(arch, phase, freq, warp_multiplier=warp,
-                               miss_multiplier=miss, cpi_multiplier=cpi)
+        sol = _reference_solve(arch, phase, freq, warp, miss, cpi)
         row = quantum_rows_batch(arch, phase_params_row(phase)[None, :],
                                  _solution_columns(sol))[0]
         t = (b / sol.ipc) / freq
