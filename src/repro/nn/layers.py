@@ -114,7 +114,10 @@ class Dense:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backward pass; returns gradient w.r.t. the layer input.
 
-        Must follow a ``forward(..., train=True)`` call.
+        Must follow a ``forward(..., train=True)`` call, whose masked
+        weights it reads back from the forward buffer.  The gradients
+        are written into ``grad_weights``/``grad_bias`` in place, which
+        may be views into an optimizer's flat gradient vector.
         """
         if self._cache_input is None or self._cache_preact is None:
             raise ModelError("backward called before forward(train=True)")
@@ -122,9 +125,10 @@ class Dense:
             grad_pre = grad_out * (self._cache_preact > 0.0)
         else:
             grad_pre = grad_out
-        self.grad_weights = (self._cache_input.T @ grad_pre) * self.mask
-        self.grad_bias = grad_pre.sum(axis=0)
-        return grad_pre @ self.effective_weights.T
+        np.multiply(self._cache_input.T @ grad_pre, self.mask,
+                    out=self.grad_weights)
+        np.add.reduce(grad_pre, axis=0, out=self.grad_bias)
+        return grad_pre @ self._eff_buffer.T
 
     # ------------------------------------------------------------------
     def apply_mask(self) -> None:

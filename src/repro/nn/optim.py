@@ -1,9 +1,15 @@
 """Optimizers.
 
-Optimizers bind to a model's layers and update parameters in place from
-the gradients the backward pass left on each layer.  After every step
-the pruning masks are re-applied, so pruned weights never drift away
-from zero during fine-tuning.
+An optimizer owns one contiguous float64 vector for the model's
+parameters and one for its gradients: on construction it copies every
+layer's weights and bias into them and rebinds the layer's ``weights``,
+``bias``, ``grad_weights``, ``grad_bias`` and ``mask`` as views, so a
+step is a handful of whole-vector ufuncs however many layers there are.
+After every step the pruning masks are re-applied as one multiply by a
+flat mask that holds ones over the biases (multiplying by 1.0 is
+exact), so pruned weights never drift away from zero during
+fine-tuning.  Every op is elementwise, so each parameter comes out
+bit-identical to updating the layers one array at a time.
 """
 
 from __future__ import annotations
@@ -14,56 +20,84 @@ from ..errors import TrainingError
 from .mlp import MLP
 
 
-class SGD:
+def _bind_flat(model: MLP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Move the layers' arrays into flat vectors; returns them.
+
+    Returns ``(params, grads, mask)``; each layer's arrays become views
+    into them, weights first, then the bias.
+    """
+    total = sum(layer.num_parameters for layer in model.layers)
+    params = np.empty(total)
+    grads = np.empty(total)
+    mask = np.ones(total)
+    offset = 0
+    for layer in model.layers:
+        shape = layer.weights.shape
+        stop = offset + layer.weights.size
+        params[offset:stop] = layer.weights.ravel()
+        grads[offset:stop] = layer.grad_weights.ravel()
+        mask[offset:stop] = layer.mask.ravel()
+        layer.weights = params[offset:stop].reshape(shape)
+        layer.grad_weights = grads[offset:stop].reshape(shape)
+        layer.mask = mask[offset:stop].reshape(shape)
+        offset, stop = stop, stop + layer.bias.size
+        params[offset:stop] = layer.bias
+        grads[offset:stop] = layer.grad_bias
+        layer.bias = params[offset:stop]
+        layer.grad_bias = grads[offset:stop]
+        offset = stop
+    return params, grads, mask
+
+
+class _FlatOptimizer:
+    """Binds a model's parameters, gradients and masks to flat vectors."""
+
+    def __init__(self, model: MLP, learning_rate: float) -> None:
+        if learning_rate <= 0:
+            raise TrainingError("learning rate must be positive")
+        self.model = model
+        self.learning_rate = learning_rate
+        self.params, self.grads, self._mask = _bind_flat(model)
+        self._scratch = np.empty_like(self.params)
+
+
+class SGD(_FlatOptimizer):
     """Stochastic gradient descent with classical momentum."""
 
     def __init__(self, model: MLP, learning_rate: float = 1e-2,
                  momentum: float = 0.9) -> None:
-        if learning_rate <= 0:
-            raise TrainingError("learning rate must be positive")
         if not 0.0 <= momentum < 1.0:
             raise TrainingError("momentum must be in [0, 1)")
-        self.model = model
-        self.learning_rate = learning_rate
+        super().__init__(model, learning_rate)
         self.momentum = momentum
-        self._velocity = [
-            (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
-            for layer in model.layers
-        ]
+        self._velocity = np.zeros_like(self.params)
 
     def step(self) -> None:
         """Apply one update from the gradients on the model's layers."""
-        for layer, (vel_w, vel_b) in zip(self.model.layers, self._velocity):
-            vel_w *= self.momentum
-            vel_w -= self.learning_rate * layer.grad_weights
-            vel_b *= self.momentum
-            vel_b -= self.learning_rate * layer.grad_bias
-            layer.weights += vel_w
-            layer.bias += vel_b
-        self.model.apply_masks()
+        velocity, scratch = self._velocity, self._scratch
+        velocity *= self.momentum
+        np.multiply(self.grads, self.learning_rate, out=scratch)
+        velocity -= scratch
+        self.params += velocity
+        self.params *= self._mask
 
 
-class Adam:
+class Adam(_FlatOptimizer):
     """Adam optimizer (Kingma & Ba)."""
 
     def __init__(self, model: MLP, learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999,
                  epsilon: float = 1e-8) -> None:
-        if learning_rate <= 0:
-            raise TrainingError("learning rate must be positive")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise TrainingError("betas must be in [0, 1)")
-        self.model = model
-        self.learning_rate = learning_rate
+        super().__init__(model, learning_rate)
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self._t = 0
-        self._moments = [
-            (np.zeros_like(layer.weights), np.zeros_like(layer.weights),
-             np.zeros_like(layer.bias), np.zeros_like(layer.bias))
-            for layer in model.layers
-        ]
+        self._m = np.zeros_like(self.params)
+        self._v = np.zeros_like(self.params)
+        self._denom = np.empty_like(self.params)
 
     def step(self) -> None:
         """Apply one Adam update from the gradients on the layers."""
@@ -71,16 +105,18 @@ class Adam:
         correction1 = 1.0 - self.beta1 ** self._t
         correction2 = 1.0 - self.beta2 ** self._t
         scale = self.learning_rate * np.sqrt(correction2) / correction1
-        for layer, (m_w, v_w, m_b, v_b) in zip(self.model.layers,
-                                               self._moments):
-            m_w *= self.beta1
-            m_w += (1.0 - self.beta1) * layer.grad_weights
-            v_w *= self.beta2
-            v_w += (1.0 - self.beta2) * layer.grad_weights ** 2
-            layer.weights -= scale * m_w / (np.sqrt(v_w) + self.epsilon)
-            m_b *= self.beta1
-            m_b += (1.0 - self.beta1) * layer.grad_bias
-            v_b *= self.beta2
-            v_b += (1.0 - self.beta2) * layer.grad_bias ** 2
-            layer.bias -= scale * m_b / (np.sqrt(v_b) + self.epsilon)
-        self.model.apply_masks()
+        m, v, scratch, denom = self._m, self._v, self._scratch, self._denom
+        m *= self.beta1
+        np.multiply(self.grads, 1.0 - self.beta1, out=scratch)
+        m += scratch
+        v *= self.beta2
+        np.square(self.grads, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v += scratch
+        # params -= scale * m / (sqrt(v) + epsilon), in that op order.
+        np.sqrt(v, out=denom)
+        denom += self.epsilon
+        np.multiply(m, scale, out=scratch)
+        scratch /= denom
+        self.params -= scratch
+        self.params *= self._mask

@@ -149,7 +149,9 @@ def fit(model: MLP, features: np.ndarray, targets: np.ndarray, loss_fn,
     optimizer = _make_optimizer(model, config)
     history = TrainHistory()
     best_loss = np.inf
-    best_layers = None
+    # The best-epoch checkpoint is one copy of the optimizer's flat
+    # parameter vector, restored in place.
+    best_params = np.empty_like(optimizer.params)
     since_best = 0
     # Per-epoch shuffle lands in reused buffers, so minibatches are
     # contiguous slices instead of a fresh fancy-indexed copy per batch;
@@ -191,7 +193,7 @@ def fit(model: MLP, features: np.ndarray, targets: np.ndarray, loss_fn,
 
         if val_loss < best_loss - config.min_delta:
             best_loss = val_loss
-            best_layers = [layer.clone() for layer in model.layers]
+            np.copyto(best_params, optimizer.params)
             history.best_epoch = epoch
             since_best = 0
         else:
@@ -200,8 +202,11 @@ def fit(model: MLP, features: np.ndarray, targets: np.ndarray, loss_fn,
                 history.stopped_early = True
                 break
 
-    if best_layers is not None:
-        model.layers = best_layers
+    if history.best_epoch >= 0:
+        np.copyto(optimizer.params, best_params)
+    for layer in model.layers:
+        # Drop the last minibatch's caches, which pin the training copy.
+        layer._cache_input = layer._cache_preact = None
     return history
 
 
