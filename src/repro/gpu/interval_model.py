@@ -249,8 +249,11 @@ def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
     bytes_per_inst = (load_share + store_share) * arch.cache_line_bytes
     has_bytes = bytes_per_inst > 0
     safe_bw_denom = np.where(has_bytes, f * bytes_per_inst, 1.0)
-    ipc_bandwidth = np.where(
-        has_bytes, arch.cluster_bandwidth_bytes_per_s / safe_bw_denom, np.inf)
+    # A tiny byte rate overflows the quotient to inf, as a Python float
+    # division would: the phase is then not bandwidth-bound.
+    with np.errstate(over="ignore"):
+        bw_quotient = arch.cluster_bandwidth_bytes_per_s / safe_bw_denom
+    ipc_bandwidth = np.where(has_bytes, bw_quotient, np.inf)
 
     bandwidth_limited = ipc_bandwidth < ipc_overlap
     ipc = np.maximum(1e-9, np.minimum(ipc_overlap, ipc_bandwidth))

@@ -9,6 +9,7 @@ interning.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,29 @@ def test_batch_solver_bit_identical_to_scalar(stack):
             assert getattr(batch, name)[j] == getattr(reference, name), name
         assert rows[j, QR_IPC] == reference.ipc
         assert rows[j, QR_BW_UTIL] == reference.bandwidth_utilization
+
+
+def test_bandwidth_quotient_overflows_to_inf_without_a_warning():
+    """A store-only phase with a subnormal L2 miss rate (found by
+    hypothesis) moves so few bytes that the bandwidth quotient overflows:
+    it comes out inf, as the Python-float reference gives, silently."""
+    phase = Phase("store-only", 50_000, mix=make_mix(store=0.05),
+                  cpi_exec=1.0, mlp=1.0, l1_miss_rate=1.0,
+                  l2_miss_rate=1.1e-308, active_warps=8.0, divergence=0.0)
+    params = np.stack([phase_params_row(phase)] * len(F_LEVELS))
+    ones = np.ones(len(F_LEVELS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = solve_throughput_batch(ARCH, params, np.array(F_LEVELS),
+                                       ones, ones, ones)
+        views = [solve_throughput(ARCH, phase, f) for f in F_LEVELS]
+    for j, f in enumerate(F_LEVELS):
+        reference = _reference_solve(ARCH, phase, f)
+        assert views[j] == reference
+        assert not reference.bandwidth_limited
+        for field in dataclasses.fields(ThroughputSolution):
+            assert getattr(batch, field.name)[j] == getattr(
+                reference, field.name), field.name
 
 
 @pytest.mark.parametrize("make_phase", (compute_phase, memory_phase))
