@@ -296,14 +296,29 @@ class DVFSDataset:
             raise DatasetError(f"unknown labeling {labeling!r}")
         if not preset_grid:
             raise DatasetError("minimal labeling needs a preset grid")
-        rows, labels, groups = [], [], []
-        for record in range(self.num_breakpoints):
-            for preset in preset_grid:
-                rows.append(np.concatenate(
-                    [feats_per_record[record], [preset]]))
-                labels.append(self.minimal_level_for_record(record, preset))
-                groups.append(self.record_group[record])
-        return np.stack(rows), np.array(labels), np.array(groups)
+        # One row per (record, preset), record-major.  A stable sort
+        # groups each record's samples into one contiguous run, so every
+        # label is a segment reduction: the lowest level whose loss fits
+        # the preset, else the record's highest level, as in
+        # :meth:`minimal_level_for_record`.
+        counts = np.bincount(self.sample_breakpoint,
+                             minlength=self.num_breakpoints)
+        if not counts.all():
+            raise DatasetError("record has no samples")
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        order = np.argsort(self.sample_breakpoint, kind="stable")
+        levels = self.sample_level[order]
+        presets = np.asarray(preset_grid, dtype=np.float64)
+        none_fit = np.iinfo(np.int64).max
+        fitting = np.where(self.sample_loss[order] <= presets[:, None],
+                           levels, none_fit)
+        lowest = np.minimum.reduceat(fitting, starts, axis=1)
+        highest = np.maximum.reduceat(levels, starts)
+        labels = np.where(lowest == none_fit, highest, lowest).T.ravel()
+        x = np.column_stack([
+            np.repeat(feats_per_record, presets.size, axis=0),
+            np.tile(presets, self.num_breakpoints)])
+        return x, labels, np.repeat(self.record_group, presets.size)
 
     def prepare(self, feature_names: tuple[str, ...], issue_width: float,
                 test_fraction: float = 0.25, seed: int = 0,

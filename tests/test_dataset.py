@@ -65,6 +65,54 @@ def test_minimal_labels_monotone_in_preset(small_dataset):
                 >= small_dataset.minimal_level_for_record(record, 0.25))
 
 
+def _reference_minimal_arrays(dataset, feats, preset_grid):
+    """Per-(record, preset) loop over ``minimal_level_for_record``."""
+    rows, labels, groups = [], [], []
+    for record in range(dataset.num_breakpoints):
+        for preset in preset_grid:
+            rows.append(np.concatenate([feats[record], [preset]]))
+            labels.append(dataset.minimal_level_for_record(record, preset))
+            groups.append(dataset.record_group[record])
+    return np.stack(rows), np.array(labels), np.array(groups)
+
+
+def _assert_minimal_arrays_match_reference(dataset, preset_grid):
+    feats = np.random.default_rng(3).normal(
+        size=(dataset.num_breakpoints, 4))
+    got = dataset._decision_arrays(feats, "minimal", preset_grid)
+    want = _reference_minimal_arrays(dataset, feats, preset_grid)
+    for array, expected in zip(got, want):
+        assert array.dtype == expected.dtype
+        np.testing.assert_array_equal(array, expected)
+
+
+def test_minimal_labels_match_per_record_reference(small_dataset):
+    from repro.datagen.dataset import DEFAULT_PRESET_GRID
+    _assert_minimal_arrays_match_reference(small_dataset,
+                                           DEFAULT_PRESET_GRID)
+
+
+def test_minimal_labels_match_reference_on_shuffled_samples():
+    """Samples out of record order, uneven sample counts, levels out of
+    order, and presets under every loss (no level fits: the label is
+    the record's highest level)."""
+    rng = np.random.default_rng(8)
+    n_records = 9
+    sample_bp = rng.permutation(np.concatenate(
+        [np.arange(n_records), rng.integers(0, n_records, size=40)]))
+    dataset = DVFSDataset(
+        np.zeros((n_records, len(COUNTER_NAMES))), ["k"] * n_records,
+        sample_bp, rng.integers(0, 6, size=sample_bp.size),
+        rng.uniform(0.0, 0.4, size=sample_bp.size),
+        np.ones(sample_bp.size),
+        record_group=np.arange(n_records) // 3)
+    _assert_minimal_arrays_match_reference(
+        dataset, (-1.0, 0.0, 0.05, 0.2, 0.39, 1.0))
+    dataset.sample_breakpoint[dataset.sample_breakpoint == 4] = 5
+    with pytest.raises(DatasetError):
+        dataset._decision_arrays(np.zeros((n_records, 1)), "minimal", (0.1,))
+
+
 def test_prepare_splits_by_physical_breakpoint(small_dataset, small_arch):
     """Test rows must be whole physical breakpoints (6 window variants x
     8 grid presets = 48 decision rows each), else labels leak."""
