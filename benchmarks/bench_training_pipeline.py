@@ -12,6 +12,9 @@ campaigns cheap:
 * **Sweep caching** — re-running the layer-wise and pruning sweeps over
   a warm content-addressed cache must stay >= 2x faster than training
   the grid, and return the identical frontier points.
+* **Training throughput** — optimizer steps per second of ``fit`` on a
+  fixed 5x20 classifier and data size.  Recorded PR over PR as an
+  absolute rate, not gated.
 
 All timing is plain ``time.perf_counter`` (best-of-N), so these run
 under ``--benchmark-disable`` in the CI smoke job, and the numbers are
@@ -30,7 +33,7 @@ from repro.datagen.rfe import (ImportanceWorkspace, _permutation_importance,
 from repro.nn.compress import (ArchitectureSpec, SplitData, layer_wise_sweep,
                                pruning_sweep, train_pair)
 from repro.nn.mlp import MLP
-from repro.nn.trainer import TrainConfig
+from repro.nn.trainer import TrainConfig, train_classifier
 from repro.parallel import CampaignStats
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / \
@@ -218,6 +221,48 @@ def test_sweep_cache_speedup(tmp_path):
         "warm_cache_hits": warm_stats.counters["sweep_cache_hit"],
     })
     assert speedup >= 2.0, f"sweep cache speedup collapsed: {speedup:.2f}x"
+
+
+# ---------------------------------------------------------------------------
+# Training throughput: optimizer steps per second of fit
+# ---------------------------------------------------------------------------
+
+_FIT_ROWS = 1024
+_FIT_CFG = TrainConfig(epochs=20, patience=20, batch_size=64, seed=1)
+
+
+def test_fit_rate():
+    """Record fit's absolute rate in optimizer steps per second.
+
+    The Decision-maker shape (PPC + 12 candidates + the preset input,
+    5x20 hidden, 6 levels) trained for a fixed number of epochs; the
+    rate is the best of interleaved repeats.  Ungated: the record
+    tracks it PR over PR.
+    """
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(_FIT_ROWS, _RFE_WIDTH + 1))
+    y = rng.integers(0, _RFE_LEVELS, size=_FIT_ROWS)
+
+    def train():
+        model = MLP([_RFE_WIDTH + 1, *_RFE_HIDDEN, _RFE_LEVELS],
+                    rng=np.random.default_rng(1))
+        return train_classifier(model, x, y, _FIT_CFG)
+
+    history = train()
+    n_train = _FIT_ROWS - int(_FIT_ROWS * _FIT_CFG.validation_fraction)
+    steps = history.epochs_run * -(-n_train // _FIT_CFG.batch_size)
+    (best_s,) = _best_of_interleaved([train])
+    _update_results("fit_rate", {
+        "rows": _FIT_ROWS,
+        "width": _RFE_WIDTH + 1,
+        "hidden": list(_RFE_HIDDEN),
+        "levels": _RFE_LEVELS,
+        "batch_size": _FIT_CFG.batch_size,
+        "epochs": history.epochs_run,
+        "steps": steps,
+        "fit_ms": best_s * 1e3,
+        "steps_per_s": steps / best_s,
+    })
 
 
 def test_training_pipeline_reproducibility():

@@ -116,11 +116,6 @@ class MLP:
         copy.layers = [layer.clone() for layer in self.layers]
         return copy
 
-    def apply_masks(self) -> None:
-        """Re-zero all masked weights (after optimizer steps)."""
-        for layer in self.layers:
-            layer.apply_mask()
-
     def remove_hidden_neurons(self, layer_index: int,
                               neuron_indices: list[int]) -> None:
         """Remove hidden neurons from layer ``layer_index``.

@@ -198,7 +198,8 @@ def _masked_model(sizes, seed, density, zero_masked, dead_column):
         layer = model.layers[0]
         layer.mask[:, rng.integers(layer.fan_out)] = 0.0
     if zero_masked:
-        model.apply_masks()
+        for layer in model.layers:
+            layer.apply_mask()
     return model
 
 
