@@ -21,10 +21,10 @@ from .mlp import MLP
 
 
 def _bind_flat(model: MLP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Move the layers' arrays into flat vectors; returns them.
+    """Copy the layers' arrays into flat vectors and rebind them as views.
 
-    Returns ``(params, grads, mask)``; each layer's arrays become views
-    into them, weights first, then the bias.
+    Returns ``(params, grads, mask)``, laid out layer by layer, weights
+    then bias; the mask holds ones over the biases.
     """
     total = sum(layer.num_parameters for layer in model.layers)
     params = np.empty(total)
