@@ -1,11 +1,14 @@
 """On-disk dataset cache."""
 
+import numpy as np
 import pytest
 
+from repro.datagen import protocol
 from repro.datagen.cache import cached_dataset, dataset_cache_key
 from repro.datagen.protocol import ProtocolConfig
 from repro.gpu.kernels import KernelProfile
-from repro.gpu.phases import balanced_phase
+from repro.gpu.phases import balanced_phase, compute_phase
+from repro.parallel import CampaignCheckpoint, CampaignStats
 
 
 def _kernels(instructions=120_000):
@@ -57,3 +60,24 @@ def test_cache_creates_directory(tmp_path, small_arch):
     nested = tmp_path / "a" / "b"
     cached_dataset(nested, _kernels(), small_arch, CFG)
     assert any(nested.glob("dvfs-*.npz"))
+
+
+def test_generation_checkpoint_resumes(tmp_path, small_arch):
+    kernels = _kernels() + [KernelProfile(
+        "cache.c", [compute_phase("c", 120_000)], iterations=30,
+        jitter=0.05)]
+    clean = cached_dataset(tmp_path / "clean", kernels, small_arch, CFG)
+    key = dataset_cache_key(kernels, small_arch, CFG)
+    scaled = protocol.scale_kernel_for_protocol(kernels[0], small_arch, CFG)
+    first = protocol._kernel_task((scaled, small_arch, None, CFG))
+    ckpt = tmp_path / f"dvfs-{key}.ckpt"
+    CampaignCheckpoint(ckpt, key=key).save({0: first})
+    stats = CampaignStats()
+    resumed = cached_dataset(tmp_path, kernels, small_arch, CFG,
+                             stats=stats, checkpoint=True)
+    assert stats.counters["campaign_tasks_resumed"] == 1
+    for name in ("counters", "sample_breakpoint", "sample_level",
+                 "sample_loss", "sample_instructions", "record_group"):
+        assert np.array_equal(getattr(resumed, name), getattr(clean, name))
+    assert (tmp_path / f"dvfs-{key}.npz").exists()
+    assert not ckpt.exists()  # a completed campaign clears it
