@@ -1,6 +1,6 @@
 """Supervised data-generation pipeline (§III-A) and feature selection."""
 
-from .cache import (cached_dataset, content_key, dataset_cache_key,
+from .cache import (cached_dataset, dataset_cache_key,
                     kernel_suite_fingerprint)
 from .dataset import DEFAULT_PRESET_GRID, DVFSDataset, PreparedData
 from .stats import DatasetReport, KernelLossStats, analyze_dataset
@@ -11,7 +11,7 @@ from .protocol import (BreakpointSamples, ProtocolConfig, collect_breakpoint,
 from .rfe import (DEFAULT_ALWAYS_KEEP, RFEResult, RFERound, RFESelector)
 
 __all__ = [
-    "cached_dataset", "content_key", "dataset_cache_key",
+    "cached_dataset", "dataset_cache_key",
     "kernel_suite_fingerprint",
     "DEFAULT_PRESET_GRID", "DVFSDataset", "PreparedData",
     "DatasetReport", "KernelLossStats", "analyze_dataset",

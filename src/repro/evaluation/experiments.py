@@ -13,7 +13,6 @@ from functools import partial
 
 import numpy as np
 
-from ..datagen.cache import content_key
 from ..datagen.dataset import DVFSDataset
 from ..datagen.rfe import RFEResult, RFESelector
 from ..errors import ReproError
@@ -30,7 +29,7 @@ from ..core.controller import SSMDVFSController
 from ..core.pipeline import PipelineResult
 from ..baselines.flemma import FLEMMAPolicy
 from ..baselines.pcstall import PCSTALLPolicy
-from ..parallel import CampaignStats
+from ..parallel import CampaignStats, content_key
 from ..power.model import PowerModel
 from ..units import us
 from .cache import cached_comparison

@@ -5,7 +5,7 @@ from .compress import (PAPER_BASE_SPEC, PAPER_COMPRESSED_SPEC,
                        SplitData, TrainedPair, default_layerwise_grid,
                        default_pruning_grid, evaluate_pair, layer_wise_sweep,
                        pair_fingerprint, prune_and_finetune, pruning_sweep,
-                       split_fingerprint, sweep_cache_key, train_pair)
+                       split_fingerprint, train_pair)
 from .flops import combined_flops, layer_flops, macs, model_flops
 from .initializers import get_initializer, he_uniform, xavier_uniform
 from .layers import Dense
@@ -27,7 +27,7 @@ __all__ = [
     "ArchitectureSpec", "CompressionPoint", "SplitData", "TrainedPair",
     "default_layerwise_grid", "default_pruning_grid", "evaluate_pair",
     "layer_wise_sweep", "pair_fingerprint", "prune_and_finetune",
-    "pruning_sweep", "split_fingerprint", "sweep_cache_key", "train_pair",
+    "pruning_sweep", "split_fingerprint", "train_pair",
     "combined_flops", "layer_flops", "macs", "model_flops",
     "get_initializer", "he_uniform", "xavier_uniform",
     "Dense",

@@ -1,10 +1,11 @@
 """Parallel campaign execution with deterministic, resilient fan-out.
 
 The offline stages of the reproduction — the §III-A data-generation
-protocol and the Fig. 4 policy × kernel evaluation grid — are
-embarrassingly parallel: every task builds its own simulator from an
-explicit seed, so results are independent of execution order.  This
-module provides the shared campaign layer:
+protocol, the Fig. 3 compression sweeps and the Fig. 4 policy × kernel
+evaluation grid — are embarrassingly parallel: every task builds its
+own simulator (or model) from an explicit seed, so results are
+independent of execution order.  This module provides the shared
+campaign layer:
 
 * :func:`parallel_map` — ordered fan-out over a
   ``ProcessPoolExecutor`` hardened against the failure modes a long
@@ -15,10 +16,15 @@ module provides the shared campaign layer:
   unpicklable work degrading to a serial pass.  A task that fails
   permanently raises :class:`~repro.errors.CampaignError` carrying the
   originating task id.
-* :class:`CampaignCheckpoint` — periodic persistence of completed task
-  results keyed by the campaign's content hash, so an interrupted
-  ``datagen``/``evaluate`` campaign resumes instead of restarting; a
-  corrupt or mismatched checkpoint is ignored, never fatal.
+* :func:`cached` — the one content-addressed artefact cache: a file
+  named by :func:`content_key` is loaded, or built and written; a file
+  that fails to load is counted and rebuilt, never fatal.  The dataset,
+  evaluation-grid and sweep-point caches all go through it.
+* :func:`campaign_checkpoint` / :class:`CampaignCheckpoint` —
+  persistence of completed task results next to the campaign's
+  artefact, keyed by its content hash, so an interrupted campaign
+  resumes instead of restarting; a corrupt or mismatched checkpoint is
+  ignored, never fatal.
 * :class:`CampaignStats` — lightweight observability: per-stage
   wall-clock timings, worker counts and named counters (cache hits,
   retries, crashes, hangs among them), rendered by the CLI ``--stats``
@@ -34,6 +40,7 @@ where worker death would otherwise cost the whole campaign.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
 import pickle
@@ -180,7 +187,7 @@ def default_chunksize(num_tasks: int, workers: int) -> int:
 # ---------------------------------------------------------------------------
 
 class CampaignCheckpoint:
-    """Periodic persistence of completed campaign-task results.
+    """Persistence of completed campaign-task results.
 
     The payload is a pickle of ``{magic, key, results}`` where ``key``
     identifies the campaign (callers pass the same content-addressed
@@ -195,15 +202,9 @@ class CampaignCheckpoint:
 
     MAGIC = "repro-campaign-checkpoint-v1"
 
-    def __init__(self, path: str | Path, key: str = "",
-                 every: int = 1) -> None:
-        if every < 1:
-            raise ParallelError("checkpoint interval must be >= 1 task")
+    def __init__(self, path: str | Path, key: str = "") -> None:
         self.path = Path(path)
         self.key = str(key)
-        self.every = int(every)
-        self.loaded_tasks = 0
-        self.saves = 0
 
     def load(self, expected_tasks: int | None = None) -> dict[int, object]:
         """Completed results from disk ({} for missing/corrupt/mismatch)."""
@@ -224,7 +225,6 @@ class CampaignCheckpoint:
         if expected_tasks is not None:
             results = {index: value for index, value in results.items()
                        if 0 <= index < expected_tasks}
-        self.loaded_tasks = len(results)
         return results
 
     def save(self, results: dict[int, object]) -> None:
@@ -237,11 +237,63 @@ class CampaignCheckpoint:
         payload = {"magic": self.MAGIC, "key": self.key,
                    "results": dict(results)}
         atomic_write_bytes(self.path, pickle.dumps(payload))
-        self.saves += 1
 
     def clear(self) -> None:
         """Remove the checkpoint (the campaign completed)."""
         self.path.unlink(missing_ok=True)
+
+
+def campaign_checkpoint(cache_dir: str | Path, name: str,
+                        key: str) -> CampaignCheckpoint:
+    """The checkpoint of campaign ``key``: ``<cache_dir>/<name>-<key>.ckpt``."""
+    return CampaignCheckpoint(Path(cache_dir) / f"{name}-{key}.ckpt", key=key)
+
+
+# ---------------------------------------------------------------------------
+# Content-addressed caches
+# ---------------------------------------------------------------------------
+
+def content_key(payload: dict) -> str:
+    """SHA-256 fingerprint of a canonical-JSON payload (16 hex chars).
+
+    Callers put everything that determines an artefact in ``payload``,
+    so any change lands on a new key and nothing needs invalidating.
+    """
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def cached(path: str | Path, kind: str, stats: CampaignStats,
+           build: Callable[[], T], *, load: Callable[[Path], T],
+           save: Callable[[Path, T], None], use_cache: bool = True) -> T:
+    """Load the artefact at ``path``, or ``build`` and ``save`` it.
+
+    Counts ``<kind>_cache_hit`` / ``<kind>_cache_miss`` in ``stats`` and
+    times the ``<kind>_load`` / ``<kind>_save`` stages.  A file that
+    ``load`` rejects — truncated, rotten or of an older shape — is
+    logged, counted as ``<kind>_cache_corrupt`` and rebuilt, never a
+    crash.  With ``use_cache=False`` the file is ignored and rewritten.
+    ``save`` must write atomically, so a kill mid-save leaves the old
+    artefact or the new one.
+    """
+    path = Path(path)
+    if use_cache and path.exists():
+        try:
+            with stats.stage(f"{kind}_load", tasks=1):
+                value = load(path)
+        except Exception:
+            logger.warning("corrupt %s cache %s; rebuilding", kind, path,
+                           exc_info=True)
+            stats.count(f"{kind}_cache_corrupt")
+        else:
+            stats.count(f"{kind}_cache_hit")
+            return value
+    stats.count(f"{kind}_cache_miss")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    value = build()
+    with stats.stage(f"{kind}_save", tasks=1):
+        save(path, value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +419,11 @@ def _serial_pass(fn: Callable[[T], R], tasks: Sequence[T],
                  results: dict[int, R], stats: CampaignStats,
                  checkpoint: CampaignCheckpoint | None) -> list[R]:
     """In-process completion of every task not already in ``results``."""
-    since_save = 0
-    try:
-        for index, task in enumerate(tasks):
-            if index in results:
-                continue
-            results[index] = fn(task)
-            since_save += 1
-            if checkpoint is not None and since_save >= checkpoint.every:
-                _checkpoint_save(checkpoint, results, stats)
-                since_save = 0
-    except BaseException:
-        if checkpoint is not None and since_save:
-            _checkpoint_save(checkpoint, results, stats)
-        raise
+    for index, task in enumerate(tasks):
+        if index in results:
+            continue
+        results[index] = fn(task)
+        _checkpoint_save(checkpoint, results, stats)
     _checkpoint_clear(checkpoint, stats)
     return [results[index] for index in range(len(tasks))]
 
@@ -415,8 +458,9 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
 
     With ``workers <= 1`` the map is a plain loop and task exceptions
     propagate unchanged, exactly as the serial pipeline would raise
-    them.  ``checkpoint`` persists completed results periodically and
-    seeds the map on the next invocation, so interrupted campaigns
+    them.  ``checkpoint`` persists completed results (after every task
+    on the serial path, after every round on the pooled one) and seeds
+    the map on the next invocation, so interrupted campaigns
     resume instead of restarting.
     """
     tasks = list(tasks)
@@ -542,8 +586,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
                     _terminate_pool(pool, stats)
                 else:
                     pool.shutdown(wait=True)
-            if checkpoint is not None and since_save >= checkpoint.every:
-                _save_checkpoint()
+            _save_checkpoint()
             round_index += 1
 
         quarantined = [index for index in range(len(tasks))

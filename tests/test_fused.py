@@ -284,15 +284,15 @@ def test_compare_policies_fused_identical_across_widths(arch, model):
 def test_cached_comparison_fused_namespaces_checkpoint(tmp_path, arch, model,
                                                        monkeypatch):
     """Fused/serial share the result cache but not checkpoint files."""
-    import repro.evaluation.cache as evaluation_cache
+    import repro.parallel as parallel_module
     ckpt_paths: list = []
-    real_ckpt = evaluation_cache.CampaignCheckpoint
+    real_ckpt = parallel_module.CampaignCheckpoint
 
     def recording_ckpt(path, **kwargs):
         ckpt_paths.append(str(path))
         return real_ckpt(path, **kwargs)
 
-    monkeypatch.setattr(evaluation_cache, "CampaignCheckpoint",
+    monkeypatch.setattr(parallel_module, "CampaignCheckpoint",
                         recording_ckpt)
     factories = {"ssmdvfs": functools.partial(SSMDVFSController, model, 0.10)}
     kernels = _kernels()[:1]

@@ -11,6 +11,7 @@ checkpoints, evaluation-grid JSON, sweep-point JSON, dataset ``.npz``).
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 import repro.datagen.dataset as dataset_module
@@ -19,7 +20,8 @@ import repro.nn.compress as compress_module
 import repro.parallel as parallel_module
 from repro.datagen.dataset import DVFSDataset
 from repro.errors import ArtifactCorrupt
-from repro.nn.compress import _store_cached_point
+from repro.nn.compress import ArchitectureSpec, SplitData, layer_wise_sweep
+from repro.nn.trainer import TrainConfig
 from repro.parallel import CampaignCheckpoint
 from repro.store import (ArtifactStore, SimulatedCrash, atomic_write_bytes,
                          atomic_write_text, sha256_hex)
@@ -194,16 +196,29 @@ def test_campaign_checkpoint_writes_are_atomic(tmp_path, monkeypatch):
 
 
 def test_sweep_point_cache_writes_are_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "sweep-abc.json"
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(24, 3))
+    decision = SplitData(x[:16], (x[:16, 0] > 0).astype(np.int64),
+                         x[16:], (x[16:, 0] > 0).astype(np.int64))
+    calibrator = SplitData(x[:16], x[:16, 1], x[16:], x[16:, 1])
+    spec = [ArchitectureSpec((4,), (3,))]
+    config = TrainConfig(epochs=2, patience=2, seed=1)
+
+    def sweep():
+        layer_wise_sweep(decision, calibrator, 2, spec, config,
+                         cache_dir=tmp_path, use_cache=False)
+
+    sweep()
+    [path] = tmp_path.glob("sweep-*.json")
+    replacement_length = len(path.read_text())
     committed = {"spec": [3, 12], "accuracy": 0.9}
-    _store_cached_point(path, committed)
-    replacement = {"spec": [5, 20], "accuracy": 0.95}
+    path.write_text(json.dumps(committed))
     _assert_writer_crash_consistent(
         compress_module,
-        write=lambda: _store_cached_point(path, replacement),
+        write=sweep,
         read=lambda: json.loads(path.read_text()),
         expected=committed,
-        payload_length=len(json.dumps(replacement, sort_keys=True)),
+        payload_length=replacement_length,
         monkeypatch=monkeypatch)
 
 
