@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .datagen.cache import cached_dataset
@@ -37,7 +38,7 @@ from .core.pipeline import PipelineConfig, build_from_dataset
 from .evaluation.experiments import run_fig4, run_hardware, run_table1
 from .evaluation.export import export_fig4_json
 from .fleet import BUILTIN_TRACES, FLEET_POLICIES
-from .parallel import CampaignStats
+from .parallel import CampaignStats, campaign_checkpoint, content_key
 from .units import us
 from .workloads.suites import (evaluation_suite, full_suite,
                                scale_kernel_to_duration, training_suite)
@@ -81,11 +82,11 @@ def _load_model(args):
     return SSMDVFSModel.load(args.model) if args.model else None
 
 
-def _fleet_policy(args):
+def _fleet_policy(args, model):
     """The per-node policy factory and its display name."""
     from .fleet import policy_factory
     factory = policy_factory(args.policy, preset=args.preset,
-                             model=_load_model(args), level=args.level)
+                             model=model, level=args.level)
     name = (f"static-l{args.level}" if args.policy == "static"
             else args.policy)
     return factory, name
@@ -333,10 +334,10 @@ def cmd_fleet(args) -> int:
     """Replay an arrival trace over N simulated GPUs; report fleet SLOs."""
     from .fleet import (ClusterScheduler, ThermalConfig, TraceConfig,
                         build_trace)
-    from .parallel import CampaignCheckpoint
     arch = _arch(args)
     stats = CampaignStats()
-    factory, policy_name = _fleet_policy(args)
+    model = _load_model(args)
+    factory, policy_name = _fleet_policy(args, model)
     trace_config = TraceConfig(
         trace=args.trace, jobs=args.jobs, nodes=args.nodes, load=args.load,
         latency_fraction=args.latency_fraction,
@@ -345,10 +346,11 @@ def cmd_fleet(args) -> int:
     jobs = build_trace(arch, trace_config)
     checkpoint = None
     if args.checkpoint:
-        key = (f"fleet-{args.trace}-{policy_name}-n{args.nodes}"
-               f"-j{args.jobs}-s{args.seed}")
-        checkpoint = CampaignCheckpoint(Path(args.cache) / f"{key}.ckpt",
-                                        key=key)
+        checkpoint = campaign_checkpoint(args.cache, "fleet", content_key({
+            "arch": arch.name, "clusters": arch.num_clusters,
+            "policy": policy_name, "preset": args.preset,
+            "model": repr(sorted(getattr(model, "metadata", {}).items())),
+            "trace": asdict(trace_config), "seed": args.seed}))
     scheduler = ClusterScheduler(
         arch, factory, num_nodes=args.nodes, policy_name=policy_name,
         seed=args.seed, thermal=ThermalConfig(), workers=args.workers,
@@ -379,7 +381,7 @@ def cmd_fleet_chaos(args) -> int:
     from .fleet import AdmissionConfig
     arch = _arch(args)
     stats = CampaignStats()
-    factory, policy_name = _fleet_policy(args)
+    factory, policy_name = _fleet_policy(args, _load_model(args))
     config = FleetChaosConfig(
         trace=args.trace, jobs=args.jobs, nodes=args.nodes,
         load=args.load, trials=args.trials, seed=args.seed,

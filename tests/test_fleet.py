@@ -222,3 +222,29 @@ def test_cli_fleet_slo_gate_exit_codes(tmp_path, capsys):
     assert main(argv + ["--slo-gate", "0.0"]) == 1
     out = capsys.readouterr().out
     assert "SLO gate ok" in out and "SLO gate FAILED" in out
+
+
+def test_cli_fleet_checkpoint_is_keyed_by_campaign(tmp_path, monkeypatch,
+                                                   capsys):
+    import repro.parallel as parallel_module
+    paths: list[str] = []
+    real_ckpt = parallel_module.CampaignCheckpoint
+
+    def recording_ckpt(path, **kwargs):
+        paths.append(str(path))
+        return real_ckpt(path, **kwargs)
+
+    monkeypatch.setattr(parallel_module, "CampaignCheckpoint",
+                        recording_ckpt)
+    argv = ["fleet", "--policy", "pcstall", "--nodes", "2", "--jobs", "3",
+            "--checkpoint", "--cache", str(tmp_path)]
+    runs = [["--small"], ["--small", "--preset", "0.30"], [],
+            ["--small", "--load", "0.5"], ["--small"]]
+    for extra in runs:
+        assert main(argv + extra) == 0
+    capsys.readouterr()
+    assert len(paths) == len(runs)
+    assert all(path.startswith(str(tmp_path / "fleet-")) for path in paths)
+    # Only the repeated run may resume into the first run's file.
+    assert paths[-1] == paths[0]
+    assert len(set(paths)) == len(runs) - 1
