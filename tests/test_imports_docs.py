@@ -125,3 +125,29 @@ def test_only_the_grid_runner_imports_the_fused_engine():
                 for name in _imported_modules(tree, module, is_package)):
             offenders.append(module)
     assert offenders == []
+
+
+def test_only_the_campaign_layer_builds_checkpoints_and_caches():
+    """``repro.parallel`` owns the cache-or-build and checkpoint logic.
+
+    Elsewhere, a ``CampaignCheckpoint(...)`` call or a
+    ``*_cache_corrupt`` counter means the logic is being written again
+    instead of going through ``campaign_checkpoint`` and ``cached``.
+    """
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root.parent).with_suffix("").parts)
+        if module == "repro.parallel":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "CampaignCheckpoint":
+                    offenders.append(f"{module}:{node.lineno} checkpoint")
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.endswith("_cache_corrupt")):
+                offenders.append(f"{module}:{node.lineno} corrupt counter")
+    assert offenders == []
