@@ -8,8 +8,9 @@ guarantee:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` — the shared
   write-temp / fsync / rename helper every persistent writer in the
-  repo routes through (dataset cache, evaluation-grid cache, sweep
-  cache, campaign checkpoints, model artefacts).  A reader of the
+  repo routes through: the ``save`` of each cache built on
+  :func:`repro.parallel.cached` (datasets, evaluation grids, sweep
+  points), campaign checkpoints and model artefacts.  A reader of the
   destination path sees either the complete old content or the
   complete new content, never a prefix.  Crash simulation is built in:
   ``crash_after`` aborts the write after that many payload bytes with
