@@ -8,8 +8,8 @@
 # (batched-inference speedup, self-timed with perf_counter) and writes
 # benchmarks/results/BENCH_epoch_engine.json, which CI uploads as an
 # artifact.  `train-bench-smoke` is the matching
-# gate for the offline training pipeline (batched RFE scoring and the
-# sweep cache); it writes benchmarks/results/BENCH_training_pipeline.json.
+# gate for the offline training pipeline (batched RFE scoring and fit's
+# rate); it writes benchmarks/results/BENCH_training_pipeline.json.
 # `fused-bench-smoke` is the fused-campaign perf gate: it asserts the
 # fused engine reproduces the serial grid byte-for-byte and beats the
 # process-pool fan-out >= 3x, and writes

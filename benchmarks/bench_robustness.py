@@ -228,7 +228,8 @@ def test_serve_resilience_gate(pipeline, arch, tmp_path, benchmark):
     # Benchmark: seeded serve-fault-train construction (the chaos hot
     # path outside the replay itself).
     from repro.faults import ServeFaultPlan
+    from repro.serve.runtime import DRAIN_TICKS
     serve = config.serve
     benchmark(lambda: ServeFaultPlan.build(
         serve.faults, serve.num_workers, serve.streams,
-        serve.ticks + serve.drain_ticks))
+        serve.ticks + DRAIN_TICKS))

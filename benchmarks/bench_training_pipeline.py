@@ -1,4 +1,4 @@
-"""Training-pipeline perf gates: batched RFE scoring and the sweep cache.
+"""Training-pipeline perf gates: batched RFE scoring and fit's rate.
 
 The offline stage of the paper retrains small MLPs hundreds of times
 (RFE rounds, the Fig. 3 architecture grid, pruning fine-tunes).  This
@@ -9,9 +9,6 @@ campaigns cheap:
   copies scored as one stacked forward must stay >= 3x faster than the
   serial per-column ``predict_class`` loop, while returning bit-equal
   importances on the identical random stream.
-* **Sweep caching** — re-running the layer-wise and pruning sweeps over
-  a warm content-addressed cache must stay >= 2x faster than training
-  the grid, and return the identical frontier points.
 * **Training throughput** — optimizer steps per second of ``fit`` on a
   fixed 5x20 classifier and data size.  Recorded PR over PR as an
   absolute rate, not gated.
@@ -30,11 +27,9 @@ import numpy as np
 
 from repro.datagen.rfe import (ImportanceWorkspace, _permutation_importance,
                                permutation_importances)
-from repro.nn.compress import (ArchitectureSpec, SplitData, layer_wise_sweep,
-                               pruning_sweep, train_pair)
+from repro.nn.compress import ArchitectureSpec, SplitData, layer_wise_sweep
 from repro.nn.mlp import MLP
 from repro.nn.trainer import TrainConfig, train_classifier
-from repro.parallel import CampaignStats
 
 RESULTS_PATH = Path(__file__).resolve().parent / "results" / \
     "BENCH_training_pipeline.json"
@@ -147,15 +142,11 @@ def test_rfe_importance_batched_speedup():
 
 
 # ---------------------------------------------------------------------------
-# Sweep cache: cold training vs warm content-addressed reload
+# Fig. 3 sweep inputs for the reproducibility check
 # ---------------------------------------------------------------------------
 
-_SWEEP_SPECS = [ArchitectureSpec((10,) * 2, (8,)),
-                ArchitectureSpec((8,) * 2, (6,)),
-                ArchitectureSpec((6,), (4,))]
+_SWEEP_SPECS = [ArchitectureSpec((10,) * 2, (8,))]
 _SWEEP_CFG = TrainConfig(epochs=10, patience=4, seed=1)
-_SWEEP_GRID = [(0.4, 0.7), (0.6, 0.9)]
-_FINETUNE_CFG = TrainConfig(epochs=6, patience=3, learning_rate=5e-4, seed=1)
 
 
 def _sweep_splits():
@@ -166,61 +157,6 @@ def _sweep_splits():
     yr = xr @ rng.normal(size=5)
     return (SplitData(xd[:96], yd[:96], xd[96:], yd[96:]),
             SplitData(xr[:96], yr[:96], xr[96:], yr[96:]))
-
-
-def test_sweep_cache_speedup(tmp_path):
-    """Warm sweep cache must keep re-sweeps >= 2x faster than training.
-
-    Cold = layer-wise + pruning grids trained from scratch (the cache
-    dir starts empty, so every point is a miss and is stored); warm =
-    the identical sweeps again over the now-populated cache.  The warm
-    frontier points must equal the cold ones exactly — the cache stores
-    full float precision.
-    """
-    decision_data, calibrator_data = _sweep_splits()
-    pair = train_pair(_SWEEP_SPECS[0], decision_data, calibrator_data,
-                      2, _SWEEP_CFG)
-    cache_dir = tmp_path / "sweeps"
-
-    def run(stats):
-        layerwise = layer_wise_sweep(
-            decision_data, calibrator_data, 2, _SWEEP_SPECS, _SWEEP_CFG,
-            stats=stats, cache_dir=cache_dir)
-        pruning = pruning_sweep(
-            pair, decision_data, calibrator_data, _SWEEP_GRID,
-            _FINETUNE_CFG, stats=stats, cache_dir=cache_dir)
-        return layerwise, pruning
-
-    cold_stats = CampaignStats()
-    start = time.perf_counter()
-    cold_points = run(cold_stats)
-    cold_s = time.perf_counter() - start
-    assert cold_stats.counters["sweep_cache_miss"] == (
-        len(_SWEEP_SPECS) + len(_SWEEP_GRID))
-
-    warm_stats = CampaignStats()
-    warm_s = float("inf")
-    for _ in range(3):
-        warm_stats = CampaignStats()
-        start = time.perf_counter()
-        warm_points = run(warm_stats)
-        warm_s = min(warm_s, time.perf_counter() - start)
-    assert warm_stats.counters["sweep_cache_hit"] == (
-        len(_SWEEP_SPECS) + len(_SWEEP_GRID))
-    assert warm_stats.counters["train_models"] == 0
-    assert warm_points == cold_points
-
-    speedup = cold_s / warm_s
-    _update_results("sweep_cache", {
-        "layerwise_points": len(_SWEEP_SPECS),
-        "pruning_points": len(_SWEEP_GRID),
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup": speedup,
-        "cold_train_models": cold_stats.counters["train_models"],
-        "warm_cache_hits": warm_stats.counters["sweep_cache_hit"],
-    })
-    assert speedup >= 2.0, f"sweep cache speedup collapsed: {speedup:.2f}x"
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +212,9 @@ def test_training_pipeline_reproducibility():
 
     decision_data, calibrator_data = _sweep_splits()
     points_a = layer_wise_sweep(decision_data, calibrator_data, 2,
-                                _SWEEP_SPECS[:1], _SWEEP_CFG)
+                                _SWEEP_SPECS, _SWEEP_CFG)
     points_b = layer_wise_sweep(decision_data, calibrator_data, 2,
-                                _SWEEP_SPECS[:1], _SWEEP_CFG)
+                                _SWEEP_SPECS, _SWEEP_CFG)
     assert points_a == points_b
     _update_results("reproducibility", {
         "rfe_scores_identical": True,

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import PAPER_FEATURES
 from repro.gpu.arch import titan_x_config
 from repro.datagen.cache import cached_dataset
 from repro.datagen.protocol import ProtocolConfig
@@ -25,22 +26,7 @@ from repro.core.pipeline import PipelineConfig, build_from_dataset
 from repro.workloads.suites import (evaluation_suite,
                                     scale_kernel_to_duration, training_suite)
 
-#: The paper's Table I feature set (counter names for IPC, PPC, MH,
-#: MH\L, L1CRM).
-PAPER_FEATURES = ("power_per_core", "ipc", "stall_mem_hazard",
-                  "stall_mem_hazard_nonload", "l1_read_miss")
-
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".cache"
-
-
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-
-def write_result(name: str, text: str) -> None:
-    """Print a rendered artefact and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    print("\n" + text)
 
 
 @pytest.fixture(scope="session")

@@ -19,10 +19,8 @@ from repro.workloads import (evaluation_suite, scale_kernel_to_duration,
 from repro.datagen import ProtocolConfig, cached_dataset
 from repro.nn.trainer import TrainConfig
 from repro.core import PipelineConfig, build_from_dataset
+from repro.cli import PAPER_FEATURES
 from repro.evaluation import run_fig4
-
-PAPER_FEATURES = ("power_per_core", "ipc", "stall_mem_hazard",
-                  "stall_mem_hazard_nonload", "l1_read_miss")
 
 
 def main():

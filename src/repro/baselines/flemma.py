@@ -28,6 +28,18 @@ from ..gpu.counters import CounterSet
 from ..gpu.simulator import EpochRecord, GPUSimulator
 from ..core.policy import BasePolicy
 
+#: Actor step size of the coarse-grained update.
+LEARNING_RATE = 0.15
+#: Critic step size of the coarse-grained update.
+CRITIC_RATE = 0.1
+#: TD discount of the critic's target.
+DISCOUNT = 0.9
+#: Softmax temperature of the actor's level distribution.
+TEMPERATURE = 1.0
+#: Weight of the power term in the adapted reward (throughput gets
+#: ``1 - POWER_WEIGHT``).
+POWER_WEIGHT = 0.5
+
 
 def _state_vector(counters: CounterSet) -> np.ndarray:
     """Compact normalised state the linear actor/critic operate on."""
@@ -46,10 +58,7 @@ class FLEMMAPolicy(BasePolicy):
     """Hierarchical actor-critic RL controller (adapted)."""
 
     def __init__(self, preset: float, update_period: int = 3,
-                 warmup_epochs: int = 4, learning_rate: float = 0.15,
-                 critic_rate: float = 0.1, discount: float = 0.9,
-                 temperature: float = 1.0, power_weight: float = 0.5,
-                 seed: int = 0) -> None:
+                 warmup_epochs: int = 4, seed: int = 0) -> None:
         super().__init__()
         if preset < 0:
             raise PolicyError("preset cannot be negative")
@@ -60,11 +69,6 @@ class FLEMMAPolicy(BasePolicy):
         self.preset = float(preset)
         self.update_period = int(update_period)
         self.warmup_epochs = int(warmup_epochs)
-        self.learning_rate = float(learning_rate)
-        self.critic_rate = float(critic_rate)
-        self.discount = float(discount)
-        self.temperature = float(temperature)
-        self.power_weight = float(power_weight)
         self.seed = seed
         self.name = f"flemma-p{int(round(preset * 100))}"
         self._rng = np.random.default_rng(seed)
@@ -94,7 +98,7 @@ class FLEMMAPolicy(BasePolicy):
 
     # ------------------------------------------------------------------
     def _policy_distribution(self, state: np.ndarray) -> np.ndarray:
-        logits = self._actor @ state / self.temperature
+        logits = self._actor @ state / TEMPERATURE
         logits -= logits.max()
         exp = np.exp(logits)
         return exp / exp.sum()
@@ -106,8 +110,8 @@ class FLEMMAPolicy(BasePolicy):
         inst_base = self._baseline_instructions * (1.0 - self.preset)
         throughput_term = min(1.5, instructions / max(1e-9, inst_base))
         power_term = power / max(1e-9, self._baseline_power)
-        return (1.0 - self.power_weight) * throughput_term \
-            - self.power_weight * power_term
+        return (1.0 - POWER_WEIGHT) * throughput_term \
+            - POWER_WEIGHT * power_term
 
     def _update_models(self) -> None:
         """Coarse-grained actor-critic update over the stored batch."""
@@ -116,13 +120,13 @@ class FLEMMAPolicy(BasePolicy):
         for index in range(len(self._transitions) - 1):
             state, action, reward = self._transitions[index]
             next_state = self._transitions[index + 1][0]
-            td_target = reward + self.discount * float(self._critic @ next_state)
+            td_target = reward + DISCOUNT * float(self._critic @ next_state)
             advantage = td_target - float(self._critic @ state)
-            self._critic += self.critic_rate * advantage * state
+            self._critic += CRITIC_RATE * advantage * state
             probs = self._policy_distribution(state)
             grad = -np.outer(probs, state)
             grad[action] += state
-            self._actor += self.learning_rate * advantage * grad
+            self._actor += LEARNING_RATE * advantage * grad
         self._transitions = self._transitions[-1:]
 
     # ------------------------------------------------------------------

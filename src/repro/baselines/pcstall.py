@@ -30,8 +30,7 @@ from ..core.policy import BasePolicy
 class PCSTALLPolicy(BasePolicy):
     """Frequency-sensitivity analytical DVFS controller."""
 
-    def __init__(self, preset: float, history_weight: float = 0.5,
-                 per_cluster: bool = True) -> None:
+    def __init__(self, preset: float, history_weight: float = 0.5) -> None:
         super().__init__()
         if preset < 0:
             raise PolicyError("preset cannot be negative")
@@ -39,7 +38,6 @@ class PCSTALLPolicy(BasePolicy):
             raise PolicyError("history_weight must be in [0, 1)")
         self.preset = float(preset)
         self.history_weight = float(history_weight)
-        self.per_cluster = per_cluster
         self.name = f"pcstall-p{int(round(preset * 100))}"
         self._stall_history: list[float | None] = []
 
@@ -97,13 +95,11 @@ class PCSTALLPolicy(BasePolicy):
         """Pick each cluster's minimal level under the predicted loss."""
         if self.simulator is None:
             raise PolicyError("policy not bound to a simulator")
-        if self.per_cluster:
-            levels = []
-            for index, counters in enumerate(record.cluster_counters):
-                if counters["inst_total"] <= 0:
-                    levels.append(self.simulator.arch.vf_table.min_level)
-                else:
-                    levels.append(self._decide_one(
-                        counters, index, record.levels[index]))
-            return levels
-        return self._decide_one(record.counters, 0, record.levels[0])
+        levels = []
+        for index, counters in enumerate(record.cluster_counters):
+            if counters["inst_total"] <= 0:
+                levels.append(self.simulator.arch.vf_table.min_level)
+            else:
+                levels.append(self._decide_one(
+                    counters, index, record.levels[index]))
+        return levels

@@ -14,7 +14,6 @@ from ..errors import PolicyError
 from ..gpu.arch import GPUArchConfig
 from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import GPUSimulator
-from ..power.model import PowerModel
 from ..core.policy import StaticPolicy
 
 
@@ -47,12 +46,11 @@ class StaticOracleResult:
 
 
 def static_sweep(kernel: KernelProfile, arch: GPUArchConfig,
-                 power_model: PowerModel | None = None,
                  seed: int = 0) -> list[StaticSweepPoint]:
     """Run ``kernel`` pinned at every operating point."""
     points = []
     for level in range(arch.vf_table.num_levels):
-        simulator = GPUSimulator(arch, kernel, power_model, seed=seed)
+        simulator = GPUSimulator(arch, kernel, seed=seed)
         result = simulator.run(StaticPolicy(level), keep_records=False)
         points.append(StaticSweepPoint(level=level, time_s=result.time_s,
                                        energy_j=result.energy_j))
@@ -60,7 +58,6 @@ def static_sweep(kernel: KernelProfile, arch: GPUArchConfig,
 
 
 def best_static(kernel: KernelProfile, arch: GPUArchConfig,
-                power_model: PowerModel | None = None,
                 preset: float | None = None,
                 seed: int = 0) -> StaticOracleResult:
     """Best static level by minimum EDP, optionally under a loss preset.
@@ -69,7 +66,7 @@ def best_static(kernel: KernelProfile, arch: GPUArchConfig,
     default level stays within the preset are eligible (matching the
     adapted objective every policy in the paper optimises).
     """
-    points = static_sweep(kernel, arch, power_model, seed=seed)
+    points = static_sweep(kernel, arch, seed=seed)
     default = points[arch.vf_table.default_level]
     eligible = points
     if preset is not None:

@@ -39,6 +39,7 @@ from .evaluation.experiments import run_fig4, run_hardware, run_table1
 from .evaluation.export import export_fig4_json
 from .fleet import BUILTIN_TRACES, FLEET_POLICIES
 from .parallel import CampaignStats, campaign_checkpoint, content_key
+from .store import atomic_write_text
 from .units import us
 from .workloads.suites import (evaluation_suite, full_suite,
                                scale_kernel_to_duration, training_suite)
@@ -270,7 +271,7 @@ def cmd_faults(args) -> int:
         import json
         payload = {"preset": result.preset, "slack": result.slack,
                    "cells": [{**vars(c)} for c in result.cells]}
-        Path(args.export).write_text(json.dumps(payload, indent=2))
+        atomic_write_text(args.export, json.dumps(payload, indent=2))
         print(f"exported -> {args.export}")
     _print_stats(args, stats)
     return 0
@@ -334,6 +335,9 @@ def cmd_fleet(args) -> int:
     """Replay an arrival trace over N simulated GPUs; report fleet SLOs."""
     from .fleet import (ClusterScheduler, ThermalConfig, TraceConfig,
                         build_trace)
+    from .fleet.jobs import (BURST_SIZE, DIURNAL_PERIODS,
+                             LATENCY_DEADLINE_FACTOR,
+                             THROUGHPUT_DEADLINE_FACTOR)
     arch = _arch(args)
     stats = CampaignStats()
     model = _load_model(args)
@@ -350,7 +354,16 @@ def cmd_fleet(args) -> int:
             "arch": arch.name, "clusters": arch.num_clusters,
             "policy": policy_name, "preset": args.preset,
             "model": repr(sorted(getattr(model, "metadata", {}).items())),
-            "trace": asdict(trace_config), "seed": args.seed}))
+            # The trace-shape constants stay in the payload so existing
+            # checkpoint names keep matching.
+            "trace": {**asdict(trace_config),
+                      "latency_deadline_factor": LATENCY_DEADLINE_FACTOR,
+                      "throughput_deadline_factor":
+                          THROUGHPUT_DEADLINE_FACTOR,
+                      "burst_size": BURST_SIZE,
+                      "diurnal_periods": DIURNAL_PERIODS,
+                      "kernel_names": []},
+            "seed": args.seed}))
     scheduler = ClusterScheduler(
         arch, factory, num_nodes=args.nodes, policy_name=policy_name,
         seed=args.seed, thermal=ThermalConfig(), workers=args.workers,
@@ -492,7 +505,7 @@ FLAG_GROUPS: dict[str, tuple] = {
                          help="use the reduced 2-cluster test GPU")),
         ("--stats", dict(action="store_true",
                          help="print campaign timings and cache counters "
-                              "(dataset/comparison/sweep disk caches, the "
+                              "(dataset/comparison disk caches, the "
                               "interval-model solve_cache_hit/miss pair, "
                               "and the train_models/train_epochs totals)")),
     ),

@@ -27,34 +27,32 @@ from ..gpu.simulator import EpochRecord, GPUSimulator
 from .combined import SSMDVFSModel
 from .policy import BasePolicy
 
+#: Cumulative shortfall (fraction of predicted progress) tolerated before
+#: the working preset tightens.
+DEADBAND = 0.06
+#: Floor of the working preset: the training grid's smallest preset,
+#: below which the Decision-maker would operate out of distribution.
+MIN_PRESET = 0.02
+
 
 class SSMDVFSController(BasePolicy):
     """Self-calibrated supervised DVFS policy."""
 
     def __init__(self, model: SSMDVFSModel, preset: float,
                  use_calibrator: bool = True, gain: float = 1.0,
-                 relax: float = 0.4, deadband: float = 0.06,
-                 min_preset: float = 0.02,
-                 per_cluster: bool = True) -> None:
+                 relax: float = 0.4, per_cluster: bool = True) -> None:
         super().__init__()
         if preset < 0:
             raise PolicyError("preset cannot be negative")
         if gain < 0 or not 0.0 <= relax <= 1.0:
             raise PolicyError("gain must be >= 0 and relax in [0, 1]")
-        if deadband < 0:
-            raise PolicyError("deadband cannot be negative")
-        if min_preset < 0:
-            raise PolicyError("min_preset cannot be negative")
         self.model = model
         self.preset = float(preset)
         self.use_calibrator = use_calibrator
         self.gain = float(gain)
         self.relax = float(relax)
-        self.deadband = float(deadband)
-        # The working preset never drops below the training grid's
-        # smallest preset: below that the Decision-maker would operate
-        # out of distribution.
-        self.min_preset = min(float(min_preset), float(preset))
+        # A preset below MIN_PRESET is its own floor.
+        self.min_preset = min(MIN_PRESET, float(preset))
         self.per_cluster = per_cluster
         tag = "" if use_calibrator else "-nocal"
         self.name = f"ssmdvfs{tag}-p{int(round(preset * 100))}"
@@ -172,7 +170,7 @@ class SSMDVFSController(BasePolicy):
             self._cumulative_predicted = 0.0
             self._cumulative_actual = 0.0
             return
-        if error > self.deadband:
+        if error > DEADBAND:
             # Persistently slower than promised beyond the model's noise
             # floor: tighten the working preset.
             self.working_preset -= self.gain * error * self.preset

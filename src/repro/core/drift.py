@@ -54,8 +54,6 @@ class DriftConfig:
     violation_alpha: float = 0.05
     violation_threshold: float = 0.6
     warmup_updates: int = 8
-    #: Non-finite gaps (a poisoned model) count as this magnitude.
-    nonfinite_gap: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ewma_alpha <= 1.0:
@@ -107,7 +105,8 @@ class DriftMonitor:
         if gap is not None:
             if not math.isfinite(gap):
                 self.counters["drift_nonfinite_gaps"] += 1
-                magnitude = config.nonfinite_gap
+                # A poisoned model counts as a fully saturated gap.
+                magnitude = 1.0
             else:
                 magnitude = min(abs(gap), 1.0)
             self.ewma_gap += config.ewma_alpha * (magnitude - self.ewma_gap)

@@ -56,12 +56,10 @@ class EventDrivenController(SSMDVFSController):
     """SSMDVFS that infers only on phase changes (plus a refresh)."""
 
     def __init__(self, model: SSMDVFSModel, preset: float,
-                 threshold: float = 0.35, refresh_epochs: int = 8,
-                 **kwargs) -> None:
+                 refresh_epochs: int = 8, **kwargs) -> None:
         super().__init__(model, preset, **kwargs)
         if refresh_epochs < 1:
             raise PolicyError("refresh_epochs must be >= 1")
-        self.threshold = float(threshold)
         self.refresh_epochs = int(refresh_epochs)
         self.name = f"ssmdvfs-event-p{int(round(preset * 100))}"
         self._detectors: list[PhaseChangeDetector] = []
@@ -73,7 +71,7 @@ class EventDrivenController(SSMDVFSController):
     def reset(self, simulator: GPUSimulator) -> None:
         """Reset detectors, hold state and inference statistics."""
         super().reset(simulator)
-        self._detectors = [PhaseChangeDetector(self.threshold)
+        self._detectors = [PhaseChangeDetector()
                            for _ in simulator.clusters]
         self._held_levels = None
         self._since_refresh = 0

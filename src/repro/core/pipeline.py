@@ -25,8 +25,8 @@ from ..errors import ModelError
 from ..gpu.arch import GPUArchConfig
 from ..gpu.kernels import KernelProfile
 from ..nn.compress import (PAPER_BASE_SPEC, PAPER_COMPRESSED_SPEC,
-                           PAPER_PRUNE_PARAMS, ArchitectureSpec, TrainedPair,
-                           prune_and_finetune, train_pair)
+                           PAPER_PRUNE_PARAMS, TrainedPair, prune_and_finetune,
+                           train_pair)
 from ..nn.trainer import TrainConfig
 from ..parallel import CampaignStats, parallel_map
 from .combined import SSMDVFSModel
@@ -37,19 +37,19 @@ VARIANTS = ("base", "compressed", "pruned")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Configuration of the full offline build."""
+    """Configuration of the full offline build.
+
+    The architectures and pruning parameters are the paper's
+    (``PAPER_BASE_SPEC``, ``PAPER_COMPRESSED_SPEC``,
+    ``PAPER_PRUNE_PARAMS``); RFE keeps three indirect features.
+    """
 
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     feature_names: tuple[str, ...] | None = None  # None -> run RFE
-    base_spec: ArchitectureSpec = PAPER_BASE_SPEC
-    compressed_spec: ArchitectureSpec = PAPER_COMPRESSED_SPEC
-    prune_params: tuple[float, float] = PAPER_PRUNE_PARAMS
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=120, patience=15, learning_rate=2e-3))
     finetune: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=40, patience=8, learning_rate=5e-4))
-    rfe_target: int = 3
-    test_fraction: float = 0.25
     seed: int = 0
 
 
@@ -126,25 +126,23 @@ def build_from_dataset(dataset: DVFSDataset, arch: GPUArchConfig,
 
     rfe_result = None
     if config.feature_names is None:
-        selector = RFESelector(dataset, arch.issue_width,
-                               target_count=config.rfe_target,
-                               seed=config.seed, stats=stats)
+        selector = RFESelector(dataset, arch.issue_width, seed=config.seed,
+                               stats=stats)
         rfe_result = selector.run()
         feature_names = rfe_result.all_features
     else:
         feature_names = tuple(config.feature_names)
 
     prepared = dataset.prepare(feature_names, arch.issue_width,
-                               test_fraction=config.test_fraction,
                                seed=config.seed)
 
     pairs: dict[str, TrainedPair] = {}
     models: dict[str, SSMDVFSModel] = {}
     tasks = []
     if "base" in variants:
-        tasks.append(("base", config.base_spec, config.train, config.seed))
+        tasks.append(("base", PAPER_BASE_SPEC, config.train, config.seed))
     if "compressed" in variants:
-        tasks.append(("compressed", config.compressed_spec, config.train,
+        tasks.append(("compressed", PAPER_COMPRESSED_SPEC, config.train,
                       config.seed + 1))
     if tasks:
         outputs = parallel_map(
@@ -156,7 +154,7 @@ def build_from_dataset(dataset: DVFSDataset, arch: GPUArchConfig,
             stats.count("train_models", 2)
             stats.count("train_epochs", pair.epochs_run)
     if "pruned" in variants:
-        x1, x2 = config.prune_params
+        x1, x2 = PAPER_PRUNE_PARAMS
         with stats.stage("prune_finetune", tasks=1):
             pairs["pruned"] = prune_and_finetune(
                 pairs["compressed"], x1, x2, prepared.decision,

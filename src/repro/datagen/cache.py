@@ -20,7 +20,6 @@ from ..gpu.arch import GPUArchConfig
 from ..gpu.kernels import KernelProfile
 from ..parallel import (CampaignStats, cached, campaign_checkpoint,
                         content_key)
-from ..power.model import PowerModel
 from .dataset import DVFSDataset
 from .protocol import ProtocolConfig, generate_chunks_for_suite
 
@@ -44,15 +43,16 @@ def dataset_cache_key(kernels: list[KernelProfile], arch: GPUArchConfig,
         "epoch_s": config.epoch_s,
         "segment_epochs": config.segment_epochs,
         "max_breakpoints": config.max_breakpoints_per_kernel,
-        "augment": config.augment_feature_levels,
+        # Feature-window level augmentation is always on; the constant
+        # stays in the payload so existing cache keys keep matching.
+        "augment": True,
         "seed": config.seed,
     })
 
 
 def cached_dataset(cache_dir: str | Path, kernels: list[KernelProfile],
                    arch: GPUArchConfig,
-                   config: ProtocolConfig | None = None,
-                   power_model: PowerModel | None = None, *,
+                   config: ProtocolConfig | None = None, *,
                    workers: int | None = None,
                    stats: CampaignStats | None = None,
                    use_cache: bool = True, checkpoint: bool = False,
@@ -75,7 +75,7 @@ def cached_dataset(cache_dir: str | Path, kernels: list[KernelProfile],
         ckpt = (campaign_checkpoint(cache_dir, "dvfs", key)
                 if checkpoint else None)
         chunks = generate_chunks_for_suite(
-            kernels, arch, power_model, config, workers=workers,
+            kernels, arch, config, workers=workers,
             stats=stats, checkpoint=ckpt, retries=retries,
             timeout_s=timeout_s)
         return DVFSDataset.from_breakpoint_chunks(chunks, workers=workers,

@@ -322,9 +322,7 @@ class DVFSDataset:
 
     def prepare(self, feature_names: tuple[str, ...], issue_width: float,
                 test_fraction: float = 0.25, seed: int = 0,
-                labeling: str = "minimal",
-                preset_grid: tuple[float, ...] = DEFAULT_PRESET_GRID
-                ) -> PreparedData:
+                labeling: str = "minimal") -> PreparedData:
         """Build standardised decision/calibrator splits.
 
         Splits are grouped by physical breakpoint.  Scalers are fitted
@@ -344,7 +342,7 @@ class DVFSDataset:
         test_groups = set(order[:n_test].tolist())
 
         decision_x, decision_y, decision_group = self._decision_arrays(
-            bp_features, labeling, preset_grid)
+            bp_features, labeling, DEFAULT_PRESET_GRID)
         decision_in_test = np.array(
             [g in test_groups for g in decision_group])
 

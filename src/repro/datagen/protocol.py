@@ -53,7 +53,6 @@ class ProtocolConfig:
     epoch_s: float = DEFAULT_EPOCH_S
     segment_epochs: int = 10
     max_breakpoints_per_kernel: int = 12
-    augment_feature_levels: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -283,7 +282,7 @@ def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
     # ones; power stays per-lane because its accumulation order depends
     # on the row count BLAS sees).
     samples.feature_variants = [(default_level, samples.feature_counters)]
-    if config.augment_feature_levels and num_levels > 1:
+    if num_levels > 1:
         variant_levels = [lv for lv in range(num_levels)
                           if lv != default_level]
         for lv in variant_levels:
@@ -315,7 +314,6 @@ def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
 
 
 def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
-                        power_model: PowerModel | None = None,
                         config: ProtocolConfig | None = None,
                         stats: CampaignStats | None = None
                         ) -> list[BreakpointSamples]:
@@ -327,8 +325,8 @@ def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
     seven operating points, which is where the hits come from.
     """
     config = config or ProtocolConfig()
-    simulator = GPUSimulator(arch, kernel, power_model or PowerModel(),
-                             seed=config.seed, epoch_s=config.epoch_s)
+    simulator = GPUSimulator(arch, kernel, PowerModel(), seed=config.seed,
+                             epoch_s=config.epoch_s)
     simulator.set_all_levels(arch.vf_table.default_level)
     lanes = _grid_lanes(simulator)
     breakpoints: list[BreakpointSamples] = []
@@ -418,18 +416,15 @@ def _kernel_task(task: tuple) -> tuple[list[BreakpointSamples], dict[str, int]]:
     Counters (solve-cache hits/misses) travel back with the chunk — a
     worker process cannot mutate the caller's :class:`CampaignStats`.
     """
-    kernel, arch, power_model, config = task
+    kernel, arch, config = task
     local = CampaignStats()
-    chunk = generate_for_kernel(kernel, arch, power_model, config,
-                                stats=local)
+    chunk = generate_for_kernel(kernel, arch, config, stats=local)
     return chunk, local.counters
 
 
 def generate_chunks_for_suite(kernels: list[KernelProfile],
                               arch: GPUArchConfig,
-                              power_model: PowerModel | None = None,
                               config: ProtocolConfig | None = None,
-                              auto_scale: bool = True,
                               workers: int | None = None,
                               stats: CampaignStats | None = None,
                               checkpoint: CampaignCheckpoint | None = None,
@@ -443,18 +438,16 @@ def generate_chunks_for_suite(kernels: list[KernelProfile],
     the previous one ended) and must stay sequential, but kernels are
     fully independent.  Chunk order follows the input suite order, so
     flattening the chunks reproduces the serial output bit for bit.
+    Kernels too short to host the configured number of breakpoints are
+    repeated until they fit.
     ``checkpoint``/``retries``/``timeout_s`` configure the resilient
     fan-out (see :func:`repro.parallel.parallel_map`).
     """
     if not kernels:
         raise DatasetError("no kernels given")
     config = config or ProtocolConfig()
-    scaled = []
-    for kernel in kernels:
-        if auto_scale:
-            kernel = scale_kernel_for_protocol(kernel, arch, config)
-        scaled.append(kernel)
-    tasks = [(kernel, arch, power_model, config) for kernel in scaled]
+    tasks = [(scale_kernel_for_protocol(kernel, arch, config), arch, config)
+             for kernel in kernels]
     results = parallel_map(_kernel_task, tasks, workers=workers,
                            stats=stats, stage="datagen",
                            checkpoint=checkpoint, retries=retries,
@@ -470,20 +463,12 @@ def generate_chunks_for_suite(kernels: list[KernelProfile],
 
 
 def generate_for_suite(kernels: list[KernelProfile], arch: GPUArchConfig,
-                       power_model: PowerModel | None = None,
-                       config: ProtocolConfig | None = None,
-                       auto_scale: bool = True,
-                       workers: int | None = None,
-                       stats: CampaignStats | None = None
+                       config: ProtocolConfig | None = None
                        ) -> list[BreakpointSamples]:
-    """Run the protocol over a full training suite.
+    """Run the protocol over a full training suite, serially.
 
-    With ``auto_scale`` (default) kernels too short to host the
-    configured number of breakpoints are repeated until they fit.
-    ``workers`` fans the per-kernel campaigns out over a process pool;
-    the result is bit-identical to the serial pass for a fixed seed.
+    Kernels too short to host the configured number of breakpoints are
+    repeated until they fit.
     """
-    chunks = generate_chunks_for_suite(kernels, arch, power_model, config,
-                                       auto_scale=auto_scale, workers=workers,
-                                       stats=stats)
+    chunks = generate_chunks_for_suite(kernels, arch, config)
     return [bp for chunk in chunks for bp in chunk]

@@ -36,6 +36,9 @@ from .dataset import DVFSDataset
 #: The direct (power) feature the paper always keeps: PPC.
 DEFAULT_ALWAYS_KEEP = ("power_per_core",)
 
+#: Hidden widths of the probe classifier each RFE round trains.
+RFE_HIDDEN = (20, 20)
+
 #: Cap on ``stack_members × rows`` per batched forward chunk, keeping
 #: the activation stack inside cache-friendly territory on small hosts.
 _ROW_BUDGET = 8192
@@ -197,9 +200,7 @@ class RFESelector:
 
     def __init__(self, dataset: DVFSDataset, issue_width: float,
                  candidates: tuple[str, ...] = INDIRECT_FEATURE_NAMES,
-                 always_keep: tuple[str, ...] = DEFAULT_ALWAYS_KEEP,
                  target_count: int = 3, drop_fraction: float = 0.25,
-                 hidden: tuple[int, ...] = (20, 20),
                  train_config: TrainConfig | None = None,
                  seed: int = 0,
                  stats: CampaignStats | None = None) -> None:
@@ -207,7 +208,7 @@ class RFESelector:
             raise DatasetError("must select at least one feature")
         if not 0.0 < drop_fraction < 1.0:
             raise DatasetError("drop_fraction must be in (0, 1)")
-        overlap = set(candidates) & set(always_keep)
+        overlap = set(candidates) & set(DEFAULT_ALWAYS_KEEP)
         if overlap:
             raise DatasetError(f"features both candidate and kept: {overlap}")
         if len(candidates) < target_count:
@@ -215,10 +216,8 @@ class RFESelector:
         self.dataset = dataset
         self.issue_width = issue_width
         self.candidates = tuple(candidates)
-        self.always_keep = tuple(always_keep)
         self.target_count = target_count
         self.drop_fraction = drop_fraction
-        self.hidden = hidden
         self.train_config = train_config or TrainConfig(
             epochs=30, patience=6, learning_rate=3e-3, seed=seed)
         self.seed = seed
@@ -227,9 +226,9 @@ class RFESelector:
 
     def _train_and_score(self, features: tuple[str, ...], seed: int
                          ) -> tuple[MLP, float, "np.ndarray", "np.ndarray"]:
-        names = self.always_keep + features
+        names = DEFAULT_ALWAYS_KEEP + features
         prepared = self.dataset.prepare(names, self.issue_width, seed=self.seed)
-        model = MLP([prepared.decision.x_train.shape[1], *self.hidden,
+        model = MLP([prepared.decision.x_train.shape[1], *RFE_HIDDEN,
                      prepared.num_levels], rng=np.random.default_rng(seed))
         history = train_classifier(model, prepared.decision.x_train,
                                    prepared.decision.y_train,
@@ -248,7 +247,7 @@ class RFESelector:
         The unpermuted baseline is the round accuracy already in hand,
         so the clean forward is not re-run per column.
         """
-        offset = len(self.always_keep)
+        offset = len(DEFAULT_ALWAYS_KEEP)
         self.stats.count("rfe_columns_scored", len(current))
         scores = permutation_importances(
             model, x_test, y_test,
@@ -259,7 +258,7 @@ class RFESelector:
     def run(self) -> RFEResult:
         """Execute the elimination loop; returns the full record."""
         current = list(self.candidates)
-        result = RFEResult(selected=(), always_keep=self.always_keep)
+        result = RFEResult(selected=(), always_keep=DEFAULT_ALWAYS_KEEP)
         rng = np.random.default_rng(self.seed)
         round_index = 0
         with self.stats.stage("rfe", tasks=len(current)):

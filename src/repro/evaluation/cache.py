@@ -23,7 +23,6 @@ from ..gpu.arch import GPUArchConfig
 from ..gpu.kernels import KernelProfile
 from ..parallel import (CampaignStats, cached, campaign_checkpoint,
                         content_key)
-from ..power.model import PowerModel
 from ..store import atomic_write_text
 from ..units import us
 from .runner import ComparisonResult, compare_policies
@@ -32,7 +31,6 @@ from .runner import ComparisonResult, compare_policies
 def comparison_cache_key(policy_names: list[str],
                          kernels: list[KernelProfile], arch: GPUArchConfig,
                          preset: float, seed: int = 0,
-                         epoch_s: float = us(10),
                          cache_token: str | None = None) -> str:
     """Stable fingerprint of one evaluation-grid request."""
     return content_key({
@@ -42,7 +40,9 @@ def comparison_cache_key(policy_names: list[str],
         "policies": list(policy_names),
         "preset": preset,
         "seed": seed,
-        "epoch_s": epoch_s,
+        # Every grid runs 10 µs epochs; the constant stays in the
+        # payload so existing cache keys keep matching.
+        "epoch_s": us(10),
         "token": cache_token or "",
     })
 
@@ -50,9 +50,7 @@ def comparison_cache_key(policy_names: list[str],
 def cached_comparison(cache_dir: str | Path,
                       policy_factories: dict[str, callable],
                       kernels: list[KernelProfile], arch: GPUArchConfig,
-                      preset: float,
-                      power_model: PowerModel | None = None,
-                      seed: int = 0, epoch_s: float = us(10), *,
+                      preset: float, seed: int = 0, *,
                       cache_token: str | None = None,
                       workers: int | None = None,
                       stats: CampaignStats | None = None,
@@ -80,16 +78,14 @@ def cached_comparison(cache_dir: str | Path,
     """
     stats = stats if stats is not None else CampaignStats()
     key = comparison_cache_key(list(policy_factories), kernels, arch, preset,
-                               seed=seed, epoch_s=epoch_s,
-                               cache_token=cache_token)
+                               seed=seed, cache_token=cache_token)
 
     def build() -> ComparisonResult:
         unit = f".fused{fuse_width}" if fused else ".kernel"
         ckpt = (campaign_checkpoint(cache_dir, "grid", f"{key}{unit}")
                 if checkpoint else None)
         return compare_policies(policy_factories, kernels, arch, preset,
-                                power_model, seed=seed, epoch_s=epoch_s,
-                                workers=workers, stats=stats,
+                                seed=seed, workers=workers, stats=stats,
                                 checkpoint=ckpt, retries=retries,
                                 timeout_s=timeout_s,
                                 fused=fused, fuse_width=fuse_width)

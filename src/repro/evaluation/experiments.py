@@ -30,7 +30,6 @@ from ..core.pipeline import PipelineResult
 from ..baselines.flemma import FLEMMAPolicy
 from ..baselines.pcstall import PCSTALLPolicy
 from ..parallel import CampaignStats, content_key
-from ..power.model import PowerModel
 from ..units import us
 from .cache import cached_comparison
 from .reporting import format_percent, format_table
@@ -68,13 +67,10 @@ class Table1Result:
                 f"(drop {drop:.2f} pp; paper reports 0.48 pp)")
 
 
-def run_table1(dataset: DVFSDataset, arch: GPUArchConfig,
-               target_count: int = 3, seed: int = 0,
+def run_table1(dataset: DVFSDataset, arch: GPUArchConfig, seed: int = 0,
                stats: CampaignStats | None = None) -> Table1Result:
     """Reproduce Table I: RFE down to three indirect features + power."""
-    selector = RFESelector(dataset, arch.issue_width,
-                           target_count=target_count, seed=seed,
-                           stats=stats)
+    selector = RFESelector(dataset, arch.issue_width, seed=seed, stats=stats)
     rfe = selector.run()
     selected = [(name, paper_category(name)) for name in rfe.all_features]
     return Table1Result(rfe=rfe, selected_with_categories=selected)
@@ -191,13 +187,13 @@ class Fig3Result:
             return False
         return best_prune.accuracy_pct >= best_layer - tolerance_pp
 
-    def has_knee(self, drop_pp: float = 5.0) -> bool:
-        """True when accuracy collapses below some FLOPs threshold in
-        both frontiers (the qualitative shape of Fig. 3)."""
+    def has_knee(self) -> bool:
+        """True when accuracy collapses by more than 5 pp below some FLOPs
+        threshold in both frontiers (the qualitative shape of Fig. 3)."""
         def collapsed(points):
             best = max(p.accuracy_pct for p in points)
             worst = min(points, key=lambda p: p.flops)
-            return worst.accuracy_pct < best - drop_pp
+            return worst.accuracy_pct < best - 5.0
         return collapsed(self.layerwise) and collapsed(self.pruning)
 
     def render(self) -> str:
@@ -214,37 +210,20 @@ class Fig3Result:
 
 def run_fig3(pipeline: PipelineResult, specs=None, grid=None,
              train_config: TrainConfig | None = None,
-             seed: int = 0, *, workers: int | None = None,
-             stats: CampaignStats | None = None,
-             cache_dir: str | None = None, use_cache: bool = True,
-             checkpoint: bool = False, retries: int = 2,
-             timeout_s: float | None = None) -> Fig3Result:
-    """Reproduce Fig. 3's two compression frontiers.
-
-    Both sweeps fan out through the campaign layer; with ``cache_dir``
-    set, each trained grid point is cached content-addressed on its
-    (spec or prune params, train config, data fingerprint) key, so a
-    repeat invocation — or an overlapping grid — retrains only what it
-    has never seen.
-    """
+             seed: int = 0) -> Fig3Result:
+    """Reproduce Fig. 3's two compression frontiers."""
     prepared = pipeline.prepared
     train_config = train_config or TrainConfig(
         epochs=60, patience=10, learning_rate=2e-3)
     layerwise = layer_wise_sweep(
         prepared.decision, prepared.calibrator, prepared.num_levels,
         specs=specs or default_layerwise_grid(), config=train_config,
-        seed=seed, workers=workers, stats=stats, cache_dir=cache_dir,
-        use_cache=use_cache, checkpoint=checkpoint, retries=retries,
-        timeout_s=timeout_s)
+        seed=seed)
     base_pair = pipeline.pairs.get("base")
     if base_pair is None:
         raise ReproError("pipeline must include the base variant for Fig. 3")
     pruning = pruning_sweep(base_pair, prepared.decision, prepared.calibrator,
-                            grid=grid or default_pruning_grid(),
-                            workers=workers, stats=stats,
-                            cache_dir=cache_dir, use_cache=use_cache,
-                            checkpoint=checkpoint, retries=retries,
-                            timeout_s=timeout_s)
+                            grid=grid or default_pruning_grid())
     return Fig3Result(layerwise=layerwise, pruning=pruning)
 
 
@@ -366,19 +345,18 @@ def fig4_cache_token(models: dict[str, SSMDVFSModel]) -> str:
 
 def run_fig4(models: dict[str, SSMDVFSModel], kernels: list[KernelProfile],
              arch: GPUArchConfig, presets: tuple[float, ...] = (0.10, 0.20),
-             power_model: PowerModel | None = None, seed: int = 0,
-             epoch_s: float = us(10), workers: int | None = None,
+             seed: int = 0, workers: int | None = None,
              stats: CampaignStats | None = None,
-             cache_dir: str | None = None, cache_token: str | None = None,
-             use_cache: bool = True, checkpoint: bool = False,
-             retries: int = 2, timeout_s: float | None = None,
+             cache_dir: str | None = None, use_cache: bool = True,
+             checkpoint: bool = False, retries: int = 2,
+             timeout_s: float | None = None,
              fused: bool = False, fuse_width: int = 8) -> Fig4Result:
     """Reproduce Fig. 4 across presets and the full policy line-up.
 
     ``workers`` fans each preset's policy × kernel grid out over a
     process pool.  With ``cache_dir`` set, finished grids are cached
-    on disk keyed by the kernel suite, arch, preset, seed and a model
-    ``cache_token`` (defaults to a hash of the models' metadata), and
+    on disk keyed by the kernel suite, arch, preset, seed and
+    :func:`fig4_cache_token` (a hash of the models' metadata), and
     ``checkpoint=True`` lets each interrupted grid resume mid-campaign;
     ``retries``/``timeout_s`` tune the resilient fan-out.
     ``fused``/``fuse_width`` co-simulate each grid through the fused
@@ -387,21 +365,19 @@ def run_fig4(models: dict[str, SSMDVFSModel], kernels: list[KernelProfile],
     :func:`repro.evaluation.runner.compare_policies`).
     """
     result = Fig4Result()
-    if cache_dir is not None and cache_token is None:
-        cache_token = fig4_cache_token(models)
     for preset in presets:
         factories = fig4_policy_factories(models, preset, seed=seed)
         if cache_dir is not None:
             result.comparisons[preset] = cached_comparison(
-                cache_dir, factories, kernels, arch, preset, power_model,
-                seed=seed, epoch_s=epoch_s, cache_token=cache_token,
+                cache_dir, factories, kernels, arch, preset, seed=seed,
+                cache_token=fig4_cache_token(models),
                 workers=workers, stats=stats, use_cache=use_cache,
                 checkpoint=checkpoint, retries=retries, timeout_s=timeout_s,
                 fused=fused, fuse_width=fuse_width)
         else:
             result.comparisons[preset] = compare_policies(
-                factories, kernels, arch, preset, power_model, seed=seed,
-                epoch_s=epoch_s, workers=workers, stats=stats,
+                factories, kernels, arch, preset, seed=seed,
+                workers=workers, stats=stats,
                 retries=retries, timeout_s=timeout_s,
                 fused=fused, fuse_width=fuse_width)
     return result
@@ -437,10 +413,8 @@ class HardwareResult:
 
 
 def run_hardware(model: SSMDVFSModel, epoch_s: float = us(10),
-                 gpu_tdp_w: float = 250.0,
-                 asic: ASICModel | None = None) -> HardwareResult:
+                 gpu_tdp_w: float = 250.0) -> HardwareResult:
     """Reproduce the §V-D ASIC cost analysis for a deployed model."""
-    asic = asic or ASICModel()
-    report = asic.report([model.decision_model, model.calibrator_model],
+    report = ASICModel().report([model.decision_model, model.calibrator_model],
                          sparse=True, node_nm=28)
     return HardwareResult(report=report, epoch_s=epoch_s, gpu_tdp_w=gpu_tdp_w)

@@ -41,13 +41,17 @@ from ..faults import NodeFaultConfig, NodeFaultEvent, NodeFaultPlan
 from ..fleet.jobs import LATENCY, TraceConfig, build_trace
 from ..fleet.metrics import FleetResult
 from ..fleet.queue import AdmissionConfig
-from ..fleet.scheduler import ClusterScheduler, MigrationConfig
+from ..fleet.scheduler import ClusterScheduler
 from ..fleet.tracker import QUARANTINED, HealthPolicy, ThermalConfig
 from ..gpu.arch import GPUArchConfig
 from ..parallel import CampaignStats
 from ..store import ArtifactStore
 from .certify import (CertifyResult, certify_crash_writes,
                       check_campaign_config, run_trials)
+
+#: Fault-plan horizon past the last arrival (s), so late faults can
+#: still strike in-flight work.
+HORIZON_SLACK_S = 2e-3
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,7 @@ class FleetChaosConfig:
     trace seed from ``seed``, so the whole campaign is a pure function
     of this config.  ``determinism_trials`` of them are replayed twice
     (at two worker counts) to pin invariant 2 without doubling the
-    cost of every trial.  ``horizon_slack_s`` extends the fault-plan
-    horizon past the last arrival so late faults can still strike
-    in-flight work.
+    cost of every trial.
     """
 
     trace: str = "burst"
@@ -72,17 +74,12 @@ class FleetChaosConfig:
     seed: int = 0
     faults: NodeFaultConfig = field(default_factory=lambda: NodeFaultConfig(
         crash_rate=0.5, hang_rate=0.3, thermal_rate=0.4, storm_rate=0.4))
-    migration: MigrationConfig = field(default_factory=MigrationConfig)
     admission: AdmissionConfig = field(
         default_factory=lambda: AdmissionConfig(enabled=True))
-    health: HealthPolicy = field(default_factory=HealthPolicy)
-    horizon_slack_s: float = 2e-3
     crash_write_trials: int = 16
 
     def __post_init__(self) -> None:
         check_campaign_config(self, self.faults, FleetError, "fleet chaos")
-        if self.horizon_slack_s < 0:
-            raise FleetError("horizon_slack_s cannot be negative")
 
 
 @dataclass
@@ -153,14 +150,14 @@ def _run_trial(arch: GPUArchConfig, factory, policy_name: str,
                                nodes=config.nodes, load=config.load,
                                seed=trial_seed)
     jobs = build_trace(arch, trace_config)
-    horizon_s = max(job.arrival_s for job in jobs) + config.horizon_slack_s
+    horizon_s = max(job.arrival_s for job in jobs) + HORIZON_SLACK_S
     plan = NodeFaultPlan.build(config.faults.with_seed(trial_seed),
                                config.nodes, horizon_s)
     scheduler = ClusterScheduler(
         arch, factory, num_nodes=config.nodes, policy_name=policy_name,
         seed=trial_seed, thermal=ThermalConfig(), workers=workers,
-        stats=stats, fault_plan=plan, migration=config.migration,
-        admission=config.admission, health=config.health)
+        stats=stats, fault_plan=plan, admission=config.admission,
+        health=HealthPolicy())
     return scheduler.run(jobs, trace_name=config.trace)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..errors import ReproError
+from ..store import atomic_write_text
 from .registry import all_experiments
 
 #: results-file name per experiment id (as written by the benches).
@@ -33,8 +34,7 @@ _RESULT_FILES = {
 }
 
 
-def build_report(results_dir: str | Path,
-                 include_missing: bool = True) -> str:
+def build_report(results_dir: str | Path) -> str:
     """Assemble the markdown report from the results directory."""
     results_dir = Path(results_dir)
     if not results_dir.exists():
@@ -60,7 +60,7 @@ def build_report(results_dir: str | Path,
             sections.append("```")
             sections.append(path.read_text().rstrip())
             sections.append("```")
-        elif include_missing:
+        else:
             sections.append(f"*(not yet measured — run `pytest "
                             f"{entry.bench} --benchmark-only`)*")
         sections.append("")
@@ -70,6 +70,5 @@ def build_report(results_dir: str | Path,
 def write_report(results_dir: str | Path, output: str | Path) -> Path:
     """Build the report and write it to ``output``; returns the path."""
     output = Path(output)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(build_report(results_dir))
+    atomic_write_text(output, build_report(results_dir))
     return output

@@ -5,8 +5,8 @@ from __future__ import annotations
 from ..errors import ReproError
 
 
-def format_table(headers: list[str], rows: list[list], title: str = "",
-                 float_format: str = "{:.4f}") -> str:
+def format_table(headers: list[str], rows: list[list],
+                 title: str = "") -> str:
     """Render a fixed-width text table."""
     if not headers:
         raise ReproError("table needs headers")
@@ -17,7 +17,7 @@ def format_table(headers: list[str], rows: list[list], title: str = "",
                 f"row width {len(row)} != header width {len(headers)}"
             )
         rendered_rows.append([
-            float_format.format(cell) if isinstance(cell, float) else str(cell)
+            f"{cell:.4f}" if isinstance(cell, float) else str(cell)
             for cell in row
         ])
     widths = [len(h) for h in headers]
@@ -41,7 +41,6 @@ def format_percent(value: float, signed: bool = False) -> str:
     return f"{sign}{value * 100.0:.2f}%"
 
 
-def format_series(name: str, values: list[float],
-                  fmt: str = "{:.3f}") -> str:
+def format_series(name: str, values: list[float]) -> str:
     """One labelled numeric series on a single line."""
-    return f"{name}: [" + ", ".join(fmt.format(v) for v in values) + "]"
+    return f"{name}: [" + ", ".join(f"{v:.3f}" for v in values) + "]"

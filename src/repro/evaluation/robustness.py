@@ -30,7 +30,6 @@ from ..gpu.simulator import EpochRecord, GPUSimulator
 from ..gpu.kernels import KernelProfile
 from ..gpu.arch import GPUArchConfig
 from ..parallel import CampaignStats
-from ..power.model import PowerModel
 from .runner import ComparisonResult, compare_policies
 
 
@@ -113,7 +112,6 @@ class SeedSweepResult:
 def seed_sweep(policy_factories: dict[str, callable],
                kernels: list[KernelProfile], arch: GPUArchConfig,
                preset: float, seeds: list[int],
-               power_model: PowerModel | None = None,
                fused: bool = False, fuse_width: int = 8) -> SeedSweepResult:
     """Run the comparison under several simulator seeds."""
     if not seeds:
@@ -123,7 +121,7 @@ def seed_sweep(policy_factories: dict[str, callable],
     per_policy_lat: dict[str, list[float]] = {}
     for seed in seeds:
         comparison = compare_policies(policy_factories, kernels, arch,
-                                      preset, power_model, seed=seed,
+                                      preset, seed=seed,
                                       fused=fused, fuse_width=fuse_width)
         result.comparisons.append(comparison)
         for policy in comparison.policies():
@@ -166,10 +164,9 @@ class FaultSweepResult:
     slack: float
     cells: list[FaultSweepCell] = field(default_factory=list)
 
-    def total_violations(self, policy: str | None = None) -> int:
-        """Summed preset violations (optionally for one policy)."""
-        return sum(c.violations for c in self.cells
-                   if policy is None or c.policy == policy)
+    def total_violations(self) -> int:
+        """Summed preset violations across every cell."""
+        return sum(c.violations for c in self.cells)
 
     def guard_engagements(self) -> int:
         """Summed guard trips across every cell (0 when unguarded)."""
@@ -201,10 +198,8 @@ def fault_sweep(policy_factories: dict[str, callable],
                 kernels: list[KernelProfile], arch: GPUArchConfig,
                 preset: float, modes: list[str], rates: list[float], *,
                 guard: bool = True, slack: float = 0.05, seed: int = 0,
-                power_model: PowerModel | None = None,
                 workers: int | None = None,
                 stats: CampaignStats | None = None,
-                guard_kwargs: dict | None = None,
                 fused: bool = False,
                 fuse_width: int = 8) -> FaultSweepResult:
     """Sweep fault modes × rates over every policy.
@@ -231,10 +226,10 @@ def fault_sweep(policy_factories: dict[str, callable],
             for name, factory in policy_factories.items():
                 cell_stats = CampaignStats()
                 wrapped = partial(build_faulty_policy, factory, config,
-                                  guard=guard, **(guard_kwargs or {}))
+                                  guard=guard)
                 comparison = compare_policies(
-                    {name: wrapped}, kernels, arch, preset, power_model,
-                    seed=seed, workers=workers, stats=cell_stats,
+                    {name: wrapped}, kernels, arch, preset, seed=seed,
+                    workers=workers, stats=cell_stats,
                     fused=fused, fuse_width=fuse_width)
                 runs = comparison.series(name)
                 violations = sum(1 for r in runs

@@ -21,7 +21,6 @@ from ..gpu.simulator import GPUSimulator
 from ..parallel import CampaignCheckpoint, CampaignStats, parallel_map
 from ..power.model import PowerModel
 from ..core.policy import StaticPolicy, policy_counters
-from ..units import us
 
 
 @dataclass
@@ -132,14 +131,14 @@ def _kernel_task(task: tuple) -> list[tuple[float, float, int,
     trips, injected faults, calibration anomalies) so the caller can
     fold them into campaign ``--stats``.
     """
-    factories, kernel, arch, power_model, seed, epoch_s = task
+    factories, kernel, arch, seed = task
+    power_model = PowerModel()
     solution_cache = SolutionCache()
     noise_cache: dict = {}
     outcomes = []
     for factory in factories:
         policy = factory()
         simulator = GPUSimulator(arch, kernel, power_model, seed=seed,
-                                 epoch_s=epoch_s,
                                  solution_cache=solution_cache,
                                  noise_cache=noise_cache)
         result = simulator.run(policy, keep_records=False)
@@ -152,8 +151,8 @@ def _fused_eval_group(task: tuple) -> tuple[list, dict[str, int]]:
     """Process-pool unit of a fused evaluation campaign: one task group.
 
     ``task`` is ``(context, entries)``: the context dict holds the
-    policy factories, kernels, arch and power model, and each entry is
-    a small ``(factory_index, kernel_index, seed, epoch_s)`` tuple.  The
+    policy factories, kernels and arch, and each entry is a small
+    ``(factory_index, kernel_index, seed)`` tuple.  The
     group's simulators share one :class:`SolutionCache` and advance in
     lockstep through the fused engine.  Returns the serial-shaped
     per-task outcomes plus the engine's ``fused_*`` counters.
@@ -168,11 +167,11 @@ def _fused_eval_group(task: tuple) -> tuple[list, dict[str, int]]:
     # position-indexed noise tracks instead of regenerating them.
     noise_cache: dict = {}
     num_sim_clusters = 0
-    for position, (factory_index, kernel_index, seed, epoch_s) \
-            in enumerate(entries):
+    power_model = PowerModel()
+    for position, (factory_index, kernel_index, seed) in enumerate(entries):
         simulator = GPUSimulator(
-            context["arch"], kernels[kernel_index], context["power_model"],
-            seed=seed, epoch_s=epoch_s, solution_cache=shared_cache,
+            context["arch"], kernels[kernel_index], power_model,
+            seed=seed, solution_cache=shared_cache,
             noise_cache=noise_cache)
         num_sim_clusters += len(simulator.clusters)
         engine.add_task(position, simulator, factories[factory_index](),
@@ -189,9 +188,7 @@ def _fused_eval_group(task: tuple) -> tuple[list, dict[str, int]]:
 def compare_policies(policy_factories: dict[str, callable],
                      kernels: list[KernelProfile], arch: GPUArchConfig,
                      preset: float,
-                     power_model: PowerModel | None = None,
                      seed: int = 0,
-                     epoch_s: float = us(10),
                      workers: int | None = None,
                      stats: CampaignStats | None = None,
                      checkpoint: CampaignCheckpoint | None = None,
@@ -204,9 +201,11 @@ def compare_policies(policy_factories: dict[str, callable],
     ``policy_factories`` maps display names to zero-argument callables
     producing a *fresh* policy (stateful policies like F-LEMMA must not
     be reused across runs).  A default-level static baseline is always
-    run for normalization.  The serial unit is one kernel: its baseline
-    and policy runs share one solve cache and one set of noise tracks
-    (see :func:`_kernel_task`), and nothing outlives this call.
+    run for normalization.  Runs take 10 µs epochs and bill power with
+    the unscaled :class:`PowerModel`.  The serial unit is one kernel:
+    its baseline and policy runs share one solve cache and one set of
+    noise tracks (see :func:`_kernel_task`), and nothing outlives this
+    call.
     ``workers`` fans the kernels out over a process pool (picklable
     factories — e.g. ``functools.partial`` over module-level classes —
     required to actually parallelise; anything else falls back to
@@ -223,7 +222,6 @@ def compare_policies(policy_factories: dict[str, callable],
     interval-solution cache per group and batching the counter build
     and inference across tasks.
     """
-    power_model = power_model or PowerModel()
     names = list(policy_factories)
     factories = ([partial(StaticPolicy, arch.vf_table.default_level)]
                  + [policy_factories[name] for name in names])
@@ -231,9 +229,9 @@ def compare_policies(policy_factories: dict[str, callable],
         entries = []
         for kernel_index in range(len(kernels)):
             for factory_index in range(len(factories)):
-                entries.append((factory_index, kernel_index, seed, epoch_s))
+                entries.append((factory_index, kernel_index, seed))
         context = {"factories": factories, "kernels": list(kernels),
-                   "arch": arch, "power_model": power_model}
+                   "arch": arch}
         groups = fuse_groups(entries, fuse_width)
         group_results = parallel_map(
             _fused_eval_group, [(context, group) for group in groups],
@@ -247,8 +245,7 @@ def compare_policies(policy_factories: dict[str, callable],
         if stats is not None:
             stats.count("fused_groups", len(groups))
     else:
-        tasks = [(factories, kernel, arch, power_model, seed, epoch_s)
-                 for kernel in kernels]
+        tasks = [(factories, kernel, arch, seed) for kernel in kernels]
         outcomes = [outcome for kernel_outcomes in parallel_map(
                         _kernel_task, tasks, workers=workers, stats=stats,
                         stage="evaluation", checkpoint=checkpoint,

@@ -11,7 +11,7 @@ keep its promises?  Three invariants are checked continuously:
    re-validated outside the guard; a single malformed decision fails
    the soak.
 2. **Bounded performance loss** — end-to-end normalized latency stays
-   within ``preset + latency_slack`` despite the injected chaos (the
+   within ``preset + LATENCY_SLACK`` despite the injected chaos (the
    guard's fallback is the baseline operating point, so a healthy
    recovery cannot blow the budget).
 3. **Bounded recovery** — after the mid-run staleness injection the
@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.combined import PAIR_SCHEMA, SSMDVFSModel
 from ..core.controller import SSMDVFSController
-from ..core.drift import DriftConfig, DriftMonitor, RollbackManager
+from ..core.drift import DriftMonitor, RollbackManager
 from ..core.guarded import GuardedController
 from ..core.policy import StaticPolicy, policy_counters, validate_decision
 from ..errors import PolicyError
@@ -57,6 +57,14 @@ SOAK_ARTIFACT = "soak-pair"
 #: Registry key the crash-write torture writes to.
 SOAK_TORTURE_ARTIFACT = "soak-torture"
 
+#: Guard tolerance on top of the preset for invariant 2 (fraction of
+#: the fault-free baseline latency).
+LATENCY_SLACK = 0.15
+#: Consecutive invalid decisions before the soak's guard trips.
+TRIP_THRESHOLD = 4
+#: Epoch cap of one soak run (far beyond any suite kernel's length).
+MAX_EPOCHS = 100_000
+
 
 @dataclass(frozen=True)
 class SoakConfig:
@@ -69,27 +77,21 @@ class SoakConfig:
     scales the weight perturbation relative to each layer's weight
     spread (3x is unambiguous garbage — the soak tests recovery, not
     detection sensitivity).  ``recovery_epochs`` budgets detection +
-    rollback; ``latency_slack`` is the guard tolerance on top of the
-    preset for invariant 2.
+    rollback.
     """
 
     preset: float = 0.10
-    latency_slack: float = 0.15
-    epoch_s: float = us(10)
     seed: int = 3
     faults: FaultConfig = field(default_factory=lambda: FaultConfig(
         counter_dropout=0.01, counter_nan=0.0005, counter_spike=0.0005))
-    drift: DriftConfig = field(default_factory=DriftConfig)
     stale_fraction: float = 0.3
     stale_sigma: float = 3.0
     recovery_epochs: int = 60
-    trip_threshold: int = 4
     crash_write_trials: int = 32
-    max_epochs: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.preset < 0 or self.latency_slack < 0:
-            raise PolicyError("preset and latency_slack cannot be negative")
+        if self.preset < 0:
+            raise PolicyError("preset cannot be negative")
         if not 0.0 < self.stale_fraction < 1.0:
             raise PolicyError("stale_fraction must be in (0, 1)")
         if self.stale_sigma <= 0:
@@ -245,12 +247,13 @@ class _SoakProbe:
 
 
 def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
-                     arch: GPUArchConfig, power_model: PowerModel,
-                     store: ArtifactStore, config: SoakConfig,
+                     arch: GPUArchConfig, store: ArtifactStore,
+                     config: SoakConfig,
                      seed: int) -> tuple[KernelSoak, Counter]:
     """One long-horizon run with faults + mid-run staleness injection."""
+    power_model = PowerModel()
     baseline = GPUSimulator(arch, kernel, power_model, seed=seed,
-                            epoch_s=config.epoch_s).run(
+                            epoch_s=us(10)).run(
         StaticPolicy(arch.vf_table.default_level), keep_records=False)
     stale_epoch = max(2, int(baseline.epochs * config.stale_fraction))
 
@@ -258,16 +261,15 @@ def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
     rollback = RollbackManager(
         store, SOAK_ARTIFACT,
         lambda restored: SSMDVFSController(restored, preset=config.preset))
-    guarded = GuardedController(controller,
-                                trip_threshold=config.trip_threshold,
-                                drift_monitor=DriftMonitor(config.drift),
+    guarded = GuardedController(controller, trip_threshold=TRIP_THRESHOLD,
+                                drift_monitor=DriftMonitor(),
                                 rollback=rollback)
     policy = FaultyPolicy(guarded, config.faults.with_seed(seed))
     probe = _SoakProbe(policy, guarded, stale_epoch, config.stale_sigma,
                        np.random.default_rng(seed ^ 0x5A5A))
     run = GPUSimulator(arch, kernel, power_model, seed=seed,
-                       epoch_s=config.epoch_s).run(
-        probe, max_epochs=config.max_epochs, keep_records=False)
+                       epoch_s=us(10)).run(
+        probe, max_epochs=MAX_EPOCHS, keep_records=False)
 
     return KernelSoak(
         kernel_name=kernel.name,
@@ -285,8 +287,7 @@ def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
 
 def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
              arch: GPUArchConfig, store_root: str | Path,
-             config: SoakConfig | None = None,
-             power_model: PowerModel | None = None) -> SoakResult:
+             config: SoakConfig | None = None) -> SoakResult:
     """Run the chaos soak; returns per-kernel records + verdicts.
 
     The trusted pair is registered in an :class:`ArtifactStore` at
@@ -299,7 +300,6 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
     pure function of ``(model, kernels, arch, config)``.
     """
     config = config or SoakConfig()
-    power_model = power_model or PowerModel()
     store = ArtifactStore(store_root)
     for name in (SOAK_ARTIFACT, SOAK_TORTURE_ARTIFACT):
         store.drop(name)
@@ -308,7 +308,7 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
 
     result = SoakResult(
         preset=config.preset,
-        latency_tolerance=1.0 + config.preset + config.latency_slack,
+        latency_tolerance=1.0 + config.preset + LATENCY_SLACK,
         seed=config.seed)
 
     certify_crash_writes(result, store, SOAK_TORTURE_ARTIFACT,
@@ -320,8 +320,8 @@ def run_soak(model: SSMDVFSModel, kernels: list[KernelProfile],
         # mutates weights in place and must not leak across kernels
         # (or into the caller's model).
         record, run_counters = _soak_one_kernel(
-            SSMDVFSModel.from_bytes(model.to_bytes()), kernel, arch,
-            power_model, store, config, seed=config.seed + 101 * index)
+            SSMDVFSModel.from_bytes(model.to_bytes()), kernel, arch, store,
+            config, seed=config.seed + 101 * index)
         result.records.append(record)
         result.counters.update(run_counters)
         if record.invalid_decisions:

@@ -263,8 +263,7 @@ class FaultyPolicy:
         return decision
 
 
-def build_faulty_policy(factory, config: FaultConfig, *, guard: bool = True,
-                        **guard_kwargs):
+def build_faulty_policy(factory, config: FaultConfig, *, guard: bool = True):
     """``factory()`` wrapped for a fault campaign.
 
     Composition order is deployment's: the guard wraps the raw policy,
@@ -277,7 +276,7 @@ def build_faulty_policy(factory, config: FaultConfig, *, guard: bool = True,
     from .core.guarded import GuardedController
     inner = factory()
     if guard:
-        inner = GuardedController(inner, **guard_kwargs)
+        inner = GuardedController(inner)
     return FaultyPolicy(inner, config)
 
 
@@ -335,6 +334,14 @@ class NodeFaultEvent:
                 "magnitude": self.magnitude}
 
 
+#: Node outages last an exponential time with this mean (s) ...
+MEAN_OUTAGE_S = 300e-6
+#: ... floored at this minimum (s).
+MIN_OUTAGE_S = 30e-6
+#: Temperature rise of an injected thermal-runaway event (°C).
+THERMAL_SPIKE_C = 45.0
+
+
 @dataclass(frozen=True)
 class NodeFaultConfig(FaultRateConfig):
     """Declarative description of one fleet-level fault scenario.
@@ -342,9 +349,9 @@ class NodeFaultConfig(FaultRateConfig):
     Each ``*_rate`` is the *expected number of events of that kind per
     node over the plan horizon* (a Poisson intensity, so a rate of 0.5
     over 16 nodes draws ~8 events).  Outage durations are drawn
-    exponentially with mean ``mean_outage_s``, floored at
-    ``min_outage_s``.  ``thermal_spike_c`` is the injected temperature
-    rise of a thermal-runaway event and ``storm_slowdown`` the service
+    exponentially with mean :data:`MEAN_OUTAGE_S`, floored at
+    :data:`MIN_OUTAGE_S`; a thermal-runaway event adds
+    :data:`THERMAL_SPIKE_C`.  ``storm_slowdown`` is the service
     stretch a sensor-corruption storm imposes on jobs dispatched into
     it (the guard pins its fallback level, trading speed for safety).
     All draws come from one stream derived from ``seed``.
@@ -354,9 +361,6 @@ class NodeFaultConfig(FaultRateConfig):
     hang_rate: float = 0.0
     thermal_rate: float = 0.0
     storm_rate: float = 0.0
-    mean_outage_s: float = 300e-6
-    min_outage_s: float = 30e-6
-    thermal_spike_c: float = 45.0
     storm_slowdown: float = 1.5
     seed: int = 0
 
@@ -365,11 +369,6 @@ class NodeFaultConfig(FaultRateConfig):
 
     def __post_init__(self) -> None:
         self._check_rates(FleetFaultError, None)
-        if self.min_outage_s <= 0 or self.mean_outage_s < self.min_outage_s:
-            raise FleetFaultError(
-                "outage durations need 0 < min_outage_s <= mean_outage_s")
-        if self.thermal_spike_c <= 0:
-            raise FleetFaultError("thermal_spike_c must be positive")
         if self.storm_slowdown < 1.0:
             raise FleetFaultError(
                 "storm_slowdown must be >= 1 (a storm cannot speed "
@@ -434,10 +433,10 @@ class NodeFaultPlan(FaultPlan):
             for _ in range(count):
                 at_s = float(rng.uniform(0.0, horizon_s))
                 node_id = int(rng.integers(num_nodes))
-                duration = max(config.min_outage_s, float(rng.exponential(
-                    config.mean_outage_s)))
+                duration = max(MIN_OUTAGE_S, float(rng.exponential(
+                    MEAN_OUTAGE_S)))
                 if kind == "thermal":
-                    magnitude = config.thermal_spike_c
+                    magnitude = THERMAL_SPIKE_C
                 elif kind == "sensor_storm":
                     magnitude = config.storm_slowdown
                 else:
@@ -527,6 +526,19 @@ class ServeFaultEvent:
                 "magnitude": self.magnitude}
 
 
+#: Windowed serving faults last an exponential number of ticks with
+#: this mean ...
+MEAN_DURATION_TICKS = 6.0
+#: ... floored at this minimum.
+MIN_DURATION_TICKS = 2
+#: Latency multiplier of an inference stall.
+STALL_STRETCH = 20.0
+#: Arrival multiplier of an overload burst.
+BURST_MULTIPLIER = 4.0
+#: Duplication factor of a telemetry storm.
+STORM_DUPLICATES = 3.0
+
+
 @dataclass(frozen=True)
 class ServeFaultConfig(FaultRateConfig):
     """Declarative description of one serving-chaos scenario.
@@ -535,11 +547,10 @@ class ServeFaultConfig(FaultRateConfig):
     over the horizon, ``storm_rate`` / ``gap_rate`` per stream, and
     ``stall_rate`` / ``poison_rate`` / ``burst_rate`` runtime-wide —
     all Poisson intensities drawn from one stream derived from
-    ``seed``.  Windowed faults last ``min_duration_ticks`` to roughly
-    ``mean_duration_ticks`` (exponential).  ``stall_stretch`` is the
-    latency multiplier of an inference stall, ``burst_multiplier`` the
-    arrival multiplier of an overload burst, ``storm_duplicates`` the
-    duplication factor of a telemetry storm.
+    ``seed``.  Durations and magnitudes are the module constants
+    :data:`MEAN_DURATION_TICKS`, :data:`MIN_DURATION_TICKS`,
+    :data:`STALL_STRETCH`, :data:`BURST_MULTIPLIER` and
+    :data:`STORM_DUPLICATES`.
     """
 
     crash_rate: float = 0.0
@@ -549,11 +560,6 @@ class ServeFaultConfig(FaultRateConfig):
     gap_rate: float = 0.0
     poison_rate: float = 0.0
     burst_rate: float = 0.0
-    mean_duration_ticks: float = 6.0
-    min_duration_ticks: int = 2
-    stall_stretch: float = 20.0
-    burst_multiplier: float = 4.0
-    storm_duplicates: float = 3.0
     seed: int = 0
 
     RATE_FIELDS: ClassVar[tuple[str, ...]] = (
@@ -562,17 +568,6 @@ class ServeFaultConfig(FaultRateConfig):
 
     def __post_init__(self) -> None:
         self._check_rates(ServeFaultError, None)
-        if (self.min_duration_ticks < 1
-                or self.mean_duration_ticks < self.min_duration_ticks):
-            raise ServeFaultError(
-                "durations need 1 <= min_duration_ticks <= "
-                "mean_duration_ticks")
-        if self.stall_stretch < 1.0:
-            raise ServeFaultError("stall_stretch must be >= 1")
-        if self.burst_multiplier < 1.0:
-            raise ServeFaultError("burst_multiplier must be >= 1")
-        if self.storm_duplicates < 1.0:
-            raise ServeFaultError("storm_duplicates must be >= 1")
 
 
 class ServeFaultPlan(FaultPlan):
@@ -607,8 +602,8 @@ class ServeFaultPlan(FaultPlan):
             count = int(rng.poisson(rate * scale)) if rate > 0 else 0
             for _ in range(count):
                 at_tick = int(rng.integers(horizon_ticks))
-                duration = max(config.min_duration_ticks, int(round(
-                    rng.exponential(config.mean_duration_ticks))))
+                duration = max(MIN_DURATION_TICKS, int(round(
+                    rng.exponential(MEAN_DURATION_TICKS))))
                 if kind in _SERVE_WORKER_KINDS:
                     target = int(rng.integers(num_workers))
                 elif kind in _SERVE_STREAM_KINDS:
@@ -616,11 +611,11 @@ class ServeFaultPlan(FaultPlan):
                 else:
                     target = -1
                 if kind == "inference_stall":
-                    magnitude = config.stall_stretch
+                    magnitude = STALL_STRETCH
                 elif kind == "overload_burst":
-                    magnitude = config.burst_multiplier
+                    magnitude = BURST_MULTIPLIER
                 elif kind == "telemetry_storm":
-                    magnitude = config.storm_duplicates
+                    magnitude = STORM_DUPLICATES
                 else:
                     magnitude = 1.0
                 events.append(ServeFaultEvent(
@@ -650,11 +645,9 @@ class ServeFaultPlan(FaultPlan):
 class FlakyTask:
     """Picklable proxy injecting process faults into campaign tasks.
 
-    Wraps a campaign task function; for each task it decides
-    *deterministically* (from ``seed`` and the task's content hash)
-    whether to fault, and the first ``faults_per_task`` attempts of a
-    faulted task then crash the hosting worker (``mode="exit"``), hang
-    it (``mode="hang"``) or raise :class:`FaultInjectionError`
+    Wraps a campaign task function; the first ``faults_per_task``
+    attempts of every task crash the hosting worker (``mode="exit"``),
+    hang it (``mode="hang"``) or raise :class:`FaultInjectionError`
     (``mode="raise"``).  Later attempts run the real task, so a
     retrying campaign converges to the fault-free result.  Attempt
     counting uses marker files under ``state_dir`` because a hard-killed
@@ -664,43 +657,31 @@ class FlakyTask:
     #: Worker exit code used by ``mode="exit"`` (diagnosable in logs).
     EXIT_CODE = 23
 
-    def __init__(self, fn, state_dir: str | Path, *, fault_rate: float = 1.0,
-                 mode: str = "exit", hang_s: float = 3600.0,
-                 faults_per_task: int = 1, seed: int = 0) -> None:
+    def __init__(self, fn, state_dir: str | Path, *, mode: str = "exit",
+                 hang_s: float = 3600.0, faults_per_task: int = 1) -> None:
         if mode not in ("exit", "hang", "raise"):
             raise FaultInjectionError(
                 f"unknown fault mode {mode!r}; expected exit/hang/raise")
-        if not 0.0 <= fault_rate <= 1.0:
-            raise FaultInjectionError("fault_rate must be in [0, 1]")
         if faults_per_task < 0:
             raise FaultInjectionError("faults_per_task cannot be negative")
         self.fn = fn
         self.state_dir = Path(state_dir)
-        self.fault_rate = float(fault_rate)
         self.mode = mode
         self.hang_s = float(hang_s)
         self.faults_per_task = int(faults_per_task)
-        self.seed = int(seed)
 
     def _task_key(self, task) -> str:
         try:
             blob = pickle.dumps(task)
         except Exception:  # unpicklable task: fall back to repr identity
             blob = repr(task).encode()
-        return hashlib.sha256(
-            str(self.seed).encode() + b":" + blob).hexdigest()[:16]
-
-    def _should_fault(self, key: str) -> bool:
-        if self.fault_rate >= 1.0:
-            return True
-        draw = int(hashlib.sha256(f"draw:{key}".encode()).hexdigest()[:8], 16)
-        return draw / 0xFFFFFFFF < self.fault_rate
+        return hashlib.sha256(blob).hexdigest()[:16]
 
     def __call__(self, task):
         key = self._task_key(task)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         attempts = len(list(self.state_dir.glob(f"{key}.*")))
-        if attempts < self.faults_per_task and self._should_fault(key):
+        if attempts < self.faults_per_task:
             (self.state_dir / f"{key}.{attempts}").touch()
             if self.mode == "exit":
                 os._exit(self.EXIT_CODE)

@@ -21,7 +21,7 @@ retuning arrival rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,15 @@ JOB_CLASSES = (LATENCY, THROUGHPUT)
 
 #: Builtin arrival-trace shapes accepted by :func:`build_trace`.
 BUILTIN_TRACES = ("steady", "burst", "diurnal")
+
+#: Deadline = arrival + factor x expected service, per job class.  Both
+#: factors exceed 1: a deadline below the service estimate is unmeetable.
+LATENCY_DEADLINE_FACTOR = 2.5
+THROUGHPUT_DEADLINE_FACTOR = 8.0
+#: Near-simultaneous arrivals per burst of the "burst" trace.
+BURST_SIZE = 8
+#: Rate cycles over the horizon of the "diurnal" trace.
+DIURNAL_PERIODS = 2.0
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,8 @@ class TraceConfig:
     back service capacity over ``nodes`` GPUs; values above 1 oversubscribe
     the fleet and force queueing (and, eventually, SLO violations).
     ``latency_fraction`` is the probability a job is latency-sensitive.
-    Deadlines are ``arrival + factor * expected_service`` per class.
+    Deadlines are ``arrival + factor * expected_service`` per class
+    (:data:`LATENCY_DEADLINE_FACTOR`, :data:`THROUGHPUT_DEADLINE_FACTOR`).
     """
 
     trace: str = "steady"
@@ -76,12 +86,7 @@ class TraceConfig:
     latency_fraction: float = 0.6
     latency_duration_s: float = 100e-6
     throughput_duration_s: float = 400e-6
-    latency_deadline_factor: float = 2.5
-    throughput_deadline_factor: float = 8.0
-    burst_size: int = 8
-    diurnal_periods: float = 2.0
     seed: int = 0
-    kernel_names: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.trace not in BUILTIN_TRACES:
@@ -97,26 +102,14 @@ class TraceConfig:
             raise FleetError("latency_fraction must be in [0, 1]")
         if self.latency_duration_s <= 0 or self.throughput_duration_s <= 0:
             raise FleetError("job durations must be positive")
-        if (self.latency_deadline_factor <= 1.0
-                or self.throughput_deadline_factor <= 1.0):
-            raise FleetError("deadline factors must exceed 1 (a deadline "
-                             "below the service estimate is unmeetable)")
-        if self.burst_size < 1:
-            raise FleetError("burst_size must be >= 1")
-        if self.diurnal_periods <= 0:
-            raise FleetError("diurnal_periods must be positive")
 
 
-def _kernel_pool(arch: GPUArchConfig, duration_s: float,
-                 names: tuple[str, ...]) -> list[tuple[KernelProfile, float]]:
-    """(scaled kernel, noiseless service estimate) pairs for one class."""
-    kernels = evaluation_suite()
-    if names:
-        kernels = [k for k in kernels if k.name in names]
-        if not kernels:
-            raise FleetError(f"no evaluation kernels match {names!r}")
+def _kernel_pool(arch: GPUArchConfig,
+                 duration_s: float) -> list[tuple[KernelProfile, float]]:
+    """(scaled kernel, noiseless service estimate) pairs for one class,
+    over the whole evaluation suite."""
     pool = []
-    for kernel in kernels:
+    for kernel in evaluation_suite():
         scaled = scale_kernel_to_duration(kernel, arch, duration_s)
         pool.append((scaled, estimate_default_duration(scaled, arch)))
     return pool
@@ -128,23 +121,22 @@ def _arrival_gaps(config: TraceConfig, rng: np.random.Generator,
     if config.trace == "steady":
         return rng.exponential(mean_gap_s, size=config.jobs)
     if config.trace == "burst":
-        # Bursts of `burst_size` near-simultaneous arrivals separated by
+        # Bursts of BURST_SIZE near-simultaneous arrivals separated by
         # compensating idle gaps, preserving the configured mean rate.
         gaps = np.empty(config.jobs)
         for index in range(config.jobs):
-            if index % config.burst_size == 0 and index > 0:
-                gaps[index] = rng.exponential(
-                    mean_gap_s * config.burst_size)
+            if index % BURST_SIZE == 0 and index > 0:
+                gaps[index] = rng.exponential(mean_gap_s * BURST_SIZE)
             else:
                 gaps[index] = rng.exponential(mean_gap_s * 0.05)
         return gaps
     # Diurnal: a sinusoid modulates the instantaneous rate between
-    # 0.25x and 1.75x the mean over `diurnal_periods` cycles.
+    # 0.25x and 1.75x the mean over DIURNAL_PERIODS cycles.
     horizon = mean_gap_s * config.jobs
     gaps = np.empty(config.jobs)
     now = 0.0
     for index in range(config.jobs):
-        phase = 2.0 * math.pi * config.diurnal_periods * now / horizon
+        phase = 2.0 * math.pi * DIURNAL_PERIODS * now / horizon
         rate_scale = 1.0 + 0.75 * math.sin(phase)
         gaps[index] = rng.exponential(mean_gap_s / max(rate_scale, 0.25))
         now += gaps[index]
@@ -159,10 +151,8 @@ def build_trace(arch: GPUArchConfig, config: TraceConfig) -> list[Job]:
     makes a fleet replay reproducible end to end.
     """
     rng = np.random.default_rng(config.seed)
-    latency_pool = _kernel_pool(arch, config.latency_duration_s,
-                                config.kernel_names)
-    throughput_pool = _kernel_pool(arch, config.throughput_duration_s,
-                                   config.kernel_names)
+    latency_pool = _kernel_pool(arch, config.latency_duration_s)
+    throughput_pool = _kernel_pool(arch, config.throughput_duration_s)
 
     mean_service = (
         config.latency_fraction
@@ -180,11 +170,11 @@ def build_trace(arch: GPUArchConfig, config: TraceConfig) -> list[Job]:
         if rng.random() < config.latency_fraction:
             job_class = LATENCY
             pool = latency_pool
-            factor = config.latency_deadline_factor
+            factor = LATENCY_DEADLINE_FACTOR
         else:
             job_class = THROUGHPUT
             pool = throughput_pool
-            factor = config.throughput_deadline_factor
+            factor = THROUGHPUT_DEADLINE_FACTOR
         kernel, expected_s = pool[int(rng.integers(len(pool)))]
         jobs.append(Job(
             job_id=job_id,

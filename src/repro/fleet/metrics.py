@@ -42,14 +42,13 @@ TAIL_PERCENTILES = (50, 95, 99)
 SHED_REASONS = ("unmeetable", "migration_limit", "stranded")
 
 
-def tail_latencies(latencies_s: list[float],
-                   percentiles: tuple[int, ...] = TAIL_PERCENTILES
-                   ) -> dict[str, float]:
+def tail_latencies(latencies_s: list[float]) -> dict[str, float]:
     """``{"p50": ..., "p95": ..., "p99": ...}`` over a latency sample."""
     if not latencies_s:
-        return {f"p{p}": 0.0 for p in percentiles}
+        return {f"p{p}": 0.0 for p in TAIL_PERCENTILES}
     values = np.asarray(latencies_s, dtype=float)
-    return {f"p{p}": float(np.percentile(values, p)) for p in percentiles}
+    return {f"p{p}": float(np.percentile(values, p))
+            for p in TAIL_PERCENTILES}
 
 
 @dataclass(frozen=True)
@@ -199,10 +198,9 @@ class FleetResult:
         """Fleet energy-delay product: total energy x makespan."""
         return self.total_energy_j * self.makespan_s
 
-    def violations(self, job_class: str | None = None) -> int:
-        """Count of deadline misses (optionally for one class)."""
-        return sum(1 for o in self.outcomes if o.violated
-                   and (job_class is None or o.job_class == job_class))
+    def violations(self) -> int:
+        """Count of deadline misses."""
+        return sum(1 for o in self.outcomes if o.violated)
 
     def slo_violation_rate(self, job_class: str | None = None) -> float:
         """Fraction of completed jobs that missed their deadline."""

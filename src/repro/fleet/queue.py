@@ -32,6 +32,10 @@ from dataclasses import dataclass
 from ..errors import FleetError
 from .jobs import THROUGHPUT, Job
 
+#: Job classes admission control may shed: throughput only, since
+#: latency jobs are the SLO the fleet is judged on.
+SHEDDABLE_CLASSES = (THROUGHPUT,)
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -41,16 +45,15 @@ class AdmissionConfig:
     behaviour).  When enabled, a job popped for dispatch whose
     remaining service estimate can no longer meet its deadline — even
     if started immediately — is shed *iff* its class is in
-    ``sheddable_classes`` (throughput-class by default: latency jobs
-    are the SLO the fleet is judged on, so they run and get accounted
-    as violations, which is what should page an operator).
+    :data:`SHEDDABLE_CLASSES` (throughput only: latency jobs are the
+    SLO the fleet is judged on, so they run and get accounted as
+    violations, which is what should page an operator).
     ``slack_s`` grants extra grace beyond the deadline before a job
     counts as unmeetable.
     """
 
     enabled: bool = False
     slack_s: float = 0.0
-    sheddable_classes: tuple[str, ...] = (THROUGHPUT,)
 
     def __post_init__(self) -> None:
         if self.slack_s < 0:
@@ -59,7 +62,7 @@ class AdmissionConfig:
     def sheddable(self, job: Job, now_s: float,
                   remaining_estimate_s: float) -> bool:
         """True when ``job`` should be shed instead of dispatched."""
-        if not self.enabled or job.job_class not in self.sheddable_classes:
+        if not self.enabled or job.job_class not in SHEDDABLE_CLASSES:
             return False
         return now_s + remaining_estimate_s > job.deadline_s + self.slack_s
 

@@ -66,10 +66,9 @@ from ..core.policy import ModelOraclePolicy, StaticPolicy, policy_counters
 from ..errors import FleetError, FleetFaultError
 from ..faults import NodeFaultPlan
 from ..gpu.arch import GPUArchConfig
-from ..gpu.simulator import DEFAULT_EPOCH_S, GPUSimulator
+from ..gpu.simulator import GPUSimulator
 from ..parallel import (CampaignCheckpoint, CampaignStats, derive_seed,
                         parallel_map)
-from ..power.model import PowerModel
 from .jobs import Job
 from .metrics import FleetResult, JobOutcome, ShedJob
 from .queue import AdmissionConfig, PendingJobQueue
@@ -124,10 +123,9 @@ def _simulate_job(task: tuple) -> tuple[float, float, int, float,
     The mean operating level feeds the node tracker's frequency state;
     the policy stack's counters travel back for ``--stats``.
     """
-    factory, kernel, arch, power_model, seed, epoch_s = task
+    factory, kernel, arch, seed = task
     policy = factory()
-    simulator = GPUSimulator(arch, kernel, power_model, seed=seed,
-                             epoch_s=epoch_s)
+    simulator = GPUSimulator(arch, kernel, seed=seed)
     result = simulator.run(policy, keep_records=True)
     if result.records:
         mean_level = float(np.mean([np.mean(r.levels)
@@ -207,9 +205,7 @@ class ClusterScheduler:
 
     def __init__(self, arch: GPUArchConfig, factory: Callable[[], object],
                  *, num_nodes: int, policy_name: str = "policy",
-                 power_model: PowerModel | None = None, seed: int = 0,
-                 epoch_s: float = DEFAULT_EPOCH_S,
-                 thermal: ThermalConfig | None = None,
+                 seed: int = 0, thermal: ThermalConfig | None = None,
                  workers: int | None = None,
                  stats: CampaignStats | None = None,
                  checkpoint: CampaignCheckpoint | None = None,
@@ -226,10 +222,7 @@ class ClusterScheduler:
         self.factory = factory
         self.num_nodes = int(num_nodes)
         self.policy_name = policy_name
-        self.power_model = power_model or PowerModel.scaled_for(
-            arch.num_clusters)
         self.seed = int(seed)
-        self.epoch_s = float(epoch_s)
         self.thermal = thermal
         self.workers = workers
         self.stats = stats if stats is not None else CampaignStats()
@@ -244,9 +237,8 @@ class ClusterScheduler:
     # ------------------------------------------------------------------
     def _simulate(self, jobs: Sequence[Job]) -> list[tuple]:
         """Phase 1: per-job simulations through the campaign layer."""
-        tasks = [(self.factory, job.kernel, self.arch, self.power_model,
-                  derive_seed(self.seed, "fleet-job", job.job_id),
-                  self.epoch_s)
+        tasks = [(self.factory, job.kernel, self.arch,
+                  derive_seed(self.seed, "fleet-job", job.job_id))
                  for job in jobs]
         outcomes = parallel_map(_simulate_job, tasks, workers=self.workers,
                                 stats=self.stats, stage="fleet-simulate",

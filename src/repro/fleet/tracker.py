@@ -40,6 +40,8 @@ from .jobs import Job
 
 #: Ambient temperature of the thermal proxy (deg C).
 AMBIENT_C = 35.0
+#: Temperature rise of the thermal proxy per joule dissipated (deg C / J).
+HEAT_PER_JOULE = 40.0
 
 #: Health FSM states, healthiest first (placement priority order).
 HEALTHY = "healthy"
@@ -161,15 +163,12 @@ class ThermalConfig:
     """First-order RC thermal proxy: heat per joule, exponential cool-down."""
 
     ambient_c: float = AMBIENT_C
-    #: Temperature rise per joule of dissipated energy (deg C / J).
-    heat_per_joule: float = 40.0
     #: Cool-down time constant (seconds of simulated fleet time).
     tau_s: float = 2e-3
 
     def __post_init__(self) -> None:
-        if self.heat_per_joule < 0 or self.tau_s <= 0:
-            raise FleetError("thermal proxy needs heat_per_joule >= 0 "
-                             "and tau_s > 0")
+        if self.tau_s <= 0:
+            raise FleetError("thermal proxy needs tau_s > 0")
 
 
 class NodeTracker:
@@ -357,7 +356,7 @@ class NodeTracker:
         node.busy_s += service_s
         node.energy_j += energy_j
         node.last_level_mean = mean_level
-        node.temperature_c += self.thermal.heat_per_joule * energy_j
+        node.temperature_c += HEAT_PER_JOULE * energy_j
         node.peak_temperature_c = max(node.peak_temperature_c,
                                       node.temperature_c)
 
@@ -373,7 +372,7 @@ class NodeTracker:
         node.busy_s += busy_s
         node.energy_j += energy_j
         node.preemptions += 1
-        node.temperature_c += self.thermal.heat_per_joule * energy_j
+        node.temperature_c += HEAT_PER_JOULE * energy_j
         node.peak_temperature_c = max(node.peak_temperature_c,
                                       node.temperature_c)
 

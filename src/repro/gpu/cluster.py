@@ -75,8 +75,7 @@ QROW_WIDTH = NUM_ACTIVITY_SLOTS + 2
 
 
 def quantum_rows_batch(arch: GPUArchConfig, params: np.ndarray,
-                       solutions: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       solutions: np.ndarray) -> np.ndarray:
     """Per-instruction quantum rows of a solved batch.
 
     ``params`` is the ``(n, NUM_PHASE_PARAMS)`` phase-parameter matrix
@@ -91,9 +90,7 @@ def quantum_rows_batch(arch: GPUArchConfig, params: np.ndarray,
     bandwidth utilisation.  Elementwise ops only, so a row never
     depends on the other rows of the batch.
     """
-    n = params.shape[0]
-    rows = out if out is not None else np.empty((n, QROW_WIDTH),
-                                                dtype=np.float64)
+    rows = np.empty((params.shape[0], QROW_WIDTH), dtype=np.float64)
     cpi = solutions[:, SOL_CPI]
     rows[:, A_BUSY_S] = 0.0
     rows[:, A_CYCLES] = cpi

@@ -137,13 +137,12 @@ class DetailedClusterRunner:
     """
 
     def __init__(self, arch: GPUArchConfig, kernel: KernelProfile,
-                 power_model: PowerModel | None = None,
                  epoch_cycles: int = 2000, seed: int = 0) -> None:
         if epoch_cycles <= 0:
             raise SimulationError("epoch_cycles must be positive")
         self.arch = arch
         self.kernel = kernel
-        self.power_model = power_model or PowerModel.scaled_for(1)
+        self.power_model = PowerModel.scaled_for(1)
         self.epoch_cycles = int(epoch_cycles)
         self.seed = seed
 

@@ -58,9 +58,12 @@ class DetailedResult:
 class DetailedSM:
     """One SM cluster simulated cycle by cycle."""
 
+    #: L1 data cache geometry: 24 KiB, 6-way set associative.
+    L1_SIZE_BYTES = 24 * 1024
+    L1_WAYS = 6
+
     def __init__(self, arch: GPUArchConfig, phase: Phase, frequency_hz: float,
-                 seed: int = 0, l1_size_bytes: int = 24 * 1024,
-                 l1_ways: int = 6) -> None:
+                 seed: int = 0) -> None:
         if frequency_hz <= 0:
             raise SimulationError("frequency must be positive")
         self.arch = arch
@@ -69,7 +72,7 @@ class DetailedSM:
         self.rng = np.random.default_rng(seed)
         self.num_warps = int(min(arch.max_warps_per_cluster,
                                  max(1, round(phase.active_warps))))
-        self.l1 = SetAssociativeCache(l1_size_bytes, l1_ways,
+        self.l1 = SetAssociativeCache(self.L1_SIZE_BYTES, self.L1_WAYS,
                                       arch.cache_line_bytes)
         self.memsys = MemorySubsystem(arch.l2_latency_ns,
                                       arch.dram_latency_ns,

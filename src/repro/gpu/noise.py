@@ -107,6 +107,9 @@ class WorkloadNoise:
     stream, so any replay — at any frequency, from any snapshot — sees
     identical multipliers at identical workload positions.
 
+    Each track is :class:`AR1Jitter`'s recurrence with mean reversion
+    :attr:`RHO` and clip half-width :attr:`CLIP`.
+
     ``track_id`` names the track's values for the solution cache.
     ``track_key`` identifies the RNG stream's content (the simulator
     passes ``(seed, cluster id, kernel name, jitter)``); tracks built
@@ -117,9 +120,12 @@ class WorkloadNoise:
 
     #: Instructions covered by one noise chunk.
     DEFAULT_CHUNK = 2048
+    #: Mean-reversion coefficient of every track.
+    RHO = 0.85
+    #: Hard clip half-width of every track.
+    CLIP = 0.45
 
     def __init__(self, rng: np.random.Generator, sigma: float,
-                 rho: float = 0.85, clip: float = 0.45,
                  chunk_instructions: int = DEFAULT_CHUNK,
                  track_key: tuple | None = None) -> None:
         if sigma < 0:
@@ -128,12 +134,10 @@ class WorkloadNoise:
             raise SimulationError("chunk_instructions must be positive")
         self._rng = rng
         self.sigma = float(sigma)
-        self.rho = float(rho)
-        self.clip = float(clip)
         self.chunk_instructions = int(chunk_instructions)
         self.track_id = (FLAT_TRACK_ID if self.sigma == 0.0 else _track_id(
             None if track_key is None else
-            (track_key, self.sigma, self.rho, self.clip,
+            (track_key, self.sigma, self.RHO, self.CLIP,
              self.chunk_instructions)))
         # Three independent AR(1) tracks, grown lazily and never mutated.
         self._tracks: list[list[float]] = [[], [], []]
@@ -157,10 +161,10 @@ class WorkloadNoise:
         have = len(self._tracks[0])
         if have > chunk:
             return
-        low, high = 1.0 - self.clip, 1.0 + self.clip
+        low, high = 1.0 - self.CLIP, 1.0 + self.CLIP
         count = max(chunk + 1 - have, self._EXTEND_BLOCK)
         draws = (self.sigma * self._rng.standard_normal(3 * count)).tolist()
-        rho = self.rho
+        rho = self.RHO
         track0, track1, track2 = self._tracks
         append0, append1, append2 = (track0.append, track1.append,
                                      track2.append)

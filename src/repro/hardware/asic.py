@@ -24,6 +24,22 @@ from .scaling import scale_area, scale_energy
 #: Weight precision of the paper's module (FP32, §V-D).
 WEIGHT_BITS = 32
 
+# Published 65 nm figures the model is built from.
+#: Technology node of the constants below (nm).
+REFERENCE_NODE_NM = 65
+#: Area of one FP32 multiply-accumulate unit (mm²).
+MAC_AREA_MM2 = 0.020
+#: Single-port SRAM area (mm² per bit, i.e. 0.55 um²/bit).
+SRAM_AREA_MM2_PER_BIT = 0.55e-6
+#: SRAM read energy (J per bit).
+SRAM_READ_ENERGY_J_PER_BIT = 0.05e-12
+#: Control logic area as a fraction of datapath + SRAM.
+CONTROL_AREA_OVERHEAD = 0.35
+#: Pipeline fill cycles per layer.
+PIPELINE_CYCLES_PER_LAYER = 4
+#: Input/output transfer cycles per inference.
+IO_CYCLES = 12
+
 
 @dataclass(frozen=True)
 class ASICConfig:
@@ -36,25 +52,16 @@ class ASICConfig:
 
     num_macs: int = 1
     clock_hz: float = 1165e6
-    mac_area_mm2: float = 0.020
     mac_energy_j: float = 12e-12
-    sram_area_mm2_per_bit: float = 0.55e-6
-    sram_read_energy_j_per_bit: float = 0.05e-12
-    control_area_overhead: float = 0.35
-    pipeline_cycles_per_layer: int = 4
-    io_cycles: int = 12
     leakage_fraction: float = 0.15
-    reference_node_nm: int = 65
 
     def __post_init__(self) -> None:
         if self.num_macs < 1:
             raise HardwareModelError("need at least one MAC unit")
         if self.clock_hz <= 0:
             raise HardwareModelError("clock must be positive")
-        for name in ("mac_area_mm2", "mac_energy_j",
-                     "sram_area_mm2_per_bit", "sram_read_energy_j_per_bit"):
-            if getattr(self, name) <= 0:
-                raise HardwareModelError(f"{name} must be positive")
+        if self.mac_energy_j <= 0:
+            raise HardwareModelError("mac_energy_j must be positive")
         if not 0.0 <= self.leakage_fraction < 1.0:
             raise HardwareModelError("leakage_fraction must be in [0, 1)")
 
@@ -116,20 +123,20 @@ class ASICModel:
         """MAC schedule + per-layer pipeline fill + I/O."""
         cfg = self.config
         mac_cycles = -(-self._total_macs(models, sparse) // cfg.num_macs)
-        overhead = (cfg.pipeline_cycles_per_layer * self._total_layers(models)
-                    + cfg.io_cycles)
+        overhead = (PIPELINE_CYCLES_PER_LAYER * self._total_layers(models)
+                    + IO_CYCLES)
         return mac_cycles + overhead
 
     def area_mm2(self, models: list[MLP], sparse: bool = True,
                  node_nm: int | None = None) -> float:
         """Die area at the requested node (default: reference node)."""
         cfg = self.config
-        sram = self._weight_bits(models, sparse) * cfg.sram_area_mm2_per_bit
-        datapath = cfg.num_macs * cfg.mac_area_mm2
-        area = (datapath + sram) * (1.0 + cfg.control_area_overhead)
-        if node_nm is None or node_nm == cfg.reference_node_nm:
+        sram = self._weight_bits(models, sparse) * SRAM_AREA_MM2_PER_BIT
+        datapath = cfg.num_macs * MAC_AREA_MM2
+        area = (datapath + sram) * (1.0 + CONTROL_AREA_OVERHEAD)
+        if node_nm is None or node_nm == REFERENCE_NODE_NM:
             return area
-        return scale_area(area, cfg.reference_node_nm, node_nm)
+        return scale_area(area, REFERENCE_NODE_NM, node_nm)
 
     def energy_per_inference_j(self, models: list[MLP], sparse: bool = True,
                                node_nm: int | None = None) -> float:
@@ -137,13 +144,12 @@ class ASICModel:
         cfg = self.config
         n_macs = self._total_macs(models, sparse)
         mac_energy = n_macs * cfg.mac_energy_j
-        sram_energy = (n_macs * WEIGHT_BITS
-                       * cfg.sram_read_energy_j_per_bit)
+        sram_energy = n_macs * WEIGHT_BITS * SRAM_READ_ENERGY_J_PER_BIT
         dynamic = mac_energy + sram_energy
         total = dynamic / (1.0 - cfg.leakage_fraction)
-        if node_nm is None or node_nm == cfg.reference_node_nm:
+        if node_nm is None or node_nm == REFERENCE_NODE_NM:
             return total
-        return scale_energy(total, cfg.reference_node_nm, node_nm)
+        return scale_energy(total, REFERENCE_NODE_NM, node_nm)
 
     def report(self, models: list[MLP], sparse: bool = True,
                node_nm: int = 28) -> ASICReport:
@@ -160,5 +166,5 @@ class ASICModel:
             energy_per_inference_j=energy,
             power_w_scaled=energy / latency,
             node_nm=node_nm,
-            reference_node_nm=cfg.reference_node_nm,
+            reference_node_nm=REFERENCE_NODE_NM,
         )

@@ -4,8 +4,7 @@ from .compress import (PAPER_BASE_SPEC, PAPER_COMPRESSED_SPEC,
                        PAPER_PRUNE_PARAMS, ArchitectureSpec, CompressionPoint,
                        SplitData, TrainedPair, default_layerwise_grid,
                        default_pruning_grid, evaluate_pair, layer_wise_sweep,
-                       pair_fingerprint, prune_and_finetune, pruning_sweep,
-                       split_fingerprint, train_pair)
+                       prune_and_finetune, pruning_sweep, train_pair)
 from .flops import combined_flops, layer_flops, macs, model_flops
 from .initializers import get_initializer, he_uniform, xavier_uniform
 from .layers import Dense
@@ -26,8 +25,8 @@ __all__ = [
     "PAPER_BASE_SPEC", "PAPER_COMPRESSED_SPEC", "PAPER_PRUNE_PARAMS",
     "ArchitectureSpec", "CompressionPoint", "SplitData", "TrainedPair",
     "default_layerwise_grid", "default_pruning_grid", "evaluate_pair",
-    "layer_wise_sweep", "pair_fingerprint", "prune_and_finetune",
-    "pruning_sweep", "split_fingerprint", "train_pair",
+    "layer_wise_sweep", "prune_and_finetune", "pruning_sweep",
+    "train_pair",
     "combined_flops", "layer_flops", "macs", "model_flops",
     "get_initializer", "he_uniform", "xavier_uniform",
     "Dense",

@@ -28,9 +28,9 @@ def model_flops(model: MLP, sparse: bool = False) -> int:
     return sum(layer_flops(layer, sparse=sparse) for layer in model.layers)
 
 
-def combined_flops(models: list[MLP], sparse: bool = False) -> int:
-    """Total FLOPs of several networks evaluated per decision epoch."""
-    return sum(model_flops(model, sparse=sparse) for model in models)
+def combined_flops(models: list[MLP]) -> int:
+    """Total dense FLOPs of several networks evaluated per decision epoch."""
+    return sum(model_flops(model) for model in models)
 
 
 def macs(model: MLP, sparse: bool = False) -> int:

@@ -37,16 +37,19 @@ def within_one_accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
     return float((np.abs(predicted - labels) <= 1).mean())
 
 
-def mape(predicted: np.ndarray, targets: np.ndarray,
-         epsilon: float = 1e-9) -> float:
-    """Mean absolute percentage error, in percent."""
+def mape(predicted: np.ndarray, targets: np.ndarray) -> float:
+    """Mean absolute percentage error, in percent.
+
+    Targets are floored at 1e-9 in magnitude so a zero target cannot
+    divide by zero.
+    """
     predicted = np.asarray(predicted, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if predicted.shape != targets.shape:
         raise TrainingError("prediction/target shape mismatch")
     if predicted.size == 0:
         raise TrainingError("cannot compute MAPE of an empty batch")
-    denom = np.maximum(np.abs(targets), epsilon)
+    denom = np.maximum(np.abs(targets), 1e-9)
     return float((np.abs(predicted - targets) / denom).mean() * 100.0)
 
 

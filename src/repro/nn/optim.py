@@ -85,15 +85,17 @@ class SGD(_FlatOptimizer):
 class Adam(_FlatOptimizer):
     """Adam optimizer (Kingma & Ba)."""
 
+    #: Decay rate of the second-moment estimate.
+    BETA2 = 0.999
+    #: Denominator guard added to ``sqrt(v)``.
+    EPSILON = 1e-8
+
     def __init__(self, model: MLP, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999,
-                 epsilon: float = 1e-8) -> None:
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise TrainingError("betas must be in [0, 1)")
+                 beta1: float = 0.9) -> None:
+        if not 0.0 <= beta1 < 1.0:
+            raise TrainingError("beta1 must be in [0, 1)")
         super().__init__(model, learning_rate)
         self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._t = 0
         self._m = np.zeros_like(self.params)
         self._v = np.zeros_like(self.params)
@@ -103,19 +105,19 @@ class Adam(_FlatOptimizer):
         """Apply one Adam update from the gradients on the layers."""
         self._t += 1
         correction1 = 1.0 - self.beta1 ** self._t
-        correction2 = 1.0 - self.beta2 ** self._t
+        correction2 = 1.0 - self.BETA2 ** self._t
         scale = self.learning_rate * np.sqrt(correction2) / correction1
         m, v, scratch, denom = self._m, self._v, self._scratch, self._denom
         m *= self.beta1
         np.multiply(self.grads, 1.0 - self.beta1, out=scratch)
         m += scratch
-        v *= self.beta2
+        v *= self.BETA2
         np.square(self.grads, out=scratch)
-        scratch *= 1.0 - self.beta2
+        scratch *= 1.0 - self.BETA2
         v += scratch
         # params -= scale * m / (sqrt(v) + epsilon), in that op order.
         np.sqrt(v, out=denom)
-        denom += self.epsilon
+        denom += self.EPSILON
         np.multiply(m, scale, out=scratch)
         scratch /= denom
         self.params -= scratch

@@ -429,7 +429,7 @@ def _serial_pass(fn: Callable[[T], R], tasks: Sequence[T],
 
 
 def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
-                 workers: int | None = None, chunksize: int | None = None,
+                 workers: int | None = None,
                  stats: CampaignStats | None = None,
                  stage: str = "campaign", retries: int = 2,
                  backoff_s: float = 0.05, timeout_s: float | None = None,
@@ -523,7 +523,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
             # retry rounds go task-by-task so one poisoned task cannot
             # drag innocent chunk-mates through its failures.
             if round_index == 0:
-                chunk = chunksize or default_chunksize(len(pending), workers)
+                chunk = default_chunksize(len(pending), workers)
             else:
                 chunk = 1
             groups = [pending[start:start + chunk]

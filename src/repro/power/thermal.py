@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from .energy import EnergyAccount
 
-#: Default leakage-temperature sensitivity (1/K); ~2x per 25-30 K.
-DEFAULT_LEAK_TEMP_COEFF = 0.025
+#: Leakage-temperature sensitivity (1/K); ~2x per 25-30 K.
+LEAK_TEMP_COEFF = 0.025
+#: Temperature at which leakage equals its modelled value (deg C).
+REFERENCE_C = 60.0
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,8 @@ class ThermalConfig:
     """
 
     ambient_c: float = 45.0
-    reference_c: float = 60.0
     resistance_c_per_w: float = 4.0
     capacitance_j_per_c: float = 2.0e-3
-    leak_temp_coeff: float = DEFAULT_LEAK_TEMP_COEFF
     max_temperature_c: float = 150.0
 
     def __post_init__(self) -> None:
@@ -49,8 +49,6 @@ class ThermalConfig:
             raise ConfigError("thermal resistance must be positive")
         if self.capacitance_j_per_c <= 0:
             raise ConfigError("thermal capacitance must be positive")
-        if self.leak_temp_coeff < 0:
-            raise ConfigError("leakage coefficient cannot be negative")
         if self.max_temperature_c <= self.ambient_c:
             raise ConfigError("max temperature must exceed ambient")
 
@@ -94,8 +92,8 @@ class ThermalNode:
 
     def leakage_multiplier(self) -> float:
         """Factor to apply to reference-temperature leakage power."""
-        delta = self.temperature_c - self.config.reference_c
-        return math.exp(self.config.leak_temp_coeff * delta)
+        delta = self.temperature_c - REFERENCE_C
+        return math.exp(LEAK_TEMP_COEFF * delta)
 
 
 class ThermalTracker:
@@ -140,8 +138,7 @@ class ThermalTracker:
         return max(node.peak_c for node in self.nodes)
 
 
-def run_with_thermal(simulator, policy, config: ThermalConfig | None = None,
-                     max_epochs: int = 100_000):
+def run_with_thermal(simulator, policy, config: ThermalConfig | None = None):
     """Run a policy with the thermal feedback loop engaged.
 
     Returns ``(run_result, tracker)`` where the run's energy account
@@ -152,7 +149,7 @@ def run_with_thermal(simulator, policy, config: ThermalConfig | None = None,
     truncated final one included, heats the die for a full
     ``simulator.epoch_s``.
     """
-    result = simulator.run(policy, max_epochs=max_epochs)
+    result = simulator.run(policy)
     tracker = ThermalTracker(len(simulator.clusters), config)
     account = EnergyAccount()
     for record in result.records:

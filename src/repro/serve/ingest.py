@@ -306,10 +306,10 @@ class RequestQueue:
             return request
         return None
 
-    def drain(self, reason: str = "drain") -> int:
+    def drain(self) -> int:
         """Shed everything still queued (end of run); returns the count."""
         drained = 0
         while self.queue:
-            self._shed(self.queue.popleft(), reason, under_capacity=False)
+            self._shed(self.queue.popleft(), "drain", under_capacity=False)
             drained += 1
         return drained

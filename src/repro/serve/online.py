@@ -38,35 +38,37 @@ from ..errors import ServeError, TrainingError
 from ..nn.trainer import TrainConfig, train_regressor
 from ..store import ArtifactStore
 
+#: Fraction of the buffered samples (the freshest) held out as the
+#: shadow set a candidate is judged on.
+HOLDOUT_FRACTION = 0.25
+#: Fine-tuning step size of a candidate Calibrator.
+LEARNING_RATE = 5e-4
+
 
 @dataclass(frozen=True)
 class OnlineConfig:
     """Knobs of the online fine-tuning loop.
 
     An update is attempted every ``update_interval`` buffered samples;
-    ``holdout_fraction`` of the freshest samples form the shadow set.
+    the freshest :data:`HOLDOUT_FRACTION` of them form the shadow set.
     ``tolerance`` is the relative error slack the candidate gets over
     the incumbent (a candidate may be promoted when marginally worse on
     the tiny shadow set, never when clearly worse).
     """
 
     update_interval: int = 48
-    holdout_fraction: float = 0.25
     tolerance: float = 0.05
     epochs: int = 12
-    learning_rate: float = 5e-4
     probation_windows: int = 24
     max_buffer: int = 512
 
     def __post_init__(self) -> None:
         if self.update_interval < 8:
             raise ServeError("update_interval must be >= 8 samples")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ServeError("holdout_fraction must be in (0, 1)")
         if self.tolerance < 0:
             raise ServeError("tolerance cannot be negative")
-        if self.epochs < 1 or self.learning_rate <= 0:
-            raise ServeError("epochs >= 1 and learning_rate > 0 required")
+        if self.epochs < 1:
+            raise ServeError("epochs must be >= 1")
         if self.probation_windows < 1:
             raise ServeError("probation_windows must be >= 1")
         if self.max_buffer < self.update_interval:
@@ -176,7 +178,7 @@ class OnlineCalibrator:
         self.counters["online_updates_attempted"] += 1
         x = np.stack(self._features)
         y = np.asarray(self._targets, dtype=np.float64)
-        n_holdout = max(2, int(len(x) * self.config.holdout_fraction))
+        n_holdout = max(2, int(len(x) * HOLDOUT_FRACTION))
         x_train, y_train = x[:-n_holdout], y[:-n_holdout]
         x_hold, y_hold = x[-n_holdout:], y[-n_holdout:]
 
@@ -186,7 +188,7 @@ class OnlineCalibrator:
                 candidate,
                 self.model.calibrator_scaler.transform(x_train), y_train,
                 TrainConfig(epochs=self.config.epochs,
-                            learning_rate=self.config.learning_rate,
+                            learning_rate=LEARNING_RATE,
                             validation_fraction=0.0,
                             patience=self.config.epochs,
                             seed=self.seed + self._updates))

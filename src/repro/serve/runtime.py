@@ -50,14 +50,36 @@ from ..gpu.simulator import GPUSimulator
 from ..parallel import CampaignStats, derive_seed, parallel_map
 from ..store import ArtifactStore, atomic_write_text
 from ..workloads.suites import scale_kernel_to_duration, training_suite
-from .breaker import BreakerConfig, CircuitBreaker
-from .ingest import (IngestConfig, RequestQueue, ServeRequest,
-                     TelemetrySample, WindowAssembler)
-from .online import OnlineCalibrator, OnlineConfig
-from .supervisor import Supervisor, SupervisorConfig
+from .breaker import CircuitBreaker
+from .ingest import (RequestQueue, ServeRequest, TelemetrySample,
+                     WindowAssembler)
+from .online import OnlineCalibrator
+from .supervisor import Supervisor
 
 #: Artifact name the serving runtime checkpoints/restores pairs under.
 SERVE_ARTIFACT = "serve-pair"
+
+#: Ticks the loop runs past ``ticks`` without new arrivals, so in-flight
+#: work, restarts and the queue settle before accounting.
+DRAIN_TICKS = 96
+#: Ticks one request occupies a worker.
+SERVICE_TICKS = 1
+#: Expected telemetry samples per stream per tick (a credit
+#: accumulator, not a random draw, so pacing is deterministic).
+ARRIVAL_RATE = 0.6
+#: Probability a request is deadline-class (else batch-class).
+DEADLINE_FRACTION = 0.5
+#: Seeded per-sample telemetry jitter probabilities.
+DUPLICATE_RATE = 0.03
+REORDER_RATE = 0.05
+DROP_RATE = 0.02
+#: Length of the kernel each stream replays (µs).
+STREAM_DURATION_US = 200.0
+#: Mean inference latency (µs, exponentially distributed).
+INFERENCE_LATENCY_US = 20.0
+#: Inference latency past which a decision falls back (µs); above the
+#: breaker's latency budget.
+STALL_TIMEOUT_US = 500.0
 
 
 @dataclass(frozen=True)
@@ -65,66 +87,35 @@ class ServeConfig:
     """Scenario description of one serving run (a pure function of it).
 
     ``ticks`` is the serving horizon on the integer tick clock (one
-    tick ~ one DVFS epoch of wall time); ``drain_ticks`` extends the
-    loop without new arrivals so in-flight work, restarts and the queue
-    settle before accounting.  ``arrival_rate`` is the per-stream
-    expected samples per tick (a credit accumulator, not a random
-    draw, so pacing is deterministic); jitter knobs add seeded
-    duplication/reordering/loss on top, and the fault plan layers
-    storms, gaps and bursts over that.
+    tick ~ one DVFS epoch of wall time), extended by
+    :data:`DRAIN_TICKS` without arrivals.  Streams arrive at
+    :data:`ARRIVAL_RATE` with seeded duplication/reordering/loss on
+    top, and the fault plan layers storms, gaps and bursts over that.
     """
 
     streams: int = 3
     ticks: int = 240
-    drain_ticks: int = 96
     num_workers: int = 2
     queue_capacity: int = 12
-    service_ticks: int = 1
-    arrival_rate: float = 0.6
-    deadline_fraction: float = 0.5
     deadline_slack_ticks: int = 8
     batch_slack_ticks: int = 48
-    duplicate_rate: float = 0.03
-    reorder_rate: float = 0.05
-    drop_rate: float = 0.02
-    stream_duration_us: float = 200.0
-    inference_latency_us: float = 20.0
-    stall_timeout_us: float = 500.0
     preset: float = 0.10
     online_enabled: bool = True
     seed: int = 0
-    ingest: IngestConfig = field(default_factory=IngestConfig)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
-    online: OnlineConfig = field(default_factory=OnlineConfig)
     faults: ServeFaultConfig = field(default_factory=ServeFaultConfig)
 
     def __post_init__(self) -> None:
         if self.streams < 1 or self.num_workers < 1:
             raise ServeError("need at least one stream and one worker")
-        if self.ticks < 1 or self.drain_ticks < 0:
-            raise ServeError("ticks >= 1 and drain_ticks >= 0 required")
+        if self.ticks < 1:
+            raise ServeError("ticks must be >= 1")
         if self.queue_capacity < 1:
             raise ServeError("queue_capacity must be >= 1")
-        if self.service_ticks < 1:
-            raise ServeError("service_ticks must be >= 1")
-        if self.arrival_rate <= 0:
-            raise ServeError("arrival_rate must be positive")
-        if not 0.0 <= self.deadline_fraction <= 1.0:
-            raise ServeError("deadline_fraction must be in [0, 1]")
-        if self.deadline_slack_ticks < self.service_ticks:
+        if self.deadline_slack_ticks < SERVICE_TICKS:
             raise ServeError(
                 "deadline_slack_ticks must cover one service interval")
         if self.batch_slack_ticks < self.deadline_slack_ticks:
             raise ServeError("batch slack cannot undercut deadline slack")
-        for name in ("duplicate_rate", "reorder_rate", "drop_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ServeError(f"{name} must be a probability in [0, 1]")
-        if self.stream_duration_us <= 0 or self.inference_latency_us <= 0:
-            raise ServeError("durations and latencies must be positive")
-        if self.stall_timeout_us * 1e-6 <= self.breaker.latency_budget_s:
-            raise ServeError(
-                "stall_timeout_us must exceed the breaker latency budget")
 
     def with_seed(self, seed: int) -> "ServeConfig":
         """The same scenario under a different seed (faults re-seeded)."""
@@ -309,7 +300,7 @@ class ServingRuntime:
         kernels = training_suite()
         self._kernels = [
             scale_kernel_to_duration(kernels[s % len(kernels)], arch,
-                                     config.stream_duration_us * 1e-6)
+                                     STREAM_DURATION_US * 1e-6)
             for s in range(config.streams)]
         self._online: OnlineCalibrator | None = None
 
@@ -384,19 +375,17 @@ class ServingRuntime:
         if (config.online_enabled and self.model is not None
                 and self.store is not None):
             self._online = OnlineCalibrator(
-                self.model, self.store, SERVE_ARTIFACT, config.online,
-                seed=config.seed)
+                self.model, self.store, SERVE_ARTIFACT, seed=config.seed)
         plan = ServeFaultPlan.build(config.faults, config.num_workers,
                                     config.streams, config.ticks)
         plan.validate_for(config.num_workers, config.streams)
         result.fault_counts = plan.counts_by_kind()
 
-        supervisor = Supervisor(config.num_workers, self._build_stack,
-                                config.supervisor)
-        breaker = CircuitBreaker(config.breaker)
-        assembler = WindowAssembler(config.ingest)
+        supervisor = Supervisor(config.num_workers, self._build_stack)
+        breaker = CircuitBreaker()
+        assembler = WindowAssembler()
         queue = RequestQueue(capacity=config.queue_capacity,
-                             service_ticks=config.service_ticks)
+                             service_ticks=SERVICE_TICKS)
         rng = np.random.default_rng(
             derive_seed(config.seed, "serve-loop"))
 
@@ -448,11 +437,11 @@ class ServingRuntime:
                 counters["serve_degraded_decisions"] += 1
                 return _InFlight(request, levels, "degraded")
             stall = window_active("inference_stall", now)
-            latency_s = (config.inference_latency_us * 1e-6
+            latency_s = (INFERENCE_LATENCY_US * 1e-6
                          * float(rng.exponential(1.0)))
             if stall is not None:
                 latency_s *= stall.magnitude
-            if latency_s > config.stall_timeout_us * 1e-6:
+            if latency_s > STALL_TIMEOUT_US * 1e-6:
                 breaker.record_failure(now)
                 counters["serve_stall_fallbacks"] += 1
                 return _InFlight(request, list(fallback_levels),
@@ -469,7 +458,7 @@ class ServingRuntime:
             breaker.record_success(now, latency_s)
             return _InFlight(request, levels, "ml")
 
-        horizon = config.ticks + config.drain_ticks
+        horizon = config.ticks + DRAIN_TICKS
         for tick in range(horizon):
             arrivals_open = tick < config.ticks
 
@@ -532,7 +521,7 @@ class ServingRuntime:
             # 3. Telemetry arrivals (phase-1 traces + seeded jitter).
             if arrivals_open:
                 burst = window_active("overload_burst", tick)
-                rate = config.arrival_rate * (
+                rate = ARRIVAL_RATE * (
                     burst.magnitude if burst is not None else 1.0)
                 for stream in range(config.streams):
                     credit[stream] += rate
@@ -548,7 +537,7 @@ class ServingRuntime:
                         if window_active("telemetry_gap", tick, stream):
                             counters["serve_gap_losses"] += 1
                             continue
-                        if rng.random() < config.drop_rate:
+                        if rng.random() < DROP_RATE:
                             counters["serve_jitter_losses"] += 1
                             continue
                         copies = 1
@@ -557,10 +546,10 @@ class ServingRuntime:
                         if storm is not None:
                             copies = max(1, int(storm.magnitude))
                             counters["serve_storm_duplicates"] += copies - 1
-                        elif rng.random() < config.duplicate_rate:
+                        elif rng.random() < DUPLICATE_RATE:
                             copies = 2
                         for _ in range(copies):
-                            if rng.random() < config.reorder_rate:
+                            if rng.random() < REORDER_RATE:
                                 delay = 1 + int(rng.integers(2))
                                 delayed.append((tick + delay, sample))
                             else:
@@ -575,7 +564,7 @@ class ServingRuntime:
 
             # 4. Window assembly -> request creation -> backpressure.
             for sample in assembler.pop_ready(tick):
-                deadline_class = rng.random() < config.deadline_fraction
+                deadline_class = rng.random() < DEADLINE_FRACTION
                 slack = (config.deadline_slack_ticks if deadline_class
                          else config.batch_slack_ticks)
                 request = ServeRequest(
@@ -597,8 +586,7 @@ class ServingRuntime:
                     break
                 worker = ready[0]
                 inflight = decide(worker, request, tick)
-                supervisor.dispatch(worker, inflight, tick,
-                                    config.service_ticks)
+                supervisor.dispatch(worker, inflight, tick, SERVICE_TICKS)
 
             # 6. Online calibration pump (gated updates).
             if self._online is not None:

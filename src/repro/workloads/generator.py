@@ -13,12 +13,14 @@ from ..errors import WorkloadError
 from ..gpu.kernels import KernelProfile
 from ..gpu.phases import Phase, make_mix
 
+#: Smallest phase :func:`random_phase` draws (instructions).
+MIN_INSTRUCTIONS = 10_000
+
 
 def random_phase(rng: np.random.Generator, name: str = "rand",
-                 min_instructions: int = 10_000,
                  max_instructions: int = 400_000) -> Phase:
     """Sample one valid phase."""
-    if min_instructions <= 0 or max_instructions < min_instructions:
+    if max_instructions < MIN_INSTRUCTIONS:
         raise WorkloadError("invalid instruction bounds")
     # Sample a memory intensity then build a consistent mix around it.
     load = float(rng.uniform(0.03, 0.32))
@@ -29,7 +31,7 @@ def random_phase(rng: np.random.Generator, name: str = "rand",
                    shared=0.05, sync=0.02)
     return Phase(
         name=name,
-        instructions=int(rng.integers(min_instructions, max_instructions)),
+        instructions=int(rng.integers(MIN_INSTRUCTIONS, max_instructions)),
         mix=mix,
         cpi_exec=float(rng.uniform(1.2, 4.0)),
         mlp=float(rng.uniform(1.0, 6.0)),
@@ -42,14 +44,12 @@ def random_phase(rng: np.random.Generator, name: str = "rand",
 
 def random_kernel(rng: np.random.Generator, name: str = "synthetic.rand",
                   max_phases: int = 4, max_iterations: int = 8,
-                  min_instructions: int = 10_000,
                   max_instructions: int = 400_000) -> KernelProfile:
     """Sample one valid kernel profile."""
     if max_phases < 1 or max_iterations < 1:
         raise WorkloadError("invalid kernel bounds")
     num_phases = int(rng.integers(1, max_phases + 1))
     phases = [random_phase(rng, name=f"p{i}",
-                           min_instructions=min_instructions,
                            max_instructions=max_instructions)
               for i in range(num_phases)]
     return KernelProfile(

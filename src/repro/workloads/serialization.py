@@ -33,6 +33,7 @@ from pathlib import Path
 from ..errors import WorkloadError
 from ..gpu.kernels import KernelProfile
 from ..gpu.phases import Phase, make_mix
+from ..store import atomic_write_text
 
 _PHASE_FIELDS = ("cpi_exec", "mlp", "l1_miss_rate", "l2_miss_rate",
                  "active_warps", "divergence")
@@ -94,10 +95,8 @@ def kernel_from_dict(payload: dict) -> KernelProfile:
 
 def save_kernels(kernels: list[KernelProfile], path: str | Path) -> None:
     """Write kernels to a JSON file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps([kernel_to_dict(k) for k in kernels],
-                               indent=2))
+    atomic_write_text(path, json.dumps([kernel_to_dict(k) for k in kernels],
+                                       indent=2))
 
 
 def load_kernels(path: str | Path) -> list[KernelProfile]:

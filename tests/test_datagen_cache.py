@@ -69,7 +69,7 @@ def test_generation_checkpoint_resumes(tmp_path, small_arch):
     clean = cached_dataset(tmp_path / "clean", kernels, small_arch, CFG)
     key = dataset_cache_key(kernels, small_arch, CFG)
     scaled = protocol.scale_kernel_for_protocol(kernels[0], small_arch, CFG)
-    first = protocol._kernel_task((scaled, small_arch, None, CFG))
+    first = protocol._kernel_task((scaled, small_arch, CFG))
     ckpt = tmp_path / f"dvfs-{key}.ckpt"
     CampaignCheckpoint(ckpt, key=key).save({0: first})
     stats = CampaignStats()

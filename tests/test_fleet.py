@@ -10,6 +10,8 @@ from repro.fleet import (BUILTIN_TRACES, LATENCY, THROUGHPUT,
                          ClusterScheduler, Job, NodeTracker,
                          PendingJobQueue, ThermalConfig, TraceConfig,
                          build_trace, policy_factory, tail_latencies)
+from repro.fleet.jobs import (LATENCY_DEADLINE_FACTOR,
+                              THROUGHPUT_DEADLINE_FACTOR)
 from repro.parallel import CampaignStats
 
 
@@ -44,9 +46,9 @@ def test_traces_are_deterministic_and_classed(small_arch):
 def test_trace_deadlines_follow_class_factors(small_arch):
     config = TraceConfig(trace="steady", jobs=10, nodes=2, seed=3)
     for job in build_trace(small_arch, config):
-        factor = (config.latency_deadline_factor
+        factor = (LATENCY_DEADLINE_FACTOR
                   if job.job_class == LATENCY
-                  else config.throughput_deadline_factor)
+                  else THROUGHPUT_DEADLINE_FACTOR)
         assert job.deadline_s == pytest.approx(
             job.arrival_s + factor * job.expected_s)
         assert job.slack_s > 0

@@ -151,3 +151,47 @@ def test_only_the_campaign_layer_builds_checkpoints_and_caches():
                   and node.value.endswith("_cache_corrupt")):
                 offenders.append(f"{module}:{node.lineno} corrupt counter")
     assert offenders == []
+
+
+def _config_fields(root: Path):
+    """``(class, field, where)`` for each field of a ``*Config`` or
+    ``*Policy`` dataclass under ``root`` (``ClassVar`` constants aside)."""
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ClassDef)
+                    and node.name.endswith(("Config", "Policy"))
+                    and any("dataclass" in ast.unparse(d)
+                            for d in node.decorator_list)):
+                continue
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    yield (node.name, stmt.target.id,
+                           f"{path.name}:{stmt.lineno}")
+
+
+def test_every_config_field_is_set_somewhere():
+    """A config field no code sets by keyword is a constant in disguise.
+
+    Every run uses its default, so it should be a named constant: the
+    field doubles the configurations to test without anyone choosing a
+    second value.  Keywords count in any call (``dict(field=...)`` and
+    ``replace(config, field=...)`` included) and as string keys of dict
+    literals that are splatted into a constructor.
+    """
+    repo = Path(repro.__file__).parents[2]
+    keywords = set()
+    for folder in ("src", "examples", "benchmarks", "tests"):
+        for path in sorted((repo / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    keywords.update(k.arg for k in node.keywords if k.arg)
+                elif isinstance(node, ast.Dict):
+                    keywords.update(k.value for k in node.keys
+                                    if isinstance(k, ast.Constant))
+    unset = [f"{cls}.{name} ({where})"
+             for cls, name, where in _config_fields(repo / "src" / "repro")
+             if name not in keywords]
+    assert unset == []

@@ -135,8 +135,7 @@ def test_per_kernel_checkpoint_resumes(tmp_path):
                                seed=SEED)
     lineup = ([partial(StaticPolicy, ARCH.vf_table.default_level)]
               + list(factories.values()))
-    first = runner._kernel_task((lineup, kernels[0], ARCH, PowerModel(),
-                                 SEED, us(10)))
+    first = runner._kernel_task((lineup, kernels[0], ARCH, SEED))
     CampaignCheckpoint(tmp_path / f"grid-{key}.kernel.ckpt",
                        key=f"{key}.kernel").save({0: first})
     stats = CampaignStats()

@@ -256,7 +256,7 @@ def test_faulted_datagen_campaign_is_bit_identical_to_fault_free(
         tmp_path, small_arch):
     config = CFG
     tasks = [(scale_kernel_for_protocol(k, small_arch, config), small_arch,
-              None, config) for k in _suite()]
+              config) for k in _suite()]
     clean = parallel_map(_kernel_task, tasks, workers=1)
     flaky = FlakyTask(_kernel_task, tmp_path, mode="exit", faults_per_task=1)
     stats = CampaignStats()
@@ -409,6 +409,19 @@ def test_truncated_dataset_cache_is_regenerated(tmp_path, small_arch):
 def test_content_key_is_order_insensitive():
     assert content_key({"a": 1, "b": 2}) == content_key({"b": 2, "a": 1})
     assert content_key({"a": 1}) != content_key({"a": 2})
+
+
+def test_key_is_stable():
+    payload = {"kind": "layerwise", "seed": 3, "config": {"epochs": 5}}
+    assert content_key(payload) == content_key(dict(payload))
+
+
+def test_key_changes_with_content():
+    payload = {"kind": "layerwise", "seed": 3}
+    assert content_key(payload) != content_key(
+        {**payload, "seed": 4})
+    assert content_key(payload) != content_key(
+        {**payload, "kind": "pruning"})
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,20 @@ The crash simulations here are byte-exhaustive: a write is killed at
 the reader must always observe the old content or the new content in
 full — never a torn prefix.  The same property is asserted for every
 production writer routed through the shared helper (campaign
-checkpoints, evaluation-grid JSON, sweep-point JSON, dataset ``.npz``).
+checkpoints, evaluation-grid JSON, dataset ``.npz`` and the figure,
+report, kernel and fault-sweep exports).
 """
 
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 import repro.datagen.dataset as dataset_module
 import repro.evaluation.cache as evaluation_cache
-import repro.nn.compress as compress_module
 import repro.parallel as parallel_module
 from repro.datagen.dataset import DVFSDataset
 from repro.errors import ArtifactCorrupt
-from repro.nn.compress import ArchitectureSpec, SplitData, layer_wise_sweep
-from repro.nn.trainer import TrainConfig
 from repro.parallel import CampaignCheckpoint
 from repro.store import (ArtifactStore, SimulatedCrash, atomic_write_bytes,
                          atomic_write_text, sha256_hex)
@@ -195,31 +192,80 @@ def test_campaign_checkpoint_writes_are_atomic(tmp_path, monkeypatch):
         monkeypatch=monkeypatch)
 
 
-def test_sweep_point_cache_writes_are_atomic(tmp_path, monkeypatch):
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(24, 3))
-    decision = SplitData(x[:16], (x[:16, 0] > 0).astype(np.int64),
-                         x[16:], (x[16:, 0] > 0).astype(np.int64))
-    calibrator = SplitData(x[:16], x[:16, 1], x[16:], x[16:, 1])
-    spec = [ArchitectureSpec((4,), (3,))]
-    config = TrainConfig(epochs=2, patience=2, seed=1)
+def _export_writers():
+    """``(module, write(path))`` for each result writer outside the store."""
+    import repro.cli as cli_module
+    import repro.evaluation.export as export_module
+    import repro.evaluation.report as report_module
+    import repro.workloads.serialization as serialization_module
+    from repro.evaluation.experiments import Fig3Result, Fig4Result
+    from repro.evaluation.robustness import FaultSweepCell, FaultSweepResult
+    from repro.evaluation.runner import ComparisonResult, PolicyRun
+    from repro.nn.compress import CompressionPoint
+    from repro.workloads.suites import kernel_by_name
 
-    def sweep():
-        layer_wise_sweep(decision, calibrator, 2, spec, config,
-                         cache_dir=tmp_path, use_cache=False)
+    comparison = ComparisonResult(preset=0.10)
+    for policy in ("baseline", "pcstall", "flemma", "ssmdvfs-pruned"):
+        comparison.runs.append(PolicyRun(
+            policy_name=policy, kernel_name="k1", time_s=1e-4,
+            energy_j=1e-2, normalized_edp=0.9, normalized_latency=1.05,
+            epochs=30))
+    fig3 = Fig3Result(
+        layerwise=[CompressionPoint("a", "layerwise", 100, 90.0, 5.0,
+                                    (6, 4, 6), (7, 4, 1))],
+        pruning=[CompressionPoint("b", "pruning", 60, 88.0, 6.0,
+                                  (6, 4, 6), (7, 4, 1), sparsity=0.5)])
+    sweep = FaultSweepResult(preset=0.10, slack=0.05, cells=[FaultSweepCell(
+        mode="nan", rate=0.5, policy="governor", mean_edp=0.9,
+        mean_latency=1.02, violations=0, kernels=1)])
 
-    sweep()
-    [path] = tmp_path.glob("sweep-*.json")
-    replacement_length = len(path.read_text())
-    committed = {"spec": [3, 12], "accuracy": 0.9}
-    path.write_text(json.dumps(committed))
+    def faults_export(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.evaluation.robustness.fault_sweep",
+                          lambda *args, **kwargs: sweep)
+            assert cli_module.main(["faults", "--small", "--mode", "nan",
+                                    "--export", str(path)]) == 0
+
+    def report(path):
+        results = path.parent / "results"
+        results.mkdir(exist_ok=True)
+        (results / "hw_asic.txt").write_text("HW\n")
+        report_module.write_report(results, path)
+
+    return {
+        "export_fig4_json": (export_module, lambda path: (
+            export_module.export_fig4_json(
+                Fig4Result(comparisons={0.10: comparison}), path))),
+        "export_comparison_csv": (export_module, lambda path: (
+            export_module.export_comparison_csv(comparison, path))),
+        "export_fig3_csv": (export_module, lambda path: (
+            export_module.export_fig3_csv(fig3, path))),
+        "write_report": (report_module, report),
+        "save_kernels": (serialization_module, lambda path: (
+            serialization_module.save_kernels(
+                [kernel_by_name("rodinia.gaussian")], path))),
+        "cmd_faults_export": (cli_module, faults_export),
+    }
+
+
+@pytest.mark.parametrize("writer", [
+    "export_fig4_json", "export_comparison_csv", "export_fig3_csv",
+    "write_report", "save_kernels", "cmd_faults_export"])
+def test_result_exports_are_atomic(writer, tmp_path, monkeypatch, capsys):
+    module, write = _export_writers()[writer]
+    probe = tmp_path / "probe.out"
+    write(probe)
+    path = tmp_path / "result.out"
+    path.write_bytes(b"committed")
     _assert_writer_crash_consistent(
-        compress_module,
-        write=sweep,
-        read=lambda: json.loads(path.read_text()),
-        expected=committed,
-        payload_length=replacement_length,
+        module,
+        write=lambda: write(path),
+        read=path.read_bytes,
+        expected=b"committed",
+        payload_length=len(probe.read_bytes()),
         monkeypatch=monkeypatch)
+    write(path)
+    assert path.read_bytes() == probe.read_bytes()
 
 
 def test_evaluation_grid_cache_writes_are_atomic(tmp_path, monkeypatch):

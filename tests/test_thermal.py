@@ -8,8 +8,8 @@ from repro.errors import ConfigError
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase
 from repro.gpu.simulator import GPUSimulator
-from repro.power.thermal import (ThermalConfig, ThermalNode, ThermalTracker,
-                                 run_with_thermal)
+from repro.power.thermal import (REFERENCE_C, ThermalConfig, ThermalNode,
+                                 ThermalTracker, run_with_thermal)
 from repro.core.policy import StaticPolicy
 
 
@@ -84,7 +84,7 @@ def test_leakage_multiplier_grows_with_temperature():
 
 def test_leakage_multiplier_is_one_at_reference():
     config = ThermalConfig()
-    node = ThermalNode(config, initial_c=config.reference_c)
+    node = ThermalNode(config, initial_c=REFERENCE_C)
     assert node.leakage_multiplier() == pytest.approx(1.0)
 
 
