@@ -31,7 +31,7 @@ from repro.core.controller import SSMDVFSController
 from repro.core.decision_maker import DecisionMaker
 from repro.datagen.dataset import DVFSDataset
 from repro.datagen.features import FeatureExtractor, FeatureScaler
-from repro.datagen.protocol import ProtocolConfig, generate_chunks_for_suite
+from repro.datagen.protocol import ProtocolConfig, generate_for_suite
 from repro.evaluation.runner import compare_policies
 from repro.gpu.arch import small_test_config
 from repro.gpu.counters import COUNTER_NAMES, CounterSet
@@ -84,11 +84,9 @@ def _campaign_suite():
 def _run_campaign(workers):
     arch = small_test_config(num_clusters=2)
     stats = CampaignStats()
-    chunks = generate_chunks_for_suite(_campaign_suite(), arch,
-                                       config=CAMPAIGN_CFG, workers=workers,
-                                       stats=stats)
-    return DVFSDataset.from_breakpoint_chunks(chunks, workers=workers,
-                                              stats=stats)
+    return DVFSDataset.from_breakpoints(generate_for_suite(
+        _campaign_suite(), arch, config=CAMPAIGN_CFG, workers=workers,
+        stats=stats))
 
 
 def test_epoch_step_throughput(arch, benchmark):

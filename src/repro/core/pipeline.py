@@ -181,7 +181,7 @@ def build_ssmdvfs(arch: GPUArchConfig, kernels: list[KernelProfile],
                   stats: CampaignStats | None = None) -> PipelineResult:
     """The full offline build: data generation through pruned model."""
     config = config or PipelineConfig()
-    breakpoints = generate_for_suite(kernels, arch, config=config.protocol)
-    dataset = DVFSDataset.from_breakpoints(breakpoints)
+    dataset = DVFSDataset.from_breakpoints(generate_for_suite(
+        kernels, arch, config.protocol, workers=workers, stats=stats))
     return build_from_dataset(dataset, arch, config, variants,
                               workers=workers, stats=stats)

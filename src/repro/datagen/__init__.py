@@ -6,8 +6,7 @@ from .dataset import DEFAULT_PRESET_GRID, DVFSDataset, PreparedData
 from .stats import DatasetReport, KernelLossStats, analyze_dataset
 from .features import FeatureExtractor, FeatureScaler, epoch_cycles
 from .protocol import (BreakpointSamples, ProtocolConfig, collect_breakpoint,
-                       generate_chunks_for_suite, generate_for_kernel,
-                       generate_for_suite)
+                       generate_for_kernel, generate_for_suite)
 from .rfe import (DEFAULT_ALWAYS_KEEP, RFEResult, RFERound, RFESelector)
 
 __all__ = [
@@ -17,6 +16,6 @@ __all__ = [
     "DatasetReport", "KernelLossStats", "analyze_dataset",
     "FeatureExtractor", "FeatureScaler", "epoch_cycles",
     "BreakpointSamples", "ProtocolConfig", "collect_breakpoint",
-    "generate_chunks_for_suite", "generate_for_kernel", "generate_for_suite",
+    "generate_for_kernel", "generate_for_suite",
     "DEFAULT_ALWAYS_KEEP", "RFEResult", "RFERound", "RFESelector",
 ]

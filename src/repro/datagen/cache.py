@@ -21,7 +21,7 @@ from ..gpu.kernels import KernelProfile
 from ..parallel import (CampaignStats, cached, campaign_checkpoint,
                         content_key)
 from .dataset import DVFSDataset
-from .protocol import ProtocolConfig, generate_chunks_for_suite
+from .protocol import ProtocolConfig, generate_for_suite
 
 
 def kernel_suite_fingerprint(kernels: list[KernelProfile]) -> dict:
@@ -62,7 +62,7 @@ def cached_dataset(cache_dir: str | Path, kernels: list[KernelProfile],
 
     Caches through :func:`repro.parallel.cached` as ``dvfs-<key>.npz``
     with the ``dataset`` counters and stages.  ``workers`` fans
-    generation and assembly out over a process pool;
+    generation out over a process pool, one task per kernel;
     ``checkpoint=True`` persists per-kernel progress in
     ``dvfs-<key>.ckpt`` so an interrupted generation campaign resumes;
     ``retries``/``timeout_s`` tune the resilient fan-out.
@@ -74,12 +74,9 @@ def cached_dataset(cache_dir: str | Path, kernels: list[KernelProfile],
     def build() -> DVFSDataset:
         ckpt = (campaign_checkpoint(cache_dir, "dvfs", key)
                 if checkpoint else None)
-        chunks = generate_chunks_for_suite(
-            kernels, arch, config, workers=workers,
-            stats=stats, checkpoint=ckpt, retries=retries,
-            timeout_s=timeout_s)
-        return DVFSDataset.from_breakpoint_chunks(chunks, workers=workers,
-                                                  stats=stats)
+        return DVFSDataset.from_breakpoints(generate_for_suite(
+            kernels, arch, config, workers=workers, stats=stats,
+            checkpoint=ckpt, retries=retries, timeout_s=timeout_s))
 
     return cached(Path(cache_dir) / f"dvfs-{key}.npz", "dataset", stats,
                   build, load=DVFSDataset.load,

@@ -5,19 +5,17 @@ collection window) and six labelled samples — one per operating point —
 carrying the measured performance loss and the scaling-window
 instruction count (§III-C):
 
-* **Decision-maker** sample — two labelings are supported:
-
-  - ``minimal`` (default): ``x = [features..., preset]`` for presets
-    drawn from a grid, ``y = minimum level whose measured loss stays
-    within the preset``.  This operationalises the paper's stated
-    classification criterion ("select the minimum frequency that
-    satisfies a given performance loss preset", §II) and stays
-    well-defined on frequency-insensitive phases where every level
-    satisfies any preset.
-  - ``applied``: ``x = [features..., measured_loss]``, ``y = level``
-    applied in the scaling window — the literal §III-C description.
-    On insensitive phases this gives identical inputs with six
-    different labels, capping achievable accuracy.
+* **Decision-maker** sample: ``x = [features..., preset]`` for presets
+  drawn from a grid, ``y = minimum level whose measured loss stays
+  within the preset``.  This operationalises the paper's stated
+  classification criterion ("select the minimum frequency that
+  satisfies a given performance loss preset", §II) and stays
+  well-defined on frequency-insensitive phases where every level
+  satisfies any preset.  The literal §III-C description —
+  ``x = [features..., measured_loss]``, ``y = level`` applied in the
+  scaling window — is not used: on insensitive phases it gives
+  identical inputs with six different labels, capping achievable
+  accuracy.
 * **Calibrator** sample: ``x = [features..., level]``,
   ``y = throughput ratio`` — scaling-window instructions divided by the
   feature window's instruction count.  Predicting the *ratio* rather
@@ -50,7 +48,6 @@ import numpy as np
 from ..errors import DatasetError
 from ..gpu.counters import COUNTER_NAMES, CounterSet
 from ..nn.compress import SplitData
-from ..parallel import CampaignStats, parallel_map
 from ..store import atomic_write_bytes
 from .features import FeatureExtractor, FeatureScaler
 from .protocol import BreakpointSamples
@@ -58,14 +55,12 @@ from .protocol import BreakpointSamples
 #: Index of the raw ``inst_total`` counter in the canonical vector order.
 _INST_TOTAL_INDEX = COUNTER_NAMES.index("inst_total")
 
-#: Preset grid used to synthesise decision samples under the
-#: ``minimal`` labeling (fractions of allowed performance loss).
+#: Preset grid used to synthesise decision samples (fractions of
+#: allowed performance loss).
 DEFAULT_PRESET_GRID = (0.02, 0.05, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30)
 
-
-def _assemble_chunk(chunk: list[BreakpointSamples]) -> "DVFSDataset":
-    """Process-pool unit of dataset assembly (module-level: picklable)."""
-    return DVFSDataset.from_breakpoints(chunk)
+#: Share of physical breakpoints held out as the test split.
+TEST_FRACTION = 0.25
 
 
 @dataclass
@@ -87,7 +82,7 @@ class DVFSDataset:
                  sample_breakpoint: np.ndarray, sample_level: np.ndarray,
                  sample_loss: np.ndarray,
                  sample_instructions: np.ndarray,
-                 record_group: np.ndarray | None = None) -> None:
+                 record_group: np.ndarray) -> None:
         counters = np.asarray(counters, dtype=np.float64)
         if counters.ndim != 2 or counters.shape[1] != len(COUNTER_NAMES):
             raise DatasetError(
@@ -114,8 +109,6 @@ class DVFSDataset:
         # Feature-level augmentation makes several counter records share
         # one *physical* breakpoint (and its labels); splits must group
         # by physical breakpoint or test labels leak into training.
-        if record_group is None:
-            record_group = np.arange(counters.shape[0])
         record_group = np.asarray(record_group, dtype=np.int64)
         if record_group.shape[0] != counters.shape[0]:
             raise DatasetError("record_group length mismatch")
@@ -129,13 +122,8 @@ class DVFSDataset:
 
         Assembly is a two-pass stream: a counting pass sizes the final
         arrays, then rows are written straight into the preallocated
-        buffers.  Large generation campaigns used to build Python lists
-        of per-row vectors and ``np.stack`` them at the end — peak
-        memory of roughly twice the dataset plus one object header per
-        row; streaming keeps exactly one copy.  Values and dtypes are
-        identical to the list-based assembly (float64 counter rows,
-        int64 indices), so cached artefacts and merge offsets are
-        unaffected.
+        buffers, so peak memory holds one copy of the dataset.  Each
+        breakpoint is one split group shared by its feature variants.
         """
         if not breakpoints:
             raise DatasetError("no breakpoints supplied")
@@ -170,55 +158,6 @@ class DVFSDataset:
         return cls(counters, kernel_names, sample_bp, levels, losses, instrs,
                    record_group=groups)
 
-    @classmethod
-    def merge(cls, datasets: list["DVFSDataset"]) -> "DVFSDataset":
-        """Concatenate per-chunk datasets into one.
-
-        Record indices and split groups are offset per chunk, so merging
-        the per-kernel datasets of a parallel campaign reproduces the
-        arrays :meth:`from_breakpoints` builds over the flattened
-        breakpoint list bit for bit.
-        """
-        if not datasets:
-            raise DatasetError("no datasets to merge")
-        if len(datasets) == 1:
-            return datasets[0]
-        counters, names = [], []
-        sample_bp, levels, losses, instrs, groups = [], [], [], [], []
-        row_offset = group_offset = 0
-        for dataset in datasets:
-            counters.append(dataset.counters)
-            names.extend(dataset.kernel_names)
-            sample_bp.append(dataset.sample_breakpoint + row_offset)
-            levels.append(dataset.sample_level)
-            losses.append(dataset.sample_loss)
-            instrs.append(dataset.sample_instructions)
-            groups.append(dataset.record_group + group_offset)
-            row_offset += dataset.counters.shape[0]
-            group_offset += int(dataset.record_group.max()) + 1
-        return cls(np.concatenate(counters), names,
-                   np.concatenate(sample_bp), np.concatenate(levels),
-                   np.concatenate(losses), np.concatenate(instrs),
-                   record_group=np.concatenate(groups))
-
-    @classmethod
-    def from_breakpoint_chunks(cls, chunks: list[list[BreakpointSamples]],
-                               workers: int | None = None,
-                               stats: CampaignStats | None = None
-                               ) -> "DVFSDataset":
-        """Assemble per-kernel breakpoint chunks into one dataset.
-
-        Each non-empty chunk is flattened independently (fanned out over
-        ``workers``) and the partial datasets merged, which equals
-        :meth:`from_breakpoints` over the concatenated chunks.
-        """
-        chunks = [list(chunk) for chunk in chunks if chunk]
-        if not chunks:
-            raise DatasetError("no breakpoints supplied")
-        datasets = parallel_map(_assemble_chunk, chunks, workers=workers,
-                                stats=stats, stage="assemble")
-        return cls.merge(datasets)
-
     @property
     def num_breakpoints(self) -> int:
         """Number of feature records (one per breakpoint x window level)."""
@@ -251,18 +190,6 @@ class DVFSDataset:
         current = self.counters[self.sample_breakpoint, _INST_TOTAL_INDEX]
         return self.sample_instructions / np.maximum(current, 1.0)
 
-    def oracle_level(self, breakpoint_index: int, preset: float) -> int:
-        """Slowest level whose measured loss is within ``preset``."""
-        mask = self.sample_breakpoint == breakpoint_index
-        levels = self.sample_level[mask]
-        losses = self.sample_loss[mask]
-        if levels.size == 0:
-            raise DatasetError("breakpoint has no samples")
-        ok = losses <= preset
-        if not ok.any():
-            return int(levels.max())
-        return int(levels[ok].min())
-
     # ------------------------------------------------------------------
     def _breakpoint_feature_matrix(self, extractor: FeatureExtractor
                                    ) -> np.ndarray:
@@ -282,20 +209,12 @@ class DVFSDataset:
             return int(levels.max())
         return int(levels[ok].min())
 
-    def _decision_arrays(self, feats_per_record: np.ndarray, labeling: str,
+    def _decision_arrays(self, feats_per_record: np.ndarray,
                          preset_grid: tuple[float, ...]
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decision inputs/labels plus each row's split group."""
-        if labeling == "applied":
-            feats = feats_per_record[self.sample_breakpoint]
-            x = np.column_stack([feats, self.sample_loss])
-            y = self.sample_level
-            group = self.record_group[self.sample_breakpoint]
-            return x, y, group
-        if labeling != "minimal":
-            raise DatasetError(f"unknown labeling {labeling!r}")
         if not preset_grid:
-            raise DatasetError("minimal labeling needs a preset grid")
+            raise DatasetError("decision labels need a preset grid")
         # One row per (record, preset), record-major.  A stable sort
         # groups each record's samples into one contiguous run, so every
         # label is a segment reduction: the lowest level whose loss fits
@@ -321,28 +240,26 @@ class DVFSDataset:
         return x, labels, np.repeat(self.record_group, presets.size)
 
     def prepare(self, feature_names: tuple[str, ...], issue_width: float,
-                test_fraction: float = 0.25, seed: int = 0,
-                labeling: str = "minimal") -> PreparedData:
+                seed: int = 0) -> PreparedData:
         """Build standardised decision/calibrator splits.
 
-        Splits are grouped by physical breakpoint.  Scalers are fitted
-        on the training rows only and returned for runtime deployment.
+        Splits are grouped by physical breakpoint, ``TEST_FRACTION`` of
+        them held out.  Scalers are fitted on the training rows only
+        and returned for runtime deployment.
         """
-        if not 0.0 < test_fraction < 1.0:
-            raise DatasetError("test_fraction must be in (0, 1)")
         extractor = FeatureExtractor(tuple(feature_names), issue_width)
         bp_features = self._breakpoint_feature_matrix(extractor)
 
         rng = np.random.default_rng(seed)
         groups = np.unique(self.record_group)
         order = rng.permutation(groups)
-        n_test = max(1, int(groups.size * test_fraction))
+        n_test = max(1, int(groups.size * TEST_FRACTION))
         if n_test >= groups.size:
             raise DatasetError("not enough breakpoints for the split")
         test_groups = set(order[:n_test].tolist())
 
         decision_x, decision_y, decision_group = self._decision_arrays(
-            bp_features, labeling, DEFAULT_PRESET_GRID)
+            bp_features, DEFAULT_PRESET_GRID)
         decision_in_test = np.array(
             [g in test_groups for g in decision_group])
 
@@ -408,8 +325,6 @@ class DVFSDataset:
         if not path.exists():
             raise DatasetError(f"dataset file not found: {path}")
         with np.load(path, allow_pickle=False) as data:
-            group = (data["record_group"] if "record_group" in data.files
-                     else None)
             return cls(
                 counters=data["counters"],
                 kernel_names=[str(n) for n in data["kernel_names"]],
@@ -417,5 +332,5 @@ class DVFSDataset:
                 sample_level=data["sample_level"],
                 sample_loss=data["sample_loss"],
                 sample_instructions=data["sample_instructions"],
-                record_group=group,
+                record_group=data["record_group"],
             )

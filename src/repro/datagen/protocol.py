@@ -19,8 +19,8 @@ two windows — captures the delayed effects of a frequency change
 (stalled warps resuming epochs later), exactly the error source the
 paper's 100 µs collection period is chosen to mitigate.
 
-Kernels are independent, so a suite campaign fans out one chunk per
-kernel (:func:`generate_chunks_for_suite`); within a kernel the
+Kernels are independent, so a suite campaign fans out one task per
+kernel (:func:`generate_for_suite`); within a kernel the
 breakpoints run in order, and the grid's lane simulators share the
 driving simulator's interval-solution cache.
 """
@@ -97,14 +97,6 @@ class BreakpointSamples:
     #: These variants (same labels, same workload position) close it.
     feature_variants: list[tuple[int, CounterSet]] = field(
         default_factory=list)
-
-    def minimal_level_for_preset(self, preset: float) -> int:
-        """Oracle: the slowest level whose loss stays under ``preset``."""
-        best = max(self.levels)  # default point always satisfies (loss ~ 0)
-        for level, loss in zip(self.levels, self.losses):
-            if loss <= preset and level < best:
-                best = level
-        return best
 
 
 def _finalize_samples(samples: BreakpointSamples, default_level: int,
@@ -422,26 +414,25 @@ def _kernel_task(task: tuple) -> tuple[list[BreakpointSamples], dict[str, int]]:
     return chunk, local.counters
 
 
-def generate_chunks_for_suite(kernels: list[KernelProfile],
-                              arch: GPUArchConfig,
-                              config: ProtocolConfig | None = None,
-                              workers: int | None = None,
-                              stats: CampaignStats | None = None,
-                              checkpoint: CampaignCheckpoint | None = None,
-                              retries: int = 2,
-                              timeout_s: float | None = None
-                              ) -> list[list[BreakpointSamples]]:
-    """Run the protocol over a suite, one breakpoint chunk per kernel.
+def generate_for_suite(kernels: list[KernelProfile], arch: GPUArchConfig,
+                       config: ProtocolConfig | None = None, *,
+                       workers: int | None = None,
+                       stats: CampaignStats | None = None,
+                       checkpoint: CampaignCheckpoint | None = None,
+                       retries: int = 2,
+                       timeout_s: float | None = None
+                       ) -> list[BreakpointSamples]:
+    """Run the protocol over a suite, fanned out one task per kernel.
 
-    The per-kernel chunk is the parallel unit: breakpoints within a
-    kernel share simulator state (each reference segment starts where
-    the previous one ended) and must stay sequential, but kernels are
-    fully independent.  Chunk order follows the input suite order, so
-    flattening the chunks reproduces the serial output bit for bit.
-    Kernels too short to host the configured number of breakpoints are
-    repeated until they fit.
-    ``checkpoint``/``retries``/``timeout_s`` configure the resilient
-    fan-out (see :func:`repro.parallel.parallel_map`).
+    The kernel is the parallel unit: breakpoints within a kernel share
+    simulator state (each reference segment starts where the previous
+    one ended) and must stay sequential, but kernels are fully
+    independent.  Breakpoints come back in suite order, so the output
+    is identical for every ``workers`` count, and each kernel's
+    solve-cache counters are folded into ``stats``.  Kernels too short
+    to host the configured number of breakpoints are repeated until
+    they fit.  ``checkpoint``/``retries``/``timeout_s`` configure the
+    resilient fan-out (see :func:`repro.parallel.parallel_map`).
     """
     if not kernels:
         raise DatasetError("no kernels given")
@@ -452,23 +443,11 @@ def generate_chunks_for_suite(kernels: list[KernelProfile],
                            stats=stats, stage="datagen",
                            checkpoint=checkpoint, retries=retries,
                            timeout_s=timeout_s)
-    chunks = []
+    breakpoints = []
     for chunk, counters in results:
-        chunks.append(chunk)
+        breakpoints.extend(chunk)
         if stats is not None:
             stats.counters.update(counters)
-    if not any(chunks):
+    if not breakpoints:
         raise DatasetError("no breakpoints generated; kernels too short?")
-    return chunks
-
-
-def generate_for_suite(kernels: list[KernelProfile], arch: GPUArchConfig,
-                       config: ProtocolConfig | None = None
-                       ) -> list[BreakpointSamples]:
-    """Run the protocol over a full training suite, serially.
-
-    Kernels too short to host the configured number of breakpoints are
-    repeated until they fit.
-    """
-    chunks = generate_chunks_for_suite(kernels, arch, config)
-    return [bp for chunk in chunks for bp in chunk]
+    return breakpoints

@@ -87,8 +87,8 @@ class StageTiming:
 class CampaignStats:
     """Counters and stage timings of one campaign invocation.
 
-    A single instance is threaded through data generation, dataset
-    assembly, caching and evaluation, so one ``render()`` shows the
+    A single instance is threaded through data generation, caching,
+    training and evaluation, so one ``render()`` shows the
     whole pipeline: where the time went, how wide each stage fanned
     out, whether caches were hit, and what the resilience machinery
     (retries, crashes, hangs, checkpoint resumes, guard trips) had to

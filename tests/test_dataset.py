@@ -23,12 +23,6 @@ def test_counter_set_round_trip(small_dataset):
         small_dataset.counter_set(999)
 
 
-def test_oracle_level_monotone_in_preset(small_dataset):
-    for bp in range(small_dataset.num_breakpoints):
-        assert (small_dataset.oracle_level(bp, 0.05)
-                >= small_dataset.oracle_level(bp, 0.30))
-
-
 def test_prepare_shapes(small_dataset, small_arch):
     from repro.datagen.dataset import DEFAULT_PRESET_GRID
     names = ("power_per_core", "ipc", "stall_mem_hazard")
@@ -43,20 +37,6 @@ def test_prepare_shapes(small_dataset, small_arch):
     assert prepared.decision.x_train.shape[1] == len(names) + 1
     assert prepared.calibrator.x_train.shape[1] == len(names) + 1
     assert prepared.num_levels == 6
-
-
-def test_prepare_applied_labeling_matches_samples(small_dataset, small_arch):
-    prepared = small_dataset.prepare(("ipc",), small_arch.issue_width,
-                                     seed=0, labeling="applied")
-    total = (prepared.decision.x_train.shape[0]
-             + prepared.decision.x_test.shape[0])
-    assert total == small_dataset.num_samples
-
-
-def test_prepare_rejects_unknown_labeling(small_dataset, small_arch):
-    with pytest.raises(DatasetError):
-        small_dataset.prepare(("ipc",), small_arch.issue_width,
-                              labeling="nonsense")
 
 
 def test_minimal_labels_monotone_in_preset(small_dataset):
@@ -79,7 +59,7 @@ def _reference_minimal_arrays(dataset, feats, preset_grid):
 def _assert_minimal_arrays_match_reference(dataset, preset_grid):
     feats = np.random.default_rng(3).normal(
         size=(dataset.num_breakpoints, 4))
-    got = dataset._decision_arrays(feats, "minimal", preset_grid)
+    got = dataset._decision_arrays(feats, preset_grid)
     want = _reference_minimal_arrays(dataset, feats, preset_grid)
     for array, expected in zip(got, want):
         assert array.dtype == expected.dtype
@@ -110,7 +90,7 @@ def test_minimal_labels_match_reference_on_shuffled_samples():
         dataset, (-1.0, 0.0, 0.05, 0.2, 0.39, 1.0))
     dataset.sample_breakpoint[dataset.sample_breakpoint == 4] = 5
     with pytest.raises(DatasetError):
-        dataset._decision_arrays(np.zeros((n_records, 1)), "minimal", (0.1,))
+        dataset._decision_arrays(np.zeros((n_records, 1)), (0.1,))
 
 
 def test_prepare_splits_by_physical_breakpoint(small_dataset, small_arch):
@@ -137,12 +117,6 @@ def test_calibrator_targets_are_throughput_ratios(small_dataset, small_arch):
     assert total == ratios.shape[0]
 
 
-def test_prepare_rejects_bad_fraction(small_dataset, small_arch):
-    with pytest.raises(DatasetError):
-        small_dataset.prepare(("ipc",), small_arch.issue_width,
-                              test_fraction=0.0)
-
-
 def test_save_load_round_trip(small_dataset, tmp_path):
     path = tmp_path / "ds.npz"
     small_dataset.save(path)
@@ -162,13 +136,14 @@ def test_constructor_validation():
     good = np.zeros((2, len(COUNTER_NAMES)))
     with pytest.raises(DatasetError):
         DVFSDataset(np.zeros((2, 3)), ["a", "b"], np.array([0]),
-                    np.array([0]), np.array([0.0]), np.array([0.0]))
+                    np.array([0]), np.array([0.0]), np.array([0.0]),
+                    np.arange(2))
     with pytest.raises(DatasetError):
         DVFSDataset(good, ["a"], np.array([0]), np.array([0]),
-                    np.array([0.0]), np.array([0.0]))
+                    np.array([0.0]), np.array([0.0]), np.arange(2))
     with pytest.raises(DatasetError):
         DVFSDataset(good, ["a", "b"], np.array([5]), np.array([0]),
-                    np.array([0.0]), np.array([0.0]))
+                    np.array([0.0]), np.array([0.0]), np.arange(2))
 
 
 def test_losses_have_learnable_spread(small_dataset):

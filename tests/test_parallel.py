@@ -13,7 +13,6 @@ from repro.core.policy import StaticPolicy
 from repro.datagen.cache import cached_dataset, content_key
 from repro.datagen.dataset import DVFSDataset
 from repro.datagen.protocol import (ProtocolConfig, _kernel_task,
-                                    generate_chunks_for_suite,
                                     generate_for_suite,
                                     scale_kernel_for_protocol)
 from repro.errors import CampaignError, ParallelError
@@ -263,10 +262,10 @@ def test_faulted_datagen_campaign_is_bit_identical_to_fault_free(
     retried = parallel_map(flaky, tasks, workers=2, stats=stats,
                            backoff_s=0.01)
     assert stats.counters["campaign_worker_crashes"] > 0
-    clean_ds = DVFSDataset.from_breakpoint_chunks(
-        [chunk for chunk, _ in clean])
-    retried_ds = DVFSDataset.from_breakpoint_chunks(
-        [chunk for chunk, _ in retried])
+    clean_ds = DVFSDataset.from_breakpoints(
+        [bp for chunk, _ in clean for bp in chunk])
+    retried_ds = DVFSDataset.from_breakpoints(
+        [bp for chunk, _ in retried for bp in chunk])
     _assert_datasets_identical(clean_ds, retried_ds)
 
 
@@ -317,24 +316,14 @@ def _assert_datasets_identical(a: DVFSDataset, b: DVFSDataset) -> None:
 
 def test_parallel_dataset_bit_identical_to_serial(small_arch):
     serial = DVFSDataset.from_breakpoints(
-        generate_for_suite(_suite(), small_arch, config=CFG))
+        generate_for_suite(_suite(), small_arch, config=CFG, workers=1))
     stats = CampaignStats()
-    chunks = generate_chunks_for_suite(_suite(), small_arch, config=CFG,
-                                       workers=2, stats=stats)
-    parallel = DVFSDataset.from_breakpoint_chunks(chunks, workers=2,
-                                                  stats=stats)
+    parallel = DVFSDataset.from_breakpoints(
+        generate_for_suite(_suite(), small_arch, config=CFG, workers=2,
+                           stats=stats))
     _assert_datasets_identical(serial, parallel)
     modes = {s.name: s.mode for s in stats.stages}
     assert modes["datagen"] in ("parallel", "fallback")
-
-
-def test_merge_equals_flat_assembly(small_arch):
-    chunks = generate_chunks_for_suite(_suite(), small_arch, config=CFG)
-    flat = DVFSDataset.from_breakpoints(
-        [bp for chunk in chunks for bp in chunk])
-    merged = DVFSDataset.merge(
-        [DVFSDataset.from_breakpoints(chunk) for chunk in chunks if chunk])
-    _assert_datasets_identical(flat, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +366,30 @@ def test_no_cache_regenerates_but_refreshes_file(tmp_path, small_arch):
     assert len(list(tmp_path.glob("dvfs-*.npz"))) == 1
 
 
-def test_corrupt_dataset_cache_is_regenerated(tmp_path, small_arch):
-    stats = CampaignStats()
-    first = cached_dataset(tmp_path, _suite(), small_arch, CFG, stats=stats)
-    [path] = tmp_path.glob("dvfs-*.npz")
-    # Flip bits in the middle of the payload (a torn write / bit-rot).
+def _flip_bytes(path):
+    """Flip bits in the middle of the payload (a torn write / bit-rot)."""
     blob = bytearray(path.read_bytes())
     for offset in range(len(blob) // 2, len(blob) // 2 + 64):
         blob[offset] ^= 0xFF
     path.write_bytes(bytes(blob))
+
+
+def _drop_record_group(path):
+    """Rewrite the archive with every array but ``record_group``."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files
+                  if name != "record_group"}
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+@pytest.mark.parametrize("damage", [_flip_bytes, _drop_record_group],
+                         ids=["flipped-bytes", "no-record-group"])
+def test_corrupt_dataset_cache_is_regenerated(tmp_path, small_arch, damage):
+    stats = CampaignStats()
+    first = cached_dataset(tmp_path, _suite(), small_arch, CFG, stats=stats)
+    [path] = tmp_path.glob("dvfs-*.npz")
+    damage(path)
     recovered = cached_dataset(tmp_path, _suite(), small_arch, CFG,
                                stats=stats)
     assert stats.counters["dataset_cache_corrupt"] == 1

@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.datagen.protocol import ProtocolConfig
 from repro.errors import ModelError
+from repro.gpu.kernels import KernelProfile
+from repro.gpu.phases import compute_phase, memory_phase
 from repro.nn.metrics import within_one_accuracy
-from repro.core.pipeline import (PipelineConfig, build_from_dataset)
+from repro.nn.trainer import TrainConfig
+from repro.parallel import CampaignStats
+from repro.core.pipeline import (PipelineConfig, build_from_dataset,
+                                 build_ssmdvfs)
 
 
 def test_pipeline_builds_all_variants(small_pipeline):
@@ -67,3 +73,28 @@ def test_metadata_propagated(small_pipeline):
     meta = small_pipeline.model("pruned").metadata
     assert meta["variant"] == "pruned"
     assert meta["flops_sparse"] <= meta["flops_dense"]
+
+
+def test_build_ssmdvfs_reports_datagen_to_stats(small_arch):
+    """``workers`` and ``stats`` reach data generation, and neither
+    changes the model."""
+    kernels = [
+        KernelProfile("s.compute", [compute_phase("c", 120_000, warps=16)],
+                      iterations=6, jitter=0.05),
+        KernelProfile("s.memory", [memory_phase("m", 120_000, warps=40)],
+                      iterations=6, jitter=0.05),
+    ]
+    config = PipelineConfig(
+        protocol=ProtocolConfig(max_breakpoints_per_kernel=2, seed=7),
+        feature_names=("power_per_core", "ipc"),
+        train=TrainConfig(epochs=5, patience=5, seed=3), seed=3)
+    plain = build_ssmdvfs(small_arch, kernels, config, variants=("base",))
+    stats = CampaignStats()
+    observed = build_ssmdvfs(small_arch, kernels, config, variants=("base",),
+                             workers=2, stats=stats)
+    modes = {stage.name: stage.mode for stage in stats.stages}
+    assert modes["datagen"] in ("parallel", "fallback")
+    assert stats.counters["solve_cache_hit"] > 0
+    assert stats.counters["solve_cache_miss"] > 0
+    assert (observed.model("base").to_bytes()
+            == plain.model("base").to_bytes())

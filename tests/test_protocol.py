@@ -8,6 +8,7 @@ from repro.gpu.arch import small_test_config
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase, memory_phase
 from repro.gpu.simulator import GPUSimulator
+from repro.datagen.dataset import DVFSDataset
 from repro.datagen.protocol import (ProtocolConfig, collect_breakpoint,
                                     generate_for_kernel, generate_for_suite,
                                     required_duration_s,
@@ -104,10 +105,11 @@ def test_segment_losses_are_window_losses_scaled():
 
 
 def test_minimal_level_for_preset_monotone_in_preset():
-    breakpoints = generate_for_kernel(_kernel(compute=True), ARCH, config=CFG)
-    for bp in breakpoints:
-        assert (bp.minimal_level_for_preset(0.05)
-                >= bp.minimal_level_for_preset(0.20))
+    dataset = DVFSDataset.from_breakpoints(
+        generate_for_kernel(_kernel(compute=True), ARCH, config=CFG))
+    for record in range(dataset.num_breakpoints):
+        assert (dataset.minimal_level_for_record(record, 0.05)
+                >= dataset.minimal_level_for_record(record, 0.20))
 
 
 def test_required_duration_and_scaling():
