@@ -13,7 +13,7 @@ Usage::
 
 import numpy as np
 
-from repro.hardware import ASICConfig, ASICModel
+from repro.hardware import ASICModel
 from repro.nn.compress import PAPER_COMPRESSED_SPEC, PAPER_PRUNE_PARAMS
 from repro.nn.mlp import MLP
 from repro.nn.prune import prune_model
@@ -35,7 +35,7 @@ def build_compressed_pair():
 
 def main():
     models = build_compressed_pair()
-    asic = ASICModel(ASICConfig(num_macs=1))
+    asic = ASICModel()
     report = asic.report(models, sparse=True, node_nm=28)
 
     print("SSMDVFS inference module (compressed + pruned pair)")

@@ -4,7 +4,7 @@ from .calibrator import Calibrator
 from .combined import SSMDVFSModel
 from .controller import SSMDVFSController
 from .decision_maker import DecisionMaker
-from .drift import DriftConfig, DriftMonitor, RollbackManager
+from .drift import DriftMonitor, RollbackManager
 from .event_driven import EventDrivenController, PhaseChangeDetector
 from .guarded import GuardedController
 from .pipeline import (VARIANTS, PipelineConfig, PipelineResult,
@@ -14,7 +14,7 @@ from .policy import (BasePolicy, ModelOraclePolicy, StaticPolicy,
 
 __all__ = [
     "Calibrator", "SSMDVFSModel", "SSMDVFSController", "DecisionMaker",
-    "DriftConfig", "DriftMonitor", "RollbackManager",
+    "DriftMonitor", "RollbackManager",
     "EventDrivenController", "PhaseChangeDetector", "GuardedController",
     "VARIANTS", "PipelineConfig", "PipelineResult", "build_from_dataset",
     "build_ssmdvfs",

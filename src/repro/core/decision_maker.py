@@ -87,10 +87,3 @@ class DecisionMaker:
             raise PolicyError("preset cannot be negative")
         rows = self._input_matrix(counter_sets, preset)
         return [int(v) for v in self.model.predict_class(rows)]
-
-    def level_probabilities(self, counters: CounterSet,
-                            preset: float) -> np.ndarray:
-        """Softmax distribution over levels (diagnostics)."""
-        from ..nn.losses import softmax
-        return softmax(self.model.forward(
-            self._input_matrix([counters], preset)))[0]

@@ -5,7 +5,7 @@ module closes the remaining loop by treating the predicted-vs-actual
 instruction gap as a *trust* signal, not just a preset nudge.  Three
 pieces:
 
-* :class:`DriftConfig` / :class:`DriftMonitor` — an EWMA + one-sided
+* :class:`DriftMonitor` — an EWMA + one-sided
   CUSUM monitor over the controller's raw calibration gap and its
   realised preset-violation pressure.  Single-epoch noise washes out;
   a sustained shift accumulates in the CUSUM statistic and raises a
@@ -26,46 +26,30 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import ArtifactCorrupt, PolicyError
+from ..errors import ArtifactCorrupt
 from ..store import ArtifactStore
 
 
-@dataclass(frozen=True)
-class DriftConfig:
-    """Thresholds of the EWMA/CUSUM drift monitor.
-
-    ``cusum_slack`` is the per-update magnitude a healthy Calibrator is
-    allowed "for free" (its honest noise floor); only the excess
-    ``|gap| - cusum_slack`` accumulates.  An alarm fires when the
-    accumulated excess crosses ``cusum_limit`` — e.g. the default
-    limit/slack pair confirms drift after ~4 consecutive epochs of a
-    fully-saturated gap, or ~10 epochs of a moderate one — or when the
-    EWMA of the violation-pressure flag stays above
-    ``violation_threshold``.  ``warmup_updates`` suppresses alarms
-    while the first comparisons trickle in.
-    """
-
-    ewma_alpha: float = 0.15
-    cusum_slack: float = 0.15
-    cusum_limit: float = 3.0
-    violation_alpha: float = 0.05
-    violation_threshold: float = 0.6
-    warmup_updates: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise PolicyError("ewma_alpha must be in (0, 1]")
-        if not 0.0 < self.violation_alpha <= 1.0:
-            raise PolicyError("violation_alpha must be in (0, 1]")
-        if self.cusum_slack < 0 or self.cusum_limit <= 0:
-            raise PolicyError("cusum_slack >= 0 and cusum_limit > 0 required")
-        if not 0.0 < self.violation_threshold <= 1.0:
-            raise PolicyError("violation_threshold must be in (0, 1]")
-        if self.warmup_updates < 0:
-            raise PolicyError("warmup_updates cannot be negative")
+# Thresholds of the EWMA/CUSUM drift monitor.  CUSUM_SLACK is the
+# per-update gap magnitude a healthy Calibrator is allowed "for free"
+# (its honest noise floor); only the excess ``|gap| - CUSUM_SLACK``
+# accumulates.  With these values a fully saturated gap confirms drift
+# after ~4 consecutive epochs and a moderate one after ~10.
+#: Smoothing weight of the calibration-gap EWMA (per update).
+EWMA_ALPHA = 0.15
+#: Gap magnitude per update that never accumulates (normalised gap).
+CUSUM_SLACK = 0.15
+#: Accumulated excess gap that raises the alarm (normalised gap).
+CUSUM_LIMIT = 3.0
+#: Smoothing weight of the violation-pressure EWMA (per update).
+VIOLATION_ALPHA = 0.05
+#: Violation pressure (fraction of recent epochs) that raises the alarm.
+VIOLATION_THRESHOLD = 0.6
+#: Updates during which no alarm fires, while the first comparisons
+#: trickle in.
+WARMUP_UPDATES = 8
 
 
 class DriftMonitor:
@@ -78,8 +62,7 @@ class DriftMonitor:
     clean slate.
     """
 
-    def __init__(self, config: DriftConfig | None = None) -> None:
-        self.config = config or DriftConfig()
+    def __init__(self) -> None:
         self.counters = Counter()
         self.reset()
 
@@ -99,7 +82,6 @@ class DriftMonitor:
         clusters drained — which skips the gap statistics but still
         tracks violation pressure).
         """
-        config = self.config
         self.updates += 1
         self.counters["drift_updates"] += 1
         if gap is not None:
@@ -109,15 +91,14 @@ class DriftMonitor:
                 magnitude = 1.0
             else:
                 magnitude = min(abs(gap), 1.0)
-            self.ewma_gap += config.ewma_alpha * (magnitude - self.ewma_gap)
-            self.cusum = max(0.0, self.cusum
-                             + magnitude - config.cusum_slack)
-        self.violation_pressure += config.violation_alpha * (
+            self.ewma_gap += EWMA_ALPHA * (magnitude - self.ewma_gap)
+            self.cusum = max(0.0, self.cusum + magnitude - CUSUM_SLACK)
+        self.violation_pressure += VIOLATION_ALPHA * (
             float(bool(violation)) - self.violation_pressure)
-        if self.updates <= config.warmup_updates or self.drifted:
+        if self.updates <= WARMUP_UPDATES or self.drifted:
             return False
-        if (self.cusum > config.cusum_limit
-                or self.violation_pressure > config.violation_threshold):
+        if (self.cusum > CUSUM_LIMIT
+                or self.violation_pressure > VIOLATION_THRESHOLD):
             self.drifted = True
             self.counters["drift_alarms"] += 1
             return True

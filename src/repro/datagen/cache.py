@@ -18,10 +18,11 @@ from pathlib import Path
 
 from ..gpu.arch import GPUArchConfig
 from ..gpu.kernels import KernelProfile
+from ..gpu.simulator import DEFAULT_EPOCH_S
 from ..parallel import (CampaignStats, cached, campaign_checkpoint,
                         content_key)
 from .dataset import DVFSDataset
-from .protocol import ProtocolConfig, generate_for_suite
+from .protocol import SEGMENT_EPOCHS, ProtocolConfig, generate_for_suite
 
 
 def kernel_suite_fingerprint(kernels: list[KernelProfile]) -> dict:
@@ -40,11 +41,12 @@ def dataset_cache_key(kernels: list[KernelProfile], arch: GPUArchConfig,
         **kernel_suite_fingerprint(kernels),
         "arch": arch.name,
         "clusters": arch.num_clusters,
-        "epoch_s": config.epoch_s,
-        "segment_epochs": config.segment_epochs,
+        # The epoch length, the segment length and the always-on
+        # feature-window level augmentation are constants; they stay in
+        # the payload so existing cache keys keep matching.
+        "epoch_s": DEFAULT_EPOCH_S,
+        "segment_epochs": SEGMENT_EPOCHS,
         "max_breakpoints": config.max_breakpoints_per_kernel,
-        # Feature-window level augmentation is always on; the constant
-        # stays in the payload so existing cache keys keep matching.
         "augment": True,
         "seed": config.seed,
     })

@@ -4,7 +4,7 @@ For each training kernel, executed at the default V/f operating point:
 
 1. Roughly every 100 µs a *breakpoint* is placed (one data-point cycle).
 2. A reference replay from the breakpoint fixes the workload span: the
-   instructions the GPU completes in ``segment_epochs`` epochs at the
+   instructions the GPU completes in :data:`SEGMENT_EPOCHS` epochs at the
    default operating point.  Its duration is ``T0``.
 3. For each of the 6 operating points, the segment is replayed from a
    snapshot: one *feature collection window* epoch at the default
@@ -42,26 +42,25 @@ from ..parallel import CampaignCheckpoint, CampaignStats, parallel_map
 from ..power.model import PowerModel
 
 
+#: Epochs in one data-point cycle: the paper's 100 µs of 10 µs epochs
+#: (:data:`~repro.gpu.simulator.DEFAULT_EPOCH_S`), enough for the two
+#: 1-epoch windows plus the epochs where delayed effects surface.
+SEGMENT_EPOCHS = 10
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Knobs of the data-generation protocol.
 
-    Defaults follow the paper: 10 µs epochs, 100 µs data-point cycles
-    (10 epochs), a 1-epoch feature window and a 1-epoch scaling window.
+    The protocol follows the paper: 10 µs epochs, 100 µs data-point
+    cycles (:data:`SEGMENT_EPOCHS`), a 1-epoch feature window and a
+    1-epoch scaling window.
     """
 
-    epoch_s: float = DEFAULT_EPOCH_S
-    segment_epochs: int = 10
     max_breakpoints_per_kernel: int = 12
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epoch_s <= 0:
-            raise DatasetError("epoch length must be positive")
-        if self.segment_epochs < 3:
-            raise DatasetError(
-                "segment must cover the two windows plus recovery epochs"
-            )
         if self.max_breakpoints_per_kernel <= 0:
             raise DatasetError("need at least one breakpoint per kernel")
 
@@ -99,8 +98,8 @@ class BreakpointSamples:
         default_factory=list)
 
 
-def _finalize_samples(samples: BreakpointSamples, default_level: int,
-                      config: ProtocolConfig) -> BreakpointSamples:
+def _finalize_samples(samples: BreakpointSamples,
+                      default_level: int) -> BreakpointSamples:
     """Turn raw replay durations into the canonical loss labels."""
     # T0 is the default-level replay's duration (loss 0 by construction).
     try:
@@ -112,7 +111,7 @@ def _finalize_samples(samples: BreakpointSamples, default_level: int,
                               for tf in samples.tf_s]
     # Window-normalised labels: excess time (with delayed effects) over
     # the reference duration of the one epoch that was rescaled.
-    samples.losses = [(tf - samples.t0_s) / config.epoch_s
+    samples.losses = [(tf - samples.t0_s) / DEFAULT_EPOCH_S
                       for tf in samples.tf_s]
     return samples
 
@@ -141,7 +140,6 @@ def _grid_lanes(simulator: GPUSimulator) -> list[GPUSimulator]:
 
 
 def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
-                       config: ProtocolConfig,
                        lanes: list[GPUSimulator] | None = None,
                        reference: tuple[float, dict] | None = None
                        ) -> BreakpointSamples:
@@ -175,7 +173,7 @@ def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
     if lanes is None:
         lanes = _grid_lanes(simulator)
     arch = simulator.arch
-    epoch_s = config.epoch_s
+    epoch_s = DEFAULT_EPOCH_S
     num_clusters = arch.num_clusters
     default_level = arch.vf_table.default_level
     num_levels = arch.vf_table.num_levels
@@ -188,7 +186,7 @@ def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
     else:
         # Reference segment: fixes the workload span and T0.
         simulator.set_all_levels(default_level)
-        for _ in range(config.segment_epochs):
+        for _ in range(SEGMENT_EPOCHS):
             if simulator.finished:
                 break
             simulator.step_epoch()
@@ -265,7 +263,7 @@ def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
             window_instructions[level] / num_clusters)
         samples.tf_s.append(2 * epoch_s + tails[level])
 
-    _finalize_samples(samples, default_level, config)
+    _finalize_samples(samples, default_level)
 
     # Feature-window level augmentation, batched across the non-default
     # operating points: one quantum-kernel call over all variant lanes,
@@ -317,20 +315,19 @@ def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
     seven operating points, which is where the hits come from.
     """
     config = config or ProtocolConfig()
-    simulator = GPUSimulator(arch, kernel, PowerModel(), seed=config.seed,
-                             epoch_s=config.epoch_s)
+    simulator = GPUSimulator(arch, kernel, PowerModel(), seed=config.seed)
     simulator.set_all_levels(arch.vf_table.default_level)
     lanes = _grid_lanes(simulator)
     breakpoints: list[BreakpointSamples] = []
     # Keep a margin so every replay has room to reach its workload mark
     # even at the slowest point (worst-case tail < 0.8x a segment).
-    margin = config.segment_epochs
+    margin = SEGMENT_EPOCHS
     while (len(breakpoints) < config.max_breakpoints_per_kernel
            and not simulator.finished):
         # Probe whether a full segment (plus margin) fits from here.
         # The probe only needs completion flags, so it advances cluster
         # state without accumulating activity or evaluating power; the
-        # state is restored afterwards.  Its first ``segment_epochs``
+        # state is restored afterwards.  Its first ``SEGMENT_EPOCHS``
         # steps cover exactly the breakpoint's reference segment, so the
         # probe keeps the segment's time accounting (the same per-epoch
         # float adds ``step_epoch`` performs) and hands the span/end
@@ -339,7 +336,7 @@ def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
         fits = True
         reference = None
         simulator.set_all_levels(arch.vf_table.default_level)
-        for _ in range(config.segment_epochs):
+        for _ in range(SEGMENT_EPOCHS):
             if simulator.finished:
                 fits = False
                 break
@@ -360,8 +357,8 @@ def generate_for_kernel(kernel: KernelProfile, arch: GPUArchConfig,
         if not fits:
             break
         breakpoints.append(
-            collect_breakpoint(simulator, len(breakpoints), config,
-                               lanes=lanes, reference=reference))
+            collect_breakpoint(simulator, len(breakpoints), lanes=lanes,
+                               reference=reference))
     cache = simulator.solution_cache
     if stats is not None:
         stats.count("solve_cache_hit", cache.hits)
@@ -377,9 +374,8 @@ def required_duration_s(config: ProtocolConfig) -> float:
     needs a two-segment margin so every replay can reach its workload
     mark even at the slowest operating point.
     """
-    epochs = ((config.max_breakpoints_per_kernel + 3)
-              * config.segment_epochs)
-    return epochs * config.epoch_s
+    epochs = (config.max_breakpoints_per_kernel + 3) * SEGMENT_EPOCHS
+    return epochs * DEFAULT_EPOCH_S
 
 
 def scale_kernel_for_protocol(kernel: KernelProfile, arch: GPUArchConfig,

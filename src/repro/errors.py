@@ -103,16 +103,14 @@ class FleetFaultError(FleetError):
     Raised for malformed :class:`~repro.faults.NodeFaultConfig` /
     :class:`~repro.faults.NodeFaultEvent` descriptions (unknown fault
     kinds, negative rates or durations, events aimed at nodes outside
-    the fleet) and for inconsistent migration or admission-control
-    configuration."""
+    the fleet) and for inconsistent admission-control configuration."""
 
 
 class ServeError(ReproError):
     """The always-on serving runtime was configured inconsistently.
 
-    Raised for malformed :class:`~repro.serve.runtime.ServeConfig` /
-    :class:`~repro.serve.breaker.BreakerConfig` knobs (non-positive
-    capacities, thresholds or tick budgets), for protocol misuse of the
+    Raised for malformed :class:`~repro.serve.runtime.ServeConfig`
+    knobs (non-positive capacities or tick budgets), for protocol misuse of the
     serving state machines (recording an outcome for a call the circuit
     breaker never admitted), and for dispatching onto a worker that is
     not ready."""

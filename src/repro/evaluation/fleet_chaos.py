@@ -42,7 +42,7 @@ from ..fleet.jobs import LATENCY, TraceConfig, build_trace
 from ..fleet.metrics import FleetResult
 from ..fleet.queue import AdmissionConfig
 from ..fleet.scheduler import ClusterScheduler
-from ..fleet.tracker import QUARANTINED, HealthPolicy, ThermalConfig
+from ..fleet.tracker import QUARANTINED, ThermalConfig
 from ..gpu.arch import GPUArchConfig
 from ..parallel import CampaignStats
 from ..store import ArtifactStore
@@ -156,8 +156,7 @@ def _run_trial(arch: GPUArchConfig, factory, policy_name: str,
     scheduler = ClusterScheduler(
         arch, factory, num_nodes=config.nodes, policy_name=policy_name,
         seed=trial_seed, thermal=ThermalConfig(), workers=workers,
-        stats=stats, fault_plan=plan, admission=config.admission,
-        health=HealthPolicy())
+        stats=stats, fault_plan=plan, admission=config.admission)
     return scheduler.run(jobs, trace_name=config.trace)
 
 

@@ -91,17 +91,6 @@ class ComparisonResult:
             raise SimulationError(f"no runs for policy {policy_name!r}")
         return float(np.mean([r.normalized_latency for r in series]))
 
-    def edp_improvement_vs(self, policy_name: str,
-                           reference_name: str) -> float:
-        """Fractional mean-EDP improvement of ``policy`` vs ``reference``.
-
-        Positive = ``policy`` is better (lower EDP).  This is the
-        statistic behind the paper's headline percentages.
-        """
-        policy_edp = self.mean_normalized_edp(policy_name)
-        reference_edp = self.mean_normalized_edp(reference_name)
-        return 1.0 - policy_edp / reference_edp
-
     def to_payload(self) -> dict:
         """JSON-ready dict (for the on-disk evaluation-grid cache)."""
         return {"preset": self.preset,

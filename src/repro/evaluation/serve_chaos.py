@@ -42,7 +42,7 @@ from ..faults import ServeFaultConfig
 from ..gpu.arch import GPUArchConfig
 from ..parallel import CampaignStats
 from ..serve import ServeConfig, ServeResult, ServingRuntime
-from ..serve.supervisor import SupervisorConfig
+from ..serve.supervisor import BACKOFF_CAP_TICKS, LIVENESS_TICKS
 from ..store import ArtifactStore
 from .certify import (CertifyResult, certify_crash_writes,
                       check_campaign_config, run_trials)
@@ -79,8 +79,7 @@ class ServeChaosConfig:
                               "serve chaos")
         if self.recovery_budget_ticks < 1:
             raise ServeError("recovery_budget_ticks must be >= 1")
-        supervisor = SupervisorConfig()
-        floor = supervisor.backoff_cap_ticks + supervisor.liveness_ticks
+        floor = BACKOFF_CAP_TICKS + LIVENESS_TICKS
         if self.recovery_budget_ticks < floor:
             raise ServeError(
                 f"recovery_budget_ticks {self.recovery_budget_ticks} is "

@@ -64,6 +64,10 @@ LATENCY_SLACK = 0.15
 TRIP_THRESHOLD = 4
 #: Epoch cap of one soak run (far beyond any suite kernel's length).
 MAX_EPOCHS = 100_000
+#: Where the staleness injection lands, as a fraction of the kernel's
+#: fault-free epoch count: late enough for the pair to have settled,
+#: early enough to leave room for recovery.
+STALE_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -72,19 +76,16 @@ class SoakConfig:
 
     ``faults`` defaults to the "1 % flaky sensor" deployment story:
     one dropped counter window per hundred plus rare NaN poisonings
-    and spikes.  ``stale_fraction`` places the staleness injection as
-    a fraction of the kernel's baseline epoch count; ``stale_sigma``
-    scales the weight perturbation relative to each layer's weight
-    spread (3x is unambiguous garbage — the soak tests recovery, not
-    detection sensitivity).  ``recovery_epochs`` budgets detection +
-    rollback.
+    and spikes.  ``stale_sigma`` scales the weight perturbation
+    relative to each layer's weight spread (3x is unambiguous garbage —
+    the soak tests recovery, not detection sensitivity).
+    ``recovery_epochs`` budgets detection + rollback.
     """
 
     preset: float = 0.10
     seed: int = 3
     faults: FaultConfig = field(default_factory=lambda: FaultConfig(
         counter_dropout=0.01, counter_nan=0.0005, counter_spike=0.0005))
-    stale_fraction: float = 0.3
     stale_sigma: float = 3.0
     recovery_epochs: int = 60
     crash_write_trials: int = 32
@@ -92,8 +93,6 @@ class SoakConfig:
     def __post_init__(self) -> None:
         if self.preset < 0:
             raise PolicyError("preset cannot be negative")
-        if not 0.0 < self.stale_fraction < 1.0:
-            raise PolicyError("stale_fraction must be in (0, 1)")
         if self.stale_sigma <= 0:
             raise PolicyError("stale_sigma must be positive")
         if self.recovery_epochs < 1:
@@ -255,7 +254,7 @@ def _soak_one_kernel(model: SSMDVFSModel, kernel: KernelProfile,
     baseline = GPUSimulator(arch, kernel, power_model, seed=seed,
                             epoch_s=us(10)).run(
         StaticPolicy(arch.vf_table.default_level), keep_records=False)
-    stale_epoch = max(2, int(baseline.epochs * config.stale_fraction))
+    stale_epoch = max(2, int(baseline.epochs * STALE_FRACTION))
 
     controller = SSMDVFSController(model, preset=config.preset)
     rollback = RollbackManager(

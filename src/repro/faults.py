@@ -100,6 +100,10 @@ class FaultRateConfig:
         return replace(self, seed=int(seed))
 
 
+#: Factor a spiked counter reading is multiplied by (a 1000x outlier).
+SPIKE_MAGNITUDE = 1e3
+
+
 @dataclass(frozen=True)
 class FaultConfig(FaultRateConfig):
     """Declarative description of one fault-injection scenario.
@@ -109,7 +113,7 @@ class FaultConfig(FaultRateConfig):
     sensor sample), ``counter_stuck`` the probability the window
     re-delivers the previous epoch's values (a stale register), and
     ``counter_nan`` / ``counter_spike`` the per-counter probability of
-    a NaN poisoning or a ``spike_magnitude``× outlier.  Actuation
+    a NaN poisoning or a :data:`SPIKE_MAGNITUDE`× outlier.  Actuation
     faults are drawn per decision: ``actuation_delay`` applies the
     decision one epoch late, ``actuation_drop`` discards it (levels
     hold).  All draws come from one stream seeded by ``seed``.
@@ -119,7 +123,6 @@ class FaultConfig(FaultRateConfig):
     counter_stuck: float = 0.0
     counter_nan: float = 0.0
     counter_spike: float = 0.0
-    spike_magnitude: float = 1e3
     actuation_delay: float = 0.0
     actuation_drop: float = 0.0
     seed: int = 0
@@ -130,8 +133,6 @@ class FaultConfig(FaultRateConfig):
 
     def __post_init__(self) -> None:
         self._check_rates(FaultInjectionError, 1.0)
-        if self.spike_magnitude <= 0:
-            raise FaultInjectionError("spike_magnitude must be positive")
 
 
 #: Scenario presets used by the ``repro-ssmdvfs faults`` sweep: each
@@ -218,7 +219,7 @@ class FaultyPolicy:
             mask = rng.random(NUM_COUNTERS) < config.counter_spike
             injected = int(mask.sum())
             if injected:
-                vector[mask] *= config.spike_magnitude
+                vector[mask] *= SPIKE_MAGNITUDE
                 self.counters["fault_counter_spike"] += injected
         return CounterSet.from_vector(vector)
 
@@ -340,6 +341,9 @@ MEAN_OUTAGE_S = 300e-6
 MIN_OUTAGE_S = 30e-6
 #: Temperature rise of an injected thermal-runaway event (°C).
 THERMAL_SPIKE_C = 45.0
+#: Service stretch a sensor-corruption storm imposes on jobs dispatched
+#: into it: the guard pins its fallback level, trading speed for safety.
+STORM_SLOWDOWN = 1.5
 
 
 @dataclass(frozen=True)
@@ -351,17 +355,15 @@ class NodeFaultConfig(FaultRateConfig):
     over 16 nodes draws ~8 events).  Outage durations are drawn
     exponentially with mean :data:`MEAN_OUTAGE_S`, floored at
     :data:`MIN_OUTAGE_S`; a thermal-runaway event adds
-    :data:`THERMAL_SPIKE_C`.  ``storm_slowdown`` is the service
-    stretch a sensor-corruption storm imposes on jobs dispatched into
-    it (the guard pins its fallback level, trading speed for safety).
-    All draws come from one stream derived from ``seed``.
+    :data:`THERMAL_SPIKE_C` and a sensor-corruption storm stretches
+    service by :data:`STORM_SLOWDOWN`.  All draws come from one stream
+    derived from ``seed``.
     """
 
     crash_rate: float = 0.0
     hang_rate: float = 0.0
     thermal_rate: float = 0.0
     storm_rate: float = 0.0
-    storm_slowdown: float = 1.5
     seed: int = 0
 
     RATE_FIELDS: ClassVar[tuple[str, ...]] = (
@@ -369,10 +371,6 @@ class NodeFaultConfig(FaultRateConfig):
 
     def __post_init__(self) -> None:
         self._check_rates(FleetFaultError, None)
-        if self.storm_slowdown < 1.0:
-            raise FleetFaultError(
-                "storm_slowdown must be >= 1 (a storm cannot speed "
-                "jobs up)")
 
 
 class FaultPlan:
@@ -438,7 +436,7 @@ class NodeFaultPlan(FaultPlan):
                 if kind == "thermal":
                     magnitude = THERMAL_SPIKE_C
                 elif kind == "sensor_storm":
-                    magnitude = config.storm_slowdown
+                    magnitude = STORM_SLOWDOWN
                 else:
                     magnitude = 1.0
                 events.append(NodeFaultEvent(

@@ -24,18 +24,15 @@ from .jobs import (BUILTIN_TRACES, JOB_CLASSES, LATENCY, THROUGHPUT, Job,
                    TraceConfig, build_trace)
 from .metrics import FleetResult, JobOutcome, ShedJob, tail_latencies
 from .queue import AdmissionConfig, PendingJobQueue
-from .scheduler import (FLEET_POLICIES, ClusterScheduler, MigrationConfig,
-                        policy_factory)
+from .scheduler import FLEET_POLICIES, ClusterScheduler, policy_factory
 from .tracker import (DEGRADED, HEALTH_STATES, HEALTHY, QUARANTINED,
-                      RECOVERING, HealthPolicy, NodeState, NodeTracker,
-                      ThermalConfig)
+                      RECOVERING, NodeState, NodeTracker, ThermalConfig)
 
 __all__ = [
     "BUILTIN_TRACES", "JOB_CLASSES", "LATENCY", "THROUGHPUT", "Job",
     "TraceConfig", "build_trace", "FleetResult", "JobOutcome", "ShedJob",
     "tail_latencies", "AdmissionConfig", "PendingJobQueue",
-    "FLEET_POLICIES", "ClusterScheduler", "MigrationConfig",
-    "policy_factory", "DEGRADED", "HEALTH_STATES", "HEALTHY",
-    "QUARANTINED", "RECOVERING", "HealthPolicy", "NodeState",
-    "NodeTracker", "ThermalConfig",
+    "FLEET_POLICIES", "ClusterScheduler", "policy_factory",
+    "DEGRADED", "HEALTH_STATES", "HEALTHY", "QUARANTINED", "RECOVERING",
+    "NodeState", "NodeTracker", "ThermalConfig",
 ]

@@ -26,11 +26,12 @@ Since the fleet-resilience layer, the replay also consumes a seeded
 **hangs** quarantine the node and preempt its in-flight job, which is
 requeued from its last checkpoint (work past the checkpoint boundary
 is lost, a restart overhead is paid on re-dispatch — see
-:class:`MigrationConfig`) and resumed on another node.  **Thermal
-runaway** and **sensor-corruption storms** degrade the node in the
-health FSM — still placeable, but deprioritized, and jobs dispatched
-into a storm window run stretched by the storm's slowdown factor (the
-guarded controller rides its fallback level through the corruption).
+:data:`CHECKPOINT_INTERVAL_S` and :data:`RESTART_OVERHEAD_S`) and
+resumed on another node.  **Thermal runaway** and **sensor-corruption
+storms** degrade the node in the health FSM — still placeable, but
+deprioritized, and jobs dispatched into a storm window run stretched
+by the storm's slowdown factor (the guarded controller rides its
+fallback level through the corruption).
 A storm striking an already-degraded node escalates to quarantine.
 When admission control is enabled, throughput-class jobs whose
 deadline has become unmeetable with the surviving capacity are shed
@@ -63,7 +64,7 @@ from ..baselines.pcstall import PCSTALLPolicy
 from ..core.controller import SSMDVFSController
 from ..core.guarded import GuardedController
 from ..core.policy import ModelOraclePolicy, StaticPolicy, policy_counters
-from ..errors import FleetError, FleetFaultError
+from ..errors import FleetError
 from ..faults import NodeFaultPlan
 from ..gpu.arch import GPUArchConfig
 from ..gpu.simulator import GPUSimulator
@@ -72,8 +73,8 @@ from ..parallel import (CampaignCheckpoint, CampaignStats, derive_seed,
 from .jobs import Job
 from .metrics import FleetResult, JobOutcome, ShedJob
 from .queue import AdmissionConfig, PendingJobQueue
-from .tracker import (DEGRADED, QUARANTINED, HealthPolicy, NodeTracker,
-                      ThermalConfig, resilience_counters)
+from .tracker import (DEGRADED, QUARANTINED, NodeTracker, ThermalConfig,
+                      resilience_counters)
 
 #: Policy names accepted by :func:`policy_factory` (the CLI choices).
 FLEET_POLICIES = ("ssmdvfs", "ssmdvfs-guarded", "ssmdvfs-chipwide",
@@ -136,34 +137,17 @@ def _simulate_job(task: tuple) -> tuple[float, float, int, float,
             policy_counters(policy))
 
 
-@dataclass(frozen=True)
-class MigrationConfig:
-    """Checkpointed-migration and hang-detection knobs of the replay.
-
-    Jobs checkpoint every ``checkpoint_interval_s`` of service-time
-    progress; a preemption discards work past the last checkpoint
-    boundary and re-dispatch pays ``restart_overhead_s`` before the
-    job resumes.  ``hang_detect_s`` is the heartbeat deadline: a hung
-    node is only discovered (and its frozen job preempted) that long
-    after progress stops.  A job preempted more than ``max_migrations``
-    times is shed with reason ``migration_limit`` instead of ping-
-    ponging across a collapsing fleet forever.
-    """
-
-    checkpoint_interval_s: float = 20e-6
-    restart_overhead_s: float = 5e-6
-    max_migrations: int = 8
-    hang_detect_s: float = 50e-6
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_interval_s <= 0:
-            raise FleetFaultError("checkpoint_interval_s must be positive")
-        if self.restart_overhead_s < 0:
-            raise FleetFaultError("restart_overhead_s cannot be negative")
-        if self.max_migrations < 0:
-            raise FleetFaultError("max_migrations cannot be negative")
-        if self.hang_detect_s <= 0:
-            raise FleetFaultError("hang_detect_s must be positive")
+#: Service-time progress between job checkpoints (s); a preemption
+#: discards the work past the last checkpoint boundary.
+CHECKPOINT_INTERVAL_S = 20e-6
+#: Time a re-dispatched job pays before it resumes (s).
+RESTART_OVERHEAD_S = 5e-6
+#: Preemptions after which a job is shed (reason ``migration_limit``)
+#: instead of ping-ponging across a collapsing fleet forever.
+MAX_MIGRATIONS = 8
+#: Heartbeat deadline (s): a hung node is only discovered, and its
+#: frozen job preempted, this long after its progress stops.
+HANG_DETECT_S = 50e-6
 
 
 #: Deterministic same-instant event ordering of the replay heap:
@@ -211,9 +195,7 @@ class ClusterScheduler:
                  checkpoint: CampaignCheckpoint | None = None,
                  retries: int = 2, timeout_s: float | None = None,
                  fault_plan: NodeFaultPlan | None = None,
-                 migration: MigrationConfig | None = None,
-                 admission: AdmissionConfig | None = None,
-                 health: HealthPolicy | None = None) -> None:
+                 admission: AdmissionConfig | None = None) -> None:
         if num_nodes < 1:
             raise FleetError("a fleet needs at least one node")
         if fault_plan is not None:
@@ -230,9 +212,7 @@ class ClusterScheduler:
         self.retries = retries
         self.timeout_s = timeout_s
         self.fault_plan = fault_plan or NodeFaultPlan()
-        self.migration = migration or MigrationConfig()
         self.admission = admission or AdmissionConfig()
-        self.health = health
 
     # ------------------------------------------------------------------
     def _simulate(self, jobs: Sequence[Job]) -> list[tuple]:
@@ -272,10 +252,8 @@ class ClusterScheduler:
                 trace_name: str) -> FleetResult:
         """Phase 2: serial discrete-event replay of queueing, placement,
         node faults, checkpointed migration, and load shedding."""
-        tracker = NodeTracker(self.num_nodes, thermal=self.thermal,
-                              health=self.health)
+        tracker = NodeTracker(self.num_nodes, thermal=self.thermal)
         queue = PendingJobQueue()
-        migration = self.migration
         outcomes: list[JobOutcome] = []
         shed: list[ShedJob] = []
         counters = Counter()
@@ -328,7 +306,7 @@ class ClusterScheduler:
             work_wall = max(0.0, elapsed - assignment.overhead_s)
             executed = min(assignment.remaining_at_start_s,
                            work_wall / assignment.stretch)
-            interval = migration.checkpoint_interval_s
+            interval = CHECKPOINT_INTERVAL_S
             kept = min(executed,
                        math.floor(executed / interval + 1e-9) * interval)
             state.remaining_s = max(0.0,
@@ -356,7 +334,7 @@ class ClusterScheduler:
                 job = queue.pop()
                 state = progress[job.job_id]
                 service_s = service[job.job_id][0]
-                if state.migrations > migration.max_migrations:
+                if state.migrations > MAX_MIGRATIONS:
                     shed_job(job, now_s, "migration_limit")
                     continue
                 fraction = (state.remaining_s / service_s
@@ -367,8 +345,7 @@ class ClusterScheduler:
                     continue
                 node = tracker.least_contended(now_s, idle_only=True)
                 start_s = max(now_s, node.free_at_s)
-                overhead = (migration.restart_overhead_s
-                            if state.migrations else 0.0)
+                overhead = RESTART_OVERHEAD_S if state.migrations else 0.0
                 stretch = (node.storm_slowdown
                            if node.storm_until > start_s + 1e-15 else 1.0)
                 finish_s = start_s + overhead + state.remaining_s * stretch
@@ -440,9 +417,8 @@ class ClusterScheduler:
                     # arrives, so the node stays logically occupied
                     # until the hang-detection deadline preempts it.
                     node = tracker.nodes[assignment.node_id]
-                    node.free_at_s = max(
-                        node.free_at_s,
-                        node.hung_since + migration.hang_detect_s)
+                    node.free_at_s = max(node.free_at_s,
+                                         node.hung_since + HANG_DETECT_S)
                 else:
                     complete(job_id, now_s)
             elif kind == "fault":
@@ -503,8 +479,7 @@ class ClusterScheduler:
         elif event.kind == "hang":
             if node.health != QUARANTINED and node.hung_since is None:
                 node.hung_since = now_s
-                push_event(now_s + self.migration.hang_detect_s,
-                           _ORDER_FAULT, "detect",
+                push_event(now_s + HANG_DETECT_S, _ORDER_FAULT, "detect",
                            (event.node_id, now_s, event.duration_s))
         elif event.kind == "thermal":
             tracker.thermal_runaway(node, now_s, event.magnitude,

@@ -71,26 +71,14 @@ def resilience_counters(counters) -> Counter:
                     if name.startswith(POLICY_COUNTER_PREFIXES)})
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Thresholds driving the per-node health FSM.
-
-    ``miss_threshold`` consecutive deadline misses demote a healthy or
-    recovering node to ``DEGRADED``; ``clean_streak`` consecutive
-    on-deadline completions heal a degraded node once no degradation
-    window (storm, thermal runaway) is still active; and
-    ``probation_jobs`` clean completions re-admit a recovering node to
-    ``HEALTHY``.
-    """
-
-    miss_threshold: int = 3
-    clean_streak: int = 2
-    probation_jobs: int = 2
-
-    def __post_init__(self) -> None:
-        if (self.miss_threshold < 1 or self.clean_streak < 1
-                or self.probation_jobs < 1):
-            raise FleetError("health policy thresholds must be >= 1")
+#: Consecutive deadline misses that demote a healthy or recovering
+#: node to ``DEGRADED``.
+MISS_THRESHOLD = 3
+#: Consecutive on-deadline completions that heal a degraded node once
+#: no degradation window (storm, thermal runaway) is still active.
+CLEAN_STREAK = 2
+#: Clean completions that re-admit a recovering node to ``HEALTHY``.
+PROBATION_JOBS = 2
 
 
 @dataclass
@@ -175,12 +163,10 @@ class NodeTracker:
     """Book-keeping, health FSM and placement over the fleet's GPUs."""
 
     def __init__(self, num_nodes: int,
-                 thermal: ThermalConfig | None = None,
-                 health: HealthPolicy | None = None) -> None:
+                 thermal: ThermalConfig | None = None) -> None:
         if num_nodes < 1:
             raise FleetError("a fleet needs at least one node")
         self.thermal = thermal or ThermalConfig()
-        self.health_policy = health or HealthPolicy()
         self.nodes = [NodeState(node_id=i,
                                 temperature_c=self.thermal.ambient_c,
                                 peak_temperature_c=self.thermal.ambient_c)
@@ -312,7 +298,7 @@ class NodeTracker:
         node.clean_completions = 0
         node.miss_streak += 1
         if (node.health in (HEALTHY, RECOVERING)
-                and node.miss_streak >= self.health_policy.miss_threshold):
+                and node.miss_streak >= MISS_THRESHOLD):
             self.counters["node_degrade_deadline_misses"] += 1
             self._transition(node, DEGRADED)
 
@@ -322,12 +308,11 @@ class NodeTracker:
         node.miss_streak = 0
         node.clean_completions += 1
         if (node.health == RECOVERING
-                and node.clean_completions
-                >= self.health_policy.probation_jobs):
+                and node.clean_completions >= PROBATION_JOBS):
             self.counters["node_readmissions"] += 1
             self._transition(node, HEALTHY)
         elif (node.health == DEGRADED
-                and node.clean_completions >= self.health_policy.clean_streak
+                and node.clean_completions >= CLEAN_STREAK
                 and now_s + 1e-15 >= max(node.storm_until, node.hot_until)):
             self._transition(node, HEALTHY)
 

@@ -91,17 +91,6 @@ class VFTable:
         """The slowest operating point."""
         return 0
 
-    def level_of_frequency(self, frequency_hz: float) -> int:
-        """Return the level whose frequency matches ``frequency_hz``.
-
-        Raises :class:`ConfigError` when no point matches (within
-        0.5 MHz, to absorb float round-trips).
-        """
-        for level, point in enumerate(self._points):
-            if abs(point.frequency_hz - frequency_hz) < 0.5e6:
-                return level
-        raise ConfigError(f"no operating point at {frequency_hz / 1e6:.1f} MHz")
-
     def clamp(self, level: int) -> int:
         """Clamp an arbitrary integer onto a valid level."""
         return max(0, min(len(self._points) - 1, int(level)))
@@ -109,10 +98,6 @@ class VFTable:
     def frequencies_hz(self) -> list[float]:
         """List of frequencies, slowest first."""
         return [p.frequency_hz for p in self._points]
-
-    def relative_speed(self, level: int) -> float:
-        """Frequency of ``level`` relative to the default level."""
-        return self[level].frequency_hz / self[self.default_level].frequency_hz
 
 
 def interpolated_vf_table(base: VFTable, num_levels: int) -> VFTable:

@@ -39,31 +39,15 @@ CONTROL_AREA_OVERHEAD = 0.35
 PIPELINE_CYCLES_PER_LAYER = 4
 #: Input/output transfer cycles per inference.
 IO_CYCLES = 12
-
-
-@dataclass(frozen=True)
-class ASICConfig:
-    """Constants of the inference-engine model (65 nm reference).
-
-    Defaults are representative published 65 nm figures: an FP32
-    multiply-accumulate datapath around 0.02 mm² and ~12 pJ/op, and
-    single-port SRAM near 0.55 um^2/bit and ~0.05 pJ/bit read energy.
-    """
-
-    num_macs: int = 1
-    clock_hz: float = 1165e6
-    mac_energy_j: float = 12e-12
-    leakage_fraction: float = 0.15
-
-    def __post_init__(self) -> None:
-        if self.num_macs < 1:
-            raise HardwareModelError("need at least one MAC unit")
-        if self.clock_hz <= 0:
-            raise HardwareModelError("clock must be positive")
-        if self.mac_energy_j <= 0:
-            raise HardwareModelError("mac_energy_j must be positive")
-        if not 0.0 <= self.leakage_fraction < 1.0:
-            raise HardwareModelError("leakage_fraction must be in [0, 1)")
+#: FP32 MAC units in the datapath: one, streaming weights from SRAM
+#: one layer at a time.
+NUM_MACS = 1
+#: Clock of the inference engine (Hz), the Titan X's 1165 MHz.
+CLOCK_HZ = 1165e6
+#: Energy of one FP32 multiply-accumulate at 65 nm (J).
+MAC_ENERGY_J = 12e-12
+#: Leakage as a share of total inference energy.
+LEAKAGE_FRACTION = 0.15
 
 
 @dataclass(frozen=True)
@@ -100,10 +84,6 @@ class ASICReport:
 class ASICModel:
     """Analytical cost model of the SSMDVFS inference engine."""
 
-    def __init__(self, config: ASICConfig | None = None) -> None:
-        self.config = config or ASICConfig()
-
-    # ------------------------------------------------------------------
     def _total_macs(self, models: list[MLP], sparse: bool) -> int:
         if not models:
             raise HardwareModelError("no models given")
@@ -121,8 +101,7 @@ class ASICModel:
     def cycles_per_inference(self, models: list[MLP],
                              sparse: bool = True) -> int:
         """MAC schedule + per-layer pipeline fill + I/O."""
-        cfg = self.config
-        mac_cycles = -(-self._total_macs(models, sparse) // cfg.num_macs)
+        mac_cycles = -(-self._total_macs(models, sparse) // NUM_MACS)
         overhead = (PIPELINE_CYCLES_PER_LAYER * self._total_layers(models)
                     + IO_CYCLES)
         return mac_cycles + overhead
@@ -130,9 +109,8 @@ class ASICModel:
     def area_mm2(self, models: list[MLP], sparse: bool = True,
                  node_nm: int | None = None) -> float:
         """Die area at the requested node (default: reference node)."""
-        cfg = self.config
         sram = self._weight_bits(models, sparse) * SRAM_AREA_MM2_PER_BIT
-        datapath = cfg.num_macs * MAC_AREA_MM2
+        datapath = NUM_MACS * MAC_AREA_MM2
         area = (datapath + sram) * (1.0 + CONTROL_AREA_OVERHEAD)
         if node_nm is None or node_nm == REFERENCE_NODE_NM:
             return area
@@ -141,12 +119,11 @@ class ASICModel:
     def energy_per_inference_j(self, models: list[MLP], sparse: bool = True,
                                node_nm: int | None = None) -> float:
         """Dynamic energy of one inference (plus leakage share)."""
-        cfg = self.config
         n_macs = self._total_macs(models, sparse)
-        mac_energy = n_macs * cfg.mac_energy_j
+        mac_energy = n_macs * MAC_ENERGY_J
         sram_energy = n_macs * WEIGHT_BITS * SRAM_READ_ENERGY_J_PER_BIT
         dynamic = mac_energy + sram_energy
-        total = dynamic / (1.0 - cfg.leakage_fraction)
+        total = dynamic / (1.0 - LEAKAGE_FRACTION)
         if node_nm is None or node_nm == REFERENCE_NODE_NM:
             return total
         return scale_energy(total, REFERENCE_NODE_NM, node_nm)
@@ -154,9 +131,8 @@ class ASICModel:
     def report(self, models: list[MLP], sparse: bool = True,
                node_nm: int = 28) -> ASICReport:
         """Full §V-D style cost report at ``node_nm``."""
-        cfg = self.config
         cycles = self.cycles_per_inference(models, sparse)
-        latency = cycles / cfg.clock_hz
+        latency = cycles / CLOCK_HZ
         energy = self.energy_per_inference_j(models, sparse, node_nm)
         return ASICReport(
             cycles_per_inference=cycles,

@@ -12,7 +12,7 @@ from .losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
 from .metrics import (accuracy, confusion_matrix, macro_f1, mape,
                       within_one_accuracy)
 from .mlp import MLP
-from .optim import SGD, Adam
+from .optim import Adam
 from .prune import PruneReport, magnitude_prune, neuron_prune, prune_model
 from .quant import (FixedPointFormat, QuantizationReport, choose_format,
                     quantize_model)
@@ -34,7 +34,7 @@ __all__ = [
     "accuracy", "confusion_matrix", "macro_f1", "mape",
     "within_one_accuracy",
     "MLP",
-    "SGD", "Adam",
+    "Adam",
     "PruneReport", "magnitude_prune", "neuron_prune", "prune_model",
     "FixedPointFormat", "QuantizationReport", "choose_format",
     "quantize_model",

@@ -131,8 +131,3 @@ class MLP:
             )
         self.layers[layer_index].remove_output_units(neuron_indices)
         self.layers[layer_index + 1].remove_input_units(neuron_indices)
-
-    def all_weights(self) -> np.ndarray:
-        """Concatenated view (copy) of every effective weight."""
-        return np.concatenate(
-            [layer.effective_weights.ravel() for layer in self.layers])

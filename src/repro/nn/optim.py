@@ -1,6 +1,6 @@
-"""Optimizers.
+"""The Adam optimizer.
 
-An optimizer owns one contiguous float64 vector for the model's
+The optimizer owns one contiguous float64 vector for the model's
 parameters and one for its gradients: on construction it copies every
 layer's weights and bias into them and rebinds the layer's ``weights``,
 ``bias``, ``grad_weights``, ``grad_bias`` and ``mask`` as views, so a
@@ -49,8 +49,15 @@ def _bind_flat(model: MLP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return params, grads, mask
 
 
-class _FlatOptimizer:
-    """Binds a model's parameters, gradients and masks to flat vectors."""
+class Adam:
+    """Adam optimizer (Kingma & Ba) over the model's flat vectors."""
+
+    #: Decay rate of the first-moment estimate.
+    BETA1 = 0.9
+    #: Decay rate of the second-moment estimate.
+    BETA2 = 0.999
+    #: Denominator guard added to ``sqrt(v)``.
+    EPSILON = 1e-8
 
     def __init__(self, model: MLP, learning_rate: float) -> None:
         if learning_rate <= 0:
@@ -58,58 +65,21 @@ class _FlatOptimizer:
         self.model = model
         self.learning_rate = learning_rate
         self.params, self.grads, self._mask = _bind_flat(model)
-        self._scratch = np.empty_like(self.params)
-
-
-class SGD(_FlatOptimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, model: MLP, learning_rate: float = 1e-2,
-                 momentum: float = 0.9) -> None:
-        if not 0.0 <= momentum < 1.0:
-            raise TrainingError("momentum must be in [0, 1)")
-        super().__init__(model, learning_rate)
-        self.momentum = momentum
-        self._velocity = np.zeros_like(self.params)
-
-    def step(self) -> None:
-        """Apply one update from the gradients on the model's layers."""
-        velocity, scratch = self._velocity, self._scratch
-        velocity *= self.momentum
-        np.multiply(self.grads, self.learning_rate, out=scratch)
-        velocity -= scratch
-        self.params += velocity
-        self.params *= self._mask
-
-
-class Adam(_FlatOptimizer):
-    """Adam optimizer (Kingma & Ba)."""
-
-    #: Decay rate of the second-moment estimate.
-    BETA2 = 0.999
-    #: Denominator guard added to ``sqrt(v)``.
-    EPSILON = 1e-8
-
-    def __init__(self, model: MLP, learning_rate: float = 1e-3,
-                 beta1: float = 0.9) -> None:
-        if not 0.0 <= beta1 < 1.0:
-            raise TrainingError("beta1 must be in [0, 1)")
-        super().__init__(model, learning_rate)
-        self.beta1 = beta1
         self._t = 0
         self._m = np.zeros_like(self.params)
         self._v = np.zeros_like(self.params)
+        self._scratch = np.empty_like(self.params)
         self._denom = np.empty_like(self.params)
 
     def step(self) -> None:
         """Apply one Adam update from the gradients on the layers."""
         self._t += 1
-        correction1 = 1.0 - self.beta1 ** self._t
+        correction1 = 1.0 - self.BETA1 ** self._t
         correction2 = 1.0 - self.BETA2 ** self._t
         scale = self.learning_rate * np.sqrt(correction2) / correction1
         m, v, scratch, denom = self._m, self._v, self._scratch, self._denom
-        m *= self.beta1
-        np.multiply(self.grads, 1.0 - self.beta1, out=scratch)
+        m *= self.BETA1
+        np.multiply(self.grads, 1.0 - self.BETA1, out=scratch)
         m += scratch
         v *= self.BETA2
         np.square(self.grads, out=scratch)

@@ -1,4 +1,4 @@
-"""Mini-batch training loop with validation-based early stopping."""
+"""Mini-batch Adam training loop with validation-based early stopping."""
 
 from __future__ import annotations
 
@@ -9,7 +9,11 @@ import numpy as np
 from ..errors import TrainingError
 from .losses import MeanSquaredError, SoftmaxCrossEntropy
 from .mlp import MLP
-from .optim import SGD, Adam
+from .optim import Adam
+
+#: Improvement in validation loss an epoch must beat the best by to
+#: reset early stopping's patience (loss units).
+MIN_DELTA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -21,18 +25,9 @@ class TrainConfig:
     learning_rate: float = 1e-3
     validation_fraction: float = 0.15
     patience: int = 10
-    optimizer: str = "adam"
-    momentum: float = 0.9
-    min_delta: float = 1e-4
-    weight_decay: float = 0.0
-    gradient_clip: float = 0.0  # 0 disables
-    lr_decay: float = 1.0       # multiplicative, applied every lr_step
-    lr_step: int = 0            # 0 disables the schedule
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.min_delta < 0:
-            raise TrainingError("min_delta cannot be negative")
         if self.epochs <= 0:
             raise TrainingError("epochs must be positive")
         if self.batch_size <= 0:
@@ -41,16 +36,6 @@ class TrainConfig:
             raise TrainingError("validation_fraction must be in [0, 1)")
         if self.patience <= 0:
             raise TrainingError("patience must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise TrainingError(f"unknown optimizer {self.optimizer!r}")
-        if self.weight_decay < 0:
-            raise TrainingError("weight_decay cannot be negative")
-        if self.gradient_clip < 0:
-            raise TrainingError("gradient_clip cannot be negative")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise TrainingError("lr_decay must be in (0, 1]")
-        if self.lr_step < 0:
-            raise TrainingError("lr_step cannot be negative")
 
 
 @dataclass
@@ -66,34 +51,6 @@ class TrainHistory:
     def epochs_run(self) -> int:
         """Number of epochs actually executed."""
         return len(self.train_losses)
-
-    @property
-    def best_val_loss(self) -> float:
-        """Validation loss at the restored checkpoint."""
-        if not self.val_losses:
-            raise TrainingError("no validation history")
-        return self.val_losses[self.best_epoch]
-
-
-def _make_optimizer(model: MLP, config: TrainConfig):
-    if config.optimizer == "adam":
-        return Adam(model, learning_rate=config.learning_rate)
-    return SGD(model, learning_rate=config.learning_rate,
-               momentum=config.momentum)
-
-
-def _clip_gradients(model: MLP, max_norm: float) -> None:
-    """Scale all gradients so their global L2 norm fits ``max_norm``."""
-    total = 0.0
-    for layer in model.layers:
-        total += float((layer.grad_weights ** 2).sum())
-        total += float((layer.grad_bias ** 2).sum())
-    norm = np.sqrt(total)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for layer in model.layers:
-            layer.grad_weights *= scale
-            layer.grad_bias *= scale
 
 
 def _forward_into(model: MLP, x: np.ndarray,
@@ -146,7 +103,7 @@ def fit(model: MLP, features: np.ndarray, targets: np.ndarray, loss_fn,
     x_train, y_train = features[train_idx], targets[train_idx]
     x_val, y_val = features[val_idx], targets[val_idx]
 
-    optimizer = _make_optimizer(model, config)
+    optimizer = Adam(model, learning_rate=config.learning_rate)
     history = TrainHistory()
     best_loss = np.inf
     # The best-epoch checkpoint is one copy of the optimizer's flat
@@ -162,8 +119,6 @@ def fit(model: MLP, features: np.ndarray, targets: np.ndarray, loss_fn,
                     for layer in model.layers] if n_val > 0 else [])
 
     for epoch in range(config.epochs):
-        if config.lr_step and epoch and epoch % config.lr_step == 0:
-            optimizer.learning_rate *= config.lr_decay
         perm = rng.permutation(x_train.shape[0])
         np.take(x_train, perm, axis=0, out=x_shuffled)
         np.take(y_train, perm, axis=0, out=y_shuffled)
@@ -174,11 +129,6 @@ def fit(model: MLP, features: np.ndarray, targets: np.ndarray, loss_fn,
             outputs = model.forward(x_shuffled[start:stop], train=True)
             loss, grad = loss_fn(outputs, y_shuffled[start:stop])
             model.backward(grad)
-            if config.weight_decay > 0:
-                for layer in model.layers:
-                    layer.grad_weights += config.weight_decay * layer.weights
-            if config.gradient_clip > 0:
-                _clip_gradients(model, config.gradient_clip)
             optimizer.step()
             epoch_loss += loss
             batches += 1
@@ -191,7 +141,7 @@ def fit(model: MLP, features: np.ndarray, targets: np.ndarray, loss_fn,
             val_loss = history.train_losses[-1]
         history.val_losses.append(val_loss)
 
-        if val_loss < best_loss - config.min_delta:
+        if val_loss < best_loss - MIN_DELTA:
             best_loss = val_loss
             np.copyto(best_params, optimizer.params)
             history.best_epoch = epoch

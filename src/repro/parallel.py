@@ -104,18 +104,6 @@ class CampaignStats:
         """Increment a named counter."""
         self.counters[name] += amount
 
-    @property
-    def cache_hits(self) -> int:
-        """Total hits over every ``*cache_hit`` counter."""
-        return sum(v for k, v in self.counters.items()
-                   if k.endswith("cache_hit"))
-
-    @property
-    def cache_misses(self) -> int:
-        """Total misses over every ``*cache_miss`` counter."""
-        return sum(v for k, v in self.counters.items()
-                   if k.endswith("cache_miss"))
-
     # ------------------------------------------------------------------
     @contextmanager
     def stage(self, name: str, tasks: int = 0, workers: int = 1,

@@ -26,19 +26,9 @@ class EnergyAccount:
         self.time_s += time_s
 
     @property
-    def average_power_w(self) -> float:
-        """Mean power over the accounted interval."""
-        return self.energy_j / self.time_s if self.time_s > 0 else 0.0
-
-    @property
     def edp(self) -> float:
         """Energy-delay product (J*s)."""
         return self.energy_j * self.time_s
-
-    @property
-    def ed2p(self) -> float:
-        """Energy-delay-squared product (J*s^2)."""
-        return self.energy_j * self.time_s * self.time_s
 
     def normalized_edp(self, baseline: "EnergyAccount") -> float:
         """EDP relative to a baseline run (1.0 = identical)."""
@@ -51,12 +41,6 @@ class EnergyAccount:
         if baseline.time_s <= 0:
             raise SimulationError("baseline time must be positive")
         return self.time_s / baseline.time_s
-
-    def normalized_energy(self, baseline: "EnergyAccount") -> float:
-        """Energy relative to a baseline run (1.0 = identical)."""
-        if baseline.energy_j <= 0:
-            raise SimulationError("baseline energy must be positive")
-        return self.energy_j / baseline.energy_j
 
 
 def performance_loss(time_s: float, baseline_time_s: float) -> float:

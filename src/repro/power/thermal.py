@@ -28,6 +28,13 @@ from .energy import EnergyAccount
 LEAK_TEMP_COEFF = 0.025
 #: Temperature at which leakage equals its modelled value (deg C).
 REFERENCE_C = 60.0
+#: Heat capacity of a cluster-scale silicon+spreader node (J/K): with
+#: the default resistance the time constant is a few milliseconds, so
+#: µs-scale power changes integrate smoothly.
+CAPACITANCE_J_PER_C = 2.0e-3
+#: Temperature the node is clamped at (deg C), a guard against
+#: thermal-runaway overflow.
+MAX_TEMPERATURE_C = 150.0
 
 
 @dataclass(frozen=True)
@@ -41,21 +48,17 @@ class ThermalConfig:
 
     ambient_c: float = 45.0
     resistance_c_per_w: float = 4.0
-    capacitance_j_per_c: float = 2.0e-3
-    max_temperature_c: float = 150.0
 
     def __post_init__(self) -> None:
         if self.resistance_c_per_w <= 0:
             raise ConfigError("thermal resistance must be positive")
-        if self.capacitance_j_per_c <= 0:
-            raise ConfigError("thermal capacitance must be positive")
-        if self.max_temperature_c <= self.ambient_c:
-            raise ConfigError("max temperature must exceed ambient")
+        if self.ambient_c >= MAX_TEMPERATURE_C:
+            raise ConfigError("ambient must be below the max temperature")
 
     @property
     def time_constant_s(self) -> float:
         """RC time constant of the node."""
-        return self.resistance_c_per_w * self.capacitance_j_per_c
+        return self.resistance_c_per_w * CAPACITANCE_J_PER_C
 
 
 class ThermalNode:
@@ -85,8 +88,7 @@ class ThermalNode:
         target = self.steady_state_c(power_w)
         alpha = math.exp(-dt_s / self.config.time_constant_s)
         self.temperature_c = target + (self.temperature_c - target) * alpha
-        self.temperature_c = min(self.temperature_c,
-                                 self.config.max_temperature_c)
+        self.temperature_c = min(self.temperature_c, MAX_TEMPERATURE_C)
         self.peak_c = max(self.peak_c, self.temperature_c)
         return self.temperature_c
 

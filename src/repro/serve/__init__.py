@@ -8,21 +8,20 @@ gated online calibration (:mod:`~repro.serve.online`), and the
 two-phase serving loop itself (:mod:`~repro.serve.runtime`).
 """
 
-from .breaker import (CLOSED, HALF_OPEN, OPEN, BreakerConfig,
-                      CircuitBreaker)
-from .ingest import (IngestConfig, RequestQueue, ServeRequest,
-                     ShedRecord, TelemetrySample, WindowAssembler)
-from .online import OnlineCalibrator, OnlineConfig
+from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from .ingest import (RequestQueue, ServeRequest, ShedRecord, TelemetrySample,
+                     WindowAssembler)
+from .online import OnlineCalibrator
 from .runtime import SERVE_ARTIFACT, ServeConfig, ServeResult, ServingRuntime
 from .supervisor import (BUSY, QUARANTINED, READY, RESTARTING, Supervisor,
-                         SupervisorConfig, WorkerHandle)
+                         WorkerHandle)
 
 __all__ = [
-    "BreakerConfig", "CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN",
-    "IngestConfig", "WindowAssembler", "TelemetrySample",
+    "CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN",
+    "WindowAssembler", "TelemetrySample",
     "RequestQueue", "ServeRequest", "ShedRecord",
-    "OnlineCalibrator", "OnlineConfig",
-    "Supervisor", "SupervisorConfig", "WorkerHandle",
+    "OnlineCalibrator",
+    "Supervisor", "WorkerHandle",
     "READY", "BUSY", "RESTARTING", "QUARANTINED",
     "ServeConfig", "ServeResult", "ServingRuntime", "SERVE_ARTIFACT",
 ]

@@ -11,12 +11,12 @@ state trajectory is deterministic for a seeded run.
 
 Transitions::
 
-    CLOSED   --(failure streak >= failure_threshold)--> OPEN
-    OPEN     --(open_ticks elapsed)-------------------> HALF_OPEN
-    HALF_OPEN--(probe_successes clean probes)---------> CLOSED
+    CLOSED   --(failure streak >= FAILURE_THRESHOLD)--> OPEN
+    OPEN     --(OPEN_TICKS elapsed)-------------------> HALF_OPEN
+    HALF_OPEN--(PROBE_SUCCESSES clean probes)---------> CLOSED
     HALF_OPEN--(any probe failure)--------------------> OPEN
 
-A success slower than ``latency_budget_s`` counts as a failure: the
+A success slower than :data:`LATENCY_BUDGET_S` counts as a failure: the
 breaker's job is protecting tail latency, and a model that answers
 correctly but late is still burning the deadline budget of everything
 queued behind it.  ``breaker_*`` counters expose every transition and
@@ -26,7 +26,6 @@ short-circuited call for ``--stats`` and the chaos harness.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from ..errors import ServeError
 
@@ -36,31 +35,15 @@ OPEN = "open"
 HALF_OPEN = "half_open"
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Thresholds of the inference circuit breaker.
-
-    ``failure_threshold`` consecutive failures trip CLOSED -> OPEN;
-    after ``open_ticks`` the breaker admits probes (HALF_OPEN), and
-    ``probe_successes`` consecutive clean probes close it again.  A
-    success with latency above ``latency_budget_s`` is accounted as a
-    failure.
-    """
-
-    failure_threshold: int = 3
-    latency_budget_s: float = 50e-6
-    open_ticks: int = 8
-    probe_successes: int = 2
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ServeError("failure_threshold must be >= 1")
-        if self.latency_budget_s <= 0:
-            raise ServeError("latency_budget_s must be positive")
-        if self.open_ticks < 1:
-            raise ServeError("open_ticks must be >= 1")
-        if self.probe_successes < 1:
-            raise ServeError("probe_successes must be >= 1")
+#: Consecutive failures that trip CLOSED -> OPEN.
+FAILURE_THRESHOLD = 3
+#: Latency past which a successful call counts as a failure (s); a
+#: model that answers late still burns the queue's deadline budget.
+LATENCY_BUDGET_S = 50e-6
+#: Ticks the breaker stays OPEN before it admits probes.
+OPEN_TICKS = 8
+#: Consecutive clean probes that close a HALF_OPEN breaker.
+PROBE_SUCCESSES = 2
 
 
 class CircuitBreaker:
@@ -72,8 +55,7 @@ class CircuitBreaker:
     the only clock, which keeps seeded replays byte-stable.
     """
 
-    def __init__(self, config: BreakerConfig | None = None) -> None:
-        self.config = config or BreakerConfig()
+    def __init__(self) -> None:
         self.state = CLOSED
         self.counters = Counter()
         self._failure_streak = 0
@@ -85,7 +67,7 @@ class CircuitBreaker:
     def allow(self, now_tick: int) -> bool:
         """True when a call may go through the ML path at ``now_tick``."""
         if self.state == OPEN:
-            if now_tick - self._opened_at >= self.config.open_ticks:
+            if now_tick - self._opened_at >= OPEN_TICKS:
                 self.state = HALF_OPEN
                 self._probe_streak = 0
                 self.counters["breaker_half_opens"] += 1
@@ -106,7 +88,7 @@ class CircuitBreaker:
 
     def record_success(self, now_tick: int, latency_s: float) -> None:
         """Report a completed call; slow successes count as failures."""
-        if latency_s > self.config.latency_budget_s:
+        if latency_s > LATENCY_BUDGET_S:
             self.counters["breaker_slow_successes"] += 1
             self.record_failure(now_tick)
             return
@@ -114,7 +96,7 @@ class CircuitBreaker:
         self._failure_streak = 0
         if self.state == HALF_OPEN:
             self._probe_streak += 1
-            if self._probe_streak >= self.config.probe_successes:
+            if self._probe_streak >= PROBE_SUCCESSES:
                 self.state = CLOSED
                 self.counters["breaker_closes"] += 1
 
@@ -131,7 +113,7 @@ class CircuitBreaker:
             return
         self._failure_streak += 1
         if (self.state == CLOSED
-                and self._failure_streak >= self.config.failure_threshold):
+                and self._failure_streak >= FAILURE_THRESHOLD):
             self.state = OPEN
             self._opened_at = now_tick
             self._failure_streak = 0

@@ -51,28 +51,14 @@ class TelemetrySample:
             raise ServeError("sample identity fields cannot be negative")
 
 
-@dataclass(frozen=True)
-class IngestConfig:
-    """Bounds of the window assembler.
-
-    ``max_lag_ticks`` is how long the assembler waits for a missing
-    sequence number before declaring a gap and skipping ahead;
-    ``staleness_ticks`` is the maximum age of a sample at delivery
-    (older windows describe a GPU state too far gone to act on);
-    ``max_pending`` bounds the per-stream reorder buffer.
-    """
-
-    max_lag_ticks: int = 4
-    staleness_ticks: int = 16
-    max_pending: int = 32
-
-    def __post_init__(self) -> None:
-        if self.max_lag_ticks < 1:
-            raise ServeError("max_lag_ticks must be >= 1")
-        if self.staleness_ticks < 1:
-            raise ServeError("staleness_ticks must be >= 1")
-        if self.max_pending < 1:
-            raise ServeError("max_pending must be >= 1")
+#: Ticks the assembler waits for a missing sequence number before it
+#: declares a gap and skips ahead.
+MAX_LAG_TICKS = 4
+#: Maximum age of a sample at delivery (ticks); older windows describe
+#: a GPU state too far gone to act on.
+STALENESS_TICKS = 16
+#: Bound of the per-stream reorder buffer (samples).
+MAX_PENDING = 32
 
 
 class _StreamState:
@@ -93,8 +79,7 @@ class WindowAssembler:
     replay is byte-stable.
     """
 
-    def __init__(self, config: IngestConfig | None = None) -> None:
-        self.config = config or IngestConfig()
+    def __init__(self) -> None:
         self.counters = Counter()
         self._streams: dict[int, _StreamState] = {}
 
@@ -112,12 +97,12 @@ class WindowAssembler:
         if sample.seq < state.next_seq or sample.seq in state.pending:
             self.counters["ingest_duplicates"] += 1
             return
-        if now_tick - sample.sent_tick > self.config.staleness_ticks:
+        if now_tick - sample.sent_tick > STALENESS_TICKS:
             self.counters["ingest_stale_drops"] += 1
             return
         if sample.seq > state.next_seq:
             self.counters["ingest_reordered"] += 1
-        if len(state.pending) >= self.config.max_pending:
+        if len(state.pending) >= MAX_PENDING:
             # Bounded buffer: drop the youngest (highest-seq) holding,
             # which preserves the oldest context the controller still
             # needs to resume the stream.
@@ -134,7 +119,7 @@ class WindowAssembler:
         """Every window deliverable at ``now_tick``, in stream/seq order.
 
         A missing sequence number stalls its stream for at most
-        ``max_lag_ticks``; past that the assembler skips to the oldest
+        ``MAX_LAG_TICKS``; past that the assembler skips to the oldest
         buffered sample and counts the skipped numbers as a gap.
         """
         ready: list[TelemetrySample] = []
@@ -145,8 +130,7 @@ class WindowAssembler:
                     sample = state.pending.pop(state.next_seq)
                     state.next_seq += 1
                     state.waiting_since = None
-                    if (now_tick - sample.sent_tick
-                            > self.config.staleness_ticks):
+                    if now_tick - sample.sent_tick > STALENESS_TICKS:
                         self.counters["ingest_stale_drops"] += 1
                         continue
                     self.counters["ingest_delivered"] += 1
@@ -157,8 +141,7 @@ class WindowAssembler:
                     break
                 if state.waiting_since is None:
                     state.waiting_since = now_tick
-                if (now_tick - state.waiting_since
-                        < self.config.max_lag_ticks):
+                if now_tick - state.waiting_since < MAX_LAG_TICKS:
                     break
                 # Gap confirmed: jump the cursor to the oldest buffered
                 # sample and account every skipped sequence number.

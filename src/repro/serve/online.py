@@ -10,12 +10,12 @@ before it can serve:
 1. **Shadow evaluation** — the candidate (a clone of the serving
    Calibrator, fine-tuned on the buffered windows) is scored against
    the incumbent on a held-out tail of recent samples; it is rejected
-   unless its error is at least as good within ``tolerance``.
+   unless its error is at least as good within :data:`TOLERANCE`.
 2. **Finiteness verification** — the promoted pair must pass
    :meth:`~repro.core.combined.SSMDVFSModel.verify` (NaN/Inf weights
    are an immediate reject, which is how a poisoned update dies).
 3. **Probation before blessing** — a promoted pair is ``put`` into the
-   artifact store *unblessed*; only after ``probation_windows``
+   artifact store *unblessed*; only after :data:`PROBATION_WINDOWS`
    further observed windows without a drift alarm is it
    ``mark_good``-ed.  Until then the drift -> rollback machinery
    (PR 5) restores the previous last-known-good on any alarm.
@@ -29,12 +29,11 @@ throughput ratio) from the window observed at ``n + 1``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.combined import PAIR_SCHEMA, SSMDVFSModel
-from ..errors import ServeError, TrainingError
+from ..errors import TrainingError
 from ..nn.trainer import TrainConfig, train_regressor
 from ..store import ArtifactStore
 
@@ -43,36 +42,19 @@ from ..store import ArtifactStore
 HOLDOUT_FRACTION = 0.25
 #: Fine-tuning step size of a candidate Calibrator.
 LEARNING_RATE = 5e-4
-
-
-@dataclass(frozen=True)
-class OnlineConfig:
-    """Knobs of the online fine-tuning loop.
-
-    An update is attempted every ``update_interval`` buffered samples;
-    the freshest :data:`HOLDOUT_FRACTION` of them form the shadow set.
-    ``tolerance`` is the relative error slack the candidate gets over
-    the incumbent (a candidate may be promoted when marginally worse on
-    the tiny shadow set, never when clearly worse).
-    """
-
-    update_interval: int = 48
-    tolerance: float = 0.05
-    epochs: int = 12
-    probation_windows: int = 24
-    max_buffer: int = 512
-
-    def __post_init__(self) -> None:
-        if self.update_interval < 8:
-            raise ServeError("update_interval must be >= 8 samples")
-        if self.tolerance < 0:
-            raise ServeError("tolerance cannot be negative")
-        if self.epochs < 1:
-            raise ServeError("epochs must be >= 1")
-        if self.probation_windows < 1:
-            raise ServeError("probation_windows must be >= 1")
-        if self.max_buffer < self.update_interval:
-            raise ServeError("max_buffer must hold one update interval")
+#: Buffered samples between update attempts.
+UPDATE_INTERVAL = 48
+#: Relative shadow-error slack a candidate gets over the incumbent: it
+#: may be promoted when marginally worse on the tiny shadow set, never
+#: when clearly worse.
+TOLERANCE = 0.05
+#: Fine-tuning epochs of one candidate (also its early-stop patience).
+EPOCHS = 12
+#: Observed windows a promotion serves on probation before it is
+#: marked good.
+PROBATION_WINDOWS = 24
+#: Bound of the sample buffer; the oldest samples go first.
+MAX_BUFFER = 512
 
 
 class OnlineCalibrator:
@@ -87,13 +69,10 @@ class OnlineCalibrator:
     """
 
     def __init__(self, model: SSMDVFSModel, store: ArtifactStore,
-                 artifact_name: str,
-                 config: OnlineConfig | None = None, *,
-                 seed: int = 0) -> None:
+                 artifact_name: str, *, seed: int = 0) -> None:
         self.model = model
         self.store = store
         self.artifact_name = artifact_name
-        self.config = config or OnlineConfig()
         self.seed = int(seed)
         self.counters = Counter()
         self._features: list[np.ndarray] = []
@@ -128,7 +107,7 @@ class OnlineCalibrator:
         self._features.append(row)
         self._targets.append(float(ratio))
         self._since_attempt += 1
-        overflow = len(self._features) - self.config.max_buffer
+        overflow = len(self._features) - MAX_BUFFER
         if overflow > 0:
             del self._features[:overflow]
             del self._targets[:overflow]
@@ -170,8 +149,8 @@ class OnlineCalibrator:
         the training seed derives from the base seed and the update
         ordinal only.
         """
-        interval = self.config.update_interval
-        if len(self._features) < interval or self._since_attempt < interval:
+        if (len(self._features) < UPDATE_INTERVAL
+                or self._since_attempt < UPDATE_INTERVAL):
             return None
         self._since_attempt = 0
         self._updates += 1
@@ -187,10 +166,10 @@ class OnlineCalibrator:
             train_regressor(
                 candidate,
                 self.model.calibrator_scaler.transform(x_train), y_train,
-                TrainConfig(epochs=self.config.epochs,
+                TrainConfig(epochs=EPOCHS,
                             learning_rate=LEARNING_RATE,
                             validation_fraction=0.0,
-                            patience=self.config.epochs,
+                            patience=EPOCHS,
                             seed=self.seed + self._updates))
         except TrainingError:
             self.counters["online_updates_rejected"] += 1
@@ -218,12 +197,12 @@ class OnlineCalibrator:
         if (not pair.verify()
                 or not np.isfinite(candidate_err)
                 or candidate_err > incumbent_err
-                * (1.0 + self.config.tolerance) + 1e-12):
+                * (1.0 + TOLERANCE) + 1e-12):
             self.counters["online_updates_rejected"] += 1
             return "rejected"
         version = self.store.put(self.artifact_name, pair.to_bytes(),
                                  schema=PAIR_SCHEMA)
         self.model = pair
-        self._probation = (version, self.config.probation_windows)
+        self._probation = (version, PROBATION_WINDOWS)
         self.counters["online_updates_promoted"] += 1
         return "promoted"

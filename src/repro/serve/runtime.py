@@ -80,6 +80,11 @@ INFERENCE_LATENCY_US = 20.0
 #: Inference latency past which a decision falls back (µs); above the
 #: breaker's latency budget.
 STALL_TIMEOUT_US = 500.0
+#: Deadline budget of a deadline-class request (ticks after arrival);
+#: covers one service interval with room for queueing.
+DEADLINE_SLACK_TICKS = 8
+#: Deadline budget of a batch-class request (ticks after arrival).
+BATCH_SLACK_TICKS = 48
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,6 @@ class ServeConfig:
     ticks: int = 240
     num_workers: int = 2
     queue_capacity: int = 12
-    deadline_slack_ticks: int = 8
-    batch_slack_ticks: int = 48
     preset: float = 0.10
     online_enabled: bool = True
     seed: int = 0
@@ -111,11 +114,6 @@ class ServeConfig:
             raise ServeError("ticks must be >= 1")
         if self.queue_capacity < 1:
             raise ServeError("queue_capacity must be >= 1")
-        if self.deadline_slack_ticks < SERVICE_TICKS:
-            raise ServeError(
-                "deadline_slack_ticks must cover one service interval")
-        if self.batch_slack_ticks < self.deadline_slack_ticks:
-            raise ServeError("batch slack cannot undercut deadline slack")
 
     def with_seed(self, seed: int) -> "ServeConfig":
         """The same scenario under a different seed (faults re-seeded)."""
@@ -446,11 +444,21 @@ class ServingRuntime:
                 counters["serve_stall_fallbacks"] += 1
                 return _InFlight(request, list(fallback_levels),
                                  "fallback")
+            primary = worker.stack["primary"]
+            # With the online loop on, the primary is a guard; its drift
+            # alarm must cancel a promotion still on probation.
+            monitor = (primary.drift_monitor if self._online is not None
+                       else None)
+            alarms = monitor.counters["drift_alarms"] if monitor else 0
             try:
-                raw = worker.stack["primary"].decide(record)
                 levels = validate_decision(
-                    raw, self.arch.vf_table.num_levels, num_clusters)
+                    primary.decide(record), self.arch.vf_table.num_levels,
+                    num_clusters)
             except PolicyError:
+                levels = None
+            if monitor and monitor.counters["drift_alarms"] > alarms:
+                self._online.drift_alarmed()
+            if levels is None:
                 breaker.record_failure(now)
                 counters["serve_invalid_decisions"] += 1
                 return _InFlight(request, list(fallback_levels),
@@ -565,8 +573,8 @@ class ServingRuntime:
             # 4. Window assembly -> request creation -> backpressure.
             for sample in assembler.pop_ready(tick):
                 deadline_class = rng.random() < DEADLINE_FRACTION
-                slack = (config.deadline_slack_ticks if deadline_class
-                         else config.batch_slack_ticks)
+                slack = (DEADLINE_SLACK_TICKS if deadline_class
+                         else BATCH_SLACK_TICKS)
                 request = ServeRequest(
                     request_id=request_id, stream_id=sample.stream_id,
                     seq=sample.seq, arrival_tick=tick,

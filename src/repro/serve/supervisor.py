@@ -13,7 +13,7 @@ worker that keeps dying climbs the escalation ladder::
                            rest of the run and accounted as down)
 
 Two probes drive detection.  The *liveness* probe kills any worker
-that has held a request longer than ``liveness_ticks`` without
+that has held a request longer than :data:`LIVENESS_TICKS` without
 completing (a hang, a stall, a lost completion).  The *readiness*
 probe gates dispatch: only ``READY`` workers receive work, so a
 restarting or quarantined worker can never be handed a request.
@@ -27,7 +27,6 @@ the chaos harness.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ServeError
@@ -39,34 +38,18 @@ RESTARTING = "restarting"
 QUARANTINED = "quarantined"
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Restart/escalation knobs of the worker supervisor.
-
-    Backoff doubles from ``backoff_base_ticks`` per restart up to
-    ``backoff_cap_ticks``.  After ``pin_after`` restarts a worker comes
-    back *pinned* (fallback-only); after ``quarantine_after`` restarts
-    it is quarantined for the rest of the run.  ``liveness_ticks`` is
-    the in-flight age past which a worker is declared wedged.
-    """
-
-    backoff_base_ticks: int = 2
-    backoff_cap_ticks: int = 32
-    liveness_ticks: int = 8
-    pin_after: int = 2
-    quarantine_after: int = 4
-
-    def __post_init__(self) -> None:
-        if self.backoff_base_ticks < 1:
-            raise ServeError("backoff_base_ticks must be >= 1")
-        if self.backoff_cap_ticks < self.backoff_base_ticks:
-            raise ServeError("backoff_cap_ticks must be >= the base")
-        if self.liveness_ticks < 1:
-            raise ServeError("liveness_ticks must be >= 1")
-        if self.pin_after < 1:
-            raise ServeError("pin_after must be >= 1")
-        if self.quarantine_after <= self.pin_after:
-            raise ServeError("quarantine_after must exceed pin_after")
+#: Restart backoff of a worker's first restart (ticks); it doubles per
+#: restart up to :data:`BACKOFF_CAP_TICKS`.
+BACKOFF_BASE_TICKS = 2
+#: Longest restart backoff (ticks).
+BACKOFF_CAP_TICKS = 32
+#: In-flight age past which the liveness probe declares a worker
+#: wedged (ticks).
+LIVENESS_TICKS = 8
+#: Restarts after which a worker comes back pinned (fallback-only).
+PIN_AFTER = 2
+#: Restarts after which a worker is quarantined for the rest of the run.
+QUARANTINE_AFTER = 4
 
 
 class WorkerHandle:
@@ -105,11 +88,9 @@ class Supervisor:
     """
 
     def __init__(self, num_workers: int,
-                 build_stack: Callable[[int], tuple[object, bool]],
-                 config: SupervisorConfig | None = None) -> None:
+                 build_stack: Callable[[int], tuple[object, bool]]) -> None:
         if num_workers < 1:
             raise ServeError("the supervisor needs at least one worker")
-        self.config = config or SupervisorConfig()
         self.build_stack = build_stack
         self.counters = Counter()
         self.workers: list[WorkerHandle] = []
@@ -165,17 +146,16 @@ class Supervisor:
         worker.hung = False
         worker.down_since = now_tick
         worker.restarts += 1
-        if worker.restarts >= self.config.quarantine_after:
+        if worker.restarts >= QUARANTINE_AFTER:
             worker.state = QUARANTINED
             worker.restart_at = None
             self.counters["supervisor_quarantined"] += 1
             return lost
-        backoff = min(
-            self.config.backoff_cap_ticks,
-            self.config.backoff_base_ticks * (2 ** (worker.restarts - 1)))
+        backoff = min(BACKOFF_CAP_TICKS,
+                      BACKOFF_BASE_TICKS * (2 ** (worker.restarts - 1)))
         worker.state = RESTARTING
         worker.restart_at = now_tick + backoff
-        if worker.restarts >= self.config.pin_after and not worker.pinned:
+        if worker.restarts >= PIN_AFTER and not worker.pinned:
             worker.pinned = True
             self.counters["supervisor_pinned"] += 1
         return lost
@@ -197,8 +177,7 @@ class Supervisor:
             # or an idle worker that stopped answering probes.
             wedged_busy = (
                 worker.state == BUSY and worker.dispatch_tick is not None
-                and now_tick - worker.dispatch_tick
-                > self.config.liveness_ticks)
+                and now_tick - worker.dispatch_tick > LIVENESS_TICKS)
             wedged_idle = worker.state == READY and worker.hung
             if wedged_busy or wedged_idle:
                 self.counters["supervisor_liveness_kills"] += 1

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ModelError, PolicyError
 from repro.datagen.features import FeatureExtractor, FeatureScaler
 from repro.gpu.counters import CounterSet
+from repro.nn.losses import softmax
 from repro.nn.mlp import MLP
 from repro.core.calibrator import Calibrator
 from repro.core.combined import SSMDVFSModel
@@ -52,7 +53,8 @@ def test_decision_maker_batch_matches_single():
 
 
 def test_decision_maker_probabilities_sum_to_one():
-    probs = _decision_maker().level_probabilities(_counters(), 0.1)
+    dm = _decision_maker()
+    probs = softmax(dm.model.forward(dm._input_matrix([_counters()], 0.1)))[0]
     assert probs.shape == (6,)
     assert probs.sum() == pytest.approx(1.0)
 

@@ -7,10 +7,11 @@ import pytest
 
 from repro.core.combined import PAIR_SCHEMA, SSMDVFSModel
 from repro.core.controller import SSMDVFSController
-from repro.core.drift import DriftConfig, DriftMonitor, RollbackManager
+from repro.core import drift
+from repro.core.drift import DriftMonitor, RollbackManager
 from repro.core.guarded import ACTIVE, FALLBACK, PROBATION, GuardedController
 from repro.core.policy import StaticPolicy, policy_counters
-from repro.errors import ArtifactCorrupt, DriftDetected, PolicyError
+from repro.errors import ArtifactCorrupt, DriftDetected
 from repro.evaluation.soak import perturb_model_weights
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase
@@ -27,26 +28,28 @@ def _kernel(iterations=40):
 # DriftMonitor
 # ---------------------------------------------------------------------------
 
-def test_drift_config_validates():
-    with pytest.raises(PolicyError):
-        DriftConfig(ewma_alpha=0.0)
-    with pytest.raises(PolicyError):
-        DriftConfig(cusum_limit=0.0)
-    with pytest.raises(PolicyError):
-        DriftConfig(violation_threshold=1.5)
-    with pytest.raises(PolicyError):
-        DriftConfig(warmup_updates=-1)
+@pytest.fixture
+def no_warmup(monkeypatch):
+    monkeypatch.setattr(drift, "WARMUP_UPDATES", 0)
 
 
-def test_monitor_warmup_suppresses_alarms():
-    monitor = DriftMonitor(DriftConfig(warmup_updates=10, cusum_slack=0.0,
-                                       cusum_limit=0.5))
+@pytest.fixture
+def short_warmup(monkeypatch):
+    monkeypatch.setattr(drift, "WARMUP_UPDATES", 2)
+
+
+def test_monitor_warmup_suppresses_alarms(monkeypatch):
+    monkeypatch.setattr(drift, "WARMUP_UPDATES", 10)
+    monkeypatch.setattr(drift, "CUSUM_SLACK", 0.0)
+    monkeypatch.setattr(drift, "CUSUM_LIMIT", 0.5)
+    monitor = DriftMonitor()
     assert all(not monitor.update(1.0) for _ in range(10))
     assert monitor.update(1.0)  # first post-warmup update alarms
 
 
+@pytest.mark.usefixtures("no_warmup")
 def test_monitor_noise_washes_out_but_sustained_drift_alarms():
-    monitor = DriftMonitor(DriftConfig(warmup_updates=0))
+    monitor = DriftMonitor()
     # Healthy noise below the slack never accumulates.
     for _ in range(500):
         assert not monitor.update(0.1)
@@ -66,9 +69,10 @@ def test_monitor_noise_washes_out_but_sustained_drift_alarms():
     assert monitor.cusum == 0.0
 
 
-def test_monitor_violation_pressure_path():
-    monitor = DriftMonitor(DriftConfig(warmup_updates=0, violation_alpha=0.3,
-                                       violation_threshold=0.6))
+@pytest.mark.usefixtures("no_warmup")
+def test_monitor_violation_pressure_path(monkeypatch):
+    monkeypatch.setattr(drift, "VIOLATION_ALPHA", 0.3)
+    monitor = DriftMonitor()
     # Gap stays clean; only the pinned-at-floor flag accumulates.
     alarmed = False
     for _ in range(20):
@@ -79,16 +83,18 @@ def test_monitor_violation_pressure_path():
     assert monitor.counters["drift_alarms"] == 1
 
 
+@pytest.mark.usefixtures("no_warmup")
 def test_monitor_none_gap_skips_gap_statistics():
-    monitor = DriftMonitor(DriftConfig(warmup_updates=0))
+    monitor = DriftMonitor()
     for _ in range(50):
         monitor.update(None)
     assert monitor.cusum == 0.0
     assert monitor.updates == 50
 
 
+@pytest.mark.usefixtures("no_warmup")
 def test_monitor_nonfinite_gap_counts_as_drift_evidence():
-    monitor = DriftMonitor(DriftConfig(warmup_updates=0))
+    monitor = DriftMonitor()
     for _ in range(10):
         monitor.update(float("nan"))
     assert monitor.counters["drift_nonfinite_gaps"] == 10
@@ -250,12 +256,12 @@ def _drive(guard, simulator, epochs):
         simulator.apply_decision(decision)
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_drift_alarm_hot_swaps_inner_policy(small_arch):
     replacement = StaticPolicy(1)
     rollback = _StubRollback(replacement)
     guard = GuardedController(
-        _DriftingPolicy(), drift_monitor=DriftMonitor(
-            DriftConfig(warmup_updates=2)),
+        _DriftingPolicy(), drift_monitor=DriftMonitor(),
         rollback=rollback)
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     guard.reset(simulator)
@@ -276,10 +282,11 @@ class _AnomalousDriftingPolicy(_DriftingPolicy):
         return super().decide(record)
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_hot_swap_keeps_the_retired_policy_counters(small_arch):
     stale = _AnomalousDriftingPolicy()
     guard = GuardedController(
-        stale, drift_monitor=DriftMonitor(DriftConfig(warmup_updates=2)),
+        stale, drift_monitor=DriftMonitor(),
         rollback=_StubRollback(StaticPolicy(1)))
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     guard.reset(simulator)
@@ -291,10 +298,10 @@ def test_hot_swap_keeps_the_retired_policy_counters(small_arch):
     assert policy_counters(guard)["calibration_anomalies"] == retired
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_drift_with_empty_registry_pins_fallback(small_arch):
     guard = GuardedController(
-        _DriftingPolicy(), drift_monitor=DriftMonitor(
-            DriftConfig(warmup_updates=2)),
+        _DriftingPolicy(), drift_monitor=DriftMonitor(),
         rollback=_StubRollback(None))
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     guard.reset(simulator)
@@ -313,28 +320,30 @@ def test_drift_with_empty_registry_pins_fallback(small_arch):
     assert guard.state == FALLBACK
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_drift_without_rollback_manager_pins_fallback(small_arch):
     guard = GuardedController(
-        _DriftingPolicy(), drift_monitor=DriftMonitor(
-            DriftConfig(warmup_updates=2)))
+        _DriftingPolicy(), drift_monitor=DriftMonitor())
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     guard.reset(simulator)
     _drive(guard, simulator, 20)
     assert guard._pinned_fallback
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_strict_mode_raises_drift_detected(small_arch):
     guard = GuardedController(
         _DriftingPolicy(), strict=True,
-        drift_monitor=DriftMonitor(DriftConfig(warmup_updates=2)))
+        drift_monitor=DriftMonitor())
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     guard.reset(simulator)
     with pytest.raises(DriftDetected):
         _drive(guard, simulator, 30)
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_reset_clears_drift_state(small_arch):
-    monitor = DriftMonitor(DriftConfig(warmup_updates=2))
+    monitor = DriftMonitor()
     guard = GuardedController(_DriftingPolicy(), drift_monitor=monitor,
                               rollback=_StubRollback(None))
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
@@ -347,10 +356,11 @@ def test_reset_clears_drift_state(small_arch):
     assert monitor.updates == 0
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_healthy_policy_never_trips_drift(small_arch):
     guard = GuardedController(
         _DriftingPolicy(gap=0.02),
-        drift_monitor=DriftMonitor(DriftConfig(warmup_updates=2)),
+        drift_monitor=DriftMonitor(),
         rollback=_StubRollback(StaticPolicy(1)))
     simulator = GPUSimulator(small_arch, _kernel(), seed=0)
     guard.reset(simulator)
@@ -380,11 +390,12 @@ class _OscillatingRollback:
         return _DriftingPolicy()
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_swap_cooldown_suppresses_rollback_oscillation(small_arch):
     rollback = _OscillatingRollback()
     guard = GuardedController(
         _DriftingPolicy(),
-        drift_monitor=DriftMonitor(DriftConfig(warmup_updates=2)),
+        drift_monitor=DriftMonitor(),
         rollback=rollback, fallback_epochs=2, probation_epochs=2,
         swap_cooldown_epochs=500)
     simulator = GPUSimulator(small_arch, _kernel(iterations=120), seed=0)
@@ -399,11 +410,12 @@ def test_swap_cooldown_suppresses_rollback_oscillation(small_arch):
     assert not guard._pinned_fallback
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_swap_allowed_again_after_cooldown_elapses(small_arch):
     rollback = _OscillatingRollback()
     guard = GuardedController(
         _DriftingPolicy(),
-        drift_monitor=DriftMonitor(DriftConfig(warmup_updates=2)),
+        drift_monitor=DriftMonitor(),
         rollback=rollback, fallback_epochs=2, probation_epochs=2,
         swap_cooldown_epochs=10)
     simulator = GPUSimulator(small_arch, _kernel(iterations=120), seed=0)
@@ -414,11 +426,12 @@ def test_swap_allowed_again_after_cooldown_elapses(small_arch):
     assert rollback.calls >= 2
 
 
+@pytest.mark.usefixtures("short_warmup")
 def test_zero_cooldown_preserves_legacy_swap_behaviour(small_arch):
     rollback = _OscillatingRollback()
     guard = GuardedController(
         _DriftingPolicy(),
-        drift_monitor=DriftMonitor(DriftConfig(warmup_updates=2)),
+        drift_monitor=DriftMonitor(),
         rollback=rollback, fallback_epochs=2, probation_epochs=2,
         swap_cooldown_epochs=0)
     simulator = GPUSimulator(small_arch, _kernel(iterations=120), seed=0)

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.baselines.governor import UtilizationGovernor
 from repro.cli import main
 from repro.core.controller import SSMDVFSController
@@ -47,8 +48,6 @@ def test_fault_config_validates_rates():
         FaultConfig(counter_nan=1.5)
     with pytest.raises(FaultInjectionError):
         FaultConfig(actuation_drop=-0.1)
-    with pytest.raises(FaultInjectionError):
-        FaultConfig(spike_magnitude=0.0)
     assert not FaultConfig().any_active
     assert FaultConfig(counter_nan=0.1).any_active
     assert FaultConfig(seed=1).with_seed(9).seed == 9
@@ -415,12 +414,13 @@ def test_policy_counters_counts_each_layer_once(tmp_path, small_pipeline):
 
 
 def test_controller_log_bias_survives_spiked_counters(small_arch,
-                                                      small_pipeline):
+                                                      small_pipeline,
+                                                      monkeypatch):
+    monkeypatch.setattr(faults, "SPIKE_MAGNITUDE", 1e9)
     model = small_pipeline.models["base"]
     controller = SSMDVFSController(model, preset=0.10)
     policy = FaultyPolicy(GuardedController(controller),
-                          FaultConfig(counter_spike=0.4,
-                                      spike_magnitude=1e9, seed=2))
+                          FaultConfig(counter_spike=0.4, seed=2))
     result = _run(small_arch, policy)
     assert result.epochs > 0
     assert math.isfinite(controller.working_preset)

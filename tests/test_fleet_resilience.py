@@ -30,10 +30,10 @@ from repro.evaluation.fleet_chaos import (ChaosTrial, FleetChaosConfig,
                                           _check_trial, run_fleet_chaos)
 from repro.faults import (NODE_FAULT_KINDS, NodeFaultConfig, NodeFaultEvent,
                           NodeFaultPlan)
-from repro.fleet import (LATENCY, QUARANTINED, THROUGHPUT, AdmissionConfig,
-                         ClusterScheduler, HealthPolicy, Job,
-                         MigrationConfig, NodeTracker, PendingJobQueue,
+from repro.fleet import (LATENCY, THROUGHPUT, AdmissionConfig,
+                         ClusterScheduler, Job, NodeTracker, PendingJobQueue,
                          ShedJob, policy_factory)
+from repro.fleet import scheduler as scheduler_module
 from repro.fleet.metrics import FleetResult
 
 pytestmark = pytest.mark.timeout(120)
@@ -54,7 +54,6 @@ def _service(jobs, service_s=100 * US, energy_j=1e-3, counters=None):
 
 
 def _scheduler(arch, nodes, **kwargs):
-    kwargs.setdefault("migration", MigrationConfig())
     return ClusterScheduler(arch, policy_factory("governor"),
                             num_nodes=nodes, **kwargs)
 
@@ -94,19 +93,8 @@ def test_node_fault_event_validation(bad):
 def test_node_fault_config_validation():
     with pytest.raises(FleetFaultError):
         NodeFaultConfig(crash_rate=-0.1)
-    with pytest.raises(FleetFaultError):
-        NodeFaultConfig(storm_slowdown=0.5)
     assert not NodeFaultConfig().any_active
     assert NodeFaultConfig(hang_rate=0.1).any_active
-
-
-def test_migration_config_validation():
-    with pytest.raises(FleetFaultError):
-        MigrationConfig(checkpoint_interval_s=0.0)
-    with pytest.raises(FleetFaultError):
-        MigrationConfig(restart_overhead_s=-1.0)
-    with pytest.raises(FleetFaultError):
-        MigrationConfig(hang_detect_s=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +244,11 @@ def test_admission_disabled_serves_everything(small_arch):
     assert not result.shed and len(result.outcomes) == 1
 
 
-def test_migration_budget_exhaustion_sheds(small_arch):
+def test_migration_budget_exhaustion_sheds(small_arch, monkeypatch):
+    monkeypatch.setattr(scheduler_module, "MAX_MIGRATIONS", 0)
     jobs = [_job(0)]
     plan = _plan(NodeFaultEvent(50 * US, 0, "crash", 200 * US))
-    scheduler = _scheduler(small_arch, 2, fault_plan=plan,
-                           migration=MigrationConfig(max_migrations=0))
+    scheduler = _scheduler(small_arch, 2, fault_plan=plan)
     result = scheduler._replay(jobs, _service(jobs), "budget")
     assert not result.outcomes
     assert result.shed[0].reason == "migration_limit"
@@ -310,8 +298,7 @@ def test_requeued_job_keeps_original_submit_time_and_deadline():
 # ---------------------------------------------------------------------------
 
 def test_deadline_miss_streak_degrades_and_clean_streak_heals():
-    tracker = NodeTracker(1, health=HealthPolicy(miss_threshold=3,
-                                                 clean_streak=2))
+    tracker = NodeTracker(1)
     node = tracker.nodes[0]
     for _ in range(2):
         tracker.note_deadline_miss(node)
@@ -326,7 +313,7 @@ def test_deadline_miss_streak_degrades_and_clean_streak_heals():
 
 
 def test_quarantine_drains_placement_and_probation_readmits():
-    tracker = NodeTracker(2, health=HealthPolicy(probation_jobs=2))
+    tracker = NodeTracker(2)
     node = tracker.nodes[0]
     tracker.quarantine(node, 0.0, 100 * US, "crash")
     assert not node.placeable

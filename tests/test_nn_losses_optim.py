@@ -8,7 +8,7 @@ from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
 from repro.nn.metrics import (accuracy, confusion_matrix, macro_f1, mape,
                               within_one_accuracy)
 from repro.nn.mlp import MLP
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
 def test_softmax_rows_sum_to_one():
@@ -57,23 +57,6 @@ def test_mse_accepts_1d_targets():
     assert loss == pytest.approx(0.0)
 
 
-def test_sgd_reduces_loss_on_toy_problem():
-    rng = np.random.default_rng(5)
-    model = MLP([2, 8, 1], rng=rng)
-    x = rng.normal(size=(64, 2))
-    y = (x[:, :1] * 2 - x[:, 1:] * 0.5)
-    loss_fn = MeanSquaredError()
-    opt = SGD(model, learning_rate=0.05)
-    first, _ = loss_fn(model.forward(x), y)
-    for _ in range(200):
-        out = model.forward(x, train=True)
-        _, grad = loss_fn(out, y)
-        model.backward(grad)
-        opt.step()
-    last, _ = loss_fn(model.forward(x), y)
-    assert last < first * 0.1
-
-
 def test_adam_reduces_loss_on_toy_problem():
     rng = np.random.default_rng(6)
     model = MLP([2, 8, 1], rng=rng)
@@ -93,31 +76,26 @@ def test_adam_reduces_loss_on_toy_problem():
 
 def test_optimizers_respect_masks():
     rng = np.random.default_rng(7)
-    for opt_cls in (SGD, Adam):
-        model = MLP([2, 4, 1], rng=rng)
-        model.layers[0].mask[0, 0] = 0.0
-        model.layers[0].apply_mask()
-        opt = opt_cls(model, learning_rate=0.1)
-        x = rng.normal(size=(8, 2))
-        y = rng.normal(size=(8, 1))
-        for _ in range(5):
-            out = model.forward(x, train=True)
-            _, grad = MeanSquaredError()(out, y)
-            model.backward(grad)
-            opt.step()
-        assert model.layers[0].weights[0, 0] == 0.0
+    model = MLP([2, 4, 1], rng=rng)
+    model.layers[0].mask[0, 0] = 0.0
+    model.layers[0].apply_mask()
+    opt = Adam(model, learning_rate=0.1)
+    x = rng.normal(size=(8, 2))
+    y = rng.normal(size=(8, 1))
+    for _ in range(5):
+        out = model.forward(x, train=True)
+        _, grad = MeanSquaredError()(out, y)
+        model.backward(grad)
+        opt.step()
+    assert model.layers[0].weights[0, 0] == 0.0
 
 
 def test_optimizer_validation():
     model = MLP([2, 2, 1])
     with pytest.raises(TrainingError):
-        SGD(model, learning_rate=0.0)
-    with pytest.raises(TrainingError):
-        SGD(model, momentum=1.0)
+        Adam(model, learning_rate=0.0)
     with pytest.raises(TrainingError):
         Adam(model, learning_rate=-1)
-    with pytest.raises(TrainingError):
-        Adam(model, beta1=1.0)
 
 
 def test_accuracy_metric():

@@ -127,6 +127,3 @@ def test_sparsity_property():
     assert model.sparsity > 0.0
 
 
-def test_all_weights_concatenation():
-    model = _mlp((4, 8, 3))
-    assert model.all_weights().shape == (4 * 8 + 8 * 3,)

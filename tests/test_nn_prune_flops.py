@@ -16,6 +16,11 @@ def _mlp(sizes=(6, 20, 20, 6), seed=0):
     return MLP(list(sizes), rng=np.random.default_rng(seed))
 
 
+def _all_weights(model):
+    return np.concatenate([layer.effective_weights.ravel()
+                           for layer in model.layers])
+
+
 # --------------------------------------------------------------------------
 # FLOPs
 # --------------------------------------------------------------------------
@@ -66,10 +71,10 @@ def test_magnitude_prune_fraction():
 
 def test_magnitude_prune_removes_smallest():
     model = _mlp((4, 4, 2))
-    flat_before = np.abs(model.all_weights())
+    flat_before = np.abs(_all_weights(model))
     flat_before = flat_before[flat_before > 0]
     magnitude_prune(model, 0.5)
-    surviving = np.abs(model.all_weights())
+    surviving = np.abs(_all_weights(model))
     surviving = surviving[surviving > 0]
     assert surviving.min() >= np.quantile(flat_before, 0.5) - 1e-12
 

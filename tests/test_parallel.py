@@ -298,7 +298,7 @@ def test_stats_render_mentions_stages_and_counters():
     stats.count("dataset_cache_hit")
     text = stats.render()
     assert "demo" in text and "dataset_cache_hit" in text
-    assert stats.cache_hits == 1 and stats.cache_misses == 0
+    assert stats.counters == {"dataset_cache_hit": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ from repro.errors import DatasetError
 from repro.gpu.arch import small_test_config
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase, memory_phase
-from repro.gpu.simulator import GPUSimulator
+from repro.gpu.simulator import DEFAULT_EPOCH_S, GPUSimulator
 from repro.datagen.dataset import DVFSDataset
-from repro.datagen.protocol import (ProtocolConfig, collect_breakpoint,
+from repro.datagen.protocol import (SEGMENT_EPOCHS, ProtocolConfig,
+                                    collect_breakpoint,
                                     generate_for_kernel, generate_for_suite,
                                     required_duration_s,
                                     scale_kernel_for_protocol)
@@ -29,10 +30,6 @@ CFG = ProtocolConfig(max_breakpoints_per_kernel=2, seed=1)
 
 
 def test_config_validation():
-    with pytest.raises(DatasetError):
-        ProtocolConfig(epoch_s=0)
-    with pytest.raises(DatasetError):
-        ProtocolConfig(segment_epochs=2)
     with pytest.raises(DatasetError):
         ProtocolConfig(max_breakpoints_per_kernel=0)
 
@@ -55,17 +52,16 @@ def test_collect_breakpoint_standalone_matches_generation():
     """Without lanes or a reference segment, collect_breakpoint builds
     both itself and reproduces the generation loop's first breakpoint."""
     first = generate_for_kernel(_kernel(), ARCH, config=CFG)[0]
-    simulator = GPUSimulator(ARCH, _kernel(), PowerModel(), seed=CFG.seed,
-                             epoch_s=CFG.epoch_s)
+    simulator = GPUSimulator(ARCH, _kernel(), PowerModel(), seed=CFG.seed)
     simulator.set_all_levels(ARCH.vf_table.default_level)
-    alone = collect_breakpoint(simulator, 0, CFG)
+    alone = collect_breakpoint(simulator, 0)
     assert alone.tf_s == first.tf_s
     assert alone.losses == first.losses
     assert alone.window_instructions == first.window_instructions
     assert np.array_equal(alone.feature_counters.as_vector(),
                           first.feature_counters.as_vector())
     # Left at the end of the reference segment.
-    assert simulator.epoch_index == CFG.segment_epochs
+    assert simulator.epoch_index == SEGMENT_EPOCHS
 
 
 def test_default_level_loss_is_zero():
@@ -101,7 +97,7 @@ def test_segment_losses_are_window_losses_scaled():
         for window, segment in zip(bp.losses, bp.segment_losses):
             # loss_window = excess / epoch; loss_segment = excess / t0.
             assert window == pytest.approx(
-                segment * bp.t0_s / CFG.epoch_s, rel=1e-6, abs=1e-9)
+                segment * bp.t0_s / DEFAULT_EPOCH_S, rel=1e-6, abs=1e-9)
 
 
 def test_minimal_level_for_preset_monotone_in_preset():
@@ -115,7 +111,7 @@ def test_minimal_level_for_preset_monotone_in_preset():
 def test_required_duration_and_scaling():
     config = ProtocolConfig(max_breakpoints_per_kernel=4)
     needed = required_duration_s(config)
-    assert needed == pytest.approx((4 + 3) * 10 * config.epoch_s)
+    assert needed == pytest.approx((4 + 3) * 10 * DEFAULT_EPOCH_S)
     short = _kernel(iterations=2)
     scaled = scale_kernel_for_protocol(short, ARCH, config)
     assert scaled.iterations > short.iterations

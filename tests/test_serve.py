@@ -19,11 +19,14 @@ from repro.core.combined import SSMDVFSModel
 from repro.errors import ServeError
 from repro.faults import ServeFaultConfig, ServeFaultPlan
 from repro.gpu.arch import small_test_config
-from repro.serve import (CLOSED, HALF_OPEN, OPEN, QUARANTINED, BreakerConfig,
-                         CircuitBreaker, IngestConfig, OnlineCalibrator,
-                         OnlineConfig, RequestQueue, ServeConfig,
-                         ServeRequest, ServingRuntime, Supervisor,
-                         SupervisorConfig, TelemetrySample, WindowAssembler)
+from repro.serve import (CLOSED, HALF_OPEN, OPEN, QUARANTINED,
+                         CircuitBreaker, OnlineCalibrator, RequestQueue,
+                         ServeConfig, ServeRequest, ServingRuntime,
+                         Supervisor, TelemetrySample, WindowAssembler)
+from repro.serve import breaker as breaker_module
+from repro.serve import ingest as ingest_module
+from repro.serve import online as online_module
+from repro.serve import supervisor as supervisor_module
 from repro.store import ArtifactStore
 
 
@@ -31,15 +34,16 @@ from repro.store import ArtifactStore
 # Circuit breaker: scripted transitions
 # ---------------------------------------------------------------------------
 
-def _breaker(**kwargs):
-    defaults = dict(failure_threshold=2, latency_budget_s=50e-6,
-                    open_ticks=4, probe_successes=2)
-    defaults.update(kwargs)
-    return CircuitBreaker(BreakerConfig(**defaults))
+@pytest.fixture
+def short_breaker(monkeypatch):
+    """Trips after two failures; probes after four ticks."""
+    monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 2)
+    monkeypatch.setattr(breaker_module, "OPEN_TICKS", 4)
 
 
+@pytest.mark.usefixtures("short_breaker")
 def test_breaker_trips_after_consecutive_failures():
-    breaker = _breaker()
+    breaker = CircuitBreaker()
     for tick in range(2):
         assert breaker.allow(tick)
         breaker.record_failure(tick)
@@ -49,8 +53,9 @@ def test_breaker_trips_after_consecutive_failures():
     assert breaker.counters["breaker_short_circuits"] == 1
 
 
+@pytest.mark.usefixtures("short_breaker")
 def test_breaker_probes_after_open_window_and_closes():
-    breaker = _breaker()
+    breaker = CircuitBreaker()
     for tick in range(2):
         breaker.allow(tick)
         breaker.record_failure(tick)
@@ -66,8 +71,9 @@ def test_breaker_probes_after_open_window_and_closes():
     assert breaker.counters["breaker_closes"] == 1
 
 
+@pytest.mark.usefixtures("short_breaker")
 def test_breaker_probe_failure_reopens():
-    breaker = _breaker()
+    breaker = CircuitBreaker()
     for tick in range(2):
         breaker.allow(tick)
         breaker.record_failure(tick)
@@ -78,8 +84,9 @@ def test_breaker_probe_failure_reopens():
     assert not breaker.allow(11)
 
 
-def test_breaker_slow_success_counts_as_failure():
-    breaker = _breaker(failure_threshold=1)
+def test_breaker_slow_success_counts_as_failure(monkeypatch):
+    monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 1)
+    breaker = CircuitBreaker()
     assert breaker.allow(0)
     breaker.record_success(0, 1.0)  # way over the 50us budget
     assert breaker.state == OPEN
@@ -87,7 +94,7 @@ def test_breaker_slow_success_counts_as_failure():
 
 
 def test_breaker_rejects_unadmitted_outcome():
-    breaker = _breaker()
+    breaker = CircuitBreaker()
     with pytest.raises(ServeError):
         breaker.record_failure(0)
 
@@ -102,20 +109,19 @@ def test_breaker_never_serves_open_and_always_reprobes(steps):
     """The two-sided breaker contract over arbitrary outcome sequences.
 
     Safety: a call is never admitted through a circuit that opened
-    fewer than ``open_ticks`` ago.  Liveness: once the open window has
+    fewer than ``OPEN_TICKS`` ago.  Liveness: once the open window has
     elapsed (and from HALF_OPEN) the breaker always re-probes — no
     sequence of outcomes can wedge it permanently open.
     """
-    config = BreakerConfig(failure_threshold=2, latency_budget_s=50e-6,
-                           open_ticks=5, probe_successes=2)
-    breaker = CircuitBreaker(config)
+    breaker = CircuitBreaker()
     now = 0
     for advance, fail in steps:
         now += advance
         state_before = breaker.state
         opened_before = breaker._opened_at
         allowed = breaker.allow(now)
-        if state_before == OPEN and now - opened_before < config.open_ticks:
+        if (state_before == OPEN
+                and now - opened_before < breaker_module.OPEN_TICKS):
             assert not allowed, "served through an open circuit"
         else:
             # CLOSED and HALF_OPEN always admit; OPEN past its window
@@ -139,7 +145,7 @@ def _sample(stream, seq, tick):
 
 
 def test_assembler_delivers_in_order_and_dedupes():
-    assembler = WindowAssembler(IngestConfig())
+    assembler = WindowAssembler()
     assembler.offer(_sample(0, 1, 0), 0)  # early: future of the cursor
     assembler.offer(_sample(0, 0, 0), 0)
     assembler.offer(_sample(0, 0, 0), 0)  # duplicate
@@ -150,9 +156,9 @@ def test_assembler_delivers_in_order_and_dedupes():
     assert counters["ingest_reordered"] == 1
 
 
-def test_assembler_stalls_then_skips_confirmed_gap():
-    config = IngestConfig(max_lag_ticks=3)
-    assembler = WindowAssembler(config)
+def test_assembler_stalls_then_skips_confirmed_gap(monkeypatch):
+    monkeypatch.setattr(ingest_module, "MAX_LAG_TICKS", 3)
+    assembler = WindowAssembler()
     assembler.offer(_sample(0, 0, 0), 0)
     assert [s.seq for s in assembler.pop_ready(0)] == [0]
     # seq 1 never arrives; 2 and 3 do.
@@ -160,23 +166,24 @@ def test_assembler_stalls_then_skips_confirmed_gap():
     assembler.offer(_sample(0, 3, 1), 1)
     assert assembler.pop_ready(1) == []  # stalled, waiting for seq 1
     assert assembler.pop_ready(2) == []
-    delivered = assembler.pop_ready(1 + config.max_lag_ticks)
+    delivered = assembler.pop_ready(1 + ingest_module.MAX_LAG_TICKS)
     assert [s.seq for s in delivered] == [2, 3]
     assert assembler.counters["ingest_gap_skips"] == 1
 
 
-def test_assembler_drops_stale_samples():
-    config = IngestConfig(staleness_ticks=4)
-    assembler = WindowAssembler(config)
+def test_assembler_drops_stale_samples(monkeypatch):
+    monkeypatch.setattr(ingest_module, "STALENESS_TICKS", 4)
+    assembler = WindowAssembler()
     assembler.offer(_sample(0, 0, 0), 10)  # 10 ticks old on arrival
     assert assembler.pop_ready(10) == []
     assert assembler.counters["ingest_stale_drops"] == 1
 
 
-def test_assembler_bounds_the_reorder_buffer():
-    config = IngestConfig(max_pending=2, max_lag_ticks=1,
-                          staleness_ticks=100)
-    assembler = WindowAssembler(config)
+def test_assembler_bounds_the_reorder_buffer(monkeypatch):
+    monkeypatch.setattr(ingest_module, "MAX_PENDING", 2)
+    monkeypatch.setattr(ingest_module, "MAX_LAG_TICKS", 1)
+    monkeypatch.setattr(ingest_module, "STALENESS_TICKS", 100)
+    assembler = WindowAssembler()
     for seq in (5, 6, 7):  # cursor at 0: everything buffers
         assembler.offer(_sample(0, seq, 0), 0)
     assert assembler.counters[
@@ -249,18 +256,14 @@ def test_queue_drain_accounts_everything():
 # Supervisor
 # ---------------------------------------------------------------------------
 
-def _supervisor(num_workers=2, **kwargs):
-    defaults = dict(backoff_base_ticks=2, backoff_cap_ticks=8,
-                    liveness_ticks=3, pin_after=2, quarantine_after=4)
-    defaults.update(kwargs)
+def _supervisor(num_workers=2):
     builds = []
 
     def build_stack(worker_id):
         builds.append(worker_id)
         return {"id": worker_id}, len(builds) > num_workers
 
-    return Supervisor(num_workers, build_stack,
-                      SupervisorConfig(**defaults)), builds
+    return Supervisor(num_workers, build_stack), builds
 
 
 def test_supervisor_restarts_crashed_worker_with_backoff():
@@ -300,7 +303,8 @@ def test_supervisor_escalates_to_pin_then_quarantine():
     assert supervisor.ready_workers() == []
 
 
-def test_supervisor_liveness_probe_kills_wedged_worker():
+def test_supervisor_liveness_probe_kills_wedged_worker(monkeypatch):
+    monkeypatch.setattr(supervisor_module, "LIVENESS_TICKS", 3)
     supervisor, _ = _supervisor()
     supervisor.dispatch(supervisor.workers[0], "req", 0, 1)
     supervisor.hang(0, 0)
@@ -326,17 +330,22 @@ def test_supervisor_refuses_dispatch_to_busy_worker():
 # Online calibration gates
 # ---------------------------------------------------------------------------
 
-def _online(small_pipeline, tmp_path, **kwargs):
+@pytest.fixture
+def fast_online(monkeypatch):
+    """Update every 8 samples, 4 epochs, 4 probation windows, and a
+    shadow tolerance loose enough that any finite candidate passes."""
+    for name, value in dict(UPDATE_INTERVAL=8, EPOCHS=4, PROBATION_WINDOWS=4,
+                            TOLERANCE=10.0, MAX_BUFFER=64).items():
+        monkeypatch.setattr(online_module, name, value)
+
+
+def _online(small_pipeline, tmp_path):
     model = SSMDVFSModel.from_bytes(
         small_pipeline.models["base"].to_bytes())
     store = ArtifactStore(tmp_path)
     store.put("pair", model.to_bytes(), schema="ssmdvfs-pair/v1",
               mark_good=True)
-    defaults = dict(update_interval=8, epochs=4, probation_windows=4,
-                    tolerance=10.0, max_buffer=64)
-    defaults.update(kwargs)
-    online = OnlineCalibrator(model, store, "pair",
-                              OnlineConfig(**defaults), seed=0)
+    online = OnlineCalibrator(model, store, "pair", seed=0)
     return online, store, model
 
 
@@ -346,6 +355,7 @@ def _feed(online, count, width):
         online.observe(rng.uniform(0.1, 1.0, size=width), 2, 1.0)
 
 
+@pytest.mark.usefixtures("fast_online")
 def test_online_update_promotes_and_blesses_after_probation(
         small_pipeline, tmp_path):
     online, store, model = _online(small_pipeline, tmp_path)
@@ -363,6 +373,7 @@ def test_online_update_promotes_and_blesses_after_probation(
     assert counters["online_marked_good"] == 1
 
 
+@pytest.mark.usefixtures("fast_online")
 def test_online_poisoned_update_is_rejected(small_pipeline, tmp_path):
     online, store, model = _online(small_pipeline, tmp_path)
     width = model.calibrator.extractor.width
@@ -376,6 +387,7 @@ def test_online_poisoned_update_is_rejected(small_pipeline, tmp_path):
     assert counters["online_updates_rejected"] == 1
 
 
+@pytest.mark.usefixtures("fast_online")
 def test_online_drift_alarm_aborts_probation(small_pipeline, tmp_path):
     online, store, model = _online(small_pipeline, tmp_path)
     width = model.calibrator.extractor.width
@@ -389,6 +401,7 @@ def test_online_drift_alarm_aborts_probation(small_pipeline, tmp_path):
         "online_probation_aborted"] == 1
 
 
+@pytest.mark.usefixtures("fast_online")
 def test_online_rejects_nonfinite_labels(small_pipeline, tmp_path):
     online, _, model = _online(small_pipeline, tmp_path)
     width = model.calibrator.extractor.width
@@ -442,13 +455,33 @@ def test_runtime_ml_mode_serves_through_chaos(small_arch, small_pipeline,
     assert result.counters.get("supervisor_restores", 0) == restarts
 
 
+def test_runtime_drift_alarm_aborts_online_probation(small_arch,
+                                                     small_pipeline,
+                                                     tmp_path):
+    """A worker's drift alarm reaches the online loop, so a promotion
+    still on probation when the guard alarms is never marked good."""
+    model = SSMDVFSModel.from_bytes(
+        small_pipeline.models["base"].to_bytes())
+    config = ServeConfig(streams=2, ticks=160, seed=0)
+    result = ServingRuntime(small_arch, config, model=model,
+                            store_root=tmp_path, workers=0).run()
+    counters = result.counters
+    assert counters.get("drift_alarms", 0) > 0
+    aborted = counters.get("online_probation_aborted", 0)
+    assert aborted >= 1
+    # Each promotion is marked good, aborted, or still on probation.
+    pending = (counters["online_updates_promoted"] - aborted
+               - counters.get("online_marked_good", 0))
+    assert pending in (0, 1)
+
+
 def test_runtime_validates_scenario_config():
     with pytest.raises(ServeError):
         ServeConfig(streams=0)
     with pytest.raises(ServeError):
-        ServeConfig(deadline_slack_ticks=0)
+        ServeConfig(ticks=0)
     with pytest.raises(ServeError):
-        ServeConfig(batch_slack_ticks=4, deadline_slack_ticks=8)
+        ServeConfig(queue_capacity=0)
 
 
 def test_fault_plan_is_deterministic_and_validates():

@@ -37,8 +37,6 @@ def soak_result(small_pipeline, small_arch, soak_kernels, tmp_path_factory):
 
 def test_soak_config_validates():
     with pytest.raises(PolicyError):
-        SoakConfig(stale_fraction=0.0)
-    with pytest.raises(PolicyError):
         SoakConfig(stale_sigma=-1.0)
     with pytest.raises(PolicyError):
         SoakConfig(recovery_epochs=0)

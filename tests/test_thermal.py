@@ -8,8 +8,9 @@ from repro.errors import ConfigError
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase
 from repro.gpu.simulator import GPUSimulator
-from repro.power.thermal import (REFERENCE_C, ThermalConfig, ThermalNode,
-                                 ThermalTracker, run_with_thermal)
+from repro.power.thermal import (MAX_TEMPERATURE_C, REFERENCE_C,
+                                 ThermalConfig, ThermalNode, ThermalTracker,
+                                 run_with_thermal)
 from repro.core.policy import StaticPolicy
 
 
@@ -17,9 +18,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ThermalConfig(resistance_c_per_w=0)
     with pytest.raises(ConfigError):
-        ThermalConfig(capacitance_j_per_c=-1)
-    with pytest.raises(ConfigError):
-        ThermalConfig(max_temperature_c=10.0, ambient_c=45.0)
+        ThermalConfig(ambient_c=MAX_TEMPERATURE_C)
 
 
 def test_node_starts_at_ambient():
@@ -60,10 +59,9 @@ def test_long_step_is_stable():
 
 
 def test_temperature_clamped_at_max():
-    config = ThermalConfig(max_temperature_c=80.0)
-    node = ThermalNode(config)
+    node = ThermalNode()
     node.step(1000.0, dt_s=10.0)
-    assert node.temperature_c == pytest.approx(80.0)
+    assert node.temperature_c == pytest.approx(MAX_TEMPERATURE_C)
 
 
 def test_peak_tracking():

@@ -48,15 +48,15 @@ def test_clamp():
 
 def test_level_of_frequency():
     table = titan_x_vf_table()
-    assert table.level_of_frequency(mhz(878)) == 2
-    with pytest.raises(ConfigError):
-        table.level_of_frequency(mhz(900))
+    assert table.frequencies_hz().index(mhz(878)) == 2
+    assert mhz(900) not in table.frequencies_hz()
 
 
 def test_relative_speed():
     table = titan_x_vf_table()
-    assert table.relative_speed(5) == pytest.approx(1.0)
-    assert table.relative_speed(0) == pytest.approx(683 / 1165)
+    default = table[table.default_level].frequency_hz
+    assert table[5].frequency_hz / default == pytest.approx(1.0)
+    assert table[0].frequency_hz / default == pytest.approx(683 / 1165)
 
 
 def test_non_monotone_frequency_rejected():
