@@ -30,10 +30,12 @@ test-fast:
 # resilience-focused test modules.  Zero unhandled exceptions expected.
 # The sweep runs twice — serial and fused — because faulty/guarded
 # wrappers take the engine's solo-decision path, which must survive the
-# same fault menu.
+# same fault menu.  The serial sweep's export is seeded and committed;
+# CI fails on any byte of drift.
 faults-smoke:
 	$(PYTHON) -m repro.cli faults --small --mode all --rates 0 1.0 \
-		--kernels 1 --duration-us 60 --stats
+		--kernels 1 --duration-us 60 --stats \
+		--export benchmarks/results/FAULTS_smoke.json
 	$(PYTHON) -m repro.cli faults --small --mode all --rates 0 1.0 \
 		--kernels 1 --duration-us 60 --stats --fused
 	$(PYTHON) -m pytest -q tests/test_faults.py tests/test_parallel.py

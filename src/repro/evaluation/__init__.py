@@ -16,7 +16,8 @@ from .residency import ResidencyProfile, residency_from_records
 from .robustness import (FaultSweepCell, FaultSweepResult,
                          NoisyCountersPolicy, SeedSweepResult, fault_sweep,
                          seed_sweep)
-from .runner import ComparisonResult, PolicyRun, compare_policies
+from .runner import (ComparisonResult, PolicyRun, ReplaySet,
+                     compare_policies)
 from .certify import crash_write_torture
 from .soak import (KernelSoak, SoakConfig, SoakResult,
                    perturb_model_weights, run_soak)
@@ -35,7 +36,7 @@ __all__ = [
     "ResidencyProfile", "residency_from_records",
     "FaultSweepCell", "FaultSweepResult", "NoisyCountersPolicy",
     "SeedSweepResult", "fault_sweep", "seed_sweep",
-    "ComparisonResult", "PolicyRun", "compare_policies",
+    "ComparisonResult", "PolicyRun", "ReplaySet", "compare_policies",
     "KernelSoak", "SoakConfig", "SoakResult", "crash_write_torture",
     "perturb_model_weights", "run_soak",
     "ChaosTrial", "FleetChaosConfig", "FleetChaosResult",

@@ -25,7 +25,7 @@ from ..parallel import (CampaignStats, cached, campaign_checkpoint,
                         content_key)
 from ..store import atomic_write_text
 from ..units import us
-from .runner import ComparisonResult, compare_policies
+from .runner import ComparisonResult, ReplaySet, compare_policies
 
 
 def comparison_cache_key(policy_names: list[str],
@@ -58,14 +58,17 @@ def cached_comparison(cache_dir: str | Path,
                       retries: int = 2,
                       timeout_s: float | None = None,
                       fused: bool = False,
-                      fuse_width: int = 8) -> ComparisonResult:
+                      fuse_width: int = 8,
+                      replay: ReplaySet | None = None) -> ComparisonResult:
     """Load a policy × kernel grid from cache, running it on miss.
 
     Caches through :func:`repro.parallel.cached` as ``grid-<key>.json``
     with the ``comparison`` counters and stages.  ``checkpoint=True``
     persists per-kernel progress next to the cache file
     (``grid-<key>.kernel.ckpt``) so an interrupted campaign resumes;
-    ``retries``/``timeout_s`` tune the resilient fan-out.
+    ``retries``/``timeout_s`` tune the resilient fan-out; ``replay``
+    shares each kernel's caches and baseline with the campaign's other
+    grids (see :func:`~repro.evaluation.runner.compare_policies`).
 
     ``fused``/``fuse_width`` run the grid through the fused campaign
     engine.  The *result* is bit-identical, so fused and serial runs
@@ -88,7 +91,8 @@ def cached_comparison(cache_dir: str | Path,
                                 seed=seed, workers=workers, stats=stats,
                                 checkpoint=ckpt, retries=retries,
                                 timeout_s=timeout_s,
-                                fused=fused, fuse_width=fuse_width)
+                                fused=fused, fuse_width=fuse_width,
+                                replay=replay)
 
     return cached(
         Path(cache_dir) / f"grid-{key}.json", "comparison", stats, build,

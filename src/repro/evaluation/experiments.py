@@ -33,7 +33,7 @@ from ..parallel import CampaignStats, content_key
 from ..units import us
 from .cache import cached_comparison
 from .reporting import format_percent, format_table
-from .runner import ComparisonResult, compare_policies
+from .runner import ComparisonResult, ReplaySet, compare_policies
 
 # ---------------------------------------------------------------------------
 # Table I — feature selection
@@ -358,13 +358,18 @@ def run_fig4(models: dict[str, SSMDVFSModel], kernels: list[KernelProfile],
     on disk keyed by the kernel suite, arch, preset, seed and
     :func:`fig4_cache_token` (a hash of the models' metadata), and
     ``checkpoint=True`` lets each interrupted grid resume mid-campaign;
-    ``retries``/``timeout_s`` tune the resilient fan-out.
+    ``retries``/``timeout_s`` tune the resilient fan-out.  The presets
+    run the same kernels at the same seed, so one
+    :class:`~repro.evaluation.runner.ReplaySet` spans them: each
+    kernel's baseline is simulated once for the whole campaign and its
+    solve cache and noise tracks serve every preset's grid.
     ``fused``/``fuse_width`` co-simulate each grid through the fused
     campaign engine — bit-identical results, so fused and cached serial
     grids interoperate (see
     :func:`repro.evaluation.runner.compare_policies`).
     """
     result = Fig4Result()
+    replay = ReplaySet()
     for preset in presets:
         factories = fig4_policy_factories(models, preset, seed=seed)
         if cache_dir is not None:
@@ -373,13 +378,13 @@ def run_fig4(models: dict[str, SSMDVFSModel], kernels: list[KernelProfile],
                 cache_token=fig4_cache_token(models),
                 workers=workers, stats=stats, use_cache=use_cache,
                 checkpoint=checkpoint, retries=retries, timeout_s=timeout_s,
-                fused=fused, fuse_width=fuse_width)
+                fused=fused, fuse_width=fuse_width, replay=replay)
         else:
             result.comparisons[preset] = compare_policies(
                 factories, kernels, arch, preset, seed=seed,
                 workers=workers, stats=stats,
                 retries=retries, timeout_s=timeout_s,
-                fused=fused, fuse_width=fuse_width)
+                fused=fused, fuse_width=fuse_width, replay=replay)
     return result
 
 

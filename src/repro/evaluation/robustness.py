@@ -30,7 +30,7 @@ from ..gpu.simulator import EpochRecord, GPUSimulator
 from ..gpu.kernels import KernelProfile
 from ..gpu.arch import GPUArchConfig
 from ..parallel import CampaignStats
-from .runner import ComparisonResult, compare_policies
+from .runner import ComparisonResult, ReplaySet, compare_policies
 
 
 class NoisyCountersPolicy:
@@ -212,14 +212,19 @@ def fault_sweep(policy_factories: dict[str, callable],
     static baseline; ``slack`` absorbs the controller's honest noise
     floor so the statistic isolates fault-induced breakage.  Fault and
     guard counters are attributed per cell and also folded into
-    ``stats`` when given.  ``fused``/``fuse_width`` co-simulate each
-    cell's runs through the fused campaign engine (bit-identical; see
+    ``stats`` when given.  Every cell runs the same kernels at the same
+    seed, so one :class:`~repro.evaluation.runner.ReplaySet` spans the
+    sweep: the fault-free baseline is simulated once per kernel, not
+    once per cell, and the cells share its solve cache and noise tracks.
+    ``fused``/``fuse_width`` co-simulate each cell's runs through the
+    fused campaign engine (bit-identical; see
     :func:`repro.evaluation.runner.compare_policies`).
     """
     if not modes or not rates:
         raise SimulationError("need at least one fault mode and one rate")
     threshold = 1.0 + preset + slack
     result = FaultSweepResult(preset=preset, slack=slack)
+    replay = ReplaySet()
     for mode in modes:
         for rate in rates:
             config = config_for_mode(mode, rate, seed=seed)
@@ -230,7 +235,7 @@ def fault_sweep(policy_factories: dict[str, callable],
                 comparison = compare_policies(
                     {name: wrapped}, kernels, arch, preset, seed=seed,
                     workers=workers, stats=cell_stats,
-                    fused=fused, fuse_width=fuse_width)
+                    fused=fused, fuse_width=fuse_width, replay=replay)
                 runs = comparison.series(name)
                 violations = sum(1 for r in runs
                                  if r.normalized_latency > threshold)

@@ -104,32 +104,82 @@ class ComparisonResult:
                          for r in payload["runs"]])
 
 
+class KernelReplay:
+    """What every run of one (kernel, arch, seed) can share.
+
+    Holds one :class:`SolutionCache`, one noise cache and, once a grid
+    has run it, the default-level baseline's outcome ``(time_s,
+    energy_j, epochs, counters)``.  The baseline does not depend on the
+    preset or the policies, and the runs replay the same noise tracks,
+    so sharing changes hit rates and run counts, never results.
+
+    Pickling keeps only the baseline outcome: a pooled task ships what
+    is known to be true and its worker builds fresh caches, so no solved
+    rows cross the process boundary.
+    """
+
+    def __init__(self, baseline: tuple | None = None) -> None:
+        self.solution_cache = SolutionCache()
+        self.noise_cache: dict = {}
+        self.baseline = baseline
+
+    def __getstate__(self) -> dict:
+        return {"baseline": self.baseline}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["baseline"])
+
+
+class ReplaySet:
+    """One campaign's :class:`KernelReplay` per (kernel, arch, seed).
+
+    The caller owns it and passes it to every
+    :func:`compare_policies` call of the campaign.  Entries are keyed by
+    object identity and hold the kernel and arch objects, so their ids
+    cannot be reused while the set lives: a different kernel, arch or
+    seed never reaches another one's entry, even under an equal name.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, tuple] = {}
+
+    def entry(self, kernel: KernelProfile, arch: GPUArchConfig,
+              seed: int) -> KernelReplay:
+        """The replay of ``kernel`` on ``arch`` at ``seed``."""
+        key = (id(kernel), id(arch), seed)
+        if key not in self._entries:
+            self._entries[key] = (kernel, arch, KernelReplay())
+        return self._entries[key][2]
+
+
 def _kernel_task(task: tuple) -> list[tuple[float, float, int,
                                             dict[str, int]]]:
     """Process-pool unit of serial evaluation: one kernel's runs.
 
-    Runs the baseline, then every policy, over one kernel, one after the
-    other.  The runs share one :class:`SolutionCache` and one noise
-    cache: they replay the same kernel and seed, hence the same noise
-    tracks, so a solve one run caches serves the others.  Sharing
-    changes hit rates, never results.  Takes the *factories* rather
-    than policy instances so every run gets a fresh policy, and builds
-    its simulators from the explicit seed — identical results whether
-    run in-process or in a worker.  Each run's outcome carries the
-    policy stack's :func:`~repro.core.policy.policy_counters` (guard
-    trips, injected faults, calibration anomalies) so the caller can
-    fold them into campaign ``--stats``.
+    ``task`` is ``(factories, kernel, arch, seed, replay)``; the first
+    factory is the baseline's.  Runs the baseline, unless ``replay``
+    already holds its outcome, then every policy, over one kernel, one
+    after the other.  The runs share the :class:`KernelReplay`'s solve
+    cache and noise cache: they replay the same kernel and seed, hence
+    the same noise tracks, so a solve one run caches serves the others
+    — in this grid and, in-process, in every other grid of the
+    campaign.  Sharing changes hit rates, never results.  Takes the
+    *factories* rather than policy instances so every run gets a fresh
+    policy, and builds its simulators from the explicit seed —
+    identical results whether run in-process or in a worker.  Each
+    run's outcome carries the policy stack's
+    :func:`~repro.core.policy.policy_counters` (guard trips, injected
+    faults, calibration anomalies) so the caller can fold them into
+    campaign ``--stats``.
     """
-    factories, kernel, arch, seed = task
+    factories, kernel, arch, seed, replay = task
     power_model = PowerModel()
-    solution_cache = SolutionCache()
-    noise_cache: dict = {}
-    outcomes = []
-    for factory in factories:
+    outcomes = [] if replay.baseline is None else [replay.baseline]
+    for factory in factories[len(outcomes):]:
         policy = factory()
         simulator = GPUSimulator(arch, kernel, power_model, seed=seed,
-                                 solution_cache=solution_cache,
-                                 noise_cache=noise_cache)
+                                 solution_cache=replay.solution_cache,
+                                 noise_cache=replay.noise_cache)
         result = simulator.run(policy, keep_records=False)
         outcomes.append((result.time_s, result.energy_j, result.epochs,
                          policy_counters(policy)))
@@ -184,7 +234,8 @@ def compare_policies(policy_factories: dict[str, callable],
                      retries: int = 2,
                      timeout_s: float | None = None,
                      fused: bool = False,
-                     fuse_width: int = 8) -> ComparisonResult:
+                     fuse_width: int = 8,
+                     replay: ReplaySet | None = None) -> ComparisonResult:
     """Evaluate a set of policies over a kernel list.
 
     ``policy_factories`` maps display names to zero-argument callables
@@ -193,8 +244,12 @@ def compare_policies(policy_factories: dict[str, callable],
     run for normalization.  Runs take 10 µs epochs and bill power with
     the unscaled :class:`PowerModel`.  The serial unit is one kernel:
     its baseline and policy runs share one solve cache and one set of
-    noise tracks (see :func:`_kernel_task`), and nothing outlives this
-    call.
+    noise tracks (see :func:`_kernel_task`).  ``replay`` carries those,
+    and each kernel's baseline outcome, across the calls of one
+    campaign — pass one :class:`ReplaySet` to every grid that runs the
+    same kernels at the same seed, and each baseline is simulated once.
+    Without it the call makes a fresh set, so nothing outlives it.  The
+    fused path ignores ``replay`` and keeps its per-group caches.
     ``workers`` fans the kernels out over a process pool (picklable
     factories — e.g. ``functools.partial`` over module-level classes —
     required to actually parallelise; anything else falls back to
@@ -234,11 +289,19 @@ def compare_policies(policy_factories: dict[str, callable],
         if stats is not None:
             stats.count("fused_groups", len(groups))
     else:
-        tasks = [(factories, kernel, arch, seed) for kernel in kernels]
-        outcomes = [outcome for kernel_outcomes in parallel_map(
-                        _kernel_task, tasks, workers=workers, stats=stats,
-                        stage="evaluation", checkpoint=checkpoint,
-                        retries=retries, timeout_s=timeout_s)
+        replay = replay if replay is not None else ReplaySet()
+        replays = [replay.entry(kernel, arch, seed) for kernel in kernels]
+        per_kernel = parallel_map(
+            _kernel_task,
+            [(factories, kernel, arch, seed, kernel_replay)
+             for kernel, kernel_replay in zip(kernels, replays)],
+            workers=workers, stats=stats, stage="evaluation",
+            checkpoint=checkpoint, retries=retries, timeout_s=timeout_s)
+        # Recorded from the outcomes, so a resumed checkpoint or a
+        # pooled run fills the set too.
+        for kernel_replay, kernel_outcomes in zip(replays, per_kernel):
+            kernel_replay.baseline = kernel_outcomes[0]
+        outcomes = [outcome for kernel_outcomes in per_kernel
                     for outcome in kernel_outcomes]
 
     result = ComparisonResult(preset=preset)

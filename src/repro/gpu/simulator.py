@@ -141,8 +141,8 @@ class GPUSimulator:
         # the same kernel at the same operating point reuse each other's
         # solves (and datagen replays reuse everything).  Passing
         # ``solution_cache`` shares one cache *across* simulators: the
-        # datagen grid lanes, a Fig. 4 grid's runs of one kernel, and a
-        # fused grid group.  Keys capture every solver input
+        # datagen grid lanes, a Fig. 4 campaign's runs of one kernel,
+        # and a fused grid group.  Keys capture every solver input
         # bit-exactly, so sharing never changes results, only hit rates.
         self.solution_cache = (solution_cache if solution_cache is not None
                                else SolutionCache())

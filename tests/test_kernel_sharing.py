@@ -1,20 +1,27 @@
-"""Per-kernel solve sharing in the Fig. 4 grid, and noise-track ids.
+"""Per-kernel sharing in Fig. 4 campaigns, and noise-track ids.
 
 The serial grid runs a kernel's baseline and every policy on one
-:class:`SolutionCache` and one noise cache.  That is only free because
-solve keys name noise by track id and chunk: equal-content tracks share
-an id, unseeded tracks never do, and flat tracks collapse to one id at
-chunk 0.  A one-entry cache, which flushes on every new key, stands in
-for "cache off".
+:class:`SolutionCache` and one noise cache, and a campaign (every
+preset of :func:`run_fig4`, every cell of :func:`fault_sweep`) keeps
+them, plus the baseline's outcome, for all its grids.  That is only
+free because solve keys name noise by track id and chunk: equal-content
+tracks share an id, unseeded tracks never do, and flat tracks collapse
+to one id at chunk 0.  A one-entry cache, which flushes on every new
+key, stands in for "cache off".
 """
 
+import pickle
 from functools import partial
+
+import pytest
 
 from repro.baselines.governor import UtilizationGovernor
 from repro.baselines.pcstall import PCSTALLPolicy
 from repro.core.policy import StaticPolicy
 from repro.evaluation import runner
 from repro.evaluation.cache import cached_comparison, comparison_cache_key
+from repro.evaluation.experiments import fig4_policy_factories, run_fig4
+from repro.evaluation.robustness import fault_sweep
 from repro.evaluation.runner import compare_policies
 from repro.gpu.arch import small_test_config
 from repro.gpu.interval_model import SolutionCache
@@ -78,7 +85,7 @@ def _hit_ratio(caches):
             / sum(cache.lookups for cache in caches))
 
 
-def test_serial_grid_shares_one_cache_per_kernel(monkeypatch):
+def _record_caches(monkeypatch) -> list:
     created: list = []
 
     class RecordingCache(SolutionCache):
@@ -87,6 +94,29 @@ def test_serial_grid_shares_one_cache_per_kernel(monkeypatch):
             created.append(self)
 
     monkeypatch.setattr(runner, "SolutionCache", RecordingCache)
+    return created
+
+
+def _record_runs(monkeypatch) -> list:
+    """Patch ``GPUSimulator.run`` to log the policy of every run."""
+    policies: list = []
+    run = GPUSimulator.run
+
+    def recording_run(self, policy, *args, **kwargs):
+        policies.append(policy)
+        return run(self, policy, *args, **kwargs)
+
+    monkeypatch.setattr(GPUSimulator, "run", recording_run)
+    return policies
+
+
+def _is_baseline(policy) -> bool:
+    return (isinstance(policy, StaticPolicy)
+            and policy.level == ARCH.vf_table.default_level)
+
+
+def test_serial_grid_shares_one_cache_per_kernel(monkeypatch):
+    created = _record_caches(monkeypatch)
     shared = compare_policies(_factories(), _kernels(), ARCH, PRESET,
                               seed=SEED)
     monkeypatch.undo()
@@ -98,6 +128,18 @@ def test_serial_grid_shares_one_cache_per_kernel(monkeypatch):
     # One cache per kernel, not per run, and it is worth sharing.
     assert len(created) == len(_kernels())
     assert _hit_ratio(created) > _hit_ratio(per_run_caches)
+
+    # A whole Fig. 4 campaign still builds one cache per kernel and
+    # simulates each kernel's baseline once, however many presets.
+    created = _record_caches(monkeypatch)
+    policies = _record_runs(monkeypatch)
+    presets = (0.05, 0.1, 0.2)
+    run_fig4({}, _kernels(), ARCH, presets=presets, seed=SEED)
+    monkeypatch.undo()
+    lineup = len(fig4_policy_factories({}, PRESET))
+    assert len(created) == len(_kernels())
+    assert sum(map(_is_baseline, policies)) == len(_kernels())
+    assert len(policies) == len(_kernels()) * (1 + lineup * len(presets))
 
 
 def test_parallel_grid_matches_serial():
@@ -135,7 +177,8 @@ def test_per_kernel_checkpoint_resumes(tmp_path):
                                seed=SEED)
     lineup = ([partial(StaticPolicy, ARCH.vf_table.default_level)]
               + list(factories.values()))
-    first = runner._kernel_task((lineup, kernels[0], ARCH, SEED))
+    first = runner._kernel_task((lineup, kernels[0], ARCH, SEED,
+                                 runner.KernelReplay()))
     CampaignCheckpoint(tmp_path / f"grid-{key}.kernel.ckpt",
                        key=f"{key}.kernel").save({0: first})
     stats = CampaignStats()
@@ -143,6 +186,112 @@ def test_per_kernel_checkpoint_resumes(tmp_path):
                                 seed=SEED, stats=stats, checkpoint=True)
     assert resumed.to_payload() == clean.to_payload()
     assert stats.counters["campaign_tasks_resumed"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Campaign sharing: presets and cells reuse each kernel's replay
+# ---------------------------------------------------------------------------
+
+PRESETS = (0.1, 0.2)
+
+
+def _payloads(fig4):
+    return {preset: comparison.to_payload()
+            for preset, comparison in fig4.comparisons.items()}
+
+
+def _fresh_fig4_payloads():
+    """Every preset's grid as its own fresh ``compare_policies`` call."""
+    return {preset: compare_policies(
+                fig4_policy_factories({}, preset, seed=SEED), _kernels(),
+                ARCH, preset, seed=SEED).to_payload()
+            for preset in PRESETS}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fig4_campaign_matches_fresh_comparisons(workers):
+    fig4 = run_fig4({}, _kernels(), ARCH, presets=PRESETS, seed=SEED,
+                    workers=workers)
+    assert _payloads(fig4) == _fresh_fig4_payloads()
+
+
+def test_fig4_campaign_resumed_checkpoint_matches_fresh(tmp_path,
+                                                        monkeypatch):
+    kernels = _kernels()
+    kernel_task = runner._kernel_task
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupted(task):
+        if task[1] is kernels[1]:
+            raise Interrupted
+        return kernel_task(task)
+
+    # The first preset's grid dies after its first kernel; the rerun
+    # resumes that kernel from the checkpoint.
+    monkeypatch.setattr(runner, "_kernel_task", interrupted)
+    with pytest.raises(Interrupted):
+        run_fig4({}, kernels, ARCH, presets=PRESETS, seed=SEED,
+                 cache_dir=tmp_path, checkpoint=True)
+    monkeypatch.undo()
+    stats = CampaignStats()
+    fig4 = run_fig4({}, kernels, ARCH, presets=PRESETS, seed=SEED,
+                    cache_dir=tmp_path, checkpoint=True, stats=stats)
+    assert stats.counters["campaign_tasks_resumed"] == 1
+    assert _payloads(fig4) == _fresh_fig4_payloads()
+
+
+def test_one_replay_set_never_aliases_seeds_or_kernels():
+    replay = runner.ReplaySet()
+    # Same kernel names, different jitter: only object identity tells
+    # the two lists apart.
+    requests = [(_kernels(), SEED), (_kernels(), SEED + 1),
+                (_kernels(jitter=0.03)[::-1], SEED)]
+    for kernels, seed in requests + requests:
+        shared = compare_policies(_factories(), kernels, ARCH, PRESET,
+                                  seed=seed, replay=replay)
+        fresh = compare_policies(_factories(), kernels, ARCH, PRESET,
+                                 seed=seed)
+        assert shared.to_payload() == fresh.to_payload()
+
+
+def test_fault_sweep_simulates_each_baseline_once(monkeypatch):
+    policies = _record_runs(monkeypatch)
+    modes, rates = ["dropout", "actuation"], [0.0, 1.0]
+    factories = {"governor": UtilizationGovernor,
+                 "pcstall": partial(PCSTALLPolicy, PRESET)}
+    result = fault_sweep(factories, _kernels(), ARCH, PRESET, modes, rates,
+                         seed=SEED)
+    cells = len(modes) * len(rates) * len(factories)
+    assert len(result.cells) == cells
+    assert len(policies) == len(_kernels()) * (cells + 1)
+    assert sum(map(_is_baseline, policies)) == len(_kernels())
+
+
+def test_pooled_task_carries_baseline_but_no_solved_rows(monkeypatch):
+    replay, kernels = runner.ReplaySet(), _kernels()
+    compare_policies(_factories(), kernels, ARCH, PRESET, seed=SEED,
+                     replay=replay)
+    tasks: list = []
+    parallel_map = runner.parallel_map
+
+    def recording_map(fn, task_list, **kwargs):
+        tasks.extend(task_list)
+        return parallel_map(fn, task_list, **kwargs)
+
+    monkeypatch.setattr(runner, "parallel_map", recording_map)
+    compare_policies(_factories(), kernels, ARCH, 0.2, seed=SEED,
+                     workers=2, replay=replay)
+    assert len(tasks) == len(kernels)
+    for task in tasks:
+        entry = task[-1]
+        assert entry.baseline is not None
+        assert len(entry.solution_cache) > 0 and entry.noise_cache
+        shipped = pickle.loads(pickle.dumps(task))[-1]
+        assert shipped.baseline == entry.baseline
+        assert len(shipped.solution_cache) == 0
+        assert shipped.noise_cache == {}
 
 
 # ---------------------------------------------------------------------------
