@@ -13,14 +13,16 @@
 # `fused-bench-smoke` is the fused-campaign perf gate: it asserts the
 # fused engine reproduces the serial grid byte-for-byte and beats the
 # process-pool fan-out >= 3x, and writes
-# benchmarks/results/BENCH_fused_sim.json.
+# benchmarks/results/BENCH_fused_sim.json.  `loc` prints the Python line
+# counts of src/, tests/, benchmarks/ and examples/, the net-LoC figure
+# every change reports.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast test-slow bench-smoke train-bench-smoke \
 	fused-bench-smoke bench faults-smoke soak-smoke \
-	fleet-smoke fleet-chaos-smoke serve-chaos-smoke e2e-selftest
+	fleet-smoke fleet-chaos-smoke serve-chaos-smoke e2e-selftest loc
 
 test-fast:
 	$(PYTHON) -m pytest -q -m "not slow"
@@ -119,3 +121,9 @@ fused-bench-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+loc:
+	@for dir in src tests benchmarks examples; do \
+		printf '%-11s %6d\n' $$dir \
+			$$(find $$dir -name '*.py' -print0 | xargs -0 cat | wc -l); \
+	done

@@ -15,6 +15,7 @@ from repro.core.policy import StaticPolicy
 from repro.evaluation.reporting import format_table
 from repro.evaluation.robustness import NoisyCountersPolicy, seed_sweep
 from repro.gpu.simulator import GPUSimulator
+from repro.store import write_json
 
 PRESET = 0.10
 NOISE_LEVELS = (0.0, 0.05, 0.10, 0.20)
@@ -106,7 +107,8 @@ def test_chaos_soak_gate(pipeline, arch, tmp_path, benchmark):
     )
     result = run_soak(model, kernels, arch, tmp_path / "store", config)
     write_result("robustness_soak", result.render())
-    result.export_json(RESULTS_DIR / "BENCH_robustness_soak.json")
+    write_json(RESULTS_DIR / "BENCH_robustness_soak.json",
+               result.to_payload())
     assert result.passed, result.violations
     for record in result.records:
         assert record.healed_by == "hot_swap"
@@ -146,7 +148,8 @@ def test_fleet_resilience_gate(pipeline, arch, tmp_path, benchmark):
                              policy_name="ssmdvfs-guarded",
                              store_root=tmp_path / "store")
     write_result("fleet_resilience", result.render())
-    result.export_json(RESULTS_DIR / "BENCH_fleet_resilience.json")
+    write_json(RESULTS_DIR / "BENCH_fleet_resilience.json",
+               result.to_payload())
     assert result.passed, result.violations
 
     # Recovery gate: timed outages resolve; no node ends wedged.
@@ -203,7 +206,8 @@ def test_serve_resilience_gate(pipeline, arch, tmp_path, benchmark):
     result = run_serve_chaos(arch, config, model=model,
                              store_root=tmp_path / "store")
     write_result("serve_resilience", result.render())
-    result.export_json(RESULTS_DIR / "BENCH_serve_resilience.json")
+    write_json(RESULTS_DIR / "BENCH_serve_resilience.json",
+               result.to_payload())
     assert result.passed, result.violations
 
     for trial in result.trials:

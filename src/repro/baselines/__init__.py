@@ -1,16 +1,11 @@
 """Comparator DVFS policies.
 
-Paper comparators (§V-B): adapted PCSTALL and F-LEMMA.  Extensions:
-the best-static oracle and an ondemand-style utilization governor.
+Paper comparators (§V-B): adapted PCSTALL and F-LEMMA.  Extension: an
+ondemand-style utilization governor.
 """
 
 from .flemma import FLEMMAPolicy
 from .governor import UtilizationGovernor
 from .pcstall import PCSTALLPolicy
-from .static_oracle import (StaticOracleResult, StaticSweepPoint,
-                            best_static, static_sweep)
 
-__all__ = [
-    "FLEMMAPolicy", "PCSTALLPolicy", "UtilizationGovernor",
-    "StaticOracleResult", "StaticSweepPoint", "best_static", "static_sweep",
-]
+__all__ = ["FLEMMAPolicy", "PCSTALLPolicy", "UtilizationGovernor"]

@@ -39,6 +39,10 @@ TEMPERATURE = 1.0
 #: Weight of the power term in the adapted reward (throughput gets
 #: ``1 - POWER_WEIGHT``).
 POWER_WEIGHT = 0.5
+#: Control epochs between coarse-grained actor-critic updates.
+UPDATE_PERIOD = 3
+#: Epochs spent estimating baselines before the agent acts.
+WARMUP_EPOCHS = 4
 
 
 def _state_vector(counters: CounterSet) -> np.ndarray:
@@ -57,18 +61,11 @@ def _state_vector(counters: CounterSet) -> np.ndarray:
 class FLEMMAPolicy(BasePolicy):
     """Hierarchical actor-critic RL controller (adapted)."""
 
-    def __init__(self, preset: float, update_period: int = 3,
-                 warmup_epochs: int = 4, seed: int = 0) -> None:
+    def __init__(self, preset: float, seed: int = 0) -> None:
         super().__init__()
         if preset < 0:
             raise PolicyError("preset cannot be negative")
-        if update_period < 1:
-            raise PolicyError("update_period must be >= 1")
-        if warmup_epochs < 1:
-            raise PolicyError("warmup_epochs must be >= 1")
         self.preset = float(preset)
-        self.update_period = int(update_period)
-        self.warmup_epochs = int(warmup_epochs)
         self.seed = seed
         self.name = f"flemma-p{int(round(preset * 100))}"
         self._rng = np.random.default_rng(seed)
@@ -139,11 +136,11 @@ class FLEMMAPolicy(BasePolicy):
         state = _state_vector(record.counters)
 
         # Warm-up at the default point: estimate the reward baselines.
-        if self._epoch <= self.warmup_epochs:
+        if self._epoch <= WARMUP_EPOCHS:
             self._warmup_inst.append(
                 record.instructions / len(record.cluster_counters))
             self._warmup_power.append(record.counters["power_per_core"])
-            if self._epoch == self.warmup_epochs:
+            if self._epoch == WARMUP_EPOCHS:
                 self._baseline_instructions = float(np.mean(self._warmup_inst))
                 self._baseline_power = float(np.mean(self._warmup_power))
             return default_level
@@ -153,7 +150,7 @@ class FLEMMAPolicy(BasePolicy):
             reward = self._reward(record)
             self._transitions.append(
                 (self._last_state, self._last_action, reward))
-        if self._epoch % self.update_period == 0:
+        if self._epoch % UPDATE_PERIOD == 0:
             self._update_models()
 
         probs = self._policy_distribution(state)

@@ -14,22 +14,16 @@ from ..gpu.counters import CounterSet
 from ..gpu.simulator import EpochRecord, GPUSimulator
 from ..core.policy import BasePolicy
 
+#: Utilization at or above which a cluster steps one level up.
+UP_THRESHOLD = 0.6
+#: Utilization at or below which a cluster steps one level down.
+DOWN_THRESHOLD = 0.3
 
 class UtilizationGovernor(BasePolicy):
     """Step levels up/down on issue-slot utilization thresholds."""
 
-    def __init__(self, up_threshold: float = 0.6,
-                 down_threshold: float = 0.3, step: int = 1) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 < down_threshold < up_threshold <= 1.0:
-            raise PolicyError(
-                "need 0 < down_threshold < up_threshold <= 1"
-            )
-        if step < 1:
-            raise PolicyError("step must be >= 1")
-        self.up_threshold = float(up_threshold)
-        self.down_threshold = float(down_threshold)
-        self.step = int(step)
         self.name = "governor"
 
     def reset(self, simulator: GPUSimulator) -> None:
@@ -54,10 +48,10 @@ class UtilizationGovernor(BasePolicy):
         for current, counters in zip(record.levels,
                                      record.cluster_counters):
             utilization = self.utilization(counters)
-            if utilization >= self.up_threshold:
-                levels.append(table.clamp(current + self.step))
-            elif utilization <= self.down_threshold:
-                levels.append(table.clamp(current - self.step))
+            if utilization >= UP_THRESHOLD:
+                levels.append(table.clamp(current + 1))
+            elif utilization <= DOWN_THRESHOLD:
+                levels.append(table.clamp(current - 1))
             else:
                 levels.append(current)
         return levels

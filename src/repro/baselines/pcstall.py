@@ -26,18 +26,18 @@ from ..gpu.counters import CounterSet
 from ..gpu.simulator import EpochRecord, GPUSimulator
 from ..core.policy import BasePolicy
 
+#: Weight of the previous estimate in each cluster's smoothed stall
+#: share (the measured epoch gets the rest).
+HISTORY_WEIGHT = 0.5
 
 class PCSTALLPolicy(BasePolicy):
     """Frequency-sensitivity analytical DVFS controller."""
 
-    def __init__(self, preset: float, history_weight: float = 0.5) -> None:
+    def __init__(self, preset: float) -> None:
         super().__init__()
         if preset < 0:
             raise PolicyError("preset cannot be negative")
-        if not 0.0 <= history_weight < 1.0:
-            raise PolicyError("history_weight must be in [0, 1)")
         self.preset = float(preset)
-        self.history_weight = float(history_weight)
         self.name = f"pcstall-p{int(round(preset * 100))}"
         self._stall_history: list[float | None] = []
 
@@ -78,8 +78,8 @@ class PCSTALLPolicy(BasePolicy):
         else:
             # Iterative-pattern smoothing: kernels repeat, so the recent
             # history is a predictor for the next epoch.
-            blended = (self.history_weight * previous
-                       + (1.0 - self.history_weight) * measured)
+            blended = (HISTORY_WEIGHT * previous
+                       + (1.0 - HISTORY_WEIGHT) * measured)
         self._stall_history[cluster_index] = blended
 
         current_hz = table[current_level].frequency_hz

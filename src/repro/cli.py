@@ -39,7 +39,7 @@ from .evaluation.experiments import run_fig4, run_hardware, run_table1
 from .evaluation.export import export_fig4_json
 from .fleet import BUILTIN_TRACES, FLEET_POLICIES
 from .parallel import CampaignStats, campaign_checkpoint, content_key
-from .store import atomic_write_text
+from .store import atomic_write_text, write_json
 from .units import us
 from .workloads.suites import (evaluation_suite, full_suite,
                                scale_kernel_to_duration, training_suite)
@@ -75,7 +75,7 @@ def _report(args, result, stats: CampaignStats) -> None:
     """Print a result, export it when ``--export`` is set, then stats."""
     print(result.render())
     if args.export:
-        print(f"exported -> {result.export_json(args.export)}")
+        print(f"exported -> {write_json(args.export, result.to_payload())}")
     _print_stats(args, stats)
 
 

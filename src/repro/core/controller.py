@@ -33,24 +33,25 @@ DEADBAND = 0.06
 #: Floor of the working preset: the training grid's smallest preset,
 #: below which the Decision-maker would operate out of distribution.
 MIN_PRESET = 0.02
+#: Working-preset cut per unit of cumulative shortfall beyond the
+#: deadband, as a multiple of the user preset.
+GAIN = 1.0
+#: Fraction of the gap to the user preset closed per on-schedule epoch.
+RELAX = 0.4
 
 
 class SSMDVFSController(BasePolicy):
     """Self-calibrated supervised DVFS policy."""
 
     def __init__(self, model: SSMDVFSModel, preset: float,
-                 use_calibrator: bool = True, gain: float = 1.0,
-                 relax: float = 0.4, per_cluster: bool = True) -> None:
+                 use_calibrator: bool = True,
+                 per_cluster: bool = True) -> None:
         super().__init__()
         if preset < 0:
             raise PolicyError("preset cannot be negative")
-        if gain < 0 or not 0.0 <= relax <= 1.0:
-            raise PolicyError("gain must be >= 0 and relax in [0, 1]")
         self.model = model
         self.preset = float(preset)
         self.use_calibrator = use_calibrator
-        self.gain = float(gain)
-        self.relax = float(relax)
         # A preset below MIN_PRESET is its own floor.
         self.min_preset = min(MIN_PRESET, float(preset))
         self.per_cluster = per_cluster
@@ -173,10 +174,10 @@ class SSMDVFSController(BasePolicy):
         if error > DEADBAND:
             # Persistently slower than promised beyond the model's noise
             # floor: tighten the working preset.
-            self.working_preset -= self.gain * error * self.preset
+            self.working_preset -= GAIN * error * self.preset
         else:
             # On/ahead of schedule: relax back toward the user preset.
-            self.working_preset += self.relax * (self.preset
+            self.working_preset += RELAX * (self.preset
                                                  - self.working_preset)
         self.working_preset = min(self.preset,
                                   max(self.min_preset, self.working_preset))

@@ -24,14 +24,15 @@ from ..gpu.simulator import EpochRecord, GPUSimulator
 from .combined import SSMDVFSModel
 from .controller import SSMDVFSController
 
+#: Relative feature drift beyond which a cluster counts as changing phase.
+CHANGE_THRESHOLD = 0.35
+#: Epochs after which every cluster infers again, drifted or not.
+REFRESH_EPOCHS = 8
 
 class PhaseChangeDetector:
     """Relative-drift detector over a feature vector."""
 
-    def __init__(self, threshold: float = 0.35) -> None:
-        if threshold <= 0:
-            raise PolicyError("threshold must be positive")
-        self.threshold = float(threshold)
+    def __init__(self) -> None:
         self._reference: np.ndarray | None = None
 
     def reset(self) -> None:
@@ -43,24 +44,20 @@ class PhaseChangeDetector:
         self._reference = np.asarray(features, dtype=np.float64).copy()
 
     def changed(self, features: np.ndarray) -> bool:
-        """True when features drifted beyond the threshold."""
+        """True when features drifted beyond :data:`CHANGE_THRESHOLD`."""
         if self._reference is None:
             return True
         features = np.asarray(features, dtype=np.float64)
         scale = np.maximum(np.abs(self._reference), 1e-9)
         drift = float(np.max(np.abs(features - self._reference) / scale))
-        return drift > self.threshold
+        return drift > CHANGE_THRESHOLD
 
 
 class EventDrivenController(SSMDVFSController):
     """SSMDVFS that infers only on phase changes (plus a refresh)."""
 
-    def __init__(self, model: SSMDVFSModel, preset: float,
-                 refresh_epochs: int = 8, **kwargs) -> None:
-        super().__init__(model, preset, **kwargs)
-        if refresh_epochs < 1:
-            raise PolicyError("refresh_epochs must be >= 1")
-        self.refresh_epochs = int(refresh_epochs)
+    def __init__(self, model: SSMDVFSModel, preset: float) -> None:
+        super().__init__(model, preset)
         self.name = f"ssmdvfs-event-p{int(round(preset * 100))}"
         self._detectors: list[PhaseChangeDetector] = []
         self._held_levels: list[int] | None = None
@@ -92,7 +89,7 @@ class EventDrivenController(SSMDVFSController):
 
         self._since_refresh += 1
         infer_all = (self._held_levels is None
-                     or self._since_refresh >= self.refresh_epochs)
+                     or self._since_refresh >= REFRESH_EPOCHS)
         decision_maker = self.model.decision_maker
         calibrator = self.model.calibrator
 

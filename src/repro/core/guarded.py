@@ -15,18 +15,18 @@ of protection:
    the policy itself are contained.  An invalid decision never reaches
    the V/f actuator.
 3. **Graceful degradation** — repeated anomalies trip the guard into a
-   safe static-frequency fallback (the default operating point by
-   default: the baseline every metric is normalised against, so the
-   preset cannot be violated from there).  After a cooldown the guard
-   enters a probation window where the policy is consulted again; a
-   clean probation restores normal operation, any anomaly sends it
-   back to fallback.
+   safe static-frequency fallback (the default operating point: the
+   baseline every metric is normalised against, so the preset cannot
+   be violated from there).  After a cooldown the guard enters a
+   probation window where the policy is consulted again; a clean
+   probation restores normal operation, any anomaly sends it back to
+   fallback.
 
 State machine::
 
     ACTIVE --(anomaly streak >= trip_threshold)--> FALLBACK
-    FALLBACK --(fallback_epochs elapsed)--------> PROBATION
-    PROBATION --(probation_epochs clean)--------> ACTIVE
+    FALLBACK --(FALLBACK_EPOCHS elapsed)--------> PROBATION
+    PROBATION --(PROBATION_EPOCHS clean)--------> ACTIVE
     PROBATION --(any anomaly)-------------------> FALLBACK
 
 A fourth, *model-lifecycle* layer rides on the same machine: when a
@@ -38,11 +38,10 @@ from the artifact registry's last-known-good pair (via a
 validate it; when nothing in the registry verifies, the guard pins
 itself in FALLBACK — the static default operating point cannot violate
 the preset — for the rest of the run.  Hot-swaps carry a cooldown
-(``swap_cooldown_epochs``): a re-alarm before it elapses is counted as
-``drift_swap_suppressed`` and ridden out in plain FALLBACK instead of
+(:data:`SWAP_COOLDOWN_EPOCHS`): a re-alarm before it elapses is counted
+as ``drift_swap_suppressed`` and ridden out in plain FALLBACK instead of
 swapping again, which prevents two half-bad registry pairs from
-oscillating A -> B -> A forever.  In strict mode a drift alarm raises
-:class:`~repro.errors.DriftDetected` instead.
+oscillating A -> B -> A forever.
 
 The guard counts its trips in ``counters`` (``guard_*``, plus the
 ``drift_*`` / ``rollback_*`` reactions it takes).
@@ -59,7 +58,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..errors import DriftDetected, GuardTripped, PolicyError
+from ..errors import PolicyError
 from ..gpu.counters import CounterSet
 from ..gpu.simulator import EpochRecord, GPUSimulator
 from .policy import BasePolicy, policy_counters, validate_decision
@@ -69,45 +68,36 @@ ACTIVE = "active"
 FALLBACK = "fallback"
 PROBATION = "probation"
 
+#: Epochs the guard holds the fallback level before probation.
+FALLBACK_EPOCHS = 20
+#: Clean consulted epochs that end probation.
+PROBATION_EPOCHS = 10
+#: Counter values above this are implausible and clamped to it.
+MAX_COUNTER_VALUE = 1e15
+#: Minimum epochs between drift hot-swaps.  A freshly swapped pair that
+#: re-alarms inside this window cannot trigger another swap (which
+#: would oscillate through the registry); the guard rides out the alarm
+#: in plain FALLBACK instead.
+SWAP_COOLDOWN_EPOCHS = 50
+
 
 class GuardedController(BasePolicy):
     """Wrap a policy with input sanitization and a safe-fallback guard."""
 
-    def __init__(self, inner, fallback_level: int | None = None,
-                 trip_threshold: int = 3, fallback_epochs: int = 20,
-                 probation_epochs: int = 10,
-                 max_counter_value: float = 1e15,
-                 strict: bool = False,
-                 drift_monitor=None, rollback=None,
-                 swap_cooldown_epochs: int = 50) -> None:
+    def __init__(self, inner, trip_threshold: int = 3,
+                 drift_monitor=None, rollback=None) -> None:
         super().__init__()
         if trip_threshold < 1:
             raise PolicyError("trip_threshold must be >= 1")
-        if fallback_epochs < 1 or probation_epochs < 1:
-            raise PolicyError("fallback/probation windows must be >= 1 epoch")
-        if max_counter_value <= 0:
-            raise PolicyError("max_counter_value must be positive")
-        if swap_cooldown_epochs < 0:
-            raise PolicyError("swap_cooldown_epochs cannot be negative")
         self.inner = inner
         self.name = f"{inner.name}+guard"
-        self.fallback_level = fallback_level
         self.trip_threshold = int(trip_threshold)
-        self.fallback_epochs = int(fallback_epochs)
-        self.probation_epochs = int(probation_epochs)
-        self.max_counter_value = float(max_counter_value)
-        self.strict = strict
         #: Optional :class:`~repro.core.drift.DriftMonitor`; fed from
         #: the wrapped policy's ``drift_signal()`` on consulted epochs.
         self.drift_monitor = drift_monitor
         #: Optional :class:`~repro.core.drift.RollbackManager` used to
         #: hot-swap the wrapped policy on a confirmed drift alarm.
         self.rollback = rollback
-        #: Minimum epochs between drift hot-swaps.  A freshly swapped
-        #: pair that re-alarms inside this window cannot trigger
-        #: another swap (which would oscillate through the registry);
-        #: the guard rides out the alarm in plain FALLBACK instead.
-        self.swap_cooldown_epochs = int(swap_cooldown_epochs)
         self.state = ACTIVE
         self.state_trace: list[str] = []
         self._streak = 0
@@ -121,12 +111,7 @@ class GuardedController(BasePolicy):
     def reset(self, simulator: GPUSimulator) -> None:
         """Reset guard state and the wrapped policy."""
         super().reset(simulator)
-        table = simulator.arch.vf_table
-        level = (table.default_level if self.fallback_level is None
-                 else int(self.fallback_level))
-        if not 0 <= level < table.num_levels:
-            raise PolicyError(f"fallback level {level} out of range")
-        self._fallback_level = level
+        self._fallback_level = simulator.arch.vf_table.default_level
         self.state = ACTIVE
         self.state_trace = []
         self.counters = Counter()
@@ -153,8 +138,8 @@ class GuardedController(BasePolicy):
         matrix[nonfinite] = 0.0
         negative = matrix < 0.0
         matrix[negative] = 0.0
-        huge = matrix > self.max_counter_value
-        matrix[huge] = self.max_counter_value
+        huge = matrix > MAX_COUNTER_VALUE
+        matrix[huge] = MAX_COUNTER_VALUE
         # Every real epoch reports nonzero static power; an all-zero
         # window from a still-running cluster is a dropped sensor sample.
         dropout = sum(not cluster.finished for cluster, reported
@@ -226,7 +211,7 @@ class GuardedController(BasePolicy):
             self.counters["guard_fallback_epochs"] += 1
             self._state_epochs += 1
             if (not self._pinned_fallback
-                    and self._state_epochs >= self.fallback_epochs):
+                    and self._state_epochs >= FALLBACK_EPOCHS):
                 self._enter(PROBATION)
                 # A stateful policy (e.g. the Calibrator loop) has been
                 # blind during fallback; restart it cleanly for probation.
@@ -244,17 +229,13 @@ class GuardedController(BasePolicy):
                 decision = None
             elif self.state == ACTIVE and self._streak >= self.trip_threshold:
                 self.counters["guard_trips"] += 1
-                if self.strict:
-                    raise GuardTripped(
-                        f"guard tripped after {self._streak} anomalous "
-                        f"epochs (counters: {dict(self.counters)})")
                 self._enter(FALLBACK)
                 decision = None
         else:
             self._streak = 0
             if self.state == PROBATION:
                 self._state_epochs += 1
-                if self._state_epochs >= self.probation_epochs:
+                if self._state_epochs >= PROBATION_EPOCHS:
                     self.counters["guard_recoveries"] += 1
                     self._enter(ACTIVE)
 
@@ -278,15 +259,10 @@ class GuardedController(BasePolicy):
         """React to a confirmed drift alarm: hot-swap or pin fallback."""
         assert self.simulator is not None
         self.counters["drift_trips"] += 1
-        if self.strict:
-            raise DriftDetected(
-                f"sustained model drift confirmed after "
-                f"{self.drift_monitor.updates} monitored epochs "
-                f"(counters: {dict(policy_counters(self))})")
         if (self._since_swap is not None
-                and self._since_swap < self.swap_cooldown_epochs):
+                and self._since_swap < SWAP_COOLDOWN_EPOCHS):
             # Hot-swap hysteresis: the pair serving now was itself
-            # swapped in fewer than ``swap_cooldown_epochs`` ago.  A
+            # swapped in fewer than ``SWAP_COOLDOWN_EPOCHS`` ago.  A
             # re-alarm this early means swapping is not converging
             # (classic rollback oscillation: A alarms -> swap to B,
             # B alarms -> swap back to A, ...), so suppress the swap

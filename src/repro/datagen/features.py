@@ -35,13 +35,6 @@ _BYTE_COUNTERS = frozenset({"dram_bytes"})
 _PASSTHROUGH_COUNTERS = frozenset(COUNTER_SCHEMA) - _COUNT_COUNTERS - _BYTE_COUNTERS
 
 
-def epoch_cycles(counters: CounterSet, issue_width: float) -> float:
-    """Recover the epoch's core-cycle count from the issue-slot counter."""
-    if issue_width <= 0:
-        raise DatasetError("issue_width must be positive")
-    return counters["issue_slots"] / issue_width
-
-
 _ISSUE_SLOT_INDEX = COUNTER_INDEX["issue_slots"]
 
 
@@ -163,19 +156,9 @@ class FeatureScaler:
         out = (matrix - self.mean_) / self.std_
         return out[0] if single else out
 
-    def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
-        """Fit then transform in one call."""
-        return self.fit(matrix).transform(matrix)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Serialise for checkpointing."""
-        if not self.fitted:
-            raise DatasetError("cannot serialise an unfitted scaler")
-        return {"mean": self.mean_, "std": self.std_}
-
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "FeatureScaler":
-        """Rebuild a scaler serialised with :meth:`to_arrays`."""
+        """Rebuild a scaler from its ``mean`` and ``std`` arrays."""
         scaler = cls()
         try:
             scaler.mean_ = np.asarray(arrays["mean"], dtype=np.float64)

@@ -33,8 +33,8 @@ import numpy as np
 
 from ..errors import DatasetError, SimulationError
 from ..gpu.arch import GPUArchConfig
-from ..gpu.cluster import build_counters_matrix
-from ..gpu.counters import COUNTER_INDEX, CounterSet
+from ..gpu.cluster import build_counters_matrix, fill_power_columns
+from ..gpu.counters import CounterSet
 from ..gpu.quantum import run_epoch_batch
 from ..gpu.kernels import KernelProfile
 from ..gpu.simulator import DEFAULT_EPOCH_S, GPUSimulator
@@ -286,15 +286,10 @@ def collect_breakpoint(simulator: GPUSimulator, breakpoint_index: int,
         for j, lv in enumerate(variant_levels):
             lane = lanes[lv]
             start, stop = j * num_clusters, (j + 1) * num_clusters
-            dynamic_w, static_w, energy_j = (
-                lane.power_model.cluster_power_batch(
-                    result.matrix[start:stop], lane._durations,
-                    lane._voltage_by_level[lane.levels]))
             sub = counters_matrix[start:stop]
-            sub[:, COUNTER_INDEX["power_per_core"]] = dynamic_w + static_w
-            sub[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
-            sub[:, COUNTER_INDEX["power_static"]] = static_w
-            sub[:, COUNTER_INDEX["energy_epoch"]] = energy_j
+            fill_power_columns(sub, result.matrix[start:stop],
+                               lane.power_model, lane._durations,
+                               lane._voltage_by_level[lane.levels])
             samples.feature_variants.append(
                 (lv, CounterSet.from_vector(sub.mean(axis=0))))
 

@@ -43,6 +43,10 @@ RFE_HIDDEN = (20, 20)
 #: the activation stack inside cache-friendly territory on small hosts.
 _ROW_BUDGET = 8192
 
+#: Share of the remaining candidates each RFE round eliminates (at
+#: least one).
+DROP_FRACTION = 0.25
+
 
 @dataclass
 class RFERound:
@@ -78,16 +82,9 @@ class RFEResult:
 def _permutation_importance(model: MLP, x_test: np.ndarray,
                             y_test: np.ndarray, column: int,
                             rng: np.random.Generator,
-                            repeats: int = 3,
-                            base: float | None = None) -> float:
-    """Mean accuracy drop when ``column`` of the test set is shuffled.
-
-    ``base`` is the unpermuted test accuracy; it depends only on the
-    model and the split, so round-level callers compute it once and
-    pass it in rather than re-running the clean forward per column.
-    """
-    if base is None:
-        base = accuracy(model.predict_class(x_test), y_test)
+                            repeats: int = 3) -> float:
+    """Mean accuracy drop when ``column`` of the test set is shuffled."""
+    base = accuracy(model.predict_class(x_test), y_test)
     drops = []
     for _ in range(repeats):
         shuffled = x_test.copy()
@@ -121,7 +118,6 @@ def permutation_importances(model: MLP, x_test: np.ndarray,
                             y_test: np.ndarray, columns: list[int],
                             rng: np.random.Generator, repeats: int = 3,
                             base: float | None = None,
-                            row_budget: int = _ROW_BUDGET,
                             workspace: ImportanceWorkspace | None = None
                             ) -> np.ndarray:
     """Batched permutation importance for every column at once.
@@ -167,7 +163,7 @@ def permutation_importances(model: MLP, x_test: np.ndarray,
 
     weights = [layer._masked_weights() for layer in model.layers]
     biases = [layer.bias for layer in model.layers]
-    chunk = max(1, min(members, row_budget // max(1, rows)))
+    chunk = max(1, min(members, _ROW_BUDGET // max(1, rows)))
     # Each chunk is scored as ONE flattened (chunk*rows, width) GEMM per
     # layer: at chunked sizes the activations stay cache-resident, and
     # a single large dgemm beats `chunk` tiny per-slice calls.  Row
@@ -200,14 +196,12 @@ class RFESelector:
 
     def __init__(self, dataset: DVFSDataset, issue_width: float,
                  candidates: tuple[str, ...] = INDIRECT_FEATURE_NAMES,
-                 target_count: int = 3, drop_fraction: float = 0.25,
+                 target_count: int = 3,
                  train_config: TrainConfig | None = None,
                  seed: int = 0,
                  stats: CampaignStats | None = None) -> None:
         if target_count < 1:
             raise DatasetError("must select at least one feature")
-        if not 0.0 < drop_fraction < 1.0:
-            raise DatasetError("drop_fraction must be in (0, 1)")
         overlap = set(candidates) & set(DEFAULT_ALWAYS_KEEP)
         if overlap:
             raise DatasetError(f"features both candidate and kept: {overlap}")
@@ -217,7 +211,6 @@ class RFESelector:
         self.issue_width = issue_width
         self.candidates = tuple(candidates)
         self.target_count = target_count
-        self.drop_fraction = drop_fraction
         self.train_config = train_config or TrainConfig(
             epochs=30, patience=6, learning_rate=3e-3, seed=seed)
         self.seed = seed
@@ -275,7 +268,7 @@ class RFESelector:
                         features=tuple(current), test_accuracy=acc,
                         importances=importances, eliminated=()))
                     break
-                n_drop = max(1, int(len(current) * self.drop_fraction))
+                n_drop = max(1, int(len(current) * DROP_FRACTION))
                 n_drop = min(n_drop, len(current) - self.target_count)
                 ranked = sorted(current, key=lambda n: importances[n])
                 eliminated = tuple(ranked[:n_drop])

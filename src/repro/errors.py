@@ -53,15 +53,6 @@ class ArtifactCorrupt(ModelError):
     """
 
 
-class DriftDetected(ReproError):
-    """The online drift monitor confirmed sustained model drift.
-
-    Only raised when a guarded controller runs in strict mode; in the
-    default self-healing mode drift triggers a rollback to the
-    registry's last-known-good pair instead.
-    """
-
-
 class DatasetError(ReproError):
     """A dataset is empty, inconsistent, or incorrectly labelled."""
 
@@ -123,10 +114,6 @@ class ServeFaultError(ServeError):
     :class:`~repro.faults.ServeFaultEvent` descriptions (unknown fault
     kinds, negative rates or tick spans, events aimed at workers or
     streams outside the runtime)."""
-
-
-class GuardTripped(ReproError):
-    """A runtime guard exceeded its trip budget with fallback disabled."""
 
 
 class PolicyError(ReproError):

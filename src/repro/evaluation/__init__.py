@@ -5,13 +5,11 @@ from .experiments import (Fig3Result, Fig4Result, HardwareResult,
                           Table1Result, Table2Result, fig4_cache_token,
                           fig4_policy_factories, run_fig3, run_fig4,
                           run_hardware, run_table1, run_table2)
-from .export import (export_comparison_csv, export_fig3_csv,
-                     export_fig4_json, load_fig4_json)
+from .export import export_fig4_json
 from .fleet_chaos import (ChaosTrial, FleetChaosConfig, FleetChaosResult,
                           run_fleet_chaos)
-from .registry import (ExperimentEntry, all_experiments, get_experiment,
-                       paper_experiments, render_registry)
-from .reporting import format_percent, format_series, format_table
+from .registry import ExperimentEntry, all_experiments, render_registry
+from .reporting import format_percent, format_table
 from .residency import ResidencyProfile, residency_from_records
 from .robustness import (FaultSweepCell, FaultSweepResult,
                          NoisyCountersPolicy, SeedSweepResult, fault_sweep,
@@ -28,11 +26,9 @@ __all__ = [
     "Table2Result",
     "fig4_cache_token", "fig4_policy_factories", "run_fig3", "run_fig4",
     "run_hardware", "run_table1", "run_table2",
-    "export_comparison_csv", "export_fig3_csv", "export_fig4_json",
-    "load_fig4_json",
-    "ExperimentEntry", "all_experiments", "get_experiment",
-    "paper_experiments", "render_registry",
-    "format_percent", "format_series", "format_table",
+    "export_fig4_json",
+    "ExperimentEntry", "all_experiments", "render_registry",
+    "format_percent", "format_table",
     "ResidencyProfile", "residency_from_records",
     "FaultSweepCell", "FaultSweepResult", "NoisyCountersPolicy",
     "SeedSweepResult", "fault_sweep", "seed_sweep",

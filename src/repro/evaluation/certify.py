@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, ClassVar
 
 import numpy as np
 
 from ..faults import derive_fault_seed
 from ..parallel import CampaignStats, resolve_workers
-from ..store import ArtifactStore, SimulatedCrash, atomic_write_text
+from ..store import ArtifactStore, SimulatedCrash
 
 
 @dataclass(kw_only=True)
@@ -70,13 +69,6 @@ class CertifyResult:
             "crash_torn_reads": self.crash_torn_reads,
             "violations": list(self.violations),
         }
-
-    def export_json(self, path: str | Path) -> Path:
-        """Atomically write the payload as JSON; returns the path."""
-        path = Path(path)
-        atomic_write_text(path, json.dumps(self.to_payload(), indent=2,
-                                           sort_keys=True))
-        return path
 
     def render(self) -> str:
         """Human-readable report: the table, then the verdict footer."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ReproError
 
 
 @dataclass(frozen=True)
@@ -199,19 +198,6 @@ _REGISTRY: tuple[ExperimentEntry, ...] = (
 def all_experiments() -> tuple[ExperimentEntry, ...]:
     """Every registered experiment, paper artefacts first."""
     return _REGISTRY
-
-
-def paper_experiments() -> tuple[ExperimentEntry, ...]:
-    """Only the paper's own tables/figures."""
-    return tuple(e for e in _REGISTRY if not e.extension)
-
-
-def get_experiment(experiment_id: str) -> ExperimentEntry:
-    """Look an experiment up by id."""
-    for entry in _REGISTRY:
-        if entry.experiment_id == experiment_id:
-            return entry
-    raise ReproError(f"unknown experiment {experiment_id!r}")
 
 
 def render_registry(extensions: bool = True) -> str:

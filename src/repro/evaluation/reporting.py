@@ -35,12 +35,6 @@ def format_table(headers: list[str], rows: list[list],
     return "\n".join(lines)
 
 
-def format_percent(value: float, signed: bool = False) -> str:
+def format_percent(value: float) -> str:
     """Render a fraction as a percentage string."""
-    sign = "+" if signed and value >= 0 else ""
-    return f"{sign}{value * 100.0:.2f}%"
-
-
-def format_series(name: str, values: list[float]) -> str:
-    """One labelled numeric series on a single line."""
-    return f"{name}: [" + ", ".join(f"{v:.3f}" for v in values) + "]"
+    return f"{value * 100.0:.2f}%"

@@ -39,11 +39,6 @@ class ResidencyProfile:
         return float(sum(level * fraction
                          for level, fraction in enumerate(self.fractions)))
 
-    @property
-    def dominant_level(self) -> int:
-        """The most-resided level."""
-        return int(np.argmax(self.fractions))
-
     def entropy_bits(self) -> float:
         """Shannon entropy of the residency distribution.
 

@@ -18,21 +18,19 @@ aggregates a scheduled trace into the fleet-scale picture:
   the job-conservation invariant the ``fleet-chaos`` harness pins.
 
 Every field derives deterministically from the seeded trace replay, so
-``export_json`` produces byte-identical payloads across reruns and
-worker counts — the property the ``fleet-smoke`` / ``fleet-chaos``
-CI gates and the regression tests pin.
+the JSON export (:func:`~repro.store.write_json`) is byte-identical
+across reruns and worker counts — the property the ``fleet-smoke`` /
+``fleet-chaos`` CI gates and the regression tests pin.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import FleetError
-from ..store import atomic_write_text
 from .jobs import JOB_CLASSES
 
 #: The tail percentiles every fleet report carries.
@@ -210,18 +208,10 @@ class FleetResult:
             return 0.0
         return sum(1 for o in jobs if o.violated) / len(jobs)
 
-    def shed_rate(self, job_class: str | None = None) -> float:
-        """Fraction of submitted jobs that were shed (optionally per class)."""
-        if job_class is None:
-            total = self.jobs_submitted
-            count = len(self.shed)
-        else:
-            total = (sum(1 for o in self.outcomes
-                         if o.job_class == job_class)
-                     + sum(1 for s in self.shed
-                           if s.job_class == job_class))
-            count = sum(1 for s in self.shed if s.job_class == job_class)
-        return count / total if total else 0.0
+    def shed_rate(self) -> float:
+        """Fraction of submitted jobs that were shed."""
+        total = self.jobs_submitted
+        return len(self.shed) / total if total else 0.0
 
     def migrations_total(self) -> int:
         """Total preemption-driven migrations across completed jobs."""
@@ -286,13 +276,6 @@ class FleetResult:
             "shed": [s.to_payload() for s in self.shed],
             "job_outcomes": [o.to_payload() for o in self.outcomes],
         }
-
-    def export_json(self, path: str | Path) -> Path:
-        """Atomically write the payload as JSON; returns the path."""
-        path = Path(path)
-        atomic_write_text(path, json.dumps(self.to_payload(), indent=2,
-                                           sort_keys=True))
-        return path
 
     def render(self) -> str:
         """Human-readable fleet report."""

@@ -111,12 +111,6 @@ class PendingJobQueue:
             self._requeued_pending -= 1
         return job
 
-    def peek(self) -> Job:
-        """The job that :meth:`pop` would return, without removing it."""
-        if not self._heap:
-            raise FleetError("cannot peek an empty pending-job queue")
-        return self._heap[0][3]
-
     def jobs(self) -> list[Job]:
         """Pending jobs in dispatch order (non-destructive)."""
         return [entry[3] for entry in sorted(self._heap)]

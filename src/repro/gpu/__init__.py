@@ -8,7 +8,7 @@ from .counters import (COUNTER_NAMES, COUNTER_SCHEMA, DIRECT_FEATURE_NAMES,
 from .interval_model import (ThroughputSolution, frequency_sensitivity,
                              solve_throughput)
 from .kernels import KernelCursor, KernelProfile
-from .noise import AR1Jitter, WorkloadNoise
+from .noise import WorkloadNoise
 from .phases import (INSTRUCTION_CLASSES, Phase, balanced_phase,
                      compute_phase, divergent_phase, make_mix, memory_phase)
 from .simulator import (DEFAULT_EPOCH_S, DVFSPolicy, EpochRecord,
@@ -24,7 +24,7 @@ __all__ = [
     "CounterCategory", "CounterSet", "paper_category",
     "ThroughputSolution", "frequency_sensitivity", "solve_throughput",
     "KernelCursor", "KernelProfile",
-    "AR1Jitter", "WorkloadNoise",
+    "WorkloadNoise",
     "INSTRUCTION_CLASSES", "Phase", "balanced_phase", "compute_phase",
     "divergent_phase", "make_mix", "memory_phase",
     "DEFAULT_EPOCH_S", "DVFSPolicy", "EpochRecord", "GPUSimulator",

@@ -214,9 +214,9 @@ def build_counters_matrix(activity: np.ndarray,
     ``activity`` has shape ``(clusters, NUM_ACTIVITY_SLOTS)``; the
     result has shape ``(clusters, NUM_COUNTERS)`` in
     :data:`~repro.gpu.counters.COUNTER_NAMES` order.  Power counters are
-    filled separately by the simulator once the power model has been
-    evaluated for the epoch.  Ratio counters stay zero when their
-    denominator is zero.
+    filled separately, by :func:`fill_power_columns`, once the power
+    model has been evaluated for the epoch.  Ratio counters stay zero
+    when their denominator is zero.
     """
     a = np.asarray(activity, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != NUM_ACTIVITY_SLOTS:
@@ -306,4 +306,26 @@ def build_counters_matrix(activity: np.ndarray,
     out[:, _CIDX["bandwidth_utilization"]] = np.where(
         has_busy, a[:, A_BW_UTIL_TIME] / np.where(has_busy, busy, 1.0), 0.0)
     return out
+
+
+def fill_power_columns(counters: np.ndarray, activity: np.ndarray,
+                       power_model, durations: np.ndarray,
+                       voltages: np.ndarray) -> np.ndarray:
+    """Evaluate the power model into the power columns of counter rows.
+
+    ``counters`` holds the :func:`build_counters_matrix` rows (or a row
+    slice of them) of the ``activity`` rows; ``durations`` and
+    ``voltages`` are per row.  One
+    :meth:`~repro.power.model.PowerModel.cluster_power_batch` call fills
+    ``power_per_core`` (dynamic plus static), ``power_dynamic``,
+    ``power_static`` and ``energy_epoch`` in place.  Returns the per-row
+    energy in joules.
+    """
+    dynamic_w, static_w, energy_j = power_model.cluster_power_batch(
+        activity, durations, voltages)
+    counters[:, _CIDX["power_per_core"]] = dynamic_w + static_w
+    counters[:, _CIDX["power_dynamic"]] = dynamic_w
+    counters[:, _CIDX["power_static"]] = static_w
+    counters[:, _CIDX["energy_epoch"]] = energy_j
+    return energy_j
 

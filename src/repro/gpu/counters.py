@@ -225,15 +225,9 @@ class CounterSet:
                 state = CounterSet(state.get("values", {}))._values
         self._values = np.asarray(state, dtype=np.float64)
 
-    def as_vector(self, names: tuple[str, ...] = COUNTER_NAMES) -> np.ndarray:
-        """Vectorise the selected counters in the given order."""
-        if names is COUNTER_NAMES:
-            return self._values.copy()
-        try:
-            indices = [COUNTER_INDEX[name] for name in names]
-        except KeyError as exc:
-            raise SimulationError(f"unknown counter {exc.args[0]!r}") from exc
-        return self._values[indices]
+    def as_vector(self) -> np.ndarray:
+        """Every counter, in :data:`COUNTER_NAMES` order (a copy)."""
+        return self._values.copy()
 
     def copy(self) -> "CounterSet":
         """Independent copy."""

@@ -36,11 +36,6 @@ class SetAssociativeCache:
         """Total accesses observed."""
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        """Observed miss rate (0 when untouched)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def access(self, address: int) -> bool:
         """Access a byte address; returns True on hit.
 
@@ -64,8 +59,3 @@ class SetAssociativeCache:
         self.tags[set_index, victim] = tag
         self.last_use[set_index, victim] = self._clock
         return False
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (contents retained)."""
-        self.hits = 0
-        self.misses = 0

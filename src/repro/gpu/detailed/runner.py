@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...errors import SimulationError
 from ...power.model import PowerModel
 from ..arch import GPUArchConfig
 from ..cluster import (A_BUSY_S, A_CLASS0, A_CYCLES, A_DRAM_BYTES,
@@ -30,12 +29,15 @@ from ..cluster import (A_BUSY_S, A_CLASS0, A_CYCLES, A_DRAM_BYTES,
                        A_L1_READ_MISS, A_L2_ACCESS, A_L2_MISS,
                        A_STALL_DATA, A_STALL_MEM_LOAD, A_STALL_MEM_OTHER,
                        A_WARP_INST, NUM_ACTIVITY_SLOTS,
-                       build_counters_matrix)
+                       build_counters_matrix, fill_power_columns)
 from ..counters import CounterSet
 from ..kernels import KernelProfile
 from ..phases import INSTRUCTION_CLASSES
 from ..simulator import EpochRecord
 from .sm import DetailedResult, DetailedSM
+
+#: Core cycles one detailed epoch simulates at the chosen operating point.
+EPOCH_CYCLES = 2000
 
 
 def counters_from_detailed(result: DetailedResult, arch: GPUArchConfig,
@@ -81,14 +83,10 @@ def counters_from_detailed(result: DetailedResult, arch: GPUArchConfig,
     a[A_DRAM_BYTES] = float(result.dram_bytes)
     a[A_WARP_INST] = instructions * 32.0
 
-    counters = CounterSet.from_vector(build_counters_matrix(activity, arch)[0])
-    dynamic_w, static_w, energy_j = power_model.cluster_power_batch(
-        activity, np.array([duration_s]), np.array([voltage_v]))
-    counters["power_per_core"] = dynamic_w[0] + static_w[0]
-    counters["power_dynamic"] = dynamic_w[0]
-    counters["power_static"] = static_w[0]
-    counters["energy_epoch"] = energy_j[0]
-    return counters
+    matrix = build_counters_matrix(activity, arch)
+    fill_power_columns(matrix, activity, power_model,
+                       np.array([duration_s]), np.array([voltage_v]))
+    return CounterSet.from_vector(matrix[0])
 
 
 @dataclass
@@ -133,17 +131,15 @@ class DetailedClusterRunner:
     """Run a policy on one detailed SM for a fixed instruction budget.
 
     The kernel's phases are walked in order; each epoch simulates
-    ``epoch_cycles`` core cycles at the policy's chosen operating point.
+    :data:`EPOCH_CYCLES` core cycles at the policy's chosen operating
+    point.
     """
 
     def __init__(self, arch: GPUArchConfig, kernel: KernelProfile,
-                 epoch_cycles: int = 2000, seed: int = 0) -> None:
-        if epoch_cycles <= 0:
-            raise SimulationError("epoch_cycles must be positive")
+                 seed: int = 0) -> None:
         self.arch = arch
         self.kernel = kernel
         self.power_model = PowerModel.scaled_for(1)
-        self.epoch_cycles = int(epoch_cycles)
         self.seed = seed
 
     def run(self, policy, max_epochs: int = 200) -> DetailedRunResult:
@@ -170,11 +166,11 @@ class DetailedClusterRunner:
                 sm = DetailedSM(self.arch, phase, point.frequency_hz,
                                 seed=self.seed + segment)
                 sm_level = level
-            result = sm.run(self.epoch_cycles)
+            result = sm.run(EPOCH_CYCLES)
             counters = counters_from_detailed(
                 result, self.arch, point.frequency_hz, point.voltage_v,
                 self.power_model, phase.l2_miss_rate)
-            duration = self.epoch_cycles / point.frequency_hz
+            duration = EPOCH_CYCLES / point.frequency_hz
             time_s += duration
             energy_j += counters["energy_epoch"]
             instructions += result.instructions

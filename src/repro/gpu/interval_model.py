@@ -61,29 +61,12 @@ class ThroughputSolution:
     stall_data: float
     stall_idle: float
 
-    @property
-    def stall_mem_total(self) -> float:
-        """All memory-hazard stall slots per instruction."""
-        return self.stall_mem_load + self.stall_mem_other
-
-    @property
-    def total_stall_slots(self) -> float:
-        """All stall slots per instruction (every non-issued slot)."""
-        return (self.stall_mem_load + self.stall_mem_other + self.stall_control
-                + self.stall_sync + self.stall_data + self.stall_idle)
-
     def time_for_instructions(self, instructions: float) -> float:
         """Wall-clock seconds to execute ``instructions`` at this rate."""
         if instructions < 0:
             raise SimulationError("instruction count cannot be negative")
         cycles = instructions / self.ipc
         return cycles / self.frequency_hz
-
-    def instructions_in_time(self, seconds: float) -> float:
-        """Instructions executed in ``seconds`` at this rate."""
-        if seconds < 0:
-            raise SimulationError("time cannot be negative")
-        return seconds * self.frequency_hz * self.ipc
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +183,7 @@ def solve_throughput_batch(arch: GPUArchConfig, params: np.ndarray,
     ``params`` is a ``(n, NUM_PHASE_PARAMS)`` matrix of
     :func:`phase_params_row` rows; the other arguments are ``(n,)``
     arrays: the core frequency and the three behavioural jitter
-    multipliers (from :class:`~repro.gpu.noise.AR1Jitter`, 1.0 when
+    multipliers (from :class:`~repro.gpu.noise.WorkloadNoise`, 1.0 when
     noiseless).  Raises :class:`SimulationError` on non-physical inputs.
 
     Only elementwise ops are used, and IEEE-754 add/sub/mul/div/min/max
@@ -528,17 +511,6 @@ class SolutionCache:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    @property
-    def lookups(self) -> int:
-        """Total solve requests served."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
 
     def clear(self) -> None:
         """Drop all memoised rows (stats are kept)."""

@@ -4,9 +4,10 @@ Real kernels do not execute with perfectly stationary statistics inside
 a phase: occupancy ripples, miss rates wander with the working set, and
 the scheduler's instantaneous mix fluctuates.  We model this with a
 multiplicative AR(1) (Ornstein–Uhlenbeck-like) process per perturbed
-quantity.  The process is mean-one, mean-reverting, clipped away from
-zero, and fully determined by its RNG stream, so simulations replay
-bit-identically from a snapshot.
+quantity: ``x[k] = 1 + RHO * (x[k-1] - 1) + sigma * eps``, clipped to
+``[1 - CLIP, 1 + CLIP]``.  The process is mean-one, mean-reverting,
+clipped away from zero, and fully determined by its RNG stream, so
+simulations replay bit-identically from a snapshot.
 """
 
 from __future__ import annotations
@@ -16,58 +17,6 @@ import itertools
 import numpy as np
 
 from ..errors import SimulationError
-
-
-class AR1Jitter:
-    """Mean-one multiplicative AR(1) noise.
-
-    ``x[t] = 1 + rho * (x[t-1] - 1) + sigma * eps``, clipped to
-    ``[1 - clip, 1 + clip]``.
-
-    Parameters
-    ----------
-    rng:
-        Source generator (its state is part of simulator snapshots).
-    sigma:
-        Innovation standard deviation; 0 produces the constant 1.
-    rho:
-        Mean-reversion coefficient in [0, 1).
-    clip:
-        Hard clip half-width; keeps multipliers physically plausible.
-    """
-
-    def __init__(self, rng: np.random.Generator, sigma: float,
-                 rho: float = 0.85, clip: float = 0.5) -> None:
-        if sigma < 0:
-            raise SimulationError("jitter sigma cannot be negative")
-        if not 0.0 <= rho < 1.0:
-            raise SimulationError("jitter rho must be in [0, 1)")
-        if not 0.0 < clip < 1.0:
-            raise SimulationError("jitter clip must be in (0, 1)")
-        self._rng = rng
-        self.sigma = float(sigma)
-        self.rho = float(rho)
-        self.clip = float(clip)
-        self.value = 1.0
-
-    def step(self) -> float:
-        """Advance one quantum and return the current multiplier."""
-        if self.sigma == 0.0:
-            return 1.0
-        innovation = self.sigma * float(self._rng.standard_normal())
-        self.value = 1.0 + self.rho * (self.value - 1.0) + innovation
-        low, high = 1.0 - self.clip, 1.0 + self.clip
-        self.value = min(high, max(low, self.value))
-        return self.value
-
-    def state(self) -> tuple[float, dict]:
-        """Snapshot: current value and the RNG bit-generator state."""
-        return self.value, self._rng.bit_generator.state
-
-    def restore(self, state: tuple[float, dict]) -> None:
-        """Restore a snapshot taken with :meth:`state`."""
-        self.value, rng_state = state
-        self._rng.bit_generator.state = rng_state
 
 
 #: Track id shared by every flat (``sigma == 0``) track: all its
@@ -107,7 +56,7 @@ class WorkloadNoise:
     stream, so any replay — at any frequency, from any snapshot — sees
     identical multipliers at identical workload positions.
 
-    Each track is :class:`AR1Jitter`'s recurrence with mean reversion
+    Each track is the module's AR(1) recurrence with mean reversion
     :attr:`RHO` and clip half-width :attr:`CLIP`.
 
     ``track_id`` names the track's values for the solution cache.
@@ -119,36 +68,25 @@ class WorkloadNoise:
     """
 
     #: Instructions covered by one noise chunk.
-    DEFAULT_CHUNK = 2048
+    CHUNK_INSTRUCTIONS = 2048
     #: Mean-reversion coefficient of every track.
     RHO = 0.85
     #: Hard clip half-width of every track.
     CLIP = 0.45
 
     def __init__(self, rng: np.random.Generator, sigma: float,
-                 chunk_instructions: int = DEFAULT_CHUNK,
                  track_key: tuple | None = None) -> None:
         if sigma < 0:
             raise SimulationError("noise sigma cannot be negative")
-        if chunk_instructions <= 0:
-            raise SimulationError("chunk_instructions must be positive")
         self._rng = rng
         self.sigma = float(sigma)
-        self.chunk_instructions = int(chunk_instructions)
+        self.chunk_instructions = self.CHUNK_INSTRUCTIONS
         self.track_id = (FLAT_TRACK_ID if self.sigma == 0.0 else _track_id(
             None if track_key is None else
             (track_key, self.sigma, self.RHO, self.CLIP,
              self.chunk_instructions)))
         # Three independent AR(1) tracks, grown lazily and never mutated.
         self._tracks: list[list[float]] = [[], [], []]
-
-    def chunk_of(self, instruction_index: float) -> int:
-        """Chunk index covering the given global instruction position."""
-        return int(instruction_index // self.chunk_instructions)
-
-    def chunk_end(self, chunk: int) -> float:
-        """First instruction index after ``chunk``."""
-        return float((chunk + 1) * self.chunk_instructions)
 
     #: Chunks materialised per extension beyond the requested index.
     #: numpy's ``standard_normal(n)`` consumes the bit stream exactly

@@ -107,11 +107,6 @@ class Phase:
             raise WorkloadError(f"phase {self.name!r}: active_warps must be >= 1")
 
     @property
-    def memory_fraction(self) -> float:
-        """Fraction of instructions that access global memory."""
-        return self.mix.get("load", 0.0) + self.mix.get("store", 0.0)
-
-    @property
     def load_fraction(self) -> float:
         """Fraction of instructions that are global loads."""
         return self.mix.get("load", 0.0)

@@ -28,8 +28,8 @@ from ..rng import StreamFactory
 from ..units import us
 from .arch import GPUArchConfig
 from .cluster import (A_BUSY_S, NUM_ACTIVITY_SLOTS, ClusterState,
-                      build_counters_matrix)
-from .counters import COUNTER_INDEX, CounterSet
+                      build_counters_matrix, fill_power_columns)
+from .counters import CounterSet
 from .interval_model import SolutionCache
 from .kernels import KernelProfile
 from .noise import WorkloadNoise
@@ -59,11 +59,6 @@ class EpochRecord:
     def energy_j(self) -> float:
         """Total GPU energy of the epoch."""
         return self.cluster_energy_j + self.uncore_energy_j
-
-    @property
-    def end_time_s(self) -> float:
-        """Wall-clock time at the end of this epoch."""
-        return self.start_time_s + self.duration_s
 
 
 class DVFSPolicy(Protocol):
@@ -262,14 +257,9 @@ class GPUSimulator:
                                  matrix_out=self._activity_buf)
         activity_matrix = result.matrix
         counters_matrix = build_counters_matrix(activity_matrix, self.arch)
-        dynamic_w, static_w, energy_j = self.power_model.cluster_power_batch(
-            activity_matrix, self._durations,
-            self._voltage_by_level[levels])
-        counters_matrix[:, COUNTER_INDEX["power_per_core"]] = (dynamic_w
-                                                               + static_w)
-        counters_matrix[:, COUNTER_INDEX["power_dynamic"]] = dynamic_w
-        counters_matrix[:, COUNTER_INDEX["power_static"]] = static_w
-        counters_matrix[:, COUNTER_INDEX["energy_epoch"]] = energy_j
+        energy_j = fill_power_columns(
+            counters_matrix, activity_matrix, self.power_model,
+            self._durations, self._voltage_by_level[levels])
         cluster_counters = [CounterSet.from_vector(row)
                             for row in counters_matrix]
         cluster_energy = float(energy_j.sum())

@@ -35,11 +35,6 @@ class OperatingPoint:
         if self.frequency_hz <= 0:
             raise ConfigError(f"frequency must be positive, got {self.frequency_hz}")
 
-    @property
-    def frequency_mhz(self) -> float:
-        """Frequency in MHz (for display)."""
-        return self.frequency_hz / 1e6
-
 
 class VFTable:
     """An ordered table of operating points (slowest first).

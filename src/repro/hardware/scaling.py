@@ -56,8 +56,3 @@ def scale_energy(energy_j: float, from_node_nm: int, to_node_nm: int) -> float:
         raise HardwareModelError("energy cannot be negative")
     return (energy_j * _factors(to_node_nm)["energy_factor"]
             / _factors(from_node_nm)["energy_factor"])
-
-
-def scale_power(power_w: float, from_node_nm: int, to_node_nm: int) -> float:
-    """Scale dynamic power at a fixed clock between nodes."""
-    return scale_energy(power_w, from_node_nm, to_node_nm)

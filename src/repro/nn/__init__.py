@@ -5,12 +5,11 @@ from .compress import (PAPER_BASE_SPEC, PAPER_COMPRESSED_SPEC,
                        SplitData, TrainedPair, default_layerwise_grid,
                        default_pruning_grid, evaluate_pair, layer_wise_sweep,
                        prune_and_finetune, pruning_sweep, train_pair)
-from .flops import combined_flops, layer_flops, macs, model_flops
+from .flops import layer_flops, macs, model_flops
 from .initializers import get_initializer, he_uniform, xavier_uniform
 from .layers import Dense
 from .losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
-from .metrics import (accuracy, confusion_matrix, macro_f1, mape,
-                      within_one_accuracy)
+from .metrics import accuracy, mape, within_one_accuracy
 from .mlp import MLP
 from .optim import Adam
 from .prune import PruneReport, magnitude_prune, neuron_prune, prune_model
@@ -27,11 +26,11 @@ __all__ = [
     "default_layerwise_grid", "default_pruning_grid", "evaluate_pair",
     "layer_wise_sweep", "prune_and_finetune", "pruning_sweep",
     "train_pair",
-    "combined_flops", "layer_flops", "macs", "model_flops",
+    "layer_flops", "macs", "model_flops",
     "get_initializer", "he_uniform", "xavier_uniform",
     "Dense",
     "MeanSquaredError", "SoftmaxCrossEntropy", "softmax",
-    "accuracy", "confusion_matrix", "macro_f1", "mape",
+    "accuracy", "mape",
     "within_one_accuracy",
     "MLP",
     "Adam",

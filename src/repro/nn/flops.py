@@ -28,11 +28,6 @@ def model_flops(model: MLP, sparse: bool = False) -> int:
     return sum(layer_flops(layer, sparse=sparse) for layer in model.layers)
 
 
-def combined_flops(models: list[MLP]) -> int:
-    """Total dense FLOPs of several networks evaluated per decision epoch."""
-    return sum(model_flops(model) for model in models)
-
-
 def macs(model: MLP, sparse: bool = False) -> int:
     """Multiply-accumulate count (half the weight FLOPs)."""
     total = 0

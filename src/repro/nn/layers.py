@@ -57,11 +57,6 @@ class Dense:
         return self.weights.shape[1]
 
     @property
-    def effective_weights(self) -> np.ndarray:
-        """Weights with the pruning mask applied."""
-        return self.weights * self.mask
-
-    @property
     def num_parameters(self) -> int:
         """Total (dense) parameter count including biases."""
         return self.weights.size + self.bias.size

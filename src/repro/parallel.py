@@ -71,6 +71,8 @@ _POOL_FAILURES = (BrokenProcessPool, pickle.PicklingError, AttributeError,
 #: Upper bound on one backoff sleep; retries never stall a campaign
 #: for more than a couple of seconds per round.
 _MAX_BACKOFF_S = 2.0
+#: First retry round's backoff sleep; each later round doubles it.
+BACKOFF_S = 0.05
 
 
 @dataclass
@@ -420,7 +422,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
                  workers: int | None = None,
                  stats: CampaignStats | None = None,
                  stage: str = "campaign", retries: int = 2,
-                 backoff_s: float = 0.05, timeout_s: float | None = None,
+                 timeout_s: float | None = None,
                  checkpoint: CampaignCheckpoint | None = None) -> list[R]:
     """Map ``fn`` over ``tasks``, preserving order, surviving failures.
 
@@ -504,7 +506,7 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], *,
             if not pending:
                 break
             if round_index > 0:
-                time.sleep(min(backoff_s * (2 ** (round_index - 1)),
+                time.sleep(min(BACKOFF_S * (2 ** (round_index - 1)),
                                _MAX_BACKOFF_S))
                 stats.count("campaign_retries", len(pending))
             # First round dispatches in chunks (amortised pickling);

@@ -41,10 +41,3 @@ class EnergyAccount:
         if baseline.time_s <= 0:
             raise SimulationError("baseline time must be positive")
         return self.time_s / baseline.time_s
-
-
-def performance_loss(time_s: float, baseline_time_s: float) -> float:
-    """The paper's performance-loss measure ``(T_f - T0) / T0``."""
-    if baseline_time_s <= 0:
-        raise SimulationError("baseline time must be positive")
-    return (time_s - baseline_time_s) / baseline_time_s

@@ -97,11 +97,6 @@ class UncorePower:
     l2_w: float
     energy_j: float
 
-    @property
-    def total_w(self) -> float:
-        """Average uncore power over the epoch."""
-        return self.static_w + self.dram_w + self.l2_w
-
 
 class PowerModel:
     """Evaluates cluster and uncore power from epoch activity."""

@@ -64,11 +64,9 @@ class ThermalConfig:
 class ThermalNode:
     """One first-order RC thermal node with exact exponential stepping."""
 
-    def __init__(self, config: ThermalConfig | None = None,
-                 initial_c: float | None = None) -> None:
+    def __init__(self, config: ThermalConfig | None = None) -> None:
         self.config = config or ThermalConfig()
-        self.temperature_c = (self.config.ambient_c if initial_c is None
-                              else float(initial_c))
+        self.temperature_c = self.config.ambient_c
         self.peak_c = self.temperature_c
 
     def steady_state_c(self, power_w: float) -> float:

@@ -50,7 +50,3 @@ class StreamFactory:
     def get(self, name: str) -> np.random.Generator:
         """Return a fresh generator for stream ``name``."""
         return stream(name, self.seed)
-
-    def child(self, suffix: str) -> "StreamFactory":
-        """Return a factory whose streams are namespaced by ``suffix``."""
-        return StreamFactory(seed=_name_to_entropy(f"{self.seed}:{suffix}") & 0x7FFFFFFF)

@@ -65,7 +65,8 @@ class OnlineCalibrator:
     store.  The runtime feeds observed windows through :meth:`observe`
     and pumps :meth:`maybe_update` once per tick; on promotion the new
     pair becomes :attr:`model` (picked up by workers on their next
-    rebuild) and starts its probation countdown.
+    rebuild) and starts its probation countdown.  ``model`` is the pair
+    the store's ``last_known_good`` version holds.
     """
 
     def __init__(self, model: SSMDVFSModel, store: ArtifactStore,
@@ -82,6 +83,8 @@ class OnlineCalibrator:
         self._updates = 0
         #: (version, windows remaining) of a promotion still on probation.
         self._probation: tuple[int, int] | None = None
+        #: The pair of the store's ``last_known_good`` version.
+        self._good_model = model
 
     # ------------------------------------------------------------------
     def poison_next_update(self) -> None:
@@ -117,6 +120,7 @@ class OnlineCalibrator:
             remaining -= 1
             if remaining <= 0:
                 self.store.mark_good(self.artifact_name, version)
+                self._good_model = self.model
                 self.counters["online_marked_good"] += 1
                 self._probation = None
             else:
@@ -126,11 +130,17 @@ class OnlineCalibrator:
         """Notify that the guard's drift layer alarmed: cancel probation.
 
         The rollback machinery is restoring the previous known-good
-        pair; the on-probation promotion must never be blessed.
+        pair; the on-probation promotion must never be blessed, and it
+        stops being :attr:`model`, which the next candidate is
+        fine-tuned from and shadow-scored against.  :attr:`model`
+        returns to the pair the workers roll back to: the store's
+        ``last_known_good``.
         """
-        if self._probation is not None:
-            self.counters["online_probation_aborted"] += 1
-            self._probation = None
+        if self._probation is None:
+            return
+        self.counters["online_probation_aborted"] += 1
+        self._probation = None
+        self.model = self._good_model
 
     # ------------------------------------------------------------------
     def _shadow_error(self, model_pair: SSMDVFSModel, x: np.ndarray,

@@ -33,7 +33,6 @@ byte-identical payload at any worker count (invariant 4).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -48,7 +47,7 @@ from ..faults import ServeFaultConfig, ServeFaultPlan
 from ..gpu.arch import GPUArchConfig
 from ..gpu.simulator import GPUSimulator
 from ..parallel import CampaignStats, derive_seed, parallel_map
-from ..store import ArtifactStore, atomic_write_text
+from ..store import ArtifactStore
 from ..workloads.suites import scale_kernel_to_duration, training_suite
 from .breaker import CircuitBreaker
 from .ingest import (RequestQueue, ServeRequest, TelemetrySample,
@@ -224,14 +223,6 @@ class ServeResult:
             "counters": {name: int(amount)
                          for name, amount in sorted(self.counters.items())},
         }
-
-    def export_json(self, path) -> object:
-        """Atomically write the payload as JSON; returns the path."""
-        from pathlib import Path
-        path = Path(path)
-        atomic_write_text(path, json.dumps(self.to_payload(), indent=2,
-                                           sort_keys=True))
-        return path
 
     def render(self) -> str:
         """Human-readable serving report."""

@@ -110,10 +110,20 @@ def atomic_write_bytes(path: str | Path, data: bytes, *,
     _fsync_dir(path.parent)
 
 
-def atomic_write_text(path: str | Path, text: str, *,
-                      crash_after: int | None = None) -> None:
+def atomic_write_text(path: str | Path, text: str) -> None:
     """UTF-8 convenience wrapper over :func:`atomic_write_bytes`."""
-    atomic_write_bytes(path, text.encode("utf-8"), crash_after=crash_after)
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_json(path: str | Path, payload) -> Path:
+    """Atomically write ``payload`` as indented, key-sorted JSON.
+
+    The one writer of every JSON export, so an export is byte-stable
+    whenever its payload is.  Returns the path.
+    """
+    path = Path(path)
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True))
+    return path
 
 
 def sha256_hex(data: bytes) -> str:
@@ -246,16 +256,14 @@ class ArtifactStore:
             self._save_manifest(name, manifest)
         return manifest
 
-    def _save_manifest(self, name: str, manifest: dict, *,
-                       crash_after: int | None = None) -> None:
+    def _save_manifest(self, name: str, manifest: dict) -> None:
         payload = {
             "magic": MANIFEST_MAGIC,
             "versions": [v.to_payload() for v in manifest["versions"]],
             "last_known_good": manifest["last_known_good"],
         }
         atomic_write_text(self._manifest_path(name),
-                          json.dumps(payload, indent=2, sort_keys=True),
-                          crash_after=crash_after)
+                          json.dumps(payload, indent=2, sort_keys=True))
 
     # -- public API ----------------------------------------------------
     def names(self) -> list[str]:
@@ -405,43 +413,6 @@ class ArtifactStore:
                 return entry.version
         raise ArtifactCorrupt(
             f"{name!r}: no verifying version older than {current}")
-
-    def prune(self, name: str, keep_last: int, *,
-              crash_after: int | None = None) -> int:
-        """Retire old versions, always preserving ``last_known_good``.
-
-        Keeps the ``keep_last`` newest versions plus the blessed
-        version (wherever it sits), deletes the rest, and returns how
-        many were removed.  Crash-safe by ordering: the shrunk manifest
-        is committed atomically *first*, then doomed version files are
-        unlinked.  A crash between the two steps (simulated through
-        ``crash_after``, which forwards to the manifest write) leaves
-        orphaned ``v*.art`` files that no manifest references — harmless
-        to every read path, and swept up by the next prune, which
-        removes any version file absent from the kept manifest.
-        """
-        if keep_last < 1:
-            raise ReproError("prune must keep at least one version")
-        manifest = self._load_manifest(name)
-        entries = sorted(manifest["versions"], key=lambda v: v.version)
-        good = manifest["last_known_good"]
-        keep_versions = {entry.version for entry in entries[-keep_last:]}
-        if good is not None:
-            keep_versions.add(good)
-        kept = [entry for entry in entries
-                if entry.version in keep_versions]
-        if len(kept) != len(entries):
-            manifest["versions"] = kept
-            self._save_manifest(name, manifest, crash_after=crash_after)
-        kept_files = {entry.filename for entry in kept}
-        pruned = 0
-        for file in sorted(self._dir(name).glob("v*.art")):
-            if file.name not in kept_files:
-                file.unlink()
-                pruned += 1
-        if pruned:
-            self.counters["store_pruned_versions"] += pruned
-        return pruned
 
     def render(self) -> str:
         """Human-readable registry listing (the runbook's inspect view)."""

@@ -2,20 +2,15 @@
 
 All internal computation uses SI base units (seconds, hertz, joules,
 watts).  These helpers exist so call sites can say what they mean
-(``us(10)``) instead of sprinkling ``1e-6`` literals around, and so
-tests can assert round-trips.
+(``us(10)``) instead of sprinkling ``1e-6`` literals around.
 """
 
 from __future__ import annotations
 
 #: One microsecond, in seconds.
 MICROSECOND = 1e-6
-#: One nanosecond, in seconds.
-NANOSECOND = 1e-9
 #: One megahertz, in hertz.
 MEGAHERTZ = 1e6
-#: One gigahertz, in hertz.
-GIGAHERTZ = 1e9
 
 
 def us(value: float) -> float:
@@ -23,41 +18,11 @@ def us(value: float) -> float:
     return value * MICROSECOND
 
 
-def ns(value: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return value * NANOSECOND
-
-
 def mhz(value: float) -> float:
     """Convert megahertz to hertz."""
     return value * MEGAHERTZ
 
 
-def ghz(value: float) -> float:
-    """Convert gigahertz to hertz."""
-    return value * GIGAHERTZ
-
-
 def to_us(seconds: float) -> float:
     """Convert seconds to microseconds."""
     return seconds / MICROSECOND
-
-
-def to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds / NANOSECOND
-
-
-def to_mhz(hertz: float) -> float:
-    """Convert hertz to megahertz."""
-    return hertz / MEGAHERTZ
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Time taken by ``cycles`` clock cycles at ``frequency_hz``."""
-    return cycles / frequency_hz
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float) -> float:
-    """Number of clock cycles elapsing in ``seconds`` at ``frequency_hz``."""
-    return seconds * frequency_hz

@@ -33,7 +33,6 @@ from pathlib import Path
 from ..errors import WorkloadError
 from ..gpu.kernels import KernelProfile
 from ..gpu.phases import Phase, make_mix
-from ..store import atomic_write_text
 
 _PHASE_FIELDS = ("cpi_exec", "mlp", "l1_miss_rate", "l2_miss_rate",
                  "active_warps", "divergence")
@@ -91,12 +90,6 @@ def kernel_from_dict(payload: dict) -> KernelProfile:
         suite=str(payload.get("suite", "custom")),
         jitter=float(payload.get("jitter", 0.08)),
     )
-
-
-def save_kernels(kernels: list[KernelProfile], path: str | Path) -> None:
-    """Write kernels to a JSON file."""
-    atomic_write_text(path, json.dumps([kernel_to_dict(k) for k in kernels],
-                                       indent=2))
 
 
 def load_kernels(path: str | Path) -> list[KernelProfile]:

@@ -222,13 +222,6 @@ def evaluation_suite() -> list[KernelProfile]:
     return [kernel_by_name(name) for name in EVALUATION_KERNEL_NAMES]
 
 
-def unseen_fraction() -> float:
-    """Fraction of evaluation kernels absent from the training set."""
-    seen = set(TRAINING_KERNEL_NAMES)
-    unseen = [n for n in EVALUATION_KERNEL_NAMES if n not in seen]
-    return len(unseen) / len(EVALUATION_KERNEL_NAMES)
-
-
 def estimate_default_duration(kernel: KernelProfile,
                               arch: GPUArchConfig) -> float:
     """Noiseless estimate of the kernel's runtime at the default V/f."""

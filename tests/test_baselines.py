@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PolicyError
+from repro.baselines import flemma
 from repro.baselines.flemma import FLEMMAPolicy
 from repro.baselines.pcstall import PCSTALLPolicy
 from repro.gpu.kernels import KernelProfile
@@ -31,8 +32,6 @@ def _run(policy, arch, kernel, seed=3):
 def test_pcstall_validation():
     with pytest.raises(PolicyError):
         PCSTALLPolicy(-0.1)
-    with pytest.raises(PolicyError):
-        PCSTALLPolicy(0.1, history_weight=1.0)
 
 
 def test_pcstall_drops_frequency_on_memory_kernel(small_arch):
@@ -78,22 +77,19 @@ def test_pcstall_loss_model_sanity():
 def test_flemma_validation():
     with pytest.raises(PolicyError):
         FLEMMAPolicy(-0.1)
-    with pytest.raises(PolicyError):
-        FLEMMAPolicy(0.1, update_period=0)
-    with pytest.raises(PolicyError):
-        FLEMMAPolicy(0.1, warmup_epochs=0)
 
 
 def test_flemma_warms_up_at_default(small_arch):
-    policy = FLEMMAPolicy(0.10, warmup_epochs=4, seed=1)
+    policy = FLEMMAPolicy(0.10, seed=1)
     result = _run(policy, small_arch, _kernel("memory"))
     # Epoch 0 runs at default (reset), decisions 1..warmup stay default.
     for record in result.records[:4]:
         assert set(record.levels) == {small_arch.vf_table.default_level}
 
 
-def test_flemma_explores_after_warmup(small_arch):
-    policy = FLEMMAPolicy(0.10, warmup_epochs=3, seed=1)
+def test_flemma_explores_after_warmup(small_arch, monkeypatch):
+    monkeypatch.setattr(flemma, "WARMUP_EPOCHS", 3)
+    policy = FLEMMAPolicy(0.10, seed=1)
     result = _run(policy, small_arch, _kernel("memory", iterations=40))
     levels = {lvl for r in result.records[4:] for lvl in r.levels}
     assert len(levels) > 1  # exploration moved the operating point

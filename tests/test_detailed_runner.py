@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.gpu.detailed.runner import DetailedClusterRunner
 from repro.gpu.detailed.sm import DetailedSM
 from repro.gpu.kernels import KernelProfile
@@ -19,11 +18,6 @@ def _mem_kernel(instructions=60_000):
 def _cmp_kernel(instructions=60_000):
     return KernelProfile(
         "dr.cmp", [compute_phase("c", instructions, warps=16)], iterations=1)
-
-
-def test_runner_validation(small_arch):
-    with pytest.raises(SimulationError):
-        DetailedClusterRunner(small_arch, _mem_kernel(), epoch_cycles=0)
 
 
 def test_sm_windows_continue_the_clock(small_arch):

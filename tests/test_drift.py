@@ -8,10 +8,11 @@ import pytest
 from repro.core.combined import PAIR_SCHEMA, SSMDVFSModel
 from repro.core.controller import SSMDVFSController
 from repro.core import drift
+from repro.core import guarded
 from repro.core.drift import DriftMonitor, RollbackManager
 from repro.core.guarded import ACTIVE, FALLBACK, PROBATION, GuardedController
 from repro.core.policy import StaticPolicy, policy_counters
-from repro.errors import ArtifactCorrupt, DriftDetected
+from repro.errors import ArtifactCorrupt
 from repro.evaluation.soak import perturb_model_weights
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase
@@ -331,17 +332,6 @@ def test_drift_without_rollback_manager_pins_fallback(small_arch):
 
 
 @pytest.mark.usefixtures("short_warmup")
-def test_strict_mode_raises_drift_detected(small_arch):
-    guard = GuardedController(
-        _DriftingPolicy(), strict=True,
-        drift_monitor=DriftMonitor())
-    simulator = GPUSimulator(small_arch, _kernel(), seed=0)
-    guard.reset(simulator)
-    with pytest.raises(DriftDetected):
-        _drive(guard, simulator, 30)
-
-
-@pytest.mark.usefixtures("short_warmup")
 def test_reset_clears_drift_state(small_arch):
     monitor = DriftMonitor()
     guard = GuardedController(_DriftingPolicy(), drift_monitor=monitor,
@@ -390,14 +380,24 @@ class _OscillatingRollback:
         return _DriftingPolicy()
 
 
+@pytest.fixture
+def short_windows(monkeypatch):
+    """Two-epoch fallback and probation windows and the given hot-swap
+    cooldown."""
+    def patch(cooldown):
+        for name, value in dict(FALLBACK_EPOCHS=2, PROBATION_EPOCHS=2,
+                                SWAP_COOLDOWN_EPOCHS=cooldown).items():
+            monkeypatch.setattr(guarded, name, value)
+    return patch
+
+
 @pytest.mark.usefixtures("short_warmup")
-def test_swap_cooldown_suppresses_rollback_oscillation(small_arch):
+def test_swap_cooldown_suppresses_rollback_oscillation(small_arch,
+        short_windows):
+    short_windows(cooldown=500)
     rollback = _OscillatingRollback()
     guard = GuardedController(
-        _DriftingPolicy(),
-        drift_monitor=DriftMonitor(),
-        rollback=rollback, fallback_epochs=2, probation_epochs=2,
-        swap_cooldown_epochs=500)
+        _DriftingPolicy(), drift_monitor=DriftMonitor(), rollback=rollback)
     simulator = GPUSimulator(small_arch, _kernel(iterations=120), seed=0)
     guard.reset(simulator)
     _drive(guard, simulator, 150)
@@ -411,13 +411,12 @@ def test_swap_cooldown_suppresses_rollback_oscillation(small_arch):
 
 
 @pytest.mark.usefixtures("short_warmup")
-def test_swap_allowed_again_after_cooldown_elapses(small_arch):
+def test_swap_allowed_again_after_cooldown_elapses(small_arch,
+        short_windows):
+    short_windows(cooldown=10)
     rollback = _OscillatingRollback()
     guard = GuardedController(
-        _DriftingPolicy(),
-        drift_monitor=DriftMonitor(),
-        rollback=rollback, fallback_epochs=2, probation_epochs=2,
-        swap_cooldown_epochs=10)
+        _DriftingPolicy(), drift_monitor=DriftMonitor(), rollback=rollback)
     simulator = GPUSimulator(small_arch, _kernel(iterations=120), seed=0)
     guard.reset(simulator)
     _drive(guard, simulator, 150)
@@ -427,13 +426,12 @@ def test_swap_allowed_again_after_cooldown_elapses(small_arch):
 
 
 @pytest.mark.usefixtures("short_warmup")
-def test_zero_cooldown_preserves_legacy_swap_behaviour(small_arch):
+def test_zero_cooldown_preserves_legacy_swap_behaviour(small_arch,
+        short_windows):
+    short_windows(cooldown=0)
     rollback = _OscillatingRollback()
     guard = GuardedController(
-        _DriftingPolicy(),
-        drift_monitor=DriftMonitor(),
-        rollback=rollback, fallback_epochs=2, probation_epochs=2,
-        swap_cooldown_epochs=0)
+        _DriftingPolicy(), drift_monitor=DriftMonitor(), rollback=rollback)
     simulator = GPUSimulator(small_arch, _kernel(iterations=120), seed=0)
     guard.reset(simulator)
     _drive(guard, simulator, 150)

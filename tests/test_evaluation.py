@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ReproError, SimulationError
-from repro.evaluation.reporting import (format_percent, format_series,
-                                        format_table)
+from repro.evaluation.reporting import format_percent, format_table
 from repro.evaluation.runner import compare_policies
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase, memory_phase
@@ -85,8 +84,3 @@ def test_format_table_validation():
 
 def test_format_percent():
     assert format_percent(0.1109) == "11.09%"
-    assert format_percent(0.05, signed=True) == "+5.00%"
-
-
-def test_format_series():
-    assert format_series("s", [1.0, 2.0]) == "s: [1.000, 2.000]"

@@ -1,12 +1,11 @@
 """Event-driven controller and phase-change detector."""
 
 import numpy as np
-import pytest
 
-from repro.errors import PolicyError
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase, memory_phase
 from repro.gpu.simulator import GPUSimulator
+from repro.core import event_driven
 from repro.core.controller import SSMDVFSController
 from repro.core.event_driven import EventDrivenController, PhaseChangeDetector
 from repro.core.policy import StaticPolicy
@@ -31,18 +30,14 @@ def _swinging_kernel(iterations=7):
 # Detector
 # ---------------------------------------------------------------------------
 
-def test_detector_validation():
-    with pytest.raises(PolicyError):
-        PhaseChangeDetector(threshold=0.0)
-
-
 def test_detector_fires_when_unarmed():
     detector = PhaseChangeDetector()
     assert detector.changed(np.array([1.0, 2.0]))
 
 
-def test_detector_holds_within_threshold():
-    detector = PhaseChangeDetector(threshold=0.2)
+def test_detector_holds_within_threshold(monkeypatch):
+    monkeypatch.setattr(event_driven, "CHANGE_THRESHOLD", 0.2)
+    detector = PhaseChangeDetector()
     detector.rearm(np.array([10.0, 5.0]))
     assert not detector.changed(np.array([11.0, 5.2]))  # ~10 % drift
     assert detector.changed(np.array([14.0, 5.0]))      # 40 % drift
@@ -55,10 +50,11 @@ def test_detector_reset_forgets_reference():
     assert detector.changed(np.array([1.0]))
 
 
-def test_detector_relative_scaling():
+def test_detector_relative_scaling(monkeypatch):
     """Drift is relative: the same absolute change matters more on a
     small feature than a large one."""
-    detector = PhaseChangeDetector(threshold=0.5)
+    monkeypatch.setattr(event_driven, "CHANGE_THRESHOLD", 0.5)
+    detector = PhaseChangeDetector()
     detector.rearm(np.array([100.0, 0.1]))
     assert not detector.changed(np.array([101.0, 0.1]))
     assert detector.changed(np.array([100.0, 0.2]))
@@ -68,24 +64,20 @@ def test_detector_relative_scaling():
 # Controller
 # ---------------------------------------------------------------------------
 
-def test_event_controller_validation(small_pipeline):
-    with pytest.raises(PolicyError):
-        EventDrivenController(small_pipeline.model("base"), 0.10,
-                              refresh_epochs=0)
-
-
-def test_skips_inferences_on_stationary_phase(small_pipeline, small_arch):
-    controller = EventDrivenController(small_pipeline.model("base"), 0.10,
-                                       refresh_epochs=10)
+def test_skips_inferences_on_stationary_phase(small_pipeline, small_arch,
+        monkeypatch):
+    monkeypatch.setattr(event_driven, "REFRESH_EPOCHS", 10)
+    controller = EventDrivenController(small_pipeline.model("base"), 0.10)
     simulator = GPUSimulator(small_arch, _stationary_kernel(), seed=3)
     simulator.run(controller, keep_records=False)
     assert controller.hold_count > 0
     assert controller.inference_savings > 0.3
 
 
-def test_refresh_bounds_hold_streaks(small_pipeline, small_arch):
-    controller = EventDrivenController(small_pipeline.model("base"), 0.10,
-                                       refresh_epochs=4)
+def test_refresh_bounds_hold_streaks(small_pipeline, small_arch,
+        monkeypatch):
+    monkeypatch.setattr(event_driven, "REFRESH_EPOCHS", 4)
+    controller = EventDrivenController(small_pipeline.model("base"), 0.10)
     simulator = GPUSimulator(small_arch, _stationary_kernel(), seed=3)
     result = simulator.run(controller, keep_records=False)
     # With refresh every 4 epochs, at least ~1/4 of epochs must infer.
@@ -111,11 +103,12 @@ def test_event_driven_matches_full_controller_quality(small_pipeline,
     assert event.time_s / base.time_s < full.time_s / base.time_s + 0.05
 
 
-def test_event_driven_reacts_to_phase_changes(small_pipeline, small_arch):
+def test_event_driven_reacts_to_phase_changes(small_pipeline, small_arch,
+                                              monkeypatch):
     """On a swinging kernel the detector must trigger inferences well
     beyond the refresh floor."""
-    controller = EventDrivenController(small_pipeline.model("base"), 0.10,
-                                       refresh_epochs=50)
+    monkeypatch.setattr(event_driven, "REFRESH_EPOCHS", 50)
+    controller = EventDrivenController(small_pipeline.model("base"), 0.10)
     simulator = GPUSimulator(small_arch, _swinging_kernel(), seed=6)
     simulator.run(controller, keep_records=False)
     total = controller.inference_count + controller.hold_count

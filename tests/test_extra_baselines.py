@@ -1,10 +1,8 @@
-"""Best-static oracle and utilization governor baselines."""
+"""Utilization governor baseline."""
 
 import pytest
 
-from repro.errors import PolicyError
 from repro.baselines.governor import UtilizationGovernor
-from repro.baselines.static_oracle import best_static, static_sweep
 from repro.gpu.counters import CounterSet
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase, memory_phase
@@ -20,59 +18,8 @@ def _kernel(kind="memory", iterations=12):
 
 
 # ---------------------------------------------------------------------------
-# Static oracle
-# ---------------------------------------------------------------------------
-
-def test_sweep_covers_all_levels(small_arch):
-    points = static_sweep(_kernel(), small_arch, seed=2)
-    assert [p.level for p in points] == list(range(6))
-    assert all(p.time_s > 0 and p.energy_j > 0 for p in points)
-
-
-def test_memory_kernel_prefers_low_level(small_arch):
-    result = best_static(_kernel("memory"), small_arch, seed=2)
-    assert result.best_level <= 2
-
-
-def test_compute_kernel_unconstrained_tradeoff(small_arch):
-    """Unconstrained best-EDP may sit anywhere, but with a tight preset
-    the compute kernel must stay near the default point."""
-    constrained = best_static(_kernel("compute"), small_arch, preset=0.05,
-                              seed=2)
-    assert constrained.best_level >= 4
-
-
-def test_preset_constrains_eligibility(small_arch):
-    loose = best_static(_kernel("compute"), small_arch, preset=2.0, seed=2)
-    tight = best_static(_kernel("compute"), small_arch, preset=0.02, seed=2)
-    assert tight.best_level >= loose.best_level
-
-
-def test_chosen_point_is_min_edp_of_eligible(small_arch):
-    result = best_static(_kernel("memory"), small_arch, preset=0.10, seed=2)
-    default = result.points[small_arch.vf_table.default_level]
-    eligible = [p for p in result.points
-                if (p.time_s - default.time_s) / default.time_s <= 0.10 + 1e-12]
-    assert result.chosen.edp == min(p.edp for p in eligible)
-
-
-def test_negative_preset_rejected(small_arch):
-    with pytest.raises(PolicyError):
-        best_static(_kernel(), small_arch, preset=-0.1)
-
-
-# ---------------------------------------------------------------------------
 # Utilization governor
 # ---------------------------------------------------------------------------
-
-def test_governor_validation():
-    with pytest.raises(PolicyError):
-        UtilizationGovernor(up_threshold=0.3, down_threshold=0.6)
-    with pytest.raises(PolicyError):
-        UtilizationGovernor(step=0)
-    with pytest.raises(PolicyError):
-        UtilizationGovernor(up_threshold=1.5, down_threshold=0.3)
-
 
 def test_governor_utilization_computation():
     counters = CounterSet({"inst_total": 3000.0, "issue_slots": 10_000.0})
@@ -102,7 +49,7 @@ def test_governor_blind_to_memory_boundedness(small_arch):
     """The governor's weakness: on a memory kernel it may drift up and
     down with utilization noise rather than pinning the minimum level.
     Structural check only: it must never crash and must stay in range."""
-    policy = UtilizationGovernor(step=2)
+    policy = UtilizationGovernor()
     simulator = GPUSimulator(small_arch, _kernel("memory"), seed=5)
     result = simulator.run(policy, keep_records=True)
     for record in result.records:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DatasetError
-from repro.datagen.features import (FeatureExtractor, FeatureScaler,
-                                    epoch_cycles)
+from repro.datagen.features import FeatureExtractor, FeatureScaler
 from repro.gpu.counters import CounterSet
 
 
@@ -17,12 +16,6 @@ def _counters(inst=10_000.0, slots=40_000.0, ipc=1.0, power=5.0):
         "power_per_core": power,
         "l1_read_miss_rate": 0.4,
     })
-
-
-def test_epoch_cycles_from_issue_slots():
-    assert epoch_cycles(_counters(slots=40_000.0), 4.0) == pytest.approx(10_000)
-    with pytest.raises(DatasetError):
-        epoch_cycles(_counters(), 0.0)
 
 
 def test_counts_normalised_per_kilocycle():
@@ -70,14 +63,14 @@ def test_scaler_standardises():
     rng = np.random.default_rng(0)
     data = rng.normal(loc=5.0, scale=3.0, size=(500, 4))
     scaler = FeatureScaler()
-    out = scaler.fit_transform(data)
+    out = scaler.fit(data).transform(data)
     assert np.allclose(out.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(out.std(axis=0), 1.0, atol=1e-9)
 
 
 def test_scaler_constant_column_safe():
     data = np.ones((10, 2))
-    out = FeatureScaler().fit_transform(data)
+    out = FeatureScaler().fit(data).transform(data)
     assert np.isfinite(out).all()
 
 
@@ -99,6 +92,7 @@ def test_scaler_misuse_rejected():
 
 def test_scaler_round_trip():
     scaler = FeatureScaler().fit(np.random.default_rng(1).normal(size=(20, 3)))
-    restored = FeatureScaler.from_arrays(scaler.to_arrays())
+    restored = FeatureScaler.from_arrays({"mean": scaler.mean_,
+                                          "std": scaler.std_})
     x = np.random.default_rng(2).normal(size=(5, 3))
     assert np.allclose(scaler.transform(x), restored.transform(x))

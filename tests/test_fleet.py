@@ -96,8 +96,6 @@ def test_queue_tracks_peak_depth_and_raises_when_empty():
     assert queue.peak_depth == 4
     with pytest.raises(FleetError):
         queue.pop()
-    with pytest.raises(FleetError):
-        queue.peek()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ Regenerate with::
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.datagen.protocol import ProtocolConfig, generate_for_kernel
 from repro.evaluation.experiments import run_fig4
 from repro.evaluation.soak import SoakConfig, run_soak
 from repro.gpu.arch import small_test_config, titan_x_config
+from repro.gpu.detailed import runner as detailed_runner
 from repro.gpu.detailed.runner import DetailedClusterRunner
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import (balanced_phase, compute_phase, divergent_phase,
@@ -189,9 +191,9 @@ def detailed_run():
                            [compute_phase("c", 6_000, warps=16),
                             memory_phase("m", 4_000, warps=32)],
                            iterations=2)
-    runner = DetailedClusterRunner(small_test_config(), kernel,
-                                   epoch_cycles=1000)
-    result = runner.run(WigglePolicy(), max_epochs=40)
+    runner = DetailedClusterRunner(small_test_config(), kernel)
+    with mock.patch.object(detailed_runner, "EPOCH_CYCLES", 1000):
+        result = runner.run(WigglePolicy(), max_epochs=40)
     return [result.time_s, result.energy_j, result.instructions,
             result.levels]
 

@@ -4,10 +4,10 @@ The :class:`GuardedController` state machine has a small contract that
 must hold for *every* anomaly sequence, not just the hand-picked ones
 in ``test_faults.py``:
 
-* a clean streak of ``fallback_epochs + probation_epochs`` always lands
+* a clean streak of ``FALLBACK_EPOCHS + PROBATION_EPOCHS`` always lands
   the guard back in ACTIVE (liveness: no anomaly history can wedge it),
-* in strict mode, ``trip_threshold`` consecutive anomalous epochs from
-  ACTIVE always raise :class:`GuardTripped` (safety: the escape hatch
+* ``trip_threshold`` consecutive anomalous epochs from ACTIVE always
+  trip the guard into FALLBACK exactly once (safety: the fallback
   cannot be starved),
 * identical seeds replay identical state traces (campaigns must be
   reproducible down to the guard's trip epochs),
@@ -21,15 +21,16 @@ sanitization path sees genuine counter windows with injected NaNs.
 
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import guarded as guarded_module
 from repro.core.guarded import ACTIVE, FALLBACK, PROBATION, GuardedController
 from repro.core.policy import StaticPolicy, policy_counters
-from repro.errors import GuardTripped
 from repro.gpu.counters import NUM_COUNTERS, CounterSet
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase
@@ -50,6 +51,13 @@ def _poison(record):
     return record
 
 
+@pytest.fixture
+def short_windows(monkeypatch):
+    """Three fallback epochs, then two probation epochs."""
+    monkeypatch.setattr(guarded_module, "FALLBACK_EPOCHS", 3)
+    monkeypatch.setattr(guarded_module, "PROBATION_EPOCHS", 2)
+
+
 def _drive_sequence(guard, simulator, anomalies):
     """Feed one epoch per flag in ``anomalies``; returns the state trace."""
     trace = []
@@ -67,14 +75,15 @@ def _drive_sequence(guard, simulator, anomalies):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_clean_streak_always_returns_to_active(small_arch, seed):
+def test_clean_streak_always_returns_to_active(small_arch, seed,
+                                               monkeypatch):
     rng = np.random.default_rng(seed)
     trip = int(rng.integers(1, 4))
     fallback_epochs = int(rng.integers(1, 6))
     probation_epochs = int(rng.integers(1, 5))
-    guard = GuardedController(StaticPolicy(2), trip_threshold=trip,
-                              fallback_epochs=fallback_epochs,
-                              probation_epochs=probation_epochs)
+    monkeypatch.setattr(guarded_module, "FALLBACK_EPOCHS", fallback_epochs)
+    monkeypatch.setattr(guarded_module, "PROBATION_EPOCHS", probation_epochs)
+    guard = GuardedController(StaticPolicy(2), trip_threshold=trip)
     simulator = GPUSimulator(small_arch, _kernel(), seed=seed)
     guard.reset(simulator)
     # Arbitrary anomaly prefix: any reachable state is a valid start.
@@ -91,26 +100,25 @@ def test_clean_streak_always_returns_to_active(small_arch, seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_strict_mode_trip_always_raises(small_arch, seed):
+def test_trip_threshold_anomalies_always_fall_back(small_arch, seed):
     rng = np.random.default_rng(100 + seed)
     trip = int(rng.integers(1, 5))
-    guard = GuardedController(StaticPolicy(2), trip_threshold=trip,
-                              strict=True)
+    guard = GuardedController(StaticPolicy(2), trip_threshold=trip)
     simulator = GPUSimulator(small_arch, _kernel(), seed=seed)
     guard.reset(simulator)
     # Clean preamble cannot pre-arm the streak counter.
     _drive_sequence(guard, simulator, [False] * int(rng.integers(0, 6)))
-    with pytest.raises(GuardTripped):
-        _drive_sequence(guard, simulator, [True] * trip)
+    trace = _drive_sequence(guard, simulator, [True] * trip)
+    assert trace == [ACTIVE] * (trip - 1) + [FALLBACK]
     assert policy_counters(guard)["guard_trips"] == 1
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_random_fault_trains_replay_identically(small_arch, seed):
+def test_random_fault_trains_replay_identically(small_arch, seed,
+                                               short_windows):
     def run():
         rng = np.random.default_rng(200 + seed)
-        guard = GuardedController(StaticPolicy(2), trip_threshold=2,
-                                  fallback_epochs=3, probation_epochs=2)
+        guard = GuardedController(StaticPolicy(2), trip_threshold=2)
         simulator = GPUSimulator(small_arch, _kernel(), seed=seed)
         guard.reset(simulator)
         anomalies = list(rng.random(60) < 0.3)
@@ -126,11 +134,10 @@ def test_random_fault_trains_replay_identically(small_arch, seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_trip_counter_matches_active_to_fallback_transitions(small_arch,
-                                                             seed):
+def test_trip_counter_matches_active_to_fallback_transitions(
+        small_arch, seed, short_windows):
     rng = np.random.default_rng(300 + seed)
-    guard = GuardedController(StaticPolicy(2), trip_threshold=2,
-                              fallback_epochs=3, probation_epochs=2)
+    guard = GuardedController(StaticPolicy(2), trip_threshold=2)
     simulator = GPUSimulator(small_arch, _kernel(), seed=seed)
     guard.reset(simulator)
     anomalies = list(rng.random(70) < 0.25)
@@ -222,7 +229,7 @@ def _counter_epochs(draw):
 @given(_counter_epochs())
 def test_sanitizer_matches_per_cluster_reference(epoch):
     matrix, finished, max_value = epoch
-    guard = GuardedController(StaticPolicy(0), max_counter_value=max_value)
+    guard = GuardedController(StaticPolicy(0))
     guard.simulator = SimpleNamespace(
         clusters=[SimpleNamespace(finished=flag) for flag in finished])
     guard.counters["guard_trips"] = 1
@@ -242,7 +249,8 @@ def test_sanitizer_matches_per_cluster_reference(epoch):
         vector, bad = _reference_sanitize(row, flag, max_value, expected)
         vectors.append(vector)
         total += bad
-    sanitized, anomalies = guard._sanitize_record(record)
+    with mock.patch.object(guarded_module, "MAX_COUNTER_VALUE", max_value):
+        sanitized, anomalies = guard._sanitize_record(record)
 
     assert anomalies == total
     assert guard.counters == Counter(guard_trips=1, **expected)

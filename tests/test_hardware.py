@@ -5,8 +5,7 @@ import pytest
 from repro.errors import HardwareModelError
 from repro.hardware import asic as asic_module
 from repro.hardware.asic import ASICModel
-from repro.hardware.scaling import (scale_area, scale_energy, scale_power,
-                                    supported_nodes)
+from repro.hardware.scaling import scale_area, scale_energy, supported_nodes
 from repro.nn.mlp import MLP
 from repro.nn.prune import prune_model
 from repro.units import us
@@ -38,10 +37,6 @@ def test_scaling_is_transitive():
     via_45 = scale_area(scale_area(1.0, 65, 45), 45, 28)
     direct = scale_area(1.0, 65, 28)
     assert via_45 == pytest.approx(direct)
-
-
-def test_scale_power_matches_energy():
-    assert scale_power(2.0, 65, 28) == pytest.approx(scale_energy(2.0, 65, 28))
 
 
 def test_unknown_node_rejected():

@@ -206,6 +206,256 @@ def test_every_config_field_is_set_somewhere():
     assert sorted(unset) == sorted(_CONFIG_FIELD_EXEMPTIONS)
 
 
+REPO = Path(repro.__file__).parents[2]
+SRC = REPO / "src" / "repro"
+
+
+def _trees(*folders: str):
+    """``(path relative to src/repro or the repo, tree)`` per file."""
+    for folder in folders:
+        for path in sorted((REPO / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                for child in ast.iter_child_nodes(node):
+                    child.parent = node
+            root = SRC if folder == "src" else REPO
+            yield path.relative_to(root).as_posix(), tree
+
+
+def _enclosing(node: ast.AST, kind: type):
+    node = getattr(node, "parent", None)
+    while node is not None and not isinstance(node, kind):
+        node = getattr(node, "parent", None)
+    return node
+
+
+def _public_names():
+    """``(name, "module:Qualified.name")`` for each public function,
+    class, method and property of ``src/repro``."""
+    for where, tree in _trees("src"):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield node.name, f"{where}:{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield item.name, f"{where}:{node.name}.{item.name}"
+
+
+def _read_names() -> set[str]:
+    """Every identifier code in ``src/``, ``benchmarks/`` and
+    ``examples/`` reads: names, attributes, and each dotted part of a
+    string constant (``getattr`` and the benchmark's layer catalogue
+    name code in strings).  ``__all__`` lists and imports only re-export
+    a name, so they do not count."""
+    names = set()
+    for _, tree in _trees("src", "benchmarks", "examples"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and not any(ast.unparse(target) == "__all__"
+                              for target in getattr(
+                                  _enclosing(node, ast.Assign),
+                                  "targets", ()))):
+                names.update(part for part in node.value.split(".")
+                             if part.isidentifier())
+    return names
+
+
+#: Public names only tests call, each with the reason it stays.
+_UNCALLED_NAME_EXEMPTIONS = {
+    "evaluation/experiments.py:Fig3Result.pruning_dominates":
+        "oracle: the Fig. 3 shape test states the paper's claim with it",
+    "gpu/interval_model.py:frequency_sensitivity":
+        "oracle: pins each phase family's speed-up per clock step",
+    "gpu/interval_model.py:ThroughputSolution.time_for_instructions":
+        "oracle: the reference sequential sum the epoch engine must match",
+    "nn/metrics.py:within_one_accuracy":
+        "oracle: the pipeline tests bound the Decision-maker's level error",
+    "workloads/serialization.py:kernel_to_dict":
+        "oracle: writes the kernel files load_kernels must read back",
+    "faults.py:FlakyTask":
+        "test support: the retrying task the campaign-layer tests run",
+    "workloads/generator.py:random_suite":
+        "test support: the property tests' random kernels",
+    "gpu/fused.py:run_fused":
+        "fused engine: deleted whole with its plumbing, not piecemeal",
+}
+
+
+def test_every_public_name_has_a_program_caller():
+    """A public function, class, method or property that only tests
+    call is test-only code in the program: delete it or, when a test
+    uses it as an oracle for other program behaviour, exempt it with
+    its reason.  The match is by name, so a caller of an equal name
+    elsewhere keeps a definition alive (never the other way round)."""
+    read = _read_names()
+    uncalled = {where for name, where in _public_names() if name not in read}
+    assert uncalled == set(_UNCALLED_NAME_EXEMPTIONS)
+
+
+def _defaulted_parameters():
+    """``(callee, slot, name, "module:Qualified.function")`` for every
+    defaulted parameter in ``src/repro``.  ``callee`` is the name a call
+    uses (the class for ``__init__``); ``slot`` is the positional index
+    a caller fills after any bound ``self``/``cls``, None when the
+    parameter is keyword-only."""
+    for where, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = node.parent if isinstance(node.parent, ast.ClassDef) \
+                else None
+            static = any(ast.unparse(d) == "staticmethod"
+                         for d in node.decorator_list)
+            bound = 1 if cls is not None and not static else 0
+            callee = cls.name if node.name == "__init__" else node.name
+            qualified = f"{where}:{cls.name + '.' if cls else ''}{node.name}"
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for slot, arg in enumerate(positional[first:], first - bound):
+                yield callee, slot, arg.arg, qualified
+            for arg, default in zip(node.args.kwonlyargs,
+                                    node.args.kw_defaults):
+                if default is not None:
+                    yield callee, None, arg.arg, qualified
+
+
+def _callee(call: ast.Call, classes: dict) -> str | None:
+    """The name ``call`` invokes: ``cls(...)``, ``self.__init__(...)``
+    and ``super().__init__(...)`` resolve against the enclosing class,
+    and a class without its own ``__init__`` to the base that has one."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        name = (_enclosing(call, ast.ClassDef).name if func.id == "cls"
+                else func.id)
+    elif isinstance(func, ast.Attribute) and func.attr == "__init__":
+        cls = _enclosing(call, ast.ClassDef)
+        name = (ast.unparse(cls.bases[0]).split(".")[-1]
+                if isinstance(func.value, ast.Call)
+                and ast.unparse(func.value.func) == "super" else cls.name)
+    elif isinstance(func, ast.Attribute):
+        return func.attr
+    else:
+        return None
+    while name in classes and classes[name] is not None:
+        name = classes[name]  # inherits its base's __init__
+    return name
+
+
+def _passed_arguments() -> set[tuple]:
+    """``(callee, slot or keyword)`` for every argument a call in
+    ``src/`` or ``benchmarks/`` passes, ``functools.partial`` included;
+    ``"*"`` / ``"**"`` stand for every slot / keyword.  A ``**kwargs``
+    that a function passes on unchanged forwards its own callers'
+    keywords."""
+    classes = {}  # class -> base it inherits __init__ from, or None
+    for _, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name not in classes:
+                own = any(isinstance(item, ast.FunctionDef)
+                          and item.name == "__init__" for item in node.body)
+                classes[node.name] = (
+                    None if own or not node.bases
+                    else ast.unparse(node.bases[0]).split(".")[-1])
+    passed, forwards = set(), set()
+    for _, tree in _trees("src", "benchmarks"):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callee, args = _callee(call, classes), call.args
+            if callee == "partial" and args:
+                bound = ast.Call(func=args[0], args=[], keywords=[])
+                bound.parent = call.parent
+                callee, args = _callee(bound, classes), args[1:]
+            if callee is None:
+                continue
+            for slot, arg in enumerate(args):
+                passed.add((callee,
+                            "*" if isinstance(arg, ast.Starred) else slot))
+            function = _enclosing(call, ast.FunctionDef)
+            own_kwargs = (function.args.kwarg.arg
+                          if function and function.args.kwarg else None)
+            for keyword in call.keywords:
+                value = keyword.value
+                if keyword.arg is not None:
+                    passed.add((callee, keyword.arg))
+                elif isinstance(value, ast.Dict):
+                    passed.update((callee, key.value) for key in value.keys
+                                  if isinstance(key, ast.Constant))
+                elif isinstance(value, ast.Name) and value.id == own_kwargs:
+                    outer = function.name
+                    if outer == "__init__":
+                        outer = _enclosing(function, ast.ClassDef).name
+                    forwards.add((outer, callee))
+                else:
+                    passed.add((callee, "**"))
+    for _ in forwards:
+        passed |= {(inner, keyword) for outer, inner in forwards
+                   for callee, keyword in list(passed)
+                   if callee == outer and isinstance(keyword, str)}
+    return passed
+
+
+#: Defaulted parameters no program call passes, each with the reason
+#: it stays.
+_UNPASSED_PARAMETER_EXEMPTIONS = {
+    "cli.py:main(argv)":
+        "the console entry point reads sys.argv; tests pass argv",
+    "core/pipeline.py:build_ssmdvfs(variants)":
+        "the examples build the base variant alone to run in seconds",
+    "gpu/interval_model.py:SolutionCache.__init__(max_entries)":
+        "the starved-cache identity tests bound the cache",
+    "evaluation/robustness.py:seed_sweep(fused)":
+        "fused engine plumbing: deleted whole with the engine",
+    "evaluation/robustness.py:seed_sweep(fuse_width)":
+        "fused engine plumbing: deleted whole with the engine",
+    "gpu/fused.py:run_fused(keep_records)":
+        "fused engine: deleted whole with its plumbing",
+    "gpu/fused.py:run_fused(max_epochs)":
+        "fused engine: deleted whole with its plumbing",
+    "gpu/fused.py:run_fused(stats_counters)":
+        "fused engine: deleted whole with its plumbing",
+    **{f"gpu/interval_model.py:solve_throughput({name}_multiplier)":
+       "oracle: the one-row solve the batched solver is checked against"
+       for name in ("warp", "miss", "cpi")},
+    **{f"faults.py:FlakyTask.__init__({name})":
+       "test support: the retrying task the campaign-layer tests run"
+       for name in ("mode", "hang_s", "faults_per_task")},
+    **{f"workloads/generator.py:{name}":
+       "test support: the property tests' random kernels"
+       for name in ("random_kernel(max_phases)",
+                    "random_kernel(max_iterations)",
+                    "random_kernel(max_instructions)",
+                    "random_suite(count)")},
+}
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A defaulted parameter no call in ``src/`` or ``benchmarks/``
+    passes is a constant in disguise (the function-level twin of
+    :func:`test_every_config_field_is_set_somewhere`): every run uses
+    its default, so it should be a named constant.  A call passes it by
+    keyword, by position, through ``functools.partial``, or through a
+    ``**``/``*`` splat.  Matching is by callee name."""
+    passed = _passed_arguments()
+    unpassed = set()
+    for callee, slot, name, where in _defaulted_parameters():
+        if {(callee, name), (callee, "**")} & passed:
+            continue
+        if slot is not None and {(callee, slot), (callee, "*")} & passed:
+            continue
+        unpassed.add(f"{where}({name})")
+    assert unpassed == set(_UNPASSED_PARAMETER_EXEMPTIONS)
+
+
 EXAMPLES_DIR = Path(repro.__file__).parents[2] / "examples"
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import TrainingError
 from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
-from repro.nn.metrics import (accuracy, confusion_matrix, macro_f1, mape,
-                              within_one_accuracy)
+from repro.nn.metrics import accuracy, mape, within_one_accuracy
 from repro.nn.mlp import MLP
 from repro.nn.optim import Adam
 
@@ -120,19 +119,3 @@ def test_mape_metric():
 def test_mape_epsilon_guards_zero_targets():
     value = mape(np.array([1.0]), np.array([0.0]))
     assert np.isfinite(value)
-
-
-def test_confusion_matrix():
-    matrix = confusion_matrix(np.array([0, 1, 1]), np.array([0, 1, 0]), 2)
-    assert matrix.tolist() == [[1, 1], [0, 1]]
-    with pytest.raises(TrainingError):
-        confusion_matrix(np.array([0, 5]), np.array([0, 1]), 2)
-
-
-def test_macro_f1_perfect():
-    assert macro_f1(np.array([0, 1, 2]), np.array([0, 1, 2]), 3) == pytest.approx(1.0)
-
-
-def test_macro_f1_ignores_absent_classes():
-    score = macro_f1(np.array([0, 0]), np.array([0, 0]), 5)
-    assert score == pytest.approx(1.0)

@@ -1,49 +1,10 @@
-"""AR(1) jitter and workload-position-indexed noise."""
+"""Workload-position-indexed AR(1) noise."""
 
-import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpu.noise import AR1Jitter, WorkloadNoise
+from repro.gpu.noise import WorkloadNoise
 from repro.rng import stream
-
-
-def test_ar1_zero_sigma_is_constant_one():
-    jitter = AR1Jitter(stream("j", 1), sigma=0.0)
-    assert all(jitter.step() == 1.0 for _ in range(10))
-
-
-def test_ar1_stays_clipped():
-    jitter = AR1Jitter(stream("j", 1), sigma=0.5, clip=0.3)
-    values = [jitter.step() for _ in range(500)]
-    assert min(values) >= 0.7
-    assert max(values) <= 1.3
-
-
-def test_ar1_mean_reverts_to_one():
-    jitter = AR1Jitter(stream("j", 2), sigma=0.05, rho=0.8)
-    values = [jitter.step() for _ in range(5000)]
-    assert np.mean(values) == pytest.approx(1.0, abs=0.02)
-
-
-def test_ar1_snapshot_restore_replays():
-    jitter = AR1Jitter(stream("j", 3), sigma=0.1)
-    for _ in range(7):
-        jitter.step()
-    state = jitter.state()
-    first = [jitter.step() for _ in range(5)]
-    jitter.restore(state)
-    second = [jitter.step() for _ in range(5)]
-    assert first == second
-
-
-def test_ar1_rejects_bad_params():
-    with pytest.raises(SimulationError):
-        AR1Jitter(stream("j", 1), sigma=-0.1)
-    with pytest.raises(SimulationError):
-        AR1Jitter(stream("j", 1), sigma=0.1, rho=1.0)
-    with pytest.raises(SimulationError):
-        AR1Jitter(stream("j", 1), sigma=0.1, clip=1.5)
 
 
 def test_workload_noise_is_position_deterministic():
@@ -59,14 +20,6 @@ def test_workload_noise_is_position_deterministic():
 def test_workload_noise_zero_sigma():
     noise = WorkloadNoise(stream("n", 1), sigma=0.0)
     assert noise.multipliers(100) == (1.0, 1.0, 1.0)
-
-
-def test_workload_noise_chunk_mapping():
-    noise = WorkloadNoise(stream("n", 1), sigma=0.1, chunk_instructions=1000)
-    assert noise.chunk_of(0) == 0
-    assert noise.chunk_of(999.5) == 0
-    assert noise.chunk_of(1000) == 1
-    assert noise.chunk_end(0) == 1000.0
 
 
 def test_workload_noise_multipliers_positive():

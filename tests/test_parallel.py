@@ -21,6 +21,7 @@ from repro.evaluation.runner import ComparisonResult, compare_policies
 from repro.faults import FlakyTask
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase, compute_phase, memory_phase
+from repro import parallel
 from repro.parallel import (CampaignCheckpoint, CampaignStats,
                             default_chunksize, derive_seed, parallel_map,
                             resolve_workers)
@@ -49,6 +50,12 @@ def _suite():
 def _eval_kernel():
     return KernelProfile("p.eval", [balanced_phase("b", 120_000)],
                          iterations=10, jitter=0.05)
+
+
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retry rounds sleep 10 ms, then 20 ms, ... instead of 50 ms."""
+    monkeypatch.setattr(parallel, "BACKOFF_S", 0.01)
 
 
 def _square(x):
@@ -126,6 +133,7 @@ def _interrupt_in_worker(x):
     raise KeyboardInterrupt
 
 
+@pytest.mark.usefixtures("fast_backoff")
 def test_crashed_tasks_are_retried_to_completion(tmp_path):
     flaky = FlakyTask(_plus_one, tmp_path, mode="exit", faults_per_task=1)
     stats = CampaignStats()
@@ -133,7 +141,7 @@ def test_crashed_tasks_are_retried_to_completion(tmp_path):
     # the round is charged an attempt; give enough retries that the four
     # single-fault tasks always recover without quarantine.
     out = parallel_map(flaky, [1, 2, 3, 4], workers=2, stats=stats,
-                       backoff_s=0.01, retries=6)
+                       retries=6)
     assert out == [2, 3, 4, 5]
     assert stats.counters["campaign_worker_crashes"] > 0
     assert stats.counters["campaign_retries"] > 0
@@ -142,24 +150,26 @@ def test_crashed_tasks_are_retried_to_completion(tmp_path):
     assert stats.stages[-1].mode == "parallel"
 
 
+@pytest.mark.usefixtures("fast_backoff")
 def test_hung_workers_are_terminated_and_tasks_retried(tmp_path):
     flaky = FlakyTask(_plus_one, tmp_path, mode="hang", hang_s=60.0,
                       faults_per_task=1)
     stats = CampaignStats()
     start = time.monotonic()
     out = parallel_map(flaky, [1, 2], workers=2, stats=stats,
-                       timeout_s=1.5, backoff_s=0.01)
+                       timeout_s=1.5)
     assert out == [2, 3]
     # The watchdog must fire at ~timeout_s, not wait out the hang.
     assert time.monotonic() - start < 30.0
     assert stats.counters["campaign_hangs"] > 0
 
 
+@pytest.mark.usefixtures("fast_backoff")
 def test_permanent_task_failure_raises_campaign_error_with_task_id():
     stats = CampaignStats()
     with pytest.raises(CampaignError) as excinfo:
         parallel_map(_boom_on_two, [1, 2, 3], workers=2, stats=stats,
-                     retries=1, backoff_s=0.01)
+                     retries=1)
     assert excinfo.value.task_id == 1  # 2 is the second task
     assert stats.counters["campaign_quarantined"] == 1
     assert stats.counters["campaign_task_errors"] > 0
@@ -175,10 +185,11 @@ def test_keyboard_interrupt_shuts_pool_down_cleanly():
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.usefixtures("fast_backoff")
 def test_raise_mode_fault_is_rescued_in_process(tmp_path):
     flaky = FlakyTask(_plus_one, tmp_path, mode="raise", faults_per_task=1)
     stats = CampaignStats()
-    out = parallel_map(flaky, [5, 6], workers=2, stats=stats, backoff_s=0.01)
+    out = parallel_map(flaky, [5, 6], workers=2, stats=stats)
     assert out == [6, 7]
     # FaultInjectionError is a deterministic ReproError: no pool retries,
     # straight to the quarantine rescue (whose second attempt succeeds).
@@ -251,6 +262,7 @@ def test_checkpoint_clear_failure_is_counted_not_fatal(tmp_path,
     assert stats.counters["campaign_suppressed_errors"] == 1
 
 
+@pytest.mark.usefixtures("fast_backoff")
 def test_faulted_datagen_campaign_is_bit_identical_to_fault_free(
         tmp_path, small_arch):
     config = CFG
@@ -259,8 +271,7 @@ def test_faulted_datagen_campaign_is_bit_identical_to_fault_free(
     clean = parallel_map(_kernel_task, tasks, workers=1)
     flaky = FlakyTask(_kernel_task, tmp_path, mode="exit", faults_per_task=1)
     stats = CampaignStats()
-    retried = parallel_map(flaky, tasks, workers=2, stats=stats,
-                           backoff_s=0.01)
+    retried = parallel_map(flaky, tasks, workers=2, stats=stats)
     assert stats.counters["campaign_worker_crashes"] > 0
     clean_ds = DVFSDataset.from_breakpoints(
         [bp for chunk, _ in clean for bp in chunk])

@@ -10,7 +10,7 @@ from repro.gpu.kernels import KernelProfile
 from repro.gpu.noise import WorkloadNoise
 from repro.gpu.phases import compute_phase, memory_phase
 from repro.gpu.quantum import run_epoch_batch
-from repro.power.energy import EnergyAccount, performance_loss
+from repro.power.energy import EnergyAccount
 from repro.power.model import PowerModel, PowerModelConfig
 from repro.rng import stream
 from repro.units import us
@@ -74,7 +74,8 @@ def test_gpu_envelope_under_reasonable_bound():
                   for _ in range(ARCH.num_clusters)]
     dynamic_w, static_w, _ = _power(*activities, model=model)
     cluster_w = float((dynamic_w + static_w).sum())
-    uncore_w = model.uncore_power(_matrix(activities), us(10)).total_w
+    uncore = model.uncore_power(_matrix(activities), us(10))
+    uncore_w = uncore.static_w + uncore.dram_w + uncore.l2_w
     total = cluster_w + uncore_w
     assert 120 < total < 400  # 250 W TDP class
 
@@ -127,10 +128,3 @@ def test_normalized_metrics():
     run = EnergyAccount(energy_j=8.0, time_s=2.2)
     assert run.normalized_edp(base) == pytest.approx((8.0 * 2.2) / 20.0)
     assert run.normalized_latency(base) == pytest.approx(1.1)
-
-
-def test_performance_loss():
-    assert performance_loss(1.1, 1.0) == pytest.approx(0.1)
-    assert performance_loss(0.9, 1.0) == pytest.approx(-0.1)
-    with pytest.raises(SimulationError):
-        performance_loss(1.0, 0.0)

@@ -10,6 +10,7 @@ interning.
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -561,8 +562,8 @@ def _check_walk(case):
     shared = [SolutionCache(), SolutionCache()]
     reference, alone, batched = [], [], []
     for index, (kernel, arch, sigma, chunk, skew, group) in enumerate(specs):
-        noise = WorkloadNoise(stream("walk", index), sigma=sigma,
-                              chunk_instructions=chunk)
+        with mock.patch.object(WorkloadNoise, "CHUNK_INSTRUCTIONS", chunk):
+            noise = WorkloadNoise(stream("walk", index), sigma=sigma)
         for copies, cache in ((reference, None), (alone, None),
                               (batched, shared[group])):
             copies.append(ClusterState(arch, kernel, noise,
@@ -621,8 +622,8 @@ def test_walk_probes_each_quantum_key_once(monkeypatch):
     kernel = KernelProfile("once", [compute_phase("c", 9_000),
                                     memory_phase("m", 7_000)],
                            iterations=4)
-    noise = WorkloadNoise(stream("once", 5), sigma=0.1,
-                          chunk_instructions=512)
+    monkeypatch.setattr(WorkloadNoise, "CHUNK_INSTRUCTIONS", 512)
+    noise = WorkloadNoise(stream("once", 5), sigma=0.1)
     cluster = ClusterState(ARCH, kernel, noise)
     cluster.set_level(2)
     for _ in range(24):

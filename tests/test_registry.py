@@ -2,17 +2,13 @@
 
 from pathlib import Path
 
-import pytest
-
-from repro.errors import ReproError
-from repro.evaluation.registry import (all_experiments, get_experiment,
-                                       paper_experiments, render_registry)
+from repro.evaluation.registry import all_experiments, render_registry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_paper_artifacts_all_registered():
-    ids = {e.experiment_id for e in paper_experiments()}
+    ids = {e.experiment_id for e in all_experiments() if not e.extension}
     assert ids == {"table1", "table2", "fig3", "fig4", "hw"}
 
 
@@ -40,13 +36,6 @@ def test_every_bench_file_is_registered():
 def test_ids_unique():
     ids = [e.experiment_id for e in all_experiments()]
     assert len(ids) == len(set(ids))
-
-
-def test_get_experiment():
-    entry = get_experiment("fig4")
-    assert "EDP" in entry.paper_claim
-    with pytest.raises(ReproError):
-        get_experiment("fig99")
 
 
 def test_render_registry():

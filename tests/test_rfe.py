@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DatasetError
+from repro.datagen import rfe
 from repro.datagen.rfe import (ImportanceWorkspace, RFESelector,
                                _permutation_importance,
                                permutation_importances)
@@ -81,10 +82,6 @@ def test_validation():
         # Zero targets.
         RFESelector(Dummy(), 4.0, candidates=("ipc", "frac_mem"),
                     target_count=0)
-    with pytest.raises(DatasetError):
-        # Bad drop fraction.
-        RFESelector(Dummy(), 4.0, candidates=("ipc", "frac_mem"),
-                    target_count=1, drop_fraction=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +138,15 @@ def test_batched_importances_reuse_workspace(scoring_setup):
     np.testing.assert_array_equal(first, second)
 
 
-def test_batched_importances_chunking_invariant(scoring_setup):
+def test_batched_importances_chunking_invariant(scoring_setup, monkeypatch):
     """Splitting the stack into chunks must not change any score."""
     model, x, y = scoring_setup
     columns = list(range(1, 13))
     full = permutation_importances(model, x, y, columns,
                                    np.random.default_rng(9))
+    monkeypatch.setattr(rfe, "_ROW_BUDGET", x.shape[0] * 2)
     chunked = permutation_importances(model, x, y, columns,
-                                      np.random.default_rng(9),
-                                      row_budget=x.shape[0] * 2)
+                                      np.random.default_rng(9))
     np.testing.assert_array_equal(full, chunked)
 
 
@@ -162,16 +159,6 @@ def test_batched_importances_validation(scoring_setup):
         permutation_importances(model, x, y, [x.shape[1]], rng)
     with pytest.raises(DatasetError):
         permutation_importances(model, x[:, 0], y, [0], rng)
-
-
-def test_serial_base_argument_matches_recompute(scoring_setup):
-    model, x, y = scoring_setup
-    base = accuracy(model.predict_class(x), y)
-    with_base = _permutation_importance(model, x, y, 2,
-                                        np.random.default_rng(4), base=base)
-    without = _permutation_importance(model, x, y, 2,
-                                      np.random.default_rng(4))
-    assert with_base == without
 
 
 def test_selector_batched_and_serial_agree(small_dataset, small_arch,
@@ -197,7 +184,7 @@ def test_selector_batched_and_serial_agree(small_dataset, small_arch,
         scored.append(len(columns))
         return np.array([
             _permutation_importance(model, x_test, y_test, column, rng,
-                                    repeats=repeats, base=base)
+                                    repeats=repeats)
             for column in columns
         ])
 

@@ -30,18 +30,3 @@ def test_factory_get_is_reproducible():
 
 def test_factory_default_seed():
     assert StreamFactory().seed == DEFAULT_SEED
-
-
-def test_child_factory_is_namespaced():
-    parent = StreamFactory(seed=7)
-    child_a = parent.child("a")
-    child_b = parent.child("b")
-    assert child_a.seed != child_b.seed
-    assert (child_a.get("x").random(3).tolist()
-            != child_b.get("x").random(3).tolist())
-
-
-def test_child_factory_deterministic():
-    a = StreamFactory(seed=7).child("sub").get("x").random(4).tolist()
-    b = StreamFactory(seed=7).child("sub").get("x").random(4).tolist()
-    assert a == b

@@ -401,6 +401,32 @@ def test_online_drift_alarm_aborts_probation(small_pipeline, tmp_path):
         "online_probation_aborted"] == 1
 
 
+def _same_calibrator(pair, other):
+    return all(np.array_equal(ours.weights, theirs.weights)
+               and np.array_equal(ours.bias, theirs.bias)
+               for ours, theirs in zip(pair.calibrator_model.layers,
+                                       other.calibrator_model.layers))
+
+
+@pytest.mark.usefixtures("fast_online")
+def test_online_drift_alarm_restores_last_known_good_pair(small_pipeline,
+                                                          tmp_path):
+    """After an alarm the loop fine-tunes from, and shadow-scores
+    against, the pair the workers roll back to: never the aborted
+    promotion."""
+    online, store, model = _online(small_pipeline, tmp_path)
+    width = model.calibrator.extractor.width
+    _feed(online, 8, width)
+    assert online.maybe_update() == "promoted"
+    aborted = online.model
+    online.drift_alarmed()
+    good = SSMDVFSModel.from_bytes(
+        store.get("pair", store.last_known_good("pair")))
+    assert "online_update" not in online.model.metadata
+    assert _same_calibrator(online.model, good)
+    assert not _same_calibrator(online.model, aborted)
+
+
 @pytest.mark.usefixtures("fast_online")
 def test_online_rejects_nonfinite_labels(small_pipeline, tmp_path):
     online, _, model = _online(small_pipeline, tmp_path)
@@ -463,8 +489,9 @@ def test_runtime_drift_alarm_aborts_online_probation(small_arch,
     model = SSMDVFSModel.from_bytes(
         small_pipeline.models["base"].to_bytes())
     config = ServeConfig(streams=2, ticks=160, seed=0)
-    result = ServingRuntime(small_arch, config, model=model,
-                            store_root=tmp_path, workers=0).run()
+    runtime = ServingRuntime(small_arch, config, model=model,
+                             store_root=tmp_path, workers=0)
+    result = runtime.run()
     counters = result.counters
     assert counters.get("drift_alarms", 0) > 0
     aborted = counters.get("online_probation_aborted", 0)
@@ -473,6 +500,12 @@ def test_runtime_drift_alarm_aborts_online_probation(small_arch,
     pending = (counters["online_updates_promoted"] - aborted
                - counters.get("online_marked_good", 0))
     assert pending in (0, 1)
+    if pending == 0:
+        # Nothing on probation: the online loop holds the blessed pair.
+        store = ArtifactStore(tmp_path)
+        good = SSMDVFSModel.from_bytes(
+            store.get("serve-pair", store.last_known_good("serve-pair")))
+        assert _same_calibrator(runtime._online.model, good)
 
 
 def test_runtime_validates_scenario_config():

@@ -9,6 +9,7 @@ from repro.errors import ServeError
 from repro.evaluation.serve_chaos import (CHAOS_FAULTS, ServeChaosConfig,
                                           ServeChaosResult, run_serve_chaos)
 from repro.serve import ServeConfig
+from repro.store import write_json
 
 
 def _config(**kwargs):
@@ -29,7 +30,7 @@ def test_serve_chaos_passes_and_exports(small_arch, tmp_path):
     assert result.trials[1].byte_stable is None  # dual-run skipped
     assert all(trial.conserved for trial in result.trials)
     assert result.crash_trials >= 4 and result.crash_torn_reads == 0
-    path = result.export_json(tmp_path / "SERVE_chaos.json")
+    path = write_json(tmp_path / "SERVE_chaos.json", result.to_payload())
     payload = json.loads(path.read_text())
     assert payload["passed"] is True
     assert payload["counters"]["serve_chaos_trials"] == 2

@@ -11,7 +11,7 @@ from repro.evaluation.soak import (SOAK_ARTIFACT, SoakConfig, SoakResult,
                                    run_soak)
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import balanced_phase, compute_phase
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, write_json
 from repro.workloads.suites import scale_kernel_to_duration
 
 
@@ -90,8 +90,8 @@ def test_soak_rerun_into_one_store_exports_identical_bytes(
     for run in range(2):
         result = run_soak(model, soak_kernels[:1], small_arch, store_root,
                           config)
-        exports.append(result.export_json(tmp_path / f"run{run}.json")
-                       .read_bytes())
+        exports.append(write_json(tmp_path / f"run{run}.json",
+                                  result.to_payload()).read_bytes())
     assert exports[0] == exports[1]
     assert ArtifactStore(store_root).last_known_good(SOAK_ARTIFACT) == 1
 
@@ -109,7 +109,7 @@ def test_soak_tiny_recovery_budget_reports_violation(small_pipeline,
 
 def test_soak_export_and_render(soak_result, tmp_path):
     result, _ = soak_result
-    path = result.export_json(tmp_path / "soak.json")
+    path = write_json(tmp_path / "soak.json", result.to_payload())
     payload = json.loads(path.read_text())
     assert payload["passed"] is True
     assert payload["crash_torn_reads"] == 0

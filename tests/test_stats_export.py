@@ -2,16 +2,13 @@
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.errors import DatasetError, ReproError
+from repro.errors import DatasetError
 from repro.datagen.stats import analyze_dataset
-from repro.evaluation.export import (export_comparison_csv, export_fig3_csv,
-                                     export_fig4_json, load_fig4_json)
-from repro.evaluation.experiments import Fig3Result, Fig4Result
+from repro.evaluation.export import export_fig4_json
+from repro.evaluation.experiments import Fig4Result
 from repro.evaluation.runner import ComparisonResult, PolicyRun
-from repro.nn.compress import CompressionPoint
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +70,6 @@ def _comparison():
     return comparison
 
 
-def test_export_comparison_csv(tmp_path):
-    path = tmp_path / "fig4.csv"
-    export_comparison_csv(_comparison(), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("policy,kernel")
-    assert len(lines) == 1 + 4
-
-
 def test_export_fig4_json_round_trip(tmp_path):
     result = Fig4Result(comparisons={0.10: _comparison()})
     path = tmp_path / "fig4.json"
@@ -93,26 +82,7 @@ def test_export_fig4_json_round_trip(tmp_path):
             energy_j=1e-2, normalized_edp=0.95, normalized_latency=1.02,
             epochs=30))
     export_fig4_json(result, path)
-    payload = load_fig4_json(path)
+    payload = json.loads(path.read_text())
     assert "0.10" in payload
     assert payload["0.10"]["alpha"]["k1"]["edp"] == pytest.approx(0.9)
     assert "headline" in payload
-
-
-def test_load_missing_json(tmp_path):
-    with pytest.raises(ReproError):
-        load_fig4_json(tmp_path / "nope.json")
-
-
-def test_export_fig3_csv(tmp_path):
-    result = Fig3Result(
-        layerwise=[CompressionPoint("a", "layerwise", 100, 90.0, 5.0,
-                                    (6, 4, 6), (7, 4, 1))],
-        pruning=[CompressionPoint("b", "pruning", 60, 88.0, 6.0,
-                                  (6, 4, 6), (7, 4, 1), sparsity=0.5)],
-    )
-    path = tmp_path / "fig3.csv"
-    export_fig3_csv(result, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert "pruning" in lines[2]

@@ -197,12 +197,10 @@ def _export_writers():
     import repro.cli as cli_module
     import repro.evaluation.export as export_module
     import repro.evaluation.report as report_module
-    import repro.workloads.serialization as serialization_module
-    from repro.evaluation.experiments import Fig3Result, Fig4Result
+    import repro.store as store_module
+    from repro.evaluation.experiments import Fig4Result
     from repro.evaluation.robustness import FaultSweepCell, FaultSweepResult
     from repro.evaluation.runner import ComparisonResult, PolicyRun
-    from repro.nn.compress import CompressionPoint
-    from repro.workloads.suites import kernel_by_name
 
     comparison = ComparisonResult(preset=0.10)
     for policy in ("baseline", "pcstall", "flemma", "ssmdvfs-pruned"):
@@ -210,11 +208,6 @@ def _export_writers():
             policy_name=policy, kernel_name="k1", time_s=1e-4,
             energy_j=1e-2, normalized_edp=0.9, normalized_latency=1.05,
             epochs=30))
-    fig3 = Fig3Result(
-        layerwise=[CompressionPoint("a", "layerwise", 100, 90.0, 5.0,
-                                    (6, 4, 6), (7, 4, 1))],
-        pruning=[CompressionPoint("b", "pruning", 60, 88.0, 6.0,
-                                  (6, 4, 6), (7, 4, 1), sparsity=0.5)])
     sweep = FaultSweepResult(preset=0.10, slack=0.05, cells=[FaultSweepCell(
         mode="nan", rate=0.5, policy="governor", mean_edp=0.9,
         mean_latency=1.02, violations=0, kernels=1)])
@@ -233,24 +226,16 @@ def _export_writers():
         report_module.write_report(results, path)
 
     return {
-        "export_fig4_json": (export_module, lambda path: (
+        "export_fig4_json": (store_module, lambda path: (
             export_module.export_fig4_json(
                 Fig4Result(comparisons={0.10: comparison}), path))),
-        "export_comparison_csv": (export_module, lambda path: (
-            export_module.export_comparison_csv(comparison, path))),
-        "export_fig3_csv": (export_module, lambda path: (
-            export_module.export_fig3_csv(fig3, path))),
         "write_report": (report_module, report),
-        "save_kernels": (serialization_module, lambda path: (
-            serialization_module.save_kernels(
-                [kernel_by_name("rodinia.gaussian")], path))),
         "cmd_faults_export": (cli_module, faults_export),
     }
 
 
 @pytest.mark.parametrize("writer", [
-    "export_fig4_json", "export_comparison_csv", "export_fig3_csv",
-    "write_report", "save_kernels", "cmd_faults_export"])
+    "export_fig4_json", "write_report", "cmd_faults_export"])
 def test_result_exports_are_atomic(writer, tmp_path, monkeypatch, capsys):
     module, write = _export_writers()[writer]
     probe = tmp_path / "probe.out"
@@ -307,81 +292,3 @@ def test_dataset_save_appends_npz_suffix(tmp_path, small_dataset):
     assert (tmp_path / "plain.npz").exists()
     loaded = DVFSDataset.load(tmp_path / "plain.npz")
     assert loaded.num_breakpoints == small_dataset.num_breakpoints
-
-
-# ---------------------------------------------------------------------------
-# Retention (prune)
-# ---------------------------------------------------------------------------
-
-def _seed_versions(store, name, count, good=None):
-    for index in range(count):
-        store.put(name, f"payload-{index + 1}".encode(),
-                  mark_good=(good == index + 1))
-
-
-def test_prune_keeps_newest_and_last_known_good(tmp_path):
-    store = ArtifactStore(tmp_path)
-    _seed_versions(store, "pair", 5, good=1)
-    removed = store.prune("pair", keep_last=2)
-    assert removed == 2  # v2, v3 gone; v1 (blessed), v4, v5 kept
-    versions = [entry.version for entry in store.versions("pair")]
-    assert versions == [1, 4, 5]
-    assert store.last_known_good("pair") == 1
-    assert store.get("pair", 1, fallback=False) == b"payload-1"
-    assert store.get("pair", 5, fallback=False) == b"payload-5"
-    assert store.counters["store_pruned_versions"] == 2
-    files = sorted(p.name for p in (tmp_path / "pair").glob("v*.art"))
-    assert files == ["v000001.art", "v000004.art", "v000005.art"]
-
-
-def test_prune_is_a_noop_when_nothing_to_remove(tmp_path):
-    store = ArtifactStore(tmp_path)
-    _seed_versions(store, "pair", 2, good=2)
-    assert store.prune("pair", keep_last=4) == 0
-    assert [e.version for e in store.versions("pair")] == [1, 2]
-
-
-def test_prune_never_resets_version_numbering(tmp_path):
-    store = ArtifactStore(tmp_path)
-    _seed_versions(store, "pair", 3, good=3)
-    store.prune("pair", keep_last=1)
-    assert store.put("pair", b"next") == 4
-
-
-def test_prune_rejects_zero_retention(tmp_path):
-    store = ArtifactStore(tmp_path)
-    _seed_versions(store, "pair", 1)
-    with pytest.raises(Exception):
-        store.prune("pair", keep_last=0)
-
-
-def test_crash_during_prune_leaves_store_fully_readable(tmp_path):
-    store = ArtifactStore(tmp_path)
-    _seed_versions(store, "pair", 5, good=5)
-    with pytest.raises(SimulatedCrash):
-        store.prune("pair", keep_last=2, crash_after=3)
-    # The manifest write was killed mid-flight: the old manifest must
-    # still be intact, every version still listed and readable, and no
-    # version file deleted.
-    versions = [entry.version for entry in store.versions("pair")]
-    assert versions == [1, 2, 3, 4, 5]
-    for version in versions:
-        assert store.get("pair", version,
-                         fallback=False) == f"payload-{version}".encode()
-    # A retried prune after the simulated kill completes normally.
-    assert store.prune("pair", keep_last=2) == 3
-    assert [e.version for e in store.versions("pair")] == [4, 5]
-
-
-def test_prune_sweeps_orphans_from_an_interrupted_prune(tmp_path):
-    store = ArtifactStore(tmp_path)
-    _seed_versions(store, "pair", 3, good=3)
-    # Simulate the crash window *between* manifest commit and unlink:
-    # a version file exists on disk that no manifest entry references.
-    orphan = tmp_path / "pair" / "v000099.art"
-    orphan.write_bytes(b"leftover from a crashed prune")
-    assert [e.version for e in store.versions("pair")] == [1, 2, 3]
-    removed = store.prune("pair", keep_last=3)
-    assert removed == 1  # only the orphan: every listed version is kept
-    assert not orphan.exists()
-    assert [e.version for e in store.versions("pair")] == [1, 2, 3]

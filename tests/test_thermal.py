@@ -82,7 +82,8 @@ def test_leakage_multiplier_grows_with_temperature():
 
 def test_leakage_multiplier_is_one_at_reference():
     config = ThermalConfig()
-    node = ThermalNode(config, initial_c=REFERENCE_C)
+    node = ThermalNode(config)
+    node.temperature_c = REFERENCE_C
     assert node.leakage_multiplier() == pytest.approx(1.0)
 
 

@@ -15,9 +15,9 @@ def test_titan_x_has_six_points():
 def test_titan_x_matches_paper_endpoints():
     table = titan_x_vf_table()
     assert table[0].voltage_v == pytest.approx(1.0)
-    assert table[0].frequency_mhz == pytest.approx(683)
+    assert table[0].frequency_hz == pytest.approx(683e6)
     assert table[5].voltage_v == pytest.approx(1.155)
-    assert table[5].frequency_mhz == pytest.approx(1165)
+    assert table[5].frequency_hz == pytest.approx(1165e6)
 
 
 def test_default_level_is_highest():

@@ -7,8 +7,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.gpu.simulator import GPUSimulator
 from repro.workloads.serialization import (kernel_from_dict, kernel_to_dict,
-                                           load_kernels, phase_from_dict,
-                                           save_kernels)
+                                           load_kernels, phase_from_dict)
 from repro.workloads.suites import kernel_by_name
 from repro.core.policy import StaticPolicy
 
@@ -26,7 +25,7 @@ def test_phase_round_trip():
 def test_kernel_round_trip_through_file(tmp_path):
     kernels = [kernel_by_name("rodinia.bfs"), kernel_by_name("parboil.sgemm")]
     path = tmp_path / "kernels.json"
-    save_kernels(kernels, path)
+    path.write_text(json.dumps([kernel_to_dict(k) for k in kernels]))
     restored = load_kernels(path)
     assert [k.name for k in restored] == [k.name for k in kernels]
     assert restored[0].total_instructions == kernels[0].total_instructions
@@ -44,8 +43,9 @@ def test_single_object_file(tmp_path):
 
 def test_loaded_kernel_simulates(tmp_path, small_arch):
     path = tmp_path / "k.json"
-    save_kernels([kernel_by_name("rodinia.gaussian").with_iterations(2)],
-                 path)
+    path.write_text(json.dumps(
+        [kernel_to_dict(kernel_by_name("rodinia.gaussian")
+                        .with_iterations(2))]))
     kernel = load_kernels(path)[0]
     result = GPUSimulator(small_arch, kernel, seed=1).run(
         StaticPolicy(5), keep_records=False)
