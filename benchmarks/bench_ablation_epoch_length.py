@@ -8,8 +8,6 @@ single operating point across phase changes, so EDP degrades as the
 epoch grows — the headroom microsecond-scale DVFS exists to harvest.
 """
 
-import numpy as np
-
 from repro.gpu.kernels import KernelProfile
 from repro.gpu.phases import compute_phase, memory_phase
 from repro.gpu.simulator import GPUSimulator

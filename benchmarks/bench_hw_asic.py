@@ -2,8 +2,9 @@
 
 Regenerates the paper's ASIC analysis for the deployed (pruned) model:
 cycles per inference, latency, area scaled 65 nm -> 28 nm, power, and
-the shares of the 10 us epoch and the 250 W TDP (paper: 192 cycles,
-0.16 us, 0.0080 mm^2, 0.0025 W, 1.65 %).
+the share of the 10 us epoch (paper: 192 cycles, 0.16 us, 0.0080 mm^2,
+0.0025 W, 1.65 %).  The share of a 250 W TDP is asserted negligible,
+not rendered.
 """
 
 from repro.hardware.asic import ASICModel
@@ -13,7 +14,7 @@ from repro.units import us
 
 def test_hardware_asic_cost(pipeline, benchmark):
     model = pipeline.model("pruned")
-    result = run_hardware(model, epoch_s=us(10), gpu_tdp_w=250.0)
+    result = run_hardware(model, epoch_s=us(10))
     from _reporting import write_result
     write_result("hw_asic", result.render())
 

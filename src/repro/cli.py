@@ -139,7 +139,7 @@ def cmd_datagen(args) -> int:
 def cmd_stats(args) -> int:
     """Print dataset diagnostics."""
     stats = CampaignStats()
-    report = analyze_dataset(_dataset(args, stats), preset=args.preset)
+    report = analyze_dataset(_dataset(args, stats))
     print(report.render())
     _print_stats(args, stats)
     return 0
@@ -201,7 +201,7 @@ def cmd_evaluate(args) -> int:
 def cmd_hardware(args) -> int:
     """Print the §V-D ASIC cost report for a saved model."""
     model = SSMDVFSModel.load(args.model)
-    result = run_hardware(model, epoch_s=us(10), gpu_tdp_w=250.0)
+    result = run_hardware(model, epoch_s=us(10))
     print(result.render())
     return 0
 
@@ -679,8 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("datagen", cmd_datagen, "generate/caches the dataset",
             _DATASET_GROUPS)
 
-    command("stats", cmd_stats, "dataset diagnostics",
-            _DATASET_GROUPS + ("preset",))
+    command("stats", cmd_stats, "dataset diagnostics", _DATASET_GROUPS)
 
     p = command("train", cmd_train, "offline build; saves artefacts",
                 _DATASET_GROUPS)

@@ -43,10 +43,6 @@ class Calibrator:
         # Reusable (n, features + 1) input buffer for batched inference;
         # grown/replaced on demand when the batch size changes.
         self._raw_buffer: np.ndarray | None = None
-        #: Non-finite raw model outputs seen so far.  A trained, healthy
-        #: regressor never emits NaN/Inf on sanitized inputs, so this is
-        #: a direct staleness/corruption symptom the drift layer reads.
-        self.nonfinite_predictions = 0
 
     def predict_ratio(self, counters: CounterSet, level: int) -> float:
         """Predicted next-window / current-window throughput ratio: a
@@ -69,11 +65,7 @@ class Calibrator:
         self.extractor.extract_matrix(counter_sets, out=buffer[:, :-1])
         buffer[:, -1] = [float(level) for level in levels]
         x = self.scaler.transform(buffer)
-        predictions = self.model.predict_scalar(x)
-        bad = int((~np.isfinite(predictions)).sum())
-        if bad:
-            self.nonfinite_predictions += bad
-        return np.maximum(0.0, predictions)
+        return np.maximum(0.0, self.model.predict_scalar(x))
 
     def __getstate__(self) -> dict:
         # The scratch buffer is per-process state: dropping it keeps

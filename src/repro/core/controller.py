@@ -44,8 +44,7 @@ class SSMDVFSController(BasePolicy):
     """Self-calibrated supervised DVFS policy."""
 
     def __init__(self, model: SSMDVFSModel, preset: float,
-                 use_calibrator: bool = True,
-                 per_cluster: bool = True) -> None:
+                 use_calibrator: bool = True) -> None:
         super().__init__()
         if preset < 0:
             raise PolicyError("preset cannot be negative")
@@ -54,7 +53,6 @@ class SSMDVFSController(BasePolicy):
         self.use_calibrator = use_calibrator
         # A preset below MIN_PRESET is its own floor.
         self.min_preset = min(MIN_PRESET, float(preset))
-        self.per_cluster = per_cluster
         tag = "" if use_calibrator else "-nocal"
         self.name = f"ssmdvfs{tag}-p{int(round(preset * 100))}"
         self.working_preset = self.preset
@@ -209,18 +207,15 @@ class SSMDVFSController(BasePolicy):
         """Calibrate and stage this epoch's batchable inference rows.
 
         Returns the active-cluster :class:`CounterSet` rows to batch, or
-        ``None`` when the decision cannot join a cross-task batch (the
-        scalar non-per-cluster mode, or fewer than two active clusters —
-        single rows must run their own forward pass for bit-identity
-        with the serial path).  Exactly one of :meth:`fused_commit` /
+        ``None`` when the decision cannot join a cross-task batch (fewer
+        than two active clusters: single rows must run their own forward
+        pass for bit-identity with the serial path).  Exactly one of :meth:`fused_commit` /
         :meth:`fused_fallback` must complete each prepared decision.
         """
         if self.simulator is None:
             raise PolicyError("policy not bound to a simulator")
         self._calibrate(record)
         self.preset_trace.append(self.working_preset)
-        if not self.per_cluster:
-            return None
         min_level = self.simulator.arch.vf_table.min_level
         active_indices = [index for index, counters
                           in enumerate(record.cluster_counters)
@@ -247,12 +242,6 @@ class SSMDVFSController(BasePolicy):
         """Complete a prepared decision without cross-task batching."""
         decision_maker = self.model.decision_maker
         calibrator = self.model.calibrator
-        if not self.per_cluster:
-            level = decision_maker.predict_level(record.counters,
-                                                 self.working_preset)
-            self._pending = [(0, calibrator.predict_instructions(
-                record.counters, level))]
-            return level
         min_level, active_indices = self._fused_staged
         self._fused_staged = None
         levels = [min_level] * len(record.cluster_counters)

@@ -55,6 +55,7 @@ so its evidence outlives the swap.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -99,7 +100,6 @@ class GuardedController(BasePolicy):
         #: hot-swap the wrapped policy on a confirmed drift alarm.
         self.rollback = rollback
         self.state = ACTIVE
-        self.state_trace: list[str] = []
         self._streak = 0
         self._state_epochs = 0
         self._fallback_level = 0
@@ -113,7 +113,6 @@ class GuardedController(BasePolicy):
         super().reset(simulator)
         self._fallback_level = simulator.arch.vf_table.default_level
         self.state = ACTIVE
-        self.state_trace = []
         self.counters = Counter()
         self._streak = 0
         self._state_epochs = 0
@@ -158,19 +157,9 @@ class GuardedController(BasePolicy):
                 anomalies += bad
         if anomalies == 0:
             return record, 0
-        sanitized = EpochRecord(
-            index=record.index,
-            start_time_s=record.start_time_s,
-            duration_s=record.duration_s,
-            levels=record.levels,
-            counters=CounterSet.from_vector(matrix.mean(axis=0)),
-            cluster_counters=[CounterSet.from_vector(row) for row in matrix],
-            instructions=record.instructions,
-            cluster_energy_j=record.cluster_energy_j,
-            uncore_energy_j=record.uncore_energy_j,
-            all_finished=record.all_finished,
-            finish_time_s=record.finish_time_s,
-        )
+        sanitized = replace(
+            record, counters=CounterSet.from_vector(matrix.mean(axis=0)),
+            cluster_counters=[CounterSet.from_vector(row) for row in matrix])
         return sanitized, anomalies
 
     # ------------------------------------------------------------------
@@ -250,7 +239,6 @@ class GuardedController(BasePolicy):
             if self.drift_monitor.update(gap, violation):
                 decision = self._handle_drift()
 
-        self.state_trace.append(self.state)
         if self.state == FALLBACK or decision is None:
             return self._fallback_decision()
         return decision

@@ -31,9 +31,6 @@ _COUNT_COUNTERS = frozenset({
 #: Counters measured in bytes (normalised per kilocycle as well).
 _BYTE_COUNTERS = frozenset({"dram_bytes"})
 
-#: Counters that are already rates / ratios / physical quantities.
-_PASSTHROUGH_COUNTERS = frozenset(COUNTER_SCHEMA) - _COUNT_COUNTERS - _BYTE_COUNTERS
-
 
 _ISSUE_SLOT_INDEX = COUNTER_INDEX["issue_slots"]
 

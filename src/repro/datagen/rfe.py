@@ -54,8 +54,6 @@ class RFERound:
 
     features: tuple[str, ...]
     test_accuracy: float
-    importances: dict[str, float]
-    eliminated: tuple[str, ...]
 
 
 @dataclass
@@ -265,16 +263,14 @@ class RFESelector:
                                                 current, rng)
                 if len(current) <= self.target_count:
                     result.rounds.append(RFERound(
-                        features=tuple(current), test_accuracy=acc,
-                        importances=importances, eliminated=()))
+                        features=tuple(current), test_accuracy=acc))
                     break
                 n_drop = max(1, int(len(current) * DROP_FRACTION))
                 n_drop = min(n_drop, len(current) - self.target_count)
                 ranked = sorted(current, key=lambda n: importances[n])
                 eliminated = tuple(ranked[:n_drop])
                 result.rounds.append(RFERound(
-                    features=tuple(current), test_accuracy=acc,
-                    importances=importances, eliminated=eliminated))
+                    features=tuple(current), test_accuracy=acc))
                 current = [n for n in current if n not in eliminated]
                 round_index += 1
 

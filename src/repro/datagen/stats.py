@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DatasetError
 from ..gpu.counters import COUNTER_NAMES
 from .dataset import DEFAULT_PRESET_GRID, DVFSDataset
 
@@ -25,7 +24,6 @@ class KernelLossStats:
     num_records: int
     min_level_loss_mean: float
     min_level_loss_max: float
-    oracle_levels_at_10pct: dict[int, int]
 
     @property
     def frequency_sensitive(self) -> bool:
@@ -75,13 +73,9 @@ def _label_entropy_bits(labels: np.ndarray) -> float:
     return float(-(probabilities * np.log2(probabilities)).sum())
 
 
-def analyze_dataset(dataset: DVFSDataset,
-                    preset: float = 0.10) -> DatasetReport:
+def analyze_dataset(dataset: DVFSDataset) -> DatasetReport:
     """Compute the full diagnostic report for a dataset."""
-    if not 0.0 <= preset <= 1.0:
-        raise DatasetError("preset must be in [0, 1]")
     min_level_losses: dict[str, list[float]] = {}
-    oracle_hist: dict[str, Counter] = {}
     record_counts = Counter()
     for record in range(dataset.num_breakpoints):
         kernel = dataset.kernel_names[record]
@@ -93,8 +87,6 @@ def analyze_dataset(dataset: DVFSDataset,
             continue
         min_level_losses.setdefault(kernel, []).append(
             float(losses[np.argmin(levels)]))
-        oracle = dataset.minimal_level_for_record(record, preset)
-        oracle_hist.setdefault(kernel, Counter())[oracle] += 1
 
     per_kernel = []
     for kernel in sorted(record_counts):
@@ -104,7 +96,6 @@ def analyze_dataset(dataset: DVFSDataset,
             num_records=record_counts[kernel],
             min_level_loss_mean=float(np.mean(losses)),
             min_level_loss_max=float(np.max(losses)),
-            oracle_levels_at_10pct=oracle_hist.get(kernel, {}),
         ))
 
     # Oracle labels over the default preset grid -> entropy (how much

@@ -399,7 +399,6 @@ class HardwareResult:
 
     report: ASICReport
     epoch_s: float
-    gpu_tdp_w: float
 
     def render(self) -> str:
         """Text rendering of the §V-D cost summary."""
@@ -417,9 +416,9 @@ class HardwareResult:
                             title="SSMDVFS ASIC module (Section V-D)")
 
 
-def run_hardware(model: SSMDVFSModel, epoch_s: float = us(10),
-                 gpu_tdp_w: float = 250.0) -> HardwareResult:
+def run_hardware(model: SSMDVFSModel,
+                 epoch_s: float = us(10)) -> HardwareResult:
     """Reproduce the §V-D ASIC cost analysis for a deployed model."""
     report = ASICModel().report([model.decision_model, model.calibrator_model],
                          sparse=True, node_nm=28)
-    return HardwareResult(report=report, epoch_s=epoch_s, gpu_tdp_w=gpu_tdp_w)
+    return HardwareResult(report=report, epoch_s=epoch_s)

@@ -18,7 +18,7 @@ Analyses beyond the paper's single-configuration evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -65,21 +65,10 @@ class NoisyCountersPolicy:
 
     def decide(self, record: EpochRecord):
         """Forward a counter-perturbed copy of the record."""
-        noisy_record = EpochRecord(
-            index=record.index,
-            start_time_s=record.start_time_s,
-            duration_s=record.duration_s,
-            levels=record.levels,
-            counters=self._perturb(record.counters),
+        return self.inner.decide(replace(
+            record, counters=self._perturb(record.counters),
             cluster_counters=[self._perturb(c)
-                              for c in record.cluster_counters],
-            instructions=record.instructions,
-            cluster_energy_j=record.cluster_energy_j,
-            uncore_energy_j=record.uncore_energy_j,
-            all_finished=record.all_finished,
-            finish_time_s=record.finish_time_s,
-        )
-        return self.inner.decide(noisy_record)
+                              for c in record.cluster_counters]))
 
 
 @dataclass

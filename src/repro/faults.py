@@ -233,19 +233,8 @@ class FaultyPolicy:
         # The policy-visible mean view is rebuilt from the corrupted
         # per-cluster sets so the two stay consistent.
         self._previous = cluster_counters
-        return EpochRecord(
-            index=record.index,
-            start_time_s=record.start_time_s,
-            duration_s=record.duration_s,
-            levels=record.levels,
-            counters=CounterSet.average(cluster_counters),
-            cluster_counters=cluster_counters,
-            instructions=record.instructions,
-            cluster_energy_j=record.cluster_energy_j,
-            uncore_energy_j=record.uncore_energy_j,
-            all_finished=record.all_finished,
-            finish_time_s=record.finish_time_s,
-        )
+        return replace(record, counters=CounterSet.average(cluster_counters),
+                       cluster_counters=cluster_counters)
 
     def decide(self, record: EpochRecord):
         """Forward a corrupted record; fault the actuation of the result."""

@@ -25,14 +25,14 @@ from .jobs import (BUILTIN_TRACES, JOB_CLASSES, LATENCY, THROUGHPUT, Job,
 from .metrics import FleetResult, JobOutcome, ShedJob, tail_latencies
 from .queue import AdmissionConfig, PendingJobQueue
 from .scheduler import FLEET_POLICIES, ClusterScheduler, policy_factory
-from .tracker import (DEGRADED, HEALTH_STATES, HEALTHY, QUARANTINED,
-                      RECOVERING, NodeState, NodeTracker, ThermalConfig)
+from .tracker import (DEGRADED, HEALTHY, QUARANTINED, RECOVERING,
+                      NodeState, NodeTracker, ThermalConfig)
 
 __all__ = [
     "BUILTIN_TRACES", "JOB_CLASSES", "LATENCY", "THROUGHPUT", "Job",
     "TraceConfig", "build_trace", "FleetResult", "JobOutcome", "ShedJob",
     "tail_latencies", "AdmissionConfig", "PendingJobQueue",
     "FLEET_POLICIES", "ClusterScheduler", "policy_factory",
-    "DEGRADED", "HEALTH_STATES", "HEALTHY", "QUARANTINED", "RECOVERING",
+    "DEGRADED", "HEALTHY", "QUARANTINED", "RECOVERING",
     "NodeState", "NodeTracker", "ThermalConfig",
 ]

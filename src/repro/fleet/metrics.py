@@ -25,7 +25,6 @@ across reruns and worker counts — the property the ``fleet-smoke`` /
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -142,13 +141,12 @@ class FleetResult:
     trace_name: str
     seed: int
     num_nodes: int
+    #: Jobs submitted to the replay.
+    submitted: int
     outcomes: list[JobOutcome] = field(default_factory=list)
     node_summaries: list[dict] = field(default_factory=list)
     peak_queue_depth: int = 0
     shed: list[ShedJob] = field(default_factory=list)
-    #: Jobs submitted to the replay (0 means "derive from outcomes",
-    #: kept for backward construction compatibility).
-    submitted: int = 0
     #: Fleet-scope resilience counters (``fleet_fault_*``,
     #: ``migration_*``, ``shed_*``, ``node_state_*``, ``queue_*``).
     counters: dict[str, int] = field(default_factory=dict)
@@ -167,7 +165,7 @@ class FleetResult:
     @property
     def jobs_submitted(self) -> int:
         """Jobs submitted to the replay (conservation denominator)."""
-        return self.submitted or (len(self.outcomes) + len(self.shed))
+        return self.submitted
 
     @property
     def conserved(self) -> bool:

@@ -77,8 +77,8 @@ from .tracker import (DEGRADED, QUARANTINED, NodeTracker, ThermalConfig,
                       resilience_counters)
 
 #: Policy names accepted by :func:`policy_factory` (the CLI choices).
-FLEET_POLICIES = ("ssmdvfs", "ssmdvfs-guarded", "ssmdvfs-chipwide",
-                  "pcstall", "governor", "oracle", "static")
+FLEET_POLICIES = ("ssmdvfs", "ssmdvfs-guarded", "pcstall", "governor",
+                  "oracle", "static")
 
 
 def _guarded_ssmdvfs(model, preset: float):
@@ -94,14 +94,12 @@ def policy_factory(name: str, *, preset: float = 0.10, model=None,
     ``level``.  The returned factory builds a *fresh* policy per job,
     matching the evaluation runner's fresh-policy-per-run rule.
     """
-    if name in ("ssmdvfs", "ssmdvfs-guarded", "ssmdvfs-chipwide"):
+    if name in ("ssmdvfs", "ssmdvfs-guarded"):
         if model is None:
             raise FleetError(f"policy {name!r} needs a trained model")
         if name == "ssmdvfs":
             return partial(SSMDVFSController, model, preset)
-        if name == "ssmdvfs-guarded":
-            return partial(_guarded_ssmdvfs, model, preset)
-        return partial(SSMDVFSController, model, preset, per_cluster=False)
+        return partial(_guarded_ssmdvfs, model, preset)
     if name == "pcstall":
         return partial(PCSTALLPolicy, preset)
     if name == "governor":
@@ -349,7 +347,7 @@ class ClusterScheduler:
                 stretch = (node.storm_slowdown
                            if node.storm_until > start_s + 1e-15 else 1.0)
                 finish_s = start_s + overhead + state.remaining_s * stretch
-                tracker.assign(node, job, start_s, finish_s)
+                tracker.assign(node, start_s, finish_s)
                 generations[job.job_id] += 1
                 generation = generations[job.job_id]
                 active[job.job_id] = _Assignment(

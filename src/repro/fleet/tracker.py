@@ -36,7 +36,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import FleetError
-from .jobs import Job
 
 #: Ambient temperature of the thermal proxy (deg C).
 AMBIENT_C = 35.0
@@ -48,7 +47,6 @@ HEALTHY = "healthy"
 DEGRADED = "degraded"
 QUARANTINED = "quarantined"
 RECOVERING = "recovering"
-HEALTH_STATES = (HEALTHY, DEGRADED, QUARANTINED, RECOVERING)
 
 #: Placement priority per health state (lower places first);
 #: ``QUARANTINED`` is absent because quarantined nodes are drained.
@@ -87,7 +85,6 @@ class NodeState:
 
     node_id: int
     free_at_s: float = 0.0
-    jobs_assigned: int = 0
     jobs_done: int = 0
     busy_s: float = 0.0
     energy_j: float = 0.0
@@ -317,7 +314,7 @@ class NodeTracker:
             self._transition(node, HEALTHY)
 
     # ------------------------------------------------------------------
-    def assign(self, node: NodeState, job: Job, start_s: float,
+    def assign(self, node: NodeState, start_s: float,
                finish_s: float) -> None:
         """Commit a job to a node for the ``[start_s, finish_s)`` window."""
         if finish_s < start_s:
@@ -331,7 +328,6 @@ class NodeTracker:
                 f"node {node.node_id} is busy until {node.free_at_s:.6g}s; "
                 f"cannot start a job at {start_s:.6g}s")
         node.free_at_s = finish_s
-        node.jobs_assigned += 1
 
     def complete(self, node: NodeState, finish_s: float, service_s: float,
                  energy_j: float, mean_level: float) -> None:

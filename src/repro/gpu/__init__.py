@@ -2,9 +2,9 @@
 
 from .arch import GPUArchConfig, small_test_config, titan_x_config
 from .cluster import ClusterState
-from .counters import (COUNTER_NAMES, COUNTER_SCHEMA, DIRECT_FEATURE_NAMES,
-                       INDIRECT_FEATURE_NAMES, NUM_COUNTERS, PAPER_ALIASES,
-                       CounterCategory, CounterSet, paper_category)
+from .counters import (COUNTER_NAMES, COUNTER_SCHEMA, INDIRECT_FEATURE_NAMES,
+                       NUM_COUNTERS, PAPER_ALIASES, CounterCategory,
+                       CounterSet, paper_category)
 from .interval_model import (ThroughputSolution, frequency_sensitivity,
                              solve_throughput)
 from .kernels import KernelCursor, KernelProfile
@@ -19,8 +19,8 @@ from .vf import (OperatingPoint, VFTable, interpolated_vf_table,
 __all__ = [
     "GPUArchConfig", "small_test_config", "titan_x_config",
     "ClusterState",
-    "COUNTER_NAMES", "COUNTER_SCHEMA", "DIRECT_FEATURE_NAMES",
-    "INDIRECT_FEATURE_NAMES", "NUM_COUNTERS", "PAPER_ALIASES",
+    "COUNTER_NAMES", "COUNTER_SCHEMA", "INDIRECT_FEATURE_NAMES",
+    "NUM_COUNTERS", "PAPER_ALIASES",
     "CounterCategory", "CounterSet", "paper_category",
     "ThroughputSolution", "frequency_sensitivity", "solve_throughput",
     "KernelCursor", "KernelProfile",

@@ -38,8 +38,6 @@ class GPUArchConfig:
         Peak warp instructions issued per cluster per core cycle.
     max_warps_per_cluster:
         Hardware warp slots per cluster.
-    warp_size:
-        Threads per warp.
     l1_hit_latency_cycles:
         L1 data-cache hit latency (core clock domain).
     l2_latency_ns:
@@ -61,7 +59,6 @@ class GPUArchConfig:
     num_clusters: int = 24
     issue_width: float = 4.0
     max_warps_per_cluster: int = 64
-    warp_size: int = 32
     l1_hit_latency_cycles: float = 28.0
     l2_latency_ns: float = 180.0
     dram_latency_ns: float = 320.0
@@ -104,7 +101,6 @@ def titan_x_config() -> GPUArchConfig:
         num_clusters=24,
         issue_width=4.0,
         max_warps_per_cluster=64,
-        warp_size=32,
         l1_hit_latency_cycles=28.0,
         l2_latency_ns=180.0,
         dram_latency_ns=320.0,
@@ -122,7 +118,6 @@ def small_test_config(num_clusters: int = 2) -> GPUArchConfig:
         num_clusters=num_clusters,
         issue_width=4.0,
         max_warps_per_cluster=48,
-        warp_size=32,
         l1_hit_latency_cycles=20.0,
         l2_latency_ns=150.0,
         dram_latency_ns=300.0,

@@ -128,11 +128,10 @@ class ClusterState:
     """
 
     def __init__(self, arch: GPUArchConfig, kernel: KernelProfile,
-                 noise: WorkloadNoise, cluster_id: int = 0,
+                 noise: WorkloadNoise,
                  skew_instructions: float = 0.0,
                  solution_cache: SolutionCache | None = None) -> None:
         self.arch = arch
-        self.cluster_id = int(cluster_id)
         self.cursor = KernelCursor(kernel, skew_instructions=skew_instructions)
         self.noise = noise
         self.level = arch.vf_table.default_level

@@ -103,12 +103,8 @@ PAPER_ALIASES = {
     "L1CRM": "l1_read_miss",
 }
 
-#: Counters whose value directly expresses power (the paper's "direct
-#: features"); everything else is an indirect feature (§III-B).
-DIRECT_FEATURE_NAMES: tuple[str, ...] = tuple(
-    name for name, cat in COUNTER_SCHEMA.items() if cat is CounterCategory.POWER
-)
-
+#: Counters that do not directly express power: the paper's "indirect
+#: features"; the power counters are its "direct features" (§III-B).
 INDIRECT_FEATURE_NAMES: tuple[str, ...] = tuple(
     name for name, cat in COUNTER_SCHEMA.items()
     if cat is not CounterCategory.POWER
@@ -151,22 +147,12 @@ class CounterSet:
 
     __slots__ = ("_values",)
 
-    def __init__(self, values: Mapping[str, float] | np.ndarray | None = None
-                 ) -> None:
-        if values is None:
-            self._values = np.zeros(NUM_COUNTERS, dtype=np.float64)
-        elif isinstance(values, np.ndarray):
-            if values.shape != (NUM_COUNTERS,):
-                raise SimulationError(
-                    f"counter vector must have shape ({NUM_COUNTERS},), "
-                    f"got {values.shape}"
-                )
-            self._values = values.astype(np.float64)
-        else:
+    def __init__(self, values: Mapping[str, float] | None = None) -> None:
+        self._values = np.zeros(NUM_COUNTERS, dtype=np.float64)
+        if values is not None:
             unknown = set(values) - set(COUNTER_SCHEMA)
             if unknown:
                 raise SimulationError(f"unknown counters: {sorted(unknown)}")
-            self._values = np.zeros(NUM_COUNTERS, dtype=np.float64)
             for name, value in values.items():
                 self._values[COUNTER_INDEX[name]] = float(value)
 
@@ -212,17 +198,11 @@ class CounterSet:
     def __repr__(self) -> str:
         return f"CounterSet({self.values!r})"
 
-    # Old pickles (and cross-version worker payloads) carry the dict
-    # state of the former dataclass; accept both representations.
+    # A pickle carries the counter vector alone.
     def __getstate__(self) -> np.ndarray:
         return self._values
 
-    def __setstate__(self, state) -> None:
-        if isinstance(state, dict):
-            if "_values" in state:
-                state = state["_values"]
-            else:
-                state = CounterSet(state.get("values", {}))._values
+    def __setstate__(self, state: np.ndarray) -> None:
         self._values = np.asarray(state, dtype=np.float64)
 
     def as_vector(self) -> np.ndarray:

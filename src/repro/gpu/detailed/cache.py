@@ -22,7 +22,6 @@ class SetAssociativeCache:
         if size_bytes % (ways * line_bytes) != 0:
             raise ConfigError("size must be divisible by ways * line size")
         self.line_bytes = line_bytes
-        self.ways = ways
         self.num_sets = size_bytes // (ways * line_bytes)
         # tags[set][way]; -1 = invalid.  LRU tracked by last-use stamp.
         self.tags = np.full((self.num_sets, ways), -1, dtype=np.int64)

@@ -41,7 +41,6 @@ class DetailedResult:
     inst_by_class: dict[str, int]
     l1_accesses: int
     l1_misses: int
-    stall_cycles: int
     dram_bytes: int
 
     @property
@@ -80,7 +79,6 @@ class DetailedSM:
                                       arch.cache_line_bytes)
         # Per-warp state.
         self.ready_cycle = np.zeros(self.num_warps, dtype=np.int64)
-        self.issued = np.zeros(self.num_warps, dtype=np.int64)
         # Per-warp streaming base addresses: separate regions so warps
         # conflict in cache realistically.
         footprint = 4 * 1024 * 1024
@@ -128,7 +126,6 @@ class DetailedSM:
         issue_width = int(self.arch.issue_width)
         inst_by_class = {c: 0 for c in self._classes}
         instructions = 0
-        stall_cycles = 0
         divergence_extra = 1.0 + 0.6 * self.phase.divergence
         l1_accesses_before = self.l1.accesses
         l1_misses_before = self.l1.misses
@@ -139,7 +136,6 @@ class DetailedSM:
         for cycle in range(start, start + cycles):
             eligible = np.nonzero(self.ready_cycle <= cycle)[0]
             if eligible.size == 0:
-                stall_cycles += 1
                 continue
             # Loose round robin: rotate priority among eligible warps.
             order = np.roll(eligible, -self._rotate % eligible.size)
@@ -161,7 +157,6 @@ class DetailedSM:
                     latency = max(1, int(mem_cycles / self.phase.mlp))
                 wait = max(1, int(round(base)) + latency // 2)
                 self.ready_cycle[warp] = cycle + wait
-                self.issued[warp] += 1
 
         return DetailedResult(
             cycles=cycles,
@@ -169,6 +164,5 @@ class DetailedSM:
             inst_by_class=inst_by_class,
             l1_accesses=self.l1.accesses - l1_accesses_before,
             l1_misses=self.l1.misses - l1_misses_before,
-            stall_cycles=stall_cycles,
             dram_bytes=self.memsys.dram_bytes - dram_before,
         )

@@ -231,7 +231,7 @@ class FusedCampaignEngine:
         for span_index, (task, start, stop, levels) in enumerate(spans):
             sim = task.simulator
             sub = counters_matrix[start:stop]
-            uncore = sim.power_model.uncore_power(
+            uncore_j = sim.power_model.uncore_power(
                 activity_matrix[start:stop], epoch_s)
             record = EpochRecord(
                 index=sim.epoch_index,
@@ -244,7 +244,7 @@ class FusedCampaignEngine:
                 instructions=sum(
                     batch_result.instructions[start:stop].tolist()),
                 cluster_energy_j=float(energy_by_span[span_index].sum()),
-                uncore_energy_j=uncore.energy_j,
+                uncore_energy_j=uncore_j,
                 all_finished=all(
                     batch_result.finished[start:stop].tolist()),
                 finish_time_s=max(

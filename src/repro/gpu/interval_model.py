@@ -128,13 +128,11 @@ def phase_params_row(phase: Phase) -> np.ndarray:
 
 #: Column layout of a cached solve (:meth:`BatchSolution.columns`):
 #: the solver outputs the epoch engine reads — CPI, the six stall
-#: components, memory latency, IPC and bandwidth utilisation.
+#: components (columns ``SOL_STALL_MEM_LOAD`` to ``SOL_STALL_IDLE``, in
+#: :meth:`BatchSolution.columns` order), memory latency, IPC and
+#: bandwidth utilisation.
 SOL_CPI = 0
 SOL_STALL_MEM_LOAD = 1
-SOL_STALL_MEM_OTHER = 2
-SOL_STALL_CONTROL = 3
-SOL_STALL_SYNC = 4
-SOL_STALL_DATA = 5
 SOL_STALL_IDLE = 6
 SOL_MEM_LATENCY = 7
 SOL_IPC = 8
@@ -358,8 +356,6 @@ KEY_PHASE_BITS = 20
 KEY_FREQ_BITS = 16
 KEY_NOISE_BITS = 32
 KEY_CHUNK_BITS = 32
-#: Offset of the phase field, which the engine ORs in per segment.
-KEY_PHASE_SHIFT = KEY_FREQ_BITS + KEY_NOISE_BITS + KEY_CHUNK_BITS
 #: Largest noise-chunk index a key can hold.
 KEY_CHUNK_MAX = (1 << KEY_CHUNK_BITS) - 1
 

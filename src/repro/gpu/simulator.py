@@ -173,7 +173,7 @@ class GPUSimulator:
             max_skew = max(1.0, cluster_kernel.phases[0].instructions * 0.25)
             skew = float(skew_rngs[cluster_kernel.name].uniform(0.0, max_skew))
             self.clusters.append(
-                ClusterState(arch, cluster_kernel, noise, cluster_id=cid,
+                ClusterState(arch, cluster_kernel, noise,
                              skew_instructions=skew,
                              solution_cache=self.solution_cache)
             )
@@ -263,7 +263,8 @@ class GPUSimulator:
         cluster_counters = [CounterSet.from_vector(row)
                             for row in counters_matrix]
         cluster_energy = float(energy_j.sum())
-        uncore = self.power_model.uncore_power(activity_matrix, self.epoch_s)
+        uncore_j = self.power_model.uncore_power(activity_matrix,
+                                                 self.epoch_s)
 
         record = EpochRecord(
             index=self.epoch_index,
@@ -274,7 +275,7 @@ class GPUSimulator:
             cluster_counters=cluster_counters,
             instructions=sum(result.instructions.tolist()),
             cluster_energy_j=cluster_energy,
-            uncore_energy_j=uncore.energy_j,
+            uncore_energy_j=uncore_j,
             all_finished=all(result.finished.tolist()),
             finish_time_s=max(activity_matrix[:, A_BUSY_S].tolist(),
                               default=0.0),

@@ -61,7 +61,6 @@ class ASICReport:
     energy_per_inference_j: float
     power_w_scaled: float
     node_nm: int
-    reference_node_nm: int
 
     @property
     def latency_us(self) -> float:
@@ -142,5 +141,4 @@ class ASICModel:
             energy_per_inference_j=energy,
             power_w_scaled=energy / latency,
             node_nm=node_nm,
-            reference_node_nm=REFERENCE_NODE_NM,
         )

@@ -12,7 +12,7 @@ from .losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
 from .metrics import accuracy, mape, within_one_accuracy
 from .mlp import MLP
 from .optim import Adam
-from .prune import PruneReport, magnitude_prune, neuron_prune, prune_model
+from .prune import magnitude_prune, neuron_prune, prune_model
 from .quant import (FixedPointFormat, QuantizationReport, choose_format,
                     quantize_model)
 from .serialize import (load_model, model_from_arrays, model_from_bytes,
@@ -34,7 +34,7 @@ __all__ = [
     "within_one_accuracy",
     "MLP",
     "Adam",
-    "PruneReport", "magnitude_prune", "neuron_prune", "prune_model",
+    "magnitude_prune", "neuron_prune", "prune_model",
     "FixedPointFormat", "QuantizationReport", "choose_format",
     "quantize_model",
     "load_model", "model_from_arrays", "model_from_bytes",

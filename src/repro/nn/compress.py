@@ -92,8 +92,6 @@ class CompressionPoint:
     flops: int
     accuracy_pct: float
     mape_pct: float
-    decision_sizes: tuple[int, ...]
-    calibrator_sizes: tuple[int, ...]
     sparsity: float = 0.0
 
 
@@ -188,8 +186,6 @@ def layer_wise_sweep(decision_data: SplitData, calibrator_data: SplitData,
             flops=pair.flops_dense,
             accuracy_pct=pair.accuracy_pct,
             mape_pct=pair.mape_pct,
-            decision_sizes=tuple(pair.decision.layer_sizes),
-            calibrator_sizes=tuple(pair.calibrator.layer_sizes),
         ))
     return points
 
@@ -247,8 +243,6 @@ def pruning_sweep(pair: TrainedPair, decision_data: SplitData,
             flops=pruned.flops_sparse,
             accuracy_pct=pruned.accuracy_pct,
             mape_pct=pruned.mape_pct,
-            decision_sizes=tuple(pruned.decision.layer_sizes),
-            calibrator_sizes=tuple(pruned.calibrator.layer_sizes),
             sparsity=1.0 - active / total_weights,
         ))
     return points

@@ -14,12 +14,9 @@ The paper selects ``(x1, x2) = (0.6, 0.9)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import CompressionError
-from .flops import model_flops
 from .mlp import MLP
 
 
@@ -79,28 +76,8 @@ def neuron_prune(model: MLP, zero_threshold: float) -> int:
     return removed_total
 
 
-@dataclass(frozen=True)
-class PruneReport:
-    """What a prune pass did to a model."""
-
-    weights_pruned: int
-    neurons_removed: int
-    sparsity: float
-    dense_flops: int
-    sparse_flops: int
-    layer_sizes: list[int]
-
-
 def prune_model(model: MLP, magnitude_fraction: float,
-                neuron_zero_threshold: float) -> PruneReport:
-    """Run both pruning stages in place and report the outcome."""
-    weights_pruned = magnitude_prune(model, magnitude_fraction)
-    neurons_removed = neuron_prune(model, neuron_zero_threshold)
-    return PruneReport(
-        weights_pruned=weights_pruned,
-        neurons_removed=neurons_removed,
-        sparsity=model.sparsity,
-        dense_flops=model_flops(model, sparse=False),
-        sparse_flops=model_flops(model, sparse=True),
-        layer_sizes=model.layer_sizes,
-    )
+                neuron_zero_threshold: float) -> None:
+    """Run both pruning stages in place."""
+    magnitude_prune(model, magnitude_fraction)
+    neuron_prune(model, neuron_zero_threshold)

@@ -65,7 +65,6 @@ class QuantizationReport:
 
     total_bits: int
     max_weight_error: float
-    mean_weight_error: float
 
 
 def quantize_model(model: MLP, total_bits: int = 16) -> tuple[MLP, QuantizationReport]:
@@ -76,7 +75,6 @@ def quantize_model(model: MLP, total_bits: int = 16) -> tuple[MLP, QuantizationR
     """
     quantized = model.clone()
     max_err = 0.0
-    errs = []
     for layer in quantized.layers:
         fmt = choose_format(layer.weights, total_bits)
         original = layer.weights.copy()
@@ -85,12 +83,10 @@ def quantize_model(model: MLP, total_bits: int = 16) -> tuple[MLP, QuantizationR
         err = np.abs(layer.weights - original)
         if err.size:
             max_err = max(max_err, float(err.max()))
-            errs.append(float(err.mean()))
         bias_fmt = choose_format(layer.bias, total_bits)
         layer.bias = bias_fmt.quantize(layer.bias)
     report = QuantizationReport(
         total_bits=total_bits,
         max_weight_error=max_err,
-        mean_weight_error=float(np.mean(errs)) if errs else 0.0,
     )
     return quantized, report

@@ -45,7 +45,6 @@ class TrainHistory:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    stopped_early: bool = False
 
     @property
     def epochs_run(self) -> int:
@@ -149,7 +148,6 @@ def fit(model: MLP, features: np.ndarray, targets: np.ndarray, loss_fn,
         else:
             since_best += 1
             if since_best >= config.patience:
-                history.stopped_early = True
                 break
 
     if history.best_epoch >= 0:

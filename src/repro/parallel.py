@@ -61,13 +61,6 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Exception types that indicate the *pool* (not the task) failed:
-#: broken workers, unpicklable callables or arguments, and OS-level
-#: process failures.  Task-level library errors (``ReproError``
-#: subclasses) are handled by the retry/quarantine machinery instead.
-_POOL_FAILURES = (BrokenProcessPool, pickle.PicklingError, AttributeError,
-                  TypeError, ImportError, OSError)
-
 #: Upper bound on one backoff sleep; retries never stall a campaign
 #: for more than a couple of seconds per round.
 _MAX_BACKOFF_S = 2.0

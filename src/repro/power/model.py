@@ -88,16 +88,6 @@ class PowerModelConfig:
             raise ConfigError("leakage exponent must be >= 1")
 
 
-@dataclass(frozen=True)
-class UncorePower:
-    """GPU-level (non-cluster) power over one epoch."""
-
-    static_w: float
-    dram_w: float
-    l2_w: float
-    energy_j: float
-
-
 class PowerModel:
     """Evaluates cluster and uncore power from epoch activity."""
 
@@ -161,9 +151,9 @@ class PowerModel:
         static_j = static_w * durations
         return dynamic_w, static_w, dynamic_j + static_j
 
-    def uncore_power(self, matrix: np.ndarray,
-                     duration_s: float) -> UncorePower:
-        """Uncore power for one epoch from every cluster's activity row."""
+    def uncore_power(self, matrix: np.ndarray, duration_s: float) -> float:
+        """Uncore (GPU-level, non-cluster) energy in joules over one
+        epoch, from every cluster's activity row."""
         cfg = self.config
         if duration_s <= 0:
             raise ConfigError("epoch duration must be positive")
@@ -172,9 +162,4 @@ class PowerModel:
         dram_j = dram_bytes * cfg.dram_energy_per_byte_j
         l2_j = l2_accesses * cfg.l2_energy_per_access_j
         static_j = cfg.uncore_static_w * duration_s
-        return UncorePower(
-            static_w=cfg.uncore_static_w,
-            dram_w=dram_j / duration_s,
-            l2_w=l2_j / duration_s,
-            energy_j=dram_j + l2_j + static_j,
-        )
+        return dram_j + l2_j + static_j

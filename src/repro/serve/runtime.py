@@ -469,7 +469,7 @@ class ServingRuntime:
                         result.failed += 1
                         counters["serve_failed_crash"] += 1
                 elif event.kind == "worker_hang":
-                    supervisor.hang(event.target, tick)
+                    supervisor.hang(event.target)
                 elif event.kind == "poisoned_update":
                     if self._online is not None:
                         self._online.poison_next_update()

@@ -67,7 +67,6 @@ class WorkerHandle:
         self.busy_until: int | None = None
         self.dispatch_tick: int | None = None
         self.request = None
-        self.completions = 0
         self.down_since: int | None = None
 
     @property
@@ -129,7 +128,7 @@ class Supervisor:
         self.counters["supervisor_crashes"] += 1
         return self._take_down(worker, now_tick)
 
-    def hang(self, worker_id: int, now_tick: int) -> None:
+    def hang(self, worker_id: int) -> None:
         """Wedge a worker: it stops completing until the probe kills it."""
         worker = self.workers[worker_id]
         if worker.state in (RESTARTING, QUARANTINED):
@@ -193,7 +192,6 @@ class Supervisor:
                 worker.state = READY
                 worker.busy_until = None
                 worker.dispatch_tick = None
-                worker.completions += 1
                 completions.append((worker, request))
                 continue
             if (worker.state == RESTARTING and worker.restart_at is not None

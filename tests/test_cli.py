@@ -136,7 +136,7 @@ REMOVED_FLAGS = (
     + [("faults", flag) for flag in _RESILIENCE]
     + [("soak", flag) for flag in ("--checkpoint", "--retries",
                                    "--task-timeout", *_FUSED)]
-    + [("fleet", "--no-cache")]
+    + [("fleet", "--no-cache"), ("stats", "--preset")]
     + [(command, flag) for command in ("datagen", "stats", "train", "fleet")
        for flag in _FUSED]
     + [(command, flag) for command in ("fleet-chaos", "serve", "serve-chaos")
@@ -149,7 +149,7 @@ def _parse(command, *extra):
 
 
 def test_removed_flag_list_is_complete():
-    assert len(set(REMOVED_FLAGS)) == 53
+    assert len(set(REMOVED_FLAGS)) == 54
 
 
 @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)

@@ -1,7 +1,6 @@
 """On-disk dataset cache."""
 
 import numpy as np
-import pytest
 
 from repro.datagen import protocol
 from repro.datagen.cache import cached_dataset, dataset_cache_key

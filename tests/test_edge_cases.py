@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.gpu.arch import small_test_config, titan_x_config
+from repro.gpu.arch import titan_x_config
 from repro.gpu.counters import CounterSet
 from repro.gpu.interval_model import solve_throughput
 from repro.gpu.kernels import KernelProfile

@@ -41,8 +41,7 @@ def test_table2_compression_math():
 def _point(method, flops, acc, sparsity=0.0):
     return CompressionPoint(label=f"{method}{flops}", method=method,
                             flops=flops, accuracy_pct=acc, mape_pct=5.0,
-                            decision_sizes=(6, 4, 6),
-                            calibrator_sizes=(7, 4, 1), sparsity=sparsity)
+                            sparsity=sparsity)
 
 
 def test_fig3_knee_and_competitiveness():
@@ -123,8 +122,8 @@ def test_hardware_result_render():
     report = ASICReport(cycles_per_inference=200, latency_s=0.17e-6,
                         area_mm2_reference=0.03, area_mm2_scaled=0.008,
                         energy_per_inference_j=0.5e-9, power_w_scaled=0.003,
-                        node_nm=28, reference_node_nm=65)
-    result = HardwareResult(report=report, epoch_s=us(10), gpu_tdp_w=250.0)
+                        node_nm=28)
+    result = HardwareResult(report=report, epoch_s=us(10))
     text = result.render()
     assert "Section V-D" in text
     assert "192" in text  # paper reference column

@@ -106,7 +106,7 @@ def test_tracker_prefers_idle_then_lowest_id():
     tracker = NodeTracker(3)
     first = tracker.least_contended(0.0)
     assert first.node_id == 0
-    tracker.assign(first, _job(0), 0.0, 1.0)
+    tracker.assign(first, 0.0, 1.0)
     second = tracker.least_contended(0.0)
     assert second.node_id == 1
 
@@ -115,7 +115,7 @@ def test_tracker_thermal_state_rises_and_cools():
     tracker = NodeTracker(1, thermal=ThermalConfig(tau_s=1e-3))
     node = tracker.nodes[0]
     ambient = node.temperature_c
-    tracker.assign(node, _job(0), 0.0, 1e-4)
+    tracker.assign(node, 0.0, 1e-4)
     tracker.complete(node, 1e-4, 1e-4, energy_j=0.5, mean_level=3.0)
     hot = node.temperature_c
     assert hot > ambient
@@ -127,9 +127,9 @@ def test_tracker_thermal_state_rises_and_cools():
 def test_tracker_rejects_time_travel_assignment():
     tracker = NodeTracker(1)
     node = tracker.nodes[0]
-    tracker.assign(node, _job(0), 0.0, 1.0)
+    tracker.assign(node, 0.0, 1.0)
     with pytest.raises(FleetError):
-        tracker.assign(node, _job(1), 0.5, 2.0)
+        tracker.assign(node, 0.5, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def test_quarantined_node_rejects_assignment():
     node = tracker.nodes[0]
     tracker.quarantine(node, 0.0, 1.0, "crash")
     with pytest.raises(FleetError):
-        tracker.assign(node, _job(0), 2.0, 3.0)
+        tracker.assign(node, 2.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def test_chaos_check_trial_flags_violations():
         still_quarantined=0, conserved=False, byte_stable=False,
         slo_violation_rate=0.0, shed_rate=0.25)
     fleet = FleetResult(policy_name="p", trace_name="t", seed=1,
-                        num_nodes=2, shed=[ShedJob(
+                        num_nodes=2, submitted=1, shed=[ShedJob(
                             job_id=9, name="j9", job_class=LATENCY,
                             arrival_s=0.0, deadline_s=1.0, expected_s=1e-4,
                             shed_s=0.0, reason="unmeetable")])

@@ -1,11 +1,13 @@
 """Package hygiene: public API surface, docstrings, exports."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -210,16 +212,25 @@ REPO = Path(repro.__file__).parents[2]
 SRC = REPO / "src" / "repro"
 
 
+@functools.cache
+def _parsed(folder: str) -> tuple:
+    """``(path relative to src/repro or the repo, tree)`` per file of
+    ``folder``, each node linked to its ``parent``."""
+    trees = []
+    for path in sorted((REPO / folder).rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        root = SRC if folder == "src" else REPO
+        trees.append((path.relative_to(root).as_posix(), tree))
+    return tuple(trees)
+
+
 def _trees(*folders: str):
     """``(path relative to src/repro or the repo, tree)`` per file."""
     for folder in folders:
-        for path in sorted((REPO / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in ast.walk(tree):
-                for child in ast.iter_child_nodes(node):
-                    child.parent = node
-            root = SRC if folder == "src" else REPO
-            yield path.relative_to(root).as_posix(), tree
+        yield from _parsed(folder)
 
 
 def _enclosing(node: ast.AST, kind: type):
@@ -245,28 +256,62 @@ def _public_names():
                         yield item.name, f"{where}:{node.name}.{item.name}"
 
 
-def _read_names() -> set[str]:
-    """Every identifier code in ``src/``, ``benchmarks/`` and
-    ``examples/`` reads: names, attributes, and each dotted part of a
-    string constant (``getattr`` and the benchmark's layer catalogue
-    name code in strings).  ``__all__`` lists and imports only re-export
-    a name, so they do not count."""
-    names = set()
+#: Methods that, called as a statement, only put into (or take out of)
+#: the container they are called on.
+_CONTAINER_WRITES = {"add", "append", "appendleft", "clear", "discard",
+                     "extend", "insert", "pop", "popleft", "remove",
+                     "setdefault", "update"}
+
+
+def _written_through(node: ast.AST) -> bool:
+    """True when ``node`` (a loaded name or attribute) is only written
+    through: the container of a subscript store (``x.f[k] = v``,
+    ``x.f[k] += v``, ``del x.f[k]``) or of a mutating method called as
+    a statement (``x.f.append(v)``)."""
+    parent = node.parent
+    if isinstance(parent, ast.Subscript):
+        return parent.value is node and not isinstance(parent.ctx, ast.Load)
+    call = getattr(parent, "parent", None)
+    return (isinstance(parent, ast.Attribute)
+            and parent.attr in _CONTAINER_WRITES
+            and isinstance(call, ast.Call) and call.func is parent
+            and isinstance(call.parent, ast.Expr))
+
+
+@functools.cache
+def _reads() -> frozenset:
+    """``(kind, identifier)`` for every read in ``src/``,
+    ``benchmarks/`` and ``examples/``: kind ``"name"`` or
+    ``"attribute"`` for a loaded one, ``"string"`` for each dotted part
+    of a string constant (``getattr`` and the benchmark's layer
+    catalogue name code in strings).  Stores, deletes and writes
+    through a container do not read; nor do ``__all__`` and
+    ``__slots__`` lists or imports, which only declare a name."""
+    reads = set()
     for _, tree in _trees("src", "benchmarks", "examples"):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                if (isinstance(node.ctx, ast.Load)
+                        and not _written_through(node)):
+                    reads.add(("name", node.id)
+                              if isinstance(node, ast.Name)
+                              else ("attribute", node.attr))
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)
-                  and not any(ast.unparse(target) == "__all__"
+                  and not any(ast.unparse(target) in ("__all__", "__slots__")
                               for target in getattr(
                                   _enclosing(node, ast.Assign),
                                   "targets", ()))):
-                names.update(part for part in node.value.split(".")
+                reads.update(("string", part)
+                             for part in node.value.split(".")
                              if part.isidentifier())
-    return names
+    return frozenset(reads)
+
+
+def _read_names() -> set[str]:
+    """Every identifier code in ``src/``, ``benchmarks/`` and
+    ``examples/`` reads, as a name, an attribute or in a string."""
+    return {identifier for _, identifier in _reads()}
 
 
 #: Public names only tests call, each with the reason it stays.
@@ -413,6 +458,8 @@ _UNPASSED_PARAMETER_EXEMPTIONS = {
         "the examples build the base variant alone to run in seconds",
     "gpu/interval_model.py:SolutionCache.__init__(max_entries)":
         "the starved-cache identity tests bound the cache",
+    "gpu/counters.py:CounterSet.__init__(values)":
+        "test support: tests build counter sets from a name-to-value dict",
     "evaluation/robustness.py:seed_sweep(fused)":
         "fused engine plumbing: deleted whole with the engine",
     "evaluation/robustness.py:seed_sweep(fuse_width)":
@@ -454,6 +501,182 @@ def test_every_defaulted_parameter_is_passed_somewhere():
             continue
         unpassed.add(f"{where}({name})")
     assert unpassed == set(_UNPASSED_PARAMETER_EXEMPTIONS)
+
+
+def _assigned_names(body: list) -> Iterator[ast.Name]:
+    """The names that plain or annotated assignments in ``body`` bind."""
+    for stmt in body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            yield from (node for node in ast.walk(target)
+                        if isinstance(node, ast.Name))
+
+
+def _stored_state():
+    """``(name, "module:Class.name", field)`` for each piece of state a
+    class in ``src/repro`` stores.  ``field`` is True for an annotated
+    name in its body (a dataclass or named-tuple field) and for each
+    ``self.<name>`` assignment target in its methods, False for a class
+    constant assigned in its body."""
+    for where, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for name in _assigned_names(node.body):
+                    if not name.id.startswith("__"):
+                        yield (name.id, f"{where}:{node.name}.{name.id}",
+                               isinstance(name.parent, ast.AnnAssign))
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and ast.unparse(node.value) == "self"):
+                cls = _enclosing(node, ast.ClassDef).name
+                yield node.attr, f"{where}:{cls}.{node.attr}", True
+
+
+#: Stored state no program code reads by attribute, each with the
+#: reason it stays.
+_UNREAD_STATE_EXEMPTIONS = {
+    "gpu/simulator.py:EpochRecord.start_time_s":
+        "pinned: the golden simulator digests cover every record field",
+    "datagen/protocol.py:BreakpointSamples.breakpoint_index":
+        "pinned: the golden datagen_chunk digest covers every sample field",
+    "datagen/protocol.py:BreakpointSamples.segment_losses":
+        "pinned: the golden datagen_chunk digest covers the paper's "
+        "literal (T_f - T0)/T0",
+    "evaluation/soak.py:KernelSoak.baseline_epochs":
+        "exported: CertifyResult.to_payload writes each row with asdict",
+    "fleet/metrics.py:ShedJob.shed_s":
+        "exported: ShedJob.to_payload writes every field with asdict",
+    "gpu/interval_model.py:BatchSolution.bandwidth_limited":
+        "oracle: solve_throughput copies every field (dataclasses.fields) "
+        "into the one-row view the tests check",
+    "gpu/interval_model.py:ThroughputSolution.bandwidth_limited":
+        "oracle: the one-row solve the batched solver is checked against",
+    "gpu/quantum.py:SolveWindow.bw":
+        "read by tuple unpacking in the quantum walk",
+    "nn/trainer.py:TrainHistory.val_losses":
+        "oracle: the trainer tests check the best-epoch restore against it",
+    "errors.py:CampaignError.task_id":
+        "error payload: names the failed task to whoever catches it",
+    "gpu/fused.py:_FusedTask.task_id":
+        "fused engine: deleted whole with its plumbing",
+}
+
+
+def test_every_stored_field_is_read():
+    """A field or attribute that the program writes and nothing reads
+    is work done for nothing: delete it, and whatever computes it.  A
+    read is an attribute load or a string naming it (``getattr``); a
+    store, or a write through it as a container (``x.f[k] = v``,
+    ``x.f.append(v)``), is not.  A class constant may also be read by
+    bare name in its class body.  Reflection (``asdict``, ``vars``,
+    ``dataclasses.fields``) reads a class's fields without naming them,
+    so those classes are exempt by name.  The match is by name, so a
+    read of an equal name elsewhere keeps a field alive."""
+    by_attribute = {identifier for kind, identifier in _reads()
+                    if kind != "name"}
+    by_any = _read_names()
+    unread = {where for name, where, field in _stored_state()
+              if name not in (by_attribute if field else by_any)}
+    assert unread == set(_UNREAD_STATE_EXEMPTIONS)
+
+
+#: Module constants nothing reads, each with the reason it stays.
+_UNREAD_CONSTANT_EXEMPTIONS = {
+    "__init__.py:__version__": "the package version, read by its users",
+}
+
+
+def test_every_module_constant_is_read():
+    """A module-level name that no code in ``src/``, ``benchmarks/``
+    or ``examples/`` reads is dead: ``__all__`` re-exports and the
+    assignment itself do not count."""
+    read = _read_names() | {"__all__"}
+    unread = {f"{where}:{name.id}" for where, tree in _trees("src")
+              for name in _assigned_names(tree.body) if name.id not in read}
+    assert unread == set(_UNREAD_CONSTANT_EXEMPTIONS)
+
+
+def _is_stub(function: ast.FunctionDef) -> bool:
+    """True when the body only declares an interface: a docstring,
+    ``pass``, ``...`` or ``raise NotImplementedError``."""
+    return all(
+        isinstance(stmt, ast.Pass)
+        or (isinstance(stmt, ast.Expr) and isinstance(stmt.value,
+                                                      ast.Constant))
+        or (isinstance(stmt, ast.Raise) and stmt.exc is not None
+            and ast.unparse(stmt.exc).startswith("NotImplementedError"))
+        for stmt in function.body)
+
+
+#: Parameters their function never reads, each with the reason it
+#: stays.
+_UNREAD_PARAMETER_EXEMPTIONS = {
+    "cli.py:cmd_suites(args)":
+        "interface: every subcommand handler takes the parsed arguments",
+    "core/policy.py:StaticPolicy.decide(record)":
+        "interface: the DVFSPolicy protocol's decide(record)",
+    "core/policy.py:ModelOraclePolicy.decide(record)":
+        "interface: the DVFSPolicy protocol's decide(record)",
+    "evaluation/fleet_chaos.py:replay(run_name)":
+        "interface: run_trials' replay callback; the serve-chaos one "
+        "reads it",
+}
+
+
+def test_every_parameter_is_read():
+    """A parameter its function never reads makes every caller pass a
+    value for nothing.  Stubs that only declare an interface are
+    skipped; an implementation that must take a parameter it does not
+    need is exempt by name."""
+    unread = set()
+    for where, tree in _trees("src"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or _is_stub(node):
+                continue
+            loaded = {name.id for name in ast.walk(node)
+                      if isinstance(name, ast.Name)
+                      and isinstance(name.ctx, ast.Load)}
+            cls = _enclosing(node, ast.ClassDef)
+            qualified = f"{where}:{cls.name + '.' if cls else ''}{node.name}"
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if (arg is not None and arg.arg not in ("self", "cls")
+                        and arg.arg not in loaded):
+                    unread.add(f"{qualified}({arg.arg})")
+    assert unread == set(_UNREAD_PARAMETER_EXEMPTIONS)
+
+
+def test_every_import_is_read():
+    """A module-level import in ``src/``, ``tests/``, ``benchmarks/``
+    or ``examples/`` that its module never reads is dead.  A package's
+    ``__init__.py`` imports to re-export, a name in ``__all__`` is
+    re-exported, and ``from __future__`` imports change the compiler,
+    so none of those count."""
+    unread = []
+    for where, tree in _trees("src", "tests", "benchmarks", "examples"):
+        if where.endswith("__init__.py"):
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.Assign)
+                    and ast.unparse(stmt.targets[0]) == "__all__"):
+                read.update(item.value for item in stmt.value.elts)
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or _enclosing(node, (ast.FunctionDef, ast.ClassDef))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            unread.extend(f"{where}:{node.lineno} {name}"
+                          for alias in node.names
+                          for name in [alias.asname
+                                       or alias.name.split(".")[0]]
+                          if name != "*" and name not in read)
+    assert unread == []
 
 
 EXAMPLES_DIR = Path(repro.__file__).parents[2] / "examples"

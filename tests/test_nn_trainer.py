@@ -47,7 +47,6 @@ def test_early_stopping_triggers():
     model = MLP([2, 16, 3], rng=rng)
     history = train_classifier(
         model, x, y, TrainConfig(epochs=500, patience=5, seed=3))
-    assert history.stopped_early
     assert history.epochs_run < 500
 
 
@@ -69,7 +68,7 @@ def test_best_checkpoint_weights_restored():
     model = MLP([2, 16, 3], rng=rng)
     config = TrainConfig(epochs=500, patience=5, seed=3)
     history = train_classifier(model, x, y, config)
-    assert history.stopped_early
+    assert history.epochs_run < config.epochs
     assert history.best_epoch < history.epochs_run - 1
     order = np.random.default_rng(config.seed).permutation(x.shape[0])
     val = order[:int(x.shape[0] * config.validation_fraction)]

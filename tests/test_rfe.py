@@ -1,5 +1,7 @@
 """Recursive feature elimination (Table I machinery)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,24 @@ from repro.datagen.rfe import (ImportanceWorkspace, RFESelector,
                                permutation_importances)
 from repro.gpu.counters import paper_category
 from repro.nn.mlp import MLP
-from repro.nn.metrics import accuracy
 from repro.nn.trainer import TrainConfig
 from repro.parallel import CampaignStats
 
 
+def _recording(scores):
+    """``permutation_importances`` keeping each call's scores: one
+    array per RFE round, in the order of that round's features."""
+    score = rfe.permutation_importances
+
+    def record(*args, **kwargs):
+        scores.append(score(*args, **kwargs))
+        return scores[-1]
+    return record
+
+
 @pytest.fixture(scope="module")
-def rfe_result(small_dataset, small_arch):
+def rfe_run(small_dataset, small_arch):
+    """The selector's result and each round's importances."""
     candidates = (
         "ipc", "inst_total", "frac_mem", "frac_branch", "occupancy",
         "stall_mem_hazard", "stall_mem_hazard_nonload", "stall_control",
@@ -28,7 +41,15 @@ def rfe_result(small_dataset, small_arch):
         target_count=3, seed=5,
         train_config=TrainConfig(epochs=25, patience=6, learning_rate=3e-3,
                                  seed=5))
-    return selector.run()
+    scores = []
+    with mock.patch.object(rfe, "permutation_importances",
+                           _recording(scores)):
+        return selector.run(), scores
+
+
+@pytest.fixture(scope="module")
+def rfe_result(rfe_run):
+    return rfe_run[0]
 
 
 def test_selects_target_count(rfe_result):
@@ -46,13 +67,15 @@ def test_rounds_shrink_monotonically(rfe_result):
     assert sizes[-1] == 3
 
 
-def test_eliminated_features_were_least_important(rfe_result):
-    for round_ in rfe_result.rounds[:-1]:
-        if not round_.eliminated:
-            continue
-        kept = [n for n in round_.features if n not in round_.eliminated]
-        worst_kept = min(round_.importances[n] for n in kept)
-        best_dropped = max(round_.importances[n] for n in round_.eliminated)
+def test_eliminated_features_were_least_important(rfe_run):
+    result, scores = rfe_run
+    assert len(scores) == len(result.rounds)
+    for round_, kept, round_scores in zip(
+            result.rounds, result.rounds[1:], scores):
+        importances = dict(zip(round_.features, round_scores))
+        dropped = set(round_.features) - set(kept.features)
+        worst_kept = min(importances[n] for n in kept.features)
+        best_dropped = max(importances[n] for n in dropped)
         assert best_dropped <= worst_kept + 1e-12
 
 
@@ -177,30 +200,31 @@ def test_selector_batched_and_serial_agree(small_dataset, small_arch,
             target_count=3, seed=5, train_config=config, stats=stats).run()
         return result, stats
 
-    scored = []
+    batched_scores, serial_scores = [], []
 
     def per_column(model, x_test, y_test, columns, rng, repeats=3,
                    base=None, workspace=None):
-        scored.append(len(columns))
-        return np.array([
+        serial_scores.append(np.array([
             _permutation_importance(model, x_test, y_test, column, rng,
                                     repeats=repeats)
             for column in columns
-        ])
+        ]))
+        return serial_scores[-1]
 
+    monkeypatch.setattr("repro.datagen.rfe.permutation_importances",
+                        _recording(batched_scores))
     batched_result, batched_stats = run()
     monkeypatch.setattr("repro.datagen.rfe.permutation_importances",
                         per_column)
     serial_result, serial_stats = run()
-    assert scored == [len(r.features) for r in serial_result.rounds]
+    assert ([len(scores) for scores in serial_scores]
+            == [len(r.features) for r in serial_result.rounds])
     assert batched_result.selected == serial_result.selected
-    assert len(batched_result.rounds) == len(serial_result.rounds)
-    for b_round, s_round in zip(batched_result.rounds, serial_result.rounds):
-        assert b_round.eliminated == s_round.eliminated
-        assert b_round.importances.keys() == s_round.importances.keys()
-        for name, value in b_round.importances.items():
-            assert value == pytest.approx(s_round.importances[name],
-                                          abs=1e-12)
+    assert ([r.features for r in batched_result.rounds]
+            == [r.features for r in serial_result.rounds])
+    assert len(batched_scores) == len(serial_scores)
+    for batched, serial in zip(batched_scores, serial_scores):
+        np.testing.assert_allclose(batched, serial, rtol=0, atol=1e-12)
     for stats in (batched_stats, serial_stats):
         assert stats.counters["rfe_rounds"] == len(batched_result.rounds)
         assert stats.counters["train_models"] == len(batched_result.rounds)

@@ -307,7 +307,7 @@ def test_supervisor_liveness_probe_kills_wedged_worker(monkeypatch):
     monkeypatch.setattr(supervisor_module, "LIVENESS_TICKS", 3)
     supervisor, _ = _supervisor()
     supervisor.dispatch(supervisor.workers[0], "req", 0, 1)
-    supervisor.hang(0, 0)
+    supervisor.hang(0)
     failures = []
     for tick in range(1, 6):
         _, failed = supervisor.tick(tick)

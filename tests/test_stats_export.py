@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.errors import DatasetError
 from repro.datagen.stats import analyze_dataset
 from repro.evaluation.export import export_fig4_json
 from repro.evaluation.experiments import Fig4Result
@@ -17,7 +16,7 @@ from repro.evaluation.runner import ComparisonResult, PolicyRun
 
 @pytest.fixture(scope="module")
 def report(small_dataset):
-    return analyze_dataset(small_dataset, preset=0.10)
+    return analyze_dataset(small_dataset)
 
 
 def test_report_counts(report, small_dataset):
@@ -48,11 +47,6 @@ def test_report_renders(report):
     assert "Dataset diagnostics" in text
     assert "t.compute" in text
     assert "entropy" in text
-
-
-def test_analyze_rejects_bad_preset(small_dataset):
-    with pytest.raises(DatasetError):
-        analyze_dataset(small_dataset, preset=1.5)
 
 
 # ---------------------------------------------------------------------------
